@@ -138,6 +138,15 @@ def build_blocked(
     certified by Cholesky, escalating a diagonal jitter tenfold from
     1e-10 x sill up to 1e-6 x sill before giving up.
     """
+    return _blocked_and_factor(params, coords_obs, coords_unobs)[0]
+
+
+def _blocked_and_factor(params: MaternParams, coords_obs, coords_unobs=None):
+    """:func:`build_blocked` plus the lower Cholesky factor of its ``full``.
+
+    The factor is the one the positive-definiteness check computed, so a
+    caller drawing from the prior does not factor the matrix again.
+    """
     obs = _as_coords(coords_obs)
     if obs.shape[0] < 1:
         raise ValueError("at least one observed site is required")
@@ -163,12 +172,13 @@ def build_blocked(
 
     blocked = BlockedCovariance(d11=d11, d12=d12, d22=d22)
     full = blocked.full
+    diag = full.diagonal().copy()
     jitter = 0.0
     candidate = _JITTER_START * params.sill
     cap = _JITTER_CAP * params.sill
     while True:
         try:
-            np.linalg.cholesky(full + jitter * np.eye(full.shape[0]))
+            chol = np.linalg.cholesky(full)
             break
         except np.linalg.LinAlgError:
             if candidate > cap:
@@ -177,6 +187,7 @@ def build_blocked(
                 ) from None
             jitter = candidate
             log.warning("covariance jitter escalated to %.3e", jitter)
+            np.fill_diagonal(full, diag + jitter)
             candidate *= 10.0
     if jitter:
         idx = np.arange(blocked.n_observed)
@@ -184,4 +195,4 @@ def build_blocked(
         idx = np.arange(blocked.n_unobserved)
         blocked.d22[idx, idx] += jitter
         blocked.jitter = jitter
-    return blocked
+    return blocked, chol

@@ -93,14 +93,12 @@ def approx_loglik(
     loglik = float(families.log_likelihood(data.kernel, state.eta, data.y))
     cf = np.linalg.cholesky(problem.D)
     sol = np.linalg.solve(cf, state.xi)
-    logprior = -0.5 * (
-        problem.r * np.log(2.0 * np.pi)
-        + 2.0 * np.sum(np.log(np.diag(cf)))
-        + sol @ sol
-    )
-    sign, logdet_xi = np.linalg.slogdet(state.Xi)
-    if sign <= 0:
-        return -np.inf
+    logdet_d = 2.0 * np.sum(np.log(np.diag(cf)))
+    logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet_d + sol @ sol)
+    # identity design: Xi = (D^-1 + W)^-1 and D^-1 + W = D^-1 R W, so
+    # log det Xi = log det D - log det R - sum log w, R from the solver's factor
+    logdet_r = 2.0 * np.sum(np.log(np.diag(state.factor[0])))
+    logdet_xi = logdet_d - logdet_r - np.sum(np.log(state.w))
     return loglik + logprior + 0.5 * problem.r * np.log(2.0 * np.pi) + 0.5 * logdet_xi
 
 

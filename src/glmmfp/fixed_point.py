@@ -12,6 +12,15 @@ fixed-point characterization exactly; the matching covariance is
 ``Xi = D - D Z' R^-1 Z D``.  For the Gaussian kernel this is the
 closed-form conjugate posterior and the iteration converges in one step.
 
+Each iterate does one Cholesky factorization and nothing else of cubic
+cost.  On the identity design ``Z = I`` (every spatial caller) the
+factored matrix is ``R = D + W^-1``, formed by adding ``1/w`` to a copy
+of ``D``'s diagonal, and ``xi = D alpha`` with ``alpha = R^-1 (u - X
+beta)``; no ``Z D Z'`` is formed.  The converged iterate's factor and
+``alpha`` stay on the :class:`FitState`: ``Xi`` is read off that factor
+the first time it is accessed, so callers that only need ``xi`` (or the
+prediction ``D21 alpha``) never pay for it.
+
 A dual update in the random-effect dimension (via the Woodbury
 identity, ``xi = (D^-1 + Z'WZ)^-1 Z'W(u - X beta)``) is selected
 automatically when r is much smaller than n; both paths agree to
@@ -30,6 +39,7 @@ relies on, and is used as a randomized correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -43,7 +53,10 @@ _DIVERGE_STREAK = 5
 
 @dataclass(eq=False)
 class GlmmProblem:
-    """A canonical-link mixed model instance with known fixed effects."""
+    """A canonical-link mixed model instance with known fixed effects.
+
+    ``identity_design`` records whether ``Z`` is the n x n identity.
+    """
 
     y: np.ndarray
     X: np.ndarray
@@ -51,6 +64,7 @@ class GlmmProblem:
     D: np.ndarray
     beta: np.ndarray
     kernel: FamilyKernel
+    identity_design: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y = families.check_support(self.kernel, self.y)
@@ -72,6 +86,12 @@ class GlmmProblem:
             np.linalg.cholesky(self.D)
         except np.linalg.LinAlgError:
             raise ValueError("prior covariance must be positive definite") from None
+        Z = self.Z
+        self.identity_design = (
+            Z.shape == (n, n)
+            and bool(np.all(Z.diagonal() == 1.0))
+            and np.count_nonzero(Z) == n
+        )
 
     @property
     def n(self) -> int:
@@ -97,16 +117,28 @@ class FitOptions:
 
 @dataclass(eq=False)
 class FitState:
-    """Converged (or last) iterate of the fixed-point solver."""
+    """Converged (or last) iterate of the fixed-point solver.
 
+    ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
+    ``R`` on the primal path or of ``D^-1 + Z'WZ`` on the dual path, and
+    ``alpha = R^-1 (u - X beta)``.  ``Xi`` is computed from ``factor`` on
+    first access.
+    """
+
+    problem: GlmmProblem = field(repr=False)
     xi: np.ndarray
-    Xi: np.ndarray
     eta: np.ndarray
     u: np.ndarray
     w: np.ndarray
+    alpha: np.ndarray
+    factor: tuple = field(repr=False)
     iteration: int
     step_norm: float
     residual: float
+
+    @cached_property
+    def Xi(self) -> np.ndarray:
+        return _covariance(self.problem, self.factor)
 
 
 @dataclass(eq=False)
@@ -124,51 +156,68 @@ def _solver_paths(problem: GlmmProblem):
     return 4 * problem.r < problem.n
 
 
-def _xi_raw(problem: GlmmProblem, u, w, want_cov=False):
-    """One fixed-point map evaluation: xi_raw = D Z' R^-1 (u - X beta)."""
+def _xi_raw(problem: GlmmProblem, u, w):
+    """One fixed-point map evaluation: xi_raw = D Z' R^-1 (u - X beta).
+
+    Returns ``(xi_raw, alpha, factor)`` with ``alpha = R^-1 (u - X beta)``
+    and the one Cholesky factor the evaluation made.
+    """
     resid = u - problem.X @ problem.beta
     Z, D = problem.Z, problem.D
     if _solver_paths(problem):
-        # r x r dual path: xi = (D^-1 + Z'WZ)^-1 Z'W resid, Xi = that inverse
+        # r x r dual path: xi = (D^-1 + Z'WZ)^-1 Z'W resid; by Woodbury
+        # R^-1 resid = W (resid - Z xi)
         A = np.linalg.inv(D) + (Z.T * w) @ Z
         cf = cho_factor(A, lower=True)
         xi = cho_solve(cf, Z.T @ (w * resid))
-        if want_cov:
-            Xi = cho_solve(cf, np.eye(problem.r))
-            return xi, 0.5 * (Xi + Xi.T)
-        return xi
+        return xi, w * (resid - Z @ xi), cf
+    if problem.identity_design:
+        R = D.copy()
+        R.flat[:: problem.n + 1] += 1.0 / w
+        cf = cho_factor(R, lower=True)
+        alpha = cho_solve(cf, resid)
+        return D @ alpha, alpha, cf
     R = Z @ D @ Z.T + np.diag(1.0 / w)
     cf = cho_factor(R, lower=True)
-    DZt = D @ Z.T
-    xi = DZt @ cho_solve(cf, resid)
-    if want_cov:
+    alpha = cho_solve(cf, resid)
+    return (D @ Z.T) @ alpha, alpha, cf
+
+
+def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
+    """Xi from the factor ``cf`` that :func:`_xi_raw` returned."""
+    D = problem.D
+    if _solver_paths(problem):
+        Xi = cho_solve(cf, np.eye(problem.r))
+    elif problem.identity_design:
+        Xi = D - D @ cho_solve(cf, D.T)
+    else:
+        DZt = D @ problem.Z.T
         Xi = D - DZt @ cho_solve(cf, DZt.T)
-        return xi, 0.5 * (Xi + Xi.T)
-    return xi
+    return 0.5 * (Xi + Xi.T)
 
 
-def _evaluate(problem: GlmmProblem, xi, want_cov=False):
-    """Working quantities and the fixed-point map at ``xi``."""
+def _evaluate(problem: GlmmProblem, xi):
+    """Working quantities and the fixed-point map at ``xi``.
+
+    Returns ``(eta, u, w, xi_raw, alpha, factor)``.
+    """
     eta = problem.X @ problem.beta + problem.Z @ xi
     u = families.working_response(problem.kernel, eta, problem.y)
     _, w = families.mean_and_weight(problem.kernel, eta)
-    out = _xi_raw(problem, u, w, want_cov=want_cov)
-    if want_cov:
-        return eta, u, w, out[0], out[1]
-    return eta, u, w, out
+    return (eta, u, w, *_xi_raw(problem, u, w))
 
 
 def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     """Sup-norm defect of the fixed-point equation at ``xi``."""
     xi = np.asarray(xi, dtype=float)
-    _, _, _, raw = _evaluate(problem, xi)
+    raw = _evaluate(problem, xi)[3]
     return float(np.max(np.abs(xi - raw))) if xi.size else 0.0
 
 
 def _initial_xi(problem: GlmmProblem):
     eta0, w0 = families.initial_eta(problem.kernel, problem.y)
     u0 = families.working_response(problem.kernel, eta0, problem.y)
-    return _xi_raw(problem, u0, w0)
+    return _xi_raw(problem, u0, w0)[0]
 
 
 def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> FitReport:
@@ -192,16 +241,15 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         streak = 0
         diverged = False
         for t in range(1, options.max_iter + 1):
-            eta, u, w, raw = _evaluate(problem, xi)
+            eta, u, w, raw, alpha, cf = _evaluate(problem, xi)
             residual = float(np.max(np.abs(xi - raw))) if xi.size else 0.0
             xi_new = (1.0 - damping) * xi + damping * raw
             step = float(np.max(np.abs(xi_new - xi))) if xi.size else 0.0
             trace.append((step, residual))
             if residual <= options.tol:
-                eta, u, w, raw, Xi = _evaluate(problem, xi, want_cov=True)
                 state = FitState(
-                    xi=xi, Xi=Xi, eta=eta, u=u, w=w,
-                    iteration=t, step_norm=step, residual=residual,
+                    problem=problem, xi=xi, eta=eta, u=u, w=w, alpha=alpha,
+                    factor=cf, iteration=t, step_norm=step, residual=residual,
                 )
                 return FitReport(
                     converged=True, iterations=t, state=state,
@@ -217,10 +265,10 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
             else:
                 streak = 0
             prev_step = step
-        eta, u, w, raw, Xi = _evaluate(problem, xi, want_cov=True)
+        eta, u, w, raw, alpha, cf = _evaluate(problem, xi)
         residual = float(np.max(np.abs(xi - raw))) if xi.size else 0.0
         state = FitState(
-            xi=xi, Xi=Xi, eta=eta, u=u, w=w,
+            problem=problem, xi=xi, eta=eta, u=u, w=w, alpha=alpha, factor=cf,
             iteration=len(trace), step_norm=trace[-1][0] if trace else 0.0,
             residual=residual,
         )

@@ -19,12 +19,12 @@ so results are identical regardless of execution order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import MaternParams, build_blocked
+from .covariance import MaternParams, _blocked_and_factor, build_blocked
+from .dataio import fmt, write_json
 from .estimate import EstimateOptions, SpatialData, estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions
@@ -87,8 +87,7 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     coords_unobs = rng.uniform(0.0, config.side, size=(n_star, 2))
     x_obs = rng.standard_normal(n)
     x_unobs = rng.standard_normal(n_star)
-    blocked = build_blocked(config.omega, coords_obs, coords_unobs)
-    chol = np.linalg.cholesky(blocked.full)
+    blocked, chol = _blocked_and_factor(config.omega, coords_obs, coords_unobs)
     gamma_joint = chol @ rng.standard_normal(n + n_star)
     gamma, gamma_star = gamma_joint[:n], gamma_joint[n:]
     beta = np.asarray(config.beta, dtype=float)
@@ -223,10 +222,6 @@ _TABLE_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_table_csv(result: SimResult, path):
     """Aggregate metrics, one row per scenario."""
     lines = [",".join(_TABLE_COLUMNS)]
@@ -235,7 +230,7 @@ def write_table_csv(result: SimResult, path):
             continue
         agg = result.aggregates[scenario]
         lines.append(
-            ",".join([scenario] + [_fmt(agg[c]) for c in _TABLE_COLUMNS[1:]])
+            ",".join([scenario] + [fmt(agg[c]) for c in _TABLE_COLUMNS[1:]])
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -261,6 +256,4 @@ def write_audit_json(result: SimResult, path):
         "failures": result.failures,
         "records": result.records,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -7,7 +7,10 @@ covariance:
 
     xi* = D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
 
-evaluated once at the converged observed-block solution.  The predicted
+evaluated once at the converged observed-block solution.  The solver's
+converged iterate already holds ``alpha = R11^-1 (u_xi - X beta)`` from
+its one factorization of ``R11``, so the prediction is the product
+``D21 alpha`` and does no second factorization.  The predicted
 response is b'(X* beta + xi*), and the predicted working response is
 X* beta + xi* (zero working residual, as no response exists at the
 unobserved sites).  With zero cross covariance this degenerates to the
@@ -80,16 +83,9 @@ def fit_predict(
     )
     report = fit_posterior(glmm, options)
     state = report.state
-    n_star = problem.blocked.n_unobserved
-    if n_star:
-        r11 = np.diag(1.0 / state.w) + problem.blocked.d11
-        cf = cho_factor(r11, lower=True)
-        rhs = state.u - problem.X @ problem.beta
-        xi_star = problem.blocked.d12.T @ cho_solve(cf, rhs)
-    else:
-        xi_star = np.empty(0)
+    xi_star = problem.blocked.d12.T @ state.alpha
     eta_star = problem.Xstar @ problem.beta + xi_star
-    if n_star:
+    if problem.blocked.n_unobserved:
         y_hat_star, _ = families.mean_and_weight(problem.kernel, eta_star)
     else:
         y_hat_star = np.empty(0)

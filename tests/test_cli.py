@@ -375,11 +375,15 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_console_script_is_wired(self):
-        import importlib.metadata as md
+        import importlib
+        import tomllib
+        from pathlib import Path
 
-        eps = md.entry_points(group="console_scripts")
-        names = {ep.name: ep.value for ep in eps}
-        assert names.get("glmmfp") == "glmmfp.cli:entry"
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts.get("glmmfp") == "glmmfp.cli:entry"
+        module, _, attr = scripts["glmmfp"].partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
 
     def test_exit_code_constants(self):
         assert (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL,

@@ -197,10 +197,13 @@ class TestSolverPaths:
         u = rng.standard_normal(30)
         w = rng.uniform(0.5, 2.0, size=30)
         monkeypatch.setattr(fixed_point, "_solver_paths", lambda p: True)
-        xi_dual, Xi_dual = fixed_point._xi_raw(problem, u, w, want_cov=True)
+        xi_dual, alpha_dual, cf = fixed_point._xi_raw(problem, u, w)
+        Xi_dual = fixed_point._covariance(problem, cf)
         monkeypatch.setattr(fixed_point, "_solver_paths", lambda p: False)
-        xi_full, Xi_full = fixed_point._xi_raw(problem, u, w, want_cov=True)
+        xi_full, alpha_full, cf = fixed_point._xi_raw(problem, u, w)
+        Xi_full = fixed_point._covariance(problem, cf)
         assert np.max(np.abs(xi_dual - xi_full)) < 1e-10
+        assert np.max(np.abs(alpha_dual - alpha_full)) < 1e-10
         assert np.max(np.abs(Xi_dual - Xi_full)) < 1e-10
 
     def test_dual_path_selected_for_small_r(self):
