@@ -1,8 +1,8 @@
 """Fit the posterior random effects of a small spatial count model.
 
 Walks through the basic workflow: build a Matern prior over a handful of
-sites, simulate Poisson counts on a latent Gaussian field, then run the
-fixed-point solver and look at the convergence trace.
+sites, simulate Poisson counts on a latent Gaussian field, then find the
+posterior mode with the Newton mode-finder and look at its trace.
 """
 
 import numpy as np
@@ -35,17 +35,18 @@ problem = GlmmProblem(
 )
 report = fit_posterior(problem)
 
-print(f"\nconverged: {report.converged} in {report.iterations} iterations")
-print("iteration trace (step size, fixed-point defect):")
-for t, (step, defect) in enumerate(report.trace, start=1):
-    print(f"  {t:3d}  step={step:.3e}  defect={defect:.3e}")
+print(f"\nconverged: {report.converged} in {report.iterations} iterations"
+      f" ({report.halvings} step halvings)")
+print("iteration trace (step taken, full Newton step):")
+for t, (step, newton) in enumerate(report.trace, start=1):
+    print(f"  {t:3d}  step={step:.3e}  newton={newton:.3e}")
 
 # --- inspect the answer ------------------------------------------------
 state = report.state
-print("\nposterior mean vs simulated truth (first 5 sites):")
+print("\nposterior mode vs simulated truth (first 5 sites):")
 for i in range(5):
     print(f"  site {i}:  xi={state.xi[i]:+.4f}   gamma={gamma[i]:+.4f}")
 
 sd = np.sqrt(np.diag(state.Xi))
 inside = np.mean(np.abs(state.xi - gamma) < 2 * sd)
-print(f"\nfraction of sites within 2 posterior sd of the truth: {inside:.2f}")
+print(f"\nfraction of sites within 2 Laplace sd of the truth: {inside:.2f}")

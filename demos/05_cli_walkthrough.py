@@ -41,7 +41,8 @@ code = main(["fit", "--config", str(config), "--data", str(data),
              "--out", str(fit_out), "--quiet"])
 print(f"\nglmmfp fit -> exit {code}")
 report = json.loads((fit_out / "report.json").read_text())
-print(f"  converged in {report['iterations']} iterations")
+print(f"  converged in {report['iterations']} iterations"
+      f" ({report['step_halvings']} step halvings)")
 print(f"  estimated beta: {report['estimation']['beta_hat']}")
 
 # --- predict at fresh sites --------------------------------------------

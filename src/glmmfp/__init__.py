@@ -1,9 +1,10 @@
-"""Fixed-point posterior moments for non-Gaussian mixed models.
+"""Posterior mode and Laplace covariance of random effects in non-Gaussian mixed models.
 
 Core entry points:
 
-* :func:`glmmfp.fixed_point.fit_posterior` - posterior mean/covariance of
-  the random effects by fixed-point iteration.
+* :func:`glmmfp.fixed_point.fit_posterior` - posterior mode of the random
+  effects by Newton's method with step halving, and the Laplace
+  covariance at the mode.
 * :func:`glmmfp.spatial.fit_predict` - spatial prediction at unobserved
   sites under a blocked Matern prior.
 * :mod:`glmmfp.oracle` - brute-force quadrature / importance-sampling

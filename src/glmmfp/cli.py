@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``fit``       - posterior mean/covariance of the site effects on a dataset
+* ``fit``       - posterior mode and Laplace covariance of the site effects
 * ``predict``   - fit on training sites, predict effects/responses at test sites
 * ``simulate``  - Monte Carlo evaluation of the spatial predictor
 * ``validate``  - repeated random train/test splits scored by predictive deviance
@@ -25,9 +25,9 @@ import numpy as np
 
 from . import dataio
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
-from .dataio import ConfigError, Dataset, RunConfig, fmt
+from .dataio import ConfigError, RunConfig, fmt
 from .estimate import EstimateOptions, SpatialData, estimate
-from .families import DegenerateSitesError, initial_eta
+from .families import initial_eta
 from .fixed_point import (
     FitOptions,
     GlmmProblem,
@@ -49,7 +49,6 @@ EXIT_NONCONVERGENCE = 3
 
 _NUMERICAL_ERRORS = (
     SingularCovarianceError,
-    DegenerateSitesError,
     CapabilityError,
     UnreliableEstimateError,
     np.linalg.LinAlgError,
@@ -62,7 +61,6 @@ def _fit_options(cfg: RunConfig) -> FitOptions:
     return FitOptions(
         tol=float(sic.get("tol", 1e-10)),
         max_iter=int(sic.get("max_iter", 200)),
-        damping=float(sic.get("damping", 1.0)),
     )
 
 
@@ -141,7 +139,7 @@ def cmd_fit(args) -> int:
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.state.residual,
-        "damping_used": report.damping_used,
+        "step_halvings": report.halvings,
         "beta": [float(b) for b in beta],
         "omega": [omega.omega1, omega.omega2, omega.omega3],
     }
@@ -151,17 +149,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
-def _split_dataset(dataset: Dataset, which: str) -> Dataset:
-    mask = dataset.role == which
-    return Dataset(
-        y=dataset.y[mask] if dataset.y is not None else None,
-        coords=dataset.coords[mask],
-        covariates={k: v[mask] for k, v in dataset.covariates.items()},
-        trials=dataset.trials[mask] if dataset.trials is not None else None,
-        role=None,
-    )
-
-
 def cmd_predict(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
@@ -169,8 +156,8 @@ def cmd_predict(args) -> int:
         train = dataset
         test = dataio.load_dataset(args.test, cfg, require_response=False)
     elif dataset.role is not None:
-        train = _split_dataset(dataset, "train")
-        test = _split_dataset(dataset, "test")
+        train = dataset.subset(dataset.role == "train")
+        test = dataset.subset(dataset.role == "test")
     else:
         raise ConfigError("predict needs --test sites or a 'role' column")
     if train.n < 1:
@@ -190,7 +177,8 @@ def cmd_predict(args) -> int:
         omega, train.coords, test.coords if test.n else None
     )
     problem = SpatialProblem(
-        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel
+        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
+        trials_star=test.trials,
     )
     prediction = fit_predict(problem, options)
     dataio.write_predictions_csv(
@@ -282,27 +270,19 @@ def cmd_validate(args) -> int:
 
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
-    def subset(idx):
-        return Dataset(
-            y=dataset.y[idx],
-            coords=dataset.coords[idx],
-            covariates={k: v[idx] for k, v in dataset.covariates.items()},
-            trials=dataset.trials[idx] if dataset.trials is not None else None,
-            role=None,
-        )
-
-    train, test = subset(train_idx), subset(test_idx)
+    train, test = dataset.subset(train_idx), dataset.subset(test_idx)
     kernel = dataio.make_kernel(cfg, train.trials)
     X = dataio.build_design(train, cfg, tier)
     Xstar = dataio.build_design(test, cfg, tier)
     beta, omega, _ = _resolve_params(cfg, train.y, X, train.coords, kernel, options)
     blocked = build_blocked(omega, train.coords, test.coords)
     problem = SpatialProblem(
-        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel
+        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
+        trials_star=test.trials,
     )
     prediction = fit_predict(problem, options)
     if not prediction.report.converged:
-        raise RuntimeError("fixed-point solver did not converge on a split")
+        raise RuntimeError("mode-finder did not converge on a split")
     return deviance_gof(test.y, prediction.y_hat_star)
 
 
@@ -394,7 +374,8 @@ def cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glmmfp",
-        description="Fixed-point posterior moments for non-Gaussian mixed models",
+        description="Posterior mode and Laplace covariance of random effects "
+        "in non-Gaussian mixed models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_data in (

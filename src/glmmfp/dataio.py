@@ -56,7 +56,7 @@ _TOP_KEYS = {
     "family", "covariates", "model_tier", "matern", "beta",
     "gaussian_variance", "sic", "seed", "simulate", "validate", "verify",
 }
-_SIC_KEYS = {"tol", "max_iter", "damping"}
+_SIC_KEYS = {"tol", "max_iter"}
 _MATERN_KEYS = {"omega1", "omega2", "omega3"}
 _SIMULATE_KEYS = {
     "n", "n_star", "beta", "omega", "replications", "seed", "side", "scenarios",
@@ -158,6 +158,16 @@ class Dataset:
     def n(self) -> int:
         return self.coords.shape[0]
 
+    def subset(self, rows) -> "Dataset":
+        """The rows a boolean mask or an index array picks, without roles."""
+        return Dataset(
+            y=self.y[rows] if self.y is not None else None,
+            coords=self.coords[rows],
+            covariates={k: v[rows] for k, v in self.covariates.items()},
+            trials=self.trials[rows] if self.trials is not None else None,
+            role=None,
+        )
+
 
 def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset:
     try:
@@ -175,7 +185,7 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
     required = ["x_coord", "y_coord"] + list(cfg.covariates)
     if require_response:
         required.append("y")
-    if cfg.family == "binomial" and require_response:
+    if cfg.family == "binomial":
         required.append("m")
     for col in required:
         if col not in header:

@@ -1,12 +1,11 @@
 """Exponential-family kernels for canonical-link mixed models.
 
-Each kernel bundles the cumulant function ``b`` and its first two
-derivatives, the working-response / working-weight construction used by
-the fixed-point solver, and the family-specific starting values for the
-linear predictor.  Poisson (log link) and binomial (logit link) are the
-count families of interest; a Gaussian kernel with fixed, known variance
-is included as the conjugate case where every downstream quantity has a
-closed form.
+Each kernel supplies the conditional mean ``b'`` and working weight
+used by the Newton mode-finder, the full log-likelihood, and the
+family-specific starting values for the linear predictor.  Poisson (log
+link) and binomial (logit link) are the count families of interest; a
+Gaussian kernel with fixed, known variance is included as the conjugate
+case where every downstream quantity has a closed form.
 
 All functions are pure and operate elementwise on numpy arrays, so they
 are safe to call concurrently.
@@ -20,28 +19,14 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 # Linear predictors are clamped to this window before exponentiation for
-# the count families; beyond it exp()/expit() saturate and the working
-# residual division produces inf/NaN.
+# the count families, which keeps the means finite and the working
+# weights positive.
 ETA_CLAMP = 30.0
-
-# Working weights below this floor mark a site as degenerate instead of
-# silently producing an enormous working residual.
-WEIGHT_FLOOR = 1e-12
 
 POISSON = "poisson"
 BINOMIAL = "binomial"
 GAUSSIAN = "gaussian"
 _FAMILIES = (POISSON, BINOMIAL, GAUSSIAN)
-
-
-class DegenerateSitesError(RuntimeError):
-    """Raised when working weights underflow at one or more sites."""
-
-    def __init__(self, indices):
-        self.indices = np.asarray(indices, dtype=int)
-        super().__init__(
-            f"working weight below {WEIGHT_FLOOR:g} at sites {self.indices.tolist()}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +65,11 @@ class FamilyKernel:
         elif self.variance is not None:
             raise ValueError(f"{self.family} kernel must not carry a variance")
 
+    @property
+    def dispersion(self) -> float:
+        """The Gaussian variance; 1 for the count families."""
+        return self.variance if self.family == GAUSSIAN else 1.0
+
 
 def poisson_kernel() -> FamilyKernel:
     return FamilyKernel(POISSON)
@@ -116,29 +106,6 @@ def check_support(kernel: FamilyKernel, y) -> np.ndarray:
     return y
 
 
-def b_value(kernel: FamilyKernel, eta) -> np.ndarray:
-    """Cumulant function b(eta), elementwise."""
-    eta = _check_finite(eta)
-    if kernel.family == POISSON:
-        return np.exp(np.clip(eta, -ETA_CLAMP, ETA_CLAMP))
-    if kernel.family == BINOMIAL:
-        # m * log(1 + e^eta), safe for |eta| ~ 500
-        return kernel.trials * np.logaddexp(0.0, eta)
-    return 0.5 * eta**2
-
-
-def curvature(kernel: FamilyKernel, eta) -> np.ndarray:
-    """Second derivative b''(eta) of the cumulant (conditional variance)."""
-    eta = _check_finite(eta)
-    ec = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
-    if kernel.family == POISSON:
-        return np.exp(ec)
-    if kernel.family == BINOMIAL:
-        p = expit(ec)
-        return kernel.trials * p * (1.0 - p)
-    return np.ones_like(eta)
-
-
 def mean_and_weight(kernel: FamilyKernel, eta) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean b'(eta) and working weight, elementwise.
 
@@ -156,32 +123,13 @@ def mean_and_weight(kernel: FamilyKernel, eta) -> tuple[np.ndarray, np.ndarray]:
     return eta.copy(), np.full_like(eta, 1.0 / kernel.variance)
 
 
-def working_response(kernel: FamilyKernel, eta, y) -> np.ndarray:
-    """Linearized pseudo-response u = eta + (y - b'(eta)) / b''(eta).
-
-    For the Gaussian identity link this is exactly ``y``.  Sites whose
-    curvature underflows the weight floor are reported rather than
-    divided through.
-    """
-    eta = _check_finite(eta)
-    y = check_support(kernel, y)
-    if eta.shape != y.shape:
-        raise ValueError("eta and y have mismatched length")
-    if kernel.family == GAUSSIAN:
-        return y.copy()
-    mu, _ = mean_and_weight(kernel, eta)
-    v = curvature(kernel, eta)
-    bad = np.nonzero(v < WEIGHT_FLOOR)[0]
-    if bad.size:
-        raise DegenerateSitesError(bad)
-    return eta + (y - mu) / v
-
-
 def initial_eta(kernel: FamilyKernel, y) -> tuple[np.ndarray, np.ndarray]:
     """Family-specific starting linear predictor and starting weights.
 
     Uses the standard IRLS-style starts: shifted log counts for Poisson,
-    empirical logits for binomial, the response itself for Gaussian.
+    empirical logits for binomial, the response itself for Gaussian.  The
+    count families' weights are b''(eta0), which the half-count shifts
+    keep away from zero.
     """
     y = check_support(kernel, y)
     if kernel.family == POISSON:

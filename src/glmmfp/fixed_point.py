@@ -1,30 +1,35 @@
-"""Fixed-point computation of posterior random-effect moments.
+"""Newton mode-finder for the random effects of a canonical-link mixed model.
 
-Given a canonical-link mixed model with response ``y``, designs ``X``
-and ``Z``, prior covariance ``D``, and known fixed effects ``beta``,
-the solver iterates the working linear mixed model update
+Given response ``y``, designs ``X`` and ``Z``, prior covariance ``D`` and
+known fixed effects ``beta``, :func:`fit_posterior` maximizes the
+log-posterior
 
-    xi  <-  D Z' R^-1 (u - X beta),    R = Z D Z' + W^-1,
+    l(xi) = log f(y | X beta + Z xi) - xi' D^-1 xi / 2
 
-where ``u`` and ``W`` are the working response and weights evaluated at
-the current linear predictor.  The converged ``xi`` satisfies the
-fixed-point characterization exactly; the matching covariance is
-``Xi = D - D Z' R^-1 Z D``.  For the Gaussian kernel this is the
-closed-form conjugate posterior and the iteration converges in one step.
+by Newton's method.  Each iterate takes the increment ``Delta = H^-1 g``,
+with gradient ``g = Z'(y - mu) / phi - D^-1 xi``, negative Hessian
+``H = D^-1 + Z'WZ`` and ``phi`` the family's dispersion, and halves it
+until ``l`` does not fall (step halving, as in R's ``glm.fit``).  It
+stops when ``Delta`` drops to ``tol`` in sup-norm.  The full step is the
+working linear mixed model update of penalized quasi-likelihood,
 
-Each iterate does one Cholesky factorization and nothing else of cubic
-cost.  On the identity design ``Z = I`` (every spatial caller) the
-factored matrix is ``R = D + W^-1``, formed by adding ``1/w`` to a copy
-of ``D``'s diagonal, and ``xi = D alpha`` with ``alpha = R^-1 (u - X
-beta)``; no ``Z D Z'`` is formed.  The converged iterate's factor and
-``alpha`` stay on the :class:`FitState`: ``Xi`` is read off that factor
-the first time it is accessed, so callers that only need ``xi`` (or the
-prediction ``D21 alpha``) never pay for it.
+    xi + Delta  =  D Z' R^-1 (u - X beta),    R = Z D Z' + W^-1,
 
-A dual update in the random-effect dimension (via the Woodbury
-identity, ``xi = (D^-1 + Z'WZ)^-1 Z'W(u - X beta)``) is selected
-automatically when r is much smaller than n; both paths agree to
-numerical precision and are cross-checked in the test suite.
+with working response ``u = eta + (y - mu) / (phi w)``: the mode is that
+update's fixed point, ``Delta`` its defect, and ``Xi = H^-1 = D - D Z'
+R^-1 Z D`` the Laplace covariance.  The start is one such update at the
+family's IRLS predictor, which for the Gaussian kernel is already the
+conjugate posterior, so the first iterate confirms it.
+
+The iteration carries ``a = D^-1 xi`` beside ``xi`` and never factors
+``D``.  Each iterate does one Cholesky factorization and nothing else of
+cubic cost.  On the identity design ``Z = I`` (every spatial caller) it
+factors ``R = D + W^-1``, formed by adding ``1/w`` to a copy of ``D``'s
+diagonal, and ``D^-1 Delta = R^-1 W^-1 g``; a general ``Z`` factors
+``R = Z D Z' + W^-1``, and when r is much smaller than n the dual path
+factors ``H`` itself.  The last iterate's factor stays on the
+:class:`FitState`; ``Xi`` is read off it on first access, so callers
+that only need ``xi`` (or the prediction ``D21 alpha``) never pay for it.
 
 The module also evaluates both sides of the Gaussian factorization
 identity
@@ -47,8 +52,10 @@ from scipy.linalg import cho_factor, cho_solve
 from . import families
 from .families import FamilyKernel
 
-_MAX_RESTARTS = 8
-_DIVERGE_STREAK = 5
+# A trial point is accepted when the log-posterior falls by no more than
+# this fraction of the size of its parts, which is roundoff.
+_SLACK = 1e-12
+_MAX_HALVINGS = 40
 
 
 @dataclass(eq=False)
@@ -106,34 +113,30 @@ class GlmmProblem:
 class FitOptions:
     tol: float = 1e-10
     max_iter: int = 200
-    damping: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter >= 1")
 
 
 @dataclass(eq=False)
 class FitState:
-    """Converged (or last) iterate of the fixed-point solver.
+    """Last iterate of the mode-finder: the mode once it has converged.
 
     ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
-    ``R`` on the primal path or of ``D^-1 + Z'WZ`` on the dual path, and
-    ``alpha = R^-1 (u - X beta)``.  ``Xi`` is computed from ``factor`` on
-    first access.
+    ``R`` on the primal path or of ``H = D^-1 + Z'WZ`` on the dual path.
+    ``alpha = D^-1 (xi + Delta)`` is the prior-precision image of the
+    full Newton step's target; on the identity design it equals
+    ``R^-1 (u - X beta)``.  ``Xi`` is computed from ``factor`` on first
+    access.
     """
 
     problem: GlmmProblem = field(repr=False)
     xi: np.ndarray
     eta: np.ndarray
-    u: np.ndarray
     w: np.ndarray
     alpha: np.ndarray
     factor: tuple = field(repr=False)
-    iteration: int
-    step_norm: float
     residual: float
 
     @cached_property
@@ -143,11 +146,18 @@ class FitState:
 
 @dataclass(eq=False)
 class FitReport:
+    """Outcome of :func:`fit_posterior`.
+
+    ``trace`` holds one ``(step, residual)`` pair per iteration: the sup
+    norm of the increment taken and of the full Newton increment.
+    ``halvings`` counts the step halvings over the whole fit.
+    """
+
     converged: bool
     iterations: int
     state: FitState
     trace: list = field(default_factory=list)
-    damping_used: float = 1.0
+    halvings: int = 0
     eta_clamped: bool = False
 
 
@@ -156,35 +166,44 @@ def _solver_paths(problem: GlmmProblem):
     return 4 * problem.r < problem.n
 
 
+def _factor(problem: GlmmProblem, w):
+    """The one Cholesky factor of an iterate with working weights ``w``.
+
+    ``H = D^-1 + Z'WZ`` on the dual path, ``R = Z D Z' + W^-1`` otherwise.
+    """
+    Z, D = problem.Z, problem.D
+    if _solver_paths(problem):
+        return cho_factor(np.linalg.inv(D) + (Z.T * w) @ Z, lower=True)
+    if problem.identity_design:
+        R = D.copy()
+        R.flat[:: problem.n + 1] += 1.0 / w
+    else:
+        R = Z @ D @ Z.T + np.diag(1.0 / w)
+    return cho_factor(R, lower=True)
+
+
 def _xi_raw(problem: GlmmProblem, u, w):
-    """One fixed-point map evaluation: xi_raw = D Z' R^-1 (u - X beta).
+    """The working-model update xi_raw = D Z' R^-1 (u - X beta).
 
     Returns ``(xi_raw, alpha, factor)`` with ``alpha = R^-1 (u - X beta)``
     and the one Cholesky factor the evaluation made.
     """
     resid = u - problem.X @ problem.beta
     Z, D = problem.Z, problem.D
+    cf = _factor(problem, w)
     if _solver_paths(problem):
         # r x r dual path: xi = (D^-1 + Z'WZ)^-1 Z'W resid; by Woodbury
         # R^-1 resid = W (resid - Z xi)
-        A = np.linalg.inv(D) + (Z.T * w) @ Z
-        cf = cho_factor(A, lower=True)
         xi = cho_solve(cf, Z.T @ (w * resid))
         return xi, w * (resid - Z @ xi), cf
-    if problem.identity_design:
-        R = D.copy()
-        R.flat[:: problem.n + 1] += 1.0 / w
-        cf = cho_factor(R, lower=True)
-        alpha = cho_solve(cf, resid)
-        return D @ alpha, alpha, cf
-    R = Z @ D @ Z.T + np.diag(1.0 / w)
-    cf = cho_factor(R, lower=True)
     alpha = cho_solve(cf, resid)
+    if problem.identity_design:
+        return D @ alpha, alpha, cf
     return (D @ Z.T) @ alpha, alpha, cf
 
 
 def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
-    """Xi from the factor ``cf`` that :func:`_xi_raw` returned."""
+    """Xi from the factor ``cf`` that :func:`_factor` returned."""
     D = problem.D
     if _solver_paths(problem):
         Xi = cho_solve(cf, np.eye(problem.r))
@@ -196,93 +215,110 @@ def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
     return 0.5 * (Xi + Xi.T)
 
 
-def _evaluate(problem: GlmmProblem, xi):
-    """Working quantities and the fixed-point map at ``xi``.
+def _score(problem: GlmmProblem, eta):
+    """Score ``(y - mu) / phi`` of the log-likelihood in ``eta``, and ``w``."""
+    mu, w = families.mean_and_weight(problem.kernel, eta)
+    return (problem.y - mu) / problem.kernel.dispersion, w
 
-    Returns ``(eta, u, w, xi_raw, alpha, factor)``.
+
+def _newton_step(problem: GlmmProblem, eta, a):
+    """Newton increment at ``eta = X beta + Z xi``, with ``a = D^-1 xi``.
+
+    Returns ``(w, delta, d_delta, factor)``: the working weights,
+    ``delta = H^-1 g``, ``d_delta = D^-1 delta`` and the one Cholesky
+    factor the evaluation made.
     """
-    eta = problem.X @ problem.beta + problem.Z @ xi
-    u = families.working_response(problem.kernel, eta, problem.y)
-    _, w = families.mean_and_weight(problem.kernel, eta)
-    return (eta, u, w, *_xi_raw(problem, u, w))
+    s, w = _score(problem, eta)
+    Z, D = problem.Z, problem.D
+    cf = _factor(problem, w)
+    if problem.identity_design:
+        d_delta = cho_solve(cf, (s - a) / w)  # H^-1 = D R^-1 W^-1
+        return w, D @ d_delta, d_delta, cf
+    g = Z.T @ s - a
+    if _solver_paths(problem):
+        delta = cho_solve(cf, g)
+        return w, delta, g - Z.T @ (w * (Z @ delta)), cf
+    d_delta = g - Z.T @ cho_solve(cf, Z @ (D @ g))  # H^-1 = D - D Z' R^-1 Z D
+    return w, D @ d_delta, d_delta, cf
+
+
+def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
+    """l = log f(y | eta) - xi' D^-1 xi / 2, with ``a = D^-1 xi``."""
+    loglik = families.log_likelihood(problem.kernel, eta, problem.y)
+    return float(loglik - 0.5 * (xi @ a))
 
 
 def fixed_point_residual(problem: GlmmProblem, xi) -> float:
-    """Sup-norm defect of the fixed-point equation at ``xi``."""
+    """Sup-norm defect of the working-model update at ``xi``.
+
+    This is the size of the full Newton increment, computed through the
+    update ``D Z' R^-1 (u - X beta)`` rather than the solver's own form.
+    """
     xi = np.asarray(xi, dtype=float)
-    raw = _evaluate(problem, xi)[3]
-    return float(np.max(np.abs(xi - raw))) if xi.size else 0.0
+    eta = problem.X @ problem.beta + problem.Z @ xi
+    s, w = _score(problem, eta)
+    raw = _xi_raw(problem, eta + s / w, w)[0]
+    return float(np.max(np.abs(xi - raw), initial=0.0))
 
 
-def _initial_xi(problem: GlmmProblem):
+def _start(problem: GlmmProblem):
+    """``(xi, D^-1 xi)`` after one update at the family's starting predictor."""
     eta0, w0 = families.initial_eta(problem.kernel, problem.y)
-    u0 = families.working_response(problem.kernel, eta0, problem.y)
-    return _xi_raw(problem, u0, w0)[0]
+    s0, _ = _score(problem, eta0)
+    xi, alpha, _ = _xi_raw(problem, eta0 + s0 / w0, w0)
+    # xi = D Z' alpha on every path (on the dual one by Woodbury)
+    return xi, alpha if problem.identity_design else problem.Z.T @ alpha
 
 
 def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> FitReport:
-    """Run the fixed-point iteration to convergence.
+    """Find the posterior mode of the random effects by Newton's method.
 
-    Starts from the family-specific linear predictor, then repeats the
-    working-model update (optionally damped).  Convergence is declared
-    when the fixed-point defect drops to ``tol`` in sup-norm; with
-    damping 1 this coincides with the step-size criterion.  If the step
-    size grows for five consecutive iterations the damping is halved and
-    the iteration restarts; exhausting the restarts or the iteration cap
-    yields a non-converged report carrying the full trace.
+    Each Newton step is halved until the log-posterior does not fall.
+    Converges when the full step drops to ``tol`` in sup-norm.  Running
+    out of iterations or of halvings yields a non-converged report at
+    the last accepted iterate, carrying the full trace; it never raises.
     """
-    xi0 = _initial_xi(problem)
-    damping = options.damping
-    best_report = None
-    for _ in range(_MAX_RESTARTS):
-        xi = xi0.copy()
-        trace = []
-        prev_step = np.inf
-        streak = 0
-        diverged = False
-        for t in range(1, options.max_iter + 1):
-            eta, u, w, raw, alpha, cf = _evaluate(problem, xi)
-            residual = float(np.max(np.abs(xi - raw))) if xi.size else 0.0
-            xi_new = (1.0 - damping) * xi + damping * raw
-            step = float(np.max(np.abs(xi_new - xi))) if xi.size else 0.0
-            trace.append((step, residual))
-            if residual <= options.tol:
-                state = FitState(
-                    problem=problem, xi=xi, eta=eta, u=u, w=w, alpha=alpha,
-                    factor=cf, iteration=t, step_norm=step, residual=residual,
-                )
-                return FitReport(
-                    converged=True, iterations=t, state=state,
-                    trace=trace, damping_used=damping,
-                    eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
-                )
-            xi = xi_new
-            if step > prev_step:
-                streak += 1
-                if streak >= _DIVERGE_STREAK:
-                    diverged = True
-                    break
-            else:
-                streak = 0
-            prev_step = step
-        eta, u, w, raw, alpha, cf = _evaluate(problem, xi)
-        residual = float(np.max(np.abs(xi - raw))) if xi.size else 0.0
-        state = FitState(
-            problem=problem, xi=xi, eta=eta, u=u, w=w, alpha=alpha, factor=cf,
-            iteration=len(trace), step_norm=trace[-1][0] if trace else 0.0,
-            residual=residual,
-        )
-        report = FitReport(
-            converged=False, iterations=len(trace), state=state,
-            trace=trace, damping_used=damping,
-            eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
-        )
-        if best_report is None or residual < best_report.state.residual:
-            best_report = report
-        if not diverged:
+    offset = problem.X @ problem.beta
+    xi, a = _start(problem)
+    eta = offset + problem.Z @ xi
+    logpost = _log_posterior(problem, eta, xi, a)
+    trace, halvings = [], 0
+    while True:
+        w, delta, d_delta, cf = _newton_step(problem, eta, a)
+        residual = float(np.max(np.abs(delta), initial=0.0))
+        converged = residual <= options.tol
+        if converged:
+            trace.append((residual, residual))
+        if converged or len(trace) == options.max_iter:
             break
-        damping *= 0.5
-    return best_report
+        # the data terms |y'eta| nearly cancel against the normalizing
+        # constants when counts are large, so they set the roundoff too
+        data = np.abs(problem.y) @ np.abs(eta) / problem.kernel.dispersion
+        floor = logpost - _SLACK * (1.0 + abs(logpost) + 0.5 * (xi @ a) + data)
+        t = 1.0
+        for k in range(_MAX_HALVINGS + 1):
+            xi_t, a_t = xi + t * delta, a + t * d_delta
+            eta_t = offset + problem.Z @ xi_t
+            logpost_t = _log_posterior(problem, eta_t, xi_t, a_t)
+            if logpost_t >= floor:
+                break
+            t *= 0.5
+        else:
+            trace.append((0.0, residual))
+            halvings += _MAX_HALVINGS + 1
+            break
+        trace.append((t * residual, residual))
+        halvings += k
+        xi, a, eta, logpost = xi_t, a_t, eta_t, logpost_t
+    state = FitState(
+        problem=problem, xi=xi, eta=eta, w=w, alpha=a + d_delta, factor=cf,
+        residual=residual,
+    )
+    return FitReport(
+        converged=converged, iterations=len(trace), state=state, trace=trace,
+        halvings=halvings,
+        eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
+    )
 
 
 # ---------------------------------------------------------------------------

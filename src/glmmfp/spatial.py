@@ -1,17 +1,18 @@
 """Prediction of spatial random effects and responses at unobserved sites.
 
 The observed block of a spatial mixed model (random effect per site,
-identity random-effects design) is fitted with the fixed-point solver;
+identity random-effects design) is fitted with the Newton mode-finder;
 the unobserved-site effects are then read off through the cross
 covariance:
 
     xi* = D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
 
-evaluated once at the converged observed-block solution.  The solver's
-converged iterate already holds ``alpha = R11^-1 (u_xi - X beta)`` from
-its one factorization of ``R11``, so the prediction is the product
+evaluated once at the posterior mode of the observed block.  The
+solver's last iterate already holds ``alpha = R11^-1 (u_xi - X beta)``
+from its one factorization of ``R11``, so the prediction is the product
 ``D21 alpha`` and does no second factorization.  The predicted
-response is b'(X* beta + xi*), and the predicted working response is
+response is b'(X* beta + xi*), with the unobserved sites' own trial
+counts for the binomial family, and the predicted working response is
 X* beta + xi* (zero working residual, as no response exists at the
 unobserved sites).  With zero cross covariance this degenerates to the
 fixed-effects prediction, and in the noise-free limit to the
@@ -20,7 +21,7 @@ conditional-mean (kriging) predictor D21 D11^-1 gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,7 +34,12 @@ from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 
 @dataclass(eq=False)
 class SpatialProblem:
-    """Observed responses plus unobserved-site designs and blocked prior."""
+    """Observed responses plus unobserved-site designs and blocked prior.
+
+    ``trials_star`` holds the unobserved sites' trial counts, required
+    for the binomial family when there are unobserved sites;
+    ``kernel_star`` is the family at those sites.
+    """
 
     y: np.ndarray
     X: np.ndarray
@@ -41,6 +47,8 @@ class SpatialProblem:
     blocked: BlockedCovariance
     beta: np.ndarray
     kernel: FamilyKernel
+    trials_star: np.ndarray | None = None
+    kernel_star: FamilyKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -57,6 +65,13 @@ class SpatialProblem:
             raise ValueError("unobserved covariance block does not match Xstar")
         if self.Xstar.shape[1] != self.X.shape[1]:
             raise ValueError("X and Xstar must share the fixed-effects dimension")
+        self.kernel_star = self.kernel
+        if self.kernel.family == families.BINOMIAL and self.blocked.n_unobserved:
+            if self.trials_star is None:
+                raise ValueError("binomial prediction needs the unobserved sites' trial counts")
+            self.kernel_star = families.binomial_kernel(self.trials_star)
+            if self.kernel_star.trials.shape != (self.blocked.n_unobserved,):
+                raise ValueError("trials_star must hold one count per unobserved site")
 
 
 @dataclass(eq=False)
@@ -86,7 +101,7 @@ def fit_predict(
     xi_star = problem.blocked.d12.T @ state.alpha
     eta_star = problem.Xstar @ problem.beta + xi_star
     if problem.blocked.n_unobserved:
-        y_hat_star, _ = families.mean_and_weight(problem.kernel, eta_star)
+        y_hat_star, _ = families.mean_and_weight(problem.kernel_star, eta_star)
     else:
         y_hat_star = np.empty(0)
     return SpatialPrediction(

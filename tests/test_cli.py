@@ -50,6 +50,8 @@ class TestFit:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
         assert report["beta"] == [1.5]
+        assert report["step_halvings"] == 0
+        assert "damping_used" not in report
         xi_lines = (out / "xi.csv").read_text().strip().split("\n")
         assert xi_lines[0] == "site,xi"
         assert len(xi_lines) == 31
@@ -208,6 +210,49 @@ class TestPredict:
         assert code == cli.EXIT_OK
         rows = (out / "predictions.csv").read_text().strip().split("\n")
         assert len(rows) == 7
+
+    def _binomial(self, tmp_path, test_columns):
+        rng = np.random.default_rng(11)
+        coords = rng.uniform(0, 5, size=(10, 2))
+        m = rng.integers(1, 9, size=10)
+        y = rng.binomial(m, 0.6)
+        lines = ["y,m,x_coord,y_coord"]
+        for yi, mi, (cx, cy) in zip(y, m, coords):
+            lines.append(f"{yi},{mi},{cx},{cy}")
+        data = write_csv(tmp_path, "\n".join(lines) + "\n")
+        m_star = np.array([2, 9, 5, 1])
+        lines = [",".join(test_columns)]
+        for mi, (cx, cy) in zip(m_star, rng.uniform(0, 5, size=(4, 2))):
+            row = {"m": mi, "x_coord": cx, "y_coord": cy}
+            lines.append(",".join(str(row[c]) for c in test_columns))
+        test = write_csv(tmp_path, "\n".join(lines) + "\n", name="test.csv")
+        config = write_config(
+            tmp_path,
+            {
+                "family": "binomial",
+                "beta": [0.4],
+                "matern": {"omega1": 0.5, "omega2": 1.0},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "predict", "--config", config, "--data", data,
+                "--test", test, "--out", str(out), "--quiet",
+            ]
+        )
+        return code, out, m_star
+
+    def test_binomial_predictions_use_the_test_trial_counts(self, tmp_path):
+        code, out, m_star = self._binomial(tmp_path, ["m", "x_coord", "y_coord"])
+        assert code == cli.EXIT_OK
+        table = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1)
+        y_hat, u_hat = table[:, 2], table[:, 3]
+        assert np.allclose(y_hat, m_star / (1.0 + np.exp(-u_hat)), rtol=1e-14)
+
+    def test_binomial_test_sites_need_trial_counts(self, tmp_path):
+        code, _, _ = self._binomial(tmp_path, ["x_coord", "y_coord"])
+        assert code == cli.EXIT_VALIDATION
 
     def test_predict_without_test_sites_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)

@@ -71,6 +71,8 @@ class TestConfig:
     def test_unknown_nested_key(self, tmp_path):
         with pytest.raises(ConfigError, match="sic"):
             load_config(write_config(tmp_path, {"sic": {"tolerance": 1e-8}}))
+        with pytest.raises(ConfigError, match="'damping'"):
+            load_config(write_config(tmp_path, {"sic": {"damping": 0.5}}))
 
     def test_unknown_family(self, tmp_path):
         with pytest.raises(ConfigError, match="family"):
@@ -135,6 +137,26 @@ class TestDataset:
         cfg = load_config(write_config(tmp_path, {"family": "binomial"}))
         with pytest.raises(ConfigError, match="'m'"):
             load_dataset(write_csv(tmp_path, BASIC_CSV), cfg)
+
+    def test_subset_takes_a_mask_or_indices(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"family": "binomial"}))
+        csv = "y,m,x_coord,y_coord,role\n1,2,0.1,0.2,train\n0,3,0.3,0.4,test\n4,4,0.5,0.6,train\n"
+        ds = load_dataset(write_csv(tmp_path, csv), cfg)
+        by_mask = ds.subset(ds.role == "train")
+        by_index = ds.subset(np.array([0, 2]))
+        for part in (by_mask, by_index):
+            assert np.array_equal(part.y, [1.0, 4.0])
+            assert np.array_equal(part.trials, [2.0, 4.0])
+            assert np.array_equal(part.coords, [[0.1, 0.2], [0.5, 0.6]])
+            assert part.role is None
+
+    def test_binomial_test_sites_require_trials_column(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"family": "binomial"}))
+        with pytest.raises(ConfigError, match="'m'"):
+            load_dataset(
+                write_csv(tmp_path, "x_coord,y_coord\n0.1,0.2\n"), cfg,
+                require_response=False,
+            )
 
     def test_role_column(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))

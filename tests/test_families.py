@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from glmmfp import families
 from glmmfp.families import (
-    DegenerateSitesError,
-    b_value,
     binomial_kernel,
     gaussian_kernel,
     initial_eta,
     log_likelihood,
     mean_and_weight,
     poisson_kernel,
-    working_response,
 )
 
 
@@ -46,33 +41,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             families.FamilyKernel("poisson", variance=1.0)
 
-
-class TestBValue:
-    def test_poisson_at_zero(self):
-        assert b_value(poisson_kernel(), np.array([0.0]))[0] == 1.0
-
-    def test_binomial_unit_trial_at_zero(self):
-        k = binomial_kernel([1])
-        assert b_value(k, np.array([0.0]))[0] == pytest.approx(np.log(2.0), abs=1e-15)
-
-    def test_poisson_log_identity(self):
-        assert b_value(poisson_kernel(), np.array([np.log(3.0)]))[0] == pytest.approx(
-            3.0, rel=1e-14
-        )
-
-    def test_gaussian_quadratic(self):
-        assert b_value(gaussian_kernel(1.0), np.array([3.0]))[0] == 4.5
-
-    def test_nonfinite_input_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            b_value(poisson_kernel(), np.array([np.nan]))
-
-    def test_binomial_overflow_safe(self):
-        k = binomial_kernel([2, 2])
-        out = b_value(k, np.array([500.0, -500.0]))
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(1000.0, rel=1e-12)
-        assert out[1] == pytest.approx(0.0, abs=1e-200)
+    def test_dispersion(self):
+        assert gaussian_kernel(2.5).dispersion == 2.5
+        assert poisson_kernel().dispersion == 1.0
+        assert binomial_kernel([3]).dispersion == 1.0
 
 
 class TestMeanAndWeight:
@@ -89,6 +61,10 @@ class TestMeanAndWeight:
         mu, w = mean_and_weight(gaussian_kernel(2.0), np.array([5.0]))
         assert mu[0] == 5.0
         assert w[0] == 0.5
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            mean_and_weight(poisson_kernel(), np.array([np.nan]))
 
     def test_overflow_safe_at_extreme_eta(self):
         for k in (poisson_kernel(), binomial_kernel([3])):
@@ -122,54 +98,16 @@ class TestMeanAndWeight:
         assert np.all(w_p > 0) and np.all(w_b > 0)
 
 
-class TestWorkingResponse:
-    def test_poisson_zero_residual(self):
-        u = working_response(poisson_kernel(), np.array([0.0]), np.array([1.0]))
-        assert u[0] == 0.0
-
-    def test_poisson_unit_weight(self):
-        u = working_response(poisson_kernel(), np.array([0.0]), np.array([3.0]))
-        assert u[0] == 2.0
-
-    def test_gaussian_returns_response(self):
-        u = working_response(
-            gaussian_kernel(1.0), np.array([0.7]), np.array([-2.0])
-        )
-        assert u[0] == -2.0
+class TestCheckSupport:
+    def test_support_violation(self):
+        with pytest.raises(ValueError, match="counts"):
+            families.check_support(poisson_kernel(), np.array([-1.0]))
+        with pytest.raises(ValueError, match="counts"):
+            families.check_support(binomial_kernel([2]), np.array([3.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatched"):
-            working_response(poisson_kernel(), np.zeros(2), np.zeros(3))
-
-    def test_degenerate_sites_reported_with_indices(self):
-        eta = np.array([0.0, -29.9, 0.0])
-        y = np.array([1.0, 0.0, 2.0])
-        # curvature ~ 1e-13 after clamping at the second site
-        with pytest.raises(DegenerateSitesError) as err:
-            working_response(poisson_kernel(), eta, y)
-        assert err.value.indices.tolist() == [1]
-
-    def test_support_violation(self):
-        with pytest.raises(ValueError, match="support|counts"):
-            working_response(poisson_kernel(), np.array([0.0]), np.array([-1.0]))
-        with pytest.raises(ValueError, match="counts"):
-            working_response(
-                binomial_kernel([2]), np.array([0.0]), np.array([3.0])
-            )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        eta=st.floats(-8.0, 8.0),
-        family=st.sampled_from(["poisson", "binomial"]),
-    )
-    def test_exact_at_the_mean(self, eta, family):
-        kernel = binomial_kernel([6]) if family == "binomial" else poisson_kernel()
-        mu, _ = mean_and_weight(kernel, np.array([eta]))
-        # y = b'(eta) is generally non-integer; bypass the support check by
-        # evaluating the defining formula directly
-        v = families.curvature(kernel, np.array([eta]))
-        u = eta + (mu - mu) / v
-        assert u[0] == pytest.approx(eta, abs=1e-12)
+            families.check_support(binomial_kernel([2, 2]), np.zeros(3))
 
 
 class TestInitialEta:
@@ -194,6 +132,17 @@ class TestInitialEta:
     def test_support_violation(self):
         with pytest.raises(ValueError):
             initial_eta(poisson_kernel(), np.array([-1.0]))
+
+    @pytest.mark.parametrize(
+        "kernel", [poisson_kernel(), binomial_kernel([1, 4, 4, 9])],
+        ids=["poisson", "binomial"],
+    )
+    def test_starting_weights_are_the_curvature(self, kernel):
+        y = np.array([0.0, 1.0, 4.0, 7.0])
+        eta0, w0 = initial_eta(kernel, y)
+        _, w = mean_and_weight(kernel, eta0)
+        assert np.allclose(w0, w, rtol=1e-13)
+        assert np.all(w0 >= 0.1)
 
 
 class TestLogLikelihood:
@@ -228,6 +177,11 @@ class TestLogLikelihood:
         assert log_likelihood(gaussian_kernel(2.0), eta, y) == pytest.approx(
             expected, abs=1e-12
         )
+
+    def test_binomial_overflow_safe(self):
+        out = log_likelihood(binomial_kernel([2]), np.array([[500.0], [-500.0]]), np.zeros(1))
+        assert out[0] == pytest.approx(-1000.0, rel=1e-12)
+        assert out[1] == pytest.approx(0.0, abs=1e-200)
 
     def test_batched_eta(self):
         y = np.array([1.0, 2.0])

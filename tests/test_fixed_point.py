@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from glmmfp import fixed_point
+from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import (
     FitOptions,
@@ -96,12 +97,6 @@ class TestProblemValidation:
 
 
 class TestFitOptions:
-    def test_damping_range(self):
-        with pytest.raises(ValueError):
-            FitOptions(damping=0.0)
-        with pytest.raises(ValueError):
-            FitOptions(damping=1.5)
-
     def test_tol_positive(self):
         with pytest.raises(ValueError):
             FitOptions(tol=0.0)
@@ -234,11 +229,109 @@ class TestNonConvergence:
         assert steps[-1] <= steps[0] or report.iterations <= 2
 
     def test_damped_iteration_still_converges(self):
+        # from the start, the full Newton step lowers the log-posterior:
+        # it is halved twice, then the iteration converges to the mode
+        y, z = np.array([5.0, 50.0]), np.array([-2.1, 0.6])
+        problem = GlmmProblem(
+            y=y, X=np.zeros((2, 1)), Z=z[:, None], D=np.array([[100.0]]),
+            beta=np.zeros(1), kernel=poisson_kernel(),
+        )
+        xi0, a0 = fixed_point._start(problem)
+        eta0 = problem.Z @ xi0
+        _, delta, d_delta, _ = fixed_point._newton_step(problem, eta0, a0)
+        full = fixed_point._log_posterior(
+            problem, problem.Z @ (xi0 + delta), xi0 + delta, a0 + d_delta
+        )
+        assert full < fixed_point._log_posterior(problem, eta0, xi0, a0)
+        report = fit_posterior(problem)
+        assert report.converged
+        assert report.halvings > 0
+        assert report.trace[0][0] < report.trace[0][1]
+        assert fixed_point_residual(problem, report.state.xi) <= 1e-9
+        mode = brentq(
+            lambda x: z @ (y - np.exp(z * x)) - x / 100.0, -20.0, 20.0, xtol=1e-15
+        )
+        assert report.state.xi[0] == pytest.approx(mode, abs=1e-9)
+
+    def test_large_counts_do_not_stall(self):
+        # counts near e^14: the log-likelihood's terms are ~1e7 while their
+        # sum is ~1e2, so roundoff alone must not reject a Newton step
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            coords = rng.uniform(0, 10, size=(40, 2))
+            D = build_blocked(MaternParams(0.5, 1.0), coords).d11
+            gamma = np.linalg.cholesky(D) @ rng.standard_normal(40)
+            y = rng.poisson(np.exp(14.0 + gamma)).astype(float)
+            problem = GlmmProblem(
+                y=y, X=np.ones((40, 1)), Z=np.eye(40), D=D, beta=np.array([14.0]),
+                kernel=poisson_kernel(),
+            )
+            report = fit_posterior(problem)
+            assert report.converged and report.halvings == 0
+            assert report.iterations <= 3
+
+    def test_running_out_of_halvings_is_reported(self, monkeypatch):
+        # a log-posterior that falls at every trial point
         rng = np.random.default_rng(31)
         problem = random_problem(rng, "poisson", 15, 3)
-        report = fit_posterior(problem, FitOptions(damping=0.5, max_iter=500))
-        assert report.converged
-        assert fixed_point_residual(problem, report.state.xi) <= 1e-9
+        values = iter([0.0])
+        monkeypatch.setattr(
+            fixed_point, "_log_posterior", lambda *args: next(values, -np.inf)
+        )
+        report = fit_posterior(problem)
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.halvings == fixed_point._MAX_HALVINGS + 1
+        assert report.trace == [(0.0, report.state.residual)]
+        assert report.state.residual > 0
+        assert report.state.Xi.shape == (3, 3)
+
+
+def stress_battery(seed=1, count=3000):
+    """Badly conditioned random problems.
+
+    Designs and priors scaled over two and three decades, Poisson counts
+    at very low and high rates, and separated binomial data (every count
+    0 or m).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 30))
+        r = int(rng.integers(1, 8))
+        p = int(rng.integers(1, 3))
+        X = rng.standard_normal((n, p))
+        Z = rng.choice([1.0, 3.0, 10.0]) * rng.standard_normal((n, r))
+        A = rng.standard_normal((r, r))
+        D = rng.choice([0.1, 1.0, 10.0, 100.0]) * (0.4 * (A @ A.T) + 0.3 * np.eye(r))
+        beta = rng.uniform(-0.4, 0.8, size=p)
+        if rng.random() < 0.5:
+            kernel = poisson_kernel()
+            y = rng.poisson(rng.choice([0.1, 1.0, 50.0]), size=n).astype(float)
+        else:
+            m = rng.integers(1, 9, size=n)
+            kernel = binomial_kernel(m)
+            y = np.where(rng.random(n) < 0.5, 0.0, m.astype(float))
+        yield GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel)
+
+
+class TestStressBattery:
+    def test_every_problem_converges(self):
+        failures, iterations, halved = [], [], 0
+        for i, problem in enumerate(stress_battery()):
+            try:
+                report = fit_posterior(problem)
+            except Exception as exc:  # noqa: BLE001 - counted, then asserted
+                failures.append((i, repr(exc)))
+                continue
+            if not report.converged:
+                failures.append((i, f"not converged, residual {report.state.residual:.3e}"))
+            iterations.append(report.iterations)
+            halved += report.halvings > 0
+        assert failures == []
+        print(
+            f"\nstress battery: 3000/3000 converged, at most {max(iterations)} "
+            f"iterations (median {np.median(iterations):g}), {halved} used halving"
+        )
 
 
 class TestFactorizationIdentity:

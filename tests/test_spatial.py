@@ -5,7 +5,13 @@ from scipy.special import expit
 from glmmfp import covariance, fixed_point, simulate, spatial
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import SpatialData, approx_loglik
-from glmmfp.families import binomial_kernel, gaussian_kernel, log_likelihood, poisson_kernel
+from glmmfp.families import (
+    binomial_kernel,
+    gaussian_kernel,
+    log_likelihood,
+    mean_and_weight,
+    poisson_kernel,
+)
 from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
 from glmmfp.spatial import SpatialProblem, conditional_mean, fit_predict
 
@@ -30,10 +36,18 @@ def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
     else:
         kernel = gaussian_kernel(1.0)
         y = X @ beta + gamma + rng.standard_normal(n)
+    trials_star = rng.integers(1, 9, size=n_star) if family == "binomial" else None
     problem = SpatialProblem(
-        y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel
+        y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
+        trials_star=trials_star,
     )
     return problem, gamma, gamma_joint[n:]
+
+
+def working_u(problem, state):
+    """Working response u = eta + (y - mu) / (phi w) at the solver's last iterate."""
+    mu, _ = mean_and_weight(problem.kernel, state.eta)
+    return state.eta + (problem.y - mu) / (problem.kernel.dispersion * state.w)
 
 
 class TestValidation:
@@ -116,7 +130,7 @@ class TestPoissonPrediction:
         state = pred.report.state
         r11 = np.diag(1.0 / state.w) + problem.blocked.d11
         expected = problem.blocked.d12.T @ np.linalg.solve(
-            r11, state.u - problem.X @ problem.beta
+            r11, working_u(problem, state) - problem.X @ problem.beta
         )
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-10
 
@@ -139,6 +153,31 @@ class TestPoissonPrediction:
         pred = fit_predict(problem, FitOptions(tol=1e-6, max_iter=100))
         assert pred.report.converged
         assert pred.report.state.residual <= 1e-6
+
+
+class TestBinomialPrediction:
+    @pytest.mark.parametrize("n_star", [4, 6], ids=["fewer_unobserved", "as_many"])
+    def test_means_use_the_unobserved_trial_counts(self, n_star):
+        problem, _, _ = make_problem(seed=15, n=6, n_star=n_star, family="binomial")
+        pred = fit_predict(problem)
+        assert pred.report.converged
+        m_star = problem.trials_star
+        assert not np.array_equal(m_star, problem.kernel.trials[:n_star])
+        expected = m_star * expit(problem.Xstar @ problem.beta + pred.xi_star)
+        assert np.allclose(pred.y_hat_star, expected, rtol=1e-14)
+
+    def test_trial_counts_required(self):
+        problem, _, _ = make_problem(seed=16, n=6, n_star=4, family="binomial")
+        fields = dict(
+            y=problem.y, X=problem.X, Xstar=problem.Xstar,
+            blocked=problem.blocked, beta=problem.beta, kernel=problem.kernel,
+        )
+        with pytest.raises(ValueError, match="trial counts"):
+            SpatialProblem(**fields)
+        with pytest.raises(ValueError, match="one count per unobserved site"):
+            SpatialProblem(**fields, trials_star=np.ones(6))
+        with pytest.raises(ValueError, match="integers"):
+            SpatialProblem(**fields, trials_star=np.zeros(4))
 
 
 class TestConditionalMean:
@@ -221,7 +260,7 @@ class TestIdentityPathAgainstDenseFormulas:
     def dense_reference(problem, state):
         D = problem.blocked.d11
         R = D + np.diag(1.0 / state.w)
-        alpha = np.linalg.solve(R, state.u - problem.X @ problem.beta)
+        alpha = np.linalg.solve(R, working_u(problem, state) - problem.X @ problem.beta)
         Xi = D - D @ np.linalg.solve(R, D)
         return D @ alpha, Xi, problem.blocked.d12.T @ alpha
 
