@@ -1,6 +1,6 @@
-"""Compare the fixed-point answer against brute-force posterior moments.
+"""Compare the posterior mode against brute-force posterior moments.
 
-The fixed-point solution can be checked directly at small random-effect
+The posterior mode can be checked directly at small random-effect
 dimension: tensor-product Gauss-Hermite quadrature and importance
 sampling both integrate the unnormalized posterior with no reference to
 the solver.  This script runs the comparison on the simplest possible

@@ -4,7 +4,7 @@ The full harness uses 400 observed / 400 unobserved sites and 100
 replications; this demo shrinks everything so it finishes in a couple of
 seconds while exercising the same code path.  Two scenarios are scored:
 the oracle ceiling (true field known, conditional-mean predictor) and
-the fixed-point predictor with true parameters.
+the posterior-mode predictor with true parameters.
 """
 
 import time
@@ -36,7 +36,7 @@ for scenario in config.scenarios:
 print(
     "\nRL2 is the relative squared error at observed sites, RL2* at "
     "unobserved sites.  The oracle row has RL2 = 0 by construction; the "
-    "fixed-point predictor with true parameters should track the oracle's "
+    "posterior-mode predictor with true parameters should track the oracle's "
     "RL2* almost exactly while keeping its own RL2 near zero."
 )
 print(f"\nfailures: {result.failures}")

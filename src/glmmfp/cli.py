@@ -27,7 +27,7 @@ from . import dataio
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig, fmt
 from .estimate import EstimateOptions, SpatialData, estimate
-from .families import initial_eta
+from .families import BINOMIAL, initial_eta
 from .fixed_point import (
     FitOptions,
     GlmmProblem,
@@ -38,7 +38,7 @@ from .fixed_point import (
 from .metrics import deviance_gof
 from .oracle import CapabilityError, UnreliableEstimateError, adjudicate_exactness
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
-from .spatial import SpatialProblem, fit_predict
+from .spatial import SpatialPrediction, SpatialProblem, fit_predict
 
 log = logging.getLogger("glmmfp")
 
@@ -111,6 +111,20 @@ def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
     return result.beta_hat, result.omega_hat, meta
 
 
+def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPrediction:
+    """Fit the mode at the training sites and predict at the test sites."""
+    kernel = dataio.make_kernel(cfg, train.trials)
+    X = dataio.build_design(train, cfg, tier)
+    Xstar = dataio.build_design(test, cfg, tier)
+    beta, omega, _ = _resolve_params(cfg, train.y, X, train.coords, kernel, options)
+    blocked = build_blocked(omega, train.coords, test.coords)
+    problem = SpatialProblem(
+        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
+        trials_star=test.trials,
+    )
+    return fit_predict(problem, options)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -164,23 +178,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("no training rows")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kernel = dataio.make_kernel(cfg, train.trials)
-    X = dataio.build_design(train, cfg)
-    Xstar = (
-        dataio.build_design(test, cfg)
-        if test.n
-        else np.empty((0, X.shape[1]))
-    )
-    options = _fit_options(cfg)
-    beta, omega, _ = _resolve_params(cfg, train.y, X, train.coords, kernel, options)
-    blocked = build_blocked(
-        omega, train.coords, test.coords if test.n else None
-    )
-    problem = SpatialProblem(
-        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
-        trials_star=test.trials,
-    )
-    prediction = fit_predict(problem, options)
+    prediction = _fit_predict_split(cfg, train, test, _fit_options(cfg))
     dataio.write_predictions_csv(
         out / "predictions.csv",
         prediction.xi_star,
@@ -271,19 +269,11 @@ def cmd_validate(args) -> int:
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    kernel = dataio.make_kernel(cfg, train.trials)
-    X = dataio.build_design(train, cfg, tier)
-    Xstar = dataio.build_design(test, cfg, tier)
-    beta, omega, _ = _resolve_params(cfg, train.y, X, train.coords, kernel, options)
-    blocked = build_blocked(omega, train.coords, test.coords)
-    problem = SpatialProblem(
-        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
-        trials_star=test.trials,
-    )
-    prediction = fit_predict(problem, options)
+    prediction = _fit_predict_split(cfg, train, test, options, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
-    return deviance_gof(test.y, prediction.y_hat_star)
+    trials = test.trials if cfg.family == BINOMIAL else None
+    return deviance_gof(test.y, prediction.y_hat_star, trials)
 
 
 def _verify_battery(rng, count_poisson=12, count_binomial=10, count_gaussian=4):
@@ -388,11 +378,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--replications", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
         if needs_data:
             p.add_argument("--data", required=True)
+        if name in ("simulate", "validate", "verify"):
+            p.add_argument("--seed", type=int, default=None)
+        if name == "simulate":
+            p.add_argument("--replications", type=int, default=None)
         if name == "predict":
             p.add_argument("--test", default=None)
     return parser

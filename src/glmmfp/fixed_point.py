@@ -21,15 +21,17 @@ R^-1 Z D`` the Laplace covariance.  The start is one such update at the
 family's IRLS predictor, which for the Gaussian kernel is already the
 conjugate posterior, so the first iterate confirms it.
 
-The iteration carries ``a = D^-1 xi`` beside ``xi`` and never factors
-``D``.  Each iterate does one Cholesky factorization and nothing else of
-cubic cost.  On the identity design ``Z = I`` (every spatial caller) it
-factors ``R = D + W^-1``, formed by adding ``1/w`` to a copy of ``D``'s
-diagonal, and ``D^-1 Delta = R^-1 W^-1 g``; a general ``Z`` factors
-``R = Z D Z' + W^-1``, and when r is much smaller than n the dual path
-factors ``H`` itself.  The last iterate's factor stays on the
-:class:`FitState`; ``Xi`` is read off it on first access, so callers
-that only need ``xi`` (or the prediction ``D21 alpha``) never pay for it.
+The iteration carries ``a = D^-1 xi`` beside ``xi``, so it never
+solves with ``D``.  Each iterate does one Cholesky factorization and
+nothing else of cubic cost, on one of two paths picked by the design
+alone.  The identity design ``Z = I`` (every spatial caller) factors the
+n x n ``R = D + W^-1``, formed by adding ``1/w`` to a copy of ``D``'s
+diagonal, and takes ``D^-1 Delta = R^-1 W^-1 g``; every other ``Z``
+factors the r x r ``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted
+once per problem.  The last iterate's factor and ``alpha = a`` stay on
+the :class:`FitState`; ``Xi`` is read off the factor on first access,
+so callers that only need ``xi`` (or the kriging ``D21 alpha``) never
+pay for it.
 
 The module also evaluates both sides of the Gaussian factorization
 identity
@@ -108,6 +110,11 @@ class GlmmProblem:
     def r(self) -> int:
         return self.Z.shape[1]
 
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """``D^-1``, inverted once for every iterate of a general design."""
+        return np.linalg.inv(self.D)
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -124,11 +131,10 @@ class FitState:
     """Last iterate of the mode-finder: the mode once it has converged.
 
     ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
-    ``R`` on the primal path or of ``H = D^-1 + Z'WZ`` on the dual path.
-    ``alpha = D^-1 (xi + Delta)`` is the prior-precision image of the
-    full Newton step's target; on the identity design it equals
-    ``R^-1 (u - X beta)``.  ``Xi`` is computed from ``factor`` on first
-    access.
+    ``R = D + W^-1`` on the identity design or of ``H = D^-1 + Z'WZ``
+    for any other design.  ``alpha = D^-1 xi`` is the solver's carried
+    prior-precision image of ``xi``.  ``Xi`` is computed from ``factor``
+    on first access.
     """
 
     problem: GlmmProblem = field(repr=False)
@@ -161,57 +167,43 @@ class FitReport:
     eta_clamped: bool = False
 
 
-def _solver_paths(problem: GlmmProblem):
-    """Choose the working dimension for the per-iteration linear solve."""
-    return 4 * problem.r < problem.n
-
-
 def _factor(problem: GlmmProblem, w):
     """The one Cholesky factor of an iterate with working weights ``w``.
 
-    ``H = D^-1 + Z'WZ`` on the dual path, ``R = Z D Z' + W^-1`` otherwise.
+    ``R = D + W^-1`` on the identity design, ``H = D^-1 + Z'WZ`` otherwise.
     """
-    Z, D = problem.Z, problem.D
-    if _solver_paths(problem):
-        return cho_factor(np.linalg.inv(D) + (Z.T * w) @ Z, lower=True)
     if problem.identity_design:
-        R = D.copy()
+        R = problem.D.copy()
         R.flat[:: problem.n + 1] += 1.0 / w
-    else:
-        R = Z @ D @ Z.T + np.diag(1.0 / w)
-    return cho_factor(R, lower=True)
+        return cho_factor(R, lower=True)
+    Z = problem.Z
+    return cho_factor(problem.precision + (Z.T * w) @ Z, lower=True)
 
 
 def _xi_raw(problem: GlmmProblem, u, w):
     """The working-model update xi_raw = D Z' R^-1 (u - X beta).
 
-    Returns ``(xi_raw, alpha, factor)`` with ``alpha = R^-1 (u - X beta)``
-    and the one Cholesky factor the evaluation made.
+    Returns ``(xi_raw, alpha, factor)`` with ``alpha = D^-1 xi_raw`` and
+    the one Cholesky factor the evaluation made.
     """
     resid = u - problem.X @ problem.beta
-    Z, D = problem.Z, problem.D
     cf = _factor(problem, w)
-    if _solver_paths(problem):
-        # r x r dual path: xi = (D^-1 + Z'WZ)^-1 Z'W resid; by Woodbury
-        # R^-1 resid = W (resid - Z xi)
-        xi = cho_solve(cf, Z.T @ (w * resid))
-        return xi, w * (resid - Z @ xi), cf
-    alpha = cho_solve(cf, resid)
     if problem.identity_design:
-        return D @ alpha, alpha, cf
-    return (D @ Z.T) @ alpha, alpha, cf
+        alpha = cho_solve(cf, resid)
+        return problem.D @ alpha, alpha, cf
+    # xi = H^-1 Z'W resid, so D^-1 xi = Z'W (resid - Z xi)
+    Z = problem.Z
+    xi = cho_solve(cf, Z.T @ (w * resid))
+    return xi, Z.T @ (w * (resid - Z @ xi)), cf
 
 
 def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
     """Xi from the factor ``cf`` that :func:`_factor` returned."""
-    D = problem.D
-    if _solver_paths(problem):
-        Xi = cho_solve(cf, np.eye(problem.r))
-    elif problem.identity_design:
+    if problem.identity_design:
+        D = problem.D
         Xi = D - D @ cho_solve(cf, D.T)
     else:
-        DZt = D @ problem.Z.T
-        Xi = D - DZt @ cho_solve(cf, DZt.T)
+        Xi = cho_solve(cf, np.eye(problem.r))
     return 0.5 * (Xi + Xi.T)
 
 
@@ -229,17 +221,14 @@ def _newton_step(problem: GlmmProblem, eta, a):
     factor the evaluation made.
     """
     s, w = _score(problem, eta)
-    Z, D = problem.Z, problem.D
     cf = _factor(problem, w)
     if problem.identity_design:
         d_delta = cho_solve(cf, (s - a) / w)  # H^-1 = D R^-1 W^-1
-        return w, D @ d_delta, d_delta, cf
+        return w, problem.D @ d_delta, d_delta, cf
+    Z = problem.Z
     g = Z.T @ s - a
-    if _solver_paths(problem):
-        delta = cho_solve(cf, g)
-        return w, delta, g - Z.T @ (w * (Z @ delta)), cf
-    d_delta = g - Z.T @ cho_solve(cf, Z @ (D @ g))  # H^-1 = D - D Z' R^-1 Z D
-    return w, D @ d_delta, d_delta, cf
+    delta = cho_solve(cf, g)
+    return w, delta, g - Z.T @ (w * (Z @ delta)), cf
 
 
 def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
@@ -265,9 +254,7 @@ def _start(problem: GlmmProblem):
     """``(xi, D^-1 xi)`` after one update at the family's starting predictor."""
     eta0, w0 = families.initial_eta(problem.kernel, problem.y)
     s0, _ = _score(problem, eta0)
-    xi, alpha, _ = _xi_raw(problem, eta0 + s0 / w0, w0)
-    # xi = D Z' alpha on every path (on the dual one by Woodbury)
-    return xi, alpha if problem.identity_design else problem.Z.T @ alpha
+    return _xi_raw(problem, eta0 + s0 / w0, w0)[:2]
 
 
 def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> FitReport:
@@ -311,7 +298,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         halvings += k
         xi, a, eta, logpost = xi_t, a_t, eta_t, logpost_t
     state = FitState(
-        problem=problem, xi=xi, eta=eta, w=w, alpha=a + d_delta, factor=cf,
+        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf,
         residual=residual,
     )
     return FitReport(

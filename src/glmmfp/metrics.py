@@ -1,4 +1,4 @@
-"""Evaluation metrics: relative squared-error loss and Poisson deviance."""
+"""Evaluation metrics: relative squared-error loss and predictive deviance."""
 
 from __future__ import annotations
 
@@ -17,11 +17,20 @@ def rl2(truth, estimate) -> float:
     return float(np.sum((truth - estimate) ** 2) / denom)
 
 
-def deviance_gof(y_obs, y_hat) -> float:
-    """Deviance goodness-of-fit 2 sum[y log(y / yhat) - (y - yhat)].
+def _xlog_ratio(a, b):
+    """a log(a / b), taken as 0 where a = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / b), 0.0)
 
-    The y log(y/yhat) term is taken as 0 when y = 0.  Nonnegative for
-    Poisson predictions; predictions must be strictly positive.
+
+def deviance_gof(y_obs, y_hat, trials=None) -> float:
+    """Deviance goodness-of-fit of predicted counts.
+
+    Poisson, without ``trials``: 2 sum[y log(y / yhat) - (y - yhat)].
+    Binomial, with the trial counts m: 2 sum[y log(y / yhat)
+    + (m - y) log((m - y) / (m - yhat))].  A term is 0 where its count
+    (y, or m - y) is 0.  Nonnegative; predictions must be strictly
+    positive, and below m for the binomial.
     """
     y = np.asarray(y_obs, dtype=float)
     mu = np.asarray(y_hat, dtype=float)
@@ -31,6 +40,11 @@ def deviance_gof(y_obs, y_hat) -> float:
         raise ValueError("predictions must be strictly positive")
     if np.any(y < 0):
         raise ValueError("observed counts must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
-    return float(2.0 * np.sum(term - (y - mu)))
+    if trials is None:
+        return float(2.0 * np.sum(_xlog_ratio(y, mu) - (y - mu)))
+    m = np.asarray(trials, dtype=float)
+    if m.shape != y.shape:
+        raise ValueError("trial counts must match the observed vector")
+    if np.any(y > m) or np.any(mu >= m):
+        raise ValueError("binomial counts and predictions must stay within the trials")
+    return float(2.0 * np.sum(_xlog_ratio(y, mu) + _xlog_ratio(m - y, m - mu)))

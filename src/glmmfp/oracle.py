@@ -7,12 +7,12 @@ unnormalized posterior
 
     g(gamma) = f(y | gamma) pi(gamma)
 
-directly, so they are valid references for the fixed-point solver.  The
+directly, so they are valid references for the mode-finder.  The
 solver output is used only to center and scale the nodes / proposal;
 node placement affects efficiency, not the value, which the
 order-doubling error estimate verifies.
 
-``adjudicate_exactness`` compares the fixed-point answer against the
+``adjudicate_exactness`` compares the posterior mode against the
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
 verdict with explicit, configurable thresholds.
 """
@@ -117,8 +117,8 @@ def moments_quadrature(
 ) -> PosteriorMoments:
     """Gauss-Hermite tensor quadrature posterior moments.
 
-    Nodes are affinely mapped through twice the fixed-point covariance
-    around the fixed-point mean (or an explicit ``center=(xi, Xi)``).
+    Nodes are affinely mapped through twice the Laplace covariance
+    around the posterior mode (or an explicit ``center=(xi, Xi)``).
     The error estimate is the sup-norm change of the mean when the order
     is halved.
     """
@@ -149,7 +149,7 @@ def moments_importance(
 ) -> PosteriorMoments:
     """Self-normalized importance sampling posterior moments.
 
-    Proposal is N(xi, 2 Xi) from the fixed-point solution.  The error
+    Proposal is N(xi, 2 Xi) at the posterior mode and Laplace covariance.  The error
     estimate is the largest delete-one jackknife standard error among
     the mean components.  Deterministic for a fixed seed.
     """
@@ -201,7 +201,7 @@ def adjudicate_exactness(
     error_target: float = 1e-8,
     max_order: int = MAX_QUADRATURE_ORDER,
 ) -> ExactnessReport:
-    """Compare the fixed-point answer against the quadrature reference.
+    """Compare the posterior mode against the quadrature reference.
 
     CONFIRMED when the gap is within max(confirm_floor, confirm_mult x
     oracle error), REFUTED when it exceeds refute_mult x oracle error,

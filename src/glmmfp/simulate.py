@@ -8,10 +8,10 @@ RMSE metrics:
 * ``oracle``        - true parameters and true random effects known;
                       unobserved effects predicted by the conditional
                       mean D21 D11^-1 gamma (ground-truth ceiling).
-* ``sic_true``      - true parameters known, effects predicted by the
-                      fixed-point solver.
+* ``sic_true``      - true parameters known, effects predicted at the
+                      posterior mode.
 * ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
-                      then the fixed-point solver is applied.
+                      then the posterior mode is predicted.
 
 Replications draw independent streams from (seed, replication index),
 so results are identical regardless of execution order.
@@ -74,9 +74,6 @@ class SimDataset:
     coords_unobs: np.ndarray
     gamma: np.ndarray
     gamma_star: np.ndarray
-    y_star: np.ndarray
-    x_obs: np.ndarray
-    x_unobs: np.ndarray
 
 
 def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
@@ -93,10 +90,7 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     beta = np.asarray(config.beta, dtype=float)
     X = np.column_stack([np.ones(n), x_obs])
     Xstar = np.column_stack([np.ones(n_star), x_unobs])
-    eta = X @ beta + gamma
-    eta_star = Xstar @ beta + gamma_star
-    y = rng.poisson(np.exp(eta)).astype(float)
-    y_star = rng.poisson(np.exp(eta_star)).astype(float)
+    y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
     problem = SpatialProblem(
         y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=poisson_kernel()
     )
@@ -106,9 +100,6 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
         coords_unobs=coords_unobs,
         gamma=gamma,
         gamma_star=gamma_star,
-        y_star=y_star,
-        x_obs=x_obs,
-        x_unobs=x_unobs,
     )
 
 
@@ -170,7 +161,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
 
 def _require_converged(pred: SpatialPrediction):
     if not pred.report.converged:
-        raise RuntimeError("fixed-point solver did not converge")
+        raise RuntimeError("mode-finder did not converge")
 
 
 def run_scenarios(config: SimConfig) -> SimResult:

@@ -2,19 +2,18 @@
 
 The observed block of a spatial mixed model (random effect per site,
 identity random-effects design) is fitted with the Newton mode-finder;
-the unobserved-site effects are then read off through the cross
-covariance:
+the unobserved-site effects are then the kriging of its mode through
+the cross covariance:
 
-    xi* = D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
+    xi* = D21 D11^-1 xi  =  D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
 
-evaluated once at the posterior mode of the observed block.  The
-solver's last iterate already holds ``alpha = R11^-1 (u_xi - X beta)``
-from its one factorization of ``R11``, so the prediction is the product
-``D21 alpha`` and does no second factorization.  The predicted
-response is b'(X* beta + xi*), with the unobserved sites' own trial
-counts for the binomial family, and the predicted working response is
-X* beta + xi* (zero working residual, as no response exists at the
-unobserved sites).  With zero cross covariance this degenerates to the
+the second form holding at the mode, which is the working-model
+update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
+prediction is the product ``D21 alpha`` and does no factorization.
+The predicted response is b'(X* beta + xi*), with the unobserved sites'
+own trial counts for the binomial family, and the predicted working
+response is X* beta + xi* (zero working residual, as no response exists
+at the unobserved sites).  With zero cross covariance this degenerates to the
 fixed-effects prediction, and in the noise-free limit to the
 conditional-mean (kriging) predictor D21 D11^-1 gamma.
 """

@@ -384,6 +384,56 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
 
 
+    def test_binomial_splits_use_the_binomial_deviance(self, tmp_path):
+        rng = np.random.default_rng(13)
+        n, n_train, n_test, seed = 30, 20, 10, 4
+        coords = rng.uniform(0, 5, size=(n, 2))
+        m = rng.integers(1, 9, size=n)
+        y = rng.binomial(m, 0.6)
+        rows = [f"{yi},{mi},{cx},{cy}" for yi, mi, (cx, cy) in zip(y, m, coords)]
+        data = write_csv(tmp_path, "y,m,x_coord,y_coord\n" + "\n".join(rows) + "\n")
+        params = {"family": "binomial", "beta": [0.4],
+                  "matern": {"omega1": 0.5, "omega2": 1.0}}
+        split = {"splits": 2, "n_train": n_train, "n_test": n_test,
+                 "tiers": ["intercept"]}
+        config = write_config(tmp_path, {**params, "validate": split})
+        out = tmp_path / "out"
+        code = cli.main(["validate", "--config", config, "--data", data,
+                         "--out", str(out), "--seed", str(seed), "--quiet"])
+        assert code == cli.EXIT_OK
+        table = np.loadtxt(out / "validation.csv", delimiter=",", skiprows=1,
+                           usecols=(0, 2), ndmin=2)
+        assert table[:, 0].tolist() == [0, 1]
+        for split, g2 in table:
+            # the same split, predicted through `predict` and scored by hand
+            perm = np.random.default_rng([seed, int(split)]).permutation(n)
+            test_idx, train_idx = perm[:n_test], perm[n_test : n_test + n_train]
+            assert np.any((y[test_idx] == 0) | (y[test_idx] == m[test_idx]))
+            train = write_csv(
+                tmp_path, "y,m,x_coord,y_coord\n"
+                + "\n".join(rows[i] for i in train_idx) + "\n", name="train.csv",
+            )
+            test = write_csv(
+                tmp_path, "m,x_coord,y_coord\n"
+                + "\n".join(rows[i].split(",", 1)[1] for i in test_idx) + "\n",
+                name="test.csv",
+            )
+            pred_out = tmp_path / f"pred{int(split)}"
+            code = cli.main(["predict", "--config", write_config(tmp_path, params),
+                             "--data", train, "--test", test,
+                             "--out", str(pred_out), "--quiet"])
+            assert code == cli.EXIT_OK
+            mu = np.loadtxt(pred_out / "predictions.csv", delimiter=",",
+                            skiprows=1)[:, 2]
+            yt, mt = y[test_idx].astype(float), m[test_idx].astype(float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hits = np.where(yt > 0, yt * np.log(yt / mu), 0.0)
+                misses = np.where(
+                    yt < mt, (mt - yt) * np.log((mt - yt) / (mt - mu)), 0.0
+                )
+            assert g2 == pytest.approx(2.0 * np.sum(hits + misses), rel=1e-12)
+
+
 class TestVerify:
     def _config(self, tmp_path):
         return write_config(
@@ -416,6 +466,23 @@ class TestVerify:
             assert code == cli.EXIT_OK
             blobs.append((out / "verdicts.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("fit", "--seed"), ("predict", "--seed"), ("fit", "--replications"),
+         ("predict", "--replications"), ("validate", "--replications"),
+         ("verify", "--replications")],
+    )
+    def test_unread_flags_are_usage_errors(self, command, flag, capsys):
+        argv = [command, "--config", "config.json", "--out", "out", flag, "1"]
+        if command != "verify":
+            argv += ["--data", "data.csv"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestEntryPoint:

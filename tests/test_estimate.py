@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from glmmfp import estimate as estimate_module
+from glmmfp import fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import EstimateOptions, SpatialData, approx_loglik, estimate
 from glmmfp.families import gaussian_kernel, poisson_kernel
@@ -80,6 +82,44 @@ class TestSurrogateLoglik:
         near = approx_loglik(data, np.array([2.0]), omega)
         far = approx_loglik(data, np.array([6.0]), omega)
         assert near > far
+
+
+class TestObjectiveFactorizations:
+    def test_only_the_prior_check_and_the_solver_factor(self, monkeypatch):
+        # build_blocked's Cholesky, GlmmProblem's check of D, and the
+        # solver's own factors: no factorization or solve for the prior
+        # term or log det Xi
+        data, omega = poisson_data(seed=4)
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("cholesky", "solve", "inv", "slogdet"):
+            counted(np.linalg, name)
+        counted(fixed_point, "cho_factor")
+        in_solver = []
+        fit = estimate_module.fit_posterior
+
+        def solver(*args, **kwargs):
+            before = len(calls)
+            report = fit(*args, **kwargs)
+            in_solver.append(calls[before:])
+            return report
+
+        monkeypatch.setattr(estimate_module, "fit_posterior", solver)
+        value = approx_loglik(data, np.array([2.0]), omega)
+        assert np.isfinite(value)
+        [solver_calls] = in_solver
+        assert solver_calls and set(solver_calls) == {"cho_factor"}
+        assert len(calls) == 1 + 1 + len(solver_calls)
+        assert calls.count("cholesky") == 2
 
 
 class TestEstimate:

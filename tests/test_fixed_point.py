@@ -185,28 +185,59 @@ class TestCertificate:
             assert np.all(np.linalg.eigvalsh(state.Xi) > 0)
 
 
-class TestSolverPaths:
-    def test_primal_and_dual_paths_agree(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        problem = random_problem(rng, "poisson", 30, 3)
-        u = rng.standard_normal(30)
-        w = rng.uniform(0.5, 2.0, size=30)
-        monkeypatch.setattr(fixed_point, "_solver_paths", lambda p: True)
-        xi_dual, alpha_dual, cf = fixed_point._xi_raw(problem, u, w)
-        Xi_dual = fixed_point._covariance(problem, cf)
-        monkeypatch.setattr(fixed_point, "_solver_paths", lambda p: False)
-        xi_full, alpha_full, cf = fixed_point._xi_raw(problem, u, w)
-        Xi_full = fixed_point._covariance(problem, cf)
-        assert np.max(np.abs(xi_dual - xi_full)) < 1e-10
-        assert np.max(np.abs(alpha_dual - alpha_full)) < 1e-10
-        assert np.max(np.abs(Xi_dual - Xi_full)) < 1e-10
+def identity_problem(rng, family, n):
+    """A spatial-style instance: Z = I and a Matern prior over random sites."""
+    D = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 6, size=(n, 2))).d11
+    base = random_problem(rng, family, n, n)
+    return GlmmProblem(
+        y=base.y, X=base.X, Z=np.eye(n), D=D, beta=base.beta, kernel=base.kernel
+    )
 
-    def test_dual_path_selected_for_small_r(self):
+
+class TestSolverPaths:
+    """The design alone picks the path: R = D + W^-1 for Z = I, else H."""
+
+    def test_factor_dimension_follows_the_design(self):
+        rng = np.random.default_rng(17)
+        problem = identity_problem(rng, "poisson", 12)
+        assert problem.identity_design
+        assert fit_posterior(problem).state.factor[0].shape == (12, 12)
+        for n, r in ((30, 3), (6, 6), (4, 9)):
+            problem = random_problem(rng, "poisson", n, r)
+            assert not problem.identity_design
+            report = fit_posterior(problem)
+            assert report.converged
+            assert report.state.factor[0].shape == (r, r)
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_both_paths_agree(self, family):
+        # Z = 2I with prior D/4 is the identity-design model in xi/2, on
+        # the H path
+        problem = identity_problem(np.random.default_rng(23), family, 15)
+        scaled = GlmmProblem(
+            y=problem.y, X=problem.X, Z=2.0 * problem.Z, D=problem.D / 4.0,
+            beta=problem.beta, kernel=problem.kernel,
+        )
+        assert not scaled.identity_design
+        options = FitOptions(tol=1e-13)
+        state = fit_posterior(problem, options).state
+        half = fit_posterior(scaled, options).state
+        assert np.max(np.abs(state.xi - 2.0 * half.xi)) < 1e-10
+        assert np.max(np.abs(state.alpha - 0.5 * half.alpha)) < 1e-9
+        assert np.max(np.abs(state.Xi - 4.0 * half.Xi)) < 1e-10
+
+    # alpha belongs to the reported xi, also when a loose tol stops early
+    @pytest.mark.parametrize("tol", [1e-10, 1e-2])
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_alpha_is_the_prior_precision_image_of_xi(self, family, tol):
         rng = np.random.default_rng(19)
-        wide = random_problem(rng, "poisson", 40, 2)
-        narrow = random_problem(rng, "poisson", 6, 3)
-        assert fixed_point._solver_paths(wide)
-        assert not fixed_point._solver_paths(narrow)
+        problems = [identity_problem(rng, family, 15)] + [
+            random_problem(rng, family, n, r) for n, r in ((30, 3), (5, 5), (4, 7))
+        ]
+        for problem in problems:
+            state = fit_posterior(problem, FitOptions(tol=tol)).state
+            alpha = np.linalg.solve(problem.D, state.xi)
+            assert np.max(np.abs(state.alpha - alpha)) < 1e-10
 
 
 class TestNonConvergence:

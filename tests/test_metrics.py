@@ -67,3 +67,33 @@ class TestDevianceGof:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatched"):
             deviance_gof(np.zeros(2), np.ones(3))
+
+
+class TestBinomialDeviance:
+    def test_hand_value(self):
+        # site terms: log(2) + log(1/1.5); 0 + 4 log(4/3); 3 log(1.5) + 0
+        y, m = np.array([1.0, 0.0, 3.0]), np.array([2.0, 4.0, 3.0])
+        mu = np.array([0.5, 1.0, 2.0])
+        expected = 2.0 * (5.0 * np.log(4.0 / 3.0) + 3.0 * np.log(1.5))
+        assert deviance_gof(y, mu, m) == pytest.approx(expected, abs=1e-12)
+
+    def test_perfect_prediction_is_zero(self):
+        y, m = np.array([1.0, 2.0, 0.0]), np.array([4.0, 2.0, 3.0])
+        mu = np.array([1.0, 2.0 - 1e-12, 1e-12])
+        assert deviance_gof(y, mu, m) == pytest.approx(0.0, abs=1e-9)
+
+    def test_nonnegative_on_random_inputs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            m = rng.integers(1, 10, size=8).astype(float)
+            y = rng.binomial(m.astype(int), 0.4).astype(float)
+            mu = m * rng.uniform(0.01, 0.99, size=8)
+            assert deviance_gof(y, mu, m) >= 0.0
+
+    def test_counts_and_predictions_must_stay_within_the_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            deviance_gof(np.array([3.0]), np.array([1.0]), np.array([2.0]))
+        with pytest.raises(ValueError, match="trials"):
+            deviance_gof(np.array([1.0]), np.array([2.0]), np.array([2.0]))
+        with pytest.raises(ValueError, match="trial counts"):
+            deviance_gof(np.ones(2), np.ones(2), np.full(3, 2.0))

@@ -203,6 +203,19 @@ class TestConditionalMean:
             conditional_mean(gamma[:-1], problem.blocked)
 
 
+class TestKrigingOfTheMode:
+    # a loose tol stops the solver a visible step short of the mode; the
+    # prediction still krigs the xi it reports
+    @pytest.mark.parametrize("tol", [1e-10, 1e-2])
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_prediction_is_the_conditional_mean_of_the_mode(self, family, tol):
+        problem, _, _ = make_problem(seed=15, n=40, n_star=15, family=family)
+        pred = fit_predict(problem, FitOptions(tol=tol))
+        assert pred.report.converged
+        expected = conditional_mean(pred.xi, problem.blocked)
+        assert np.max(np.abs(pred.xi_star - expected)) < 1e-9
+
+
 class TestFactorizationBudget:
     """One Cholesky per solver iterate, none for the prediction or for Xi."""
 
