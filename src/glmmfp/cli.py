@@ -27,7 +27,7 @@ from . import dataio
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig, fmt
 from .estimate import EstimateOptions, SpatialData, estimate
-from .families import BINOMIAL, initial_eta
+from .families import BINOMIAL, GAUSSIAN, initial_eta
 from .fixed_point import (
     FitOptions,
     GlmmProblem,
@@ -272,8 +272,12 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     prediction = _fit_predict_split(cfg, train, test, options, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
-    trials = test.trials if cfg.family == BINOMIAL else None
-    return deviance_gof(test.y, prediction.y_hat_star, trials)
+    if cfg.family == BINOMIAL:
+        return deviance_gof(test.y, prediction.y_hat_star, trials=test.trials)
+    if cfg.family == GAUSSIAN:
+        variance = dataio.make_kernel(cfg).variance
+        return deviance_gof(test.y, prediction.y_hat_star, variance=variance)
+    return deviance_gof(test.y, prediction.y_hat_star)
 
 
 def _verify_battery(rng, count_poisson=12, count_binomial=10, count_gaussian=4):

@@ -23,19 +23,26 @@ def _xlog_ratio(a, b):
         return np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / b), 0.0)
 
 
-def deviance_gof(y_obs, y_hat, trials=None) -> float:
-    """Deviance goodness-of-fit of predicted counts.
+def deviance_gof(y_obs, y_hat, trials=None, variance=None) -> float:
+    """Deviance goodness-of-fit of predicted responses.
 
-    Poisson, without ``trials``: 2 sum[y log(y / yhat) - (y - yhat)].
-    Binomial, with the trial counts m: 2 sum[y log(y / yhat)
+    Poisson, without ``trials`` or ``variance``: 2 sum[y log(y / yhat)
+    - (y - yhat)].  Binomial, with the trial counts m: 2 sum[y log(y / yhat)
     + (m - y) log((m - y) / (m - yhat))].  A term is 0 where its count
-    (y, or m - y) is 0.  Nonnegative; predictions must be strictly
-    positive, and below m for the binomial.
+    (y, or m - y) is 0; predictions must be strictly positive, and below
+    m for the binomial.  Gaussian, with the response ``variance``:
+    sum (y - yhat)^2 / variance, for any real y and yhat.  Nonnegative.
     """
     y = np.asarray(y_obs, dtype=float)
     mu = np.asarray(y_hat, dtype=float)
     if y.shape != mu.shape:
         raise ValueError("observed and predicted vectors have mismatched shapes")
+    if variance is not None:
+        if trials is not None:
+            raise ValueError("give trial counts or a variance, not both")
+        if not variance > 0:
+            raise ValueError("variance must be positive")
+        return float(np.sum((y - mu) ** 2) / variance)
     if np.any(mu <= 0):
         raise ValueError("predictions must be strictly positive")
     if np.any(y < 0):

@@ -12,6 +12,15 @@ solver output is used only to center and scale the nodes / proposal;
 node placement affects efficiency, not the value, which the
 order-doubling error estimate verifies.
 
+Each piece of quadrature work is done once: the 1-D Gauss-Hermite rule
+of an order is computed once per process and shared read-only, the
+tensor grid comes from ``np.indices`` in ``itertools.product`` order (so
+the sums run in the same order as a nested loop would), and one
+adjudication evaluates each order once, although every order's error
+estimate needs the half order too.  Before any node is placed,
+``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
+quadrature over it raises ``CapabilityError`` with the node count.
+
 ``adjudicate_exactness`` compares the posterior mode against the
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
 verdict with explicit, configurable thresholds.
@@ -19,8 +28,8 @@ verdict with explicit, configurable thresholds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -35,6 +44,9 @@ IMPORTANCE_SAMPLING = "importance_sampling"
 QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
 MAX_QUADRATURE_ORDER = 256
+# order**r nodes times (n + r) doubles: the nodes' K x n predictor and K x r
+# effects; 2**22 doubles is 32 MiB per such array
+QUADRATURE_BUDGET = 2**22
 MIN_IS_SAMPLES = 10_000
 MIN_ESS_FRACTION = 0.05
 
@@ -90,12 +102,52 @@ def _center_and_scale(problem: GlmmProblem, center):
     return np.asarray(xi, dtype=float), scale
 
 
-def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(order: int):
+    """Read-only 1-D Gauss-Hermite nodes and log weights of ``order``."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
+    log_weights = np.log(weights)
+    nodes.flags.writeable = False
+    log_weights.flags.writeable = False
+    return nodes, log_weights
+
+
+def _tensor_grid(order: int, r: int) -> np.ndarray:
+    """All ``order**r`` index tuples, shape (K, r), in itertools.product order."""
+    return np.indices((order,) * r).reshape(r, -1).T
+
+
+def _fits_budget(problem: GlmmProblem, order: int) -> bool:
+    return order**problem.r * (problem.n + problem.r) <= QUADRATURE_BUDGET
+
+
+def _check_quadrature(problem: GlmmProblem, order: int) -> None:
+    if problem.r > QUADRATURE_DIM_LIMIT:
+        raise CapabilityError(
+            f"tensor quadrature limited to r <= {QUADRATURE_DIM_LIMIT}; "
+            "use moments_importance for larger r"
+        )
+    if order < 8:
+        raise ValueError("quadrature order must be at least 8")
+    if order > MAX_QUADRATURE_ORDER:
+        raise ValueError(
+            f"quadrature order above {MAX_QUADRATURE_ORDER} underflows "
+            "the double-precision node weights"
+        )
+    if not _fits_budget(problem, order):
+        raise CapabilityError(
+            f"order {order} in r = {problem.r} needs {order**problem.r} nodes "
+            f"x {problem.n + problem.r} values, over the budget of "
+            f"{QUADRATURE_BUDGET}; lower the order or use moments_importance"
+        )
+
+
+def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
+    nodes, log_weights = _hermite_rule(order)
     r = problem.r
-    grids = np.array(list(product(range(order), repeat=r)), dtype=int)
+    grids = _tensor_grid(order, r)
     x = nodes[grids]                       # (K, r)
-    logw = np.sum(np.log(weights)[grids], axis=1)
+    logw = np.sum(log_weights[grids], axis=1)
     gammas = xi + np.sqrt(2.0) * x @ scale.T
     logg = _log_unnormalized(problem, gammas)
     # undo the e^{-|x|^2} Gauss-Hermite weight and apply the affine Jacobian
@@ -113,31 +165,29 @@ def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
 
 
 def moments_quadrature(
-    problem: GlmmProblem, order: int = 64, center=None
+    problem: GlmmProblem, order: int = 64, center=None, *, _evaluated=None
 ) -> PosteriorMoments:
     """Gauss-Hermite tensor quadrature posterior moments.
 
     Nodes are affinely mapped through twice the Laplace covariance
     around the posterior mode (or an explicit ``center=(xi, Xi)``).
     The error estimate is the sup-norm change of the mean when the order
-    is halved.
+    is halved.  Raises ``CapabilityError`` for r above
+    ``QUADRATURE_DIM_LIMIT`` or a grid over ``QUADRATURE_BUDGET``, before
+    anything is fitted or allocated.
+
+    ``_evaluated`` maps an order to its tensor sums; calls that share one
+    mapping must share the problem and center.  ``adjudicate_exactness``
+    passes one per adjudication, so each order is evaluated once.
     """
-    if problem.r > QUADRATURE_DIM_LIMIT:
-        raise CapabilityError(
-            f"tensor quadrature limited to r <= {QUADRATURE_DIM_LIMIT}; "
-            "use moments_importance for larger r"
-        )
-    if order < 8:
-        raise ValueError("quadrature order must be at least 8")
-    if order > MAX_QUADRATURE_ORDER:
-        raise ValueError(
-            f"quadrature order above {MAX_QUADRATURE_ORDER} underflows "
-            "the double-precision node weights"
-        )
+    _check_quadrature(problem, order)
     xi, scale = _center_and_scale(problem, center)
-    mean, cov, logz = _gh_raw(problem, order, xi, scale)
-    mean_half, _, _ = _gh_raw(problem, max(order // 2, 4), xi, scale)
-    err = float(np.max(np.abs(mean - mean_half)))
+    evaluated = {} if _evaluated is None else _evaluated
+    for k in (order, order // 2):
+        if k not in evaluated:
+            evaluated[k] = _gh_raw(problem, k, xi, scale)
+    mean, cov, logz = evaluated[order]
+    err = float(np.max(np.abs(mean - evaluated[order // 2][0])))
     return PosteriorMoments(
         mean=mean, cov=cov, log_marginal=logz,
         method=GAUSS_HERMITE, order_or_samples=order, error_estimate=err,
@@ -207,17 +257,26 @@ def adjudicate_exactness(
     oracle error), REFUTED when it exceeds refute_mult x oracle error,
     INCONCLUSIVE in between.  The quadrature order doubles from ``order``
     until the oracle's own order-doubling error estimate drops to
-    ``error_target`` (or ``max_order`` is reached), so the verdict never
-    rests on an under-resolved reference.
+    ``error_target``, so the verdict never rests on an under-resolved
+    reference unless it says so: doubling also stops at ``max_order`` and
+    at the last order whose grid fits ``QUADRATURE_BUDGET``, and the
+    thresholds then judge the error estimate reached there.  Each order
+    is evaluated once (64 -> 256 evaluates 32, 64, 128 and 256).
+    Raises ``CapabilityError`` before fitting when ``order`` itself is
+    over the budget.
     """
-    if problem.r > QUADRATURE_DIM_LIMIT:
-        raise CapabilityError("adjudication requires quadrature, so r <= 4")
+    _check_quadrature(problem, order)
     report = fit_posterior(problem, FitOptions())
     xi, Xi = report.state.xi, report.state.Xi
-    ref = moments_quadrature(problem, order=order, center=(xi, Xi))
-    while ref.error_estimate > error_target and 2 * order <= max_order:
+    evaluated = {}
+    ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
+    while (
+        ref.error_estimate > error_target
+        and 2 * order <= max_order
+        and _fits_budget(problem, 2 * order)
+    ):
         order *= 2
-        ref = moments_quadrature(problem, order=order, center=(xi, Xi))
+        ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
     mean_gap = float(np.max(np.abs(xi - ref.mean)))
     cov_gap = float(np.max(np.abs(Xi - ref.cov)))
     gap = max(mean_gap, cov_gap)

@@ -433,6 +433,50 @@ class TestValidate:
                 )
             assert g2 == pytest.approx(2.0 * np.sum(hits + misses), rel=1e-12)
 
+    def test_gaussian_splits_use_the_squared_error_over_the_variance(self, tmp_path):
+        rng = np.random.default_rng(14)
+        n, n_train, n_test, seed, variance = 30, 20, 10, 6, 0.5
+        coords = rng.uniform(0, 5, size=(n, 2))
+        y = rng.standard_normal(n)
+        rows = [f"{yi},{cx},{cy}" for yi, (cx, cy) in zip(y, coords)]
+        data = write_csv(tmp_path, "y,x_coord,y_coord\n" + "\n".join(rows) + "\n")
+        params = {"family": "gaussian", "gaussian_variance": variance,
+                  "beta": [0.0], "matern": {"omega1": 0.5, "omega2": 1.0}}
+        split = {"splits": 2, "n_train": n_train, "n_test": n_test,
+                 "tiers": ["intercept"]}
+        config = write_config(tmp_path, {**params, "validate": split})
+        out = tmp_path / "out"
+        code = cli.main(["validate", "--config", config, "--data", data,
+                         "--out", str(out), "--seed", str(seed), "--quiet"])
+        assert code == cli.EXIT_OK
+        table = np.loadtxt(out / "validation.csv", delimiter=",", skiprows=1,
+                           usecols=(0, 2), ndmin=2)
+        assert table[:, 0].tolist() == [0, 1]
+        for split, g2 in table:
+            # the same split, predicted through `predict` and scored by hand
+            perm = np.random.default_rng([seed, int(split)]).permutation(n)
+            test_idx, train_idx = perm[:n_test], perm[n_test : n_test + n_train]
+            assert np.any(y[test_idx] <= 0)
+            train = write_csv(
+                tmp_path, "y,x_coord,y_coord\n"
+                + "\n".join(rows[i] for i in train_idx) + "\n", name="train.csv",
+            )
+            test = write_csv(
+                tmp_path, "x_coord,y_coord\n"
+                + "\n".join(rows[i].split(",", 1)[1] for i in test_idx) + "\n",
+                name="test.csv",
+            )
+            pred_out = tmp_path / f"pred{int(split)}"
+            code = cli.main(["predict", "--config", write_config(tmp_path, params),
+                             "--data", train, "--test", test,
+                             "--out", str(pred_out), "--quiet"])
+            assert code == cli.EXIT_OK
+            mu = np.loadtxt(pred_out / "predictions.csv", delimiter=",",
+                            skiprows=1)[:, 2]
+            assert np.any(mu <= 0)
+            expected = np.sum((y[test_idx] - mu) ** 2) / variance
+            assert g2 == pytest.approx(expected, rel=1e-12)
+
 
 class TestVerify:
     def _config(self, tmp_path):

@@ -97,3 +97,16 @@ class TestBinomialDeviance:
             deviance_gof(np.array([1.0]), np.array([2.0]), np.array([2.0]))
         with pytest.raises(ValueError, match="trial counts"):
             deviance_gof(np.ones(2), np.ones(2), np.full(3, 2.0))
+
+
+class TestGaussianDeviance:
+    def test_hand_value_on_real_responses(self):
+        y, mu = np.array([-1.0, 0.0, 2.5]), np.array([0.5, -0.25, 2.5])
+        expected = (1.5**2 + 0.25**2) / 0.5
+        assert deviance_gof(y, mu, variance=0.5) == pytest.approx(expected, abs=1e-12)
+
+    def test_variance_must_be_positive_and_alone(self):
+        with pytest.raises(ValueError, match="positive"):
+            deviance_gof(np.ones(2), np.ones(2), variance=0.0)
+        with pytest.raises(ValueError, match="not both"):
+            deviance_gof(np.ones(2), np.ones(2), np.full(2, 3.0), variance=1.0)

@@ -1,6 +1,10 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from glmmfp import cli, oracle
 from glmmfp.families import gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, fit_posterior
 from glmmfp.oracle import (
@@ -167,3 +171,51 @@ class TestAdjudication:
         )
         with pytest.raises(CapabilityError):
             adjudicate_exactness(problem)
+
+
+class TestQuadratureWorkBudget:
+    """Each Gauss-Hermite rule once per process, each order once per adjudication."""
+
+    def test_verify_computes_each_rule_once(self, tmp_path, monkeypatch):
+        orders = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counted(order):
+            orders.append(order)
+            return hermgauss(order)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+        oracle._hermite_rule.cache_clear()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"verify": {"identity_instances": 5}}))
+        code = cli.main(["verify", "--config", str(config), "--out",
+                         str(tmp_path / "out"), "--seed", "5", "--quiet"])
+        assert code == cli.EXIT_OK
+        assert {32, 64, 128} <= set(orders)
+        assert len(orders) == len(set(orders))
+
+    def test_escalation_evaluates_each_order_once(self, monkeypatch):
+        orders = []
+        gh_raw = oracle._gh_raw
+
+        def counted(problem, order, xi, scale):
+            orders.append(order)
+            return gh_raw(problem, order, xi, scale)
+
+        monkeypatch.setattr(oracle, "_gh_raw", counted)
+        report = adjudicate_exactness(scalar_poisson(), order=64, error_target=0.0)
+        assert report.oracle.order_or_samples == 256
+        assert sorted(orders) == [32, 64, 128, 256]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_grid_is_in_product_order(self, r):
+        for order in (5, 8):
+            expected = np.array(list(itertools.product(range(order), repeat=r)))
+            assert np.array_equal(oracle._tensor_grid(order, r), expected)
+
+    def test_cached_rule_is_read_only(self):
+        nodes, log_weights = oracle._hermite_rule(16)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            log_weights[0] = 0.0
