@@ -107,6 +107,9 @@ def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
         ],
         "objective": result.objective_value,
         "optimizer_converged": result.converged,
+        "optimizer_iterations": result.optimizer_iterations,
+        "fits": result.fits,
+        "failed_fits": result.failed_fits,
     }
     return result.beta_hat, result.omega_hat, meta
 

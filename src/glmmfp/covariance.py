@@ -89,6 +89,34 @@ def matern(params: MaternParams, d):
     return float(out[0]) if scalar else out
 
 
+def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
+    """Derivative of :func:`matern` in ``log omega2`` at distances ``d``.
+
+    With ``a = omega2 d`` it is ``sill * a f'(a)`` for the correlation
+    ``f``: closed forms for smoothness 0.5/1.5/2.5, and otherwise
+    ``d/da [a^nu K_nu(a)] = -a^nu K_(nu-1)(a)``.  It is 0 at ``d = 0``, so
+    a diagonal jitter does not enter it.
+    """
+    a = params.omega2 * np.asarray(d, dtype=float)
+    nu = params.omega3
+    if nu == 0.5:
+        af = -a * np.exp(-a)
+    elif nu == 1.5:
+        af = -(a**2) * np.exp(-a)
+    elif nu == 2.5:
+        af = -(a**2) * (1.0 + a) / 3.0 * np.exp(-a)
+    else:
+        af = np.zeros_like(a)
+        pos = a > 0
+        ap = a[pos]
+        with np.errstate(over="ignore", invalid="ignore"):
+            af[pos] = -(ap ** (nu + 1.0)) * kv(nu - 1.0, ap) / (
+                2.0 ** (nu - 1.0) * gamma_fn(nu)
+            )
+        af[pos] = np.nan_to_num(af[pos], nan=0.0, posinf=0.0, neginf=0.0)
+    return params.sill * af
+
+
 @dataclass(eq=False)
 class BlockedCovariance:
     """Observed/unobserved partition of a spatial prior covariance.

@@ -123,6 +123,23 @@ def mean_and_weight(kernel: FamilyKernel, eta) -> tuple[np.ndarray, np.ndarray]:
     return eta.copy(), np.full_like(eta, 1.0 / kernel.variance)
 
 
+def third_derivative(kernel: FamilyKernel, eta) -> np.ndarray:
+    """``b'''(eta)``, the derivative of the working weight, elementwise.
+
+    ``mu`` for Poisson, ``m p (1 - p)(1 - 2p)`` for binomial and 0 for
+    the Gaussian kernel, whose weight is constant.  Uses the same clamp
+    as :func:`mean_and_weight`.
+    """
+    eta = _check_finite(eta)
+    ec = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
+    if kernel.family == POISSON:
+        return np.exp(ec)
+    if kernel.family == BINOMIAL:
+        p = expit(ec)
+        return kernel.trials * p * (1.0 - p) * (1.0 - 2.0 * p)
+    return np.zeros_like(eta)
+
+
 def initial_eta(kernel: FamilyKernel, y) -> tuple[np.ndarray, np.ndarray]:
     """Family-specific starting linear predictor and starting weights.
 

@@ -313,6 +313,30 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
     )
 
 
+def laplace_skew(state: FitState, xi_diag) -> np.ndarray:
+    """``s2 = -(1/2) xi_diag * b'''(eta)``, with ``xi_diag = diag(Z Xi Z')``.
+
+    At the mode it is the gradient in ``eta`` of ``(1/2) log det Xi``
+    (Rasmussen & Williams 2006, eq. 5.23), the skewness term of both the
+    mode -> mean correction and the gradient of the Laplace surrogate.
+    """
+    b3 = families.third_derivative(state.problem.kernel, state.eta)
+    return -0.5 * xi_diag * b3
+
+
+def corrected_mean(state: FitState) -> np.ndarray:
+    """Leading-order posterior mean ``xi + Xi Z' s2`` from the mode.
+
+    The first term of the Laplace expansion of ``E[xi | y]`` about the
+    mode (Tierney & Kadane 1986), with ``s2`` from :func:`laplace_skew`.
+    It is exactly ``xi`` for the Gaussian kernel.
+    """
+    problem, Xi = state.problem, state.Xi
+    Z = problem.Z
+    xi_diag = Xi.diagonal() if problem.identity_design else np.sum((Z @ Xi) * Z, axis=1)
+    return state.xi + Xi @ (Z.T @ laplace_skew(state, xi_diag))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian factorization identity (randomized linear-algebra oracle)
 # ---------------------------------------------------------------------------

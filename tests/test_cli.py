@@ -104,6 +104,9 @@ class TestFit:
         est = report["estimation"]
         assert len(est["beta_hat"]) == 1
         assert 0.0 < est["omega_hat"][0] < 1.0
+        assert est["optimizer_converged"]
+        assert est["failed_fits"] == 0
+        assert est["fits"] > est["optimizer_iterations"] >= 1
 
     def test_beta_given_with_estimated_matern_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)

@@ -7,6 +7,7 @@ from glmmfp.covariance import (
     SingularCovarianceError,
     build_blocked,
     matern,
+    matern_scale_derivative,
 )
 
 
@@ -110,6 +111,26 @@ class TestMatern:
     def test_array_shape_preserved(self):
         out = matern(MaternParams(0.5, 1.0), np.ones((3, 4)))
         assert out.shape == (3, 4)
+
+
+class TestMaternScaleDerivative:
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0, 3.2])
+    def test_matches_central_differences_in_log_scale(self, nu):
+        d = np.array([0.0, 0.05, 0.4, 1.0, 2.5, 7.0])
+        h = 1e-6
+
+        def at(log_omega2):
+            return matern(MaternParams(0.3, float(np.exp(log_omega2)), nu), d)
+
+        log_omega2 = np.log(1.3)
+        fd = (at(log_omega2 + h) - at(log_omega2 - h)) / (2 * h)
+        got = matern_scale_derivative(MaternParams(0.3, 1.3, nu), d)
+        assert got[0] == 0.0
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-10)
+
+    def test_large_distance_underflow_is_zero(self):
+        far = matern_scale_derivative(MaternParams(0.5, 1.0, 3.2), np.array([1e6]))
+        assert far[0] == 0.0
 
 
 class TestBuildBlocked:

@@ -1,13 +1,21 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import expit
 from scipy.stats import multivariate_normal
 
+from glmmfp import cli, dataio
 from glmmfp import estimate as estimate_module
 from glmmfp import fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import EstimateOptions, SpatialData, approx_loglik, estimate
-from glmmfp.families import gaussian_kernel, poisson_kernel
+from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import FitOptions
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "estimate_reference.json"
 
 
 def gaussian_data(seed=0, n=30, beta0=2.0, s2=1.0):
@@ -166,3 +174,113 @@ class TestEstimate:
         b = estimate(data, np.array([1.0]), omega, fit_omega=False)
         assert np.array_equal(a.beta_hat, b.beta_hat)
         assert a.objective_value == b.objective_value
+
+
+def small_data(family, p, seed=0, n=30):
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0, 5, size=(n, 2))
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])[:, :p]
+    if family == "poisson":
+        y, kernel = rng.poisson(3.0, n).astype(float), poisson_kernel()
+    elif family == "binomial":
+        m = rng.integers(1, 8, n)
+        y, kernel = rng.binomial(m, 0.4).astype(float), binomial_kernel(m)
+    else:
+        y, kernel = rng.standard_normal(n) + 1.0, gaussian_kernel(0.7)
+    return SpatialData(y=y, X=X, coords=coords, kernel=kernel)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0])
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_matches_central_differences(self, family, nu, p):
+        data = small_data(family, p)
+        theta = np.concatenate([np.full(p, 0.3), [0.2, -0.1]])
+
+        def split(t):
+            return t[:p], MaternParams(float(expit(t[p])), float(np.exp(t[p + 1])), nu)
+
+        value, grad = estimate_module._value_and_gradient(
+            data, *split(theta), FitOptions(), cdist(data.coords, data.coords)
+        )
+        assert value == approx_loglik(data, *split(theta))
+        h = 1e-5
+        central = np.array([
+            (approx_loglik(data, *split(theta + h * e))
+             - approx_loglik(data, *split(theta - h * e))) / (2 * h)
+            for e in np.eye(p + 2)
+        ])
+        assert np.max(np.abs(grad - central) / np.maximum(1.0, np.abs(central))) < 1e-6
+
+    def test_beta_block_alone_without_distances(self):
+        data = small_data("poisson", 2)
+        omega = MaternParams(0.4, 1.2)
+        beta = np.array([0.5, -0.2])
+        _, full = estimate_module._value_and_gradient(
+            data, beta, omega, FitOptions(), cdist(data.coords, data.coords)
+        )
+        _, block = estimate_module._value_and_gradient(
+            data, beta, omega, FitOptions(), None
+        )
+        assert block.shape == (2,)
+        assert np.allclose(block, full[:2], rtol=1e-12, atol=0.0)
+
+
+class TestFailedFits:
+    def test_one_failed_fit_is_a_rejected_trial_point(self, monkeypatch):
+        # the second fit is the line search's first trial point; a
+        # non-converged fit there must make it backtrack, not stop
+        data, omega = poisson_data(seed=6, n=40)
+        start = approx_loglik(data, np.array([2.0]), omega)
+        fit = estimate_module.fit_posterior
+        calls = []
+
+        def fails_once(problem, options=FitOptions()):
+            calls.append(1)
+            if len(calls) == 2:
+                options = FitOptions(tol=1e-14, max_iter=1)
+            return fit(problem, options)
+
+        monkeypatch.setattr(estimate_module, "fit_posterior", fails_once)
+        result = estimate(data, np.array([2.0]), omega)
+        assert result.failed_fits == 1
+        assert result.fits == len(calls)
+        assert result.converged
+        assert np.isfinite(result.objective_value)
+        assert result.objective_value >= start
+
+    def test_failed_start_is_reported(self):
+        data, omega = poisson_data(seed=2)
+        result = estimate(
+            data, np.zeros(1), omega,
+            EstimateOptions(fit_options=FitOptions(tol=1e-14, max_iter=1)),
+        )
+        assert not result.converged
+        assert result.objective_value == -np.inf
+        assert result.fits == result.failed_fits >= 1
+
+
+class TestPoolReference:
+    # datasets of the estimation benchmark's pool, against the estimates
+    # recorded for it, at the benchmark's own tolerance
+    @pytest.mark.parametrize("seed", [0, 3, 14])
+    def test_fit_matches_recorded_estimates(self, tmp_path, seed):
+        recorded = json.loads(REFERENCE.read_text())["datasets"][str(seed)]
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=100, seed=seed)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"family": "poisson", "beta": "estimate", "matern": "estimate"})
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["fit", "--config", str(config), "--data", str(data), "--out", str(out),
+             "--quiet"]
+        )
+        assert code == cli.EXIT_OK
+        est = json.loads((out / "report.json").read_text())["estimation"]
+        assert est["optimizer_converged"]
+        got = est["beta_hat"] + est["omega_hat"][:2]
+        want = recorded["beta_hat"] + recorded["omega_hat"]
+        assert got == pytest.approx(want, rel=1e-4, abs=1e-4)

@@ -98,6 +98,32 @@ class TestMeanAndWeight:
         assert np.all(w_p > 0) and np.all(w_b > 0)
 
 
+class TestThirdDerivative:
+    @pytest.mark.parametrize(
+        "kernel",
+        [poisson_kernel(), binomial_kernel([5] * 81), gaussian_kernel(2.0)],
+        ids=["poisson", "binomial", "gaussian"],
+    )
+    def test_is_derivative_of_weight(self, kernel):
+        # central finite differences of the working weight over eta in [-10, 10]
+        eta = np.linspace(-10.0, 10.0, 81)
+        h = 1e-5
+        _, w_p = mean_and_weight(kernel, eta + h)
+        _, w_m = mean_and_weight(kernel, eta - h)
+        fd = (w_p - w_m) / (2.0 * h)
+        b3 = families.third_derivative(kernel, eta)
+        assert np.allclose(fd, b3, rtol=1e-6, atol=1e-9)
+
+    def test_gaussian_is_zero(self):
+        assert np.all(families.third_derivative(gaussian_kernel(2.0), np.ones(3)) == 0.0)
+
+    def test_clamped_like_the_weight(self):
+        for k in (poisson_kernel(), binomial_kernel([3])):
+            b3 = families.third_derivative(k, np.array([500.0, -500.0]))
+            edge = families.third_derivative(k, np.array([30.0, -30.0]))
+            assert np.array_equal(b3, edge)
+
+
 class TestCheckSupport:
     def test_support_violation(self):
         with pytest.raises(ValueError, match="counts"):

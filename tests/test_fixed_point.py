@@ -8,6 +8,7 @@ from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import (
     FitOptions,
     GlmmProblem,
+    corrected_mean,
     fit_posterior,
     fixed_point_residual,
     identity_gap,
@@ -158,6 +159,45 @@ class TestPoissonScalar:
         state = fit_posterior(problem).state
         expected = 1.0 / (1.0 + np.exp(state.xi[0]))
         assert state.Xi[0, 0] == pytest.approx(expected, abs=1e-10)
+
+
+class TestCorrectedMean:
+    def test_poisson_scalar_closed_form(self):
+        # y = 2, N(0, 1) prior: xi - Xi^2 exp(xi) / 2, with Xi = 1/(1 + exp(xi))
+        problem = GlmmProblem(
+            y=np.array([2.0]),
+            X=np.zeros((1, 1)),
+            Z=np.eye(1),
+            D=np.eye(1),
+            beta=np.zeros(1),
+            kernel=poisson_kernel(),
+        )
+        state = fit_posterior(problem).state
+        mode = state.xi[0]
+        Xi = 1.0 / (1.0 + np.exp(mode))
+        got = corrected_mean(state)[0]
+        assert got == pytest.approx(mode - 0.5 * Xi**2 * np.exp(mode), abs=1e-10)
+        assert got == pytest.approx(0.32379, abs=1e-5)
+
+    def test_gaussian_correction_is_zero(self):
+        rng = np.random.default_rng(3)
+        for r in (5, 3):
+            problem = random_problem(rng, "gaussian", 5, r)
+            state = fit_posterior(problem).state
+            assert np.array_equal(corrected_mean(state), state.xi)
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_both_solver_paths_agree(self, family):
+        rng = np.random.default_rng(11)
+        square = random_problem(rng, family, 6, 6)
+        problem = GlmmProblem(
+            y=square.y, X=square.X, Z=np.eye(6), D=square.D, beta=square.beta,
+            kernel=square.kernel,
+        )
+        identity = corrected_mean(fit_posterior(problem).state)
+        problem.identity_design = False
+        general = corrected_mean(fit_posterior(problem).state)
+        assert np.allclose(identity, general, rtol=0, atol=1e-10)
 
 
 class TestCertificate:
