@@ -30,7 +30,7 @@ problem = GlmmProblem(
 )
 
 state = fit_posterior(problem).state
-print(f"fixed point:        xi = {state.xi[0]:.10f}, Xi = {state.Xi[0, 0]:.10f}")
+print(f"posterior mode:     xi = {state.xi[0]:.10f}, Xi = {state.Xi[0, 0]:.10f}")
 
 quad = moments_quadrature(problem, order=128)
 print(
@@ -49,7 +49,7 @@ print(f"\nmean gap: {report.mean_gap:.3e}")
 print(f"cov  gap: {report.cov_gap:.3e}")
 print(f"verdict:  {report.verdict}")
 print(
-    "\nThe fixed point sits at the posterior mode; for a skewed count "
+    "\nThe solver returns the posterior mode; for a skewed count "
     "posterior the mode and the mean are measurably different, which is "
     "what the gap above quantifies.  The two oracles agree with each "
     "other to within their stated errors, so the gap is real."

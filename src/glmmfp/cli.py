@@ -147,7 +147,7 @@ def cmd_fit(args) -> int:
     blocked = build_blocked(omega, dataset.coords)
     problem = GlmmProblem(
         y=dataset.y, X=X, Z=np.eye(dataset.n), D=blocked.d11,
-        beta=beta, kernel=kernel,
+        beta=beta, kernel=kernel, D_chol=blocked.chol,
     )
     report = fit_posterior(problem, options)
     dataio.write_vector_csv(out / "xi.csv", "xi", report.state.xi)

@@ -5,12 +5,16 @@ coordinates and the blocked observed/unobserved covariance used for
 prediction at new sites.  Smoothness 0.5 (exponential covariance), 1.5,
 and 2.5 go through exact closed forms; other smoothness values use the
 modified Bessel function of the second kind.
+
+The blocked covariance is assembled and factored once; its Cholesky
+factor is the only one of the prior that callers need, to draw from it,
+to certify its observed block and to krig (:func:`spatial.conditional_mean`).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -121,16 +125,63 @@ def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
 class BlockedCovariance:
     """Observed/unobserved partition of a spatial prior covariance.
 
-    ``d11`` is observed-observed (n x n), ``d12`` observed-unobserved
-    (n x n*), ``d22`` unobserved-unobserved (n* x n*).  The transposed
-    cross block is ``d12.T`` by construction.  ``jitter`` is the diagonal
-    regularization that was needed to certify positive definiteness.
+    ``full`` is the (n + n*) x (n + n*) matrix; ``d11`` (observed-
+    observed, n x n), ``d12`` (observed-unobserved, n x n*) and ``d22``
+    (unobserved-unobserved, n* x n*) are views of it, and its lower-left
+    block is ``d12.T``.  Construction certifies positive definiteness by
+    Cholesky, escalating a diagonal jitter tenfold from 1e-10 up to 1e-6
+    times the largest diagonal entry (the sill) before giving up.
+    ``jitter`` is the regularization that was needed and ``chol`` the
+    lower factor of the jittered ``full``.  Its leading n x n block is
+    the Cholesky factor of ``d11``, so callers draw, krig and certify
+    ``d11`` with it instead of factoring again.
     """
 
     d11: np.ndarray
     d12: np.ndarray
     d22: np.ndarray
-    jitter: float = 0.0
+    full: np.ndarray = field(init=False, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)
+    jitter: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        n, m = np.shape(self.d12)
+        full = np.empty((n + m, n + m))
+        full[:n, :n] = self.d11
+        full[:n, n:] = self.d12
+        full[n:, n:] = self.d22
+        self._certify(full, n)
+
+    @classmethod
+    def _of_full(cls, full: np.ndarray, n: int) -> BlockedCovariance:
+        """Certify ``full``, whose diagonal and upper blocks are filled, in place."""
+        blocked = cls.__new__(cls)
+        blocked._certify(full, n)
+        return blocked
+
+    def _certify(self, full: np.ndarray, n: int):
+        full[n:, :n] = full[:n, n:].T
+        self.full = full
+        self.d11, self.d12, self.d22 = full[:n, :n], full[:n, n:], full[n:, n:]
+        self.jitter = 0.0
+        diag = full.diagonal().copy()
+        scale = np.max(diag, initial=0.0)
+        candidate = _JITTER_START * scale
+        cap = _JITTER_CAP * scale
+        while True:
+            try:
+                self.chol = np.linalg.cholesky(full)
+                return
+            except np.linalg.LinAlgError:
+                if not 0.0 < candidate <= cap:
+                    raise SingularCovarianceError(
+                        "blocked covariance not positive definite after jitter "
+                        "escalation"
+                    ) from None
+                self.jitter = candidate
+                log.warning("covariance jitter escalated to %.3e", candidate)
+                np.fill_diagonal(full, diag + candidate)
+                candidate *= 10.0
 
     @property
     def n_observed(self) -> int:
@@ -139,12 +190,6 @@ class BlockedCovariance:
     @property
     def n_unobserved(self) -> int:
         return self.d22.shape[0]
-
-    @property
-    def full(self) -> np.ndarray:
-        top = np.hstack([self.d11, self.d12])
-        bottom = np.hstack([self.d12.T, self.d22])
-        return np.vstack([top, bottom])
 
 
 def _as_coords(coords) -> np.ndarray:
@@ -162,18 +207,9 @@ def build_blocked(
     """Blocked Matern covariance over observed and unobserved sites.
 
     Duplicate observed coordinates are rejected (they make the observed
-    block singular).  Positive definiteness of the full blocked matrix is
-    certified by Cholesky, escalating a diagonal jitter tenfold from
-    1e-10 x sill up to 1e-6 x sill before giving up.
-    """
-    return _blocked_and_factor(params, coords_obs, coords_unobs)[0]
-
-
-def _blocked_and_factor(params: MaternParams, coords_obs, coords_unobs=None):
-    """:func:`build_blocked` plus the lower Cholesky factor of its ``full``.
-
-    The factor is the one the positive-definiteness check computed, so a
-    caller drawing from the prior does not factor the matrix again.
+    block singular).  The Matern diagonal is the sill, so the
+    certification jitter of :class:`BlockedCovariance` runs from
+    1e-10 x sill to 1e-6 x sill.
     """
     obs = _as_coords(coords_obs)
     if obs.shape[0] < 1:
@@ -187,40 +223,17 @@ def _blocked_and_factor(params: MaternParams, coords_obs, coords_unobs=None):
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
 
-    d_oo = cdist(obs, obs)
-    off = d_oo[~np.eye(obs.shape[0], dtype=bool)]
-    if off.size and np.min(off) == 0.0:
+    n, m = obs.shape[0], unobs.shape[0]
+    full = np.empty((n + m, n + m))
+    full[:n, :n] = matern(params, _observed_distances(obs))
+    full[:n, n:] = matern(params, cdist(obs, unobs))
+    full[n:, n:] = matern(params, cdist(unobs, unobs))
+    return BlockedCovariance._of_full(full, n)
+
+
+def _observed_distances(obs: np.ndarray) -> np.ndarray:
+    d = cdist(obs, obs)
+    # the diagonal holds n exact zeros; any other zero is a duplicate site
+    if np.count_nonzero(d == 0.0) > obs.shape[0]:
         raise ValueError("duplicate observed coordinates make the prior singular")
-
-    d11 = matern(params, d_oo)
-    d12 = matern(params, cdist(obs, unobs)) if unobs.shape[0] else np.empty(
-        (obs.shape[0], 0)
-    )
-    d22 = matern(params, cdist(unobs, unobs)) if unobs.shape[0] else np.empty((0, 0))
-
-    blocked = BlockedCovariance(d11=d11, d12=d12, d22=d22)
-    full = blocked.full
-    diag = full.diagonal().copy()
-    jitter = 0.0
-    candidate = _JITTER_START * params.sill
-    cap = _JITTER_CAP * params.sill
-    while True:
-        try:
-            chol = np.linalg.cholesky(full)
-            break
-        except np.linalg.LinAlgError:
-            if candidate > cap:
-                raise SingularCovarianceError(
-                    "blocked covariance not positive definite after jitter escalation"
-                ) from None
-            jitter = candidate
-            log.warning("covariance jitter escalated to %.3e", jitter)
-            np.fill_diagonal(full, diag + jitter)
-            candidate *= 10.0
-    if jitter:
-        idx = np.arange(blocked.n_observed)
-        blocked.d11[idx, idx] += jitter
-        idx = np.arange(blocked.n_unobserved)
-        blocked.d22[idx, idx] += jitter
-        blocked.jitter = jitter
-    return blocked, chol
+    return d

@@ -286,7 +286,7 @@ def write_synthetic_counts(
     rng = np.random.default_rng(seed)
     coords = rng.uniform((0.0, 0.0), extent, size=(n_sites, 2))
     blocked = build_blocked(omega, coords)
-    gamma = np.linalg.cholesky(blocked.d11) @ rng.standard_normal(n_sites)
+    gamma = blocked.chol @ rng.standard_normal(n_sites)
     y = rng.poisson(np.exp(beta0 + gamma))
     lines = ["y,x_coord,y_coord"]
     for yi, (cx, cy) in zip(y, coords):

@@ -102,6 +102,7 @@ def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions):
         D=blocked.d11,
         beta=np.asarray(beta, dtype=float),
         kernel=data.kernel,
+        D_chol=blocked.chol,
     )
     return fit_posterior(problem, fit_options)
 

@@ -45,7 +45,7 @@ relies on, and is used as a randomized correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,10 @@ _MAX_HALVINGS = 40
 class GlmmProblem:
     """A canonical-link mixed model instance with known fixed effects.
 
+    ``D`` is checked to be symmetric and positive definite, unless it
+    comes with ``D_chol``: a lower Cholesky factor of ``D`` that already
+    certifies it, such as the leading block of
+    :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.
     ``identity_design`` records whether ``Z`` is the n x n identity.
     """
 
@@ -74,8 +78,9 @@ class GlmmProblem:
     beta: np.ndarray
     kernel: FamilyKernel
     identity_design: bool = field(init=False, repr=False)
+    D_chol: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, D_chol):
         self.y = families.check_support(self.kernel, self.y)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
@@ -89,12 +94,15 @@ class GlmmProblem:
         r = self.Z.shape[1]
         if self.D.shape != (r, r):
             raise ValueError("prior covariance must be r x r")
-        if not np.allclose(self.D, self.D.T, atol=1e-12):
-            raise ValueError("prior covariance must be symmetric")
-        try:
-            np.linalg.cholesky(self.D)
-        except np.linalg.LinAlgError:
-            raise ValueError("prior covariance must be positive definite") from None
+        if D_chol is None:
+            if not np.allclose(self.D, self.D.T, atol=1e-12):
+                raise ValueError("prior covariance must be symmetric")
+            try:
+                np.linalg.cholesky(self.D)
+            except np.linalg.LinAlgError:
+                raise ValueError("prior covariance must be positive definite") from None
+        elif np.shape(D_chol) != (r, r):
+            raise ValueError("the factor of the prior covariance must be r x r")
         Z = self.Z
         self.identity_design = (
             Z.shape == (n, n)

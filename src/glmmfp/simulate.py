@@ -7,11 +7,17 @@ RMSE metrics:
 
 * ``oracle``        - true parameters and true random effects known;
                       unobserved effects predicted by the conditional
-                      mean D21 D11^-1 gamma (ground-truth ceiling).
+                      mean D21 D11^-1 gamma = L21 L11^-1 gamma
+                      (ground-truth ceiling).
 * ``sic_true``      - true parameters known, effects predicted at the
                       posterior mode.
 * ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
                       then the posterior mode is predicted.
+
+Each replication factors its joint (n + n*) prior once, in
+:func:`covariance.build_blocked`.  That factor ``L`` draws the field
+(gamma, gamma*) = L z, krigs the oracle through its blocks L11 and L21,
+and certifies the observed block D11 for the mode-finder.
 
 Replications draw independent streams from (seed, replication index),
 so results are identical regardless of execution order.
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import MaternParams, _blocked_and_factor, build_blocked
+from .covariance import MaternParams, build_blocked
 from .dataio import fmt, write_json
 from .estimate import EstimateOptions, SpatialData, estimate
 from .families import poisson_kernel
@@ -84,8 +90,8 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     coords_unobs = rng.uniform(0.0, config.side, size=(n_star, 2))
     x_obs = rng.standard_normal(n)
     x_unobs = rng.standard_normal(n_star)
-    blocked, chol = _blocked_and_factor(config.omega, coords_obs, coords_unobs)
-    gamma_joint = chol @ rng.standard_normal(n + n_star)
+    blocked = build_blocked(config.omega, coords_obs, coords_unobs)
+    gamma_joint = blocked.chol @ rng.standard_normal(n + n_star)
     gamma, gamma_star = gamma_joint[:n], gamma_joint[n:]
     beta = np.asarray(config.beta, dtype=float)
     X = np.column_stack([np.ones(n), x_obs])
@@ -187,6 +193,7 @@ def run_scenarios(config: SimConfig) -> SimResult:
             for k, v in metrics.items():
                 sums[scenario][k] += v
         records.append(record)
+        del dataset  # its prior and factor are freed before the next is built
     for scenario, bad in failures.items():
         if bad > MAX_FAILURE_FRACTION * config.replications:
             raise RuntimeError(

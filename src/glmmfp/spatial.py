@@ -9,13 +9,16 @@ the cross covariance:
 
 the second form holding at the mode, which is the working-model
 update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
-prediction is the product ``D21 alpha`` and does no factorization.
+prediction is the product ``D21 alpha`` and does no factorization; the
+prior's own Cholesky factor, carried by the blocked covariance, certifies
+D11 for the solver, so no other factorization of D11 is made.
 The predicted response is b'(X* beta + xi*), with the unobserved sites'
 own trial counts for the binomial family, and the predicted working
 response is X* beta + xi* (zero working residual, as no response exists
 at the unobserved sites).  With zero cross covariance this degenerates to the
 fixed-effects prediction, and in the noise-free limit to the
-conditional-mean (kriging) predictor D21 D11^-1 gamma.
+conditional-mean (kriging) predictor D21 D11^-1 gamma, which
+:func:`conditional_mean` evaluates as L21 L11^-1 gamma from that factor.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor  # noqa: F401 - bench/tests checks its traced binding
+from scipy.linalg import solve_triangular
 
 from . import families
 from .covariance import BlockedCovariance
@@ -94,6 +98,7 @@ def fit_predict(
         D=problem.blocked.d11,
         beta=problem.beta,
         kernel=problem.kernel,
+        D_chol=problem.blocked.chol[:n, :n],
     )
     report = fit_posterior(glmm, options)
     state = report.state
@@ -113,12 +118,15 @@ def fit_predict(
 
 
 def conditional_mean(gamma, blocked: BlockedCovariance) -> np.ndarray:
-    """Noise-free predictor D21 D11^-1 gamma at the unobserved sites."""
+    """Noise-free predictor D21 D11^-1 gamma at the unobserved sites.
+
+    With ``full = L L'`` partitioned like ``full``, ``D21 = L21 L11'`` and
+    ``D11 = L11 L11'``, so the predictor is ``L21 L11^-1 gamma``: one
+    triangular solve with the carried factor, and no factorization.
+    """
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if gamma.shape[0] != blocked.n_observed:
+    n = blocked.n_observed
+    if gamma.shape[0] != n:
         raise ValueError("gamma length must match the observed block")
-    try:
-        cf = cho_factor(blocked.d11, lower=True)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("observed covariance block is singular") from None
-    return blocked.d12.T @ cho_solve(cf, gamma)
+    L = blocked.chol
+    return L[n:, :n] @ solve_triangular(L[:n, :n], gamma, lower=True)

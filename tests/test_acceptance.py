@@ -83,7 +83,7 @@ def test_criterion_2_fixed_point_certificate():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"certificate suite took {elapsed:.1f} s (limit 30 s)"
     print(
-        f"\nACCEPTANCE 2 fixed-point certificate: PASS "
+        f"\nACCEPTANCE 2 mode certificate: PASS "
         f"(100 instances, max defect {worst:.3e}, {elapsed:.2f} s)"
     )
 

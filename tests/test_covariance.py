@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from glmmfp.covariance import (
     BlockedCovariance,
@@ -202,3 +203,57 @@ class TestBuildBlocked:
         d22 = np.eye(1)
         b = BlockedCovariance(d11=d11, d12=d12, d22=d22)
         assert np.array_equal(b.full, np.eye(3))
+
+
+class TestAssembly:
+    """One preallocated ``full`` with the blocks as views of it."""
+
+    @staticmethod
+    def stacked(params, obs, unobs, jitter):
+        # the blocks assembled by hstack/vstack, the jitter added per block
+        d11 = matern(params, cdist(obs, obs))
+        d12 = matern(params, cdist(obs, unobs))
+        d22 = matern(params, cdist(unobs, unobs))
+        d11[np.diag_indices_from(d11)] += jitter
+        d22[np.diag_indices_from(d22)] += jitter
+        full = np.vstack([np.hstack([d11, d12]), np.hstack([d12.T, d22])])
+        return d11, d12, d22, full
+
+    @pytest.mark.parametrize("n_star", [9, 0])
+    @pytest.mark.parametrize("nu", [0.5, 1.2, 2.5])
+    def test_bit_identical_to_stacked_blocks(self, nu, n_star):
+        rng = np.random.default_rng(4)
+        obs = rng.uniform(0, 5, size=(15, 2))
+        unobs = rng.uniform(0, 5, size=(n_star, 2))
+        params = MaternParams(0.6, 0.8, nu)
+        b = build_blocked(params, obs, unobs)
+        assert b.jitter == 0.0
+        stacked = self.stacked(params, obs, unobs, 0.0)
+        for got, want in zip((b.d11, b.d12, b.d22, b.full), stacked):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_bit_identical_under_jitter(self):
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        obs = np.vstack([base, base + 1e-13])
+        unobs = np.array([[0.5, 0.5], [2.0, 1.0]])
+        params = MaternParams(0.9, 0.5, 2.5)
+        b = build_blocked(params, obs, unobs)
+        assert b.jitter > 0
+        stacked = self.stacked(params, obs, unobs, b.jitter)
+        for got, want in zip((b.d11, b.d12, b.d22, b.full), stacked):
+            assert np.array_equal(got, want)
+
+    def test_blocks_are_views_and_chol_factors_full(self):
+        rng = np.random.default_rng(5)
+        b = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 5, size=(8, 2)),
+                          rng.uniform(0, 5, size=(3, 2)))
+        for block in (b.d11, b.d12, b.d22):
+            assert np.shares_memory(block, b.full)
+        assert np.array_equal(b.full[8:, :8], b.d12.T)
+        assert np.array_equal(b.chol, np.linalg.cholesky(b.full))
+        # the leading block factors d11, up to a blocked factorization's rounding
+        assert np.allclose(b.chol[:8, :8], np.linalg.cholesky(b.d11), rtol=0, atol=1e-14)
+
+    def test_blocks_that_are_not_positive_definite_rejected(self):
+        with pytest.raises(SingularCovarianceError):
+            BlockedCovariance(d11=np.eye(2), d12=np.full((2, 1), 2.0), d22=np.eye(1))

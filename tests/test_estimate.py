@@ -94,9 +94,9 @@ class TestSurrogateLoglik:
 
 class TestObjectiveFactorizations:
     def test_only_the_prior_check_and_the_solver_factor(self, monkeypatch):
-        # build_blocked's Cholesky, GlmmProblem's check of D, and the
-        # solver's own factors: no factorization or solve for the prior
-        # term or log det Xi
+        # build_blocked's Cholesky, which also certifies D for GlmmProblem,
+        # and the solver's own factors: no factorization or solve for the
+        # prior term or log det Xi
         data, omega = poisson_data(seed=4)
         calls = []
 
@@ -126,8 +126,8 @@ class TestObjectiveFactorizations:
         assert np.isfinite(value)
         [solver_calls] = in_solver
         assert solver_calls and set(solver_calls) == {"cho_factor"}
-        assert len(calls) == 1 + 1 + len(solver_calls)
-        assert calls.count("cholesky") == 2
+        assert len(calls) == 1 + len(solver_calls)
+        assert calls.count("cholesky") == 1
 
 
 class TestEstimate:

@@ -440,3 +440,49 @@ class TestFactorizationIdentity:
         assert inst["gamma"].shape == (r,)
         assert inst["D"].shape == (r, r)
         np.linalg.cholesky(inst["D"])
+
+
+class TestPriorFactor:
+    """A certified factor of D replaces GlmmProblem's own check of D."""
+
+    @staticmethod
+    def problem(D, **kwargs):
+        n = D.shape[0]
+        return GlmmProblem(
+            y=np.ones(n), X=np.ones((n, 1)), Z=np.eye(n), D=D, beta=np.zeros(1),
+            kernel=poisson_kernel(), **kwargs,
+        )
+
+    def test_factor_skips_the_check(self, monkeypatch):
+        blocked = build_blocked(MaternParams(0.5, 1.0), np.arange(10.0).reshape(5, 2))
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        self.problem(blocked.d11, D_chol=blocked.chol)
+        assert calls == []
+        self.problem(blocked.d11)
+        assert calls == [(5, 5)]
+
+    def test_factor_must_match_the_prior(self):
+        blocked = build_blocked(MaternParams(0.5, 1.0), np.arange(10.0).reshape(5, 2))
+        with pytest.raises(ValueError, match="factor"):
+            self.problem(blocked.d11, D_chol=blocked.chol[:4, :4])
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            np.array([[1.0, 0.2], [0.1, 1.0]]),  # positive definite, not symmetric
+            np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, indefinite
+            np.array([[1.0, 1.0], [1.0, 1.0]]),  # symmetric, singular
+        ],
+    )
+    def test_without_a_factor_bad_priors_are_rejected(self, D):
+        with pytest.raises(ValueError, match="symmetric|positive definite"):
+            self.problem(D)
+        with pytest.raises(ValueError, match="symmetric|positive definite"):
+            self.problem(D, D_chol=None)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import expit
 
 from glmmfp import covariance, fixed_point, simulate, spatial
+from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import SpatialData, approx_loglik
 from glmmfp.families import (
@@ -14,6 +16,14 @@ from glmmfp.families import (
 )
 from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
 from glmmfp.spatial import SpatialProblem, conditional_mean, fit_predict
+
+
+def near_duplicate_prior():
+    """Nearly coincident smooth-field sites: build_blocked must add jitter."""
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    coords_obs = np.vstack([base, base[:3] + 1e-13])
+    coords_unobs = np.array([[0.5, 0.5], [1.5, 1.0]])
+    return build_blocked(MaternParams(0.9, 0.5, 2.5), coords_obs, coords_unobs)
 
 
 def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
@@ -202,6 +212,32 @@ class TestConditionalMean:
         with pytest.raises(ValueError, match="gamma length"):
             conditional_mean(gamma[:-1], problem.blocked)
 
+    @pytest.mark.parametrize("n_star", [12, 0])
+    @pytest.mark.parametrize("nu", [0.5, 2.5])
+    def test_carried_factor_matches_dense_solve(self, nu, n_star):
+        rng = np.random.default_rng(16)
+        coords_obs = rng.uniform(0, 10, size=(30, 2))
+        coords_unobs = rng.uniform(0, 10, size=(n_star, 2))
+        blocked = build_blocked(MaternParams(0.5, 1.0, nu), coords_obs, coords_unobs)
+        gamma = rng.standard_normal(30)
+        out = conditional_mean(gamma, blocked)
+        expected = blocked.d12.T @ np.linalg.solve(blocked.d11, gamma)
+        assert out.shape == (n_star,)
+        assert np.max(np.abs(out - expected), initial=0.0) < 1e-10
+
+    def test_carried_factor_matches_dense_solve_under_jitter(self):
+        # the prior of test_prior_that_needs_jitter: d11 has condition
+        # number ~6e10, so both paths carry roundoff near 1e-10 (each is
+        # that far from a 50-digit solve); gamma is a prior draw, as the
+        # simulation oracle's is
+        blocked = near_duplicate_prior()
+        assert blocked.jitter > 0
+        n = blocked.n_observed
+        gamma = blocked.chol[:n, :n] @ np.random.default_rng(2).standard_normal(n)
+        out = conditional_mean(gamma, blocked)
+        expected = blocked.d12.T @ np.linalg.solve(blocked.d11, gamma)
+        assert np.max(np.abs(out - expected)) < 1e-9
+
 
 class TestKrigingOfTheMode:
     # a loose tol stops the solver a visible step short of the mode; the
@@ -242,6 +278,7 @@ class TestFactorizationBudget:
             return report
 
         monkeypatch.setattr(spatial, "fit_posterior", solver)
+        monkeypatch.setattr(estimate_module, "fit_posterior", solver)
         return calls, in_solver
 
     def test_poisson_fit_predict(self, monkeypatch):
@@ -249,13 +286,13 @@ class TestFactorizationBudget:
         calls, in_solver = self.count_factorizations(monkeypatch)
         pred = fit_predict(problem)
         assert pred.report.converged
-        assert in_solver == [len(calls) - 1]  # the other one is GlmmProblem's check of D
+        assert in_solver == [len(calls)]  # the prior's factor certifies D
         assert in_solver[0] <= pred.report.iterations + 1
         state = pred.report.state
         assert "Xi" not in vars(state)
         Xi = state.Xi
         assert "Xi" in vars(state) and Xi.shape == (25, 25)
-        assert len(calls) == in_solver[0] + 1  # reading Xi factors nothing
+        assert len(calls) == in_solver[0]  # reading Xi factors nothing
 
     def test_gaussian_conjugate_case(self, monkeypatch):
         problem, _, _ = make_problem(seed=3, family="gaussian")
@@ -263,7 +300,34 @@ class TestFactorizationBudget:
         pred = fit_predict(problem)
         assert pred.report.converged
         assert pred.report.iterations == 1
-        assert in_solver == [2] and len(calls) == 3
+        assert in_solver == [2] and len(calls) == 2
+
+    def test_simulate_replication(self, monkeypatch):
+        calls, in_solver = self.count_factorizations(monkeypatch)
+        config = simulate.SimConfig(n=40, n_star=30, replications=1, side=6.0)
+        dataset = simulate.generate_dataset(config, 0)
+        assert calls == ["cholesky"]  # the joint prior's, which draws the field
+        simulate._scenario_metrics(dataset, simulate.ORACLE, config)
+        assert calls == ["cholesky"]  # kriging the truth factors nothing
+        simulate._scenario_metrics(dataset, simulate.SIC_TRUE, config)
+        assert calls.count("cholesky") == 1
+        assert in_solver == [len(calls) - 1]
+
+    def test_estimate_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        coords = rng.uniform(0, 5, size=(30, 2))
+        data = SpatialData(
+            y=rng.poisson(4.0, size=30).astype(float), X=np.ones((30, 1)),
+            coords=coords, kernel=poisson_kernel(),
+        )
+        calls, in_solver = self.count_factorizations(monkeypatch)
+        value, grad = estimate_module._value_and_gradient(
+            data, np.array([1.4]), MaternParams(0.5, 1.0), FitOptions(),
+            cdist(coords, coords),
+        )
+        assert np.isfinite(value) and grad.shape == (3,)
+        assert calls.count("cholesky") == 1  # build_blocked's
+        assert in_solver == [len(calls) - 1]
 
 
 class TestIdentityPathAgainstDenseFormulas:
@@ -316,14 +380,9 @@ class TestIdentityPathAgainstDenseFormulas:
         assert abs(value - expected) < 1e-10
 
     def test_prior_that_needs_jitter(self):
-        # nearly coincident smooth-field sites: build_blocked must add jitter
-        base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        coords_obs = np.vstack([base, base[:3] + 1e-13])
-        coords_unobs = np.array([[0.5, 0.5], [1.5, 1.0]])
-        params = MaternParams(0.9, 0.5, 2.5)
-        blocked, chol = covariance._blocked_and_factor(params, coords_obs, coords_unobs)
+        blocked = near_duplicate_prior()
         assert blocked.jitter > 0
-        assert np.array_equal(chol, np.linalg.cholesky(blocked.full))
+        assert np.array_equal(blocked.chol, np.linalg.cholesky(blocked.full))
         rng = np.random.default_rng(14)
         y = rng.poisson(3.0, size=7).astype(float)
         problem = SpatialProblem(
@@ -336,13 +395,20 @@ class TestIdentityPathAgainstDenseFormulas:
         seen = []
 
         def spy(*args):
-            out = covariance._blocked_and_factor(*args)
+            out = covariance.build_blocked(*args)
             seen.append(out)
             return out
 
-        monkeypatch.setattr(simulate, "_blocked_and_factor", spy)
+        monkeypatch.setattr(simulate, "build_blocked", spy)
         config = simulate.SimConfig(n=20, n_star=10, replications=1, side=5.0)
         dataset = simulate.generate_dataset(config, 0)
-        [(blocked, chol)] = seen
+        [blocked] = seen
         assert blocked is dataset.problem.blocked
-        assert np.array_equal(chol, np.linalg.cholesky(blocked.full))
+        assert np.array_equal(blocked.chol, np.linalg.cholesky(blocked.full))
+        # the field is the carried factor times the replication's normals
+        rng = np.random.default_rng([config.seed, 0])
+        rng.uniform(size=(30, 2))
+        rng.standard_normal(30)
+        gamma_joint = blocked.chol @ rng.standard_normal(30)
+        assert np.array_equal(dataset.gamma, gamma_joint[:20])
+        assert np.array_equal(dataset.gamma_star, gamma_joint[20:])
