@@ -6,9 +6,11 @@ prediction at new sites.  Smoothness 0.5 (exponential covariance), 1.5,
 and 2.5 go through exact closed forms; other smoothness values use the
 modified Bessel function of the second kind.
 
-The blocked covariance is assembled and factored once; its Cholesky
-factor is the only one of the prior that callers need, to draw from it,
-to certify its observed block and to krig (:func:`spatial.conditional_mean`).
+The blocked covariance is assembled and factored once, by LAPACK's
+``potrf`` (``scipy.linalg.cho_factor``) on its Fortran-ordered view,
+which needs no transposing copy.  That Cholesky factor is the only one
+of the prior that callers need, to draw from it, to certify its observed
+block and to krig (:func:`spatial.conditional_mean`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -77,7 +80,8 @@ def matern(params: MaternParams, d):
     nu = params.omega3
     sill = params.sill
     if nu == 0.5:
-        out = sill * np.exp(-a)
+        out = np.exp(np.negative(a, out=a), out=a)
+        out *= sill
     elif nu == 1.5:
         out = sill * (1.0 + a) * np.exp(-a)
     elif nu == 2.5:
@@ -130,11 +134,14 @@ class BlockedCovariance:
     (unobserved-unobserved, n* x n*) are views of it, and its lower-left
     block is ``d12.T``.  Construction certifies positive definiteness by
     Cholesky, escalating a diagonal jitter tenfold from 1e-10 up to 1e-6
-    times the largest diagonal entry (the sill) before giving up.
-    ``jitter`` is the regularization that was needed and ``chol`` the
-    lower factor of the jittered ``full``.  Its leading n x n block is
-    the Cholesky factor of ``d11``, so callers draw, krig and certify
-    ``d11`` with it instead of factoring again.
+    times the largest diagonal entry (the sill) before giving up.  The
+    factor is ``potrf``'s on ``full.T``, which is ``full`` itself in
+    Fortran order since ``full`` is exactly symmetric; blocks with
+    non-finite entries raise ``ValueError``.  ``jitter`` is the
+    regularization that was needed and ``chol`` the lower factor of the
+    jittered ``full``, Fortran-ordered, its strict upper triangle zeroed.
+    Its leading n x n block is the Cholesky factor of ``d11``, so callers
+    draw, krig and certify ``d11`` with it instead of factoring again.
     """
 
     d11: np.ndarray
@@ -170,8 +177,9 @@ class BlockedCovariance:
         cap = _JITTER_CAP * scale
         while True:
             try:
-                self.chol = np.linalg.cholesky(full)
-                return
+                # full is exactly symmetric, so its F-ordered transpose is
+                # full itself, which potrf factors without a transposing copy
+                chol, _ = cho_factor(full.T, lower=True)
             except np.linalg.LinAlgError:
                 if not 0.0 < candidate <= cap:
                     raise SingularCovarianceError(
@@ -182,6 +190,11 @@ class BlockedCovariance:
                 log.warning("covariance jitter escalated to %.3e", candidate)
                 np.fill_diagonal(full, diag + candidate)
                 candidate *= 10.0
+            else:
+                # potrf leaves full's upper triangle above the factor
+                chol.T[np.tri(len(full), k=-1, dtype=bool)] = 0.0
+                self.chol = chol
+                return
 
     @property
     def n_observed(self) -> int:

@@ -25,8 +25,9 @@ The iteration carries ``a = D^-1 xi`` beside ``xi``, so it never
 solves with ``D``.  Each iterate does one Cholesky factorization and
 nothing else of cubic cost, on one of two paths picked by the design
 alone.  The identity design ``Z = I`` (every spatial caller) factors the
-n x n ``R = D + W^-1``, formed by adding ``1/w`` to a copy of ``D``'s
-diagonal, and takes ``D^-1 Delta = R^-1 W^-1 g``; every other ``Z``
+n x n ``R = D + W^-1`` in place: ``1/w`` goes on the diagonal of one
+Fortran-order copy of ``D``, which LAPACK's ``potrf`` overwrites with
+the factor.  It takes ``D^-1 Delta = R^-1 W^-1 g``.  Every other ``Z``
 factors the r x r ``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted
 once per problem.  The last iterate's factor and ``alpha = a`` stay on
 the :class:`FitState`; ``Xi`` is read off the factor on first access,
@@ -181,9 +182,9 @@ def _factor(problem: GlmmProblem, w):
     ``R = D + W^-1`` on the identity design, ``H = D^-1 + Z'WZ`` otherwise.
     """
     if problem.identity_design:
-        R = problem.D.copy()
+        R = np.array(problem.D, order="F")
         R.flat[:: problem.n + 1] += 1.0 / w
-        return cho_factor(R, lower=True)
+        return cho_factor(R, lower=True, overwrite_a=True)
     Z = problem.Z
     return cho_factor(problem.precision + (Z.T * w) @ Z, lower=True)
 

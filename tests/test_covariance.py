@@ -52,6 +52,13 @@ class TestMatern:
         d = np.linspace(0.0, 20.0, 201)
         assert np.allclose(matern(p, d), np.exp(-2.0 * d), rtol=0, atol=1e-14)
 
+    def test_exponential_in_place_is_bit_identical(self):
+        p = MaternParams(0.7, 1.3, 0.5)
+        d = np.random.default_rng(2).uniform(0.0, 30.0, size=(40, 30))
+        before = d.copy()
+        assert np.array_equal(matern(p, d), p.sill * np.exp(-p.omega2 * d))
+        assert np.array_equal(d, before)  # d is not overwritten
+
     def test_zero_distance_is_sill(self):
         for nu in (0.5, 1.5, 2.5, 0.8, 3.2):
             p = MaternParams(0.6, 1.3, nu)
@@ -257,3 +264,35 @@ class TestAssembly:
     def test_blocks_that_are_not_positive_definite_rejected(self):
         with pytest.raises(SingularCovarianceError):
             BlockedCovariance(d11=np.eye(2), d12=np.full((2, 1), 2.0), d22=np.eye(1))
+
+
+class TestLapackFactor:
+    """``chol`` is LAPACK's lower factor of ``full``, upper triangle zeroed."""
+
+    @staticmethod
+    def check(b):
+        chol = b.chol
+        assert np.array_equal(np.triu(chol, 1), np.zeros_like(chol))
+        rel = np.max(np.abs(chol @ chol.T - b.full)) / np.max(np.abs(b.full))
+        assert rel < 1e-13
+
+    @pytest.mark.parametrize("n_star", [9, 0])
+    @pytest.mark.parametrize("nu", [0.5, 1.2, 1.5, 2.5])
+    def test_factor_reproduces_full(self, nu, n_star):
+        rng = np.random.default_rng(6)
+        b = build_blocked(MaternParams(0.6, 0.8, nu), rng.uniform(0, 5, size=(40, 2)),
+                          rng.uniform(0, 5, size=(n_star, 2)))
+        assert b.jitter == 0.0
+        self.check(b)
+
+    def test_factor_reproduces_full_under_jitter(self):
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        b = build_blocked(MaternParams(0.9, 0.5, 2.5), np.vstack([base, base + 1e-13]),
+                          np.array([[0.5, 0.5], [2.0, 1.0]]))
+        assert b.jitter > 0
+        self.check(b)
+
+    def test_non_finite_blocks_rejected(self):
+        d11 = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BlockedCovariance(d11=d11, d12=np.zeros((2, 1)), d22=np.eye(1))

@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import expit
 from scipy.stats import multivariate_normal
 
-from glmmfp import cli, dataio
+from glmmfp import cli, covariance, dataio
 from glmmfp import estimate as estimate_module
 from glmmfp import fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
@@ -94,17 +94,17 @@ class TestSurrogateLoglik:
 
 class TestObjectiveFactorizations:
     def test_only_the_prior_check_and_the_solver_factor(self, monkeypatch):
-        # build_blocked's Cholesky, which also certifies D for GlmmProblem,
-        # and the solver's own factors: no factorization or solve for the
-        # prior term or log det Xi
+        # build_blocked's Cholesky ("prior"), which also certifies D for
+        # GlmmProblem, and the solver's own factors: no factorization or
+        # solve for the prior term or log det Xi
         data, omega = poisson_data(seed=4)
         calls = []
 
-        def counted(module, name):
+        def counted(module, name, label=None):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append(label or name)
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -112,6 +112,7 @@ class TestObjectiveFactorizations:
         for name in ("cholesky", "solve", "inv", "slogdet"):
             counted(np.linalg, name)
         counted(fixed_point, "cho_factor")
+        counted(covariance, "cho_factor", "prior")
         in_solver = []
         fit = estimate_module.fit_posterior
 
@@ -127,7 +128,7 @@ class TestObjectiveFactorizations:
         [solver_calls] = in_solver
         assert solver_calls and set(solver_calls) == {"cho_factor"}
         assert len(calls) == 1 + len(solver_calls)
-        assert calls.count("cholesky") == 1
+        assert calls.count("prior") == 1
 
 
 class TestEstimate:

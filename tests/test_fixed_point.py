@@ -266,6 +266,27 @@ class TestSolverPaths:
         assert np.max(np.abs(state.alpha - 0.5 * half.alpha)) < 1e-9
         assert np.max(np.abs(state.Xi - 4.0 * half.Xi)) < 1e-10
 
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_prior_is_not_overwritten(self, family):
+        # the identity path factors R in place in a copy of D, a view of full
+        rng = np.random.default_rng(29)
+        blocked = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 6, size=(15, 2)),
+                                rng.uniform(0, 6, size=(4, 2)))
+        base = random_problem(rng, family, 15, 15)
+        problems = [
+            GlmmProblem(y=base.y, X=base.X, Z=np.eye(15), D=blocked.d11, beta=base.beta,
+                        kernel=base.kernel, D_chol=blocked.chol[:15, :15]),
+            random_problem(rng, family, 30, 3),
+        ]
+        full = blocked.full.copy()
+        for problem in problems:
+            D = problem.D.copy()
+            state = fit_posterior(problem).state
+            assert np.all(np.isfinite(state.Xi))  # Xi solves with the last factor
+            assert np.array_equal(problem.D, D)
+        assert problems[0].identity_design and not problems[1].identity_design
+        assert np.array_equal(blocked.full, full)
+
     # alpha belongs to the reported xi, also when a loose tol stops early
     @pytest.mark.parametrize("tol", [1e-10, 1e-2])
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])

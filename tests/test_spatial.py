@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
@@ -24,6 +25,11 @@ def near_duplicate_prior():
     coords_obs = np.vstack([base, base[:3] + 1e-13])
     coords_unobs = np.array([[0.5, 0.5], [1.5, 1.0]])
     return build_blocked(MaternParams(0.9, 0.5, 2.5), coords_obs, coords_unobs)
+
+
+def lapack_factor(a):
+    """Lower triangle of LAPACK's Cholesky factor of ``a``, upper zeroed."""
+    return np.tril(cho_factor(a, lower=True)[0])
 
 
 def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
@@ -253,21 +259,25 @@ class TestKrigingOfTheMode:
 
 
 class TestFactorizationBudget:
-    """One Cholesky per solver iterate, none for the prediction or for Xi."""
+    """One Cholesky per solver iterate, none for the prediction or for Xi.
+
+    ``build_blocked``'s factorization of the prior is counted as ``"prior"``.
+    """
 
     @staticmethod
     def count_factorizations(monkeypatch):
         calls = []
 
-        def counted(fn):
+        def counted(fn, label=None):
             def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
+                calls.append(label or fn.__name__)
                 return fn(*args, **kwargs)
 
             return wrapper
 
         monkeypatch.setattr(fixed_point, "cho_factor", counted(fixed_point.cho_factor))
         monkeypatch.setattr(spatial, "cho_factor", counted(spatial.cho_factor))
+        monkeypatch.setattr(covariance, "cho_factor", counted(covariance.cho_factor, "prior"))
         monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
         in_solver = []
 
@@ -306,11 +316,11 @@ class TestFactorizationBudget:
         calls, in_solver = self.count_factorizations(monkeypatch)
         config = simulate.SimConfig(n=40, n_star=30, replications=1, side=6.0)
         dataset = simulate.generate_dataset(config, 0)
-        assert calls == ["cholesky"]  # the joint prior's, which draws the field
+        assert calls == ["prior"]  # the joint prior's, which draws the field
         simulate._scenario_metrics(dataset, simulate.ORACLE, config)
-        assert calls == ["cholesky"]  # kriging the truth factors nothing
+        assert calls == ["prior"]  # kriging the truth factors nothing
         simulate._scenario_metrics(dataset, simulate.SIC_TRUE, config)
-        assert calls.count("cholesky") == 1
+        assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
 
     def test_estimate_evaluation(self, monkeypatch):
@@ -326,7 +336,7 @@ class TestFactorizationBudget:
             cdist(coords, coords),
         )
         assert np.isfinite(value) and grad.shape == (3,)
-        assert calls.count("cholesky") == 1  # build_blocked's
+        assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
 
 
@@ -382,7 +392,7 @@ class TestIdentityPathAgainstDenseFormulas:
     def test_prior_that_needs_jitter(self):
         blocked = near_duplicate_prior()
         assert blocked.jitter > 0
-        assert np.array_equal(blocked.chol, np.linalg.cholesky(blocked.full))
+        assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
         rng = np.random.default_rng(14)
         y = rng.poisson(3.0, size=7).astype(float)
         problem = SpatialProblem(
@@ -404,7 +414,7 @@ class TestIdentityPathAgainstDenseFormulas:
         dataset = simulate.generate_dataset(config, 0)
         [blocked] = seen
         assert blocked is dataset.problem.blocked
-        assert np.array_equal(blocked.chol, np.linalg.cholesky(blocked.full))
+        assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
         # the field is the carried factor times the replication's normals
         rng = np.random.default_rng([config.seed, 0])
         rng.uniform(size=(30, 2))
