@@ -427,3 +427,7 @@ def main(argv=None) -> int:
 
 def entry():  # console-script hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

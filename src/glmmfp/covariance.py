@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -236,17 +235,20 @@ def build_blocked(
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
 
+    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
+    from scipy.spatial.distance import cdist
+
     n, m = obs.shape[0], unobs.shape[0]
     full = np.empty((n + m, n + m))
-    full[:n, :n] = matern(params, _observed_distances(obs))
+    full[:n, :n] = matern(params, _observed_distances(cdist(obs, obs)))
     full[:n, n:] = matern(params, cdist(obs, unobs))
     full[n:, n:] = matern(params, cdist(unobs, unobs))
     return BlockedCovariance._of_full(full, n)
 
 
-def _observed_distances(obs: np.ndarray) -> np.ndarray:
-    d = cdist(obs, obs)
+def _observed_distances(d: np.ndarray) -> np.ndarray:
+    """``d``, the observed sites' distance matrix, once it has no duplicate site."""
     # the diagonal holds n exact zeros; any other zero is a duplicate site
-    if np.count_nonzero(d == 0.0) > obs.shape[0]:
+    if np.count_nonzero(d == 0.0) > d.shape[0]:
         raise ValueError("duplicate observed coordinates make the prior singular")
     return d

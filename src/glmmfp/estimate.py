@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 from scipy.special import expit, logit
 
 from . import families
@@ -177,6 +175,11 @@ def estimate(
     negative surrogate, so the line search backtracks from it.
     Deterministic given the initialization and options.
     """
+    # deferred: only estimation runs BFGS, so no other command loads scipy.optimize
+    from scipy.optimize import minimize
+    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
+    from scipy.spatial.distance import cdist
+
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
     dist = cdist(data.coords, data.coords) if fit_omega else None

@@ -123,6 +123,15 @@ def conditional_mean(gamma, blocked: BlockedCovariance) -> np.ndarray:
     With ``full = L L'`` partitioned like ``full``, ``D21 = L21 L11'`` and
     ``D11 = L11 L11'``, so the predictor is ``L21 L11^-1 gamma``: one
     triangular solve with the carried factor, and no factorization.
+
+    Its accuracy is limited by the conditioning of ``D11``, which
+    :func:`covariance.build_blocked` does not check: it certifies
+    positive definiteness only.  On a unit-sill exponential prior
+    (``omega2 = 1``) with three pairs of observed sites 1e-13 apart,
+    cond(``D11``) is about 2.4e13 and no jitter is needed; a ``gamma``
+    drawn from the prior then krigs to about 2e-10 of a 50-digit solve,
+    but an arbitrary ``gamma`` (such as a posterior mode) only to about
+    1e-4.
     """
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     n = blocked.n_observed

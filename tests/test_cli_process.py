@@ -1,0 +1,91 @@
+"""The command line run as its own process: ``python -m glmmfp`` and the
+scipy submodules each subcommand imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from glmmfp import dataio
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFERRED = ("scipy.optimize", "scipy.spatial")
+
+
+def run(module, *argv, importtime=False):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", module, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def imported(stderr: str) -> set:
+    """Modules named in ``-X importtime``'s report, one per import."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def loaded(package: str, modules: set) -> bool:
+    # scipy's lazy submodule loader can import a package without a line of its own
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+def write_config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("module", ["glmmfp", "glmmfp.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    config = write_config(tmp_path, {"verify": {"identity_instances": 5, "order": 16}})
+    out = tmp_path / "out"
+    proc = run(module, "verify", "--config", config, "--out", str(out),
+               "--seed", "5", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads((out / "verdicts.json").read_text())
+    assert payload["seed"] == 5
+
+
+class TestImportWeight:
+    """Each subcommand imports only the scipy submodules it runs."""
+
+    def command(self, tmp_path, name):
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=25, seed=1)
+        fixed = {"family": "poisson", "beta": [4.5],
+                 "matern": {"omega1": 0.5, "omega2": 1.5}}
+        estimated = {"family": "poisson", "beta": "estimate", "matern": "estimate"}
+        simulate = {"simulate": {"n": 20, "n_star": 10, "replications": 1,
+                                 "scenarios": ["oracle", "sic_true"]}}
+        verify = {"verify": {"identity_instances": 5, "order": 16}}
+        config, argv = {
+            "verify": (verify, ["verify", "--seed", "5"]),
+            "simulate": (simulate, ["simulate", "--seed", "3"]),
+            "fit-fixed": (fixed, ["fit", "--data", str(data)]),
+            "fit-estimated": (estimated, ["fit", "--data", str(data)]),
+        }[name]
+        return [*argv, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out"), "--quiet"]
+
+    @pytest.mark.parametrize("name, expected", [
+        ("verify", set()),
+        ("simulate", {"scipy.spatial"}),
+        ("fit-fixed", {"scipy.spatial"}),
+        ("fit-estimated", {"scipy.optimize", "scipy.spatial"}),
+    ])
+    def test_deferred_submodules(self, tmp_path, name, expected):
+        proc = run("glmmfp", *self.command(tmp_path, name), importtime=True)
+        assert proc.returncode == 0, proc.stderr
+        modules = imported(proc.stderr)
+        assert "glmmfp.cli" in modules
+        assert {m for m in DEFERRED if loaded(m, modules)} == expected
