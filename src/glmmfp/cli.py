@@ -26,7 +26,7 @@ import numpy as np
 from . import dataio
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig, fmt
-from .estimate import EstimateOptions, SpatialData, estimate
+from .estimate import SpatialData, estimate
 from .families import BINOMIAL, GAUSSIAN, initial_eta
 from .fixed_point import (
     FitOptions,
@@ -57,11 +57,8 @@ _NUMERICAL_ERRORS = (
 
 
 def _fit_options(cfg: RunConfig) -> FitOptions:
-    sic = cfg.sic
-    return FitOptions(
-        tol=float(sic.get("tol", 1e-10)),
-        max_iter=int(sic.get("max_iter", 200)),
-    )
+    conversions = {"tol": float, "max_iter": int}
+    return FitOptions(**{k: conversions[k](v) for k, v in cfg.sic.items()})
 
 
 def _default_beta_init(kernel, y, X) -> np.ndarray:
@@ -70,33 +67,34 @@ def _default_beta_init(kernel, y, X) -> np.ndarray:
     return coef
 
 
-def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
-    """Return (beta, matern_params, estimate_meta_or_None)."""
+def _check_params(cfg: RunConfig, n_columns: int):
+    """Reject a parameter spec that no fit on an ``n_columns`` design can use."""
     if cfg.matern is None:
         raise ConfigError("config must set 'matern' (parameters or 'estimate')")
     if cfg.beta is None:
         raise ConfigError("config must set 'beta' (values or 'estimate')")
-    matern_given = isinstance(cfg.matern, MaternParams)
-    beta_given = cfg.beta != dataio.ESTIMATE
-    if not matern_given and beta_given:
+    if cfg.beta == dataio.ESTIMATE:
+        return
+    if cfg.matern == dataio.ESTIMATE:
         raise ConfigError("estimating matern parameters requires beta='estimate'")
-    if matern_given and beta_given:
-        beta = np.asarray(cfg.beta, dtype=float)
-        if beta.shape[0] != X.shape[1]:
-            raise ConfigError(
-                f"beta has {beta.shape[0]} entries but the design has "
-                f"{X.shape[1]} columns"
-            )
-        return beta, cfg.matern, None
+    if len(cfg.beta) != n_columns:
+        raise ConfigError(
+            f"beta has {len(cfg.beta)} entries but the design has "
+            f"{n_columns} columns"
+        )
+
+
+def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
+    """Return (beta, matern_params, estimate_meta_or_None)."""
+    _check_params(cfg, X.shape[1])
+    if cfg.beta != dataio.ESTIMATE:
+        return np.asarray(cfg.beta, dtype=float), cfg.matern, None
+    matern_given = isinstance(cfg.matern, MaternParams)
     data = SpatialData(y=y, X=X, coords=coords, kernel=kernel)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
     init_beta = _default_beta_init(kernel, y, X)
     result = estimate(
-        data,
-        init_beta,
-        init_omega,
-        EstimateOptions(fit_options=options),
-        fit_omega=not matern_given,
+        data, init_beta, init_omega, fit_options=options, fit_omega=not matern_given
     )
     meta = {
         "beta_hat": [float(b) for b in result.beta_hat],
@@ -193,22 +191,18 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = dataio.load_config(args.config)
-    sim = dict(cfg.simulate)
+    sim = {"seed": cfg.seed, **cfg.simulate}
+    if not sim.get("omega"):
+        sim.pop("omega", None)
     if args.replications is not None:
         sim["replications"] = args.replications
     if args.seed is not None:
         sim["seed"] = args.seed
-    omega = sim.pop("omega", None)
-    config = SimConfig(
-        n=int(sim.get("n", 400)),
-        n_star=int(sim.get("n_star", 400)),
-        beta=tuple(sim.get("beta", (8.0, 0.0))),
-        omega=dataio.parse_matern(omega) if omega else MaternParams(0.5, 1.0, 0.5),
-        replications=int(sim.get("replications", 100)),
-        seed=int(sim.get("seed", cfg.seed)),
-        side=float(sim.get("side", SimConfig.side)),
-        scenarios=tuple(sim.get("scenarios", ("oracle", "sic_true"))),
-    )
+    conversions = {
+        "n": int, "n_star": int, "beta": tuple, "omega": dataio.parse_matern,
+        "replications": int, "seed": int, "side": float, "scenarios": tuple,
+    }
+    config = SimConfig(**{k: conversions[k](v) for k, v in sim.items()})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -230,8 +224,8 @@ def cmd_validate(args) -> int:
     if splits < 1:
         raise ConfigError("splits must be >= 1")
     for tier in tiers:
-        if tier not in dataio.TIERS:
-            raise ConfigError(f"unknown model_tier {tier!r}")
+        # a tier's design width is the same on every split
+        _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
     if n_train < 1 or n_test < 1 or n_train + n_test > dataset.n:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
@@ -283,14 +277,20 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     return deviance_gof(test.y, prediction.y_hat_star)
 
 
-def _verify_battery(rng, count_poisson=12, count_binomial=10, count_gaussian=4):
+# instances per family in one verify battery
+BATTERY_POISSON = 12
+BATTERY_BINOMIAL = 10
+BATTERY_GAUSSIAN = 4
+
+
+def _verify_battery(rng):
     """Small random model instances for the exactness adjudication."""
     from .families import binomial_kernel, gaussian_kernel, poisson_kernel
 
     specs = (
-        ["poisson"] * count_poisson
-        + ["binomial"] * count_binomial
-        + ["gaussian"] * count_gaussian
+        ["poisson"] * BATTERY_POISSON
+        + ["binomial"] * BATTERY_BINOMIAL
+        + ["gaussian"] * BATTERY_GAUSSIAN
     )
     for family in specs:
         n = int(rng.integers(2, 7))

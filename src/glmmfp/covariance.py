@@ -16,7 +16,7 @@ block and to krig (:func:`spatial.conditional_mean`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -124,48 +124,27 @@ def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
     return params.sill * af
 
 
-@dataclass(eq=False)
 class BlockedCovariance:
     """Observed/unobserved partition of a spatial prior covariance.
 
     ``full`` is the (n + n*) x (n + n*) matrix; ``d11`` (observed-
     observed, n x n), ``d12`` (observed-unobserved, n x n*) and ``d22``
-    (unobserved-unobserved, n* x n*) are views of it, and its lower-left
-    block is ``d12.T``.  Construction certifies positive definiteness by
-    Cholesky, escalating a diagonal jitter tenfold from 1e-10 up to 1e-6
-    times the largest diagonal entry (the sill) before giving up.  The
-    factor is ``potrf``'s on ``full.T``, which is ``full`` itself in
-    Fortran order since ``full`` is exactly symmetric; blocks with
-    non-finite entries raise ``ValueError``.  ``jitter`` is the
-    regularization that was needed and ``chol`` the lower factor of the
-    jittered ``full``, Fortran-ordered, its strict upper triangle zeroed.
-    Its leading n x n block is the Cholesky factor of ``d11``, so callers
-    draw, krig and certify ``d11`` with it instead of factoring again.
+    (unobserved-unobserved, n* x n*) are views of it.  The constructor
+    takes ``full`` with its diagonal blocks and ``d12`` filled, and ``n``;
+    it fills the lower-left block with ``d12.T`` in place and certifies
+    positive definiteness by Cholesky, escalating a diagonal jitter
+    tenfold from 1e-10 up to 1e-6 times the largest diagonal entry (the
+    sill) before giving up.  The factor is ``potrf``'s on ``full.T``,
+    which is ``full`` itself in Fortran order since ``full`` is exactly
+    symmetric; a ``full`` with non-finite entries raises ``ValueError``.
+    ``jitter`` is the regularization that was needed and ``chol`` the
+    lower factor of the jittered ``full``, Fortran-ordered, its strict
+    upper triangle zeroed.  Its leading n x n block is the Cholesky
+    factor of ``d11``, so callers draw, krig and certify ``d11`` with it
+    instead of factoring again.
     """
 
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
-    full: np.ndarray = field(init=False, repr=False)
-    chol: np.ndarray = field(init=False, repr=False)
-    jitter: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        n, m = np.shape(self.d12)
-        full = np.empty((n + m, n + m))
-        full[:n, :n] = self.d11
-        full[:n, n:] = self.d12
-        full[n:, n:] = self.d22
-        self._certify(full, n)
-
-    @classmethod
-    def _of_full(cls, full: np.ndarray, n: int) -> BlockedCovariance:
-        """Certify ``full``, whose diagonal and upper blocks are filled, in place."""
-        blocked = cls.__new__(cls)
-        blocked._certify(full, n)
-        return blocked
-
-    def _certify(self, full: np.ndarray, n: int):
+    def __init__(self, full: np.ndarray, n: int):
         full[n:, :n] = full[:n, n:].T
         self.full = full
         self.d11, self.d12, self.d22 = full[:n, :n], full[:n, n:], full[n:, n:]
@@ -243,7 +222,7 @@ def build_blocked(
     full[:n, :n] = matern(params, _observed_distances(cdist(obs, obs)))
     full[:n, n:] = matern(params, cdist(obs, unobs))
     full[n:, n:] = matern(params, cdist(unobs, unobs))
-    return BlockedCovariance._of_full(full, n)
+    return BlockedCovariance(full, n)
 
 
 def _observed_distances(d: np.ndarray) -> np.ndarray:

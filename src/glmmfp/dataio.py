@@ -271,21 +271,18 @@ def write_json(path, payload: dict):
 # Synthetic dataset generator (schema-compatible stand-in)
 # ---------------------------------------------------------------------------
 
+# the latent field's Matern prior and the rectangle the sites are uniform on
+SYNTHETIC_OMEGA = MaternParams(0.5, 1.5)
+SYNTHETIC_EXTENT = (1.0, 0.75)
 
-def write_synthetic_counts(
-    path,
-    n_sites: int = 100,
-    seed: int = 0,
-    beta0: float = 4.5,
-    omega: MaternParams = MaternParams(0.5, 1.5),
-    extent: tuple = (1.0, 0.75),
-):
+
+def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0, beta0: float = 4.5):
     """Write a synthetic coordinate-indexed count CSV (farm-like layout)."""
     from .covariance import build_blocked  # local import avoids cycles
 
     rng = np.random.default_rng(seed)
-    coords = rng.uniform((0.0, 0.0), extent, size=(n_sites, 2))
-    blocked = build_blocked(omega, coords)
+    coords = rng.uniform((0.0, 0.0), SYNTHETIC_EXTENT, size=(n_sites, 2))
+    blocked = build_blocked(SYNTHETIC_OMEGA, coords)
     gamma = blocked.chol @ rng.standard_normal(n_sites)
     y = rng.poisson(np.exp(beta0 + gamma))
     lines = ["y,x_coord,y_coord"]

@@ -34,7 +34,7 @@ not a reimplementation of any external estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -44,6 +44,9 @@ from . import families
 from .covariance import MaternParams, build_blocked, matern_scale_derivative
 from .families import FamilyKernel
 from .fixed_point import FitOptions, FitState, GlmmProblem, fit_posterior, laplace_skew
+
+BFGS_MAX_ITER = 400
+BFGS_GTOL = 1e-5
 
 
 @dataclass(eq=False)
@@ -62,15 +65,6 @@ class SpatialData:
         n = self.y.shape[0]
         if self.X.shape[0] != n or self.coords.shape[0] != n:
             raise ValueError("y, X, and coords must agree in length")
-
-
-@dataclass(frozen=True)
-class EstimateOptions:
-    """``gtol`` bounds the sup norm of the gradient at a BFGS optimum."""
-
-    max_iter: int = 400
-    gtol: float = 1e-5
-    fit_options: FitOptions = field(default_factory=FitOptions)
 
 
 @dataclass(eq=False)
@@ -164,7 +158,7 @@ def estimate(
     data: SpatialData,
     init_beta,
     init_omega: MaternParams,
-    options: EstimateOptions = EstimateOptions(),
+    fit_options: FitOptions = FitOptions(),
     fit_omega: bool = True,
 ) -> EstimateResult:
     """Maximize the surrogate log-likelihood from the given start by BFGS.
@@ -173,7 +167,9 @@ def estimate(
     the Matern hyperparameters stay at ``init_omega``.  A trial point
     whose mode fit does not converge has value +inf in the minimized
     negative surrogate, so the line search backtracks from it.
-    Deterministic given the initialization and options.
+    BFGS stops after ``BFGS_MAX_ITER`` steps or once the gradient's sup
+    norm is below ``BFGS_GTOL``.  Deterministic given the initialization
+    and ``fit_options``.
     """
     # deferred: only estimation runs BFGS, so no other command loads scipy.optimize
     from scipy.optimize import minimize
@@ -198,7 +194,7 @@ def estimate(
     def objective(theta):
         nonlocal fits, failed
         fits += 1
-        out = _value_and_gradient(data, *unpack(theta), options.fit_options, dist)
+        out = _value_and_gradient(data, *unpack(theta), fit_options, dist)
         if out is None:
             failed += 1
             return np.inf, np.full_like(theta, np.nan)
@@ -215,7 +211,7 @@ def estimate(
         theta0,
         jac=True,
         method="BFGS",
-        options={"gtol": options.gtol, "maxiter": options.max_iter},
+        options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER},
     )
     beta_hat, omega_hat = unpack(res.x)
     return EstimateResult(

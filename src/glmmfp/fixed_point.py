@@ -350,6 +350,10 @@ def corrected_mean(state: FitState) -> np.ndarray:
 # Gaussian factorization identity (randomized linear-algebra oracle)
 # ---------------------------------------------------------------------------
 
+# the largest observation and random-effect counts of a random instance
+IDENTITY_MAX_N = 6
+IDENTITY_MAX_R = 4
+
 
 def _mvn_logpdf(x, mean, cov) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -410,10 +414,10 @@ def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D) -> float
     return _mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R)
 
 
-def random_identity_instance(rng, n_max=6, r_max=4):
+def random_identity_instance(rng):
     """Draw a random instance of the factorization identity's arguments."""
-    n = int(rng.integers(1, n_max + 1))
-    r = int(rng.integers(1, r_max + 1))
+    n = int(rng.integers(1, IDENTITY_MAX_N + 1))
+    r = int(rng.integers(1, IDENTITY_MAX_R + 1))
     p = int(rng.integers(1, 3))
     A = rng.standard_normal((r, r))
     D = A @ A.T + (0.5 + rng.random()) * np.eye(r)

@@ -23,7 +23,9 @@ quadrature over it raises ``CapabilityError`` with the node count.
 
 ``adjudicate_exactness`` compares the posterior mode against the
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
-verdict with explicit, configurable thresholds.
+verdict with the fixed thresholds ``CONFIRM_FLOOR``, ``CONFIRM_MULT``
+and ``REFUTE_MULT``, doubling the quadrature order up to
+``MAX_QUADRATURE_ORDER``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ MAX_QUADRATURE_ORDER = 256
 # order**r nodes times (n + r) doubles: the nodes' K x n predictor and K x r
 # effects; 2**22 doubles is 32 MiB per such array
 QUADRATURE_BUDGET = 2**22
+# verdict thresholds of adjudicate_exactness
+CONFIRM_FLOOR = 1e-6
+CONFIRM_MULT = 10.0
+REFUTE_MULT = 100.0
 MIN_IS_SAMPLES = 10_000
 MIN_ESS_FRACTION = 0.05
 
@@ -245,22 +251,19 @@ def moments_importance(
 def adjudicate_exactness(
     problem: GlmmProblem,
     order: int = 64,
-    confirm_floor: float = 1e-6,
-    confirm_mult: float = 10.0,
-    refute_mult: float = 100.0,
     error_target: float = 1e-8,
-    max_order: int = MAX_QUADRATURE_ORDER,
 ) -> ExactnessReport:
     """Compare the posterior mode against the quadrature reference.
 
-    CONFIRMED when the gap is within max(confirm_floor, confirm_mult x
-    oracle error), REFUTED when it exceeds refute_mult x oracle error,
-    INCONCLUSIVE in between.  The quadrature order doubles from ``order``
-    until the oracle's own order-doubling error estimate drops to
-    ``error_target``, so the verdict never rests on an under-resolved
-    reference unless it says so: doubling also stops at ``max_order`` and
-    at the last order whose grid fits ``QUADRATURE_BUDGET``, and the
-    thresholds then judge the error estimate reached there.  Each order
+    CONFIRMED when the gap is within max(``CONFIRM_FLOOR``,
+    ``CONFIRM_MULT`` x oracle error), REFUTED when it exceeds
+    ``REFUTE_MULT`` x oracle error, INCONCLUSIVE in between.  The
+    quadrature order doubles from ``order`` until the oracle's own
+    order-doubling error estimate drops to ``error_target``, so the
+    verdict never rests on an under-resolved reference unless it says
+    so: doubling also stops at ``MAX_QUADRATURE_ORDER`` and at the last
+    order whose grid fits ``QUADRATURE_BUDGET``, and the thresholds then
+    judge the error estimate reached there.  Each order
     is evaluated once (64 -> 256 evaluates 32, 64, 128 and 256).
     Raises ``CapabilityError`` before fitting when ``order`` itself is
     over the budget.
@@ -272,7 +275,7 @@ def adjudicate_exactness(
     ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
     while (
         ref.error_estimate > error_target
-        and 2 * order <= max_order
+        and 2 * order <= MAX_QUADRATURE_ORDER
         and _fits_budget(problem, 2 * order)
     ):
         order *= 2
@@ -280,9 +283,9 @@ def adjudicate_exactness(
     mean_gap = float(np.max(np.abs(xi - ref.mean)))
     cov_gap = float(np.max(np.abs(Xi - ref.cov)))
     gap = max(mean_gap, cov_gap)
-    if gap <= max(confirm_floor, confirm_mult * ref.error_estimate):
+    if gap <= max(CONFIRM_FLOOR, CONFIRM_MULT * ref.error_estimate):
         verdict = "CONFIRMED"
-    elif gap > refute_mult * ref.error_estimate:
+    elif gap > REFUTE_MULT * ref.error_estimate:
         verdict = "REFUTED"
     else:
         verdict = "INCONCLUSIVE"

@@ -25,13 +25,13 @@ so results are identical regardless of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .covariance import MaternParams, build_blocked
 from .dataio import fmt, write_json
-from .estimate import EstimateOptions, SpatialData, estimate
+from .estimate import SpatialData, estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions
 from .metrics import rl2
@@ -142,16 +142,9 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         kernel=dataset.problem.kernel,
     )
     init_beta = np.array([np.log(np.mean(dataset.problem.y) + 0.5), 0.0])
-    fit = estimate(data, init_beta, config.omega, EstimateOptions())
+    fit = estimate(data, init_beta, config.omega)
     blocked_hat = build_blocked(fit.omega_hat, dataset.coords_obs, dataset.coords_unobs)
-    problem_hat = SpatialProblem(
-        y=dataset.problem.y,
-        X=dataset.problem.X,
-        Xstar=dataset.problem.Xstar,
-        blocked=blocked_hat,
-        beta=fit.beta_hat,
-        kernel=dataset.problem.kernel,
-    )
+    problem_hat = replace(dataset.problem, blocked=blocked_hat, beta=fit.beta_hat)
     pred = fit_predict(problem_hat, FitOptions())
     _require_converged(pred)
     beta = np.asarray(config.beta, dtype=float)

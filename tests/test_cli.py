@@ -386,6 +386,24 @@ class TestValidate:
         )
         assert code == cli.EXIT_VALIDATION
 
+    def test_beta_too_short_for_a_tier_is_rejected_before_any_fit(self, tmp_path):
+        # the default tiers' designs have 1, 3 and 6 columns
+        data, _, _ = poisson_dataset(tmp_path, n=30, seed=3)
+        config = write_config(
+            tmp_path,
+            {
+                "beta": [4.5],
+                "matern": {"omega1": 0.5, "omega2": 1.0},
+                "validate": {"splits": 2, "n_train": 20, "n_test": 8},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert not (out / "validation.csv").exists()
+
 
     def test_binomial_splits_use_the_binomial_deviance(self, tmp_path):
         rng = np.random.default_rng(13)

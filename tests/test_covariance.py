@@ -208,8 +208,10 @@ class TestBuildBlocked:
         d11 = np.eye(2)
         d12 = np.zeros((2, 1))
         d22 = np.eye(1)
-        b = BlockedCovariance(d11=d11, d12=d12, d22=d22)
+        b = BlockedCovariance(np.block([[d11, d12], [d12.T, d22]]), 2)
         assert np.array_equal(b.full, np.eye(3))
+        assert np.array_equal(b.d11, d11) and np.array_equal(b.d12, d12)
+        assert np.array_equal(b.d22, d22)
 
 
 class TestAssembly:
@@ -262,8 +264,9 @@ class TestAssembly:
         assert np.allclose(b.chol[:8, :8], np.linalg.cholesky(b.d11), rtol=0, atol=1e-14)
 
     def test_blocks_that_are_not_positive_definite_rejected(self):
+        d12 = np.full((2, 1), 2.0)
         with pytest.raises(SingularCovarianceError):
-            BlockedCovariance(d11=np.eye(2), d12=np.full((2, 1), 2.0), d22=np.eye(1))
+            BlockedCovariance(np.block([[np.eye(2), d12], [d12.T, np.eye(1)]]), 2)
 
 
 class TestLapackFactor:
@@ -294,5 +297,6 @@ class TestLapackFactor:
 
     def test_non_finite_blocks_rejected(self):
         d11 = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        d12 = np.zeros((2, 1))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            BlockedCovariance(d11=d11, d12=np.zeros((2, 1)), d22=np.eye(1))
+            BlockedCovariance(np.block([[d11, d12], [d12.T, np.eye(1)]]), 2)

@@ -11,7 +11,7 @@ from glmmfp import cli, covariance, dataio
 from glmmfp import estimate as estimate_module
 from glmmfp import fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
-from glmmfp.estimate import EstimateOptions, SpatialData, approx_loglik, estimate
+from glmmfp.estimate import SpatialData, approx_loglik, estimate
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import FitOptions
 
@@ -152,12 +152,7 @@ class TestEstimate:
 
     def test_omega_estimation_returns_valid_parameters(self):
         data, omega = poisson_data(seed=6, n=40)
-        fit = estimate(
-            data,
-            np.array([2.0]),
-            omega,
-            EstimateOptions(max_iter=60),
-        )
+        fit = estimate(data, np.array([2.0]), omega)
         assert 0.0 < fit.omega_hat.omega1 < 1.0
         assert fit.omega_hat.omega2 > 0
         assert fit.omega_hat.omega3 == omega.omega3
@@ -255,7 +250,7 @@ class TestFailedFits:
         data, omega = poisson_data(seed=2)
         result = estimate(
             data, np.zeros(1), omega,
-            EstimateOptions(fit_options=FitOptions(tol=1e-14, max_iter=1)),
+            fit_options=FitOptions(tol=1e-14, max_iter=1),
         )
         assert not result.converged
         assert result.objective_value == -np.inf
