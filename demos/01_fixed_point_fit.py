@@ -42,11 +42,10 @@ for t, (step, newton) in enumerate(report.trace, start=1):
     print(f"  {t:3d}  step={step:.3e}  newton={newton:.3e}")
 
 # --- inspect the answer ------------------------------------------------
-state = report.state
 print("\nposterior mode vs simulated truth (first 5 sites):")
 for i in range(5):
-    print(f"  site {i}:  xi={state.xi[i]:+.4f}   gamma={gamma[i]:+.4f}")
+    print(f"  site {i}:  xi={report.xi[i]:+.4f}   gamma={gamma[i]:+.4f}")
 
-sd = np.sqrt(np.diag(state.Xi))
-inside = np.mean(np.abs(state.xi - gamma) < 2 * sd)
+sd = np.sqrt(np.diag(report.Xi))
+inside = np.mean(np.abs(report.xi - gamma) < 2 * sd)
 print(f"\nfraction of sites within 2 Laplace sd of the truth: {inside:.2f}")

@@ -44,7 +44,7 @@ prediction = fit_predict(problem)
 assert prediction.report.converged
 
 print(f"fitted {n} observed sites in {prediction.report.iterations} iterations")
-print(f"observed-site  RL2: {rl2(gamma, prediction.xi):.4f}")
+print(f"observed-site  RL2: {rl2(gamma, prediction.report.xi):.4f}")
 print(f"held-out-site  RL2: {rl2(gamma_star, prediction.xi_star):.4f}")
 
 # baselines

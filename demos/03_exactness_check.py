@@ -29,8 +29,8 @@ problem = GlmmProblem(
     kernel=poisson_kernel(),
 )
 
-state = fit_posterior(problem).state
-print(f"posterior mode:     xi = {state.xi[0]:.10f}, Xi = {state.Xi[0, 0]:.10f}")
+fit = fit_posterior(problem)
+print(f"posterior mode:     xi = {fit.xi[0]:.10f}, Xi = {fit.Xi[0, 0]:.10f}")
 
 quad = moments_quadrature(problem, order=128)
 print(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import dataio, simulate
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig, fmt
 from .estimate import SpatialData, estimate
@@ -38,7 +38,7 @@ from .fixed_point import (
 from .metrics import deviance_gof
 from .oracle import CapabilityError, UnreliableEstimateError, adjudicate_exactness
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
-from .spatial import SpatialPrediction, SpatialProblem, fit_predict
+from .spatial import SpatialPrediction, SpatialProblem, fit_predict, site_problem
 
 log = logging.getLogger("glmmfp")
 
@@ -51,6 +51,7 @@ _NUMERICAL_ERRORS = (
     SingularCovarianceError,
     CapabilityError,
     UnreliableEstimateError,
+    simulate.ScenarioFailureError,
     np.linalg.LinAlgError,
     FloatingPointError,
 )
@@ -143,17 +144,14 @@ def cmd_fit(args) -> int:
         cfg, dataset.y, X, dataset.coords, kernel, options
     )
     blocked = build_blocked(omega, dataset.coords)
-    problem = GlmmProblem(
-        y=dataset.y, X=X, Z=np.eye(dataset.n), D=blocked.d11,
-        beta=beta, kernel=kernel, D_chol=blocked.chol,
-    )
+    problem = site_problem(dataset.y, X, blocked, beta, kernel)
     report = fit_posterior(problem, options)
-    dataio.write_vector_csv(out / "xi.csv", "xi", report.state.xi)
-    dataio.write_matrix_csv(out / "Xi.csv", report.state.Xi)
+    dataio.write_vector_csv(out / "xi.csv", "xi", report.xi)
+    dataio.write_matrix_csv(out / "Xi.csv", report.Xi)
     payload = {
         "converged": report.converged,
         "iterations": report.iterations,
-        "residual": report.state.residual,
+        "residual": report.residual,
         "step_halvings": report.halvings,
         "beta": [float(b) for b in beta],
         "omega": [omega.omega1, omega.omega2, omega.omega3],
@@ -345,7 +343,7 @@ def cmd_verify(args) -> int:
                 "r": problem.r,
                 "mean_gap": report.mean_gap,
                 "cov_gap": report.cov_gap,
-                "oracle_error": report.oracle_error,
+                "oracle_error": report.oracle.error_estimate,
                 "oracle_order": report.oracle.order_or_samples,
                 "verdict": report.verdict,
             }

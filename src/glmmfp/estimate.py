@@ -43,7 +43,8 @@ from scipy.special import expit, logit
 from . import families
 from .covariance import MaternParams, build_blocked, matern_scale_derivative
 from .families import FamilyKernel
-from .fixed_point import FitOptions, FitState, GlmmProblem, fit_posterior, laplace_skew
+from .fixed_point import FitOptions, FitReport, fit_posterior, laplace_skew
+from .spatial import site_problem
 
 BFGS_MAX_ITER = 400
 BFGS_GTOL = 1e-5
@@ -87,34 +88,27 @@ class EstimateResult:
 
 def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions):
     blocked = build_blocked(omega, data.coords)
-    problem = GlmmProblem(
-        y=data.y,
-        X=data.X,
-        Z=np.eye(data.y.shape[0]),
-        D=blocked.d11,
-        beta=np.asarray(beta, dtype=float),
-        kernel=data.kernel,
-        D_chol=blocked.chol,
-    )
+    problem = site_problem(data.y, data.X, blocked, beta, data.kernel)
     return fit_posterior(problem, fit_options)
 
 
-def _surrogate(state: FitState) -> float:
-    problem = state.problem
-    loglik = families.log_likelihood(problem.kernel, state.eta, problem.y)
-    logdet_r = 2.0 * np.sum(np.log(np.diag(state.factor[0])))
-    logdet_rw = logdet_r + np.sum(np.log(state.w))
-    return float(loglik - 0.5 * (state.xi @ state.alpha) - 0.5 * logdet_rw)
+def _surrogate(report: FitReport) -> float:
+    problem = report.problem
+    loglik = families.log_likelihood(problem.kernel, report.eta, problem.y)
+    logdet_r = 2.0 * np.sum(np.log(np.diag(report.factor[0])))
+    logdet_rw = logdet_r + np.sum(np.log(report.w))
+    return float(loglik - 0.5 * (report.xi @ report.alpha) - 0.5 * logdet_rw)
 
 
-def _surrogate_gradient(state: FitState, dD) -> np.ndarray:
+def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     """Gradient of :func:`_surrogate` in beta, then in each ``C_j`` of ``dD``."""
-    problem, alpha = state.problem, state.alpha
+    problem, alpha = report.problem, report.alpha
     D, X = problem.D, problem.X
-    Rinv = cho_solve(state.factor, np.eye(problem.n))
+    # the site design Z is the identity, so this is R^-1
+    Rinv = cho_solve(report.factor, problem.Z, check_finite=False)
     DRinv = D @ Rinv
-    s2 = laplace_skew(state, D.diagonal() - np.sum(DRinv * D, axis=1))
-    WX = state.w[:, None] * X
+    s2 = laplace_skew(report, D.diagonal() - np.sum(DRinv * D, axis=1))
+    WX = report.w[:, None] * X
     XiWX = D @ WX - DRinv @ (D @ WX)
     grad = list(X.T @ alpha + (X - XiWX).T @ s2)
     for C in dD:
@@ -132,12 +126,11 @@ def _value_and_gradient(data, beta, omega, fit_options, dist):
     report = _fit(data, beta, omega, fit_options)
     if not report.converged:
         return None
-    state = report.state
     dD = ()
     if dist is not None:
         # the jitter is proportional to the sill, so dD/dlogit(omega1) = D
-        dD = (state.problem.D, matern_scale_derivative(omega, dist))
-    return _surrogate(state), _surrogate_gradient(state, dD)
+        dD = (report.problem.D, matern_scale_derivative(omega, dist))
+    return _surrogate(report), _surrogate_gradient(report, dD)
 
 
 def approx_loglik(
@@ -151,7 +144,7 @@ def approx_loglik(
     Returns -inf when the inner mode-finder fails to converge.
     """
     report = _fit(data, beta, omega, fit_options)
-    return _surrogate(report.state) if report.converged else -np.inf
+    return _surrogate(report) if report.converged else -np.inf
 
 
 def estimate(

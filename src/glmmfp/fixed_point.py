@@ -30,7 +30,7 @@ Fortran-order copy of ``D``, which LAPACK's ``potrf`` overwrites with
 the factor.  It takes ``D^-1 Delta = R^-1 W^-1 g``.  Every other ``Z``
 factors the r x r ``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted
 once per problem.  The last iterate's factor and ``alpha = a`` stay on
-the :class:`FitState`; ``Xi`` is read off the factor on first access,
+the :class:`FitReport`; ``Xi`` is read off the factor on first access,
 so callers that only need ``xi`` (or the kriging ``D21 alpha``) never
 pay for it.
 
@@ -65,7 +65,7 @@ _MAX_HALVINGS = 40
 class GlmmProblem:
     """A canonical-link mixed model instance with known fixed effects.
 
-    ``D`` is checked to be symmetric and positive definite, unless it
+    ``D`` is checked to be finite, symmetric and positive definite, unless it
     comes with ``D_chol``: a lower Cholesky factor of ``D`` that already
     certifies it, such as the leading block of
     :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.
@@ -96,6 +96,9 @@ class GlmmProblem:
         if self.D.shape != (r, r):
             raise ValueError("prior covariance must be r x r")
         if D_chol is None:
+            # the solver factors without checking for non-finite entries
+            if not np.all(np.isfinite(self.D)):
+                raise ValueError("prior covariance must be finite and positive definite")
             if not np.allclose(self.D, self.D.T, atol=1e-12):
                 raise ValueError("prior covariance must be symmetric")
             try:
@@ -136,14 +139,17 @@ class FitOptions:
 
 
 @dataclass(eq=False)
-class FitState:
-    """Last iterate of the mode-finder: the mode once it has converged.
+class FitReport:
+    """Last iterate of :func:`fit_posterior`: the mode once it has converged.
 
     ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
     ``R = D + W^-1`` on the identity design or of ``H = D^-1 + Z'WZ``
     for any other design.  ``alpha = D^-1 xi`` is the solver's carried
     prior-precision image of ``xi``.  ``Xi`` is computed from ``factor``
-    on first access.
+    on first access.  ``trace`` holds one ``(step, residual)`` pair per
+    iteration: the sup norm of the increment taken and of the full
+    Newton increment.  ``halvings`` counts the step halvings over the
+    whole fit.
     """
 
     problem: GlmmProblem = field(repr=False)
@@ -153,27 +159,18 @@ class FitState:
     alpha: np.ndarray
     factor: tuple = field(repr=False)
     residual: float
+    converged: bool
+    trace: list
+    halvings: int
+    eta_clamped: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @cached_property
     def Xi(self) -> np.ndarray:
         return _covariance(self.problem, self.factor)
-
-
-@dataclass(eq=False)
-class FitReport:
-    """Outcome of :func:`fit_posterior`.
-
-    ``trace`` holds one ``(step, residual)`` pair per iteration: the sup
-    norm of the increment taken and of the full Newton increment.
-    ``halvings`` counts the step halvings over the whole fit.
-    """
-
-    converged: bool
-    iterations: int
-    state: FitState
-    trace: list = field(default_factory=list)
-    halvings: int = 0
-    eta_clamped: bool = False
 
 
 def _factor(problem: GlmmProblem, w):
@@ -182,11 +179,11 @@ def _factor(problem: GlmmProblem, w):
     ``R = D + W^-1`` on the identity design, ``H = D^-1 + Z'WZ`` otherwise.
     """
     if problem.identity_design:
-        R = np.array(problem.D, order="F")
-        R.flat[:: problem.n + 1] += 1.0 / w
-        return cho_factor(R, lower=True, overwrite_a=True)
-    Z = problem.Z
-    return cho_factor(problem.precision + (Z.T * w) @ Z, lower=True)
+        A = np.array(problem.D, order="F")
+        A.flat[:: problem.n + 1] += 1.0 / w
+    else:
+        A = problem.precision + (problem.Z.T * w) @ problem.Z
+    return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
 
 
 def _xi_raw(problem: GlmmProblem, u, w):
@@ -198,11 +195,11 @@ def _xi_raw(problem: GlmmProblem, u, w):
     resid = u - problem.X @ problem.beta
     cf = _factor(problem, w)
     if problem.identity_design:
-        alpha = cho_solve(cf, resid)
+        alpha = cho_solve(cf, resid, check_finite=False)
         return problem.D @ alpha, alpha, cf
     # xi = H^-1 Z'W resid, so D^-1 xi = Z'W (resid - Z xi)
     Z = problem.Z
-    xi = cho_solve(cf, Z.T @ (w * resid))
+    xi = cho_solve(cf, Z.T @ (w * resid), check_finite=False)
     return xi, Z.T @ (w * (resid - Z @ xi)), cf
 
 
@@ -210,9 +207,9 @@ def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
     """Xi from the factor ``cf`` that :func:`_factor` returned."""
     if problem.identity_design:
         D = problem.D
-        Xi = D - D @ cho_solve(cf, D.T)
+        Xi = D - D @ cho_solve(cf, D.T, check_finite=False)
     else:
-        Xi = cho_solve(cf, np.eye(problem.r))
+        Xi = cho_solve(cf, np.eye(problem.r), check_finite=False)
     return 0.5 * (Xi + Xi.T)
 
 
@@ -232,11 +229,11 @@ def _newton_step(problem: GlmmProblem, eta, a):
     s, w = _score(problem, eta)
     cf = _factor(problem, w)
     if problem.identity_design:
-        d_delta = cho_solve(cf, (s - a) / w)  # H^-1 = D R^-1 W^-1
+        d_delta = cho_solve(cf, (s - a) / w, check_finite=False)  # H^-1 = D R^-1 W^-1
         return w, problem.D @ d_delta, d_delta, cf
     Z = problem.Z
     g = Z.T @ s - a
-    delta = cho_solve(cf, g)
+    delta = cho_solve(cf, g, check_finite=False)
     return w, delta, g - Z.T @ (w * (Z @ delta)), cf
 
 
@@ -311,39 +308,35 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         trace.append((t * residual, residual))
         halvings += k
         xi, a, eta, logpost = xi_t, a_t, eta_t, logpost_t
-    state = FitState(
-        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf,
-        residual=residual,
-    )
     return FitReport(
-        converged=converged, iterations=len(trace), state=state, trace=trace,
-        halvings=halvings,
+        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf,
+        residual=residual, converged=converged, trace=trace, halvings=halvings,
         eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
     )
 
 
-def laplace_skew(state: FitState, xi_diag) -> np.ndarray:
+def laplace_skew(report: FitReport, xi_diag) -> np.ndarray:
     """``s2 = -(1/2) xi_diag * b'''(eta)``, with ``xi_diag = diag(Z Xi Z')``.
 
     At the mode it is the gradient in ``eta`` of ``(1/2) log det Xi``
     (Rasmussen & Williams 2006, eq. 5.23), the skewness term of both the
     mode -> mean correction and the gradient of the Laplace surrogate.
     """
-    b3 = families.third_derivative(state.problem.kernel, state.eta)
+    b3 = families.third_derivative(report.problem.kernel, report.eta)
     return -0.5 * xi_diag * b3
 
 
-def corrected_mean(state: FitState) -> np.ndarray:
+def corrected_mean(report: FitReport) -> np.ndarray:
     """Leading-order posterior mean ``xi + Xi Z' s2`` from the mode.
 
     The first term of the Laplace expansion of ``E[xi | y]`` about the
     mode (Tierney & Kadane 1986), with ``s2`` from :func:`laplace_skew`.
     It is exactly ``xi`` for the Gaussian kernel.
     """
-    problem, Xi = state.problem, state.Xi
+    problem, Xi = report.problem, report.Xi
     Z = problem.Z
     xi_diag = Xi.diagonal() if problem.identity_design else np.sum((Z @ Xi) * Z, axis=1)
-    return state.xi + Xi @ (Z.T @ laplace_skew(state, xi_diag))
+    return report.xi + Xi @ (Z.T @ laplace_skew(report, xi_diag))
 
 
 # ---------------------------------------------------------------------------

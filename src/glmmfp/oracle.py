@@ -20,6 +20,8 @@ adjudication evaluates each order once, although every order's error
 estimate needs the half order too.  Before any node is placed,
 ``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
 quadrature over it raises ``CapabilityError`` with the node count.
+Importance sampling checks ``samples * (n + r)`` against the same
+budget before it draws.
 
 ``adjudicate_exactness`` compares the posterior mode against the
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
@@ -38,7 +40,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from . import families
-from .fixed_point import FitOptions, GlmmProblem, fit_posterior
+from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 
 GAUSS_HERMITE = "gauss_hermite"
 IMPORTANCE_SAMPLING = "importance_sampling"
@@ -46,8 +48,8 @@ IMPORTANCE_SAMPLING = "importance_sampling"
 QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
 MAX_QUADRATURE_ORDER = 256
-# order**r nodes times (n + r) doubles: the nodes' K x n predictor and K x r
-# effects; 2**22 doubles is 32 MiB per such array
+# order**r nodes (or importance samples) times (n + r) doubles: the K x n
+# predictor and K x r effects; 2**22 doubles is 32 MiB per such array
 QUADRATURE_BUDGET = 2**22
 # verdict thresholds of adjudicate_exactness
 CONFIRM_FLOOR = 1e-6
@@ -77,12 +79,12 @@ class PosteriorMoments:
 
 @dataclass(eq=False)
 class ExactnessReport:
+    """Sup-norm gaps of ``fit.xi`` and ``fit.Xi`` from the ``oracle`` moments."""
+
     mean_gap: float
     cov_gap: float
-    oracle_error: float
     verdict: str
-    xi: np.ndarray
-    Xi: np.ndarray
+    fit: FitReport
     oracle: PosteriorMoments
 
 
@@ -103,7 +105,7 @@ def _center_and_scale(problem: GlmmProblem, center):
         xi, Xi = center
     else:
         report = fit_posterior(problem, FitOptions())
-        xi, Xi = report.state.xi, report.state.Xi
+        xi, Xi = report.xi, report.Xi
     scale = np.linalg.cholesky(2.0 * Xi)
     return np.asarray(xi, dtype=float), scale
 
@@ -207,10 +209,17 @@ def moments_importance(
 
     Proposal is N(xi, 2 Xi) at the posterior mode and Laplace covariance.  The error
     estimate is the largest delete-one jackknife standard error among
-    the mean components.  Deterministic for a fixed seed.
+    the mean components.  Deterministic for a fixed seed.  Raises
+    ``CapabilityError`` when ``samples * (n + r)`` is over
+    ``QUADRATURE_BUDGET``, before anything is fitted or drawn.
     """
     if samples < MIN_IS_SAMPLES:
         raise ValueError(f"at least {MIN_IS_SAMPLES} samples required")
+    if samples * (problem.n + problem.r) > QUADRATURE_BUDGET:
+        raise CapabilityError(
+            f"{samples} samples x {problem.n + problem.r} values, over the "
+            f"budget of {QUADRATURE_BUDGET}; lower the sample count"
+        )
     xi, scale = _center_and_scale(problem, center)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((samples, problem.r))
@@ -269,8 +278,8 @@ def adjudicate_exactness(
     over the budget.
     """
     _check_quadrature(problem, order)
-    report = fit_posterior(problem, FitOptions())
-    xi, Xi = report.state.xi, report.state.Xi
+    fit = fit_posterior(problem, FitOptions())
+    xi, Xi = fit.xi, fit.Xi
     evaluated = {}
     ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
     while (
@@ -290,7 +299,5 @@ def adjudicate_exactness(
     else:
         verdict = "INCONCLUSIVE"
     return ExactnessReport(
-        mean_gap=mean_gap, cov_gap=cov_gap,
-        oracle_error=ref.error_estimate, verdict=verdict,
-        xi=xi, Xi=Xi, oracle=ref,
+        mean_gap=mean_gap, cov_gap=cov_gap, verdict=verdict, fit=fit, oracle=ref
     )

@@ -50,6 +50,10 @@ DEFAULT_SIDE = 20.0
 MAX_FAILURE_FRACTION = 0.05
 
 
+class ScenarioFailureError(RuntimeError):
+    """More than ``MAX_FAILURE_FRACTION`` of a scenario's replications failed."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n: int = 400
@@ -130,7 +134,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         pred = fit_predict(dataset.problem, FitOptions())
         _require_converged(pred)
         return dict(
-            rl2=rl2(truth, pred.xi),
+            rl2=rl2(truth, pred.report.xi),
             rl2_star=rl2(truth_star, pred.xi_star),
             **zeros,
         )
@@ -149,7 +153,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     _require_converged(pred)
     beta = np.asarray(config.beta, dtype=float)
     return dict(
-        rl2=rl2(truth, pred.xi),
+        rl2=rl2(truth, pred.report.xi),
         rl2_star=rl2(truth_star, pred.xi_star),
         rmse_beta0=(fit.beta_hat[0] - beta[0]) ** 2,
         rmse_beta1=(fit.beta_hat[1] - beta[1]) ** 2,
@@ -189,7 +193,7 @@ def run_scenarios(config: SimConfig) -> SimResult:
         del dataset  # its prior and factor are freed before the next is built
     for scenario, bad in failures.items():
         if bad > MAX_FAILURE_FRACTION * config.replications:
-            raise RuntimeError(
+            raise ScenarioFailureError(
                 f"{bad}/{config.replications} replications failed in "
                 f"scenario {scenario!r}"
             )

@@ -1,9 +1,9 @@
 """Prediction of spatial random effects and responses at unobserved sites.
 
 The observed block of a spatial mixed model (random effect per site,
-identity random-effects design) is fitted with the Newton mode-finder;
-the unobserved-site effects are then the kriging of its mode through
-the cross covariance:
+identity random-effects design, posed by :func:`site_problem`) is
+fitted with the Newton mode-finder; the unobserved-site effects are then
+the kriging of its mode through the cross covariance:
 
     xi* = D21 D11^-1 xi  =  D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
 
@@ -79,41 +79,42 @@ class SpatialProblem:
 
 @dataclass(eq=False)
 class SpatialPrediction:
-    xi: np.ndarray
+    """Unobserved-site predictions; ``report.xi`` is the observed sites' mode."""
+
     xi_star: np.ndarray
     y_hat_star: np.ndarray
     u_hat_star: np.ndarray
     report: FitReport
 
 
+def site_problem(y, X, blocked: BlockedCovariance, beta, kernel) -> GlmmProblem:
+    """The observed sites' problem: one effect per site (``Z = I``), prior ``D11``.
+
+    The leading block of the carried joint factor certifies ``D11``.
+    """
+    n = blocked.n_observed
+    return GlmmProblem(
+        y=y, X=X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=kernel,
+        D_chol=blocked.chol[:n, :n],
+    )
+
+
 def fit_predict(
     problem: SpatialProblem, options: FitOptions = FitOptions()
 ) -> SpatialPrediction:
     """Fit the observed block and predict effects/responses at new sites."""
-    n = problem.y.shape[0]
-    glmm = GlmmProblem(
-        y=problem.y,
-        X=problem.X,
-        Z=np.eye(n),
-        D=problem.blocked.d11,
-        beta=problem.beta,
-        kernel=problem.kernel,
-        D_chol=problem.blocked.chol[:n, :n],
+    glmm = site_problem(
+        problem.y, problem.X, problem.blocked, problem.beta, problem.kernel
     )
     report = fit_posterior(glmm, options)
-    state = report.state
-    xi_star = problem.blocked.d12.T @ state.alpha
+    xi_star = problem.blocked.d12.T @ report.alpha
     eta_star = problem.Xstar @ problem.beta + xi_star
     if problem.blocked.n_unobserved:
         y_hat_star, _ = families.mean_and_weight(problem.kernel_star, eta_star)
     else:
         y_hat_star = np.empty(0)
     return SpatialPrediction(
-        xi=state.xi,
-        xi_star=xi_star,
-        y_hat_star=y_hat_star,
-        u_hat_star=eta_star,
-        report=report,
+        xi_star=xi_star, y_hat_star=y_hat_star, u_hat_star=eta_star, report=report
     )
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_fixed_point_certificate():
             problem = _random_count_problem(rng, family)
             report = fit_posterior(problem)
             assert report.converged, f"solver failed on a {family} instance"
-            defect = fixed_point_residual(problem, report.state.xi)
+            defect = fixed_point_residual(problem, report.xi)
             worst = max(worst, defect)
             assert defect <= 1e-9, f"{family} certificate defect {defect:.3e}"
     elapsed = time.perf_counter() - start
@@ -113,8 +113,8 @@ def test_criterion_3_gaussian_conjugacy():
         xi = D @ Z.T @ np.linalg.solve(R, resid)
         Xi = D - D @ Z.T @ np.linalg.solve(R, Z @ D)
         gap = max(
-            np.max(np.abs(report.state.xi - xi)),
-            np.max(np.abs(report.state.Xi - 0.5 * (Xi + Xi.T))),
+            np.max(np.abs(report.xi - xi)),
+            np.max(np.abs(report.Xi - 0.5 * (Xi + Xi.T))),
         )
         worst = max(worst, gap)
         assert gap <= 1e-10, f"conjugate gap {gap:.3e} exceeds 1e-10"

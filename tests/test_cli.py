@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from glmmfp import cli, dataio
+from glmmfp import cli, dataio, simulate
 from glmmfp.covariance import MaternParams, build_blocked
 
 
@@ -307,6 +307,55 @@ class TestSimulate:
         audit = json.loads((out / "audit.json").read_text())
         assert len(audit["records"]) == 1
 
+    def test_failed_replication_is_recorded_and_left_out(self, tmp_path, monkeypatch):
+        original = simulate.fit_predict
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("injected failure")
+            return original(*args, **kwargs)
+
+        # one failure in 20 replications is within MAX_FAILURE_FRACTION
+        monkeypatch.setattr(simulate, "fit_predict", fail_first)
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "simulate", "--config", self._config(tmp_path),
+                "--out", str(out), "--replications", "20", "--quiet",
+            ]
+        )
+        assert code == cli.EXIT_OK
+        audit = json.loads((out / "audit.json").read_text())
+        assert audit["failures"] == {"oracle": 0, "sic_true": 1}
+        records = audit["records"]
+        assert records[0]["sic_true"] == {"failed": True, "error": "injected failure"}
+        rows = (out / "table.csv").read_text().strip().split("\n")
+        header = rows[0].split(",")
+        sic = dict(zip(header, rows[2].split(",")))
+        assert sic["scenario"] == "sic_true"
+        for metric in ("rl2", "rl2_star"):
+            kept = sum((r["sic_true"][metric] for r in records[1:]), 0.0) / 19
+            assert float(sic[metric]) == pytest.approx(kept, rel=1e-15)
+
+    def test_too_many_failed_replications_exit_numerical(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected failure")
+
+        monkeypatch.setattr(simulate, "fit_predict", fail)
+        code = cli.main(
+            [
+                "simulate", "--config", self._config(tmp_path),
+                "--out", str(tmp_path / "out"), "--quiet",
+            ]
+        )
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "2/2 replications failed in scenario 'sic_true'" in err
+
 
 class TestValidate:
     def test_noiseless_gaussian_mean_g2_near_zero(self, tmp_path):
@@ -404,6 +453,32 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
         assert not (out / "validation.csv").exists()
 
+    def test_failed_split_is_recorded_and_exits_numerical(self, tmp_path):
+        # one Newton iteration is too few for the mode-finder to converge
+        data, _, _ = poisson_dataset(tmp_path, n=30, seed=5)
+        config = write_config(
+            tmp_path,
+            {
+                "beta": [1.5],
+                "matern": {"omega1": 0.5, "omega2": 1.0},
+                "sic": {"max_iter": 1},
+                "validate": {"splits": 2, "n_train": 20, "n_test": 8,
+                             "tiers": ["intercept"]},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_NUMERICAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tiers"] == {}
+        assert summary["failures"] == [
+            {"split": split, "tier": "intercept",
+             "error": "mode-finder did not converge on a split"}
+            for split in range(2)
+        ]
+        assert (out / "validation.csv").read_text() == "split,tier,g2\n"
 
     def test_binomial_splits_use_the_binomial_deviance(self, tmp_path):
         rng = np.random.default_rng(13)

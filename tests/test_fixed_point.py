@@ -125,8 +125,8 @@ class TestGaussianConjugacy:
             assert report.converged
             assert report.iterations == 1
             xi, Xi = self.closed_form(problem)
-            assert np.max(np.abs(report.state.xi - xi)) < 1e-10
-            assert np.max(np.abs(report.state.Xi - Xi)) < 1e-10
+            assert np.max(np.abs(report.xi - xi)) < 1e-10
+            assert np.max(np.abs(report.Xi - Xi)) < 1e-10
 
 
 class TestPoissonScalar:
@@ -144,8 +144,8 @@ class TestPoissonScalar:
         report = fit_posterior(problem)
         assert report.converged
         mode = brentq(lambda x: 3.0 - np.exp(x) - x, -5.0, 5.0, xtol=1e-14)
-        assert report.state.xi[0] == pytest.approx(mode, abs=1e-9)
-        assert report.state.xi[0] == pytest.approx(0.7920599684310518, abs=1e-10)
+        assert report.xi[0] == pytest.approx(mode, abs=1e-9)
+        assert report.xi[0] == pytest.approx(0.7920599684310518, abs=1e-10)
 
     def test_covariance_is_curvature_inverse(self):
         problem = GlmmProblem(
@@ -156,7 +156,7 @@ class TestPoissonScalar:
             beta=np.zeros(1),
             kernel=poisson_kernel(),
         )
-        state = fit_posterior(problem).state
+        state = fit_posterior(problem)
         expected = 1.0 / (1.0 + np.exp(state.xi[0]))
         assert state.Xi[0, 0] == pytest.approx(expected, abs=1e-10)
 
@@ -172,7 +172,7 @@ class TestCorrectedMean:
             beta=np.zeros(1),
             kernel=poisson_kernel(),
         )
-        state = fit_posterior(problem).state
+        state = fit_posterior(problem)
         mode = state.xi[0]
         Xi = 1.0 / (1.0 + np.exp(mode))
         got = corrected_mean(state)[0]
@@ -183,7 +183,7 @@ class TestCorrectedMean:
         rng = np.random.default_rng(3)
         for r in (5, 3):
             problem = random_problem(rng, "gaussian", 5, r)
-            state = fit_posterior(problem).state
+            state = fit_posterior(problem)
             assert np.array_equal(corrected_mean(state), state.xi)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial"])
@@ -194,9 +194,9 @@ class TestCorrectedMean:
             y=square.y, X=square.X, Z=np.eye(6), D=square.D, beta=square.beta,
             kernel=square.kernel,
         )
-        identity = corrected_mean(fit_posterior(problem).state)
+        identity = corrected_mean(fit_posterior(problem))
         problem.identity_design = False
-        general = corrected_mean(fit_posterior(problem).state)
+        general = corrected_mean(fit_posterior(problem))
         assert np.allclose(identity, general, rtol=0, atol=1e-10)
 
 
@@ -210,14 +210,14 @@ class TestCertificate:
             )
             report = fit_posterior(problem)
             assert report.converged, f"non-convergence on a random {family} instance"
-            assert fixed_point_residual(problem, report.state.xi) <= 1e-9
-            assert report.state.residual <= 1e-10
+            assert fixed_point_residual(problem, report.xi) <= 1e-9
+            assert report.residual <= 1e-10
 
     def test_covariance_properties(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             problem = random_problem(rng, "poisson", 20, 4)
-            state = fit_posterior(problem).state
+            state = fit_posterior(problem)
             assert np.max(np.abs(state.Xi - state.Xi.T)) <= 1e-12
             # posterior covariance is dominated by the prior
             eigmin = np.min(np.linalg.eigvalsh(problem.D - state.Xi))
@@ -241,13 +241,13 @@ class TestSolverPaths:
         rng = np.random.default_rng(17)
         problem = identity_problem(rng, "poisson", 12)
         assert problem.identity_design
-        assert fit_posterior(problem).state.factor[0].shape == (12, 12)
+        assert fit_posterior(problem).factor[0].shape == (12, 12)
         for n, r in ((30, 3), (6, 6), (4, 9)):
             problem = random_problem(rng, "poisson", n, r)
             assert not problem.identity_design
             report = fit_posterior(problem)
             assert report.converged
-            assert report.state.factor[0].shape == (r, r)
+            assert report.factor[0].shape == (r, r)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_both_paths_agree(self, family):
@@ -260,8 +260,8 @@ class TestSolverPaths:
         )
         assert not scaled.identity_design
         options = FitOptions(tol=1e-13)
-        state = fit_posterior(problem, options).state
-        half = fit_posterior(scaled, options).state
+        state = fit_posterior(problem, options)
+        half = fit_posterior(scaled, options)
         assert np.max(np.abs(state.xi - 2.0 * half.xi)) < 1e-10
         assert np.max(np.abs(state.alpha - 0.5 * half.alpha)) < 1e-9
         assert np.max(np.abs(state.Xi - 4.0 * half.Xi)) < 1e-10
@@ -281,7 +281,7 @@ class TestSolverPaths:
         full = blocked.full.copy()
         for problem in problems:
             D = problem.D.copy()
-            state = fit_posterior(problem).state
+            state = fit_posterior(problem)
             assert np.all(np.isfinite(state.Xi))  # Xi solves with the last factor
             assert np.array_equal(problem.D, D)
         assert problems[0].identity_design and not problems[1].identity_design
@@ -296,7 +296,7 @@ class TestSolverPaths:
             random_problem(rng, family, n, r) for n, r in ((30, 3), (5, 5), (4, 7))
         ]
         for problem in problems:
-            state = fit_posterior(problem, FitOptions(tol=tol)).state
+            state = fit_posterior(problem, FitOptions(tol=tol))
             alpha = np.linalg.solve(problem.D, state.xi)
             assert np.max(np.abs(state.alpha - alpha)) < 1e-10
 
@@ -308,7 +308,7 @@ class TestNonConvergence:
         report = fit_posterior(problem, FitOptions(tol=1e-10, max_iter=1))
         assert not report.converged
         assert report.iterations == 1
-        assert report.state.residual > 0
+        assert report.residual > 0
         assert len(report.trace) == 1
 
     def test_trace_records_steps(self):
@@ -339,11 +339,11 @@ class TestNonConvergence:
         assert report.converged
         assert report.halvings > 0
         assert report.trace[0][0] < report.trace[0][1]
-        assert fixed_point_residual(problem, report.state.xi) <= 1e-9
+        assert fixed_point_residual(problem, report.xi) <= 1e-9
         mode = brentq(
             lambda x: z @ (y - np.exp(z * x)) - x / 100.0, -20.0, 20.0, xtol=1e-15
         )
-        assert report.state.xi[0] == pytest.approx(mode, abs=1e-9)
+        assert report.xi[0] == pytest.approx(mode, abs=1e-9)
 
     def test_large_counts_do_not_stall(self):
         # counts near e^14: the log-likelihood's terms are ~1e7 while their
@@ -374,9 +374,9 @@ class TestNonConvergence:
         assert not report.converged
         assert report.iterations == 1
         assert report.halvings == fixed_point._MAX_HALVINGS + 1
-        assert report.trace == [(0.0, report.state.residual)]
-        assert report.state.residual > 0
-        assert report.state.Xi.shape == (3, 3)
+        assert report.trace == [(0.0, report.residual)]
+        assert report.residual > 0
+        assert report.Xi.shape == (3, 3)
 
 
 def stress_battery(seed=1, count=3000):
@@ -416,7 +416,7 @@ class TestStressBattery:
                 failures.append((i, repr(exc)))
                 continue
             if not report.converged:
-                failures.append((i, f"not converged, residual {report.state.residual:.3e}"))
+                failures.append((i, f"not converged, residual {report.residual:.3e}"))
             iterations.append(report.iterations)
             halved += report.halvings > 0
         assert failures == []
@@ -500,6 +500,7 @@ class TestPriorFactor:
             np.array([[1.0, 0.2], [0.1, 1.0]]),  # positive definite, not symmetric
             np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, indefinite
             np.array([[1.0, 1.0], [1.0, 1.0]]),  # symmetric, singular
+            np.array([[1.0, 0.0], [0.0, np.inf]]),  # symmetric, not finite
         ],
     )
     def test_without_a_factor_bad_priors_are_rejected(self, D):

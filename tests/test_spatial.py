@@ -143,7 +143,7 @@ class TestPoissonPrediction:
         # reconstruct xi* from the converged observed-block state
         problem, _, _ = make_problem(seed=6)
         pred = fit_predict(problem)
-        state = pred.report.state
+        state = pred.report
         r11 = np.diag(1.0 / state.w) + problem.blocked.d11
         expected = problem.blocked.d12.T @ np.linalg.solve(
             r11, working_u(problem, state) - problem.X @ problem.beta
@@ -168,7 +168,7 @@ class TestPoissonPrediction:
         problem, _, _ = make_problem(seed=9)
         pred = fit_predict(problem, FitOptions(tol=1e-6, max_iter=100))
         assert pred.report.converged
-        assert pred.report.state.residual <= 1e-6
+        assert pred.report.residual <= 1e-6
 
 
 class TestBinomialPrediction:
@@ -254,7 +254,7 @@ class TestKrigingOfTheMode:
         problem, _, _ = make_problem(seed=15, n=40, n_star=15, family=family)
         pred = fit_predict(problem, FitOptions(tol=tol))
         assert pred.report.converged
-        expected = conditional_mean(pred.xi, problem.blocked)
+        expected = conditional_mean(pred.report.xi, problem.blocked)
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-9
 
 
@@ -298,7 +298,7 @@ class TestFactorizationBudget:
         assert pred.report.converged
         assert in_solver == [len(calls)]  # the prior's factor certifies D
         assert in_solver[0] <= pred.report.iterations + 1
-        state = pred.report.state
+        state = pred.report
         assert "Xi" not in vars(state)
         Xi = state.Xi
         assert "Xi" in vars(state) and Xi.shape == (25, 25)
@@ -353,11 +353,11 @@ class TestIdentityPathAgainstDenseFormulas:
 
     def check(self, problem):
         pred = fit_predict(problem, FitOptions(tol=1e-13))
-        state = pred.report.state
+        state = pred.report
         assert pred.report.converged
         assert state.problem.identity_design
         xi, Xi, xi_star = self.dense_reference(problem, state)
-        assert np.max(np.abs(pred.xi - xi)) < 1e-10
+        assert np.max(np.abs(pred.report.xi - xi)) < 1e-10
         assert np.max(np.abs(state.Xi - Xi)) < 1e-10
         assert np.max(np.abs(pred.xi_star - xi_star)) < 1e-10
 
@@ -378,7 +378,7 @@ class TestIdentityPathAgainstDenseFormulas:
             y=problem.y, X=problem.X, Z=np.eye(30), D=D, beta=problem.beta,
             kernel=problem.kernel,
         )
-        state = fit_posterior(glmm).state
+        state = fit_posterior(glmm)
         R = D + np.diag(1.0 / state.w)
         _, logdet_xi = np.linalg.slogdet(D - D @ np.linalg.solve(R, D))
         _, logdet_d = np.linalg.slogdet(D)
