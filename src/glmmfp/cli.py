@@ -204,7 +204,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = run_scenarios(config)
+    try:
+        result = run_scenarios(config)
+    except simulate.ScenarioFailureError as exc:
+        # the records say which replications failed and why
+        write_audit_json(exc.result, out / "audit.json")
+        raise
     log.info("simulation finished in %.1f s", time.perf_counter() - start)
     write_table_csv(result, out / "table.csv")
     write_audit_json(result, out / "audit.json")
@@ -330,7 +335,8 @@ def cmd_verify(args) -> int:
     gaps = [
         identity_gap(random_identity_instance(rng)) for _ in range(n_identity)
     ]
-    identity_max = float(max(gaps))
+    # np.max propagates a NaN gap, and "not <=" below fails on it
+    identity_max = float(np.max(gaps))
 
     rng = np.random.default_rng([seed, 1])
     instances = []
@@ -355,7 +361,7 @@ def cmd_verify(args) -> int:
         "seed": seed,
     }
     dataio.write_json(out / "verdicts.json", payload)
-    if identity_max > 1e-8:
+    if not identity_max <= 1e-8:
         log.error("factorization identity violated: max gap %.3e", identity_max)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -201,6 +201,12 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
                 raise ConfigError(
                     f"non-numeric value {val!r} in column {name!r} row {i + 1}"
                 ) from None
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(
+                f"non-finite value {rows[i].get(name)!r} in column {name!r} row {i + 1}"
+            )
         return out
 
     coords = np.column_stack([column("x_coord"), column("y_coord")])

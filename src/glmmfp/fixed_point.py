@@ -352,11 +352,10 @@ def _mvn_logpdf(x, mean, cov) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    cf = cho_factor(cov, lower=True)
-    dev = x - mean
-    quad = dev @ cho_solve(cf, dev)
-    logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
-    return float(-0.5 * (x.size * np.log(2.0 * np.pi) + logdet + quad))
+    L = np.linalg.cholesky(cov)
+    z = np.linalg.solve(L, x - mean)
+    logdet = 2.0 * np.sum(np.log(L.diagonal()))
+    return float(-0.5 * (x.size * np.log(2.0 * np.pi) + logdet + z @ z))
 
 
 def _identity_args(u, alpha, beta, gamma, delta, X, Z, w, D):
@@ -394,16 +393,14 @@ def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D) -> float
         u, alpha, beta, gamma, delta, X, Z, w, D
     )
     R = Z @ D @ Z.T + np.diag(1.0 / w)
-    cf = cho_factor(R, lower=True)
     DZt = D @ Z.T
-    V = D - DZt @ cho_solve(cf, DZt.T)
-    V = 0.5 * (V + V.T)
-    v_ad = (
-        delta
-        - DZt @ cho_solve(cf, alpha + Z @ delta)
-        + DZt @ cho_solve(cf, u - X @ beta)
-    )
     mean_u = alpha + X @ beta + Z @ delta
+    # R^-1 Z D and R^-1 (u - mean_u) from one solve; _mvn_logpdf's
+    # Cholesky factor of R rejects an R that is not positive definite
+    sol = np.linalg.solve(R, np.column_stack([DZt.T, u - mean_u]))
+    V = D - DZt @ sol[:, :-1]
+    V = 0.5 * (V + V.T)
+    v_ad = delta + DZt @ sol[:, -1]
     return _mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R)
 
 

@@ -10,7 +10,12 @@ unnormalized posterior
 directly, so they are valid references for the mode-finder.  The
 solver output is used only to center and scale the nodes / proposal;
 node placement affects efficiency, not the value, which the
-order-doubling error estimate verifies.
+order-doubling error estimate verifies.  The quadrature is adaptive
+Gauss-Hermite (Liu & Pierce 1994; Pinheiro & Bates 1995): the nodes go
+through the Laplace covariance ``Xi`` around the mode, so its Gaussian
+weight is ``N(xi, Xi)`` and the integrand over that weight is nearly
+flat.  Importance sampling draws from ``N(xi, 2 Xi)``, whose heavier
+tails keep the importance weights bounded.
 
 Each piece of quadrature work is done once: the 1-D Gauss-Hermite rule
 of an order is computed once per process and shared read-only, the
@@ -36,8 +41,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from . import families
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
@@ -92,12 +95,19 @@ def _log_unnormalized(problem: GlmmProblem, gammas: np.ndarray) -> np.ndarray:
     """log g(gamma) for a batch of gamma vectors, shape (K, r) -> (K,)."""
     eta = problem.beta @ problem.X.T + gammas @ problem.Z.T
     loglik = families.log_likelihood(problem.kernel, eta, problem.y)
-    cf = cho_factor(problem.D, lower=True)
-    sol = cho_solve(cf, gammas.T)
-    quad = np.einsum("kr,rk->k", gammas, sol)
-    logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
+    L = np.linalg.cholesky(problem.D)
+    quad = np.sum(np.linalg.solve(L, gammas.T) ** 2, axis=0)
+    logdet = 2.0 * np.sum(np.log(L.diagonal()))
     logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
     return loglik + logprior
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, shifted by its maximum."""
+    top = np.max(a)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
 
 
 def _center_and_scale(problem: GlmmProblem, center):
@@ -156,12 +166,13 @@ def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
     grids = _tensor_grid(order, r)
     x = nodes[grids]                       # (K, r)
     logw = np.sum(log_weights[grids], axis=1)
-    gammas = xi + np.sqrt(2.0) * x @ scale.T
+    # the weight e^{-|x|^2} becomes N(xi, scale scale' / 2) = N(xi, Xi)
+    gammas = xi + x @ scale.T
     logg = _log_unnormalized(problem, gammas)
     # undo the e^{-|x|^2} Gauss-Hermite weight and apply the affine Jacobian
     log_terms = logw + np.sum(x**2, axis=1) + logg
-    log_jac = 0.5 * r * np.log(2.0) + np.sum(np.log(np.diag(scale)))
-    log_norm = logsumexp(log_terms)
+    log_jac = np.sum(np.log(np.diag(scale)))
+    log_norm = _logsumexp(log_terms)
     if not np.isfinite(log_norm):
         raise FloatingPointError("all quadrature node weights underflowed")
     p = np.exp(log_terms - log_norm)
@@ -177,8 +188,9 @@ def moments_quadrature(
 ) -> PosteriorMoments:
     """Gauss-Hermite tensor quadrature posterior moments.
 
-    Nodes are affinely mapped through twice the Laplace covariance
-    around the posterior mode (or an explicit ``center=(xi, Xi)``).
+    Nodes are affinely mapped through the Laplace covariance around the
+    posterior mode (or an explicit ``center=(xi, Xi)``), so the
+    Gauss-Hermite weight becomes ``N(xi, Xi)``.
     The error estimate is the sup-norm change of the mean when the order
     is halved.  Raises ``CapabilityError`` for r above
     ``QUADRATURE_DIM_LIMIT`` or a grid over ``QUADRATURE_BUDGET``, before
@@ -231,7 +243,7 @@ def moments_importance(
         problem.r * np.log(2.0 * np.pi) + logdet + np.sum(x**2, axis=1)
     )
     logw = logg - logq
-    log_total = logsumexp(logw)
+    log_total = _logsumexp(logw)
     p = np.exp(logw - log_total)
     ess = 1.0 / np.sum(p**2)
     if ess < MIN_ESS_FRACTION * samples:

@@ -51,7 +51,15 @@ MAX_FAILURE_FRACTION = 0.05
 
 
 class ScenarioFailureError(RuntimeError):
-    """More than ``MAX_FAILURE_FRACTION`` of a scenario's replications failed."""
+    """More than ``MAX_FAILURE_FRACTION`` of a scenario's replications failed.
+
+    ``result`` is the run's :class:`SimResult`, whose per-replication
+    records say what failed and why.
+    """
+
+    def __init__(self, message: str, result: "SimResult"):
+        super().__init__(message)
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,9 @@ def run_scenarios(config: SimConfig) -> SimResult:
                 metrics = _scenario_metrics(dataset, scenario, config)
             except Exception as exc:  # noqa: BLE001 - recorded, never dropped
                 failures[scenario] += 1
-                record[scenario] = {"failed": True, "error": str(exc)}
+                record[scenario] = {
+                    "failed": True, "error": str(exc), "error_type": type(exc).__name__,
+                }
                 continue
             record[scenario] = metrics
             counts[scenario] += 1
@@ -191,12 +201,6 @@ def run_scenarios(config: SimConfig) -> SimResult:
                 sums[scenario][k] += v
         records.append(record)
         del dataset  # its prior and factor are freed before the next is built
-    for scenario, bad in failures.items():
-        if bad > MAX_FAILURE_FRACTION * config.replications:
-            raise ScenarioFailureError(
-                f"{bad}/{config.replications} replications failed in "
-                f"scenario {scenario!r}"
-            )
     aggregates = {}
     for scenario in config.scenarios:
         if counts[scenario] == 0:
@@ -206,9 +210,17 @@ def run_scenarios(config: SimConfig) -> SimResult:
         for k in ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"):
             agg[k] = float(np.sqrt(agg[k]))
         aggregates[scenario] = agg
-    return SimResult(
+    result = SimResult(
         config=config, aggregates=aggregates, records=records, failures=failures
     )
+    for scenario, bad in failures.items():
+        if bad > MAX_FAILURE_FRACTION * config.replications:
+            raise ScenarioFailureError(
+                f"{bad}/{config.replications} replications failed in "
+                f"scenario {scenario!r}",
+                result,
+            )
+    return result
 
 
 _TABLE_COLUMNS = (

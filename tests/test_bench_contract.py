@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from glmmfp import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +32,18 @@ def test_estimate_workload_command_passes_its_checks(tmp_path, monkeypatch):
 
     workload = WORKLOADS["estimate-n100"]
     key = 7
+    workload.prepare(tmp_path, [key])
+    out = tmp_path / "out"
+    rc = cli.main(workload.argv(tmp_path, key, out))
+    assert workload.outcome(tmp_path, key, out, rc, None) == (1, 0, [])
+
+
+@pytest.mark.parametrize("key", range(5))
+def test_verify_workload_command_passes_its_checks(tmp_path, monkeypatch, key):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["verify-battery"]
     workload.prepare(tmp_path, [key])
     out = tmp_path / "out"
     rc = cli.main(workload.argv(tmp_path, key, out))

@@ -330,7 +330,9 @@ class TestSimulate:
         audit = json.loads((out / "audit.json").read_text())
         assert audit["failures"] == {"oracle": 0, "sic_true": 1}
         records = audit["records"]
-        assert records[0]["sic_true"] == {"failed": True, "error": "injected failure"}
+        assert records[0]["sic_true"] == {
+            "failed": True, "error": "injected failure", "error_type": "LinAlgError",
+        }
         rows = (out / "table.csv").read_text().strip().split("\n")
         header = rows[0].split(",")
         sic = dict(zip(header, rows[2].split(",")))
@@ -346,15 +348,21 @@ class TestSimulate:
             raise np.linalg.LinAlgError("injected failure")
 
         monkeypatch.setattr(simulate, "fit_predict", fail)
+        out = tmp_path / "out"
         code = cli.main(
-            [
-                "simulate", "--config", self._config(tmp_path),
-                "--out", str(tmp_path / "out"), "--quiet",
-            ]
+            ["simulate", "--config", self._config(tmp_path), "--out", str(out), "--quiet"]
         )
         assert code == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "2/2 replications failed in scenario 'sic_true'" in err
+        # the audit of the failed run says what failed
+        audit = json.loads((out / "audit.json").read_text())
+        assert audit["failures"] == {"oracle": 0, "sic_true": 2}
+        assert [r["sic_true"]["error_type"] for r in audit["records"]] == [
+            "LinAlgError", "LinAlgError",
+        ]
+        assert all(r["oracle"]["rl2"] == 0.0 for r in audit["records"])
+        assert not (out / "table.csv").exists()
 
 
 class TestValidate:
@@ -593,6 +601,25 @@ class TestVerify:
         for inst in payload["battery"]:
             assert inst["verdict"] in {"CONFIRMED", "REFUTED", "INCONCLUSIVE"}
             assert np.isfinite(inst["mean_gap"])
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_nan_identity_gap_exits_numerical(self, tmp_path, monkeypatch, bad):
+        # Python's max keeps a leading NaN and drops a later one; neither passes
+        calls = []
+
+        def gap(instance):
+            calls.append(None)
+            return float("nan") if len(calls) == bad + 1 else 1e-12
+
+        monkeypatch.setattr(cli, "identity_gap", gap)
+        config = write_config(
+            tmp_path, {"verify": {"identity_instances": 3, "order": 16}}
+        )
+        out = tmp_path / "out"
+        code = cli.main(["verify", "--config", config, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_NUMERICAL
+        payload = json.loads((out / "verdicts.json").read_text())
+        assert np.isnan(payload["identity"]["max_gap"])
 
     def test_verify_byte_identical(self, tmp_path):
         config = self._config(tmp_path)

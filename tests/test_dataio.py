@@ -128,6 +128,16 @@ class TestDataset:
         with pytest.raises(ConfigError, match="'oops'"):
             load_dataset(write_csv(tmp_path, bad), cfg)
 
+    @pytest.mark.parametrize("bad, where", [
+        ("3,0.1,0.2,1.5\n0,0.5,0.9,nan\n", "'nan' in column 'elev' row 2"),
+        ("3,inf,0.2,1.5\n", "'inf' in column 'x_coord' row 1"),
+    ])
+    def test_non_finite_cell(self, tmp_path, bad, where):
+        cfg = load_config(write_config(tmp_path, {"covariates": ["elev"]}))
+        csv_text = "y,x_coord,y_coord,elev\n" + bad
+        with pytest.raises(ConfigError, match=f"non-finite value {where}"):
+            load_dataset(write_csv(tmp_path, csv_text), cfg)
+
     def test_empty_dataset(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))
         with pytest.raises(ConfigError, match="no rows"):

@@ -45,6 +45,18 @@ def test_quadrature_agrees_with_importance_sampling(r, order, seed):
     assert quad.log_marginal == pytest.approx(est.log_marginal, abs=0.02)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_r4_adjudication_refutes_at_order_16(seed):
+    # order 32 is over the node budget at r = 4, so order 16 must resolve
+    # the mode-mean gap (0.06-0.12 here) on its own
+    problem = poisson_instance(4, seed=seed)
+    assert 32**4 * (problem.n + problem.r) > QUADRATURE_BUDGET
+    report = adjudicate_exactness(problem, order=16)
+    assert report.oracle.order_or_samples == 16
+    assert report.oracle.error_estimate <= 5e-5
+    assert report.verdict == "REFUTED"
+
+
 @pytest.mark.parametrize("call", [moments_quadrature, adjudicate_exactness])
 def test_over_budget_raises_before_allocating(call):
     problem = poisson_instance(4)
