@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,11 +251,27 @@ def write_vector_csv(path, name: str, values):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_matrix_csv(path, matrix):
-    matrix = np.atleast_2d(matrix)
-    lines = [",".join(fmt(v) for v in row) for row in matrix]
+def write_symmetric_csv(path, matrix):
+    """Write an exactly symmetric matrix, formatting each pair of cells once.
+
+    ``"%.17g"`` renders a float exactly as :func:`fmt` does, ``nan``,
+    ``inf`` and ``-0`` included.  Each row's cells from the diagonal on
+    are formatted in one operation, and each cell right of the diagonal
+    is kept only until the row below that mirrors it is written.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.array_equal(matrix, matrix.T, equal_nan=True):
+        raise ValueError("matrix must be exactly symmetric")
+    n = matrix.shape[0]
+    # column k's cells above the diagonal, in the rows written so far
+    columns = [[] for _ in range(n)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for i, row in enumerate(matrix):
+            upper = (",".join(["%.17g"] * (n - i)) % tuple(row[i:].tolist())).split(",")
+            fh.write(",".join(columns[i] + upper) + "\n")
+            columns[i] = None
+            for k in range(1, n - i):
+                columns[i + k].append(upper[k])
 
 
 def write_predictions_csv(path, xi_star, y_hat_star, u_hat_star):
@@ -267,9 +284,21 @@ def write_predictions_csv(path, xi_star, y_hat_star, u_hat_star):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float, numpy's included, made ``None``."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_json(path, payload: dict):
+    """Write ``payload`` as RFC 8259 JSON: a non-finite float becomes ``null``."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

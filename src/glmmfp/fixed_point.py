@@ -41,7 +41,13 @@ identity
         = N(g; v_ad, V) N(u; a + Xb + Zd, R)
 
 which exercises every Woodbury/determinant manipulation the solver
-relies on, and is used as a randomized correctness oracle.
+relies on, and is used as a randomized correctness oracle.  Both sides
+take leading batch axes, and :func:`identity_gaps` evaluates a suite of
+random instances as one padded stack: each instance is padded to the
+largest shape a random instance can have, with observations and effects
+independent of it, each of which adds the same ``log N(0; 0, 1)`` to
+both sides, so padding leaves every instance's gap unchanged up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -343,19 +349,20 @@ def corrected_mean(report: FitReport) -> np.ndarray:
 # Gaussian factorization identity (randomized linear-algebra oracle)
 # ---------------------------------------------------------------------------
 
-# the largest observation and random-effect counts of a random instance
+# the largest observation, random-effect and fixed-effect counts of a
+# random instance, which is also the shape :func:`identity_gaps` pads to
 IDENTITY_MAX_N = 6
 IDENTITY_MAX_R = 4
+IDENTITY_MAX_P = 2
+_IDENTITY_KEYS = ("u", "alpha", "beta", "gamma", "delta", "X", "Z", "w", "D")
 
 
-def _mvn_logpdf(x, mean, cov) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+def _mvn_logpdf(x, mean, cov):
+    """log N(x; mean, cov) over the last axis; leading axes are a batch."""
     L = np.linalg.cholesky(cov)
-    z = np.linalg.solve(L, x - mean)
-    logdet = 2.0 * np.sum(np.log(L.diagonal()))
-    return float(-0.5 * (x.size * np.log(2.0 * np.pi) + logdet + z @ z))
+    z = np.linalg.solve(L, (x - mean)[..., None])[..., 0]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * (x.shape[-1] * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1))
 
 
 def _identity_args(u, alpha, beta, gamma, delta, X, Z, w, D):
@@ -373,42 +380,57 @@ def _identity_args(u, alpha, beta, gamma, delta, X, Z, w, D):
     return u, alpha, beta, gamma, delta, X, Z, w, D
 
 
-def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D) -> float:
-    """log N(u; alpha + X beta + Z gamma, W^-1) + log N(gamma; delta, D)."""
+def _matvec(A, x):
+    return (A @ x[..., None])[..., 0]
+
+
+def _batch_result(value):
+    """A float for one instance, the array of values for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D):
+    """log N(u; alpha + X beta + Z gamma, W^-1) + log N(gamma; delta, D).
+
+    Leading axes of the arguments are a batch of instances.
+    """
     u, alpha, beta, gamma, delta, X, Z, w, D = _identity_args(
         u, alpha, beta, gamma, delta, X, Z, w, D
     )
-    mean_u = alpha + X @ beta + Z @ gamma
-    return _mvn_logpdf(u, mean_u, np.diag(1.0 / w)) + _mvn_logpdf(gamma, delta, D)
+    mean_u = alpha + _matvec(X, beta) + _matvec(Z, gamma)
+    W_inv = (1.0 / w)[..., None] * np.eye(w.shape[-1])
+    return _batch_result(_mvn_logpdf(u, mean_u, W_inv) + _mvn_logpdf(gamma, delta, D))
 
 
-def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D) -> float:
+def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
     """Same joint density factored the other way around.
 
     Evaluates log N(gamma; v_ad, V) + log N(u; alpha + X beta + Z delta, R)
     with R = Z D Z' + W^-1, V = D - D Z' R^-1 Z D, and
     v_ad = delta - D Z' R^-1 (alpha + Z delta) + D Z' R^-1 (u - X beta).
+    Leading axes of the arguments are a batch of instances.
     """
     u, alpha, beta, gamma, delta, X, Z, w, D = _identity_args(
         u, alpha, beta, gamma, delta, X, Z, w, D
     )
-    R = Z @ D @ Z.T + np.diag(1.0 / w)
-    DZt = D @ Z.T
-    mean_u = alpha + X @ beta + Z @ delta
+    DZt = D @ np.swapaxes(Z, -1, -2)
+    R = Z @ DZt + (1.0 / w)[..., None] * np.eye(w.shape[-1])
+    mean_u = alpha + _matvec(X, beta) + _matvec(Z, delta)
     # R^-1 Z D and R^-1 (u - mean_u) from one solve; _mvn_logpdf's
     # Cholesky factor of R rejects an R that is not positive definite
-    sol = np.linalg.solve(R, np.column_stack([DZt.T, u - mean_u]))
-    V = D - DZt @ sol[:, :-1]
-    V = 0.5 * (V + V.T)
-    v_ad = delta + DZt @ sol[:, -1]
-    return _mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R)
+    rhs = np.concatenate([np.swapaxes(DZt, -1, -2), (u - mean_u)[..., None]], axis=-1)
+    sol = np.linalg.solve(R, rhs)
+    V = D - DZt @ sol[..., :-1]
+    V = 0.5 * (V + np.swapaxes(V, -1, -2))
+    v_ad = delta + (DZt @ sol[..., -1:])[..., 0]
+    return _batch_result(_mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R))
 
 
 def random_identity_instance(rng):
     """Draw a random instance of the factorization identity's arguments."""
     n = int(rng.integers(1, IDENTITY_MAX_N + 1))
     r = int(rng.integers(1, IDENTITY_MAX_R + 1))
-    p = int(rng.integers(1, 3))
+    p = int(rng.integers(1, IDENTITY_MAX_P + 1))
     A = rng.standard_normal((r, r))
     D = A @ A.T + (0.5 + rng.random()) * np.eye(r)
     return dict(
@@ -424,8 +446,62 @@ def random_identity_instance(rng):
     )
 
 
+def _stack_instances(instances) -> dict:
+    """Pad instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
+
+    Each padded observation has ``w = 1`` and zero ``u``, ``alpha`` and
+    rows of ``X`` and ``Z``; each padded effect has a unit block of ``D``
+    and zero ``gamma``, ``delta`` and columns of ``Z``.  Both are
+    independent of the instance, and each adds ``log N(0; 0, 1)`` to both
+    sides of the identity, so the padded gap is the instance's own.  The
+    weights are checked on the batch, by the functions it is passed to.
+    """
+    b, n, r, p = len(instances), IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
+    stack = dict(
+        u=np.zeros((b, n)), alpha=np.zeros((b, n)), beta=np.zeros((b, p)),
+        gamma=np.zeros((b, r)), delta=np.zeros((b, r)), X=np.zeros((b, n, p)),
+        Z=np.zeros((b, n, r)), w=np.ones((b, n)), D=np.tile(np.eye(r), (b, 1, 1)),
+    )
+    for i, instance in enumerate(instances):
+        u, alpha, beta, gamma, delta, X, Z, w, D = (
+            np.asarray(instance[k], dtype=float) for k in _IDENTITY_KEYS
+        )
+        fits = X.ndim == Z.ndim == 2
+        if fits:
+            (ni, pi), ri = X.shape, Z.shape[1]
+            fits = (
+                ni <= n and ri <= r and pi <= p
+                and u.shape == alpha.shape == w.shape == (ni,)
+                and beta.shape == (pi,) and gamma.shape == delta.shape == (ri,)
+                and Z.shape == (ni, ri) and D.shape == (ri, ri)
+            )
+        if not fits:
+            raise ValueError(
+                f"identity instance {i} has inconsistent shapes or exceeds "
+                f"(n, r, p) = ({n}, {r}, {p})"
+            )
+        stack["u"][i, :ni] = u
+        stack["alpha"][i, :ni] = alpha
+        stack["w"][i, :ni] = w
+        stack["beta"][i, :pi] = beta
+        stack["gamma"][i, :ri] = gamma
+        stack["delta"][i, :ri] = delta
+        stack["X"][i, :ni, :pi] = X
+        stack["Z"][i, :ni, :ri] = Z
+        stack["D"][i, :ri, :ri] = D
+    return stack
+
+
+def identity_gaps(instances) -> np.ndarray:
+    """Gap between the two factorizations of the joint density, per instance.
+
+    The instances are padded into one batch (:func:`_stack_instances`)
+    and each side of the identity is evaluated once for the whole batch.
+    """
+    stack = _stack_instances(instances)
+    return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))
+
+
 def identity_gap(instance) -> float:
     """Absolute difference between the two factorizations of the joint density."""
-    return abs(
-        joint_logdensity_direct(**instance) - joint_logdensity_factored(**instance)
-    )
+    return float(identity_gaps([instance])[0])

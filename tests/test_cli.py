@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from glmmfp import cli, dataio, simulate
+from glmmfp import cli, dataio, fixed_point, simulate
 from glmmfp.covariance import MaternParams, build_blocked
 
 
@@ -605,13 +605,12 @@ class TestVerify:
     @pytest.mark.parametrize("bad", [0, 2])
     def test_nan_identity_gap_exits_numerical(self, tmp_path, monkeypatch, bad):
         # Python's max keeps a leading NaN and drops a later one; neither passes
-        calls = []
+        def gaps(instances):
+            out = np.full(len(instances), 1e-12)
+            out[bad] = np.nan
+            return out
 
-        def gap(instance):
-            calls.append(None)
-            return float("nan") if len(calls) == bad + 1 else 1e-12
-
-        monkeypatch.setattr(cli, "identity_gap", gap)
+        monkeypatch.setattr(cli, "identity_gaps", gaps)
         config = write_config(
             tmp_path, {"verify": {"identity_instances": 3, "order": 16}}
         )
@@ -619,7 +618,21 @@ class TestVerify:
         code = cli.main(["verify", "--config", config, "--out", str(out), "--quiet"])
         assert code == cli.EXIT_NUMERICAL
         payload = json.loads((out / "verdicts.json").read_text())
-        assert np.isnan(payload["identity"]["max_gap"])
+        assert payload["identity"]["max_gap"] is None
+
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_max_gap_is_that_of_the_drawn_instances(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", chunk)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["verify", "--config", self._config(tmp_path), "--out", str(out),
+             "--seed", "4", "--quiet"]
+        )
+        assert code == cli.EXIT_OK
+        rng = np.random.default_rng([4, 0])
+        instances = [fixed_point.random_identity_instance(rng) for _ in range(40)]
+        payload = json.loads((out / "verdicts.json").read_text())
+        assert payload["identity"]["max_gap"] == float(np.max(fixed_point.identity_gaps(instances)))
 
     def test_verify_byte_identical(self, tmp_path):
         config = self._config(tmp_path)

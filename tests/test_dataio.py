@@ -11,6 +11,8 @@ from glmmfp.dataio import (
     fmt,
     load_config,
     load_dataset,
+    write_json,
+    write_symmetric_csv,
     write_synthetic_counts,
     write_vector_csv,
 )
@@ -229,6 +231,47 @@ class TestWriters:
     def test_fmt_round_trips(self):
         for x in (0.1, np.pi, 1e-300, -2.5e17):
             assert float(fmt(x)) == x
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_symmetric_csv_matches_per_cell_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-20, 20, size=(n, n))
+        M = A + A.T
+        special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.0]
+        for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+            if k < len(special):
+                M[i, j] = M[j, i] = special[k]
+        path = tmp_path / "M.csv"
+        write_symmetric_csv(path, M)
+        per_cell = "\n".join(",".join(fmt(v) for v in row) for row in M) + "\n"
+        assert path.read_bytes() == per_cell.encode()
+
+    def test_symmetric_csv_rejects_asymmetry(self, tmp_path):
+        M = np.eye(3)
+        M[0, 2] = 1e-16
+        with pytest.raises(ValueError, match="symmetric"):
+            write_symmetric_csv(tmp_path / "M.csv", M)
+        with pytest.raises(ValueError, match="symmetric"):
+            write_symmetric_csv(tmp_path / "M.csv", np.ones((2, 3)))
+
+    def test_json_non_finite_is_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        payload = {
+            "a": float("nan"), "b": [np.float64(np.inf), 1.5, (np.float32(-np.inf), 2)],
+            "c": {"d": -np.inf, "e": np.float64(0.25), "f": None, "g": "nan"},
+        }
+        write_json(path, payload)
+        assert json.loads(path.read_text(), parse_constant=pytest.fail) == {
+            "a": None, "b": [None, 1.5, [None, 2]],
+            "c": {"d": None, "e": 0.25, "f": None, "g": "nan"},
+        }
+
+    def test_json_finite_payload_unchanged(self, tmp_path):
+        path = tmp_path / "r.json"
+        payload = {"x": [np.float64(1 / 3), 2, True, (0.1, "s")], "y": {"z": -0.0}}
+        write_json(path, payload)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
 
     def test_synthetic_counts_loadable(self, tmp_path):
         path = tmp_path / "synthetic.csv"

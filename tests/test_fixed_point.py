@@ -12,6 +12,7 @@ from glmmfp.fixed_point import (
     fit_posterior,
     fixed_point_residual,
     identity_gap,
+    identity_gaps,
     joint_logdensity_direct,
     joint_logdensity_factored,
     random_identity_instance,
@@ -461,6 +462,62 @@ class TestFactorizationIdentity:
         assert inst["gamma"].shape == (r,)
         assert inst["D"].shape == (r, r)
         np.linalg.cholesky(inst["D"])
+
+
+class TestIdentityStack:
+    """The padded stack of identity_gaps against one instance at a time."""
+
+    @staticmethod
+    def instances(seed, count):
+        rng = np.random.default_rng(seed)
+        return [random_identity_instance(rng) for _ in range(count)]
+
+    def test_agrees_with_unpadded_evaluation(self):
+        instances = self.instances(0, 300)
+        shapes = {(i["X"].shape[0], i["Z"].shape[1], i["X"].shape[1]) for i in instances}
+        assert len(shapes) == (
+            fixed_point.IDENTITY_MAX_N * fixed_point.IDENTITY_MAX_R * fixed_point.IDENTITY_MAX_P
+        )
+        unpadded = []
+        for inst in instances:
+            direct = joint_logdensity_direct(**inst)
+            assert isinstance(direct, float)
+            unpadded.append(abs(direct - joint_logdensity_factored(**inst)))
+        gaps = identity_gaps(instances)
+        assert gaps.shape == (300,)
+        np.testing.assert_allclose(gaps, unpadded, rtol=0, atol=1e-11)
+
+    def test_gap_does_not_depend_on_the_stack(self):
+        instances = self.instances(1, 40)
+        whole = identity_gaps(instances)
+        parts = np.concatenate([identity_gaps(instances[i : i + 7]) for i in range(0, 40, 7)])
+        assert np.array_equal(whole, parts)
+        assert identity_gap(instances[5]) == whole[5]
+
+    def test_perturbed_position_alone_has_a_gap(self):
+        stack = fixed_point._stack_instances(self.instances(1, 8))
+        direct = joint_logdensity_direct(**stack)
+        D = stack["D"].copy()
+        D[3] *= 1.5
+        gaps = np.abs(direct - joint_logdensity_factored(**{**stack, "D": D}))
+        assert gaps[3] > 1e-3
+        assert np.all(np.delete(gaps, 3) <= 1e-8)
+
+    @pytest.mark.parametrize("position", [0, 4, 9])
+    def test_nonpositive_weight_anywhere_rejected(self, position):
+        instances = self.instances(2, 10)
+        instances[position]["w"][-1] = -0.5
+        with pytest.raises(ValueError, match="positive"):
+            identity_gaps(instances)
+
+    def test_inconsistent_or_oversized_instance_rejected(self):
+        instances = self.instances(3, 4)
+        instances[2]["u"] = np.append(instances[2]["u"], 0.0)
+        with pytest.raises(ValueError, match="instance 2"):
+            identity_gaps(instances)
+        big = dict(self.instances(3, 1)[0], X=np.zeros((fixed_point.IDENTITY_MAX_N + 1, 1)))
+        with pytest.raises(ValueError, match="instance 0"):
+            identity_gaps([big])
 
 
 class TestPriorFactor:
