@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, simulate
+from . import dataio, oracle, simulate
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig, fmt
 from .estimate import SpatialData, estimate
@@ -322,11 +322,20 @@ def _verify_battery(rng):
         yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel)
 
 
+def _verify_int(ver: dict, key: str, default: int, low: int, high) -> int:
+    """``verify.<key>``, an integer in [low, high]; ConfigError otherwise."""
+    value = ver.get(key, default)
+    # bool is not a count; NaN fails the bounds, and inf % 1 is NaN
+    if type(value) not in (int, float) or not low <= value <= high or value % 1:
+        raise ConfigError(f"verify.{key} must be an integer in [{low}, {high}]: {value!r}")
+    return int(value)
+
+
 def cmd_verify(args) -> int:
     cfg = dataio.load_config(args.config)
     ver = cfg.verify
-    n_identity = int(ver.get("identity_instances", 100))
-    order = int(ver.get("order", 64))
+    n_identity = _verify_int(ver, "identity_instances", 100, 1, np.inf)
+    order = _verify_int(ver, "order", 64, 8, oracle.MAX_QUADRATURE_ORDER)
     seed = args.seed if args.seed is not None else int(
         ver.get("battery_seed", cfg.seed)
     )

@@ -6,11 +6,15 @@ prediction at new sites.  Smoothness 0.5 (exponential covariance), 1.5,
 and 2.5 go through exact closed forms; other smoothness values use the
 modified Bessel function of the second kind.
 
-The blocked covariance is assembled and factored once, by LAPACK's
-``potrf`` (``scipy.linalg.cho_factor``) on its Fortran-ordered view,
-which needs no transposing copy.  That Cholesky factor is the only one
-of the prior that callers need, to draw from it, to certify its observed
-block and to krig (:func:`spatial.conditional_mean`).
+The blocked covariance is built in one buffer: one ``cdist`` call over
+the stacked observed and unobserved sites gives the distances, and
+:func:`matern` overwrites them with the covariance.  It is factored
+once, by LAPACK's ``potrf`` (``scipy.linalg.cho_factor``) on its
+Fortran-ordered view, which needs no transposing copy, and the factor
+itself certifies that the matrix is finite, so the matrix is not scanned
+first.  That Cholesky factor is the only one of the prior that callers
+need, to draw from it, to certify its observed block and to krig
+(:func:`spatial.conditional_mean`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ log = logging.getLogger(__name__)
 
 _JITTER_START = 1e-10
 _JITTER_CAP = 1e-6
+_NON_FINITE = "blocked covariance must not contain infs or NaNs"
 
 
 class SingularCovarianceError(RuntimeError):
@@ -63,37 +68,42 @@ class MaternParams:
         return self.omega1 / (1.0 - self.omega1)
 
 
-def matern(params: MaternParams, d):
+def matern(params: MaternParams, d, out=None):
     """Matern covariance at distance(s) ``d`` >= 0.
 
     Half-integer smoothness 0.5/1.5/2.5 uses the exact exponential-times-
     polynomial closed forms; general smoothness evaluates the Bessel-K
-    expression directly, with the d -> 0 limit pinned to the sill.
+    expression directly, with the d -> 0 limit pinned to the sill.  As
+    in numpy, ``out`` (a float array of ``d``'s shape, which may be ``d``
+    itself) receives the result, bit for bit the one returned without it.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    a = params.omega2 * d
+    a = np.multiply(params.omega2, d, out=out)
     nu = params.omega3
     sill = params.sill
     if nu == 0.5:
-        out = np.exp(np.negative(a, out=a), out=a)
-        out *= sill
-    elif nu == 1.5:
-        out = sill * (1.0 + a) * np.exp(-a)
-    elif nu == 2.5:
-        out = sill * (1.0 + a + a**2 / 3.0) * np.exp(-a)
+        np.exp(np.negative(a, out=a), out=a)
+        a *= sill
+    elif nu in (1.5, 2.5):
+        # sill * (1 + a [+ a^2 / 3]) * exp(-a), in that order, in place
+        e, a2 = np.exp(-a), a**2 / 3.0 if nu == 2.5 else 0.0
+        a += 1.0
+        a += a2
+        a *= sill
+        a *= e
     else:
-        out = np.full_like(a, sill)
         pos = a > 0
         ap = a[pos]
         with np.errstate(over="ignore", invalid="ignore"):
-            out[pos] = sill * ap**nu / (2.0 ** (nu - 1.0) * gamma_fn(nu)) * kv(nu, ap)
+            kp = sill * ap**nu / (2.0 ** (nu - 1.0) * gamma_fn(nu)) * kv(nu, ap)
+        a.fill(sill)
         # kv underflows for very large arguments; the covariance is 0 there
-        out[pos] = np.nan_to_num(out[pos], nan=0.0, posinf=0.0, neginf=0.0)
-    return float(out[0]) if scalar else out
+        a[pos] = np.nan_to_num(kp, nan=0.0, posinf=0.0, neginf=0.0)
+    return float(a[0]) if scalar else a
 
 
 def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
@@ -130,13 +140,17 @@ class BlockedCovariance:
     ``full`` is the (n + n*) x (n + n*) matrix; ``d11`` (observed-
     observed, n x n), ``d12`` (observed-unobserved, n x n*) and ``d22``
     (unobserved-unobserved, n* x n*) are views of it.  The constructor
-    takes ``full`` with its diagonal blocks and ``d12`` filled, and ``n``;
-    it fills the lower-left block with ``d12.T`` in place and certifies
+    takes ``full``, which must be exactly symmetric (as the one distance
+    buffer of :func:`build_blocked` is), and ``n``, and certifies
     positive definiteness by Cholesky, escalating a diagonal jitter
     tenfold from 1e-10 up to 1e-6 times the largest diagonal entry (the
     sill) before giving up.  The factor is ``potrf``'s on ``full.T``,
-    which is ``full`` itself in Fortran order since ``full`` is exactly
-    symmetric; a ``full`` with non-finite entries raises ``ValueError``.
+    which is ``full`` itself in Fortran order.  ``potrf`` reads one
+    triangle, and every entry of it reaches the factor's diagonal, so a
+    non-finite entry either makes that diagonal non-finite or stops
+    ``potrf``; exact symmetry puts every entry of ``full`` in that
+    triangle, so either way ``full`` is found non-finite and
+    ``ValueError`` raised, without scanning a finite ``full``.
     ``jitter`` is the regularization that was needed and ``chol`` the
     lower factor of the jittered ``full``, Fortran-ordered, its strict
     upper triangle zeroed.  Its leading n x n block is the Cholesky
@@ -145,7 +159,6 @@ class BlockedCovariance:
     """
 
     def __init__(self, full: np.ndarray, n: int):
-        full[n:, :n] = full[:n, n:].T
         self.full = full
         self.d11, self.d12, self.d22 = full[:n, :n], full[:n, n:], full[n:, n:]
         self.jitter = 0.0
@@ -157,8 +170,10 @@ class BlockedCovariance:
             try:
                 # full is exactly symmetric, so its F-ordered transpose is
                 # full itself, which potrf factors without a transposing copy
-                chol, _ = cho_factor(full.T, lower=True)
+                chol, _ = cho_factor(full.T, lower=True, check_finite=False)
             except np.linalg.LinAlgError:
+                if self.jitter == 0.0 and not np.all(np.isfinite(full)):
+                    raise ValueError(_NON_FINITE) from None
                 if not 0.0 < candidate <= cap:
                     raise SingularCovarianceError(
                         "blocked covariance not positive definite after jitter "
@@ -169,6 +184,8 @@ class BlockedCovariance:
                 np.fill_diagonal(full, diag + candidate)
                 candidate *= 10.0
             else:
+                if not np.all(np.isfinite(chol.diagonal())):
+                    raise ValueError(_NON_FINITE)
                 # potrf leaves full's upper triangle above the factor
                 chol.T[np.tri(len(full), k=-1, dtype=bool)] = 0.0
                 self.chol = chol
@@ -192,42 +209,43 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
+def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
+    """Distances among the observed sites, then the unobserved ones.
+
+    One ``cdist`` call over the stacked sites, so the matrix is exactly
+    symmetric.  Non-finite coordinates, no observed site, and duplicate
+    observed sites (they make the observed block singular) are rejected.
+    """
+    obs = _as_coords(coords_obs)
+    n = obs.shape[0]
+    if n < 1:
+        raise ValueError("at least one observed site is required")
+    sites = obs
+    if coords_unobs is not None and np.size(coords_unobs):
+        unobs = _as_coords(coords_unobs)
+        if unobs.shape[1] != obs.shape[1]:
+            raise ValueError("observed and unobserved coordinate dimensions differ")
+        sites = np.concatenate([obs, unobs])
+
+    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
+    from scipy.spatial.distance import cdist
+
+    dist = cdist(sites, sites)
+    # the diagonal holds n exact zeros; any other zero is a duplicate site
+    if np.count_nonzero(dist[:n, :n] == 0.0) > n:
+        raise ValueError("duplicate observed coordinates make the prior singular")
+    return dist
+
+
 def build_blocked(
     params: MaternParams, coords_obs, coords_unobs=None
 ) -> BlockedCovariance:
     """Blocked Matern covariance over observed and unobserved sites.
 
-    Duplicate observed coordinates are rejected (they make the observed
-    block singular).  The Matern diagonal is the sill, so the
+    The covariance overwrites the buffer of :func:`site_distances`, which
+    checks the sites.  The Matern diagonal is the sill, so the
     certification jitter of :class:`BlockedCovariance` runs from
     1e-10 x sill to 1e-6 x sill.
     """
-    obs = _as_coords(coords_obs)
-    if obs.shape[0] < 1:
-        raise ValueError("at least one observed site is required")
-    if coords_unobs is None:
-        unobs = np.empty((0, obs.shape[1]))
-    else:
-        unobs = _as_coords(coords_unobs) if np.size(coords_unobs) else np.empty(
-            (0, obs.shape[1])
-        )
-        if unobs.shape[1] != obs.shape[1]:
-            raise ValueError("observed and unobserved coordinate dimensions differ")
-
-    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
-    from scipy.spatial.distance import cdist
-
-    n, m = obs.shape[0], unobs.shape[0]
-    full = np.empty((n + m, n + m))
-    full[:n, :n] = matern(params, _observed_distances(cdist(obs, obs)))
-    full[:n, n:] = matern(params, cdist(obs, unobs))
-    full[n:, n:] = matern(params, cdist(unobs, unobs))
-    return BlockedCovariance(full, n)
-
-
-def _observed_distances(d: np.ndarray) -> np.ndarray:
-    """``d``, the observed sites' distance matrix, once it has no duplicate site."""
-    # the diagonal holds n exact zeros; any other zero is a duplicate site
-    if np.count_nonzero(d == 0.0) > d.shape[0]:
-        raise ValueError("duplicate observed coordinates make the prior singular")
-    return d
+    dist = site_distances(coords_obs, coords_unobs)
+    return BlockedCovariance(matern(params, dist, out=dist), len(coords_obs))

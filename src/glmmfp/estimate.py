@@ -37,11 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import expit, logit
 
 from . import families
-from .covariance import MaternParams, build_blocked, matern_scale_derivative
+from .covariance import (
+    BlockedCovariance,
+    MaternParams,
+    matern,
+    matern_scale_derivative,
+    site_distances,
+)
 from .families import FamilyKernel
 from .fixed_point import FitOptions, FitReport, fit_posterior, laplace_skew
 from .spatial import site_problem
@@ -86,15 +92,18 @@ class EstimateResult:
     failed_fits: int
 
 
-def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions):
-    blocked = build_blocked(omega, data.coords)
+def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions, dist):
+    """The mode at (beta, omega), on the prior over the checked site ``dist``."""
+    blocked = BlockedCovariance(matern(omega, dist), len(dist))
     problem = site_problem(data.y, data.X, blocked, beta, data.kernel)
     return fit_posterior(problem, fit_options)
 
 
 def _surrogate(report: FitReport) -> float:
     problem = report.problem
-    loglik = families.log_likelihood(problem.kernel, report.eta, problem.y)
+    loglik = families.log_likelihood(
+        problem.kernel, report.eta, problem.y, const=problem.response_term
+    )
     logdet_r = 2.0 * np.sum(np.log(np.diag(report.factor[0])))
     logdet_rw = logdet_r + np.sum(np.log(report.w))
     return float(loglik - 0.5 * (report.xi @ report.alpha) - 0.5 * logdet_rw)
@@ -104,8 +113,8 @@ def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     """Gradient of :func:`_surrogate` in beta, then in each ``C_j`` of ``dD``."""
     problem, alpha = report.problem, report.alpha
     D, X = problem.D, problem.X
-    # the site design Z is the identity, so this is R^-1
-    Rinv = cho_solve(report.factor, problem.Z, check_finite=False)
+    # the site design Z is the identity, so this is R^-1, by the potrs of cho_solve
+    Rinv = dpotrs(report.factor[0], problem.Z, lower=True)[0]
     DRinv = D @ Rinv
     s2 = laplace_skew(report, D.diagonal() - np.sum(DRinv * D, axis=1))
     WX = report.w[:, None] * X
@@ -117,17 +126,17 @@ def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     return np.array(grad)
 
 
-def _value_and_gradient(data, beta, omega, fit_options, dist):
+def _value_and_gradient(data, beta, omega, fit_options, dist, fit_omega=True):
     """Surrogate and its gradient in (beta, logit omega1, log omega2).
 
-    The gradient covers beta alone when ``dist``, the site distance
-    matrix, is None.  Returns None when the mode fit does not converge.
+    ``dist`` is the site distance matrix; the gradient covers beta alone
+    unless ``fit_omega``.  Returns None when the mode fit does not converge.
     """
-    report = _fit(data, beta, omega, fit_options)
+    report = _fit(data, beta, omega, fit_options, dist)
     if not report.converged:
         return None
     dD = ()
-    if dist is not None:
+    if fit_omega:
         # the jitter is proportional to the sill, so dD/dlogit(omega1) = D
         dD = (report.problem.D, matern_scale_derivative(omega, dist))
     return _surrogate(report), _surrogate_gradient(report, dD)
@@ -143,7 +152,7 @@ def approx_loglik(
 
     Returns -inf when the inner mode-finder fails to converge.
     """
-    report = _fit(data, beta, omega, fit_options)
+    report = _fit(data, beta, omega, fit_options, site_distances(data.coords))
     return _surrogate(report) if report.converged else -np.inf
 
 
@@ -166,12 +175,11 @@ def estimate(
     """
     # deferred: only estimation runs BFGS, so no other command loads scipy.optimize
     from scipy.optimize import minimize
-    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
-    from scipy.spatial.distance import cdist
 
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
-    dist = cdist(data.coords, data.coords) if fit_omega else None
+    # the sites are checked once; each evaluation builds its prior from dist
+    dist = site_distances(data.coords)
     fits = failed = 0
 
     def unpack(theta):
@@ -187,7 +195,7 @@ def estimate(
     def objective(theta):
         nonlocal fits, failed
         fits += 1
-        out = _value_and_gradient(data, *unpack(theta), fit_options, dist)
+        out = _value_and_gradient(data, *unpack(theta), fit_options, dist, fit_omega)
         if out is None:
             failed += 1
             return np.inf, np.full_like(theta, np.nan)

@@ -160,25 +160,36 @@ def initial_eta(kernel: FamilyKernel, y) -> tuple[np.ndarray, np.ndarray]:
     return y.copy(), np.full_like(y, 1.0 / kernel.variance)
 
 
-def log_likelihood(kernel: FamilyKernel, eta, y) -> np.ndarray:
+def response_term(kernel: FamilyKernel, y) -> np.ndarray | float:
+    """The terms of :func:`log_likelihood` in a checked ``y`` alone, per observation."""
+    if kernel.family == POISSON:
+        return -gammaln(y + 1.0)
+    if kernel.family == BINOMIAL:
+        m = kernel.trials
+        return gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0)
+    return -0.5 * np.log(2.0 * np.pi * kernel.variance)
+
+
+def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
     """Full log-likelihood summed over observations.
 
     ``eta`` may be a batch of linear predictors with shape (..., n); the
     sum runs over the trailing axis.  Extreme predictors map to -inf
     rather than raising, which is the right behaviour for quadrature and
-    importance-sampling integrands.
+    importance-sampling integrands.  ``const`` is :func:`response_term`
+    of a ``y`` already checked, such as a problem's cached one; without
+    it ``y`` is checked and the term evaluated here.
     """
     eta = np.asarray(eta, dtype=float)
-    y = check_support(kernel, y)
+    if const is None:
+        y = check_support(kernel, y)
+        const = response_term(kernel, y)
     if kernel.family == POISSON:
         with np.errstate(over="ignore"):
-            terms = y * eta - np.exp(eta) - gammaln(y + 1.0)
+            terms = y * eta - np.exp(eta) + const
         return np.sum(terms, axis=-1)
     if kernel.family == BINOMIAL:
-        m = kernel.trials
-        const = gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0)
-        terms = y * eta - m * np.logaddexp(0.0, eta) + const
+        terms = y * eta - kernel.trials * np.logaddexp(0.0, eta) + const
         return np.sum(terms, axis=-1)
-    s2 = kernel.variance
-    terms = -0.5 * np.log(2.0 * np.pi * s2) - 0.5 * (y - eta) ** 2 / s2
+    terms = -0.5 * (y - eta) ** 2 / kernel.variance + const
     return np.sum(terms, axis=-1)

@@ -25,14 +25,17 @@ The iteration carries ``a = D^-1 xi`` beside ``xi``, so it never
 solves with ``D``.  Each iterate does one Cholesky factorization and
 nothing else of cubic cost, on one of two paths picked by the design
 alone.  The identity design ``Z = I`` (every spatial caller) factors the
-n x n ``R = D + W^-1`` in place: ``1/w`` goes on the diagonal of one
-Fortran-order copy of ``D``, which LAPACK's ``potrf`` overwrites with
-the factor.  It takes ``D^-1 Delta = R^-1 W^-1 g``.  Every other ``Z``
-factors the r x r ``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted
-once per problem.  The last iterate's factor and ``alpha = a`` stay on
-the :class:`FitReport`; ``Xi`` is read off the factor on first access,
-so callers that only need ``xi`` (or the kriging ``D21 alpha``) never
-pay for it.
+n x n ``R = D + W^-1`` in one Fortran-ordered buffer per fit: each
+iterate copies ``D.T`` (which is ``D``) into it column by column, adds
+``1/w`` to its diagonal, and LAPACK's ``potrf`` overwrites it with the
+factor.  It takes ``D^-1 Delta = R^-1 W^-1 g`` and ``eta = X beta + xi``
+with no product by ``Z``.  Every other ``Z`` factors the r x r
+``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted once per problem.
+Solves call the factor's ``potrs`` directly, and the log-likelihood's
+terms in ``y`` alone are evaluated once per problem.  The last
+iterate's factor and ``alpha = a`` stay on the :class:`FitReport`;
+``Xi`` is read off the factor on first access, so callers that only
+need ``xi`` (or the kriging ``D21 alpha``) never pay for it.
 
 The module also evaluates both sides of the Gaussian factorization
 identity
@@ -56,7 +59,8 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from . import families
 from .families import FamilyKernel
@@ -133,6 +137,11 @@ class GlmmProblem:
         """``D^-1``, inverted once for every iterate of a general design."""
         return np.linalg.inv(self.D)
 
+    @cached_property
+    def response_term(self):
+        """The log-likelihood's term in ``y`` alone, evaluated once per problem."""
+        return families.response_term(self.kernel, self.y)
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -179,33 +188,42 @@ class FitReport:
         return _covariance(self.problem, self.factor)
 
 
-def _factor(problem: GlmmProblem, w):
+def _factor(problem: GlmmProblem, w, buf=None):
     """The one Cholesky factor of an iterate with working weights ``w``.
 
     ``R = D + W^-1`` on the identity design, ``H = D^-1 + Z'WZ`` otherwise.
+    On the identity design ``buf``, a Fortran-ordered n x n array, takes
+    ``D`` by a column-contiguous copy of ``D.T`` (which is ``D``) and is
+    overwritten with the factor; without it a new one is allocated.
     """
     if problem.identity_design:
-        A = np.array(problem.D, order="F")
+        A = np.empty(problem.D.shape, order="F") if buf is None else buf
+        np.copyto(A, problem.D.T)
         A.flat[:: problem.n + 1] += 1.0 / w
     else:
         A = problem.precision + (problem.Z.T * w) @ problem.Z
     return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
 
 
-def _xi_raw(problem: GlmmProblem, u, w):
+def _solve(cf, b) -> np.ndarray:
+    """``A^-1 b`` for ``cf = cho_factor(A)``, by the ``potrs`` of ``cho_solve``."""
+    return dpotrs(cf[0], b, lower=cf[1])[0]
+
+
+def _xi_raw(problem: GlmmProblem, u, w, buf=None):
     """The working-model update xi_raw = D Z' R^-1 (u - X beta).
 
     Returns ``(xi_raw, alpha, factor)`` with ``alpha = D^-1 xi_raw`` and
-    the one Cholesky factor the evaluation made.
+    the one Cholesky factor the evaluation made (in ``buf``, if given).
     """
     resid = u - problem.X @ problem.beta
-    cf = _factor(problem, w)
+    cf = _factor(problem, w, buf)
     if problem.identity_design:
-        alpha = cho_solve(cf, resid, check_finite=False)
+        alpha = _solve(cf, resid)
         return problem.D @ alpha, alpha, cf
     # xi = H^-1 Z'W resid, so D^-1 xi = Z'W (resid - Z xi)
     Z = problem.Z
-    xi = cho_solve(cf, Z.T @ (w * resid), check_finite=False)
+    xi = _solve(cf, Z.T @ (w * resid))
     return xi, Z.T @ (w * (resid - Z @ xi)), cf
 
 
@@ -213,10 +231,15 @@ def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
     """Xi from the factor ``cf`` that :func:`_factor` returned."""
     if problem.identity_design:
         D = problem.D
-        Xi = D - D @ cho_solve(cf, D.T, check_finite=False)
+        Xi = D - D @ _solve(cf, D.T)
     else:
-        Xi = cho_solve(cf, np.eye(problem.r), check_finite=False)
+        Xi = _solve(cf, np.eye(problem.r))
     return 0.5 * (Xi + Xi.T)
+
+
+def _effects(problem: GlmmProblem, xi) -> np.ndarray:
+    """``Z xi``: ``xi`` itself on the identity design, with no n x n product."""
+    return xi if problem.identity_design else problem.Z @ xi
 
 
 def _score(problem: GlmmProblem, eta):
@@ -225,27 +248,29 @@ def _score(problem: GlmmProblem, eta):
     return (problem.y - mu) / problem.kernel.dispersion, w
 
 
-def _newton_step(problem: GlmmProblem, eta, a):
+def _newton_step(problem: GlmmProblem, eta, a, buf=None):
     """Newton increment at ``eta = X beta + Z xi``, with ``a = D^-1 xi``.
 
     Returns ``(w, delta, d_delta, factor)``: the working weights,
     ``delta = H^-1 g``, ``d_delta = D^-1 delta`` and the one Cholesky
-    factor the evaluation made.
+    factor the evaluation made, in ``buf`` on the identity design.
     """
     s, w = _score(problem, eta)
-    cf = _factor(problem, w)
+    cf = _factor(problem, w, buf)
     if problem.identity_design:
-        d_delta = cho_solve(cf, (s - a) / w, check_finite=False)  # H^-1 = D R^-1 W^-1
+        d_delta = _solve(cf, (s - a) / w)  # H^-1 = D R^-1 W^-1
         return w, problem.D @ d_delta, d_delta, cf
     Z = problem.Z
     g = Z.T @ s - a
-    delta = cho_solve(cf, g, check_finite=False)
+    delta = _solve(cf, g)
     return w, delta, g - Z.T @ (w * (Z @ delta)), cf
 
 
 def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
     """l = log f(y | eta) - xi' D^-1 xi / 2, with ``a = D^-1 xi``."""
-    loglik = families.log_likelihood(problem.kernel, eta, problem.y)
+    loglik = families.log_likelihood(
+        problem.kernel, eta, problem.y, const=problem.response_term
+    )
     return float(loglik - 0.5 * (xi @ a))
 
 
@@ -261,17 +286,17 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     independent check of the mode, not a certificate of a fit at ``tol``.
     """
     xi = np.asarray(xi, dtype=float)
-    eta = problem.X @ problem.beta + problem.Z @ xi
+    eta = problem.X @ problem.beta + _effects(problem, xi)
     s, w = _score(problem, eta)
     raw = _xi_raw(problem, eta + s / w, w)[0]
     return float(np.max(np.abs(xi - raw), initial=0.0))
 
 
-def _start(problem: GlmmProblem):
+def _start(problem: GlmmProblem, buf=None):
     """``(xi, D^-1 xi)`` after one update at the family's starting predictor."""
     eta0, w0 = families.initial_eta(problem.kernel, problem.y)
     s0, _ = _score(problem, eta0)
-    return _xi_raw(problem, eta0 + s0 / w0, w0)[:2]
+    return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 
 
 def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> FitReport:
@@ -281,14 +306,17 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
     Converges when the full step drops to ``tol`` in sup-norm.  Running
     out of iterations or of halvings yields a non-converged report at
     the last accepted iterate, carrying the full trace; it never raises.
+    On the identity design every factor of the fit is made in one
+    buffer, allocated here, and the report keeps the last.
     """
     offset = problem.X @ problem.beta
-    xi, a = _start(problem)
-    eta = offset + problem.Z @ xi
+    buf = np.empty((problem.n, problem.n), order="F") if problem.identity_design else None
+    xi, a = _start(problem, buf)
+    eta = offset + _effects(problem, xi)
     logpost = _log_posterior(problem, eta, xi, a)
     trace, halvings = [], 0
     while True:
-        w, delta, d_delta, cf = _newton_step(problem, eta, a)
+        w, delta, d_delta, cf = _newton_step(problem, eta, a, buf)
         residual = float(np.max(np.abs(delta), initial=0.0))
         converged = residual <= options.tol
         if converged:
@@ -302,7 +330,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         t = 1.0
         for k in range(_MAX_HALVINGS + 1):
             xi_t, a_t = xi + t * delta, a + t * d_delta
-            eta_t = offset + problem.Z @ xi_t
+            eta_t = offset + _effects(problem, xi_t)
             logpost_t = _log_posterior(problem, eta_t, xi_t, a_t)
             if logpost_t >= floor:
                 break

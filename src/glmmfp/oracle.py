@@ -94,7 +94,9 @@ class ExactnessReport:
 def _log_unnormalized(problem: GlmmProblem, gammas: np.ndarray) -> np.ndarray:
     """log g(gamma) for a batch of gamma vectors, shape (K, r) -> (K,)."""
     eta = problem.beta @ problem.X.T + gammas @ problem.Z.T
-    loglik = families.log_likelihood(problem.kernel, eta, problem.y)
+    loglik = families.log_likelihood(
+        problem.kernel, eta, problem.y, const=problem.response_term
+    )
     L = np.linalg.cholesky(problem.D)
     quad = np.sum(np.linalg.solve(L, gammas.T) ** 2, axis=0)
     logdet = 2.0 * np.sum(np.log(L.diagonal()))

@@ -620,6 +620,21 @@ class TestVerify:
         payload = json.loads((out / "verdicts.json").read_text())
         assert payload["identity"]["max_gap"] is None
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("identity_instances", 0), ("identity_instances", -3),
+         ("identity_instances", 2.5), ("identity_instances", "ten"),
+         ("identity_instances", True), ("order", 4), ("order", 512),
+         ("order", 16.5)],
+    )
+    def test_bad_counts_are_config_errors(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {"verify": {"identity_instances": 3, key: value}})
+        out = tmp_path / "out"
+        code = cli.main(["verify", "--config", config, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        assert f"verify.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("chunk", [7, 1024])
     def test_max_gap_is_that_of_the_drawn_instances(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(cli, "IDENTITY_CHUNK", chunk)

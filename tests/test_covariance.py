@@ -9,6 +9,7 @@ from glmmfp.covariance import (
     build_blocked,
     matern,
     matern_scale_derivative,
+    site_distances,
 )
 
 
@@ -58,6 +59,17 @@ class TestMatern:
         before = d.copy()
         assert np.array_equal(matern(p, d), p.sill * np.exp(-p.omega2 * d))
         assert np.array_equal(d, before)  # d is not overwritten
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8])
+    def test_out_receives_the_fresh_result(self, nu):
+        p = MaternParams(0.7, 1.3, nu)
+        d = np.random.default_rng(3).uniform(0.0, 30.0, size=(40, 30))
+        d[0, :3] = 0.0
+        fresh = matern(p, d)
+        out = np.empty_like(d)
+        assert matern(p, d, out=out) is out and np.array_equal(out, fresh)
+        assert not np.array_equal(d, fresh)  # a separate out leaves d alone
+        assert matern(p, d, out=d) is d and np.array_equal(d, fresh)
 
     def test_zero_distance_is_sill(self):
         for nu in (0.5, 1.5, 2.5, 0.8, 3.2):
@@ -229,8 +241,10 @@ class TestAssembly:
         return d11, d12, d22, full
 
     @pytest.mark.parametrize("n_star", [9, 0])
-    @pytest.mark.parametrize("nu", [0.5, 1.2, 2.5])
+    @pytest.mark.parametrize("nu", [0.5, 0.8, 1.2, 1.5, 2.5])
     def test_bit_identical_to_stacked_blocks(self, nu, n_star):
+        # one cdist over the stacked sites, evaluated in place, against
+        # matern of the three blocks' own cdist calls
         rng = np.random.default_rng(4)
         obs = rng.uniform(0, 5, size=(15, 2))
         unobs = rng.uniform(0, 5, size=(n_star, 2))
@@ -240,6 +254,19 @@ class TestAssembly:
         stacked = self.stacked(params, obs, unobs, 0.0)
         for got, want in zip((b.d11, b.d12, b.d22, b.full), stacked):
             assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(b.full, b.full.T)
+
+    def test_site_distances_are_one_symmetric_cdist(self):
+        rng = np.random.default_rng(8)
+        obs, unobs = rng.uniform(0, 5, size=(6, 2)), rng.uniform(0, 5, size=(4, 2))
+        dist = site_distances(obs, unobs)
+        assert np.array_equal(dist, cdist(np.vstack([obs, unobs]), np.vstack([obs, unobs])))
+        assert np.array_equal(dist, dist.T)
+        assert np.array_equal(site_distances(obs), cdist(obs, obs))
+        # a duplicate among the unobserved sites alone leaves d11 regular
+        site_distances(obs, np.vstack([unobs, unobs[:1]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            site_distances(np.vstack([obs, obs[2:3]]), unobs)
 
     def test_bit_identical_under_jitter(self):
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -300,3 +327,22 @@ class TestLapackFactor:
         d12 = np.zeros((2, 1))
         with pytest.raises(ValueError, match="infs or NaNs"):
             BlockedCovariance(np.block([[d11, d12], [d12.T, np.eye(1)]]), 2)
+        # the factor's diagonal certifies these: potrf does not stop on them
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((6, 6))
+        base = A @ A.T + 6.0 * np.eye(6)
+        for i, j, value in [
+            (3, 1, np.nan),  # off the diagonal of d11
+            (2, 2, np.inf),  # on the diagonal
+            (0, 5, np.nan),  # in d12, with n = 4
+            (1, 4, np.inf),  # in d12, infinite
+        ]:
+            full = base.copy()
+            full[i, j] = full[j, i] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                BlockedCovariance(full, 4)
+        # potrf stops at the first pivot, so the matrix itself is scanned
+        # before any jitter
+        full = np.array([[-1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BlockedCovariance(full, 1)

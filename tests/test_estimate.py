@@ -164,6 +164,34 @@ class TestEstimate:
         fit = estimate(data, np.array([1.5]), omega, fit_omega=False)
         assert fit.objective_value >= start - 1e-9
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 0.8])
+    def test_each_prior_is_built_from_the_checked_distances(self, monkeypatch, nu):
+        # every evaluation's prior is build_blocked's bit for bit, and
+        # the sites are checked once, not once per evaluation
+        data, _ = poisson_data(seed=9)
+        omega = MaternParams(0.5, 1.0, nu)
+        dist = covariance.site_distances(data.coords)
+        before = dist.copy()
+        report = estimate_module._fit(data, np.array([2.0]), omega, FitOptions(), dist)
+        assert np.array_equal(report.problem.D, build_blocked(omega, data.coords).d11)
+        assert np.array_equal(dist, before)
+        checks = []
+        site_distances = estimate_module.site_distances
+        monkeypatch.setattr(
+            estimate_module, "site_distances",
+            lambda coords: checks.append(1) or site_distances(coords),
+        )
+        fit = estimate(data, np.array([2.0]), omega)
+        assert fit.fits > 1 and checks == [1]
+
+    def test_duplicate_sites_rejected_before_any_fit(self, monkeypatch):
+        data, omega = poisson_data(seed=9)
+        data.coords[3] = data.coords[7]
+        monkeypatch.setattr(estimate_module, "fit_posterior", None)
+        for fit_omega in (True, False):
+            with pytest.raises(ValueError, match="duplicate"):
+                estimate(data, np.array([2.0]), omega, fit_omega=fit_omega)
+
     def test_deterministic(self):
         data, omega = poisson_data(seed=8)
         a = estimate(data, np.array([1.0]), omega, fit_omega=False)
@@ -217,7 +245,8 @@ class TestGradient:
             data, beta, omega, FitOptions(), cdist(data.coords, data.coords)
         )
         _, block = estimate_module._value_and_gradient(
-            data, beta, omega, FitOptions(), None
+            data, beta, omega, FitOptions(), cdist(data.coords, data.coords),
+            fit_omega=False,
         )
         assert block.shape == (2,)
         assert np.allclose(block, full[:2], rtol=1e-12, atol=0.0)

@@ -204,6 +204,28 @@ class TestLogLikelihood:
             expected, abs=1e-12
         )
 
+    def test_response_term_split_is_bitwise(self):
+        # the single-expression forms that the split into response_term
+        # and the eta terms must reproduce bit for bit
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(5)
+        eta = rng.normal(0.0, 2.0, size=(3, 40))
+        m = rng.integers(1, 9, size=40).astype(float)
+        y = rng.binomial(m.astype(int), 0.4).astype(float)
+        cases = [
+            (poisson_kernel(), y, y * eta - np.exp(eta) - gammaln(y + 1.0)),
+            (binomial_kernel(m), y, y * eta - m * np.logaddexp(0.0, eta)
+             + (gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0))),
+            (gaussian_kernel(0.7), eta[0], -0.5 * np.log(2.0 * np.pi * 0.7)
+             - 0.5 * (eta[0] - eta) ** 2 / 0.7),
+        ]
+        for kernel, resp, terms in cases:
+            want = np.sum(terms, axis=-1)
+            const = families.response_term(kernel, resp)
+            assert np.array_equal(log_likelihood(kernel, eta, resp), want)
+            assert np.array_equal(log_likelihood(kernel, eta, resp, const=const), want)
+
     def test_binomial_overflow_safe(self):
         out = log_likelihood(binomial_kernel([2]), np.array([[500.0], [-500.0]]), np.zeros(1))
         assert out[0] == pytest.approx(-1000.0, rel=1e-12)

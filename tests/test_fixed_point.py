@@ -302,6 +302,48 @@ class TestSolverPaths:
             assert np.max(np.abs(state.alpha - alpha)) < 1e-10
 
 
+class TestFactorBuffer:
+    """One factor buffer per fit, solved with LAPACK's potrs."""
+
+    def test_fits_do_not_share_a_factor(self):
+        problem = identity_problem(np.random.default_rng(31), "poisson", 20)
+        first = fit_posterior(problem)
+        factor = first.factor[0].copy()
+        want = fixed_point._covariance(problem, (factor, True))
+        # both end on factors other than the mode's
+        second = fit_posterior(problem, FitOptions(max_iter=1))
+        fixed_point_residual(problem, first.xi + 0.3)
+        assert not np.array_equal(second.factor[0], factor)
+        assert first.factor[0].flags.f_contiguous
+        assert not np.shares_memory(first.factor[0], second.factor[0])
+        assert np.array_equal(first.factor[0], factor)
+        assert np.array_equal(first.Xi, want)
+
+    def test_solve_is_cho_solve(self):
+        from scipy.linalg import cho_solve
+
+        problem = identity_problem(np.random.default_rng(37), "binomial", 12)
+        cf = fit_posterior(problem).factor
+        rhs = np.random.default_rng(1).standard_normal((12, 3))
+        for b in (rhs[:, 0], rhs, problem.D.T):
+            assert np.array_equal(fixed_point._solve(cf, b), cho_solve(cf, b))
+
+
+class TestLogPosterior:
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_cached_response_term_is_bitwise_the_full_form(self, family):
+        from glmmfp import families
+
+        rng = np.random.default_rng(41)
+        for problem in (identity_problem(rng, family, 14), random_problem(rng, family, 9, 3)):
+            xi = rng.standard_normal(problem.r)
+            a = rng.standard_normal(problem.r)
+            eta = problem.X @ problem.beta + problem.Z @ xi
+            full = families.log_likelihood(problem.kernel, eta, problem.y)
+            got = fixed_point._log_posterior(problem, eta, xi, a)
+            assert got == float(full - 0.5 * (xi @ a))
+
+
 class TestNonConvergence:
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(23)
