@@ -23,7 +23,7 @@ coords = rng.uniform(0.0, 6.0, size=(n, 2))
 omega = MaternParams(0.5, 1.0)          # exponential covariance, sill 1
 blocked = build_blocked(omega, coords)
 
-gamma = np.linalg.cholesky(blocked.d11) @ rng.standard_normal(n)
+gamma = blocked.chol @ rng.standard_normal(n)   # the prior's own factor
 beta = np.array([1.2])
 X = np.ones((n, 1))
 y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)

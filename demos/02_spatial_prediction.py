@@ -10,6 +10,7 @@ import numpy as np
 
 from glmmfp import (
     MaternParams,
+    SpatialData,
     SpatialProblem,
     build_blocked,
     conditional_mean,
@@ -29,7 +30,7 @@ omega = MaternParams(0.5, 1.0)
 blocked = build_blocked(omega, coords_obs, coords_new)
 
 # draw the latent field jointly so the held-out truth is consistent
-gamma_all = np.linalg.cholesky(blocked.full) @ rng.standard_normal(n + n_star)
+gamma_all = blocked.chol @ rng.standard_normal(n + n_star)
 gamma, gamma_star = gamma_all[:n], gamma_all[n:]
 
 beta = np.array([2.0])
@@ -37,8 +38,9 @@ X = np.ones((n, 1))
 Xstar = np.ones((n_star, 1))
 y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
 
+observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
 problem = SpatialProblem(
-    y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=poisson_kernel()
+    observed=observed, Xstar=Xstar, coords_star=coords_new, blocked=blocked, beta=beta
 )
 prediction = fit_predict(problem)
 assert prediction.report.converged

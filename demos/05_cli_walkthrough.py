@@ -18,7 +18,7 @@ print(f"working in {workdir}\n")
 
 # --- dataset and configuration -----------------------------------------
 data = workdir / "counts.csv"
-write_synthetic_counts(data, n_sites=60, seed=3, beta0=2.0)
+write_synthetic_counts(data, n_sites=60, seed=3)
 print(f"wrote {data.name}: {len(data.read_text().splitlines()) - 1} sites")
 
 config = workdir / "config.json"

@@ -22,7 +22,7 @@ from .families import (
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 from .metrics import deviance_gof, rl2
 from .oracle import adjudicate_exactness, moments_importance, moments_quadrature
-from .spatial import SpatialProblem, conditional_mean, fit_predict
+from .spatial import SpatialData, SpatialProblem, conditional_mean, fit_predict
 
 __all__ = [
     "BlockedCovariance",
@@ -31,6 +31,7 @@ __all__ = [
     "FitReport",
     "GlmmProblem",
     "MaternParams",
+    "SpatialData",
     "SpatialProblem",
     "adjudicate_exactness",
     "binomial_kernel",

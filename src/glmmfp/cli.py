@@ -58,8 +58,15 @@ _NUMERICAL_ERRORS = (
 
 
 def _fit_options(cfg: RunConfig) -> FitOptions:
-    conversions = {"tol": float, "max_iter": int}
-    return FitOptions(**{k: conversions[k](v) for k, v in cfg.sic.items()})
+    max_iter = dataio.read_int(cfg.sic, "max_iter", FitOptions.max_iter, 1, "sic")
+    return FitOptions(tol=float(cfg.sic.get("tol", FitOptions.tol)), max_iter=max_iter)
+
+
+def _observed(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
+    """The dataset's sites: response, the tier's design, coordinates, family."""
+    X = dataio.build_design(dataset, cfg, tier)
+    kernel = dataio.make_kernel(cfg, dataset.trials)
+    return SpatialData(y=dataset.y, X=X, coords=dataset.coords, kernel=kernel)
 
 
 def _default_beta_init(kernel, y, X) -> np.ndarray:
@@ -85,15 +92,14 @@ def _check_params(cfg: RunConfig, n_columns: int):
         )
 
 
-def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
+def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
     """Return (beta, matern_params, estimate_meta_or_None)."""
-    _check_params(cfg, X.shape[1])
+    _check_params(cfg, data.X.shape[1])
     if cfg.beta != dataio.ESTIMATE:
         return np.asarray(cfg.beta, dtype=float), cfg.matern, None
     matern_given = isinstance(cfg.matern, MaternParams)
-    data = SpatialData(y=y, X=X, coords=coords, kernel=kernel)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
-    init_beta = _default_beta_init(kernel, y, X)
+    init_beta = _default_beta_init(data.kernel, data.y, data.X)
     result = estimate(
         data, init_beta, init_omega, fit_options=options, fit_omega=not matern_given
     )
@@ -115,14 +121,12 @@ def _resolve_params(cfg: RunConfig, y, X, coords, kernel, options: FitOptions):
 
 def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPrediction:
     """Fit the mode at the training sites and predict at the test sites."""
-    kernel = dataio.make_kernel(cfg, train.trials)
-    X = dataio.build_design(train, cfg, tier)
-    Xstar = dataio.build_design(test, cfg, tier)
-    beta, omega, _ = _resolve_params(cfg, train.y, X, train.coords, kernel, options)
-    blocked = build_blocked(omega, train.coords, test.coords)
+    observed = _observed(cfg, train, tier)
+    beta, omega, _ = _resolve_params(cfg, observed, options)
+    blocked = build_blocked(omega, observed.coords, test.coords)
     problem = SpatialProblem(
-        y=train.y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
-        trials_star=test.trials,
+        observed=observed, Xstar=dataio.build_design(test, cfg, tier),
+        coords_star=test.coords, blocked=blocked, beta=beta, trials_star=test.trials,
     )
     return fit_predict(problem, options)
 
@@ -135,17 +139,13 @@ def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPredictio
 def cmd_fit(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
+    options = _fit_options(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kernel = dataio.make_kernel(cfg, dataset.trials)
-    X = dataio.build_design(dataset, cfg)
-    options = _fit_options(cfg)
-    beta, omega, est_meta = _resolve_params(
-        cfg, dataset.y, X, dataset.coords, kernel, options
-    )
-    blocked = build_blocked(omega, dataset.coords)
-    problem = site_problem(dataset.y, X, blocked, beta, kernel)
-    report = fit_posterior(problem, options)
+    observed = _observed(cfg, dataset)
+    beta, omega, est_meta = _resolve_params(cfg, observed, options)
+    blocked = build_blocked(omega, observed.coords)
+    report = fit_posterior(site_problem(observed, blocked, beta), options)
     dataio.write_vector_csv(out / "xi.csv", "xi", report.xi)
     dataio.write_symmetric_csv(out / "Xi.csv", report.Xi)
     payload = {
@@ -175,9 +175,10 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict needs --test sites or a 'role' column")
     if train.n < 1:
         raise ConfigError("no training rows")
+    options = _fit_options(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prediction = _fit_predict_split(cfg, train, test, _fit_options(cfg))
+    prediction = _fit_predict_split(cfg, train, test, options)
     dataio.write_predictions_csv(
         out / "predictions.csv",
         prediction.xi_star,
@@ -196,11 +197,15 @@ def cmd_simulate(args) -> int:
         sim["replications"] = args.replications
     if args.seed is not None:
         sim["seed"] = args.seed
-    conversions = {
-        "n": int, "n_star": int, "beta": tuple, "omega": dataio.parse_matern,
-        "replications": int, "seed": int, "side": float, "scenarios": tuple,
-    }
-    config = SimConfig(**{k: conversions[k](v) for k, v in sim.items()})
+    # each count's least value; SimConfig checks beta itself
+    counts = {"n": 1, "n_star": 1, "replications": 1, "seed": 0}
+    conversions = {"omega": dataio.parse_matern, "side": float, "scenarios": tuple}
+    for key, value in sim.items():
+        if key in counts:
+            sim[key] = dataio.read_int(sim, key, None, counts[key], "simulate")
+        elif key in conversions:
+            sim[key] = conversions[key](value)
+    config = SimConfig(**sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -220,23 +225,21 @@ def cmd_validate(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
     val = cfg.validate
-    splits = int(val.get("splits", 20))
-    n_train = int(val.get("n_train", 80))
-    n_test = int(val.get("n_test", 20))
+    splits = dataio.read_int(val, "splits", 20, 1, "validate")
+    n_train = dataio.read_int(val, "n_train", 80, 1, "validate")
+    n_test = dataio.read_int(val, "n_test", 20, 1, "validate")
     tiers = list(val.get("tiers", dataio.TIERS))
-    if splits < 1:
-        raise ConfigError("splits must be >= 1")
     for tier in tiers:
         # a tier's design width is the same on every split
         _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
-    if n_train < 1 or n_test < 1 or n_train + n_test > dataset.n:
+    if n_train + n_test > dataset.n:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
         )
     seed = args.seed if args.seed is not None else cfg.seed
+    options = _fit_options(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    options = _fit_options(cfg)
     rows = []
     failures = []
     for split in range(splits):
@@ -322,22 +325,13 @@ def _verify_battery(rng):
         yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel)
 
 
-def _verify_int(ver: dict, key: str, default: int, low: int, high) -> int:
-    """``verify.<key>``, an integer in [low, high]; ConfigError otherwise."""
-    value = ver.get(key, default)
-    # bool is not a count; NaN fails the bounds, and inf % 1 is NaN
-    if type(value) not in (int, float) or not low <= value <= high or value % 1:
-        raise ConfigError(f"verify.{key} must be an integer in [{low}, {high}]: {value!r}")
-    return int(value)
-
-
 def cmd_verify(args) -> int:
     cfg = dataio.load_config(args.config)
     ver = cfg.verify
-    n_identity = _verify_int(ver, "identity_instances", 100, 1, np.inf)
-    order = _verify_int(ver, "order", 64, 8, oracle.MAX_QUADRATURE_ORDER)
-    seed = args.seed if args.seed is not None else int(
-        ver.get("battery_seed", cfg.seed)
+    n_identity = dataio.read_int(ver, "identity_instances", 100, 1, "verify")
+    order = dataio.read_int(ver, "order", 64, 8, "verify", oracle.MAX_QUADRATURE_ORDER)
+    seed = args.seed if args.seed is not None else dataio.read_int(
+        ver, "battery_seed", cfg.seed, 0, "verify"
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -74,6 +74,19 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def read_int(section: dict, key: str, default, low: int, where: str, high=math.inf) -> int:
+    """``section[key]`` (``default`` when absent), an integer in [low, high].
+
+    Anything else is a ConfigError naming ``where.key`` (or ``key``).
+    """
+    value = section.get(key, default)
+    # bool is not a count; NaN fails the bounds, and inf % 1 is NaN
+    if type(value) not in (int, float) or not low <= value <= high or value % 1:
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name} must be an integer in [{low}, {high}]: {value!r}")
+    return int(value)
+
+
 def parse_matern(obj) -> MaternParams:
     _check_keys(obj, _MATERN_KEYS, "matern")
     try:
@@ -121,7 +134,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("gaussian_variance must be positive")
     _check_keys(raw.get("sic", {}), _SIC_KEYS, "sic")
     cfg.sic = raw.get("sic", {})
-    cfg.seed = int(raw.get("seed", 0))
+    cfg.seed = read_int(raw, "seed", 0, 0, "")
     _check_keys(raw.get("simulate", {}), _SIMULATE_KEYS, "simulate")
     cfg.simulate = raw.get("simulate", {})
     _check_keys(raw.get("validate", {}), _VALIDATE_KEYS, "validate")
@@ -306,12 +319,14 @@ def write_json(path, payload: dict):
 # Synthetic dataset generator (schema-compatible stand-in)
 # ---------------------------------------------------------------------------
 
-# the latent field's Matern prior and the rectangle the sites are uniform on
+# the latent field's Matern prior, the log-mean intercept, and the rectangle
+# the sites are uniform on
 SYNTHETIC_OMEGA = MaternParams(0.5, 1.5)
+SYNTHETIC_BETA0 = 4.5
 SYNTHETIC_EXTENT = (1.0, 0.75)
 
 
-def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0, beta0: float = 4.5):
+def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0):
     """Write a synthetic coordinate-indexed count CSV (farm-like layout)."""
     from .covariance import build_blocked  # local import avoids cycles
 
@@ -319,7 +334,7 @@ def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0, beta0: float
     coords = rng.uniform((0.0, 0.0), SYNTHETIC_EXTENT, size=(n_sites, 2))
     blocked = build_blocked(SYNTHETIC_OMEGA, coords)
     gamma = blocked.chol @ rng.standard_normal(n_sites)
-    y = rng.poisson(np.exp(beta0 + gamma))
+    y = rng.poisson(np.exp(SYNTHETIC_BETA0 + gamma))
     lines = ["y,x_coord,y_coord"]
     for yi, (cx, cy) in zip(y, coords):
         lines.append(f"{int(yi)},{fmt(cx)},{fmt(cy)}")

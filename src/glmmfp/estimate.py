@@ -15,6 +15,9 @@ Cholesky factor of ``R``, so the value factors nothing beyond the fit
 itself.  For the Gaussian kernel the surrogate equals the exact
 marginal normal log-likelihood.
 
+The data are the observed sites alone: a :class:`spatial.SpatialData`,
+such as the ``observed`` half of a :class:`spatial.SpatialProblem`.
+
 The optimizer is BFGS over (beta, logit omega1, log omega2) with the
 exact gradient of the surrogate (Rasmussen & Williams 2006, Alg. 5.1,
 eqs. 5.21-5.24), which costs one solve with the mode's factor of ``R``
@@ -48,30 +51,11 @@ from .covariance import (
     matern_scale_derivative,
     site_distances,
 )
-from .families import FamilyKernel
 from .fixed_point import FitOptions, FitReport, fit_posterior, laplace_skew
-from .spatial import site_problem
+from .spatial import SpatialData, site_problem
 
 BFGS_MAX_ITER = 400
 BFGS_GTOL = 1e-5
-
-
-@dataclass(eq=False)
-class SpatialData:
-    """Observed sites only: response, fixed-effects design, coordinates."""
-
-    y: np.ndarray
-    X: np.ndarray
-    coords: np.ndarray
-    kernel: FamilyKernel
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        n = self.y.shape[0]
-        if self.X.shape[0] != n or self.coords.shape[0] != n:
-            raise ValueError("y, X, and coords must agree in length")
 
 
 @dataclass(eq=False)
@@ -95,7 +79,7 @@ class EstimateResult:
 def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions, dist):
     """The mode at (beta, omega), on the prior over the checked site ``dist``."""
     blocked = BlockedCovariance(matern(omega, dist), len(dist))
-    problem = site_problem(data.y, data.X, blocked, beta, data.kernel)
+    problem = site_problem(data, blocked, beta)
     return fit_posterior(problem, fit_options)
 
 

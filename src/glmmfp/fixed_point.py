@@ -55,7 +55,7 @@ roundoff.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +78,8 @@ class GlmmProblem:
     ``D`` is checked to be finite, symmetric and positive definite, unless it
     comes with ``D_chol``: a lower Cholesky factor of ``D`` that already
     certifies it, such as the leading block of
-    :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.
+    :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.  Without one,
+    ``D_chol`` keeps the factor that certified ``D``.
     ``identity_design`` records whether ``Z`` is the n x n identity.
     """
 
@@ -89,9 +90,9 @@ class GlmmProblem:
     beta: np.ndarray
     kernel: FamilyKernel
     identity_design: bool = field(init=False, repr=False)
-    D_chol: InitVar[np.ndarray | None] = None
+    D_chol: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, D_chol):
+    def __post_init__(self):
         self.y = families.check_support(self.kernel, self.y)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
@@ -105,17 +106,17 @@ class GlmmProblem:
         r = self.Z.shape[1]
         if self.D.shape != (r, r):
             raise ValueError("prior covariance must be r x r")
-        if D_chol is None:
+        if self.D_chol is None:
             # the solver factors without checking for non-finite entries
             if not np.all(np.isfinite(self.D)):
                 raise ValueError("prior covariance must be finite and positive definite")
             if not np.allclose(self.D, self.D.T, atol=1e-12):
                 raise ValueError("prior covariance must be symmetric")
             try:
-                np.linalg.cholesky(self.D)
+                self.D_chol = np.linalg.cholesky(self.D)
             except np.linalg.LinAlgError:
                 raise ValueError("prior covariance must be positive definite") from None
-        elif np.shape(D_chol) != (r, r):
+        elif np.shape(self.D_chol) != (r, r):
             raise ValueError("the factor of the prior covariance must be r x r")
         Z = self.Z
         self.identity_design = (

@@ -54,10 +54,12 @@ MAX_QUADRATURE_ORDER = 256
 # order**r nodes (or importance samples) times (n + r) doubles: the K x n
 # predictor and K x r effects; 2**22 doubles is 32 MiB per such array
 QUADRATURE_BUDGET = 2**22
-# verdict thresholds of adjudicate_exactness
+# verdict thresholds of adjudicate_exactness, and the oracle error at which
+# it stops doubling the quadrature order
 CONFIRM_FLOOR = 1e-6
 CONFIRM_MULT = 10.0
 REFUTE_MULT = 100.0
+ERROR_TARGET = 1e-8
 MIN_IS_SAMPLES = 10_000
 MIN_ESS_FRACTION = 0.05
 
@@ -97,7 +99,7 @@ def _log_unnormalized(problem: GlmmProblem, gammas: np.ndarray) -> np.ndarray:
     loglik = families.log_likelihood(
         problem.kernel, eta, problem.y, const=problem.response_term
     )
-    L = np.linalg.cholesky(problem.D)
+    L = problem.D_chol
     quad = np.sum(np.linalg.solve(L, gammas.T) ** 2, axis=0)
     logdet = 2.0 * np.sum(np.log(L.diagonal()))
     logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
@@ -217,7 +219,7 @@ def moments_quadrature(
 
 
 def moments_importance(
-    problem: GlmmProblem, samples: int = 20_000, seed: int = 0, center=None
+    problem: GlmmProblem, samples: int = 20_000, seed: int = 0
 ) -> PosteriorMoments:
     """Self-normalized importance sampling posterior moments.
 
@@ -234,7 +236,7 @@ def moments_importance(
             f"{samples} samples x {problem.n + problem.r} values, over the "
             f"budget of {QUADRATURE_BUDGET}; lower the sample count"
         )
-    xi, scale = _center_and_scale(problem, center)
+    xi, scale = _center_and_scale(problem, None)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((samples, problem.r))
     gammas = xi + x @ scale.T
@@ -271,18 +273,14 @@ def moments_importance(
     )
 
 
-def adjudicate_exactness(
-    problem: GlmmProblem,
-    order: int = 64,
-    error_target: float = 1e-8,
-) -> ExactnessReport:
+def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessReport:
     """Compare the posterior mode against the quadrature reference.
 
     CONFIRMED when the gap is within max(``CONFIRM_FLOOR``,
     ``CONFIRM_MULT`` x oracle error), REFUTED when it exceeds
     ``REFUTE_MULT`` x oracle error, INCONCLUSIVE in between.  The
     quadrature order doubles from ``order`` until the oracle's own
-    order-doubling error estimate drops to ``error_target``, so the
+    order-doubling error estimate drops to ``ERROR_TARGET``, so the
     verdict never rests on an under-resolved reference unless it says
     so: doubling also stops at ``MAX_QUADRATURE_ORDER`` and at the last
     order whose grid fits ``QUADRATURE_BUDGET``, and the thresholds then
@@ -297,7 +295,7 @@ def adjudicate_exactness(
     evaluated = {}
     ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
     while (
-        ref.error_estimate > error_target
+        ref.error_estimate > ERROR_TARGET
         and 2 * order <= MAX_QUADRATURE_ORDER
         and _fits_budget(problem, 2 * order)
     ):

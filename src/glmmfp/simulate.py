@@ -14,6 +14,10 @@ RMSE metrics:
 * ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
                       then the posterior mode is predicted.
 
+A replication (:class:`SimDataset`) is its :class:`spatial.SpatialProblem`
+plus the true effects; ``sic_estimated`` estimates from the problem's own
+``observed`` sites and rebuilds the prior from the problem's coordinates.
+
 Each replication factors its joint (n + n*) prior once, in
 :func:`covariance.build_blocked`.  That factor ``L`` draws the field
 (gamma, gamma*) = L z, krigs the oracle through its blocks L11 and L21,
@@ -30,12 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import MaternParams, build_blocked
-from .dataio import fmt, write_json
-from .estimate import SpatialData, estimate
+from .dataio import ConfigError, fmt, write_json
+from .estimate import estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions
 from .metrics import rl2
-from .spatial import SpatialPrediction, SpatialProblem, conditional_mean, fit_predict
+from .spatial import SpatialData, SpatialPrediction, SpatialProblem
+from .spatial import conditional_mean, fit_predict
 
 ORACLE = "oracle"
 SIC_TRUE = "sic_true"
@@ -74,6 +79,13 @@ class SimConfig:
     scenarios: tuple = (ORACLE, SIC_TRUE)
 
     def __post_init__(self):
+        beta = tuple(self.beta) if isinstance(self.beta, (list, tuple, np.ndarray)) else ()
+        if len(beta) != 2 or not all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) and np.isfinite(b)
+            for b in beta
+        ):
+            raise ConfigError(f"simulate.beta must be two finite numbers: {self.beta!r}")
+        object.__setattr__(self, "beta", beta)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.n < 1 or self.n_star < 1:
@@ -87,9 +99,9 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SimDataset:
+    """One replication: its spatial problem and the true effects drawn for it."""
+
     problem: SpatialProblem
-    coords_obs: np.ndarray
-    coords_unobs: np.ndarray
     gamma: np.ndarray
     gamma_star: np.ndarray
 
@@ -109,16 +121,11 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     X = np.column_stack([np.ones(n), x_obs])
     Xstar = np.column_stack([np.ones(n_star), x_unobs])
     y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
+    observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
     problem = SpatialProblem(
-        y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=poisson_kernel()
+        observed=observed, Xstar=Xstar, coords_star=coords_unobs, blocked=blocked, beta=beta
     )
-    return SimDataset(
-        problem=problem,
-        coords_obs=coords_obs,
-        coords_unobs=coords_unobs,
-        gamma=gamma,
-        gamma_star=gamma_star,
-    )
+    return SimDataset(problem=problem, gamma=gamma, gamma_star=gamma_star)
 
 
 @dataclass(eq=False)
@@ -147,16 +154,12 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
             **zeros,
         )
     # parameter-estimation scenario: estimate (beta, omega1, omega2) first
-    data = SpatialData(
-        y=dataset.problem.y,
-        X=dataset.problem.X,
-        coords=dataset.coords_obs,
-        kernel=dataset.problem.kernel,
-    )
-    init_beta = np.array([np.log(np.mean(dataset.problem.y) + 0.5), 0.0])
-    fit = estimate(data, init_beta, config.omega)
-    blocked_hat = build_blocked(fit.omega_hat, dataset.coords_obs, dataset.coords_unobs)
-    problem_hat = replace(dataset.problem, blocked=blocked_hat, beta=fit.beta_hat)
+    problem = dataset.problem
+    observed = problem.observed
+    init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
+    fit = estimate(observed, init_beta, config.omega)
+    blocked_hat = build_blocked(fit.omega_hat, observed.coords, problem.coords_star)
+    problem_hat = replace(problem, blocked=blocked_hat, beta=fit.beta_hat)
     pred = fit_predict(problem_hat, FitOptions())
     _require_converged(pred)
     beta = np.asarray(config.beta, dtype=float)
@@ -178,38 +181,30 @@ def _require_converged(pred: SpatialPrediction):
 def run_scenarios(config: SimConfig) -> SimResult:
     """Run all configured scenarios across the replications."""
     records = []
-    failures = dict.fromkeys(config.scenarios, 0)
-    sums = {s: None for s in config.scenarios}
-    counts = dict.fromkeys(config.scenarios, 0)
+    metrics = {s: [] for s in config.scenarios}   # each scenario's successes
     for rep in range(config.replications):
         dataset = generate_dataset(config, rep)
         record = {"replication": rep}
         for scenario in config.scenarios:
             try:
-                metrics = _scenario_metrics(dataset, scenario, config)
+                record[scenario] = _scenario_metrics(dataset, scenario, config)
+                metrics[scenario].append(record[scenario])
             except Exception as exc:  # noqa: BLE001 - recorded, never dropped
-                failures[scenario] += 1
                 record[scenario] = {
                     "failed": True, "error": str(exc), "error_type": type(exc).__name__,
                 }
-                continue
-            record[scenario] = metrics
-            counts[scenario] += 1
-            if sums[scenario] is None:
-                sums[scenario] = dict.fromkeys(metrics, 0.0)
-            for k, v in metrics.items():
-                sums[scenario][k] += v
         records.append(record)
         del dataset  # its prior and factor are freed before the next is built
     aggregates = {}
-    for scenario in config.scenarios:
-        if counts[scenario] == 0:
+    for scenario, rows in metrics.items():
+        if not rows:
             continue
-        agg = {k: v / counts[scenario] for k, v in sums[scenario].items()}
+        agg = {k: sum(row[k] for row in rows) / len(rows) for k in rows[0]}
         # RMSE aggregates are root mean squared errors, not mean squares
         for k in ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"):
             agg[k] = float(np.sqrt(agg[k]))
         aggregates[scenario] = agg
+    failures = {s: config.replications - len(rows) for s, rows in metrics.items()}
     result = SimResult(
         config=config, aggregates=aggregates, records=records, failures=failures
     )

@@ -1,5 +1,9 @@
 """Prediction of spatial random effects and responses at unobserved sites.
 
+The observed sites are one :class:`SpatialData`, from a CSV dataset or a
+simulated draw to the estimator and the fit; a :class:`SpatialProblem`
+adds the unobserved sites, the blocked prior and the fixed effects.
+
 The observed block of a spatial mixed model (random effect per site,
 identity random-effects design, posed by :func:`site_problem`) is
 fitted with the Newton mode-finder; the unobserved-site effects are then
@@ -36,44 +40,62 @@ from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 
 
 @dataclass(eq=False)
-class SpatialProblem:
-    """Observed responses plus unobserved-site designs and blocked prior.
-
-    ``trials_star`` holds the unobserved sites' trial counts, required
-    for the binomial family when there are unobserved sites;
-    ``kernel_star`` is the family at those sites.
-    """
+class SpatialData:
+    """Observed sites: response, fixed-effects design, coordinates, family."""
 
     y: np.ndarray
     X: np.ndarray
-    Xstar: np.ndarray
-    blocked: BlockedCovariance
-    beta: np.ndarray
+    coords: np.ndarray
     kernel: FamilyKernel
-    trials_star: np.ndarray | None = None
-    kernel_star: FamilyKernel = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
+        n = self.y.shape[0]
+        if self.X.shape[0] != n or self.coords.shape[0] != n:
+            raise ValueError("y, X, and coords must agree in length")
+
+
+@dataclass(eq=False)
+class SpatialProblem:
+    """The observed sites, the unobserved sites' design and the blocked prior.
+
+    ``coords_star`` are the unobserved sites' coordinates and
+    ``trials_star`` their trial counts, required for the binomial family
+    when there are unobserved sites; ``kernel_star`` is the family at
+    those sites.
+    """
+
+    observed: SpatialData
+    Xstar: np.ndarray
+    coords_star: np.ndarray
+    blocked: BlockedCovariance
+    beta: np.ndarray
+    trials_star: np.ndarray | None = None
+    kernel_star: FamilyKernel = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.observed.X.shape[1]
         self.Xstar = np.asarray(self.Xstar, dtype=float)
         if self.Xstar.size == 0:
-            self.Xstar = self.Xstar.reshape(0, self.X.shape[1])
+            self.Xstar = self.Xstar.reshape(0, p)
         self.Xstar = np.atleast_2d(self.Xstar)
+        self.coords_star = np.asarray(self.coords_star, dtype=float)
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        n = self.y.shape[0]
-        if self.blocked.n_observed != n:
+        n_star = self.blocked.n_unobserved
+        if self.blocked.n_observed != self.observed.y.shape[0]:
             raise ValueError("observed covariance block does not match response length")
-        if self.blocked.n_unobserved != self.Xstar.shape[0]:
-            raise ValueError("unobserved covariance block does not match Xstar")
-        if self.Xstar.shape[1] != self.X.shape[1]:
+        if self.Xstar.shape[0] != n_star or len(self.coords_star) != n_star:
+            raise ValueError("unobserved covariance block does not match Xstar/coords_star")
+        if self.Xstar.shape[1] != p:
             raise ValueError("X and Xstar must share the fixed-effects dimension")
-        self.kernel_star = self.kernel
-        if self.kernel.family == families.BINOMIAL and self.blocked.n_unobserved:
+        self.kernel_star = self.observed.kernel
+        if self.kernel_star.family == families.BINOMIAL and n_star:
             if self.trials_star is None:
                 raise ValueError("binomial prediction needs the unobserved sites' trial counts")
             self.kernel_star = families.binomial_kernel(self.trials_star)
-            if self.kernel_star.trials.shape != (self.blocked.n_unobserved,):
+            if self.kernel_star.trials.shape != (n_star,):
                 raise ValueError("trials_star must hold one count per unobserved site")
 
 
@@ -87,14 +109,14 @@ class SpatialPrediction:
     report: FitReport
 
 
-def site_problem(y, X, blocked: BlockedCovariance, beta, kernel) -> GlmmProblem:
+def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmProblem:
     """The observed sites' problem: one effect per site (``Z = I``), prior ``D11``.
 
     The leading block of the carried joint factor certifies ``D11``.
     """
     n = blocked.n_observed
     return GlmmProblem(
-        y=y, X=X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=kernel,
+        y=data.y, X=data.X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=data.kernel,
         D_chol=blocked.chol[:n, :n],
     )
 
@@ -103,9 +125,7 @@ def fit_predict(
     problem: SpatialProblem, options: FitOptions = FitOptions()
 ) -> SpatialPrediction:
     """Fit the observed block and predict effects/responses at new sites."""
-    glmm = site_problem(
-        problem.y, problem.X, problem.blocked, problem.beta, problem.kernel
-    )
+    glmm = site_problem(problem.observed, problem.blocked, problem.beta)
     report = fit_posterior(glmm, options)
     xi_star = problem.blocked.d12.T @ report.alpha
     eta_star = problem.Xstar @ problem.beta + xi_star

@@ -18,6 +18,14 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
+def test_spatial_data_is_one_class():
+    # bench/workloads.py imports the container from estimate
+    import glmmfp.estimate
+    import glmmfp.spatial
+
+    assert glmmfp.estimate.SpatialData is glmmfp.spatial.SpatialData
+
+
 def test_bench_tests_pass():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(BENCH / "tests")],

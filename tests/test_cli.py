@@ -663,6 +663,60 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
 
+# each integer a config holds, as (section, key, the command that reads it);
+# a None section is the top level
+CONFIG_COUNTS = [
+    (None, "seed", "simulate"),
+    ("sic", "max_iter", "fit"),
+    ("simulate", "n", "simulate"),
+    ("simulate", "n_star", "simulate"),
+    ("simulate", "replications", "simulate"),
+    ("simulate", "seed", "simulate"),
+    ("validate", "splits", "validate"),
+    ("validate", "n_train", "validate"),
+    ("validate", "n_test", "validate"),
+    ("verify", "battery_seed", "verify"),
+]
+
+
+class TestConfigCounts:
+    """A count that is not an integer is a config error named by its key."""
+
+    @staticmethod
+    def run(tmp_path, command, payload):
+        payload = {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}, **payload}
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(out),
+                "--quiet"]
+        if command in ("fit", "validate"):
+            argv += ["--data", poisson_dataset(tmp_path)[0]]
+        return cli.main(argv), out
+
+    @pytest.mark.parametrize("value", [2.5, True, "7", float("nan")],
+                             ids=["fraction", "true", "string", "nan"])
+    @pytest.mark.parametrize(
+        "section, key, command", CONFIG_COUNTS,
+        ids=[f"{s}.{k}" if s else k for s, k, _ in CONFIG_COUNTS],
+    )
+    def test_non_integers_are_rejected_before_out(
+        self, tmp_path, capsys, section, key, command, value
+    ):
+        payload = {key: value} if section is None else {section: {key: value}}
+        code, out = self.run(tmp_path, command, payload)
+        assert code == cli.EXIT_VALIDATION
+        name = key if section is None else f"{section}.{key}"
+        assert f"error: {name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", [8, [8], [1.0, float("nan")], [1.0, True], "ab"])
+    def test_simulated_beta_must_be_two_finite_numbers(self, tmp_path, capsys, beta):
+        simulate_section = {"n": 10, "n_star": 5, "replications": 1, "beta": beta}
+        code, out = self.run(tmp_path, "simulate", {"simulate": simulate_section})
+        assert code == cli.EXIT_VALIDATION
+        assert "error: simulate.beta must be two finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "command, flag",

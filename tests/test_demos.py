@@ -1,6 +1,7 @@
-"""Each narrative demo runs to completion against the current package."""
+"""Each narrative demo, and README's library tour, runs against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(tour, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert report.converged and report.xi.shape == (15,)

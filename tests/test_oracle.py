@@ -223,9 +223,27 @@ class TestQuadratureWorkBudget:
             return gh_raw(problem, order, xi, scale)
 
         monkeypatch.setattr(oracle, "_gh_raw", counted)
-        report = adjudicate_exactness(scalar_poisson(), order=64, error_target=0.0)
+        monkeypatch.setattr(oracle, "ERROR_TARGET", 0.0)
+        report = adjudicate_exactness(scalar_poisson(), order=64)
         assert report.oracle.order_or_samples == 256
         assert sorted(orders) == [32, 64, 128, 256]
+
+    def test_one_factorization_of_D_per_adjudication(self, monkeypatch):
+        # the factor that certified D is the one the integrand reads
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            factored.append(np.array(a, copy=True))
+            return cholesky(a)
+
+        drawn = gaussian_instance(seed=3)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        problem = GlmmProblem(
+            y=drawn.y, X=drawn.X, Z=drawn.Z, D=drawn.D, beta=drawn.beta, kernel=drawn.kernel
+        )
+        adjudicate_exactness(problem, order=16)  # evaluates orders 16 and 8 at least
+        assert sum(np.array_equal(a, problem.D) for a in factored) == 1
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_grid_is_in_product_order(self, r):

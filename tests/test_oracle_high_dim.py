@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glmmfp import oracle
 from glmmfp.families import poisson_kernel
 from glmmfp.fixed_point import GlmmProblem
 from glmmfp.oracle import (
@@ -90,12 +91,13 @@ def test_importance_over_budget_raises_before_drawing():
     assert peak < 1_000_000
 
 
-def test_r3_adjudication_stops_at_the_last_order_in_budget():
+def test_r3_adjudication_stops_at_the_last_order_in_budget(monkeypatch):
     problem = poisson_instance(3)
     assert 64**3 * (problem.n + problem.r) <= QUADRATURE_BUDGET
     assert 128**3 * (problem.n + problem.r) > QUADRATURE_BUDGET
     # a target no error estimate meets, so only the budget stops the doubling
-    report = adjudicate_exactness(problem, order=32, error_target=0.0)
+    monkeypatch.setattr(oracle, "ERROR_TARGET", 0.0)
+    report = adjudicate_exactness(problem, order=32)
     assert report.oracle.order_or_samples == 64
     assert report.verdict in {"CONFIRMED", "REFUTED", "INCONCLUSIVE"}
     assert report.oracle.error_estimate > 0.0

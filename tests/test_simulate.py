@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from glmmfp import simulate
 from glmmfp.covariance import MaternParams
 from glmmfp.simulate import (
     ORACLE,
@@ -40,15 +41,18 @@ class TestConfig:
             SimConfig(side=-1.0)
         with pytest.raises(ValueError, match="unknown scenarios"):
             SimConfig(scenarios=("oracle", "bogus"))
+        for beta in (8.0, (8.0,), (8.0, 0.0, 1.0), (8.0, np.nan), (True, 0.0), "ab"):
+            with pytest.raises(ValueError, match="beta"):
+                SimConfig(beta=beta)
 
 
 class TestGeneration:
     def test_deterministic_per_replication(self):
         a = generate_dataset(SMALL, 2)
         b = generate_dataset(SMALL, 2)
-        assert np.array_equal(a.problem.y, b.problem.y)
+        assert np.array_equal(a.problem.observed.y, b.problem.observed.y)
         assert np.array_equal(a.gamma, b.gamma)
-        assert np.array_equal(a.coords_unobs, b.coords_unobs)
+        assert np.array_equal(a.problem.coords_star, b.problem.coords_star)
 
     def test_replications_are_independent_of_order(self):
         # replication 5 is the same whether or not 0..4 were generated
@@ -56,24 +60,53 @@ class TestGeneration:
         for rep in range(5):
             generate_dataset(SMALL, rep)
         again = generate_dataset(SMALL, 5)
-        assert np.array_equal(direct.problem.y, again.problem.y)
+        assert np.array_equal(direct.problem.observed.y, again.problem.observed.y)
 
     def test_shapes(self):
         d = generate_dataset(SMALL, 0)
-        assert d.problem.y.shape == (50,)
+        obs = d.problem.observed
+        assert obs.y.shape == (50,)
         assert d.gamma.shape == (50,)
         assert d.gamma_star.shape == (40,)
-        assert d.problem.X.shape == (50, 2)
+        assert obs.X.shape == (50, 2)
         assert d.problem.Xstar.shape == (40, 2)
-        assert d.coords_obs.min() >= 0 and d.coords_obs.max() <= SMALL.side
+        assert obs.coords.min() >= 0 and obs.coords.max() <= SMALL.side
+        assert d.problem.coords_star.shape == (40, 2)
 
     def test_counts_are_poisson_like(self):
         d = generate_dataset(SMALL, 1)
-        assert np.all(d.problem.y >= 0)
-        assert np.all(d.problem.y == np.round(d.problem.y))
+        y = d.problem.observed.y
+        assert np.all(y >= 0)
+        assert np.all(y == np.round(y))
 
 
 class TestScenarios:
+    def test_estimation_reads_the_replications_own_sites(self, monkeypatch):
+        config = SimConfig(
+            n=30, n_star=20, beta=(2.0, 0.0), replications=1, side=5.0,
+            scenarios=(SIC_ESTIMATED,),
+        )
+        dataset = generate_dataset(config, 0)
+        handed, priors = [], []
+        estimate, build_blocked = simulate.estimate, simulate.build_blocked
+
+        def spy_estimate(data, *args, **kwargs):
+            handed.append(data)
+            return estimate(data, *args, **kwargs)
+
+        def spy_prior(omega, coords_obs, coords_unobs):
+            priors.append((coords_obs, coords_unobs))
+            return build_blocked(omega, coords_obs, coords_unobs)
+
+        monkeypatch.setattr(simulate, "estimate", spy_estimate)
+        monkeypatch.setattr(simulate, "build_blocked", spy_prior)
+        simulate._scenario_metrics(dataset, SIC_ESTIMATED, config)
+        problem = dataset.problem
+        assert len(handed) == 1 and handed[0] is problem.observed
+        [(coords_obs, coords_unobs)] = priors
+        assert coords_obs is problem.observed.coords
+        assert coords_unobs is problem.coords_star
+
     def test_oracle_and_sic_true_metrics(self):
         result = run_scenarios(SMALL)
         assert set(result.aggregates) == {ORACLE, SIC_TRUE}

@@ -7,7 +7,7 @@ from scipy.special import expit
 from glmmfp import covariance, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
-from glmmfp.estimate import SpatialData, approx_loglik
+from glmmfp.estimate import approx_loglik
 from glmmfp.families import (
     binomial_kernel,
     gaussian_kernel,
@@ -16,7 +16,7 @@ from glmmfp.families import (
     poisson_kernel,
 )
 from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
-from glmmfp.spatial import SpatialProblem, conditional_mean, fit_predict
+from glmmfp.spatial import SpatialData, SpatialProblem, conditional_mean, fit_predict
 
 
 def near_duplicate_prior():
@@ -54,53 +54,53 @@ def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
         y = X @ beta + gamma + rng.standard_normal(n)
     trials_star = rng.integers(1, 9, size=n_star) if family == "binomial" else None
     problem = SpatialProblem(
-        y=y, X=X, Xstar=Xstar, blocked=blocked, beta=beta, kernel=kernel,
-        trials_star=trials_star,
+        observed=SpatialData(y=y, X=X, coords=coords_obs, kernel=kernel), Xstar=Xstar,
+        coords_star=coords_unobs, blocked=blocked, beta=beta, trials_star=trials_star,
     )
     return problem, gamma, gamma_joint[n:]
 
 
 def working_u(problem, state):
     """Working response u = eta + (y - mu) / (phi w) at the solver's last iterate."""
-    mu, _ = mean_and_weight(problem.kernel, state.eta)
-    return state.eta + (problem.y - mu) / (problem.kernel.dispersion * state.w)
+    obs = problem.observed
+    mu, _ = mean_and_weight(obs.kernel, state.eta)
+    return state.eta + (obs.y - mu) / (obs.kernel.dispersion * state.w)
+
+
+def problem_fields(problem, **changes):
+    """The constructor arguments of ``problem``, with ``changes`` applied."""
+    fields = dict(
+        observed=problem.observed, Xstar=problem.Xstar, coords_star=problem.coords_star,
+        blocked=problem.blocked, beta=problem.beta, trials_star=problem.trials_star,
+    )
+    return {**fields, **changes}
 
 
 class TestValidation:
     def test_block_size_must_match_response(self):
         problem, _, _ = make_problem()
-        with pytest.raises(ValueError, match="observed covariance block"):
-            SpatialProblem(
-                y=problem.y[:-1],
-                X=problem.X[:-1],
-                Xstar=problem.Xstar,
-                blocked=problem.blocked,
-                beta=problem.beta,
-                kernel=problem.kernel,
-            )
+        obs = problem.observed
+        other = make_problem(n=26)[0].observed
+        shorter = SpatialData(
+            y=obs.y[:-1], X=obs.X[:-1], coords=obs.coords[:-1], kernel=obs.kernel
+        )
+        for observed in (shorter, other):
+            with pytest.raises(ValueError, match="observed covariance block"):
+                SpatialProblem(**problem_fields(problem, observed=observed))
 
     def test_xstar_must_match_unobserved_block(self):
         problem, _, _ = make_problem()
-        with pytest.raises(ValueError, match="unobserved covariance block"):
-            SpatialProblem(
-                y=problem.y,
-                X=problem.X,
-                Xstar=problem.Xstar[:-1],
-                blocked=problem.blocked,
-                beta=problem.beta,
-                kernel=problem.kernel,
-            )
+        for field in ("Xstar", "coords_star"):
+            for rows in (slice(None, -1), [0] * 11):
+                value = getattr(problem, field)[rows]
+                with pytest.raises(ValueError, match="unobserved covariance block"):
+                    SpatialProblem(**problem_fields(problem, **{field: value}))
 
     def test_design_dimensions_must_agree(self):
         problem, _, _ = make_problem()
         with pytest.raises(ValueError, match="fixed-effects dimension"):
             SpatialProblem(
-                y=problem.y,
-                X=problem.X,
-                Xstar=np.ones((problem.Xstar.shape[0], 2)),
-                blocked=problem.blocked,
-                beta=problem.beta,
-                kernel=problem.kernel,
+                **problem_fields(problem, Xstar=np.ones((problem.Xstar.shape[0], 2)))
             )
 
 
@@ -111,9 +111,9 @@ class TestGaussianClosedForm:
         problem, _, _ = make_problem(seed=3, family="gaussian")
         pred = fit_predict(problem)
         assert pred.report.converged
-        s2 = problem.kernel.variance
-        n = problem.y.shape[0]
-        resid = problem.y - problem.X @ problem.beta
+        s2 = problem.observed.kernel.variance
+        n = problem.observed.y.shape[0]
+        resid = problem.observed.y - problem.observed.X @ problem.beta
         expected = problem.blocked.d12.T @ np.linalg.solve(
             problem.blocked.d11 + s2 * np.eye(n), resid
         )
@@ -146,7 +146,7 @@ class TestPoissonPrediction:
         state = pred.report
         r11 = np.diag(1.0 / state.w) + problem.blocked.d11
         expected = problem.blocked.d12.T @ np.linalg.solve(
-            r11, working_u(problem, state) - problem.X @ problem.beta
+            r11, working_u(problem, state) - problem.observed.X @ problem.beta
         )
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-10
 
@@ -178,16 +178,14 @@ class TestBinomialPrediction:
         pred = fit_predict(problem)
         assert pred.report.converged
         m_star = problem.trials_star
-        assert not np.array_equal(m_star, problem.kernel.trials[:n_star])
+        assert not np.array_equal(m_star, problem.observed.kernel.trials[:n_star])
         expected = m_star * expit(problem.Xstar @ problem.beta + pred.xi_star)
         assert np.allclose(pred.y_hat_star, expected, rtol=1e-14)
 
     def test_trial_counts_required(self):
         problem, _, _ = make_problem(seed=16, n=6, n_star=4, family="binomial")
-        fields = dict(
-            y=problem.y, X=problem.X, Xstar=problem.Xstar,
-            blocked=problem.blocked, beta=problem.beta, kernel=problem.kernel,
-        )
+        fields = problem_fields(problem)
+        del fields["trials_star"]
         with pytest.raises(ValueError, match="trial counts"):
             SpatialProblem(**fields)
         with pytest.raises(ValueError, match="one count per unobserved site"):
@@ -347,7 +345,8 @@ class TestIdentityPathAgainstDenseFormulas:
     def dense_reference(problem, state):
         D = problem.blocked.d11
         R = D + np.diag(1.0 / state.w)
-        alpha = np.linalg.solve(R, working_u(problem, state) - problem.X @ problem.beta)
+        resid = working_u(problem, state) - problem.observed.X @ problem.beta
+        alpha = np.linalg.solve(R, resid)
         Xi = D - D @ np.linalg.solve(R, D)
         return D @ alpha, Xi, problem.blocked.d12.T @ alpha
 
@@ -371,19 +370,19 @@ class TestIdentityPathAgainstDenseFormulas:
         problem, _, _ = make_problem(seed=13, n=30, n_star=30, family=family)
         coords = np.random.default_rng(13).uniform(0, 10, size=(30, 2))
         omega = MaternParams(0.5, 1.0)
-        data = SpatialData(y=problem.y, X=problem.X, coords=coords, kernel=problem.kernel)
+        obs = problem.observed
+        data = SpatialData(y=obs.y, X=obs.X, coords=coords, kernel=obs.kernel)
         value = approx_loglik(data, problem.beta, omega)
         D = build_blocked(omega, coords).d11
         glmm = GlmmProblem(
-            y=problem.y, X=problem.X, Z=np.eye(30), D=D, beta=problem.beta,
-            kernel=problem.kernel,
+            y=obs.y, X=obs.X, Z=np.eye(30), D=D, beta=problem.beta, kernel=obs.kernel,
         )
         state = fit_posterior(glmm)
         R = D + np.diag(1.0 / state.w)
         _, logdet_xi = np.linalg.slogdet(D - D @ np.linalg.solve(R, D))
         _, logdet_d = np.linalg.slogdet(D)
         expected = (
-            log_likelihood(problem.kernel, state.eta, problem.y)
+            log_likelihood(obs.kernel, state.eta, obs.y)
             - 0.5 * (logdet_d + state.xi @ np.linalg.solve(D, state.xi))
             + 0.5 * logdet_xi
         )
@@ -395,9 +394,13 @@ class TestIdentityPathAgainstDenseFormulas:
         assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
         rng = np.random.default_rng(14)
         y = rng.poisson(3.0, size=7).astype(float)
+        coords = np.zeros((9, 2))  # the checks read only how many sites there are
         problem = SpatialProblem(
-            y=y, X=np.ones((7, 1)), Xstar=np.ones((2, 1)), blocked=blocked,
-            beta=np.array([1.0]), kernel=poisson_kernel(),
+            observed=SpatialData(
+                y=y, X=np.ones((7, 1)), coords=coords[:7], kernel=poisson_kernel()
+            ),
+            Xstar=np.ones((2, 1)), coords_star=coords[7:], blocked=blocked,
+            beta=np.array([1.0]),
         )
         self.check(problem)
 
