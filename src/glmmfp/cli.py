@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataio, oracle, simulate
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
-from .dataio import ConfigError, RunConfig, fmt
+from .dataio import ConfigError, RunConfig
 from .estimate import SpatialData, estimate
 from .families import BINOMIAL, GAUSSIAN, initial_eta
 from .fixed_point import (
@@ -59,7 +59,8 @@ _NUMERICAL_ERRORS = (
 
 def _fit_options(cfg: RunConfig) -> FitOptions:
     max_iter = dataio.read_int(cfg.sic, "max_iter", FitOptions.max_iter, 1, "sic")
-    return FitOptions(tol=float(cfg.sic.get("tol", FitOptions.tol)), max_iter=max_iter)
+    tol = dataio.read_float(cfg.sic.get("tol", FitOptions.tol), "sic.tol", positive=True)
+    return FitOptions(tol=tol, max_iter=max_iter)
 
 
 def _observed(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
@@ -140,14 +141,12 @@ def cmd_fit(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
     options = _fit_options(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     observed = _observed(cfg, dataset)
     beta, omega, est_meta = _resolve_params(cfg, observed, options)
     blocked = build_blocked(omega, observed.coords)
     report = fit_posterior(site_problem(observed, blocked, beta), options)
-    dataio.write_vector_csv(out / "xi.csv", "xi", report.xi)
-    dataio.write_symmetric_csv(out / "Xi.csv", report.Xi)
+    dataio.write_csv(args.out / "xi.csv", ("site", "xi"), enumerate(report.xi))
+    dataio.write_symmetric_csv(args.out / "Xi.csv", report.Xi)
     payload = {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -158,7 +157,7 @@ def cmd_fit(args) -> int:
     }
     if est_meta:
         payload["estimation"] = est_meta
-    dataio.write_json(out / "report.json", payload)
+    dataio.write_json(args.out / "report.json", payload)
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
@@ -176,16 +175,13 @@ def cmd_predict(args) -> int:
     if train.n < 1:
         raise ConfigError("no training rows")
     options = _fit_options(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    prediction = _fit_predict_split(cfg, train, test, options)
-    dataio.write_predictions_csv(
-        out / "predictions.csv",
-        prediction.xi_star,
-        prediction.y_hat_star,
-        prediction.u_hat_star,
+    pred = _fit_predict_split(cfg, train, test, options)
+    dataio.write_csv(
+        args.out / "predictions.csv",
+        ("site", "xi_star", "y_hat_star", "u_hat_star"),
+        zip(range(len(pred.xi_star)), pred.xi_star, pred.y_hat_star, pred.u_hat_star),
     )
-    return EXIT_OK if prediction.report.converged else EXIT_NONCONVERGENCE
+    return EXIT_OK if pred.report.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_simulate(args) -> int:
@@ -199,25 +195,27 @@ def cmd_simulate(args) -> int:
         sim["seed"] = args.seed
     # each count's least value; SimConfig checks beta itself
     counts = {"n": 1, "n_star": 1, "replications": 1, "seed": 0}
-    conversions = {"omega": dataio.parse_matern, "side": float, "scenarios": tuple}
     for key, value in sim.items():
+        name = f"simulate.{key}"
         if key in counts:
             sim[key] = dataio.read_int(sim, key, None, counts[key], "simulate")
-        elif key in conversions:
-            sim[key] = conversions[key](value)
+        elif key == "omega":
+            sim[key] = dataio.parse_matern(value, name)
+        elif key == "side":
+            sim[key] = dataio.read_float(value, name, positive=True)
+        elif key == "scenarios":
+            sim[key] = tuple(dataio.read_list(value, name))
     config = SimConfig(**sim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         result = run_scenarios(config)
     except simulate.ScenarioFailureError as exc:
         # the records say which replications failed and why
-        write_audit_json(exc.result, out / "audit.json")
+        write_audit_json(exc.result, args.out / "audit.json")
         raise
     log.info("simulation finished in %.1f s", time.perf_counter() - start)
-    write_table_csv(result, out / "table.csv")
-    write_audit_json(result, out / "audit.json")
+    write_table_csv(result, args.out / "table.csv")
+    write_audit_json(result, args.out / "audit.json")
     return EXIT_OK
 
 
@@ -228,7 +226,7 @@ def cmd_validate(args) -> int:
     splits = dataio.read_int(val, "splits", 20, 1, "validate")
     n_train = dataio.read_int(val, "n_train", 80, 1, "validate")
     n_test = dataio.read_int(val, "n_test", 20, 1, "validate")
-    tiers = list(val.get("tiers", dataio.TIERS))
+    tiers = dataio.read_list(val.get("tiers", list(dataio.TIERS)), "validate.tiers")
     for tier in tiers:
         # a tier's design width is the same on every split
         _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
@@ -238,8 +236,6 @@ def cmd_validate(args) -> int:
         )
     seed = args.seed if args.seed is not None else cfg.seed
     options = _fit_options(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = []
     for split in range(splits):
@@ -254,18 +250,14 @@ def cmd_validate(args) -> int:
                 rows.append((split, tier, g2))
             except Exception as exc:  # noqa: BLE001 - recorded per split
                 failures.append({"split": split, "tier": tier, "error": str(exc)})
-    lines = ["split,tier,g2"]
-    for split, tier, g2 in rows:
-        lines.append(f"{split},{tier},{fmt(g2)}")
-    with open(out / "validation.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    dataio.write_csv(args.out / "validation.csv", ("split", "tier", "g2"), rows)
     summary = {}
     for tier in tiers:
         vals = [g2 for _, t, g2 in rows if t == tier]
         if vals:
             summary[tier] = {"mean_g2": sum(vals) / len(vals), "splits": len(vals)}
     dataio.write_json(
-        out / "summary.json", {"tiers": summary, "failures": failures}
+        args.out / "summary.json", {"tiers": summary, "failures": failures}
     )
     return EXIT_OK if not failures else EXIT_NUMERICAL
 
@@ -333,8 +325,6 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else dataio.read_int(
         ver, "battery_seed", cfg.seed, 0, "verify"
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng([seed, 0])
     chunk_max = []
@@ -367,7 +357,7 @@ def cmd_verify(args) -> int:
         "order": order,
         "seed": seed,
     }
-    dataio.write_json(out / "verdicts.json", payload)
+    dataio.write_json(args.out / "verdicts.json", payload)
     if not identity_max <= 1e-8:
         log.error("factorization identity violated: max gap %.3e", identity_max)
         return EXIT_NUMERICAL
@@ -395,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=".")
+        p.add_argument("--out", type=Path, default=".")
         p.add_argument("--quiet", action="store_true")
         if needs_data:
             p.add_argument("--data", required=True)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -87,16 +89,38 @@ def read_int(section: dict, key: str, default, low: int, where: str, high=math.i
     return int(value)
 
 
-def parse_matern(obj) -> MaternParams:
-    _check_keys(obj, _MATERN_KEYS, "matern")
+def read_float(value, name: str, positive: bool = False) -> float:
+    """``value``, a finite JSON number (> 0 when ``positive``), as a float.
+
+    Anything else, a bool or a numeric string included, is a ConfigError
+    naming ``name``.
+    """
+    # compared, not converted, so NaN and ints beyond float range fail too
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or (
+        positive and value <= 0
+    ):
+        kind = "a positive number" if positive else "a finite number"
+        raise ConfigError(f"{name} must be {kind}: {value!r}")
+    return float(value)
+
+
+def read_list(value, name: str) -> list:
+    """``value`` if it is a JSON array, else a ConfigError naming ``name``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array: {value!r}")
+    return value
+
+
+def parse_matern(obj, where: str = "matern") -> MaternParams:
+    _check_keys(obj, _MATERN_KEYS, where)
+    omegas = [
+        read_float(obj.get(key, default), f"{where}.{key}")
+        for key, default in (("omega1", None), ("omega2", None), ("omega3", 0.5))
+    ]
     try:
-        return MaternParams(
-            omega1=float(obj.get("omega1")),
-            omega2=float(obj.get("omega2")),
-            omega3=float(obj.get("omega3", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid matern parameters: {exc}") from exc
+        return MaternParams(*omegas)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where} parameters: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -112,7 +136,7 @@ def load_config(path) -> RunConfig:
     cfg.family = raw.get("family", "poisson")
     if cfg.family not in ("poisson", "binomial", "gaussian"):
         raise ConfigError(f"unknown family {cfg.family!r}")
-    cfg.covariates = list(raw.get("covariates", []))
+    cfg.covariates = read_list(raw.get("covariates", []), "covariates")
     cfg.model_tier = raw.get("model_tier", "intercept")
     if cfg.model_tier not in TIERS:
         raise ConfigError(f"unknown model_tier {cfg.model_tier!r}")
@@ -121,17 +145,13 @@ def load_config(path) -> RunConfig:
         cfg.matern = ESTIMATE if matern == ESTIMATE else parse_matern(matern)
     beta = raw.get("beta")
     if beta is not None:
-        if beta == ESTIMATE:
-            cfg.beta = ESTIMATE
-        else:
-            try:
-                cfg.beta = [float(b) for b in beta]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("beta must be a list of numbers or 'estimate'") from exc
+        cfg.beta = ESTIMATE if beta == ESTIMATE else [
+            read_float(b, f"beta[{i}]") for i, b in enumerate(read_list(beta, "beta"))
+        ]
     if "gaussian_variance" in raw:
-        cfg.gaussian_variance = float(raw["gaussian_variance"])
-        if cfg.gaussian_variance <= 0:
-            raise ConfigError("gaussian_variance must be positive")
+        cfg.gaussian_variance = read_float(
+            raw["gaussian_variance"], "gaussian_variance", positive=True
+        )
     _check_keys(raw.get("sic", {}), _SIC_KEYS, "sic")
     cfg.sic = raw.get("sic", {})
     cfg.seed = read_int(raw, "seed", 0, 0, "")
@@ -256,11 +276,18 @@ def build_design(dataset: Dataset, cfg: RunConfig, tier: str | None = None) -> n
 # ---------------------------------------------------------------------------
 
 
-def write_vector_csv(path, name: str, values):
-    lines = [f"site,{name}"]
-    for i, v in enumerate(np.atleast_1d(values)):
-        lines.append(f"{i},{fmt(v)}")
-    with open(path, "w") as fh:
+def _open_for_write(path):
+    """``path`` opened for writing, its directory created first; every writer's file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
+
+
+def write_csv(path, header, rows):
+    """Write a headed CSV: string cells as they are, every other cell by :func:`fmt`."""
+    lines = [",".join(header)]
+    lines += (",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows)
+    with _open_for_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -278,23 +305,13 @@ def write_symmetric_csv(path, matrix):
     n = matrix.shape[0]
     # column k's cells above the diagonal, in the rows written so far
     columns = [[] for _ in range(n)]
-    with open(path, "w") as fh:
+    with _open_for_write(path) as fh:
         for i, row in enumerate(matrix):
             upper = (",".join(["%.17g"] * (n - i)) % tuple(row[i:].tolist())).split(",")
             fh.write(",".join(columns[i] + upper) + "\n")
             columns[i] = None
             for k in range(1, n - i):
                 columns[i + k].append(upper[k])
-
-
-def write_predictions_csv(path, xi_star, y_hat_star, u_hat_star):
-    lines = ["site,xi_star,y_hat_star,u_hat_star"]
-    for i in range(len(np.atleast_1d(xi_star))):
-        lines.append(
-            f"{i},{fmt(xi_star[i])},{fmt(y_hat_star[i])},{fmt(u_hat_star[i])}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _json_safe(value):
@@ -310,7 +327,7 @@ def _json_safe(value):
 
 def write_json(path, payload: dict):
     """Write ``payload`` as RFC 8259 JSON: a non-finite float becomes ``null``."""
-    with open(path, "w") as fh:
+    with _open_for_write(path) as fh:
         json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -335,8 +352,4 @@ def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0):
     blocked = build_blocked(SYNTHETIC_OMEGA, coords)
     gamma = blocked.chol @ rng.standard_normal(n_sites)
     y = rng.poisson(np.exp(SYNTHETIC_BETA0 + gamma))
-    lines = ["y,x_coord,y_coord"]
-    for yi, (cx, cy) in zip(y, coords):
-        lines.append(f"{int(yi)},{fmt(cx)},{fmt(cy)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("y", "x_coord", "y_coord"), zip(y, *coords.T))

@@ -188,7 +188,7 @@ def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
 
 
 def moments_quadrature(
-    problem: GlmmProblem, order: int = 64, center=None, *, _evaluated=None
+    problem: GlmmProblem, order: int = 64, center=None
 ) -> PosteriorMoments:
     """Gauss-Hermite tensor quadrature posterior moments.
 
@@ -199,14 +199,18 @@ def moments_quadrature(
     is halved.  Raises ``CapabilityError`` for r above
     ``QUADRATURE_DIM_LIMIT`` or a grid over ``QUADRATURE_BUDGET``, before
     anything is fitted or allocated.
-
-    ``_evaluated`` maps an order to its tensor sums; calls that share one
-    mapping must share the problem and center.  ``adjudicate_exactness``
-    passes one per adjudication, so each order is evaluated once.
     """
     _check_quadrature(problem, order)
     xi, scale = _center_and_scale(problem, center)
-    evaluated = {} if _evaluated is None else _evaluated
+    return _quadrature(problem, order, xi, scale, {})
+
+
+def _quadrature(problem: GlmmProblem, order: int, xi, scale, evaluated: dict):
+    """The moments at ``order`` from the tensor sums of ``order`` and its half.
+
+    ``evaluated`` maps an order to its sums under this ``xi`` and
+    ``scale``; a missing order is evaluated and added.
+    """
     for k in (order, order // 2):
         if k not in evaluated:
             evaluated[k] = _gh_raw(problem, k, xi, scale)
@@ -284,25 +288,25 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
     verdict never rests on an under-resolved reference unless it says
     so: doubling also stops at ``MAX_QUADRATURE_ORDER`` and at the last
     order whose grid fits ``QUADRATURE_BUDGET``, and the thresholds then
-    judge the error estimate reached there.  Each order
-    is evaluated once (64 -> 256 evaluates 32, 64, 128 and 256).
+    judge the error estimate reached there.  ``2 Xi`` is factored once
+    and each order evaluated once (64 -> 256 evaluates 32, 64, 128 and 256).
     Raises ``CapabilityError`` before fitting when ``order`` itself is
     over the budget.
     """
     _check_quadrature(problem, order)
     fit = fit_posterior(problem, FitOptions())
-    xi, Xi = fit.xi, fit.Xi
+    xi, scale = _center_and_scale(problem, (fit.xi, fit.Xi))
     evaluated = {}
-    ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
+    ref = _quadrature(problem, order, xi, scale, evaluated)
     while (
         ref.error_estimate > ERROR_TARGET
         and 2 * order <= MAX_QUADRATURE_ORDER
         and _fits_budget(problem, 2 * order)
     ):
         order *= 2
-        ref = moments_quadrature(problem, order, (xi, Xi), _evaluated=evaluated)
+        ref = _quadrature(problem, order, xi, scale, evaluated)
     mean_gap = float(np.max(np.abs(xi - ref.mean)))
-    cov_gap = float(np.max(np.abs(Xi - ref.cov)))
+    cov_gap = float(np.max(np.abs(fit.Xi - ref.cov)))
     gap = max(mean_gap, cov_gap)
     if gap <= max(CONFIRM_FLOOR, CONFIRM_MULT * ref.error_estimate):
         verdict = "CONFIRMED"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import MaternParams, build_blocked
-from .dataio import ConfigError, fmt, write_json
+from .dataio import ConfigError, write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions
@@ -92,9 +92,9 @@ class SimConfig:
             raise ValueError("site counts must be >= 1")
         if self.side <= 0:
             raise ValueError("side length must be positive")
-        unknown = set(self.scenarios) - set(SCENARIOS)
+        unknown = [s for s in self.scenarios if s not in SCENARIOS]
         if unknown:
-            raise ValueError(f"unknown scenarios: {sorted(unknown)}")
+            raise ValueError(f"unknown scenarios: {unknown}")
 
 
 @dataclass(eq=False)
@@ -226,16 +226,11 @@ _TABLE_COLUMNS = (
 
 def write_table_csv(result: SimResult, path):
     """Aggregate metrics, one row per scenario."""
-    lines = [",".join(_TABLE_COLUMNS)]
-    for scenario in result.config.scenarios:
-        if scenario not in result.aggregates:
-            continue
-        agg = result.aggregates[scenario]
-        lines.append(
-            ",".join([scenario] + [fmt(agg[c]) for c in _TABLE_COLUMNS[1:]])
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        [s] + [result.aggregates[s][c] for c in _TABLE_COLUMNS[1:]]
+        for s in result.config.scenarios if s in result.aggregates
+    ]
+    write_csv(path, _TABLE_COLUMNS, rows)
 
 
 def write_audit_json(result: SimResult, path):

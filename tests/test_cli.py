@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from glmmfp import cli, dataio, fixed_point, simulate
+from glmmfp import cli, covariance, dataio, fixed_point, simulate
 from glmmfp.covariance import MaternParams, build_blocked
 
 
@@ -679,8 +679,41 @@ CONFIG_COUNTS = [
 ]
 
 
+# each config number or list that is not a count, as (the command that reads
+# it, the config, the start of its error)
+CONFIG_VALUES = [
+    ("fit", {"sic": {"tol": True}}, "sic.tol must be a positive number: True"),
+    ("fit", {"sic": {"tol": 0}}, "sic.tol must be a positive number: 0"),
+    ("fit", {"sic": {"tol": "1e-8"}}, "sic.tol must be a positive number"),
+    ("fit", {"beta": "4"}, "beta must be a JSON array: '4'"),
+    ("fit", {"beta": [True]}, "beta[0] must be a finite number: True"),
+    ("fit", {"beta": [1.0, float("inf")]}, "beta[1] must be a finite number"),
+    ("fit", {"beta": [10**400]}, "beta[0] must be a finite number: 1000"),
+    ("fit", {"family": "gaussian", "gaussian_variance": True},
+     "gaussian_variance must be a positive number: True"),
+    ("fit", {"family": "gaussian", "gaussian_variance": "x"},
+     "gaussian_variance must be a positive number: 'x'"),
+    ("fit", {"family": "gaussian", "gaussian_variance": 0.0},
+     "gaussian_variance must be a positive number"),
+    ("fit", {"covariates": "elev"}, "covariates must be a JSON array: 'elev'"),
+    ("fit", {"matern": {"omega1": 0.5, "omega2": "1"}},
+     "matern.omega2 must be a finite number: '1'"),
+    ("simulate", {"simulate": {"side": True}},
+     "simulate.side must be a positive number: True"),
+    ("simulate", {"simulate": {"side": -2.0}}, "simulate.side must be a positive number"),
+    ("simulate", {"simulate": {"scenarios": "oracle"}},
+     "simulate.scenarios must be a JSON array"),
+    ("simulate", {"simulate": {"scenarios": [["oracle"]]}},
+     "unknown scenarios: [['oracle']]"),
+    ("simulate", {"simulate": {"omega": {"omega1": 0.5, "omega2": False}}},
+     "simulate.omega.omega2 must be a finite number"),
+    ("validate", {"validate": {"tiers": "intercept"}},
+     "validate.tiers must be a JSON array"),
+]
+
+
 class TestConfigCounts:
-    """A count that is not an integer is a config error named by its key."""
+    """A config count, number or list of the wrong kind is an error naming its key."""
 
     @staticmethod
     def run(tmp_path, command, payload):
@@ -714,6 +747,63 @@ class TestConfigCounts:
         code, out = self.run(tmp_path, "simulate", {"simulate": simulate_section})
         assert code == cli.EXIT_VALIDATION
         assert "error: simulate.beta must be two finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, payload, message", CONFIG_VALUES,
+        ids=[f"{command}-{message.split()[0]}" for command, _, message in CONFIG_VALUES],
+    )
+    def test_numbers_and_lists_are_checked_not_coerced(
+        self, tmp_path, capsys, command, payload, message
+    ):
+        code, out = self.run(tmp_path, command, payload)
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    """``--out`` is created by a command's first result file, not before."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("fit", {"beta": [4.5, 1.0]}),
+            ("predict", {"beta": [4.5, 1.0]}),
+            ("simulate", {"simulate": {"scenarios": ["oracle", "kriging"]}}),
+            ("validate", {"validate": {"tiers": ["cubic"]}}),
+            ("verify", {"verify": {"order": 4}}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_config_error_leaves_no_out(self, tmp_path, command, payload):
+        payload = {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}, **payload}
+        out = tmp_path / "out" / "nested"
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(out),
+                "--quiet"]
+        if command in ("fit", "predict", "validate"):
+            argv += ["--data", poisson_dataset(tmp_path)[0]]
+        if command == "predict":
+            argv += ["--test", poisson_dataset(tmp_path, n=5, seed=1, name="test.csv")[0]]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_prior_leaves_no_out(self, tmp_path, monkeypatch, capsys):
+        def never_positive_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        data = poisson_dataset(tmp_path)[0]
+        config = write_config(
+            tmp_path, {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}}
+        )
+        # every factorization fails, so the prior escalates its jitter to the cap
+        monkeypatch.setattr(covariance, "cho_factor", never_positive_definite)
+        out = tmp_path / "out"
+        code = cli.main(["fit", "--config", config, "--data", data, "--out", str(out),
+                         "--quiet"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "not positive definite after jitter" in capsys.readouterr().err
         assert not out.exists()
 
 

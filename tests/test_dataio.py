@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from glmmfp.dataio import (
     write_json,
     write_symmetric_csv,
     write_synthetic_counts,
-    write_vector_csv,
 )
 
 
@@ -223,10 +224,41 @@ class TestDesign:
 class TestWriters:
     def test_vector_csv_full_precision(self, tmp_path):
         path = tmp_path / "xi.csv"
-        write_vector_csv(path, "xi", [1.0 / 3.0])
+        dataio.write_csv(path, ("site", "xi"), enumerate([1.0 / 3.0]))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "site,xi"
         assert float(lines[1].split(",")[1]) == 1.0 / 3.0
+
+    # each cell as the per-file writers it replaced rendered it: an index or
+    # a count by f"{int(v)}", a label as it is, a number by fmt
+    @pytest.mark.parametrize(
+        "cell, text",
+        [(7, "7"), (np.int64(1800), "1800"), (0.1, "0.10000000000000001"),
+         (np.float64(1.0 / 3.0), "0.33333333333333331"), (float("nan"), "nan"),
+         (np.inf, "inf"), (-np.inf, "-inf"), (-0.0, "-0"), (1e-300, "1e-300"),
+         ("quadratic", "quadratic")],
+    )
+    def test_csv_cell_rendering(self, tmp_path, cell, text):
+        path = tmp_path / "t.csv"
+        dataio.write_csv(path, ("site", "value"), [(0, cell), (np.int64(1), cell)])
+        assert path.read_bytes() == f"site,value\n0,{text}\n1,{text}\n".encode()
+
+    def test_csv_without_rows_is_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataio.write_csv(path, ("split", "tier", "g2"), [])
+        assert path.read_bytes() == b"split,tier,g2\n"
+
+    def test_every_writer_creates_the_missing_directory(self, tmp_path):
+        writes = {
+            "a.csv": lambda p: dataio.write_csv(p, ("x",), [(1.5,)]),
+            "b.csv": lambda p: write_symmetric_csv(p, np.eye(2)),
+            "c.json": lambda p: write_json(p, {"x": 1}),
+            "d.csv": lambda p: write_synthetic_counts(p, n_sites=3),
+        }
+        for name, write in writes.items():
+            path = tmp_path / name.split(".")[0] / "nested" / name
+            write(path)
+            assert path.is_file()
 
     def test_fmt_round_trips(self):
         for x in (0.1, np.pi, 1e-300, -2.5e17):
@@ -288,3 +320,49 @@ class TestWriters:
         write_synthetic_counts(a, n_sites=10, seed=3)
         write_synthetic_counts(b, n_sites=10, seed=3)
         assert a.read_bytes() == b.read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "glmmfp"
+
+
+def file_writes(node):
+    """The name of each ``mkdir`` call and each write-mode open under ``node``."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("mkdir", "makedirs", "write_text", "write_bytes"):
+            yield name
+        elif name == "open":
+            # open(path, mode) or path.open(mode); a mode not spelled out counts
+            modes = call.args[1:] if isinstance(func, ast.Name) else call.args
+            modes = [*modes, *(k.value for k in call.keywords if k.arg == "mode")]
+            if modes and not (
+                isinstance(modes[0], ast.Constant) and set(modes[0].value) <= set("rbt")
+            ):
+                yield name
+
+
+class TestOneWriter:
+    def test_files_are_written_only_through_the_dataio_helper(self):
+        found = set()
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                owner = getattr(node, "name", None)
+                found |= {(path.stem, owner, call) for call in file_writes(node)}
+        assert found == {
+            ("dataio", "_open_for_write", "mkdir"),
+            ("dataio", "_open_for_write", "open"),
+        }
+
+    @pytest.mark.parametrize(
+        "source, calls",
+        [("open(p, 'w')", ["open"]), ("open(p, mode='a')", ["open"]),
+         ("p.open('wb')", ["open"]), ("open(p, m)", ["open"]),
+         ("p.mkdir()", ["mkdir"]), ("os.makedirs(d)", ["makedirs"]),
+         ("p.write_text(s)", ["write_text"]), ("open(p)", []), ("open(p, 'rb')", []),
+         ("p.open()", [])],
+    )
+    def test_the_guard_sees_each_way_to_write(self, source, calls):
+        assert list(file_writes(ast.parse(source))) == calls

@@ -159,6 +159,26 @@ class TestAdjudication:
         assert report.fit.Xi.shape == (1, 1)
         assert report.oracle.method == "gauss_hermite"
 
+    def test_gap_between_the_thresholds_is_inconclusive(self, monkeypatch):
+        # one order and its half, so the oracle error stays well above zero
+        monkeypatch.setattr(oracle, "ERROR_TARGET", np.inf)
+        known = adjudicate_exactness(scalar_poisson(y=3.0), order=8)
+        gap = max(known.mean_gap, known.cov_gap)
+        ratio = gap / known.oracle.error_estimate
+        assert known.oracle.error_estimate > 0.0 and gap > 0.0
+        monkeypatch.setattr(oracle, "CONFIRM_FLOOR", 0.0)
+        monkeypatch.setattr(oracle, "CONFIRM_MULT", ratio / 2)
+        monkeypatch.setattr(oracle, "REFUTE_MULT", ratio * 2)
+        report = adjudicate_exactness(scalar_poisson(y=3.0), order=8)
+        assert (report.mean_gap, report.cov_gap) == (known.mean_gap, known.cov_gap)
+        assert report.verdict == "INCONCLUSIVE"
+        # the same gap on either side of the band
+        monkeypatch.setattr(oracle, "CONFIRM_MULT", ratio * 1.5)
+        assert adjudicate_exactness(scalar_poisson(y=3.0), order=8).verdict == "CONFIRMED"
+        monkeypatch.setattr(oracle, "CONFIRM_MULT", ratio / 4)
+        monkeypatch.setattr(oracle, "REFUTE_MULT", ratio / 2)
+        assert adjudicate_exactness(scalar_poisson(y=3.0), order=8).verdict == "REFUTED"
+
     def test_dimension_limit(self):
         rng = np.random.default_rng(4)
         problem = GlmmProblem(

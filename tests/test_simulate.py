@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from glmmfp import simulate
 from glmmfp.covariance import MaternParams
+from glmmfp.fixed_point import FitOptions
 from glmmfp.simulate import (
     ORACLE,
     SIC_ESTIMATED,
@@ -116,6 +118,20 @@ class TestScenarios:
         assert result.aggregates[SIC_TRUE]["rl2"] < 0.2
         assert result.failures == {ORACLE: 0, SIC_TRUE: 0}
         assert len(result.records) == SMALL.replications
+
+    def test_nonconverged_fit_is_a_failed_replication(self, monkeypatch):
+        # one iteration cannot reach the default tolerance
+        monkeypatch.setattr(simulate, "FitOptions", lambda: FitOptions(max_iter=1))
+        cfg = replace(SMALL, replications=1)
+        with pytest.raises(simulate.ScenarioFailureError) as exc:
+            run_scenarios(cfg)
+        [record] = exc.value.result.records
+        assert record[SIC_TRUE] == {
+            "failed": True, "error": "mode-finder did not converge",
+            "error_type": "RuntimeError",
+        }
+        assert "failed" not in record[ORACLE]
+        assert exc.value.result.failures == {ORACLE: 0, SIC_TRUE: 1}
 
     def test_estimated_scenario_produces_rmse_columns(self):
         cfg = SimConfig(
