@@ -35,13 +35,14 @@ gamma, gamma_star = gamma_all[:n], gamma_all[n:]
 
 beta = np.array([2.0])
 X = np.ones((n, 1))
-Xstar = np.ones((n_star, 1))
 y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
 
+# each site set is one SpatialData; the new sites have no response
 observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
-problem = SpatialProblem(
-    observed=observed, Xstar=Xstar, coords_star=coords_new, blocked=blocked, beta=beta
+new_sites = SpatialData(
+    y=None, X=np.ones((n_star, 1)), coords=coords_new, kernel=poisson_kernel()
 )
+problem = SpatialProblem(observed, new_sites, blocked, beta)
 prediction = fit_predict(problem)
 assert prediction.report.converged
 

@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``    - randomized factorization-identity suite and exactness
                   adjudication against the quadrature oracle
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 non-convergence.
+Exit codes: 0 success, 1 validation or output error, 2 numerical
+failure, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import dataio, oracle, simulate
 from .covariance import MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig
-from .estimate import SpatialData, estimate
+from .estimate import estimate
 from .families import BINOMIAL, GAUSSIAN, initial_eta
 from .fixed_point import (
     FitOptions,
@@ -36,9 +36,10 @@ from .fixed_point import (
     random_identity_instance,
 )
 from .metrics import deviance_gof
-from .oracle import CapabilityError, UnreliableEstimateError, adjudicate_exactness
+from .oracle import CapabilityError, adjudicate_exactness
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
-from .spatial import SpatialPrediction, SpatialProblem, fit_predict, site_problem
+from .spatial import SpatialData, SpatialPrediction, SpatialProblem
+from .spatial import fit_predict, site_problem
 
 log = logging.getLogger("glmmfp")
 
@@ -50,7 +51,6 @@ EXIT_NONCONVERGENCE = 3
 _NUMERICAL_ERRORS = (
     SingularCovarianceError,
     CapabilityError,
-    UnreliableEstimateError,
     simulate.ScenarioFailureError,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -63,8 +63,8 @@ def _fit_options(cfg: RunConfig) -> FitOptions:
     return FitOptions(tol=tol, max_iter=max_iter)
 
 
-def _observed(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
-    """The dataset's sites: response, the tier's design, coordinates, family."""
+def _sites(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
+    """The dataset's sites: response if any, the tier's design, coordinates, family."""
     X = dataio.build_design(dataset, cfg, tier)
     kernel = dataio.make_kernel(cfg, dataset.trials)
     return SpatialData(y=dataset.y, X=X, coords=dataset.coords, kernel=kernel)
@@ -122,13 +122,10 @@ def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
 
 def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPrediction:
     """Fit the mode at the training sites and predict at the test sites."""
-    observed = _observed(cfg, train, tier)
+    observed = _sites(cfg, train, tier)
     beta, omega, _ = _resolve_params(cfg, observed, options)
     blocked = build_blocked(omega, observed.coords, test.coords)
-    problem = SpatialProblem(
-        observed=observed, Xstar=dataio.build_design(test, cfg, tier),
-        coords_star=test.coords, blocked=blocked, beta=beta, trials_star=test.trials,
-    )
+    problem = SpatialProblem(observed, _sites(cfg, test, tier), blocked, beta)
     return fit_predict(problem, options)
 
 
@@ -141,7 +138,7 @@ def cmd_fit(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
     options = _fit_options(cfg)
-    observed = _observed(cfg, dataset)
+    observed = _sites(cfg, dataset)
     beta, omega, est_meta = _resolve_params(cfg, observed, options)
     blocked = build_blocked(omega, observed.coords)
     report = fit_posterior(site_problem(observed, blocked, beta), options)
@@ -407,6 +404,13 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: Path):
+    """Reject an ``--out`` that no writer could create: a file is in its way."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -414,6 +418,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

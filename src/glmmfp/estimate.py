@@ -43,7 +43,6 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 from scipy.special import expit, logit
 
-from . import families
 from .covariance import (
     BlockedCovariance,
     MaternParams,
@@ -84,13 +83,9 @@ def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions, 
 
 
 def _surrogate(report: FitReport) -> float:
-    problem = report.problem
-    loglik = families.log_likelihood(
-        problem.kernel, report.eta, problem.y, const=problem.response_term
-    )
     logdet_r = 2.0 * np.sum(np.log(np.diag(report.factor[0])))
     logdet_rw = logdet_r + np.sum(np.log(report.w))
-    return float(loglik - 0.5 * (report.xi @ report.alpha) - 0.5 * logdet_rw)
+    return float(report.log_posterior - 0.5 * logdet_rw)
 
 
 def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:

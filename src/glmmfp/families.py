@@ -34,9 +34,9 @@ class FamilyKernel:
     """Response family with canonical link.
 
     ``trials`` is required for the binomial family (per-observation trial
-    counts, stored as counts rather than proportions) and must be absent
-    otherwise.  ``variance`` is the fixed, known error variance of the
-    Gaussian family and must be absent otherwise.
+    counts, not proportions; empty for no observations) and must be
+    absent otherwise.  ``variance`` is the fixed, known error variance of
+    the Gaussian family and must be absent otherwise.
     """
 
     family: str
@@ -50,8 +50,8 @@ class FamilyKernel:
             if self.trials is None:
                 raise ValueError("binomial kernel requires trial counts")
             m = np.asarray(self.trials, dtype=float)
-            if m.ndim != 1 or m.size == 0:
-                raise ValueError("trial counts must be a nonempty vector")
+            if m.ndim != 1:
+                raise ValueError("trial counts must be a vector")
             if not np.all(np.isfinite(m)) or np.any(m < 1) or np.any(m != np.round(m)):
                 raise ValueError("trial counts must be integers >= 1")
             object.__setattr__(self, "trials", m)

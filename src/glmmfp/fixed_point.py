@@ -161,11 +161,11 @@ class FitReport:
     ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
     ``R = D + W^-1`` on the identity design or of ``H = D^-1 + Z'WZ``
     for any other design.  ``alpha = D^-1 xi`` is the solver's carried
-    prior-precision image of ``xi``.  ``Xi`` is computed from ``factor``
+    prior-precision image of ``xi``, and ``log_posterior`` is
+    ``log f(y | eta) - xi' alpha / 2``.  ``Xi`` is computed from ``factor``
     on first access.  ``trace`` holds one ``(step, residual)`` pair per
     iteration: the sup norm of the increment taken and of the full
-    Newton increment.  ``halvings`` counts the step halvings over the
-    whole fit.
+    Newton increment.  ``halvings`` counts the step halvings over the fit.
     """
 
     problem: GlmmProblem = field(repr=False)
@@ -174,6 +174,7 @@ class FitReport:
     w: np.ndarray
     alpha: np.ndarray
     factor: tuple = field(repr=False)
+    log_posterior: float
     residual: float
     converged: bool
     trace: list
@@ -344,7 +345,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         halvings += k
         xi, a, eta, logpost = xi_t, a_t, eta_t, logpost_t
     return FitReport(
-        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf,
+        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf, log_posterior=logpost,
         residual=residual, converged=converged, trace=trace, halvings=halvings,
         eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
     )

@@ -29,6 +29,7 @@ so results are identical regardless of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,13 @@ SCENARIOS = (ORACLE, SIC_TRUE, SIC_ESTIMATED)
 DEFAULT_SIDE = 20.0
 
 MAX_FAILURE_FRACTION = 0.05
+
+# (n + n*)**2 doubles, the joint prior of one replication.  A replication
+# peaks at about three such arrays (the covariance in its distance buffer,
+# its factor, the mode fit's n x n buffer): 2.5 at n = n* = 800 by
+# tracemalloc.  2**24 doubles is 128 MiB an array, so the peak stays near
+# 400 MiB, and n + n* <= 4096, five times the reference 400 + 400
+SIM_BUDGET = 2**24
 
 
 class ScenarioFailureError(RuntimeError):
@@ -90,6 +98,11 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.n < 1 or self.n_star < 1:
             raise ValueError("site counts must be >= 1")
+        if (self.n + self.n_star) ** 2 > SIM_BUDGET:
+            raise ConfigError(
+                f"simulate.n + simulate.n_star must be at most {math.isqrt(SIM_BUDGET)}, "
+                f"a joint prior of {SIM_BUDGET} doubles: {self.n} + {self.n_star}"
+            )
         if self.side <= 0:
             raise ValueError("side length must be positive")
         unknown = [s for s in self.scenarios if s not in SCENARIOS]
@@ -119,12 +132,11 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     gamma, gamma_star = gamma_joint[:n], gamma_joint[n:]
     beta = np.asarray(config.beta, dtype=float)
     X = np.column_stack([np.ones(n), x_obs])
-    Xstar = np.column_stack([np.ones(n_star), x_unobs])
+    X_unobs = np.column_stack([np.ones(n_star), x_unobs])
     y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
     observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
-    problem = SpatialProblem(
-        observed=observed, Xstar=Xstar, coords_star=coords_unobs, blocked=blocked, beta=beta
-    )
+    unobserved = SpatialData(None, X_unobs, coords_unobs, observed.kernel)
+    problem = SpatialProblem(observed, unobserved, blocked, beta)
     return SimDataset(problem=problem, gamma=gamma, gamma_star=gamma_star)
 
 
@@ -158,7 +170,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     observed = problem.observed
     init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
     fit = estimate(observed, init_beta, config.omega)
-    blocked_hat = build_blocked(fit.omega_hat, observed.coords, problem.coords_star)
+    blocked_hat = build_blocked(fit.omega_hat, observed.coords, problem.unobserved.coords)
     problem_hat = replace(problem, blocked=blocked_hat, beta=fit.beta_hat)
     pred = fit_predict(problem_hat, FitOptions())
     _require_converged(pred)

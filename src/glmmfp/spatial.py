@@ -1,8 +1,9 @@
 """Prediction of spatial random effects and responses at unobserved sites.
 
-The observed sites are one :class:`SpatialData`, from a CSV dataset or a
-simulated draw to the estimator and the fit; a :class:`SpatialProblem`
-adds the unobserved sites, the blocked prior and the fixed effects.
+Each site set is one :class:`SpatialData`: the observed sites, from a
+CSV dataset or a simulated draw to the estimator and the fit, and the
+unobserved sites, whose response is ``None``.  A :class:`SpatialProblem`
+pairs the two with their blocked prior and the fixed effects.
 
 The observed block of a spatial mixed model (random effect per site,
 identity random-effects design, posed by :func:`site_problem`) is
@@ -16,10 +17,10 @@ update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
 prediction is the product ``D21 alpha`` and does no factorization; the
 prior's own Cholesky factor, carried by the blocked covariance, certifies
 D11 for the solver, so no other factorization of D11 is made.
-The predicted response is b'(X* beta + xi*), with the unobserved sites'
-own trial counts for the binomial family, and the predicted working
-response is X* beta + xi* (zero working residual, as no response exists
-at the unobserved sites).  With zero cross covariance this degenerates to the
+The predicted response is b'(X* beta + xi*) under the unobserved sites'
+own kernel (their trial counts for the binomial family), and the
+predicted working response is X* beta + xi* (zero working residual, as
+no response exists at the unobserved sites).  With zero cross covariance this degenerates to the
 fixed-effects prediction, and in the noise-free limit to the
 conditional-mean (kriging) predictor D21 D11^-1 gamma, which
 :func:`conditional_mean` evaluates as L21 L11^-1 gamma from that factor.
@@ -27,7 +28,7 @@ conditional-mean (kriging) predictor D21 D11^-1 gamma, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 - bench/tests checks its traced binding
@@ -41,62 +42,46 @@ from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 
 @dataclass(eq=False)
 class SpatialData:
-    """Observed sites: response, fixed-effects design, coordinates, family."""
+    """Sites: response (``None`` if none is observed), design, coordinates, family."""
 
-    y: np.ndarray
+    y: np.ndarray | None
     X: np.ndarray
     coords: np.ndarray
     kernel: FamilyKernel
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
+        self.y = None if self.y is None else np.asarray(self.y, dtype=float)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        n = self.y.shape[0]
-        if self.X.shape[0] != n or self.coords.shape[0] != n:
+        n = self.X.shape[0]
+        if (self.y is not None and self.y.shape[0] != n) or self.coords.shape[0] != n:
             raise ValueError("y, X, and coords must agree in length")
+        if self.kernel.family == families.BINOMIAL and self.kernel.trials.shape != (n,):
+            raise ValueError("a binomial kernel must hold one trial count per site")
 
 
 @dataclass(eq=False)
 class SpatialProblem:
-    """The observed sites, the unobserved sites' design and the blocked prior.
-
-    ``coords_star`` are the unobserved sites' coordinates and
-    ``trials_star`` their trial counts, required for the binomial family
-    when there are unobserved sites; ``kernel_star`` is the family at
-    those sites.
-    """
+    """The observed and the unobserved sites, their blocked prior, the fixed effects."""
 
     observed: SpatialData
-    Xstar: np.ndarray
-    coords_star: np.ndarray
+    unobserved: SpatialData
     blocked: BlockedCovariance
     beta: np.ndarray
-    trials_star: np.ndarray | None = None
-    kernel_star: FamilyKernel = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = self.observed.X.shape[1]
-        self.Xstar = np.asarray(self.Xstar, dtype=float)
-        if self.Xstar.size == 0:
-            self.Xstar = self.Xstar.reshape(0, p)
-        self.Xstar = np.atleast_2d(self.Xstar)
-        self.coords_star = np.asarray(self.coords_star, dtype=float)
+        observed, unobserved = self.observed, self.unobserved
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        n_star = self.blocked.n_unobserved
-        if self.blocked.n_observed != self.observed.y.shape[0]:
-            raise ValueError("observed covariance block does not match response length")
-        if self.Xstar.shape[0] != n_star or len(self.coords_star) != n_star:
-            raise ValueError("unobserved covariance block does not match Xstar/coords_star")
-        if self.Xstar.shape[1] != p:
-            raise ValueError("X and Xstar must share the fixed-effects dimension")
-        self.kernel_star = self.observed.kernel
-        if self.kernel_star.family == families.BINOMIAL and n_star:
-            if self.trials_star is None:
-                raise ValueError("binomial prediction needs the unobserved sites' trial counts")
-            self.kernel_star = families.binomial_kernel(self.trials_star)
-            if self.kernel_star.trials.shape != (n_star,):
-                raise ValueError("trials_star must hold one count per unobserved site")
+        if observed.y is None:
+            raise ValueError("the observed sites need a response")
+        if self.blocked.n_observed != observed.X.shape[0]:
+            raise ValueError("observed covariance block does not match its sites")
+        if self.blocked.n_unobserved != unobserved.X.shape[0]:
+            raise ValueError("unobserved covariance block does not match its sites")
+        if unobserved.X.shape[1] != observed.X.shape[1]:
+            raise ValueError("both site sets must share the fixed-effects dimension")
+        if unobserved.kernel.family != observed.kernel.family:
+            raise ValueError("both site sets must share the family")
 
 
 @dataclass(eq=False)
@@ -128,11 +113,8 @@ def fit_predict(
     glmm = site_problem(problem.observed, problem.blocked, problem.beta)
     report = fit_posterior(glmm, options)
     xi_star = problem.blocked.d12.T @ report.alpha
-    eta_star = problem.Xstar @ problem.beta + xi_star
-    if problem.blocked.n_unobserved:
-        y_hat_star, _ = families.mean_and_weight(problem.kernel_star, eta_star)
-    else:
-        y_hat_star = np.empty(0)
+    eta_star = problem.unobserved.X @ problem.beta + xi_star
+    y_hat_star, _ = families.mean_and_weight(problem.unobserved.kernel, eta_star)
     return SpatialPrediction(
         xi_star=xi_star, y_hat_star=y_hat_star, u_hat_star=eta_star, report=report
     )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,24 @@ class TestPredict:
         table = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1)
         y_hat, u_hat = table[:, 2], table[:, 3]
         assert np.allclose(y_hat, m_star / (1.0 + np.exp(-u_hat)), rtol=1e-14)
+
+    def test_binomial_role_file_without_test_rows(self, tmp_path):
+        # the test rows are an empty site set, whose kernel holds no trial counts
+        rng = np.random.default_rng(12)
+        lines = ["y,m,x_coord,y_coord,role"]
+        for (cx, cy), mi in zip(rng.uniform(0, 5, size=(8, 2)), rng.integers(1, 9, 8)):
+            lines.append(f"{rng.integers(0, mi + 1)},{mi},{cx},{cy},train")
+        data = write_csv(tmp_path, "\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path,
+            {"family": "binomial", "beta": [0.4], "matern": {"omega1": 0.5, "omega2": 1.0}},
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["predict", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_OK
+        assert (out / "predictions.csv").read_text() == "site,xi_star,y_hat_star,u_hat_star\n"
 
     def test_binomial_test_sites_need_trial_counts(self, tmp_path):
         code, _, _ = self._binomial(tmp_path, ["x_coord", "y_coord"])
@@ -749,6 +768,19 @@ class TestConfigCounts:
         assert "error: simulate.beta must be two finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_budget_simulation_is_rejected_before_drawing(self, tmp_path, capsys):
+        # an integer beyond any memory: the budget names the keys before numpy sees it
+        tracemalloc.start()
+        try:
+            code, out = self.run(tmp_path, "simulate", {"simulate": {"n": 10**400}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: simulate.n + simulate.n_star must be at most 4096" in err
+        assert peak < 1_000_000
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, payload, message", CONFIG_VALUES,
@@ -765,6 +797,39 @@ class TestConfigCounts:
 
 class TestOutputDirectory:
     """``--out`` is created by a command's first result file, not before."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_a_file"])
+    def test_out_in_a_files_way_is_rejected_before_the_command(
+        self, tmp_path, monkeypatch, capsys, command, below
+    ):
+        def run(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, run)
+        plain = tmp_path / "outfile"
+        plain.write_text("kept")
+        argv = [command, "--config", "config.json", "--out", str(plain / below), "--quiet"]
+        if command in ("fit", "predict", "validate"):
+            argv += ["--data", "data.csv"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "is not a directory" in err
+        assert plain.read_text() == "kept"
+
+    def test_write_failure_is_an_error_line(self, tmp_path, capsys):
+        data = poisson_dataset(tmp_path)[0]
+        config = write_config(
+            tmp_path, {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}}
+        )
+        out = tmp_path / "out"
+        (out / "Xi.csv").mkdir(parents=True)  # a directory where a result file goes
+        code = cli.main(["fit", "--config", config, "--data", data, "--out", str(out),
+                         "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Xi.csv" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, payload",

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +38,7 @@ def test_readme_tour_runs():
     exec(compile(tour, "README.md", "exec"), namespace)
     report = namespace["report"]
     assert report.converged and report.xi.shape == (15,)
+    prediction = namespace["prediction"]
+    assert prediction.xi_star.shape == prediction.y_hat_star.shape == (4,)
+    # the joint prior's leading block is the observed prior: the same mode
+    assert np.array_equal(prediction.report.xi, report.xi)

@@ -22,10 +22,14 @@ class TestConstruction:
             families.FamilyKernel("binomial")
 
     def test_trials_must_be_positive_integers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integers"):
             binomial_kernel([0, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integers"):
             binomial_kernel([1.5, 2])
+        with pytest.raises(ValueError, match="vector"):
+            binomial_kernel([[1, 2]])
+        # no counts is an empty site set, such as a split with no test rows
+        assert binomial_kernel([]).trials.shape == (0,)
 
     def test_poisson_rejects_trials(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from glmmfp import simulate
 from glmmfp.covariance import MaternParams
+from glmmfp.dataio import ConfigError
 from glmmfp.fixed_point import FitOptions
 from glmmfp.simulate import (
     ORACLE,
@@ -43,6 +44,12 @@ class TestConfig:
             SimConfig(side=-1.0)
         with pytest.raises(ValueError, match="unknown scenarios"):
             SimConfig(scenarios=("oracle", "bogus"))
+        # the joint prior of n + n* sites holds (n + n*)**2 doubles
+        assert simulate.SIM_BUDGET == 4096**2
+        SimConfig(n=4000, n_star=96)
+        for n, n_star in ((4000, 97), (1, 4096), (10**400, 1)):
+            with pytest.raises(ConfigError, match="simulate.n \\+ simulate.n_star"):
+                SimConfig(n=n, n_star=n_star)
         for beta in (8.0, (8.0,), (8.0, 0.0, 1.0), (8.0, np.nan), (True, 0.0), "ab"):
             with pytest.raises(ValueError, match="beta"):
                 SimConfig(beta=beta)
@@ -54,7 +61,7 @@ class TestGeneration:
         b = generate_dataset(SMALL, 2)
         assert np.array_equal(a.problem.observed.y, b.problem.observed.y)
         assert np.array_equal(a.gamma, b.gamma)
-        assert np.array_equal(a.problem.coords_star, b.problem.coords_star)
+        assert np.array_equal(a.problem.unobserved.coords, b.problem.unobserved.coords)
 
     def test_replications_are_independent_of_order(self):
         # replication 5 is the same whether or not 0..4 were generated
@@ -71,9 +78,10 @@ class TestGeneration:
         assert d.gamma.shape == (50,)
         assert d.gamma_star.shape == (40,)
         assert obs.X.shape == (50, 2)
-        assert d.problem.Xstar.shape == (40, 2)
+        assert d.problem.unobserved.X.shape == (40, 2)
         assert obs.coords.min() >= 0 and obs.coords.max() <= SMALL.side
-        assert d.problem.coords_star.shape == (40, 2)
+        assert d.problem.unobserved.coords.shape == (40, 2)
+        assert d.problem.unobserved.y is None
 
     def test_counts_are_poisson_like(self):
         d = generate_dataset(SMALL, 1)
@@ -107,7 +115,7 @@ class TestScenarios:
         assert len(handed) == 1 and handed[0] is problem.observed
         [(coords_obs, coords_unobs)] = priors
         assert coords_obs is problem.observed.coords
-        assert coords_unobs is problem.coords_star
+        assert coords_unobs is problem.unobserved.coords
 
     def test_oracle_and_sic_true_metrics(self):
         result = run_scenarios(SMALL)

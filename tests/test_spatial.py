@@ -40,22 +40,24 @@ def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
     gamma_joint = np.linalg.cholesky(blocked.full) @ rng.standard_normal(n + n_star)
     gamma = gamma_joint[:n]
     X = np.ones((n, 1))
-    Xstar = np.ones((n_star, 1))
     beta = np.array([beta0])
     if family == "poisson":
-        kernel = poisson_kernel()
+        kernel = kernel_star = poisson_kernel()
         y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
     elif family == "binomial":
         m = rng.integers(1, 9, size=n)
         kernel = binomial_kernel(m)
         y = rng.binomial(m, expit(X @ beta + gamma)).astype(float)
+        kernel_star = binomial_kernel(rng.integers(1, 9, size=n_star))
     else:
-        kernel = gaussian_kernel(1.0)
+        kernel = kernel_star = gaussian_kernel(1.0)
         y = X @ beta + gamma + rng.standard_normal(n)
-    trials_star = rng.integers(1, 9, size=n_star) if family == "binomial" else None
     problem = SpatialProblem(
-        observed=SpatialData(y=y, X=X, coords=coords_obs, kernel=kernel), Xstar=Xstar,
-        coords_star=coords_unobs, blocked=blocked, beta=beta, trials_star=trials_star,
+        observed=SpatialData(y=y, X=X, coords=coords_obs, kernel=kernel),
+        unobserved=SpatialData(
+            y=None, X=np.ones((n_star, 1)), coords=coords_unobs, kernel=kernel_star
+        ),
+        blocked=blocked, beta=beta,
     )
     return problem, gamma, gamma_joint[n:]
 
@@ -70,10 +72,21 @@ def working_u(problem, state):
 def problem_fields(problem, **changes):
     """The constructor arguments of ``problem``, with ``changes`` applied."""
     fields = dict(
-        observed=problem.observed, Xstar=problem.Xstar, coords_star=problem.coords_star,
-        blocked=problem.blocked, beta=problem.beta, trials_star=problem.trials_star,
+        observed=problem.observed, unobserved=problem.unobserved,
+        blocked=problem.blocked, beta=problem.beta,
     )
     return {**fields, **changes}
+
+
+def sites(data, rows=slice(None), **changes):
+    """The ``rows`` of the site set ``data`` as a new one, with ``changes`` applied."""
+    trials = data.kernel.trials
+    fields = dict(
+        y=None if data.y is None else data.y[rows], X=data.X[rows],
+        coords=data.coords[rows],
+        kernel=data.kernel if trials is None else binomial_kernel(trials[rows]),
+    )
+    return SpatialData(**{**fields, **changes})
 
 
 class TestValidation:
@@ -90,18 +103,36 @@ class TestValidation:
 
     def test_xstar_must_match_unobserved_block(self):
         problem, _, _ = make_problem()
-        for field in ("Xstar", "coords_star"):
-            for rows in (slice(None, -1), [0] * 11):
-                value = getattr(problem, field)[rows]
-                with pytest.raises(ValueError, match="unobserved covariance block"):
-                    SpatialProblem(**problem_fields(problem, **{field: value}))
+        for rows in (slice(None, -1), [0] * 11):
+            unobserved = sites(problem.unobserved, rows)
+            with pytest.raises(ValueError, match="unobserved covariance block"):
+                SpatialProblem(**problem_fields(problem, unobserved=unobserved))
+        # a site set's design and coordinates count the same sites
+        for field in ("X", "coords"):
+            value = getattr(problem.unobserved, field)[:-1]
+            with pytest.raises(ValueError, match="agree in length"):
+                sites(problem.unobserved, **{field: value})
 
     def test_design_dimensions_must_agree(self):
         problem, _, _ = make_problem()
+        wide = sites(problem.unobserved, X=np.ones((problem.unobserved.X.shape[0], 2)))
         with pytest.raises(ValueError, match="fixed-effects dimension"):
-            SpatialProblem(
-                **problem_fields(problem, Xstar=np.ones((problem.Xstar.shape[0], 2)))
-            )
+            SpatialProblem(**problem_fields(problem, unobserved=wide))
+
+    def test_observed_sites_need_a_response(self):
+        problem, _, _ = make_problem()
+        observed = sites(problem.observed, y=None)
+        with pytest.raises(ValueError, match="observed sites need a response"):
+            SpatialProblem(**problem_fields(problem, observed=observed))
+        # the unobserved sites may carry one, as a test split's do
+        responded = sites(problem.unobserved, y=np.zeros(problem.blocked.n_unobserved))
+        SpatialProblem(**problem_fields(problem, unobserved=responded))
+
+    def test_families_must_agree(self):
+        problem, _, _ = make_problem()
+        gaussian = sites(problem.unobserved, kernel=gaussian_kernel(1.0))
+        with pytest.raises(ValueError, match="share the family"):
+            SpatialProblem(**problem_fields(problem, unobserved=gaussian))
 
 
 class TestGaussianClosedForm:
@@ -122,7 +153,7 @@ class TestGaussianClosedForm:
     def test_identity_link_outputs(self):
         problem, _, _ = make_problem(seed=4, family="gaussian")
         pred = fit_predict(problem)
-        eta_star = problem.Xstar @ problem.beta + pred.xi_star
+        eta_star = problem.unobserved.X @ problem.beta + pred.xi_star
         assert np.allclose(pred.u_hat_star, eta_star, atol=1e-14)
         assert np.allclose(pred.y_hat_star, eta_star, atol=1e-14)
 
@@ -135,7 +166,7 @@ class TestPoissonPrediction:
         assert np.all(pred.y_hat_star > 0)
         assert np.allclose(
             pred.y_hat_star,
-            np.exp(problem.Xstar @ problem.beta + pred.xi_star),
+            np.exp(problem.unobserved.X @ problem.beta + pred.xi_star),
             rtol=1e-12,
         )
 
@@ -177,21 +208,24 @@ class TestBinomialPrediction:
         problem, _, _ = make_problem(seed=15, n=6, n_star=n_star, family="binomial")
         pred = fit_predict(problem)
         assert pred.report.converged
-        m_star = problem.trials_star
+        m_star = problem.unobserved.kernel.trials
         assert not np.array_equal(m_star, problem.observed.kernel.trials[:n_star])
-        expected = m_star * expit(problem.Xstar @ problem.beta + pred.xi_star)
+        expected = m_star * expit(problem.unobserved.X @ problem.beta + pred.xi_star)
         assert np.allclose(pred.y_hat_star, expected, rtol=1e-14)
 
     def test_trial_counts_required(self):
         problem, _, _ = make_problem(seed=16, n=6, n_star=4, family="binomial")
-        fields = problem_fields(problem)
-        del fields["trials_star"]
-        with pytest.raises(ValueError, match="trial counts"):
-            SpatialProblem(**fields)
-        with pytest.raises(ValueError, match="one count per unobserved site"):
-            SpatialProblem(**fields, trials_star=np.ones(6))
+        # sites without trial counts are not of the binomial family
+        poisson = sites(problem.unobserved, kernel=poisson_kernel())
+        with pytest.raises(ValueError, match="share the family"):
+            SpatialProblem(**problem_fields(problem, unobserved=poisson))
+        for trials in (np.ones(6), np.ones(3)):
+            with pytest.raises(ValueError, match="one trial count per site"):
+                sites(problem.unobserved, kernel=binomial_kernel(trials))
+        with pytest.raises(ValueError, match="one trial count per site"):
+            sites(problem.observed, kernel=binomial_kernel(np.ones(4)))
         with pytest.raises(ValueError, match="integers"):
-            SpatialProblem(**fields, trials_star=np.zeros(4))
+            sites(problem.unobserved, kernel=binomial_kernel(np.zeros(4)))
 
 
 class TestConditionalMean:
@@ -399,8 +433,10 @@ class TestIdentityPathAgainstDenseFormulas:
             observed=SpatialData(
                 y=y, X=np.ones((7, 1)), coords=coords[:7], kernel=poisson_kernel()
             ),
-            Xstar=np.ones((2, 1)), coords_star=coords[7:], blocked=blocked,
-            beta=np.array([1.0]),
+            unobserved=SpatialData(
+                y=None, X=np.ones((2, 1)), coords=coords[7:], kernel=poisson_kernel()
+            ),
+            blocked=blocked, beta=np.array([1.0]),
         )
         self.check(problem)
 
