@@ -4,7 +4,8 @@ Implements the isotropic Matern covariance family over Euclidean site
 coordinates and the blocked observed/unobserved covariance used for
 prediction at new sites.  Smoothness 0.5 (exponential covariance), 1.5,
 and 2.5 go through exact closed forms; other smoothness values use the
-modified Bessel function of the second kind.
+modified Bessel function of the second kind, whose ``scipy.special``
+import is deferred to the branch that needs it.
 
 The blocked covariance is built in one buffer: one ``cdist`` call over
 the stacked observed and unobserved sites gives the distances, and
@@ -24,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 log = logging.getLogger(__name__)
 
 _JITTER_START = 1e-10
 _JITTER_CAP = 1e-6
 _NON_FINITE = "blocked covariance must not contain infs or NaNs"
+# the strict lower triangle of a band of 64 rows, zeroed above the factor
+_BAND_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
 class SingularCovarianceError(RuntimeError):
@@ -96,6 +97,8 @@ def matern(params: MaternParams, d, out=None):
         a *= sill
         a *= e
     else:
+        # deferred: only general smoothness needs scipy.special
+        from scipy.special import gamma as gamma_fn, kv
         pos = a > 0
         ap = a[pos]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -123,6 +126,7 @@ def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
     elif nu == 2.5:
         af = -(a**2) * (1.0 + a) / 3.0 * np.exp(-a)
     else:
+        from scipy.special import gamma as gamma_fn, kv
         af = np.zeros_like(a)
         pos = a > 0
         ap = a[pos]
@@ -186,8 +190,13 @@ class BlockedCovariance:
             else:
                 if not np.all(np.isfinite(chol.diagonal())):
                     raise ValueError(_NON_FINITE)
-                # potrf leaves full's upper triangle above the factor
-                chol.T[np.tri(len(full), k=-1, dtype=bool)] = 0.0
+                # potrf leaves full's upper triangle above the factor; zero
+                # it in bands of the contiguous rows of chol.T
+                ct, b = chol.T, len(_BAND_LOWER)
+                for j in range(0, len(ct), b):
+                    band = ct[j : j + b]
+                    band[:, :j] = 0.0
+                    band[:, j : j + b][_BAND_LOWER[: len(band), : len(band)]] = 0.0
                 self.chol = chol
                 return
 

@@ -20,28 +20,29 @@ such as the ``observed`` half of a :class:`spatial.SpatialProblem`.
 
 The optimizer is BFGS over (beta, logit omega1, log omega2) with the
 exact gradient of the surrogate (Rasmussen & Williams 2006, Alg. 5.1,
-eqs. 5.21-5.24), which costs one solve with the mode's factor of ``R``
-per evaluation.  For a parameter ``theta_j`` of ``D`` with
-``C_j = dD/dtheta_j``,
+eqs. 5.21-5.24), which costs solves with the mode's factor of ``R`` and
+no new factorization per evaluation.  For a parameter ``theta_j`` of
+``D`` with ``C_j = dD/dtheta_j``,
 
     dL/dtheta_j = alpha' C_j alpha / 2 - tr(R^-1 C_j) / 2
                   + s2' (I - D R^-1) C_j alpha,
     dL/dbeta    = X' alpha + ((I - Xi W) X)' s2,
 
 where ``s2 = -(1/2) diag(Xi) * b'''(eta)`` carries the dependence of
-``log det Xi`` on the mode (:func:`fixed_point.laplace_skew`).  The
-smoothness is held fixed.  This is support machinery for the
-parameter-estimation simulation scenario and the validation workflow,
-not a reimplementation of any external estimator.
+``log det Xi`` on the mode (:func:`fixed_point.laplace_skew`).  As
+``I - D R^-1 = W^-1 R^-1``, these need ``R^-1`` and ``R^-1 X`` but no
+n x n matrix product.  The smoothness is held fixed.  This is support
+machinery for the parameter-estimation simulation scenario and the
+validation workflow, not a reimplementation of any external estimator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
-from scipy.special import expit, logit
 
 from .covariance import (
     BlockedCovariance,
@@ -90,18 +91,18 @@ def _surrogate(report: FitReport) -> float:
 
 def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     """Gradient of :func:`_surrogate` in beta, then in each ``C_j`` of ``dD``."""
-    problem, alpha = report.problem, report.alpha
+    problem, alpha, chol = report.problem, report.alpha, report.factor[0]
     D, X = problem.D, problem.X
     # the site design Z is the identity, so this is R^-1, by the potrs of cho_solve
-    Rinv = dpotrs(report.factor[0], problem.Z, lower=True)[0]
-    DRinv = D @ Rinv
-    s2 = laplace_skew(report, D.diagonal() - np.sum(DRinv * D, axis=1))
-    WX = report.w[:, None] * X
-    XiWX = D @ WX - DRinv @ (D @ WX)
+    Rinv = dpotrs(chol, problem.Z, lower=True)[0]
+    # I - D R^-1 = W^-1 R^-1, so Xi = W^-1 R^-1 D and Xi W = D R^-1
+    winv = 1.0 / report.w
+    s2 = laplace_skew(report, winv * np.sum(Rinv * D, axis=1))
+    XiWX = D @ dpotrs(chol, X, lower=True)[0]
     grad = list(X.T @ alpha + (X - XiWX).T @ s2)
     for C in dD:
         Ca = C @ alpha
-        grad.append(0.5 * (alpha @ Ca - np.sum(Rinv * C)) + s2 @ (Ca - DRinv @ Ca))
+        grad.append(0.5 * (alpha @ Ca - np.sum(Rinv * C)) + (winv * s2) @ (Rinv @ Ca))
     return np.array(grad)
 
 
@@ -164,8 +165,12 @@ def estimate(
     def unpack(theta):
         if not fit_omega:
             return theta, init_omega
+        try:
+            omega1 = 1.0 / (1.0 + math.exp(-theta[p]))
+        except OverflowError:  # the logistic function underflows to 0 there
+            omega1 = 0.0
         omega = MaternParams(
-            omega1=float(expit(theta[p])),
+            omega1=omega1,
             omega2=float(np.exp(theta[p + 1])),
             omega3=init_omega.omega3,
         )
@@ -184,7 +189,7 @@ def estimate(
     theta0 = init_beta
     if fit_omega:
         theta0 = np.concatenate(
-            [init_beta, [logit(init_omega.omega1), np.log(init_omega.omega2)]]
+            [init_beta, [math.log(init_omega.sill), np.log(init_omega.omega2)]]
         )
     res = minimize(
         objective,

@@ -8,15 +8,16 @@ Gaussian kernel with fixed, known variance is included as the conjugate
 case where every downstream quantity has a closed form.
 
 All functions are pure and operate elementwise on numpy arrays, so they
-are safe to call concurrently.
+are safe to call concurrently.  The logistic function is numpy's and
+log-gamma is ``math.lgamma``, so this module loads no ``scipy.special``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 # Linear predictors are clamped to this window before exponentiation for
 # the count families, which keeps the means finite and the working
@@ -83,6 +84,14 @@ def gaussian_kernel(variance: float) -> FamilyKernel:
     return FamilyKernel(GAUSSIAN, variance=float(variance))
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))  # x is clamped to ETA_CLAMP, so exp cannot overflow
+
+
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _check_finite(eta: np.ndarray) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
@@ -118,7 +127,7 @@ def mean_and_weight(kernel: FamilyKernel, eta) -> tuple[np.ndarray, np.ndarray]:
         mu = np.exp(ec)
         return mu, mu.copy()
     if kernel.family == BINOMIAL:
-        p = expit(ec)
+        p = _expit(ec)
         return kernel.trials * p, kernel.trials * p * (1.0 - p)
     return eta.copy(), np.full_like(eta, 1.0 / kernel.variance)
 
@@ -135,7 +144,7 @@ def third_derivative(kernel: FamilyKernel, eta) -> np.ndarray:
     if kernel.family == POISSON:
         return np.exp(ec)
     if kernel.family == BINOMIAL:
-        p = expit(ec)
+        p = _expit(ec)
         return kernel.trials * p * (1.0 - p) * (1.0 - 2.0 * p)
     return np.zeros_like(eta)
 
@@ -163,10 +172,10 @@ def initial_eta(kernel: FamilyKernel, y) -> tuple[np.ndarray, np.ndarray]:
 def response_term(kernel: FamilyKernel, y) -> np.ndarray | float:
     """The terms of :func:`log_likelihood` in a checked ``y`` alone, per observation."""
     if kernel.family == POISSON:
-        return -gammaln(y + 1.0)
+        return -_log_gamma(y + 1.0)
     if kernel.family == BINOMIAL:
         m = kernel.trials
-        return gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0)
+        return _log_gamma(m + 1.0) - _log_gamma(y + 1.0) - _log_gamma(m - y + 1.0)
     return -0.5 * np.log(2.0 * np.pi * kernel.variance)
 
 

@@ -12,16 +12,18 @@ import pytest
 from glmmfp import dataio
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy.optimize", "scipy.spatial")
+DEFERRED = ("scipy.optimize", "scipy.spatial", "scipy.special")
 
 
 def run(module, *argv, importtime=False):
+    return python(*(["-X", "importtime"] if importtime else []), "-m", module, *argv)
+
+
+def python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    flags = ["-X", "importtime"] if importtime else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", module, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -79,9 +81,10 @@ class TestImportWeight:
 
     @pytest.mark.parametrize("name, expected", [
         ("verify", set()),
-        ("simulate", {"scipy.spatial"}),
-        ("fit-fixed", {"scipy.spatial"}),
-        ("fit-estimated", {"scipy.optimize", "scipy.spatial"}),
+        # scipy.spatial itself loads scipy.special
+        ("simulate", {"scipy.spatial", "scipy.special"}),
+        ("fit-fixed", {"scipy.spatial", "scipy.special"}),
+        ("fit-estimated", {"scipy.optimize", "scipy.spatial", "scipy.special"}),
     ])
     def test_deferred_submodules(self, tmp_path, name, expected):
         proc = run("glmmfp", *self.command(tmp_path, name), importtime=True)
@@ -89,3 +92,11 @@ class TestImportWeight:
         modules = imported(proc.stderr)
         assert "glmmfp.cli" in modules
         assert {m for m in DEFERRED if loaded(m, modules)} == expected
+
+    def test_bare_import(self):
+        # the benchmark's tracer binds scipy.linalg right after this import
+        proc = python("-X", "importtime", "-c", "import glmmfp.cli")
+        assert proc.returncode == 0, proc.stderr
+        modules = imported(proc.stderr)
+        assert loaded("scipy.linalg", modules)
+        assert not any(loaded(m, modules) for m in DEFERRED)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 
 from glmmfp.covariance import (
@@ -303,6 +304,8 @@ class TestLapackFactor:
     def check(b):
         chol = b.chol
         assert np.array_equal(np.triu(chol, 1), np.zeros_like(chol))
+        # the zeroing touches only the strict upper triangle of LAPACK's output
+        assert np.array_equal(chol, np.tril(cho_factor(b.full.T, lower=True)[0]))
         rel = np.max(np.abs(chol @ chol.T - b.full)) / np.max(np.abs(b.full))
         assert rel < 1e-13
 
@@ -313,6 +316,13 @@ class TestLapackFactor:
         b = build_blocked(MaternParams(0.6, 0.8, nu), rng.uniform(0, 5, size=(40, 2)),
                           rng.uniform(0, 5, size=(n_star, 2)))
         assert b.jitter == 0.0
+        self.check(b)
+
+    @pytest.mark.parametrize("n, n_star", [(64, 0), (100, 37), (400, 400)])
+    def test_upper_triangle_zeroed_across_row_bands(self, n, n_star):
+        rng = np.random.default_rng(7)
+        b = build_blocked(MaternParams(0.6, 0.8), rng.uniform(0, 20, size=(n, 2)),
+                          rng.uniform(0, 20, size=(n_star, 2)))
         self.check(b)
 
     def test_factor_reproduces_full_under_jitter(self):

@@ -237,6 +237,23 @@ class TestGradient:
         ])
         assert np.max(np.abs(grad - central) / np.maximum(1.0, np.abs(central))) < 1e-6
 
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_skew_takes_the_laplace_covariance_diagonal(self, family, monkeypatch):
+        # the gradient reads diag(Xi) as W^-1 rowsum(R^-1 o D), not off Xi itself
+        data = small_data(family, 2)
+        omega = MaternParams(0.4, 1.2)
+        dist = cdist(data.coords, data.coords)
+        report = estimate_module._fit(data, np.array([0.3, 0.1]), omega, FitOptions(), dist)
+        seen = []
+
+        def skew(report, xi_diag):
+            seen.append(xi_diag)
+            return fixed_point.laplace_skew(report, xi_diag)
+
+        monkeypatch.setattr(estimate_module, "laplace_skew", skew)
+        estimate_module._surrogate_gradient(report, (report.problem.D,))
+        assert np.allclose(seen[0], report.Xi.diagonal(), rtol=1e-12, atol=0.0)
+
     def test_beta_block_alone_without_distances(self):
         data = small_data("poisson", 2)
         omega = MaternParams(0.4, 1.2)

@@ -243,3 +243,45 @@ class TestLogLikelihood:
         assert out[0] == pytest.approx(
             log_likelihood(poisson_kernel(), etas[0], y), abs=1e-14
         )
+
+
+class TestAgainstScipySpecial:
+    # the module computes the logistic function with numpy and log-gamma
+    # with math.lgamma so that importing it loads no scipy.special; these
+    # hold the replacements to scipy's functions
+    def test_binomial_mean_weight_and_third_derivative(self):
+        from scipy.special import expit
+
+        eta = np.linspace(-40.0, 40.0, 20001)
+        m = np.resize([1.0, 3.0, 50.0, 1e4], eta.shape)
+        kernel = binomial_kernel(m)
+        p = expit(np.clip(eta, -families.ETA_CLAMP, families.ETA_CLAMP))
+        mu, w = mean_and_weight(kernel, eta)
+        assert np.allclose(mu, m * p, rtol=1e-15, atol=0.0)
+        # w and b''' take 1 - p, which magnifies p's last bit where p is
+        # near 1; an error of 1e-15 in p moves them by at most 1e-15 m
+        assert np.allclose(w, m * p * (1.0 - p), rtol=0.0, atol=1e-15 * m)
+        b3 = families.third_derivative(kernel, eta)
+        assert np.allclose(b3, m * p * (1.0 - p) * (1.0 - 2.0 * p), rtol=0.0, atol=1e-15 * m)
+
+    def test_poisson_response_term(self):
+        from scipy.special import gammaln
+
+        y = np.concatenate([np.arange(0.0, 2001.0), np.geomspace(2001.0, 1e6, 500).round()])
+        got = families.response_term(poisson_kernel(), y)
+        assert np.allclose(got, -gammaln(y + 1.0), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0 / 3.0, 1.0])
+    def test_binomial_response_term(self, share):
+        from scipy.special import gammaln
+
+        m = np.concatenate([np.arange(1.0, 1001.0), np.geomspace(1001.0, 1e4, 200).round()])
+        y = np.floor(share * m)
+        got = families.response_term(binomial_kernel(m), y)
+        terms = gammaln(m + 1.0), gammaln(y + 1.0), gammaln(m - y + 1.0)
+        # a difference of three log-gamma values, each off by at most 1e-15 relative
+        assert np.all(np.abs(got - (terms[0] - terms[1] - terms[2])) <= 1e-15 * sum(terms))
+
+    def test_empty_binomial_site_set(self):
+        term = families.response_term(binomial_kernel([]), np.zeros(0))
+        assert term.shape == (0,) and term.dtype == float
