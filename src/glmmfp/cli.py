@@ -216,8 +216,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _seed_option(args) -> int:
+    """``--seed``, an integer in [0, inf]; anything else is a ConfigError naming it."""
+    return dataio.read_int({"--seed": args.seed}, "--seed", None, 0, "")
+
+
 def cmd_validate(args) -> int:
     cfg = dataio.load_config(args.config)
+    seed = cfg.seed if args.seed is None else _seed_option(args)
     dataset = dataio.load_dataset(args.data, cfg)
     val = cfg.validate
     splits = dataio.read_int(val, "splits", 20, 1, "validate")
@@ -231,7 +237,6 @@ def cmd_validate(args) -> int:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
         )
-    seed = args.seed if args.seed is not None else cfg.seed
     options = _fit_options(cfg)
     rows = []
     failures = []
@@ -319,7 +324,7 @@ def cmd_verify(args) -> int:
     ver = cfg.verify
     n_identity = dataio.read_int(ver, "identity_instances", 100, 1, "verify")
     order = dataio.read_int(ver, "order", 64, 8, "verify", oracle.MAX_QUADRATURE_ORDER)
-    seed = args.seed if args.seed is not None else dataio.read_int(
+    seed = _seed_option(args) if args.seed is not None else dataio.read_int(
         ver, "battery_seed", cfg.seed, 0, "verify"
     )
 

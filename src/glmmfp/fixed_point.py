@@ -21,21 +21,23 @@ R^-1 Z D`` the Laplace covariance.  The start is one such update at the
 family's IRLS predictor, which for the Gaussian kernel is already the
 conjugate posterior, so the first iterate confirms it.
 
-The iteration carries ``a = D^-1 xi`` beside ``xi``, so it never
-solves with ``D``.  Each iterate does one Cholesky factorization and
-nothing else of cubic cost, on one of two paths picked by the design
-alone.  The identity design ``Z = I`` (every spatial caller) factors the
-n x n ``R = D + W^-1`` in one Fortran-ordered buffer per fit: each
-iterate copies ``D.T`` (which is ``D``) into it column by column, adds
-``1/w`` to its diagonal, and LAPACK's ``potrf`` overwrites it with the
-factor.  It takes ``D^-1 Delta = R^-1 W^-1 g`` and ``eta = X beta + xi``
-with no product by ``Z``.  Every other ``Z`` factors the r x r
-``H = D^-1 + Z'WZ`` itself, with ``D^-1`` inverted once per problem.
-Solves call the factor's ``potrs`` directly, and the log-likelihood's
-terms in ``y`` alone are evaluated once per problem.  The last
-iterate's factor and ``alpha = a`` stay on the :class:`FitReport`;
-``Xi`` is read off the factor on first access, so callers that only
-need ``xi`` (or the kriging ``D21 alpha``) never pay for it.
+It is the observation-space form of Newton's method (Rasmussen &
+Williams 2006, Alg. 3.1) with prior covariance ``Z D Z'`` of the
+predictor, one iterate for every design.  It carries ``b`` with
+``D^-1 xi = Z' b``, so it never solves with ``D``: as
+``H^-1 Z' = D Z' R^-1 W^-1``, the increment is ``Delta = D Z' d_b`` with
+``d_b = R^-1 W^-1 (s - b)`` and score ``s = (y - mu) / phi``.  Each
+iterate does one Cholesky factorization and nothing else of cubic cost,
+of the n x n ``R`` in one Fortran-ordered buffer per fit: it copies
+``(Z D Z')'`` into it column by column, adds ``1/w`` to its diagonal,
+and LAPACK's ``potrf`` overwrites it with the factor.  The identity
+design ``Z = I`` (every spatial caller) only skips the products by
+``Z``.  Solves call the factor's ``potrs`` directly, and the
+log-likelihood's terms in ``y`` alone are evaluated once per problem.
+The last iterate's factor and ``alpha = Z' b`` stay on the
+:class:`FitReport`; ``Xi`` is read off the factor on first access, so
+callers that only need ``xi`` (or the kriging ``D21 alpha``) never pay
+for it.
 
 The module also evaluates both sides of the Gaussian factorization
 identity
@@ -80,7 +82,8 @@ class GlmmProblem:
     certifies it, such as the leading block of
     :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.  Without one,
     ``D_chol`` keeps the factor that certified ``D``.
-    ``identity_design`` records whether ``Z`` is the n x n identity.
+    ``identity_design`` records whether ``Z`` is the n x n identity, so
+    that the solver can skip its products by ``Z``.
     """
 
     y: np.ndarray
@@ -134,9 +137,9 @@ class GlmmProblem:
         return self.Z.shape[1]
 
     @cached_property
-    def precision(self) -> np.ndarray:
-        """``D^-1``, inverted once for every iterate of a general design."""
-        return np.linalg.inv(self.D)
+    def ZDZt(self) -> np.ndarray:
+        """``Z D Z'``, the prior covariance of ``Z xi``: ``D`` itself if ``Z = I``."""
+        return self.D if self.identity_design else self.Z @ self.D @ self.Z.T
 
     @cached_property
     def response_term(self):
@@ -159,8 +162,7 @@ class FitReport:
     """Last iterate of :func:`fit_posterior`: the mode once it has converged.
 
     ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
-    ``R = D + W^-1`` on the identity design or of ``H = D^-1 + Z'WZ``
-    for any other design.  ``alpha = D^-1 xi`` is the solver's carried
+    the n x n ``R = Z D Z' + W^-1``.  ``alpha = Z' b = D^-1 xi`` is the
     prior-precision image of ``xi``, and ``log_posterior`` is
     ``log f(y | eta) - xi' alpha / 2``.  ``Xi`` is computed from ``factor``
     on first access.  ``trace`` holds one ``(step, residual)`` pair per
@@ -191,19 +193,16 @@ class FitReport:
 
 
 def _factor(problem: GlmmProblem, w, buf=None):
-    """The one Cholesky factor of an iterate with working weights ``w``.
+    """The one Cholesky factor, of ``R = Z D Z' + W^-1``, of an iterate.
 
-    ``R = D + W^-1`` on the identity design, ``H = D^-1 + Z'WZ`` otherwise.
-    On the identity design ``buf``, a Fortran-ordered n x n array, takes
-    ``D`` by a column-contiguous copy of ``D.T`` (which is ``D``) and is
-    overwritten with the factor; without it a new one is allocated.
+    ``buf``, a Fortran-ordered n x n array (new if not given), takes
+    ``Z D Z'`` by a column-contiguous copy of its transpose and is
+    overwritten with the factor.
     """
-    if problem.identity_design:
-        A = np.empty(problem.D.shape, order="F") if buf is None else buf
-        np.copyto(A, problem.D.T)
-        A.flat[:: problem.n + 1] += 1.0 / w
-    else:
-        A = problem.precision + (problem.Z.T * w) @ problem.Z
+    n = problem.n
+    A = np.empty((n, n), order="F") if buf is None else buf
+    np.copyto(A, problem.ZDZt.T)
+    A.flat[:: n + 1] += 1.0 / w
     return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
 
 
@@ -215,27 +214,19 @@ def _solve(cf, b) -> np.ndarray:
 def _xi_raw(problem: GlmmProblem, u, w, buf=None):
     """The working-model update xi_raw = D Z' R^-1 (u - X beta).
 
-    Returns ``(xi_raw, alpha, factor)`` with ``alpha = D^-1 xi_raw`` and
-    the one Cholesky factor the evaluation made (in ``buf``, if given).
+    Returns ``(xi_raw, b, factor)``: ``b = R^-1 (u - X beta)``, so that
+    ``D^-1 xi_raw = Z' b``, and the one Cholesky factor made (in ``buf``, if given).
     """
-    resid = u - problem.X @ problem.beta
     cf = _factor(problem, w, buf)
-    if problem.identity_design:
-        alpha = _solve(cf, resid)
-        return problem.D @ alpha, alpha, cf
-    # xi = H^-1 Z'W resid, so D^-1 xi = Z'W (resid - Z xi)
-    Z = problem.Z
-    xi = _solve(cf, Z.T @ (w * resid))
-    return xi, Z.T @ (w * (resid - Z @ xi)), cf
+    b = _solve(cf, u - problem.X @ problem.beta)
+    return problem.D @ _adjoint(problem, b), b, cf
 
 
 def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
-    """Xi from the factor ``cf`` that :func:`_factor` returned."""
-    if problem.identity_design:
-        D = problem.D
-        Xi = D - D @ _solve(cf, D.T)
-    else:
-        Xi = _solve(cf, np.eye(problem.r))
+    """Xi = D - D Z' R^-1 Z D from the factor ``cf`` of ``R``."""
+    D = problem.D
+    DZt = _effects(problem, D.T).T  # D Z' = (Z D')'
+    Xi = D - DZt @ _solve(cf, DZt.T)
     return 0.5 * (Xi + Xi.T)
 
 
@@ -244,28 +235,28 @@ def _effects(problem: GlmmProblem, xi) -> np.ndarray:
     return xi if problem.identity_design else problem.Z @ xi
 
 
+def _adjoint(problem: GlmmProblem, v) -> np.ndarray:
+    """``Z' v``: ``v`` itself on the identity design, with no n x n product."""
+    return v if problem.identity_design else problem.Z.T @ v
+
+
 def _score(problem: GlmmProblem, eta):
     """Score ``(y - mu) / phi`` of the log-likelihood in ``eta``, and ``w``."""
     mu, w = families.mean_and_weight(problem.kernel, eta)
     return (problem.y - mu) / problem.kernel.dispersion, w
 
 
-def _newton_step(problem: GlmmProblem, eta, a, buf=None):
-    """Newton increment at ``eta = X beta + Z xi``, with ``a = D^-1 xi``.
+def _newton_step(problem: GlmmProblem, eta, b, buf=None):
+    """Newton increment at ``eta = X beta + Z xi``, with ``D^-1 xi = Z' b``.
 
-    Returns ``(w, delta, d_delta, factor)``: the working weights,
-    ``delta = H^-1 g``, ``d_delta = D^-1 delta`` and the one Cholesky
-    factor the evaluation made, in ``buf`` on the identity design.
+    Returns ``(w, delta, d_b, factor)``: the working weights, the
+    increments ``delta = D Z' d_b`` of ``xi`` and ``d_b = R^-1 W^-1 (s - b)``
+    of ``b``, and the one Cholesky factor made (in ``buf``, if given).
     """
     s, w = _score(problem, eta)
     cf = _factor(problem, w, buf)
-    if problem.identity_design:
-        d_delta = _solve(cf, (s - a) / w)  # H^-1 = D R^-1 W^-1
-        return w, problem.D @ d_delta, d_delta, cf
-    Z = problem.Z
-    g = Z.T @ s - a
-    delta = _solve(cf, g)
-    return w, delta, g - Z.T @ (w * (Z @ delta)), cf
+    d_b = _solve(cf, (s - b) / w)
+    return w, problem.D @ _adjoint(problem, d_b), d_b, cf
 
 
 def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
@@ -283,7 +274,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     increment, computed through the update ``D Z' R^-1 (u - X beta)``
     rather than the solver's own increment form.  The two forms round
     differently, so on ill-conditioned problems the defect of a fit that
-    converged at ``tol`` can exceed ``tol`` (up to 2.97e-10 at the default
+    converged at ``tol`` can exceed ``tol`` (up to 4.54e-10 at the default
     ``tol = 1e-10`` on the 3,000-problem stress battery); it is an
     independent check of the mode, not a certificate of a fit at ``tol``.
     """
@@ -295,7 +286,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
 
 
 def _start(problem: GlmmProblem, buf=None):
-    """``(xi, D^-1 xi)`` after one update at the family's starting predictor."""
+    """``(xi, b)`` after one update at the family's starting predictor."""
     eta0, w0 = families.initial_eta(problem.kernel, problem.y)
     s0, _ = _score(problem, eta0)
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
@@ -308,17 +299,18 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
     Converges when the full step drops to ``tol`` in sup-norm.  Running
     out of iterations or of halvings yields a non-converged report at
     the last accepted iterate, carrying the full trace; it never raises.
-    On the identity design every factor of the fit is made in one
-    buffer, allocated here, and the report keeps the last.
+    Every factor of the fit, an n x n ``R`` whatever the design, is made
+    in one buffer, allocated here, and the report keeps the last.
     """
     offset = problem.X @ problem.beta
-    buf = np.empty((problem.n, problem.n), order="F") if problem.identity_design else None
-    xi, a = _start(problem, buf)
+    buf = np.empty((problem.n, problem.n), order="F")
+    xi, b = _start(problem, buf)
+    a = _adjoint(problem, b)
     eta = offset + _effects(problem, xi)
     logpost = _log_posterior(problem, eta, xi, a)
     trace, halvings = [], 0
     while True:
-        w, delta, d_delta, cf = _newton_step(problem, eta, a, buf)
+        w, delta, d_b, cf = _newton_step(problem, eta, b, buf)
         residual = float(np.max(np.abs(delta), initial=0.0))
         converged = residual <= options.tol
         if converged:
@@ -331,7 +323,8 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         floor = logpost - _SLACK * (1.0 + abs(logpost) + 0.5 * (xi @ a) + data)
         t = 1.0
         for k in range(_MAX_HALVINGS + 1):
-            xi_t, a_t = xi + t * delta, a + t * d_delta
+            xi_t, b_t = xi + t * delta, b + t * d_b
+            a_t = _adjoint(problem, b_t)
             eta_t = offset + _effects(problem, xi_t)
             logpost_t = _log_posterior(problem, eta_t, xi_t, a_t)
             if logpost_t >= floor:
@@ -343,7 +336,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
             break
         trace.append((t * residual, residual))
         halvings += k
-        xi, a, eta, logpost = xi_t, a_t, eta_t, logpost_t
+        xi, b, a, eta, logpost = xi_t, b_t, a_t, eta_t, logpost_t
     return FitReport(
         problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf, log_posterior=logpost,
         residual=residual, converged=converged, trace=trace, halvings=halvings,
@@ -372,7 +365,7 @@ def corrected_mean(report: FitReport) -> np.ndarray:
     problem, Xi = report.problem, report.Xi
     Z = problem.Z
     xi_diag = Xi.diagonal() if problem.identity_design else np.sum((Z @ Xi) * Z, axis=1)
-    return report.xi + Xi @ (Z.T @ laplace_skew(report, xi_diag))
+    return report.xi + Xi @ _adjoint(problem, laplace_skew(report, xi_diag))
 
 
 # ---------------------------------------------------------------------------

@@ -735,11 +735,11 @@ class TestConfigCounts:
     """A config count, number or list of the wrong kind is an error naming its key."""
 
     @staticmethod
-    def run(tmp_path, command, payload):
+    def run(tmp_path, command, payload, *flags):
         payload = {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}, **payload}
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, payload), "--out", str(out),
-                "--quiet"]
+                "--quiet", *flags]
         if command in ("fit", "validate"):
             argv += ["--data", poisson_dataset(tmp_path)[0]]
         return cli.main(argv), out
@@ -758,6 +758,13 @@ class TestConfigCounts:
         assert code == cli.EXIT_VALIDATION
         name = key if section is None else f"{section}.{key}"
         assert f"error: {name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_negative_seed_option_is_rejected_before_out(self, tmp_path, capsys, command):
+        code, out = self.run(tmp_path, command, {}, "--seed", "-1")
+        assert code == cli.EXIT_VALIDATION
+        assert "error: --seed must be an integer in [0, inf]: -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("beta", [8, [8], [1.0, float("nan")], [1.0, True], "ab"])

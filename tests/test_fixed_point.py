@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -189,6 +192,7 @@ class TestCorrectedMean:
 
     @pytest.mark.parametrize("family", ["poisson", "binomial"])
     def test_both_solver_paths_agree(self, family):
+        # explicit Z products (Z = I, not flagged) against skipped ones
         rng = np.random.default_rng(11)
         square = random_problem(rng, family, 6, 6)
         problem = GlmmProblem(
@@ -236,9 +240,13 @@ def identity_problem(rng, family, n):
 
 
 class TestSolverPaths:
-    """The design alone picks the path: R = D + W^-1 for Z = I, else H."""
+    """One iterate, factoring the n x n R = Z D Z' + W^-1, for every design.
+
+    The identity design only skips the products by ``Z``.
+    """
 
     def test_factor_dimension_follows_the_design(self):
+        # n x n whatever the design
         rng = np.random.default_rng(17)
         problem = identity_problem(rng, "poisson", 12)
         assert problem.identity_design
@@ -248,12 +256,12 @@ class TestSolverPaths:
             assert not problem.identity_design
             report = fit_posterior(problem)
             assert report.converged
-            assert report.factor[0].shape == (r, r)
+            assert report.factor[0].shape == (n, n)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_both_paths_agree(self, family):
-        # Z = 2I with prior D/4 is the identity-design model in xi/2, on
-        # the H path
+        # Z = 2I with prior D/4 is the identity-design model in xi/2, with
+        # every product by Z formed
         problem = identity_problem(np.random.default_rng(23), family, 15)
         scaled = GlmmProblem(
             y=problem.y, X=problem.X, Z=2.0 * problem.Z, D=problem.D / 4.0,
@@ -329,6 +337,44 @@ class TestFactorBuffer:
             assert np.array_equal(fixed_point._solve(cf, b), cho_solve(cf, b))
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "glmmfp"
+
+
+def explicit_inverses(tree):
+    """Each ``linalg.inv`` that ``tree`` calls or imports, as written."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            yield from (f"{node.module}.{a.name}" for a in node.names if a.name == "inv")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if node.func.attr == "inv" and name == "linalg":
+                yield ast.unparse(node.func)
+
+
+class TestNoExplicitInverse:
+    """The solver solves with a Cholesky factor; no module inverts a matrix."""
+
+    def test_no_module_calls_linalg_inv(self):
+        found = {
+            (path.stem, call)
+            for path in sorted(SRC.glob("*.py"))
+            for call in explicit_inverses(ast.parse(path.read_text()))
+        }
+        assert found == set()
+
+    @pytest.mark.parametrize(
+        "source, calls",
+        [("np.linalg.inv(D)", ["np.linalg.inv"]), ("linalg.inv(D)", ["linalg.inv"]),
+         ("scipy.linalg.inv(D)", ["scipy.linalg.inv"]),
+         ("from scipy.linalg import cho_factor, inv", ["scipy.linalg.inv"]),
+         ("from numpy.linalg import inv", ["numpy.linalg.inv"]),
+         ("np.linalg.solve(D, b)", []), ("cf.inv(D)", []), ("from numpy import inv", [])],
+    )
+    def test_the_guard_sees_each_way_to_invert(self, source, calls):
+        assert list(explicit_inverses(ast.parse(source))) == calls
+
+
 class TestLogPosterior:
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_cached_response_term_is_bitwise_the_full_form(self, family):
@@ -371,13 +417,13 @@ class TestNonConvergence:
             y=y, X=np.zeros((2, 1)), Z=z[:, None], D=np.array([[100.0]]),
             beta=np.zeros(1), kernel=poisson_kernel(),
         )
-        xi0, a0 = fixed_point._start(problem)
+        xi0, b0 = fixed_point._start(problem)
         eta0 = problem.Z @ xi0
-        _, delta, d_delta, _ = fixed_point._newton_step(problem, eta0, a0)
+        _, delta, d_b, _ = fixed_point._newton_step(problem, eta0, b0)
         full = fixed_point._log_posterior(
-            problem, problem.Z @ (xi0 + delta), xi0 + delta, a0 + d_delta
+            problem, problem.Z @ (xi0 + delta), xi0 + delta, problem.Z.T @ (b0 + d_b)
         )
-        assert full < fixed_point._log_posterior(problem, eta0, xi0, a0)
+        assert full < fixed_point._log_posterior(problem, eta0, xi0, problem.Z.T @ b0)
         report = fit_posterior(problem)
         assert report.converged
         assert report.halvings > 0

@@ -4,7 +4,7 @@ from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
-from glmmfp import covariance, fixed_point, simulate, spatial
+from glmmfp import cli, covariance, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import approx_loglik
@@ -370,6 +370,21 @@ class TestFactorizationBudget:
         assert np.isfinite(value) and grad.shape == (3,)
         assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
+
+    def test_general_design_battery(self, monkeypatch):
+        # verify's battery designs (n <= 6, r <= 2): the identity design's
+        # count, one factor for the start and one per Newton step, and no
+        # inverse of D
+        rng = np.random.default_rng([3, 1])
+        battery = [problem for _, problem in cli._verify_battery(rng)]
+        calls, _ = self.count_factorizations(monkeypatch)
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append("inv") or inv(*args))
+        for problem in battery:
+            before = len(calls)
+            report = fit_posterior(problem)
+            assert report.converged and not problem.identity_design
+            assert calls[before:] == ["cho_factor"] * (report.iterations + 1)
 
 
 class TestIdentityPathAgainstDenseFormulas:
