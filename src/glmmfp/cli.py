@@ -422,16 +422,16 @@ def main(argv=None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    out = args.out = dataio.ResultDir(args.out)
     try:
-        _check_out(args.out)
+        _check_out(out.path)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
+        # the files written say what failed, such as simulate's audit.json
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included
+        out.discard()  # no partial result set
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

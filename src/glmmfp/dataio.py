@@ -276,6 +276,28 @@ def build_design(dataset: Dataset, cfg: RunConfig, tier: str | None = None) -> n
 # ---------------------------------------------------------------------------
 
 
+class ResultDir:
+    """A command's ``--out``: ``out / name`` is a result file's path, recorded.
+
+    :meth:`discard` removes the file at every path recorded, so that a
+    command that fails partway leaves no partial result set behind.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.named = []
+
+    def __truediv__(self, name) -> Path:
+        path = self.path / name
+        self.named.append(path)
+        return path
+
+    def discard(self):
+        for path in self.named:
+            if path.is_file():
+                path.unlink()
+
+
 def _open_for_write(path):
     """``path`` opened for writing, its directory created first; every writer's file."""
     path = Path(path)

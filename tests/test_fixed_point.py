@@ -653,3 +653,45 @@ class TestPriorFactor:
             self.problem(D)
         with pytest.raises(ValueError, match="symmetric|positive definite"):
             self.problem(D, D_chol=None)
+
+
+class TestWithPrior:
+    """Another prior and beta for one response: the checks of a new problem."""
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_fit_is_that_of_a_new_problem(self, family):
+        rng = np.random.default_rng(23)
+        first = identity_problem(rng, family, 12)
+        fit_posterior(first)  # caches the response term and the start
+        blocked = build_blocked(MaternParams(0.3, 2.0, 1.5), rng.uniform(0, 6, (12, 2)))
+        beta = first.beta + 0.2
+        moved = first.with_prior(blocked.d11, beta, blocked.chol)
+        fresh = GlmmProblem(
+            y=first.y, X=first.X, Z=first.Z, D=blocked.d11, beta=beta,
+            kernel=first.kernel,
+        )
+        assert moved.response_term is first.response_term
+        assert moved.initial_eta is first.initial_eta
+        assert moved.ZDZt is blocked.d11 and first.ZDZt is first.D
+        a, b = fit_posterior(moved), fit_posterior(fresh)
+        assert np.array_equal(a.xi, b.xi) and a.log_posterior == b.log_posterior
+        assert np.array_equal(first.beta + 0.2, moved.beta)
+
+    def test_general_design_recomputes_ZDZt(self):
+        rng = np.random.default_rng(4)
+        first = random_problem(rng, "poisson", 9, 3)
+        first.ZDZt  # noqa: B018 - cached before the copy
+        moved = first.with_prior(2.0 * first.D, first.beta)
+        assert np.allclose(moved.ZDZt, 2.0 * first.ZDZt, rtol=1e-14, atol=0.0)
+
+    def test_prior_is_checked(self):
+        rng = np.random.default_rng(5)
+        first = identity_problem(rng, "poisson", 6)
+        with pytest.raises(ValueError, match="positive definite"):
+            first.with_prior(-np.eye(6), first.beta)
+        with pytest.raises(ValueError, match="r x r"):
+            first.with_prior(np.eye(5), first.beta)
+        with pytest.raises(ValueError, match="beta length"):
+            first.with_prior(np.eye(6), np.zeros(first.beta.shape[0] + 1))
+        with pytest.raises(ValueError, match="factor"):
+            first.with_prior(np.eye(6), first.beta, np.eye(5))

@@ -150,6 +150,26 @@ class TestScenarios:
         agg = result.aggregates[SIC_ESTIMATED]
         for key in ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"):
             assert np.isfinite(agg[key]) and agg[key] >= 0.0
+        assert set(agg) == set(simulate._TABLE_COLUMNS[1:])
+
+    def test_estimated_records_count_the_estimate(self, monkeypatch):
+        cfg = SimConfig(
+            n=40, n_star=20, beta=(2.0, 0.0), omega=MaternParams(0.5, 1.0),
+            replications=2, seed=3, side=6.0, scenarios=(SIC_TRUE, SIC_ESTIMATED),
+        )
+        results = []
+        estimate = simulate.estimate
+        monkeypatch.setattr(
+            simulate, "estimate", lambda *a: results.append(estimate(*a)) or results[-1]
+        )
+        result = run_scenarios(cfg)
+        for record, fit in zip(result.records, results, strict=True):
+            counts = {k: record[SIC_ESTIMATED][k]
+                      for k in ("fits", "failed_fits", "optimizer_iterations")}
+            assert counts == {"fits": fit.fits, "failed_fits": fit.failed_fits,
+                              "optimizer_iterations": fit.optimizer_iterations}
+            assert fit.fits > fit.optimizer_iterations > 0
+            assert set(record[SIC_TRUE]) == set(simulate._TABLE_COLUMNS[1:])
 
     def test_repeat_run_is_identical(self):
         a = run_scenarios(SMALL)

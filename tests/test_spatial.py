@@ -363,10 +363,12 @@ class TestFactorizationBudget:
             coords=coords, kernel=poisson_kernel(),
         )
         calls, in_solver = self.count_factorizations(monkeypatch)
-        value, grad = estimate_module._value_and_gradient(
+        report, dD = estimate_module._evaluate(
             data, np.array([1.4]), MaternParams(0.5, 1.0), FitOptions(),
             cdist(coords, coords),
         )
+        value = estimate_module._surrogate(report)
+        grad = estimate_module._surrogate_gradient(report, dD)
         assert np.isfinite(value) and grad.shape == (3,)
         assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
