@@ -1,0 +1,37 @@
+"""The package's one Cholesky factor, and the LAPACK calls that make and use it.
+
+A factor ``L`` of ``A = L L'`` is the lower triangle of a Fortran-ordered
+array; what lies above its diagonal is unspecified.  :func:`potrf` makes
+it in the caller's buffer, raising ``LinAlgError`` if ``A`` is not
+positive definite, and the other calls leave it unchanged.  No entry is
+checked for being finite: a non-finite entry of ``A``'s lower triangle
+either stops ``potrf`` or reaches the factor's diagonal.
+"""
+
+import numpy as np
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotri, dpotrs, dtrtrs
+
+
+def potrf(a) -> np.ndarray:
+    """The factor of ``a``, made in ``a`` itself if ``a`` is Fortran-ordered."""
+    return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+
+
+def potrs(c, b) -> np.ndarray:
+    """``A^-1 b`` for the factor ``c`` of ``A``."""
+    return dpotrs(c, b, lower=True)[0]
+
+
+def potri(c) -> np.ndarray:
+    """``A^-1``, exactly symmetric, in a third of the flops of a solve against ``I``."""
+    inv = dpotri(c, lower=True)[0]
+    # potri fills the lower triangle and leaves the rest of its copy of c
+    np.copyto(inv, inv.T, where=~np.tri(len(inv), dtype=bool))
+    return inv
+
+
+def trtrs(c, b) -> np.ndarray:
+    """``L^-1 b`` for the factor ``L`` in ``c``, or for a leading block of one."""
+    # solve_triangular's path for a block that is not Fortran-contiguous, bit for bit
+    return dtrtrs(c.T, b, lower=0, trans=1)[0]

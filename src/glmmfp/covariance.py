@@ -9,13 +9,9 @@ import is deferred to the branch that needs it.
 
 The blocked covariance is built in one buffer: one ``cdist`` call over
 the stacked observed and unobserved sites gives the distances, and
-:func:`matern` overwrites them with the covariance.  It is factored
-once, by LAPACK's ``potrf`` (``scipy.linalg.cho_factor``) on its
-Fortran-ordered view, which needs no transposing copy, and the factor
-itself certifies that the matrix is finite, so the matrix is not scanned
-first.  That Cholesky factor is the only one of the prior that callers
-need, to draw from it, to certify its observed block and to krig
-(:func:`spatial.conditional_mean`).
+:func:`matern` overwrites them with the covariance.  Its one Cholesky
+factor is all that callers need, to draw from it, to certify its
+observed block and to krig (:func:`spatial.conditional_mean`).
 """
 
 from __future__ import annotations
@@ -24,7 +20,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
+
+from ._lapack import potrf
 
 log = logging.getLogger(__name__)
 
@@ -148,18 +145,12 @@ class BlockedCovariance:
     buffer of :func:`build_blocked` is), and ``n``, and certifies
     positive definiteness by Cholesky, escalating a diagonal jitter
     tenfold from 1e-10 up to 1e-6 times the largest diagonal entry (the
-    sill) before giving up.  The factor is ``potrf``'s on ``full.T``,
-    which is ``full`` itself in Fortran order.  ``potrf`` reads one
-    triangle, and every entry of it reaches the factor's diagonal, so a
-    non-finite entry either makes that diagonal non-finite or stops
-    ``potrf``; exact symmetry puts every entry of ``full`` in that
-    triangle, so either way ``full`` is found non-finite and
-    ``ValueError`` raised, without scanning a finite ``full``.
-    ``jitter`` is the regularization that was needed and ``chol`` the
-    lower factor of the jittered ``full``, Fortran-ordered, its strict
-    upper triangle zeroed.  Its leading n x n block is the Cholesky
-    factor of ``d11``, so callers draw, krig and certify ``d11`` with it
-    instead of factoring again.
+    sill) before giving up.  Exact symmetry puts every entry of ``full``
+    in the factored triangle, so a non-finite ``full`` raises ``ValueError``
+    and a finite one is not scanned.  ``jitter`` is the regularization
+    that was needed and ``chol`` the factor of the jittered ``full``, upper
+    triangle zeroed; its leading n x n block is the factor of ``d11``, so
+    callers draw, krig and certify ``d11`` with it instead of factoring again.
     """
 
     def __init__(self, full: np.ndarray, n: int):
@@ -173,8 +164,8 @@ class BlockedCovariance:
         while True:
             try:
                 # full is exactly symmetric, so its F-ordered transpose is
-                # full itself, which potrf factors without a transposing copy
-                chol, _ = cho_factor(full.T, lower=True, check_finite=False)
+                # full itself; the copy keeps full for the next jitter
+                chol = potrf(full.T.copy(order="F"))
             except np.linalg.LinAlgError:
                 if self.jitter == 0.0 and not np.all(np.isfinite(full)):
                     raise ValueError(_NON_FINITE) from None
@@ -190,8 +181,7 @@ class BlockedCovariance:
             else:
                 if not np.all(np.isfinite(chol.diagonal())):
                     raise ValueError(_NON_FINITE)
-                # potrf leaves full's upper triangle above the factor; zero
-                # it in bands of the contiguous rows of chol.T
+                # zero the upper triangle in bands of the contiguous rows of chol.T
                 ct, b = chol.T, len(_BAND_LOWER)
                 for j in range(0, len(ct), b):
                     band = ct[j : j + b]

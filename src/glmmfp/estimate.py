@@ -30,10 +30,9 @@ no new factorization per evaluation.  For a parameter ``theta_j`` of
 
 where ``s2 = -(1/2) diag(Xi) * b'''(eta)`` carries the dependence of
 ``log det Xi`` on the mode (:func:`fixed_point.laplace_skew`).  As
-``I - D R^-1 = W^-1 R^-1``, these need ``R^-1``, which LAPACK's
-``potri`` forms from the factor in a third of the flops of a solve
-against the identity, and ``R^-1 X``, but no n x n matrix product.
-The smoothness is held fixed.
+``I - D R^-1 = W^-1 R^-1``, these need ``R^-1``, by ``potri`` from the
+factor, and ``R^-1 X``, but no n x n matrix product.  The smoothness is
+held fixed.
 
 BFGS starts from the inverse of the expected information at the start
 point, ``X' R^-1 X`` for beta and ``tr(R^-1 C_i R^-1 C_j) / 2`` for the
@@ -57,8 +56,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotri, dpotrs
 
+from ._lapack import potri, potrs
 from .covariance import (
     BlockedCovariance,
     MaternParams,
@@ -119,29 +118,20 @@ def _evaluate(data, beta, omega, fit_options, dist, fit_omega=True, problem=None
 
 
 def _surrogate(report: FitReport) -> float:
-    logdet_r = 2.0 * np.sum(np.log(np.diag(report.factor[0])))
+    logdet_r = 2.0 * np.sum(np.log(np.diag(report.chol)))
     logdet_rw = logdet_r + np.sum(np.log(report.w))
     return float(report.log_posterior - 0.5 * logdet_rw)
 
 
-def _precision(report: FitReport) -> np.ndarray:
-    """``R^-1``, exactly symmetric, from the mode's factor of ``R`` by LAPACK ``potri``."""
-    Rinv = dpotri(report.factor[0], lower=True)[0]
-    # potri fills the lower triangle; above it lies the factor's copy of R
-    np.copyto(Rinv, Rinv.T, where=~np.tri(len(Rinv), dtype=bool))
-    return Rinv
-
-
-def _surrogate_gradient(report: FitReport, dD) -> np.ndarray:
-    """Gradient of :func:`_surrogate` in beta, then in each ``C_j`` of ``dD``."""
-    problem, alpha, chol = report.problem, report.alpha, report.factor[0]
+def _surrogate_gradient(report: FitReport, dD, Rinv) -> np.ndarray:
+    """Gradient of :func:`_surrogate` in beta and each ``C_j`` of ``dD``, from ``R^-1``."""
+    problem, alpha = report.problem, report.alpha
     D, X = problem.D, problem.X
     # on the site design Z = I, R = D + W^-1
-    Rinv = _precision(report)
     # I - D R^-1 = W^-1 R^-1, so Xi = W^-1 R^-1 D and Xi W = D R^-1
     winv = 1.0 / report.w
     s2 = laplace_skew(report, winv * np.sum(Rinv * D, axis=1))
-    XiWX = D @ dpotrs(chol, X, lower=True)[0]
+    XiWX = D @ potrs(report.chol, X)
     grad = list(X.T @ alpha + (X - XiWX).T @ s2)
     for C in dD:
         Ca = C @ alpha
@@ -236,7 +226,7 @@ def estimate(
         return theta[:p], omega
 
     def evaluate(theta):
-        """The fit at ``theta``, its ``dD``, and the minimized (value, gradient)."""
+        """The fit at ``theta``, ``dD``, ``R^-1`` if it converged, (value, gradient)."""
         nonlocal fits, failed, problem
         fits += 1
         beta, omega = unpack(theta)
@@ -244,8 +234,10 @@ def estimate(
         problem = report.problem
         if not report.converged:
             failed += 1
-            return report, dD, (np.inf, np.full_like(theta, np.nan))
-        return report, dD, (-_surrogate(report), -_surrogate_gradient(report, dD))
+            return report, dD, None, (np.inf, np.full_like(theta, np.nan))
+        Rinv = potri(report.chol)
+        out = (-_surrogate(report), -_surrogate_gradient(report, dD, Rinv))
+        return report, dD, Rinv, out
 
     theta0 = init_beta
     if fit_omega:
@@ -253,20 +245,20 @@ def estimate(
             [init_beta, [math.log(init_omega.sill), np.log(init_omega.omega2)]]
         )
     # BFGS's first call is at theta0: the fit made here, scaled by its information
-    report, dD, first = evaluate(theta0)
+    report, dD, Rinv, first = evaluate(theta0)
     options = {"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER}
     if report.converged:
-        start = _inverse(_information(report, dD, _precision(report)))
+        start = _inverse(_information(report, dD, Rinv))
         if start is not None:
             options["hess_inv0"] = start
-    del report, dD
+    del report, dD, Rinv
 
     def objective(theta):
         nonlocal first
         if first is not None and np.array_equal(theta, theta0):
             out, first = first, None
             return out
-        return evaluate(theta)[2]
+        return evaluate(theta)[3]
 
     res = minimize(objective, theta0, jac=True, method="BFGS", options=options)
     beta_hat, omega_hat = unpack(res.x)

@@ -27,17 +27,13 @@ predictor, one iterate for every design.  It carries ``b`` with
 ``D^-1 xi = Z' b``, so it never solves with ``D``: as
 ``H^-1 Z' = D Z' R^-1 W^-1``, the increment is ``Delta = D Z' d_b`` with
 ``d_b = R^-1 W^-1 (s - b)`` and score ``s = (y - mu) / phi``.  Each
-iterate does one Cholesky factorization and nothing else of cubic cost,
-of the n x n ``R`` in one Fortran-ordered buffer per fit: it copies
-``(Z D Z')'`` into it column by column, adds ``1/w`` to its diagonal,
-and LAPACK's ``potrf`` overwrites it with the factor.  The identity
-design ``Z = I`` (every spatial caller) only skips the products by
-``Z``.  Solves call the factor's ``potrs`` directly, and the
-log-likelihood's terms in ``y`` alone are evaluated once per problem.
-The last iterate's factor and ``alpha = Z' b`` stay on the
-:class:`FitReport`; ``Xi`` is read off the factor on first access, so
-callers that only need ``xi`` (or the kriging ``D21 alpha``) never pay
-for it.
+iterate does one Cholesky factorization, of the n x n ``R``, and nothing
+else of cubic cost; the identity design ``Z = I`` (every spatial caller)
+only skips the products by ``Z``.  The log-likelihood's terms in ``y``
+alone are evaluated once per problem.  The last iterate's factor and
+``alpha = Z' b`` stay on the :class:`FitReport`; ``Xi`` is read off the
+factor on first access, so callers that only need ``xi`` (or the
+kriging ``D21 alpha``) never pay for it.
 
 The module also evaluates both sides of the Gaussian factorization
 identity
@@ -62,10 +58,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from . import families
+from ._lapack import potrf, potrs
 from .families import FamilyKernel
 
 # A trial point is accepted when the log-posterior falls by no more than
@@ -184,10 +179,10 @@ class FitOptions:
 class FitReport:
     """Last iterate of :func:`fit_posterior`: the mode once it has converged.
 
-    ``factor`` is the iterate's Cholesky factor (``cho_factor`` form) of
-    the n x n ``R = Z D Z' + W^-1``.  ``alpha = Z' b = D^-1 xi`` is the
+    ``chol`` is the iterate's Cholesky factor of the n x n
+    ``R = Z D Z' + W^-1``.  ``alpha = Z' b = D^-1 xi`` is the
     prior-precision image of ``xi``, and ``log_posterior`` is
-    ``log f(y | eta) - xi' alpha / 2``.  ``Xi`` is computed from ``factor``
+    ``log f(y | eta) - xi' alpha / 2``.  ``Xi`` is computed from ``chol``
     on first access.  ``trace`` holds one ``(step, residual)`` pair per
     iteration: the sup norm of the increment taken and of the full
     Newton increment.  ``halvings`` counts the step halvings over the fit.
@@ -198,7 +193,7 @@ class FitReport:
     eta: np.ndarray
     w: np.ndarray
     alpha: np.ndarray
-    factor: tuple = field(repr=False)
+    chol: np.ndarray = field(repr=False)
     log_posterior: float
     residual: float
     converged: bool
@@ -212,44 +207,34 @@ class FitReport:
 
     @cached_property
     def Xi(self) -> np.ndarray:
-        return _covariance(self.problem, self.factor)
+        return _covariance(self.problem, self.chol)
 
 
 def _factor(problem: GlmmProblem, w, buf=None):
-    """The one Cholesky factor, of ``R = Z D Z' + W^-1``, of an iterate.
-
-    ``buf``, a Fortran-ordered n x n array (new if not given), takes
-    ``Z D Z'`` by a column-contiguous copy of its transpose and is
-    overwritten with the factor.
-    """
+    """An iterate's one factor, of ``R = Z D Z' + W^-1``, made in ``buf`` if given."""
     n = problem.n
     A = np.empty((n, n), order="F") if buf is None else buf
     np.copyto(A, problem.ZDZt.T)
     A.flat[:: n + 1] += 1.0 / w
-    return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-
-
-def _solve(cf, b) -> np.ndarray:
-    """``A^-1 b`` for ``cf = cho_factor(A)``, by the ``potrs`` of ``cho_solve``."""
-    return dpotrs(cf[0], b, lower=cf[1])[0]
+    return potrf(A)
 
 
 def _xi_raw(problem: GlmmProblem, u, w, buf=None):
     """The working-model update xi_raw = D Z' R^-1 (u - X beta).
 
-    Returns ``(xi_raw, b, factor)``: ``b = R^-1 (u - X beta)``, so that
-    ``D^-1 xi_raw = Z' b``, and the one Cholesky factor made (in ``buf``, if given).
+    Returns ``(xi_raw, b, chol)``: ``b = R^-1 (u - X beta)``, so that
+    ``D^-1 xi_raw = Z' b``, and the factor of ``R`` made in ``buf``.
     """
-    cf = _factor(problem, w, buf)
-    b = _solve(cf, u - problem.X @ problem.beta)
-    return problem.D @ _adjoint(problem, b), b, cf
+    chol = _factor(problem, w, buf)
+    b = potrs(chol, u - problem.X @ problem.beta)
+    return problem.D @ _adjoint(problem, b), b, chol
 
 
-def _covariance(problem: GlmmProblem, cf) -> np.ndarray:
-    """Xi = D - D Z' R^-1 Z D from the factor ``cf`` of ``R``."""
+def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
+    """Xi = D - D Z' R^-1 Z D from the factor ``chol`` of ``R``."""
     D = problem.D
     DZt = _effects(problem, D.T).T  # D Z' = (Z D')'
-    Xi = D - DZt @ _solve(cf, DZt.T)
+    Xi = D - DZt @ potrs(chol, DZt.T)
     return 0.5 * (Xi + Xi.T)
 
 
@@ -272,14 +257,14 @@ def _score(problem: GlmmProblem, eta):
 def _newton_step(problem: GlmmProblem, eta, b, buf=None):
     """Newton increment at ``eta = X beta + Z xi``, with ``D^-1 xi = Z' b``.
 
-    Returns ``(w, delta, d_b, factor)``: the working weights, the
+    Returns ``(w, delta, d_b, chol)``: the working weights, the
     increments ``delta = D Z' d_b`` of ``xi`` and ``d_b = R^-1 W^-1 (s - b)``
-    of ``b``, and the one Cholesky factor made (in ``buf``, if given).
+    of ``b``, and the factor of ``R`` made in ``buf``.
     """
     s, w = _score(problem, eta)
-    cf = _factor(problem, w, buf)
-    d_b = _solve(cf, (s - b) / w)
-    return w, problem.D @ _adjoint(problem, d_b), d_b, cf
+    chol = _factor(problem, w, buf)
+    d_b = potrs(chol, (s - b) / w)
+    return w, problem.D @ _adjoint(problem, d_b), d_b, chol
 
 
 def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
@@ -322,8 +307,8 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
     Converges when the full step drops to ``tol`` in sup-norm.  Running
     out of iterations or of halvings yields a non-converged report at
     the last accepted iterate, carrying the full trace; it never raises.
-    Every factor of the fit, an n x n ``R`` whatever the design, is made
-    in one buffer, allocated here, and the report keeps the last.
+    Every factor of the fit is made in one buffer, allocated here, and
+    the report keeps the last.
     """
     offset = problem.X @ problem.beta
     buf = np.empty((problem.n, problem.n), order="F")
@@ -333,7 +318,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
     logpost = _log_posterior(problem, eta, xi, a)
     trace, halvings = [], 0
     while True:
-        w, delta, d_b, cf = _newton_step(problem, eta, b, buf)
+        w, delta, d_b, chol = _newton_step(problem, eta, b, buf)
         residual = float(np.max(np.abs(delta), initial=0.0))
         converged = residual <= options.tol
         if converged:
@@ -361,7 +346,7 @@ def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> F
         halvings += k
         xi, b, a, eta, logpost = xi_t, b_t, a_t, eta_t, logpost_t
     return FitReport(
-        problem=problem, xi=xi, eta=eta, w=w, alpha=a, factor=cf, log_posterior=logpost,
+        problem=problem, xi=xi, eta=eta, w=w, alpha=a, chol=chol, log_posterior=logpost,
         residual=residual, converged=converged, trace=trace, halvings=halvings,
         eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
     )

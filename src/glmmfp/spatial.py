@@ -14,16 +14,14 @@ the kriging of its mode through the cross covariance:
 
 the second form holding at the mode, which is the working-model
 update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
-prediction is the product ``D21 alpha`` and does no factorization; the
-prior's own Cholesky factor, carried by the blocked covariance, certifies
-D11 for the solver, so no other factorization of D11 is made.
+prediction is the product ``D21 alpha`` and does no factorization.
 The predicted response is b'(X* beta + xi*) under the unobserved sites'
 own kernel (their trial counts for the binomial family), and the
 predicted working response is X* beta + xi* (zero working residual, as
 no response exists at the unobserved sites).  With zero cross covariance this degenerates to the
 fixed-effects prediction, and in the noise-free limit to the
 conditional-mean (kriging) predictor D21 D11^-1 gamma, which
-:func:`conditional_mean` evaluates as L21 L11^-1 gamma from that factor.
+:func:`conditional_mean` evaluates as L21 L11^-1 gamma from the prior's factor.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 - bench/tests checks its traced binding
-from scipy.linalg import solve_triangular
 
 from . import families
+from ._lapack import trtrs
 from .covariance import BlockedCovariance
 from .families import FamilyKernel
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
@@ -95,10 +93,7 @@ class SpatialPrediction:
 
 
 def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmProblem:
-    """The observed sites' problem: one effect per site (``Z = I``), prior ``D11``.
-
-    The leading block of the carried joint factor certifies ``D11``.
-    """
+    """The observed sites' problem: one effect per site (``Z = I``), prior ``D11``."""
     n = blocked.n_observed
     return GlmmProblem(
         y=data.y, X=data.X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=data.kernel,
@@ -141,4 +136,4 @@ def conditional_mean(gamma, blocked: BlockedCovariance) -> np.ndarray:
     if gamma.shape[0] != n:
         raise ValueError("gamma length must match the observed block")
     L = blocked.chol
-    return L[n:, :n] @ solve_triangular(L[:n, :n], gamma, lower=True)
+    return L[n:, :n] @ trtrs(L[:n, :n], gamma)

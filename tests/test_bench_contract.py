@@ -56,3 +56,40 @@ def test_verify_workload_command_passes_its_checks(tmp_path, monkeypatch, key):
     out = tmp_path / "out"
     rc = cli.main(workload.argv(tmp_path, key, out))
     assert workload.outcome(tmp_path, key, out, rc, None) == (1, 0, [])
+
+
+def test_tracer_sees_every_factorization_of_the_seam(monkeypatch):
+    # bench/tracing.py counts linalg.cho_factor by wrapping the binding in
+    # glmmfp._lapack; each potrf of the prior and of the solver must show
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    from glmmfp import covariance, fixed_point, simulate
+
+    seam = []
+    for module, label in ((covariance, "prior"), (fixed_point, "solver")):
+        potrf = module.potrf
+        monkeypatch.setattr(
+            module, "potrf", lambda a, _f=potrf, _l=label: seam.append(_l) or _f(a)
+        )
+    tracer = tracing.Tracer()
+    patches = tracing.install_glmmfp(tracer)
+    try:
+        simulate.run_scenarios(simulate.SimConfig(n=40, n_star=30, replications=1))
+    finally:
+        tracing.uninstall(patches)
+    spans = tracer.spans
+
+    def inside(span, name):
+        while span[tracing.PARENT] is not None:
+            span = spans[span[tracing.PARENT]]
+            if span[tracing.NAME] == name:
+                return True
+        return False
+
+    [fit] = [s for s in spans if s[tracing.NAME] == "fixed_point.fit_posterior"]
+    factors = [s for s in spans if s[tracing.NAME] == "linalg.cho_factor"]
+    assert seam == ["prior"] + ["solver"] * (fit[tracing.ATTRS]["iterations"] + 1)
+    assert len(factors) == len(seam)
+    assert sum(inside(s, "fixed_point.fit_posterior") for s in factors) == seam.count("solver")
+    assert sum(inside(s, "covariance.build_blocked") for s in factors) == 1

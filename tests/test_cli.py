@@ -888,7 +888,7 @@ class TestOutputDirectory:
             tmp_path, {"beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0}}
         )
         # every factorization fails, so the prior escalates its jitter to the cap
-        monkeypatch.setattr(covariance, "cho_factor", never_positive_definite)
+        monkeypatch.setattr(covariance, "potrf", never_positive_definite)
         out = tmp_path / "out"
         code = cli.main(["fit", "--config", config, "--data", data, "--out", str(out),
                          "--quiet"])

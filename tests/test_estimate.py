@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 from glmmfp import cli, covariance, dataio
 from glmmfp import estimate as estimate_module
 from glmmfp import fixed_point
+from glmmfp._lapack import potri
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import SpatialData, approx_loglik, estimate
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
@@ -111,8 +112,8 @@ class TestObjectiveFactorizations:
 
         for name in ("cholesky", "solve", "inv", "slogdet"):
             counted(np.linalg, name)
-        counted(fixed_point, "cho_factor")
-        counted(covariance, "cho_factor", "prior")
+        counted(fixed_point, "potrf")
+        counted(covariance, "potrf", "prior")
         in_solver = []
         fit = estimate_module.fit_posterior
 
@@ -126,7 +127,7 @@ class TestObjectiveFactorizations:
         value = approx_loglik(data, np.array([2.0]), omega)
         assert np.isfinite(value)
         [solver_calls] = in_solver
-        assert solver_calls and set(solver_calls) == {"cho_factor"}
+        assert solver_calls and set(solver_calls) == {"potrf"}
         assert len(calls) == 1 + len(solver_calls)
         assert calls.count("prior") == 1
 
@@ -217,7 +218,8 @@ def small_data(family, p, seed=0, n=30):
 def value_and_gradient(data, beta, omega, dist, fit_omega=True):
     """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
     report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist, fit_omega)
-    return estimate_module._surrogate(report), estimate_module._surrogate_gradient(report, dD)
+    grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
+    return estimate_module._surrogate(report), grad
 
 
 class TestGradient:
@@ -257,7 +259,8 @@ class TestGradient:
             return fixed_point.laplace_skew(report, xi_diag)
 
         monkeypatch.setattr(estimate_module, "laplace_skew", skew)
-        estimate_module._surrogate_gradient(report, (report.problem.D,))
+        Rinv = potri(report.chol)
+        estimate_module._surrogate_gradient(report, (report.problem.D,), Rinv)
         assert np.allclose(seen[0], report.Xi.diagonal(), rtol=1e-12, atol=0.0)
 
     def test_beta_block_alone_without_distances(self):
@@ -344,12 +347,12 @@ class TestPrecision:
         report = estimate_module._fit(
             data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), FitOptions(), dist
         )
-        factor = report.factor[0].copy()
-        Rinv = estimate_module._precision(report)
+        factor = report.chol.copy()
+        Rinv = potri(report.chol)
         assert np.array_equal(Rinv, Rinv.T)
         want = np.linalg.solve(dense_R(report), np.eye(len(Rinv)))
         assert np.max(np.abs(Rinv - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(report.factor[0], factor)  # the fit's factor is kept
+        assert np.array_equal(report.chol, factor)  # the fit's factor is kept
 
 
 class TestInformation:
@@ -361,9 +364,7 @@ class TestInformation:
         omega = MaternParams(0.4, 1.2, nu)
         beta = np.array([0.3, 0.1])
         report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist)
-        info = estimate_module._information(
-            report, dD, estimate_module._precision(report)
-        )
+        info = estimate_module._information(report, dD, potri(report.chol))
         assert info.shape == (4, 4)
         assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
 
@@ -371,7 +372,7 @@ class TestInformation:
             rep, _ = estimate_module._evaluate(
                 data, b, omega, FitOptions(), dist, fit_omega=False
             )
-            return estimate_module._surrogate_gradient(rep, ())
+            return estimate_module._surrogate_gradient(rep, (), potri(rep.chol))
 
         h = 1e-3
         hessian = np.column_stack([
@@ -464,6 +465,27 @@ class TestScaledStart:
         )
         assert estimate(data, np.array([2.0]), omega).converged
         assert "hess_inv0" not in seen[-1]
+
+
+class TestPrecisionOnce:
+    def test_one_potri_per_converged_evaluation(self, monkeypatch):
+        # the start's R^-1 serves both its gradient and its information
+        data, omega = poisson_data(seed=6, n=40)
+        inverses, converged = [], []
+        potri_fn, fit = estimate_module.potri, estimate_module.fit_posterior
+        monkeypatch.setattr(
+            estimate_module, "potri", lambda c: inverses.append(1) or potri_fn(c)
+        )
+
+        def recorded(*args):
+            report = fit(*args)
+            converged.append(report.converged)
+            return report
+
+        monkeypatch.setattr(estimate_module, "fit_posterior", recorded)
+        result = estimate(data, np.array([2.0]), omega)
+        assert result.converged and result.fits == len(converged)
+        assert len(inverses) == sum(converged)
 
 
 class TestResponseOnce:

@@ -250,13 +250,13 @@ class TestSolverPaths:
         rng = np.random.default_rng(17)
         problem = identity_problem(rng, "poisson", 12)
         assert problem.identity_design
-        assert fit_posterior(problem).factor[0].shape == (12, 12)
+        assert fit_posterior(problem).chol.shape == (12, 12)
         for n, r in ((30, 3), (6, 6), (4, 9)):
             problem = random_problem(rng, "poisson", n, r)
             assert not problem.identity_design
             report = fit_posterior(problem)
             assert report.converged
-            assert report.factor[0].shape == (n, n)
+            assert report.chol.shape == (n, n)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_both_paths_agree(self, family):
@@ -316,25 +316,25 @@ class TestFactorBuffer:
     def test_fits_do_not_share_a_factor(self):
         problem = identity_problem(np.random.default_rng(31), "poisson", 20)
         first = fit_posterior(problem)
-        factor = first.factor[0].copy()
-        want = fixed_point._covariance(problem, (factor, True))
+        factor = first.chol.copy()
+        want = fixed_point._covariance(problem, factor)
         # both end on factors other than the mode's
         second = fit_posterior(problem, FitOptions(max_iter=1))
         fixed_point_residual(problem, first.xi + 0.3)
-        assert not np.array_equal(second.factor[0], factor)
-        assert first.factor[0].flags.f_contiguous
-        assert not np.shares_memory(first.factor[0], second.factor[0])
-        assert np.array_equal(first.factor[0], factor)
+        assert not np.array_equal(second.chol, factor)
+        assert first.chol.flags.f_contiguous
+        assert not np.shares_memory(first.chol, second.chol)
+        assert np.array_equal(first.chol, factor)
         assert np.array_equal(first.Xi, want)
 
     def test_solve_is_cho_solve(self):
         from scipy.linalg import cho_solve
 
         problem = identity_problem(np.random.default_rng(37), "binomial", 12)
-        cf = fit_posterior(problem).factor
+        chol = fit_posterior(problem).chol
         rhs = np.random.default_rng(1).standard_normal((12, 3))
         for b in (rhs[:, 0], rhs, problem.D.T):
-            assert np.array_equal(fixed_point._solve(cf, b), cho_solve(cf, b))
+            assert np.array_equal(fixed_point.potrs(chol, b), cho_solve((chol, True), b))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "glmmfp"
@@ -373,6 +373,50 @@ class TestNoExplicitInverse:
     )
     def test_the_guard_sees_each_way_to_invert(self, source, calls):
         assert list(explicit_inverses(ast.parse(source))) == calls
+
+
+def scipy_linalg_bindings(tree):
+    """Each ``scipy.linalg`` name that ``tree`` imports or reads, as written."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            for a in node.names:
+                name = f"{module}.{a.name}"
+                if module.startswith("scipy.linalg") or name == "scipy.linalg":
+                    yield name
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("scipy.linalg"))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.linalg":
+            yield "scipy.linalg"
+
+
+class TestOneLapackModule:
+    """Every factorization and solve of scipy's goes through ``_lapack``."""
+
+    def test_only_lapack_binds_scipy_linalg(self):
+        found = {
+            (path.stem, name)
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != "_lapack"
+            for name in scipy_linalg_bindings(ast.parse(path.read_text()))
+        }
+        # spatial's unused binding stays while bench/tests/test_bench.py::
+        # test_install_glmmfp_traces_every_binding_of_fit_posterior asserts
+        # that the tracer wraps it
+        assert found == {("spatial", "scipy.linalg.cho_factor")}
+
+    @pytest.mark.parametrize(
+        "source, names",
+        [("from scipy.linalg import cho_factor", ["scipy.linalg.cho_factor"]),
+         ("from scipy.linalg.lapack import dpotrs", ["scipy.linalg.lapack.dpotrs"]),
+         ("from scipy import linalg", ["scipy.linalg"]),
+         ("import scipy.linalg.lapack", ["scipy.linalg.lapack"]),
+         ("scipy.linalg.cho_solve(c, b)", ["scipy.linalg"]),
+         ("from scipy.spatial.distance import cdist", []),
+         ("from numpy.linalg import cholesky", []), ("np.linalg.cholesky(a)", [])],
+    )
+    def test_the_guard_sees_each_way_to_bind(self, source, names):
+        assert list(scipy_linalg_bindings(ast.parse(source))) == names
 
 
 class TestLogPosterior:

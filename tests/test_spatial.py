@@ -6,6 +6,7 @@ from scipy.special import expit
 
 from glmmfp import cli, covariance, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
+from glmmfp._lapack import potri
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import approx_loglik
 from glmmfp.families import (
@@ -307,9 +308,9 @@ class TestFactorizationBudget:
 
             return wrapper
 
-        monkeypatch.setattr(fixed_point, "cho_factor", counted(fixed_point.cho_factor))
+        monkeypatch.setattr(fixed_point, "potrf", counted(fixed_point.potrf))
         monkeypatch.setattr(spatial, "cho_factor", counted(spatial.cho_factor))
-        monkeypatch.setattr(covariance, "cho_factor", counted(covariance.cho_factor, "prior"))
+        monkeypatch.setattr(covariance, "potrf", counted(covariance.potrf, "prior"))
         monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
         in_solver = []
 
@@ -368,7 +369,7 @@ class TestFactorizationBudget:
             cdist(coords, coords),
         )
         value = estimate_module._surrogate(report)
-        grad = estimate_module._surrogate_gradient(report, dD)
+        grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
         assert np.isfinite(value) and grad.shape == (3,)
         assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
@@ -386,7 +387,7 @@ class TestFactorizationBudget:
             before = len(calls)
             report = fit_posterior(problem)
             assert report.converged and not problem.identity_design
-            assert calls[before:] == ["cho_factor"] * (report.iterations + 1)
+            assert calls[before:] == ["potrf"] * (report.iterations + 1)
 
 
 class TestIdentityPathAgainstDenseFormulas:
