@@ -94,10 +94,10 @@ def _check_params(cfg: RunConfig, n_columns: int):
 
 
 def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
-    """Return (beta, matern_params, estimate_meta_or_None)."""
+    """Return (beta, matern_params, estimate_meta_or_None, estimate_fit_or_None)."""
     _check_params(cfg, data.X.shape[1])
     if cfg.beta != dataio.ESTIMATE:
-        return np.asarray(cfg.beta, dtype=float), cfg.matern, None
+        return np.asarray(cfg.beta, dtype=float), cfg.matern, None, None
     matern_given = isinstance(cfg.matern, MaternParams)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
     init_beta = _default_beta_init(data.kernel, data.y, data.X)
@@ -117,13 +117,13 @@ def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
         "fits": result.fits,
         "failed_fits": result.failed_fits,
     }
-    return result.beta_hat, result.omega_hat, meta
+    return result.beta_hat, result.omega_hat, meta, result.report
 
 
 def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPrediction:
     """Fit the mode at the training sites and predict at the test sites."""
     observed = _sites(cfg, train, tier)
-    beta, omega, _ = _resolve_params(cfg, observed, options)
+    beta, omega, *_ = _resolve_params(cfg, observed, options)
     blocked = build_blocked(omega, observed.coords, test.coords)
     problem = SpatialProblem(observed, _sites(cfg, test, tier), blocked, beta)
     return fit_predict(problem, options)
@@ -139,9 +139,10 @@ def cmd_fit(args) -> int:
     dataset = dataio.load_dataset(args.data, cfg)
     options = _fit_options(cfg)
     observed = _sites(cfg, dataset)
-    beta, omega, est_meta = _resolve_params(cfg, observed, options)
-    blocked = build_blocked(omega, observed.coords)
-    report = fit_posterior(site_problem(observed, blocked, beta), options)
+    beta, omega, est_meta, report = _resolve_params(cfg, observed, options)
+    if report is None:
+        blocked = build_blocked(omega, observed.coords)
+        report = fit_posterior(site_problem(observed, blocked, beta), options)
     dataio.write_csv(args.out / "xi.csv", ("site", "xi"), enumerate(report.xi))
     dataio.write_symmetric_csv(args.out / "Xi.csv", report.Xi)
     payload = {

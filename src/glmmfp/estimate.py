@@ -18,10 +18,10 @@ marginal normal log-likelihood.
 The data are the observed sites alone: a :class:`spatial.SpatialData`,
 such as the ``observed`` half of a :class:`spatial.SpatialProblem`.
 
-The optimizer is BFGS over (beta, logit omega1, log omega2) with the
-exact gradient of the surrogate (Rasmussen & Williams 2006, Alg. 5.1,
-eqs. 5.21-5.24), which costs solves with the mode's factor of ``R`` and
-no new factorization per evaluation.  For a parameter ``theta_j`` of
+Fisher scoring maximizes the surrogate over (beta, logit omega1,
+log omega2) with its exact gradient (Rasmussen & Williams 2006,
+Alg. 5.1, eqs. 5.21-5.24), which costs solves with the mode's factor of
+``R`` and no new factorization per fit.  For a parameter ``theta_j`` of
 ``D`` with ``C_j = dD/dtheta_j``,
 
     dL/dtheta_j = alpha' C_j alpha / 2 - tr(R^-1 C_j) / 2
@@ -34,14 +34,16 @@ where ``s2 = -(1/2) diag(Xi) * b'''(eta)`` carries the dependence of
 factor, and ``R^-1 X``, but no n x n matrix product.  The smoothness is
 held fixed.
 
-BFGS starts from the inverse of the expected information at the start
-point, ``X' R^-1 X`` for beta and ``tr(R^-1 C_i R^-1 C_j) / 2`` for the
-covariance parameters (Jennrich & Sampson 1976), so that its first step
-is a Fisher-scoring step; the start point's fit is BFGS's first
-evaluation.  If the information is not positive definite, or scipy is
-too old to take a start (it then warns of an unknown option), BFGS
-starts from the identity.  On the 16 datasets of the estimation
-benchmark this took 176 fits where the identity start took 216.  One
+Each step from the accepted point is ``I^-1 g``, with ``g`` the gradient
+and ``I`` the expected information, ``X' R^-1 X`` for beta and
+``tr(R^-1 C_i R^-1 C_j) / 2`` for the covariance parameters (Jennrich &
+Sampson 1976).  Where ``I`` is not positive definite, each entry of
+``g`` is divided by ``I``'s diagonal entry if that is positive: at a
+vanishing sill, the covariance block of ``I`` vanishes but beta's stays.
+As in the mode-finder, the step is halved until the surrogate does not
+fall, and a trial whose mode fit does not converge, or whose parameters
+leave :class:`MaternParams`' range, is rejected like one where it falls.
+On the 16 datasets of the estimation benchmark this took 179 fits.  One
 estimate checks the response and evaluates its terms in ``y`` alone
 once, through :meth:`fixed_point.GlmmProblem.with_prior`.
 
@@ -65,20 +67,21 @@ from .covariance import (
     matern_scale_derivative,
     site_distances,
 )
-from .fixed_point import FitOptions, FitReport, fit_posterior, laplace_skew
+from .fixed_point import _MAX_HALVINGS, FitOptions, FitReport, fit_posterior, laplace_skew
 from .spatial import SpatialData, site_problem
 
-BFGS_MAX_ITER = 400
-BFGS_GTOL = 1e-5
+SCORING_MAX_ITER = 400
+SCORING_GTOL = 1e-5
 
 
 @dataclass(eq=False)
 class EstimateResult:
     """Outcome of :func:`estimate`.
 
-    ``fits`` counts the mode fits, one per evaluation of the surrogate;
-    ``failed_fits`` those that did not converge, each a trial point the
-    line search rejected.  ``optimizer_iterations`` counts BFGS steps.
+    ``fits`` counts the mode fits, one per point tried; ``failed_fits``
+    those that did not converge, each a trial the step halving rejected.
+    ``optimizer_iterations`` counts the accepted scoring steps, and
+    ``report`` is the mode fit at (``beta_hat``, ``omega_hat``).
     """
 
     beta_hat: np.ndarray
@@ -88,6 +91,7 @@ class EstimateResult:
     optimizer_iterations: int
     fits: int
     failed_fits: int
+    report: FitReport
 
 
 def _fit(data: SpatialData, beta, omega: MaternParams, fit_options, dist, problem=None):
@@ -104,17 +108,10 @@ def _fit(data: SpatialData, beta, omega: MaternParams, fit_options, dist, proble
     return fit_posterior(problem, fit_options)
 
 
-def _evaluate(data, beta, omega, fit_options, dist, fit_omega=True, problem=None):
-    """The mode fit at (beta, omega) and the derivatives ``dD`` of its prior.
-
-    ``dD`` holds ``dD/dlogit(omega1)`` and ``dD/dlog(omega2)`` if
-    ``fit_omega`` and the fit converged, and is empty otherwise.
-    """
-    report = _fit(data, beta, omega, fit_options, dist, problem)
-    if not (fit_omega and report.converged):
-        return report, ()
+def _prior_derivatives(problem, omega: MaternParams, dist) -> tuple:
+    """``dD/dlogit(omega1)`` and ``dD/dlog(omega2)`` of ``problem``'s prior ``D``."""
     # the jitter is proportional to the sill, so dD/dlogit(omega1) = D
-    return report, (report.problem.D, matern_scale_derivative(omega, dist))
+    return problem.D, matern_scale_derivative(omega, dist)
 
 
 def _surrogate(report: FitReport) -> float:
@@ -158,16 +155,19 @@ def _information(report: FitReport, dD, Rinv) -> np.ndarray:
     return info
 
 
-def _inverse(info) -> np.ndarray | None:
-    """``info^-1`` through its Cholesky factor; None unless it is positive definite."""
+def _scoring_step(info, grad) -> np.ndarray:
+    """``info^-1 grad`` if ``info`` is positive definite.
+
+    Otherwise each entry of ``grad`` is divided by ``info``'s diagonal
+    entry where that is positive.
+    """
     try:
         chol = np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
-        return None
-    half = np.linalg.solve(chol, np.eye(len(info)))  # info^-1 = half' half
-    inverse = half.T @ half
-    inverse = 0.5 * (inverse + inverse.T)  # scipy requires exact symmetry
-    return inverse if np.all(np.isfinite(inverse)) else None
+        scale = np.diag(info)
+        return np.divide(grad, scale, out=grad.copy(), where=scale > 0)
+    step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+    return step if np.all(np.isfinite(step)) else grad
 
 
 def approx_loglik(
@@ -191,83 +191,81 @@ def estimate(
     fit_options: FitOptions = FitOptions(),
     fit_omega: bool = True,
 ) -> EstimateResult:
-    """Maximize the surrogate log-likelihood from the given start by BFGS.
+    """Maximize the surrogate log-likelihood from the given start by Fisher scoring.
 
-    With ``fit_omega=False`` only the fixed effects are optimized and
-    the Matern hyperparameters stay at ``init_omega``.  A trial point
-    whose mode fit does not converge has value +inf in the minimized
-    negative surrogate, so the line search backtracks from it.
-    BFGS stops after ``BFGS_MAX_ITER`` steps or once the gradient's sup
-    norm is below ``BFGS_GTOL``.  Deterministic given the initialization
-    and ``fit_options``.
+    With ``fit_omega=False`` only the fixed effects are estimated and
+    the Matern hyperparameters stay at ``init_omega``.  Each scoring step
+    is halved until the surrogate does not fall; a trial whose mode fit
+    does not converge, or whose parameters leave :class:`MaternParams`'
+    range, is rejected.  Scoring stops once the gradient's sup norm is at
+    most ``SCORING_GTOL``, after ``SCORING_MAX_ITER`` steps, or when no
+    halving is accepted.  Deterministic given the initialization and
+    ``fit_options``.
     """
-    # deferred: only estimation runs BFGS, so no other command loads scipy.optimize
-    from scipy.optimize import minimize
-
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
-    # the sites are checked once; each evaluation builds its prior from dist
+    # the sites are checked once; each fit builds its prior from dist
     dist = site_distances(data.coords)
-    fits = failed = 0
-    problem = None  # the last fit's, which lends the next its checked response
+    fits = failed = steps = 0
 
     def unpack(theta):
+        """``(beta, omega)`` at ``theta``, or None where omega leaves its range."""
         if not fit_omega:
             return theta, init_omega
         try:
             omega1 = 1.0 / (1.0 + math.exp(-theta[p]))
-        except OverflowError:  # the logistic function underflows to 0 there
-            omega1 = 0.0
-        omega = MaternParams(
-            omega1=omega1,
-            omega2=float(np.exp(theta[p + 1])),
-            omega3=init_omega.omega3,
-        )
+            omega = MaternParams(omega1, math.exp(theta[p + 1]), init_omega.omega3)
+        except (OverflowError, ValueError):
+            return None
         return theta[:p], omega
 
-    def evaluate(theta):
-        """The fit at ``theta``, ``dD``, ``R^-1`` if it converged, (value, gradient)."""
-        nonlocal fits, failed, problem
+    def fit(params, problem=None):
+        """The mode fit at ``params`` and its surrogate, -inf unless it converged."""
+        nonlocal fits, failed
         fits += 1
-        beta, omega = unpack(theta)
-        report, dD = _evaluate(data, beta, omega, fit_options, dist, fit_omega, problem)
-        problem = report.problem
-        if not report.converged:
-            failed += 1
-            return report, dD, None, (np.inf, np.full_like(theta, np.nan))
-        Rinv = potri(report.chol)
-        out = (-_surrogate(report), -_surrogate_gradient(report, dD, Rinv))
-        return report, dD, Rinv, out
+        report = _fit(data, *params, fit_options, dist, problem)
+        failed += not report.converged
+        return report, _surrogate(report) if report.converged else -np.inf
 
-    theta0 = init_beta
+    theta = init_beta
     if fit_omega:
-        theta0 = np.concatenate(
-            [init_beta, [math.log(init_omega.sill), np.log(init_omega.omega2)]]
+        theta = np.concatenate(
+            [init_beta, [math.log(init_omega.sill), math.log(init_omega.omega2)]]
         )
-    # BFGS's first call is at theta0: the fit made here, scaled by its information
-    report, dD, Rinv, first = evaluate(theta0)
-    options = {"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER}
-    if report.converged:
-        start = _inverse(_information(report, dD, Rinv))
-        if start is not None:
-            options["hess_inv0"] = start
-    del report, dD, Rinv
-
-    def objective(theta):
-        nonlocal first
-        if first is not None and np.array_equal(theta, theta0):
-            out, first = first, None
-            return out
-        return evaluate(theta)[3]
-
-    res = minimize(objective, theta0, jac=True, method="BFGS", options=options)
-    beta_hat, omega_hat = unpack(res.x)
+    params = (init_beta, init_omega)
+    report, value = fit(params)
+    converged = False
+    while report.converged:
+        dD = _prior_derivatives(report.problem, params[1], dist) if fit_omega else ()
+        Rinv = potri(report.chol)
+        grad = _surrogate_gradient(report, dD, Rinv)
+        converged = bool(np.max(np.abs(grad)) <= SCORING_GTOL)
+        if converged or steps == SCORING_MAX_ITER:
+            break
+        step = _scoring_step(_information(report, dD, Rinv), grad)
+        # the loop holds the accepted fit and one trial, which borrows its problem
+        del Rinv, dD
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            trial_params = unpack(theta + t * step)
+            trial = trial_params and fit(trial_params, report.problem)
+            if trial and trial[1] >= value:
+                break
+            trial = None
+            t *= 0.5
+        else:
+            break
+        theta, params = theta + t * step, trial_params
+        report, value = trial
+        steps += 1
+    beta_hat, omega_hat = params
     return EstimateResult(
         beta_hat=beta_hat,
         omega_hat=omega_hat,
-        objective_value=float(-res.fun),
-        converged=bool(res.success),
-        optimizer_iterations=int(res.nit),
+        objective_value=value,
+        converged=converged,
+        optimizer_iterations=steps,
         fits=fits,
         failed_fits=failed,
+        report=report,
     )

@@ -152,7 +152,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     """One replication's record of ``scenario``: the table's metrics.
 
     A ``sic_estimated`` record also counts the estimate's fits, failed
-    fits and BFGS steps, which the aggregate leaves out.
+    fits and scoring steps, which the aggregate leaves out.
     """
     truth = dataset.gamma
     truth_star = dataset.gamma_star

@@ -109,6 +109,39 @@ class TestFit:
         assert est["failed_fits"] == 0
         assert est["fits"] > est["optimizer_iterations"] >= 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimated_fit_is_written_without_a_second_fit(
+        self, tmp_path, monkeypatch, seed
+    ):
+        # the estimate's fit at its optimum is written, and it is the fit
+        # that fixed parameters at the written estimates make
+        from glmmfp import estimate
+
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=100, seed=seed)
+        calls = []
+        fit = fixed_point.fit_posterior
+        for module in (cli, estimate):
+            monkeypatch.setattr(module, "fit_posterior", lambda *a: calls.append(1) or fit(*a))
+
+        def run(name, beta, matern):
+            config = write_config(
+                tmp_path, {"family": "poisson", "beta": beta, "matern": matern}, name
+            )
+            out = tmp_path / name.removesuffix(".json")
+            argv = ["fit", "--config", config, "--data", str(data), "--out", str(out)]
+            assert cli.main([*argv, "--quiet"]) == cli.EXIT_OK
+            return out
+
+        estimated = run("estimated.json", "estimate", "estimate")
+        report = json.loads((estimated / "report.json").read_text())
+        assert len(calls) == report["estimation"]["fits"]
+        omega = dict(zip(("omega1", "omega2", "omega3"), report["omega"]))
+        fixed = run("fixed.json", report["beta"], omega)
+        assert len(calls) == report["estimation"]["fits"] + 1
+        for name in ("xi.csv", "Xi.csv"):
+            assert (estimated / name).read_bytes() == (fixed / name).read_bytes()
+
     def test_beta_given_with_estimated_matern_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)
         config = write_config(

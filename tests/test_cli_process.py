@@ -84,7 +84,7 @@ class TestImportWeight:
         # scipy.spatial itself loads scipy.special
         ("simulate", {"scipy.spatial", "scipy.special"}),
         ("fit-fixed", {"scipy.spatial", "scipy.special"}),
-        ("fit-estimated", {"scipy.optimize", "scipy.spatial", "scipy.special"}),
+        ("fit-estimated", {"scipy.spatial", "scipy.special"}),
     ])
     def test_deferred_submodules(self, tmp_path, name, expected):
         proc = run("glmmfp", *self.command(tmp_path, name), importtime=True)

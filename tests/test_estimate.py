@@ -217,7 +217,8 @@ def small_data(family, p, seed=0, n=30):
 
 def value_and_gradient(data, beta, omega, dist, fit_omega=True):
     """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
-    report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist, fit_omega)
+    report = estimate_module._fit(data, beta, omega, FitOptions(), dist)
+    dD = estimate_module._prior_derivatives(report.problem, omega, dist) if fit_omega else ()
     grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
     return estimate_module._surrogate(report), grad
 
@@ -363,15 +364,14 @@ class TestInformation:
         dist = cdist(data.coords, data.coords)
         omega = MaternParams(0.4, 1.2, nu)
         beta = np.array([0.3, 0.1])
-        report, dD = estimate_module._evaluate(data, beta, omega, FitOptions(), dist)
+        report = estimate_module._fit(data, beta, omega, FitOptions(), dist)
+        dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         info = estimate_module._information(report, dD, potri(report.chol))
         assert info.shape == (4, 4)
         assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
 
         def beta_gradient(b):
-            rep, _ = estimate_module._evaluate(
-                data, b, omega, FitOptions(), dist, fit_omega=False
-            )
+            rep = estimate_module._fit(data, b, omega, FitOptions(), dist)
             return estimate_module._surrogate_gradient(rep, (), potri(rep.chol))
 
         h = 1e-3
@@ -386,85 +386,81 @@ class TestInformation:
         assert np.allclose(info[2:, 2:], dense, rtol=1e-12, atol=0.0)
 
 
-def estimate_spy(monkeypatch):
-    """Record the options of every BFGS run ``estimate`` starts."""
-    import scipy.optimize
-
-    seen = []
-    minimize = scipy.optimize.minimize
-
-    def spy(*args, options, **kwargs):
-        seen.append(dict(options))
-        return minimize(*args, options=options, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
-    return seen
+def logit(x):
+    return np.log(x / (1.0 - x))
 
 
-class TestScaledStart:
-    def test_bfgs_starts_from_the_inverse_information(self, monkeypatch):
+class TestScoringStep:
+    def test_first_step_is_the_full_scoring_step(self, monkeypatch):
         data, omega = poisson_data(seed=6, n=40)
-        seen = estimate_spy(monkeypatch)
-        infos = []
-        information = estimate_module._information
+        points, reports, infos, grads = [], [], [], []
+        fit = estimate_module._fit
 
-        def recorded(*args):
-            infos.append(information(*args))
-            return infos[-1]
+        def recorded(data, beta, omega, *args):
+            points.append(np.concatenate([beta, [logit(omega.omega1), np.log(omega.omega2)]]))
+            reports.append(fit(data, beta, omega, *args))
+            return reports[-1]
 
-        monkeypatch.setattr(estimate_module, "_information", recorded)
-        fit = estimate_module.fit_posterior
-        calls = []
+        def spy(fn, seen):
+            def wrapper(report, *args):
+                seen.append((report, fn(report, *args)))
+                return seen[-1][1]
+
+            return wrapper
+
+        monkeypatch.setattr(estimate_module, "_fit", recorded)
         monkeypatch.setattr(
-            estimate_module, "fit_posterior", lambda *a: calls.append(1) or fit(*a)
+            estimate_module, "_information", spy(estimate_module._information, infos)
+        )
+        monkeypatch.setattr(
+            estimate_module, "_surrogate_gradient",
+            spy(estimate_module._surrogate_gradient, grads),
         )
         result = estimate(data, np.array([2.0]), omega)
-        [options], [info] = seen, infos
-        start = options["hess_inv0"]
-        assert np.array_equal(start, start.T)
-        assert np.allclose(start @ info, np.eye(3), atol=1e-10)
-        # the start's fit is BFGS's first evaluation: one fit per evaluation
-        assert result.converged and result.fits == len(calls)
+        assert result.converged and result.fits == len(points)
+        [(_, info), *_], [(_, grad), (second, _), *_] = infos, grads
+        assert infos[0][0] is grads[0][0] is reports[0]
+        assert np.array_equal(points[0], [2.0, 0.0, 0.0])
+        assert np.allclose(points[1], points[0] + np.linalg.solve(info, grad), rtol=1e-12)
+        # the full step is accepted: the next gradient is taken at its fit
+        assert second is reports[1]
 
-    def test_information_not_positive_definite_starts_from_the_identity(
-        self, monkeypatch
+    @pytest.mark.parametrize(
+        "info", [-np.eye(3), np.full((3, 3), np.nan)], ids=["indefinite", "nan"]
+    )
+    def test_information_not_positive_definite_steps_along_the_gradient(
+        self, monkeypatch, info
     ):
         data, omega = poisson_data(seed=6, n=40)
-        seen = estimate_spy(monkeypatch)
-        monkeypatch.setattr(
-            estimate_module, "_information", lambda report, dD, Rinv: -np.eye(3)
-        )
+        want = estimate(data, np.array([2.0]), omega)
+        monkeypatch.setattr(estimate_module, "_information", lambda *args: info)
         result = estimate(data, np.array([2.0]), omega)
-        assert "hess_inv0" not in seen[-1]
-        # the identity start as before: BFGS handed no start at all
-        monkeypatch.undo()
-        seen = estimate_spy(monkeypatch)
-        import scipy.optimize
+        assert result.converged and result.failed_fits == 0
+        got = [*result.beta_hat, result.omega_hat.omega1, result.omega_hat.omega2]
+        near = [*want.beta_hat, want.omega_hat.omega1, want.omega_hat.omega2]
+        assert got == pytest.approx(near, rel=1e-4)
+        assert result.objective_value == pytest.approx(want.objective_value, abs=1e-8)
 
-        spy = scipy.optimize.minimize
+    def test_information_with_a_vanishing_block_still_scales_the_rest(self):
+        # at a vanishing sill the covariance block of the information
+        # underflows to 0 while beta's stays
+        info = np.diag([4.0, 0.0, np.nan])
+        step = estimate_module._scoring_step(info, np.array([2.0, 3.0, 5.0]))
+        assert np.array_equal(step, [0.5, 3.0, 5.0])
 
-        def unscaled(*args, options, **kwargs):
-            options = {k: v for k, v in options.items() if k != "hess_inv0"}
-            return spy(*args, options=options, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", unscaled)
-        identity = estimate(data, np.array([2.0]), omega)
-        assert "hess_inv0" not in seen[-1]
-        for field in ("objective_value", "optimizer_iterations", "fits", "failed_fits",
-                      "converged"):
-            assert getattr(result, field) == getattr(identity, field)
-        assert np.array_equal(result.beta_hat, identity.beta_hat)
-        assert result.omega_hat == identity.omega_hat
-
-    def test_non_finite_information_starts_from_the_identity(self, monkeypatch):
-        data, omega = poisson_data(seed=6, n=40)
-        seen = estimate_spy(monkeypatch)
-        monkeypatch.setattr(
-            estimate_module, "_information",
-            lambda report, dD, Rinv: np.full((3, 3), np.nan),
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trial_out_of_the_matern_range_is_rejected(self, seed):
+        # constant counts: the surrogate has no interior maximum, and the
+        # steps drive log omega2 toward -inf, past the least positive double
+        rng = np.random.default_rng(seed)
+        data = SpatialData(
+            y=np.full(12, 5.0), X=np.ones((12, 1)), coords=rng.uniform(0, 3, (12, 2)),
+            kernel=poisson_kernel(),
         )
-        assert estimate(data, np.array([2.0]), omega).converged
-        assert "hess_inv0" not in seen[-1]
+        result = estimate(data, [0.0], MaternParams(0.01, 10.0))
+        assert result.converged is False
+        assert np.isfinite(result.objective_value)
+        assert result.report.converged
 
 
 class TestPrecisionOnce:

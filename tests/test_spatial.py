@@ -364,10 +364,9 @@ class TestFactorizationBudget:
             coords=coords, kernel=poisson_kernel(),
         )
         calls, in_solver = self.count_factorizations(monkeypatch)
-        report, dD = estimate_module._evaluate(
-            data, np.array([1.4]), MaternParams(0.5, 1.0), FitOptions(),
-            cdist(coords, coords),
-        )
+        omega, dist = MaternParams(0.5, 1.0), cdist(coords, coords)
+        report = estimate_module._fit(data, np.array([1.4]), omega, FitOptions(), dist)
+        dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         value = estimate_module._surrogate(report)
         grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
         assert np.isfinite(value) and grad.shape == (3,)
