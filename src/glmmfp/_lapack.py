@@ -5,12 +5,27 @@ array; what lies above its diagonal is unspecified.  :func:`potrf` makes
 it in the caller's buffer, raising ``LinAlgError`` if ``A`` is not
 positive definite, and the other calls leave it unchanged.  No entry is
 checked for being finite: a non-finite entry of ``A``'s lower triangle
-either stops ``potrf`` or reaches the factor's diagonal.
+either stops ``potrf`` or reaches the factor's diagonal.  A caller may
+lend LAPACK an array to work in (:func:`workspace`), such as a dead
+factor, so that repeated solves of one size allocate nothing.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotri, dpotrs, dtrtrs
+
+
+def workspace(buf, shape) -> np.ndarray:
+    """``buf``, a Fortran-ordered array of ``shape`` whose lender no longer reads it.
+
+    A new one if ``buf`` is None.  One of another shape or order raises
+    ``ValueError``, where LAPACK would silently work in a copy.
+    """
+    if buf is None:
+        return np.empty(shape, order="F")
+    if buf.shape != shape or not buf.flags.f_contiguous:
+        raise ValueError(f"a lent buffer must be a Fortran-ordered {shape} array")
+    return buf
 
 
 def potrf(a) -> np.ndarray:
@@ -31,7 +46,12 @@ def potri(c) -> np.ndarray:
     return inv
 
 
-def trtrs(c, b) -> np.ndarray:
-    """``L^-1 b`` for the factor ``L`` in ``c``, or for a leading block of one."""
+def trtrs(c, b, buf=None) -> np.ndarray:
+    """``L^-1 b`` for the factor ``L`` in ``c``, or for a leading block of one.
+
+    ``L'`` is copied into ``buf`` (:func:`workspace`).
+    """
+    u = workspace(buf, c.shape)
+    np.copyto(u, c.T)
     # solve_triangular's path for a block that is not Fortran-contiguous, bit for bit
-    return dtrtrs(c.T, b, lower=0, trans=1)[0]
+    return dtrtrs(u, b, lower=0, trans=1)[0]

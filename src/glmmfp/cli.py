@@ -120,13 +120,27 @@ def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
     return result.beta_hat, result.omega_hat, meta, result.report
 
 
-def _fit_predict_split(cfg, train, test, options, tier=None) -> SpatialPrediction:
-    """Fit the mode at the training sites and predict at the test sites."""
+def _fit_predict_split(
+    cfg, train, test, options, tier=None
+) -> tuple[SpatialPrediction, dict | None]:
+    """Fit the mode at the training sites and predict at the test sites.
+
+    Returns the :class:`SpatialPrediction` and the estimate's metadata
+    (``None`` if nothing was estimated).
+    """
     observed = _sites(cfg, train, tier)
-    beta, omega, *_ = _resolve_params(cfg, observed, options)
+    beta, omega, est_meta, _ = _resolve_params(cfg, observed, options)
     blocked = build_blocked(omega, observed.coords, test.coords)
     problem = SpatialProblem(observed, _sites(cfg, test, tier), blocked, beta)
-    return fit_predict(problem, options)
+    return fit_predict(problem, options), est_meta
+
+
+def _exit_code(report, est_meta) -> int:
+    """Exit 3 unless the mode fit converged, and the estimate too if one ran."""
+    if est_meta is not None and not est_meta["optimizer_converged"]:
+        log.warning("the estimate of the parameters did not converge")
+        return EXIT_NONCONVERGENCE
+    return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +170,7 @@ def cmd_fit(args) -> int:
     if est_meta:
         payload["estimation"] = est_meta
     dataio.write_json(args.out / "report.json", payload)
-    return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
+    return _exit_code(report, est_meta)
 
 
 def cmd_predict(args) -> int:
@@ -173,13 +187,13 @@ def cmd_predict(args) -> int:
     if train.n < 1:
         raise ConfigError("no training rows")
     options = _fit_options(cfg)
-    pred = _fit_predict_split(cfg, train, test, options)
+    pred, est_meta = _fit_predict_split(cfg, train, test, options)
     dataio.write_csv(
         args.out / "predictions.csv",
         ("site", "xi_star", "y_hat_star", "u_hat_star"),
         zip(range(len(pred.xi_star)), pred.xi_star, pred.y_hat_star, pred.u_hat_star),
     )
-    return EXIT_OK if pred.report.converged else EXIT_NONCONVERGENCE
+    return _exit_code(pred.report, est_meta)
 
 
 def cmd_simulate(args) -> int:
@@ -267,7 +281,7 @@ def cmd_validate(args) -> int:
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction = _fit_predict_split(cfg, train, test, options, tier)
+    prediction, _ = _fit_predict_split(cfg, train, test, options, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
     if cfg.family == BINOMIAL:

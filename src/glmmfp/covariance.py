@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import potrf
+from ._lapack import potrf, workspace
 
 log = logging.getLogger(__name__)
 
@@ -148,12 +148,15 @@ class BlockedCovariance:
     sill) before giving up.  Exact symmetry puts every entry of ``full``
     in the factored triangle, so a non-finite ``full`` raises ``ValueError``
     and a finite one is not scanned.  ``jitter`` is the regularization
-    that was needed and ``chol`` the factor of the jittered ``full``, upper
-    triangle zeroed; its leading n x n block is the factor of ``d11``, so
-    callers draw, krig and certify ``d11`` with it instead of factoring again.
+    that was needed, which the constructor does not log, and ``chol`` the
+    factor of the jittered ``full``, upper triangle zeroed; its leading
+    n x n block is the factor of ``d11``, so callers draw, krig and
+    certify ``d11`` with it instead of factoring again.
+    The factor is made in ``buf`` (:func:`_lapack.workspace`).
     """
 
-    def __init__(self, full: np.ndarray, n: int):
+    def __init__(self, full: np.ndarray, n: int, buf: np.ndarray | None = None):
+        buf = workspace(buf, full.shape)
         self.full = full
         self.d11, self.d12, self.d22 = full[:n, :n], full[:n, n:], full[n:, n:]
         self.jitter = 0.0
@@ -165,7 +168,8 @@ class BlockedCovariance:
             try:
                 # full is exactly symmetric, so its F-ordered transpose is
                 # full itself; the copy keeps full for the next jitter
-                chol = potrf(full.T.copy(order="F"))
+                np.copyto(buf, full.T)
+                chol = potrf(buf)
             except np.linalg.LinAlgError:
                 if self.jitter == 0.0 and not np.all(np.isfinite(full)):
                     raise ValueError(_NON_FINITE) from None
@@ -175,7 +179,6 @@ class BlockedCovariance:
                         "escalation"
                     ) from None
                 self.jitter = candidate
-                log.warning("covariance jitter escalated to %.3e", candidate)
                 np.fill_diagonal(full, diag + candidate)
                 candidate *= 10.0
             else:
@@ -208,12 +211,14 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
+def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
     """Distances among the observed sites, then the unobserved ones.
 
     One ``cdist`` call over the stacked sites, so the matrix is exactly
     symmetric.  Non-finite coordinates, no observed site, and duplicate
     observed sites (they make the observed block singular) are rejected.
+    The distances are written into ``out`` if given; ``cdist`` raises
+    ``ValueError`` unless it is a C-ordered float array of their shape.
     """
     obs = _as_coords(coords_obs)
     n = obs.shape[0]
@@ -229,7 +234,7 @@ def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
     # deferred: `verify` builds no spatial prior and need not load scipy.spatial
     from scipy.spatial.distance import cdist
 
-    dist = cdist(sites, sites)
+    dist = cdist(sites, sites, out=out)
     # the diagonal holds n exact zeros; any other zero is a duplicate site
     if np.count_nonzero(dist[:n, :n] == 0.0) > n:
         raise ValueError("duplicate observed coordinates make the prior singular")
@@ -237,14 +242,26 @@ def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
 
 
 def build_blocked(
-    params: MaternParams, coords_obs, coords_unobs=None
+    params: MaternParams, coords_obs, coords_unobs=None, spent=None
 ) -> BlockedCovariance:
     """Blocked Matern covariance over observed and unobserved sites.
 
     The covariance overwrites the buffer of :func:`site_distances`, which
     checks the sites.  The Matern diagonal is the sill, so the
     certification jitter of :class:`BlockedCovariance` runs from
-    1e-10 x sill to 1e-6 x sill.
+    1e-10 x sill to 1e-6 x sill; a jitter that was needed is logged as a
+    warning, once per prior.
+
+    ``spent``, a :class:`BlockedCovariance` over as many sites that its
+    lender no longer reads, lends its two buffers: the distances and the
+    covariance are written into its ``full`` and the factor into its
+    ``chol``, so nothing of size (n + n*)^2 is allocated, and the result
+    is bit for bit the one built without it.  A ``spent`` prior over
+    another number of sites raises ``ValueError``.
     """
-    dist = site_distances(coords_obs, coords_unobs)
-    return BlockedCovariance(matern(params, dist, out=dist), len(coords_obs))
+    full, buf = (None, None) if spent is None else (spent.full, spent.chol)
+    dist = site_distances(coords_obs, coords_unobs, out=full)
+    blocked = BlockedCovariance(matern(params, dist, out=dist), len(coords_obs), buf)
+    if blocked.jitter:
+        log.warning("covariance jitter escalated to %.3e", blocked.jitter)
+    return blocked

@@ -54,6 +54,7 @@ external estimator.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -63,12 +64,15 @@ from ._lapack import potri, potrs
 from .covariance import (
     BlockedCovariance,
     MaternParams,
+    build_blocked,
     matern,
     matern_scale_derivative,
     site_distances,
 )
 from .fixed_point import _MAX_HALVINGS, FitOptions, FitReport, fit_posterior, laplace_skew
 from .spatial import SpatialData, site_problem
+
+log = logging.getLogger(__name__)
 
 SCORING_MAX_ITER = 400
 SCORING_GTOL = 1e-5
@@ -94,13 +98,19 @@ class EstimateResult:
     report: FitReport
 
 
-def _fit(data: SpatialData, beta, omega: MaternParams, fit_options, dist, problem=None):
+def _fit(
+    data: SpatialData, beta, omega: MaternParams, fit_options, dist, problem=None,
+    jitters=None,
+):
     """The mode at (beta, omega), on the prior over the checked site ``dist``.
 
     ``problem``, an earlier fit's for the same ``data``, lends its checked
-    response and response term.
+    response and response term; ``jitters``, a list, receives the jitter
+    that the prior needed.
     """
     blocked = BlockedCovariance(matern(omega, dist), len(dist))
+    if jitters is not None:
+        jitters.append(blocked.jitter)
     if problem is None:
         problem = site_problem(data, blocked, beta)
     else:
@@ -180,7 +190,8 @@ def approx_loglik(
 
     Returns -inf when the inner mode-finder fails to converge.
     """
-    report = _fit(data, beta, omega, fit_options, site_distances(data.coords))
+    blocked = build_blocked(omega, data.coords)
+    report = fit_posterior(site_problem(data, blocked, beta), fit_options)
     return _surrogate(report) if report.converged else -np.inf
 
 
@@ -200,13 +211,15 @@ def estimate(
     range, is rejected.  Scoring stops once the gradient's sup norm is at
     most ``SCORING_GTOL``, after ``SCORING_MAX_ITER`` steps, or when no
     halving is accepted.  Deterministic given the initialization and
-    ``fit_options``.
+    ``fit_options``.  If trial priors needed a jitter, one warning gives
+    the largest and how many needed one.
     """
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
     # the sites are checked once; each fit builds its prior from dist
     dist = site_distances(data.coords)
     fits = failed = steps = 0
+    jitters = []  # one per trial prior, logged once at the end
 
     def unpack(theta):
         """``(beta, omega)`` at ``theta``, or None where omega leaves its range."""
@@ -223,7 +236,7 @@ def estimate(
         """The mode fit at ``params`` and its surrogate, -inf unless it converged."""
         nonlocal fits, failed
         fits += 1
-        report = _fit(data, *params, fit_options, dist, problem)
+        report = _fit(data, *params, fit_options, dist, problem, jitters)
         failed += not report.converged
         return report, _surrogate(report) if report.converged else -np.inf
 
@@ -258,6 +271,12 @@ def estimate(
         theta, params = theta + t * step, trial_params
         report, value = trial
         steps += 1
+    needed = [j for j in jitters if j]
+    if needed:
+        log.warning(
+            "covariance jitter escalated to %.3e at most, on %d of %d trial priors",
+            max(needed), len(needed), fits,
+        )
     beta_hat, omega_hat = params
     return EstimateResult(
         beta_hat=beta_hat,

@@ -60,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from . import families
-from ._lapack import potrf, potrs
+from ._lapack import potrf, potrs, workspace
 from .families import FamilyKernel
 
 # A trial point is accepted when the log-posterior falls by no more than
@@ -213,7 +213,7 @@ class FitReport:
 def _factor(problem: GlmmProblem, w, buf=None):
     """An iterate's one factor, of ``R = Z D Z' + W^-1``, made in ``buf`` if given."""
     n = problem.n
-    A = np.empty((n, n), order="F") if buf is None else buf
+    A = workspace(buf, (n, n))
     np.copyto(A, problem.ZDZt.T)
     A.flat[:: n + 1] += 1.0 / w
     return potrf(A)
@@ -300,18 +300,21 @@ def _start(problem: GlmmProblem, buf=None):
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 
 
-def fit_posterior(problem: GlmmProblem, options: FitOptions = FitOptions()) -> FitReport:
+def fit_posterior(
+    problem: GlmmProblem, options: FitOptions = FitOptions(), buf=None
+) -> FitReport:
     """Find the posterior mode of the random effects by Newton's method.
 
     Each Newton step is halved until the log-posterior does not fall.
     Converges when the full step drops to ``tol`` in sup-norm.  Running
     out of iterations or of halvings yields a non-converged report at
     the last accepted iterate, carrying the full trace; it never raises.
-    Every factor of the fit is made in one buffer, allocated here, and
+    Every factor of the fit is made in one n x n buffer, ``buf``
+    (:func:`_lapack.workspace`), such as an earlier report's ``chol``, and
     the report keeps the last.
     """
+    buf = workspace(buf, (problem.n, problem.n))
     offset = problem.X @ problem.beta
-    buf = np.empty((problem.n, problem.n), order="F")
     xi, b = _start(problem, buf)
     a = _adjoint(problem, b)
     eta = offset + _effects(problem, xi)

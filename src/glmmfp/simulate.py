@@ -23,6 +23,12 @@ Each replication factors its joint (n + n*) prior once, in
 (gamma, gamma*) = L z, krigs the oracle through its blocks L11 and L21,
 and certifies the observed block D11 for the mode-finder.
 
+Once its scenarios are recorded, a replication is dead: nothing reads it
+again.  It lends the next replication its prior's two (n + n*)^2 buffers
+and its n x n buffer, in which the oracle's triangular solve and then the
+``sic_true`` fit's factor are made, so only the first replication of a
+run allocates them; every number is the same as with fresh buffers.
+
 Replications draw independent streams from (seed, replication index),
 so results are identical regardless of execution order.
 """
@@ -112,22 +118,37 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SimDataset:
-    """One replication: its spatial problem and the true effects drawn for it."""
+    """One replication: its spatial problem and the true effects drawn for it.
+
+    ``buffer`` is the n x n array that its oracle's triangular solve and
+    then its ``sic_true`` fit's factor are made in.
+    """
 
     problem: SpatialProblem
     gamma: np.ndarray
     gamma_star: np.ndarray
+    buffer: np.ndarray
 
 
-def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
-    """One replication's dataset, deterministic in (seed, rep_index)."""
+def generate_dataset(
+    config: SimConfig, rep_index: int, spent: SimDataset | None = None
+) -> SimDataset:
+    """One replication's dataset, deterministic in (seed, rep_index).
+
+    ``spent``, a replication of ``config`` that its owner no longer reads,
+    lends its prior (:func:`covariance.build_blocked`) and its buffer.
+    """
     rng = np.random.default_rng([config.seed, rep_index])
     n, n_star = config.n, config.n_star
+    if spent is None:
+        prior, buffer = None, np.empty((n, n), order="F")
+    else:
+        prior, buffer = spent.problem.blocked, spent.buffer
     coords_obs = rng.uniform(0.0, config.side, size=(n, 2))
     coords_unobs = rng.uniform(0.0, config.side, size=(n_star, 2))
     x_obs = rng.standard_normal(n)
     x_unobs = rng.standard_normal(n_star)
-    blocked = build_blocked(config.omega, coords_obs, coords_unobs)
+    blocked = build_blocked(config.omega, coords_obs, coords_unobs, prior)
     gamma_joint = blocked.chol @ rng.standard_normal(n + n_star)
     gamma, gamma_star = gamma_joint[:n], gamma_joint[n:]
     beta = np.asarray(config.beta, dtype=float)
@@ -137,7 +158,7 @@ def generate_dataset(config: SimConfig, rep_index: int) -> SimDataset:
     observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
     unobserved = SpatialData(None, X_unobs, coords_unobs, observed.kernel)
     problem = SpatialProblem(observed, unobserved, blocked, beta)
-    return SimDataset(problem=problem, gamma=gamma, gamma_star=gamma_star)
+    return SimDataset(problem, gamma, gamma_star, buffer)
 
 
 @dataclass(eq=False)
@@ -160,10 +181,10 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"), 0.0
     )
     if scenario == ORACLE:
-        pred_star = conditional_mean(truth, dataset.problem.blocked)
+        pred_star = conditional_mean(truth, dataset.problem.blocked, dataset.buffer)
         return dict(rl2=0.0, rl2_star=rl2(truth_star, pred_star), **zeros)
     if scenario == SIC_TRUE:
-        pred = fit_predict(dataset.problem, FitOptions())
+        pred = fit_predict(dataset.problem, FitOptions(), dataset.buffer)
         _require_converged(pred)
         return dict(
             rl2=rl2(truth, pred.report.xi),
@@ -202,8 +223,9 @@ def run_scenarios(config: SimConfig) -> SimResult:
     """Run all configured scenarios across the replications."""
     records = []
     metrics = {s: [] for s in config.scenarios}   # each scenario's successes
+    spent = None
     for rep in range(config.replications):
-        dataset = generate_dataset(config, rep)
+        dataset = generate_dataset(config, rep, spent)
         record = {"replication": rep}
         for scenario in config.scenarios:
             try:
@@ -214,7 +236,7 @@ def run_scenarios(config: SimConfig) -> SimResult:
                     "failed": True, "error": str(exc), "error_type": type(exc).__name__,
                 }
         records.append(record)
-        del dataset  # its prior and factor are freed before the next is built
+        spent = dataset  # recorded, so nothing reads it again
     aggregates = {}
     for scenario, rows in metrics.items():
         if not rows:

@@ -102,11 +102,14 @@ def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmPro
 
 
 def fit_predict(
-    problem: SpatialProblem, options: FitOptions = FitOptions()
+    problem: SpatialProblem, options: FitOptions = FitOptions(), buf=None
 ) -> SpatialPrediction:
-    """Fit the observed block and predict effects/responses at new sites."""
+    """Fit the observed block and predict effects/responses at new sites.
+
+    ``buf``, if given, is the fit's factor buffer (:func:`fit_posterior`).
+    """
     glmm = site_problem(problem.observed, problem.blocked, problem.beta)
-    report = fit_posterior(glmm, options)
+    report = fit_posterior(glmm, options, buf)
     xi_star = problem.blocked.d12.T @ report.alpha
     eta_star = problem.unobserved.X @ problem.beta + xi_star
     y_hat_star, _ = families.mean_and_weight(problem.unobserved.kernel, eta_star)
@@ -115,12 +118,13 @@ def fit_predict(
     )
 
 
-def conditional_mean(gamma, blocked: BlockedCovariance) -> np.ndarray:
+def conditional_mean(gamma, blocked: BlockedCovariance, buf=None) -> np.ndarray:
     """Noise-free predictor D21 D11^-1 gamma at the unobserved sites.
 
     With ``full = L L'`` partitioned like ``full``, ``D21 = L21 L11'`` and
     ``D11 = L11 L11'``, so the predictor is ``L21 L11^-1 gamma``: one
-    triangular solve with the carried factor, and no factorization.
+    triangular solve with the carried factor, and no factorization.  The
+    solve works in ``buf``, an n x n array (:func:`_lapack.workspace`).
 
     Its accuracy is limited by the conditioning of ``D11``, which
     :func:`covariance.build_blocked` does not check: it certifies
@@ -136,4 +140,4 @@ def conditional_mean(gamma, blocked: BlockedCovariance) -> np.ndarray:
     if gamma.shape[0] != n:
         raise ValueError("gamma length must match the observed block")
     L = blocked.chol
-    return L[n:, :n] @ trtrs(L[:n, :n], gamma)
+    return L[n:, :n] @ trtrs(L[:n, :n], gamma, buf)

@@ -142,6 +142,30 @@ class TestFit:
         for name in ("xi.csv", "Xi.csv"):
             assert (estimated / name).read_bytes() == (fixed / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_estimate_that_did_not_converge_exits_3(self, tmp_path, command):
+        # constant counts: the surrogate has no interior maximum, so scoring
+        # stops unconverged while every mode fit converges
+        coords = np.random.default_rng(0).uniform(0, 3, (12, 2))
+        rows = [f"5,{cx!r},{cy!r}" for cx, cy in coords.tolist()]
+        if command == "predict":
+            rows = ["y,x_coord,y_coord,role", *(f"{r},train" for r in rows), "5,1.0,1.0,test"]
+        else:
+            rows = ["y,x_coord,y_coord", *rows]
+        data = write_csv(tmp_path, "\n".join(rows) + "\n")
+        config = write_config(
+            tmp_path, {"family": "poisson", "beta": "estimate", "matern": "estimate"}
+        )
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_NONCONVERGENCE
+        if command == "fit":
+            report = json.loads((out / "report.json").read_text())
+            assert report["converged"] is True
+            assert report["estimation"]["optimizer_converged"] is False
+        else:
+            assert (out / "predictions.csv").exists()
+
     def test_beta_given_with_estimated_matern_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)
         config = write_config(

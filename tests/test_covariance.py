@@ -297,6 +297,68 @@ class TestAssembly:
             BlockedCovariance(np.block([[np.eye(2), d12], [d12.T, np.eye(1)]]), 2)
 
 
+class TestSpentPrior:
+    """A dead prior over as many sites lends ``full`` and ``chol`` to the next."""
+
+    @staticmethod
+    def sites(seed, n, n_star, near=False):
+        rng = np.random.default_rng(seed)
+        obs = rng.uniform(0, 5, size=(n, 2))
+        if near:
+            # three pairs of nearly coincident sites: a smooth field needs a jitter
+            obs[1:6:2] = obs[0:6:2] + 1e-13
+        return obs, rng.uniform(0, 5, size=(n_star, 2))
+
+    # each pair: whether the spent prior and the next one need a jitter
+    @pytest.mark.parametrize("near", [(False, False), (True, False), (False, True)])
+    @pytest.mark.parametrize("nu", [1.2, 1.5, 2.5])
+    def test_lent_buffers_hold_the_fresh_prior_bit_for_bit(self, nu, near):
+        params = MaternParams(0.9, 0.5, nu)
+        spent = build_blocked(params, *self.sites(1, 12, 5, near[0]))
+        full, chol = spent.full, spent.chol
+        lent = build_blocked(params, *self.sites(2, 12, 5, near[1]), spent=spent)
+        fresh = build_blocked(params, *self.sites(2, 12, 5, near[1]))
+        assert lent.full is full and lent.chol is chol
+        assert lent.chol.flags.f_contiguous
+        assert lent.jitter == fresh.jitter and (lent.jitter > 0) == near[1]
+        for name in ("full", "chol", "d11", "d12", "d22"):
+            assert np.array_equal(getattr(lent, name), getattr(fresh, name))
+
+    def test_lent_buffers_may_split_the_sites_otherwise(self):
+        params = MaternParams(0.5, 1.0)
+        spent = build_blocked(params, *self.sites(3, 9, 4))
+        lent = build_blocked(params, *self.sites(4, 5, 8), spent=spent)
+        fresh = build_blocked(params, *self.sites(4, 5, 8))
+        assert lent.n_observed == 5 and lent.n_unobserved == 8
+        assert np.array_equal(lent.chol, fresh.chol)
+
+    @pytest.mark.parametrize("n, n_star", [(12, 6), (12, 4), (1, 0)])
+    def test_prior_over_another_number_of_sites_rejected(self, n, n_star):
+        params = MaternParams(0.5, 1.0)
+        spent = build_blocked(params, *self.sites(5, 12, 5))
+        full, chol = spent.full.copy(), spent.chol.copy()
+        with pytest.raises(ValueError, match="incorrect shape"):
+            build_blocked(params, *self.sites(6, n, n_star), spent=spent)
+        assert np.array_equal(spent.full, full) and np.array_equal(spent.chol, chol)
+
+    def test_factor_buffer_of_another_shape_or_order_rejected(self):
+        full = build_blocked(MaternParams(0.5, 1.0), *self.sites(7, 4, 2)).full
+        for buf in (np.empty((6, 6)), np.empty((1, 1), order="F"),
+                    np.empty((5, 5), order="F")):
+            with pytest.raises(ValueError, match="lent buffer"):
+                BlockedCovariance(full.copy(), 4, buf)
+
+    def test_jitter_is_logged_once_per_prior(self, caplog):
+        params = MaternParams(0.9, 0.5, 2.5)
+        with caplog.at_level("WARNING", logger="glmmfp.covariance"):
+            b = build_blocked(params, *self.sites(8, 6, 2, near=True))
+            build_blocked(params, *self.sites(9, 6, 2))
+        assert b.jitter > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"covariance jitter escalated to {b.jitter:.3e}"
+        ]
+
+
 class TestLapackFactor:
     """``chol`` is LAPACK's lower factor of ``full``, upper triangle zeroed."""
 

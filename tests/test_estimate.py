@@ -462,6 +462,25 @@ class TestScoringStep:
         assert np.isfinite(result.objective_value)
         assert result.report.converged
 
+    def test_jitter_is_logged_once_per_estimate(self, caplog):
+        # constant counts from the CLI's start: the sill shrinks toward 0 and
+        # most trial priors need a jitter
+        data = SpatialData(
+            y=np.full(12, 5.0), X=np.ones((12, 1)),
+            coords=np.random.default_rng(0).uniform(0, 3, (12, 2)), kernel=poisson_kernel(),
+        )
+        init_beta = cli._default_beta_init(data.kernel, data.y, data.X)
+        with caplog.at_level("WARNING"):
+            result = estimate(data, init_beta, MaternParams(0.5, 1.0))
+        warnings = [
+            r.getMessage() for r in caplog.records
+            if "covariance jitter escalated" in r.getMessage()
+        ]
+        assert len(warnings) == 1
+        jittered = int(warnings[0].split(" on ")[1].split()[0])
+        assert 1 < jittered <= result.fits
+        assert warnings[0].endswith(f"of {result.fits} trial priors")
+
 
 class TestPrecisionOnce:
     def test_one_potri_per_converged_evaluation(self, monkeypatch):

@@ -327,6 +327,26 @@ class TestFactorBuffer:
         assert np.array_equal(first.chol, factor)
         assert np.array_equal(first.Xi, want)
 
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_lent_buffer_holds_the_factor_bit_for_bit(self, family):
+        problem = identity_problem(np.random.default_rng(41), family, 20)
+        fresh = fit_posterior(problem)
+        # the buffer of an earlier fit, its contents stale
+        lent = fit_posterior(problem, FitOptions(max_iter=1)).chol
+        report = fit_posterior(problem, FitOptions(), lent)
+        assert np.shares_memory(report.chol, lent)
+        for name in ("xi", "alpha", "chol", "w", "eta"):
+            assert np.array_equal(getattr(report, name), getattr(fresh, name))
+        assert report.log_posterior == fresh.log_posterior
+        assert report.trace == fresh.trace
+
+    def test_lent_buffer_of_another_shape_or_order_rejected(self):
+        problem = identity_problem(np.random.default_rng(43), "poisson", 6)
+        for buf in (np.empty((5, 5), order="F"), np.empty((1, 1), order="F"),
+                    np.empty((6, 6), order="C")):
+            with pytest.raises(ValueError, match="lent buffer"):
+                fit_posterior(problem, FitOptions(), buf)
+
     def test_solve_is_cho_solve(self):
         from scipy.linalg import cho_solve
 

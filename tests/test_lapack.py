@@ -36,7 +36,12 @@ class TestMatchesScipy:
         c = potrf(spd(n + 5, 2).copy(order="F"))
         b = np.random.default_rng(2).standard_normal(n)
         for block in (c[:n, :n], np.ascontiguousarray(np.tril(c[:n, :n]))):
-            assert np.array_equal(trtrs(block, b), solve_triangular(block, b, lower=True))
+            want = solve_triangular(block, b, lower=True)
+            assert np.array_equal(trtrs(block, b), want)
+            # in a lent buffer, such as a dead factor, whatever it held
+            buf = potrf(spd(n, 4).copy(order="F"))
+            assert np.array_equal(trtrs(block, b, buf), want)
+            assert np.array_equal(buf, block.T)
 
     def test_inverse_is_exactly_symmetric(self, n):
         a = spd(n, 3)

@@ -178,6 +178,86 @@ class TestScenarios:
         assert a.records == b.records
 
 
+class TestLentBuffers:
+    """Each replication borrows the previous one's prior and n x n buffer."""
+
+    def test_lent_replication_equals_a_fresh_one(self):
+        spent = generate_dataset(SMALL, 0)
+        for scenario in (ORACLE, SIC_TRUE):  # both work in its buffer
+            simulate._scenario_metrics(spent, scenario, SMALL)
+        lent = generate_dataset(SMALL, 1, spent)
+        fresh = generate_dataset(SMALL, 1)
+        for name in ("full", "chol"):
+            assert np.array_equal(
+                getattr(lent.problem.blocked, name), getattr(fresh.problem.blocked, name)
+            )
+        assert np.array_equal(lent.gamma, fresh.gamma)
+        assert np.array_equal(lent.gamma_star, fresh.gamma_star)
+        assert np.array_equal(lent.problem.observed.y, fresh.problem.observed.y)
+        assert lent.buffer is spent.buffer
+        assert np.array_equal(
+            simulate.conditional_mean(lent.gamma, lent.problem.blocked, lent.buffer),
+            simulate.conditional_mean(fresh.gamma, fresh.problem.blocked),
+        )
+        pred_lent = simulate.fit_predict(lent.problem, FitOptions(), lent.buffer)
+        pred_fresh = simulate.fit_predict(fresh.problem, FitOptions())
+        assert np.shares_memory(pred_lent.report.chol, spent.buffer)
+        assert np.array_equal(pred_lent.report.xi, pred_fresh.report.xi)
+        assert np.array_equal(pred_lent.xi_star, pred_fresh.xi_star)
+
+    def test_consecutive_replications_share_prior_and_factor(self, monkeypatch):
+        priors, buffers, factors = [], [], []
+        generate, fit_predict = simulate.generate_dataset, simulate.fit_predict
+
+        def spy_generate(*args):
+            dataset = generate(*args)
+            priors.append(dataset.problem.blocked)
+            buffers.append(dataset.buffer)
+            return dataset
+
+        def spy_fit_predict(*args):
+            pred = fit_predict(*args)
+            factors.append(pred.report.chol)
+            return pred
+
+        monkeypatch.setattr(simulate, "generate_dataset", spy_generate)
+        monkeypatch.setattr(simulate, "fit_predict", spy_fit_predict)
+        run_scenarios(replace(SMALL, replications=4))
+        assert len(priors) == len(factors) == 4
+        for a, b in zip(priors, priors[1:]):
+            assert np.shares_memory(a.full, b.full) and np.shares_memory(a.chol, b.chol)
+        for a, b in zip(factors, factors[1:]):
+            assert np.shares_memory(a, b)
+        assert all(np.shares_memory(a, b) for a, b in zip(factors, buffers, strict=True))
+        prior = priors[-1]
+        assert not np.shares_memory(prior.full, prior.chol)
+        assert not np.shares_memory(prior.full, factors[-1])
+        assert not np.shares_memory(prior.chol, factors[-1])
+
+    def test_replication_of_another_size_rejected(self):
+        spent = generate_dataset(SMALL, 0)
+        with pytest.raises(ValueError, match="incorrect shape"):
+            generate_dataset(replace(SMALL, n=49), 0, spent)
+
+    def test_reference_size_outputs_match_fresh_buffers(self, tmp_path, monkeypatch):
+        # acceptance 5's n = n* = 400, against replications that allocate
+        # every buffer afresh
+        config = SimConfig(replications=3, seed=11)
+        generate = simulate.generate_dataset
+        blobs = []
+        for lend in (True, False):
+            if not lend:
+                monkeypatch.setattr(
+                    simulate, "generate_dataset", lambda config, rep, spent: generate(config, rep)
+                )
+            result = run_scenarios(config)
+            table, audit = tmp_path / f"table_{lend}.csv", tmp_path / f"audit_{lend}.json"
+            write_table_csv(result, table)
+            write_audit_json(result, audit)
+            blobs.append((table.read_bytes(), audit.read_bytes()))
+        assert blobs[0] == blobs[1]
+
+
 class TestWriters:
     def test_table_csv_layout(self, tmp_path):
         result = run_scenarios(SMALL)
