@@ -118,7 +118,7 @@ class GlmmProblem:
             # the solver factors without checking for non-finite entries
             if not np.all(np.isfinite(self.D)):
                 raise ValueError("prior covariance must be finite and positive definite")
-            if not np.allclose(self.D, self.D.T, atol=1e-12):
+            if not np.all(np.abs(self.D - self.D.T) <= 1e-12 + 1e-5 * np.abs(self.D.T)):
                 raise ValueError("prior covariance must be symmetric")
             try:
                 self.D_chol = np.linalg.cholesky(self.D)

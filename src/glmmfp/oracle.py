@@ -18,11 +18,12 @@ flat.  Importance sampling draws from ``N(xi, 2 Xi)``, whose heavier
 tails keep the importance weights bounded.
 
 Each piece of quadrature work is done once: the 1-D Gauss-Hermite rule
-of an order is computed once per process and shared read-only, the
-tensor grid comes from ``np.indices`` in ``itertools.product`` order (so
-the sums run in the same order as a nested loop would), and one
-adjudication evaluates each order once, although every order's error
-estimate needs the half order too.  Before any node is placed,
+of an order and the standardized tensor grid ``x`` of an (order, r), in
+``itertools.product`` order, are built once and shared read-only, and
+one adjudication evaluates each order once, although every order's
+error estimate needs the half order too.  The integrand and moments are
+taken in ``x``, where ``gamma = xi + S x`` and ``S = chol(2 Xi)``: no
+grid of ``gamma`` is formed.  Before any node is placed,
 ``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
 quadrature over it raises ``CapabilityError`` with the node count.
 Importance sampling checks ``samples * (n + r)`` against the same
@@ -93,14 +94,19 @@ class ExactnessReport:
     oracle: PosteriorMoments
 
 
-def _log_unnormalized(problem: GlmmProblem, gammas: np.ndarray) -> np.ndarray:
-    """log g(gamma) for a batch of gamma vectors, shape (K, r) -> (K,)."""
-    eta = problem.beta @ problem.X.T + gammas @ problem.Z.T
+def _log_integrand(problem: GlmmProblem, xi, scale, x: np.ndarray) -> np.ndarray:
+    """log g(xi + scale x) at standardized points ``x``, shape (K, r) -> (K,).
+
+    With ``D = L L'``, the prior quadratic is ``|L^-1 xi + L^-1 scale x|^2``.
+    """
+    L = problem.D_chol
+    m = np.linalg.solve(L, xi)
+    M = np.linalg.solve(L, scale)
+    eta = (problem.X @ problem.beta + problem.Z @ xi) + x @ (problem.Z @ scale).T
     loglik = families.log_likelihood(
         problem.kernel, eta, problem.y, const=problem.response_term
     )
-    L = problem.D_chol
-    quad = np.sum(np.linalg.solve(L, gammas.T) ** 2, axis=0)
+    quad = np.sum((m + x @ M.T) ** 2, axis=1)
     logdet = 2.0 * np.sum(np.log(L.diagonal()))
     logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
     return loglik + logprior
@@ -139,6 +145,22 @@ def _tensor_grid(order: int, r: int) -> np.ndarray:
     return np.indices((order,) * r).reshape(r, -1).T
 
 
+@functools.lru_cache(maxsize=8)
+def _node_grid(order: int, r: int):
+    """Read-only nodes ``x`` (K, r) and ``base`` = log weight + ``|x|^2`` (K).
+
+    Eight grids are kept: ``verify``'s orders 32-256 at r = 1, 2 take 2.2 MB.
+    A grid is K (r + 1) doubles, under the budget's 32 MiB; doubling from
+    order 64 reaches at most 64^3 nodes at r = 3, 8 MB.
+    """
+    nodes, log_weights = _hermite_rule(order)
+    grids = _tensor_grid(order, r)
+    x = nodes[grids]
+    base = np.sum(log_weights[grids], axis=1) + np.sum(x**2, axis=1)
+    x.flags.writeable = base.flags.writeable = False
+    return x, base
+
+
 def _fits_budget(problem: GlmmProblem, order: int) -> bool:
     return order**problem.r * (problem.n + problem.r) <= QUADRATURE_BUDGET
 
@@ -165,26 +187,19 @@ def _check_quadrature(problem: GlmmProblem, order: int) -> None:
 
 
 def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
-    nodes, log_weights = _hermite_rule(order)
-    r = problem.r
-    grids = _tensor_grid(order, r)
-    x = nodes[grids]                       # (K, r)
-    logw = np.sum(log_weights[grids], axis=1)
-    # the weight e^{-|x|^2} becomes N(xi, scale scale' / 2) = N(xi, Xi)
-    gammas = xi + x @ scale.T
-    logg = _log_unnormalized(problem, gammas)
-    # undo the e^{-|x|^2} Gauss-Hermite weight and apply the affine Jacobian
-    log_terms = logw + np.sum(x**2, axis=1) + logg
+    # the nodes' weight e^{-|x|^2} is N(xi, scale scale' / 2) = N(xi, Xi) in gamma
+    x, base = _node_grid(order, problem.r)
+    log_terms = base + _log_integrand(problem, xi, scale, x)
     log_jac = np.sum(np.log(np.diag(scale)))
     log_norm = _logsumexp(log_terms)
     if not np.isfinite(log_norm):
         raise FloatingPointError("all quadrature node weights underflowed")
     p = np.exp(log_terms - log_norm)
-    mean = p @ gammas
-    dev = gammas - mean
-    cov = (dev * p[:, None]).T @ dev
+    mean_x = p @ x
+    dev = x - mean_x
+    cov = scale @ ((dev * p[:, None]).T @ dev) @ scale.T
     cov = 0.5 * (cov + cov.T)
-    return mean, cov, float(log_norm + log_jac)
+    return xi + scale @ mean_x, cov, float(log_norm + log_jac)
 
 
 def moments_quadrature(
@@ -243,8 +258,8 @@ def moments_importance(
     xi, scale = _center_and_scale(problem, None)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((samples, problem.r))
+    logg = _log_integrand(problem, xi, scale, x)
     gammas = xi + x @ scale.T
-    logg = _log_unnormalized(problem, gammas)
     # proposal logpdf under N(xi, scale scale')
     logdet = 2.0 * np.sum(np.log(np.diag(scale)))
     logq = -0.5 * (

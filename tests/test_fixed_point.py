@@ -78,6 +78,23 @@ class TestProblemValidation:
                 kernel=poisson_kernel(),
             )
 
+    @pytest.mark.parametrize("asymmetry, raises", [(1e-3, True), (1e-7, False)])
+    def test_prior_symmetry_tolerance(self, asymmetry, raises):
+        # |D - D'| <= 1e-12 + 1e-5 |D'|, the tolerance of np.allclose(atol=1e-12)
+        D = np.array([[1.0, 0.5 + asymmetry], [0.5, 1.0]])
+
+        def build():
+            return GlmmProblem(
+                y=np.array([1.0, 0.0]), X=np.ones((2, 1)), Z=np.eye(2), D=D,
+                beta=np.zeros(1), kernel=poisson_kernel(),
+            )
+
+        if raises:
+            with pytest.raises(ValueError, match="symmetric"):
+                build()
+        else:
+            assert np.array_equal(build().D, D)
+
     def test_prior_must_be_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             GlmmProblem(

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from glmmfp import cli, oracle
+from glmmfp import cli, families, oracle
 from glmmfp.families import gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior
 from glmmfp.oracle import (
@@ -226,6 +226,7 @@ class TestQuadratureWorkBudget:
 
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
         oracle._hermite_rule.cache_clear()
+        oracle._node_grid.cache_clear()
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"verify": {"identity_instances": 5}}))
         code = cli.main(["verify", "--config", str(config), "--out",
@@ -277,3 +278,125 @@ class TestQuadratureWorkBudget:
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             log_weights[0] = 0.0
+
+
+def gamma_space_log_posterior(problem, gammas):
+    """log f(y | gamma) pi(gamma) evaluated at each row of ``gammas``."""
+    eta = problem.beta @ problem.X.T + gammas @ problem.Z.T
+    L = np.linalg.cholesky(problem.D)
+    quad = np.sum(np.linalg.solve(L, gammas.T) ** 2, axis=0)
+    logdet = 2.0 * np.sum(np.log(L.diagonal()))
+    logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
+    return families.log_likelihood(problem.kernel, eta, problem.y) + logprior
+
+
+def gamma_space_quadrature(problem, order, xi, scale):
+    """Adaptive Gauss-Hermite moments summed over the grid of gamma nodes."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    index = np.array(list(itertools.product(range(order), repeat=problem.r)))
+    x = nodes[index]
+    gammas = xi + x @ scale.T
+    log_terms = (
+        np.sum(np.log(weights)[index], axis=1) + np.sum(x**2, axis=1)
+        + gamma_space_log_posterior(problem, gammas)
+    )
+    top = np.max(log_terms)
+    log_norm = top + np.log(np.sum(np.exp(log_terms - top)))
+    p = np.exp(log_terms - log_norm)
+    mean = p @ gammas
+    dev = gammas - mean
+    cov = (dev * p[:, None]).T @ dev
+    return mean, 0.5 * (cov + cov.T), log_norm + np.sum(np.log(np.diag(scale)))
+
+
+def battery_problems(seeds):
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 1])
+        yield from cli._verify_battery(rng)
+
+
+def escalated_r2_poisson():
+    """Battery seed 5, instance 9: r = 2 Poisson that adjudication doubles to 256."""
+    family, problem = list(battery_problems([5]))[9]
+    assert (family, problem.r) == ("poisson", 2)
+    return problem
+
+
+def assert_matches_gamma_space(problem, order):
+    fit = fit_posterior(problem)
+    scale = np.linalg.cholesky(2.0 * fit.Xi)
+    mean, cov, logz = oracle._gh_raw(problem, order, fit.xi, scale)
+    ref_mean, ref_cov, ref_logz = gamma_space_quadrature(problem, order, fit.xi, scale)
+    np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-12)
+    assert logz == pytest.approx(ref_logz, rel=0, abs=1e-12)
+
+
+class TestNodeSpaceQuadrature:
+    """The integrand and moments in standardized nodes equal the gamma-space sums."""
+
+    @pytest.mark.parametrize("order", [32, 64])
+    def test_battery_moments_match_gamma_space(self, order):
+        problems = [problem for _, problem in battery_problems(range(4))]
+        assert {problem.r for problem in problems} == {1, 2}
+        for problem in problems:
+            assert_matches_gamma_space(problem, order)
+
+    def test_escalated_r2_poisson_matches_gamma_space(self):
+        problem = escalated_r2_poisson()
+        assert adjudicate_exactness(problem).oracle.order_or_samples == 256
+        assert_matches_gamma_space(problem, 256)
+
+    def test_importance_log_weights_match_gamma_space(self, monkeypatch):
+        problem = escalated_r2_poisson()
+        seen = []
+        integrand = oracle._log_integrand
+
+        def recorded(problem, xi, scale, x):
+            seen.append((xi, scale, x, integrand(problem, xi, scale, x)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(oracle, "_log_integrand", recorded)
+        samples = 10_000
+        result = moments_importance(problem, samples=samples, seed=7)
+        [(xi, scale, x, logg)] = seen
+        draws = np.random.default_rng(7).standard_normal((samples, problem.r))
+        assert np.array_equal(x, draws)
+        gammas = xi + x @ scale.T
+        # far-tail draws reach log g ~ -1800, so the tolerance is also relative
+        np.testing.assert_allclose(
+            logg, gamma_space_log_posterior(problem, gammas), rtol=1e-12, atol=1e-12
+        )
+        # the self-normalized weights, and so the moments, follow
+        logq = -0.5 * np.sum(x**2, axis=1) - np.sum(np.log(np.diag(scale)))
+        logw = gamma_space_log_posterior(problem, gammas) - logq
+        p = np.exp(logw - np.max(logw))
+        np.testing.assert_allclose(result.mean, p @ gammas / np.sum(p), rtol=0, atol=1e-12)
+
+    def test_cached_grid_is_read_only_product_order_built_once(self, monkeypatch):
+        built = []
+        tensor_grid = oracle._tensor_grid
+
+        def counted(order, r):
+            built.append((order, r))
+            return tensor_grid(order, r)
+
+        monkeypatch.setattr(oracle, "_tensor_grid", counted)
+        oracle._node_grid.cache_clear()
+        for _ in range(2):
+            moments_quadrature(scalar_poisson(), order=16)
+            moments_quadrature(gaussian_instance(seed=1), order=16)
+        assert sorted(built) == [(8, 1), (8, 2), (16, 1), (16, 2)]
+        x, base = oracle._node_grid(16, 2)
+        assert len(built) == 4
+        nodes, weights = np.polynomial.hermite.hermgauss(16)
+        index = np.array(list(itertools.product(range(16), repeat=2)))
+        assert np.array_equal(x, nodes[index])
+        np.testing.assert_allclose(
+            base, np.sum(np.log(weights)[index] + nodes[index] ** 2, axis=1),
+            rtol=1e-15, atol=1e-13,
+        )
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            base[0] = 0.0
