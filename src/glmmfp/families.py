@@ -183,9 +183,11 @@ def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
     """Full log-likelihood summed over observations.
 
     ``eta`` may be a batch of linear predictors with shape (..., n); the
-    sum runs over the trailing axis.  Extreme predictors map to -inf
-    rather than raising, which is the right behaviour for quadrature and
-    importance-sampling integrands.  ``const`` is :func:`response_term`
+    sum runs over the trailing axis.  A strided trailing axis, such as the
+    transpose of an (n, K) array, is summed by adds of contiguous K-vectors,
+    the same bits as a contiguous axis for fewer than 8 terms.  Extreme
+    predictors map to -inf rather than raising, as quadrature and
+    importance-sampling integrands need.  ``const`` is :func:`response_term`
     of a ``y`` already checked, such as a problem's cached one; without
     it ``y`` is checked and the term evaluated here.
     """

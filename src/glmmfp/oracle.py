@@ -23,7 +23,10 @@ of an order and the standardized tensor grid ``x`` of an (order, r), in
 one adjudication evaluates each order once, although every order's
 error estimate needs the half order too.  The integrand and moments are
 taken in ``x``, where ``gamma = xi + S x`` and ``S = chol(2 Xi)``: no
-grid of ``gamma`` is formed.  Before any node is placed,
+grid of ``gamma`` is formed.  Node arrays are node-contiguous: ``x`` is
+stored Fortran-ordered, the predictor is formed as (n, K) and the prior
+term as (r, K), so each sum over observations or effects is a few adds
+of length-K vectors.  Before any node is placed,
 ``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
 quadrature over it raises ``CapabilityError`` with the node count.
 Importance sampling checks ``samples * (n + r)`` against the same
@@ -52,8 +55,8 @@ IMPORTANCE_SAMPLING = "importance_sampling"
 QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
 MAX_QUADRATURE_ORDER = 256
-# order**r nodes (or importance samples) times (n + r) doubles: the K x n
-# predictor and K x r effects; 2**22 doubles is 32 MiB per such array
+# order**r nodes (or importance samples) times (n + r) doubles: the n x K
+# predictor and r x K effects; 2**22 doubles is 32 MiB per such array
 QUADRATURE_BUDGET = 2**22
 # verdict thresholds of adjudicate_exactness, and the oracle error at which
 # it stops doubling the quadrature order
@@ -102,11 +105,12 @@ def _log_integrand(problem: GlmmProblem, xi, scale, x: np.ndarray) -> np.ndarray
     L = problem.D_chol
     m = np.linalg.solve(L, xi)
     M = np.linalg.solve(L, scale)
-    eta = (problem.X @ problem.beta + problem.Z @ xi) + x @ (problem.Z @ scale).T
+    offset = problem.X @ problem.beta + problem.Z @ xi
+    eta = offset[:, None] + (problem.Z @ scale) @ x.T
     loglik = families.log_likelihood(
-        problem.kernel, eta, problem.y, const=problem.response_term
+        problem.kernel, eta.T, problem.y, const=problem.response_term
     )
-    quad = np.sum((m + x @ M.T) ** 2, axis=1)
+    quad = np.sum((m[:, None] + M @ x.T) ** 2, axis=0)
     logdet = 2.0 * np.sum(np.log(L.diagonal()))
     logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
     return loglik + logprior
@@ -155,7 +159,7 @@ def _node_grid(order: int, r: int):
     """
     nodes, log_weights = _hermite_rule(order)
     grids = _tensor_grid(order, r)
-    x = nodes[grids]
+    x = np.asfortranarray(nodes[grids])
     base = np.sum(log_weights[grids], axis=1) + np.sum(x**2, axis=1)
     x.flags.writeable = base.flags.writeable = False
     return x, base
@@ -195,9 +199,9 @@ def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
     if not np.isfinite(log_norm):
         raise FloatingPointError("all quadrature node weights underflowed")
     p = np.exp(log_terms - log_norm)
-    mean_x = p @ x
-    dev = x - mean_x
-    cov = scale @ ((dev * p[:, None]).T @ dev) @ scale.T
+    mean_x = x.T @ p
+    dev = x.T - mean_x[:, None]
+    cov = scale @ ((dev * p) @ dev.T) @ scale.T
     cov = 0.5 * (cov + cov.T)
     return xi + scale @ mean_x, cov, float(log_norm + log_jac)
 

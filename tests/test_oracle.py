@@ -400,3 +400,133 @@ class TestNodeSpaceQuadrature:
             x[0, 0] = 0.0
         with pytest.raises(ValueError):
             base[0] = 0.0
+
+
+def node_major_log_integrand(problem, xi, scale, x):
+    """The integrand with the predictor as (K, n) and the prior term as (K, r)."""
+    L = problem.D_chol
+    m = np.linalg.solve(L, xi)
+    M = np.linalg.solve(L, scale)
+    eta = (problem.X @ problem.beta + problem.Z @ xi) + x @ (problem.Z @ scale).T
+    loglik = families.log_likelihood(
+        problem.kernel, eta, problem.y, const=problem.response_term
+    )
+    quad = np.sum((m + x @ M.T) ** 2, axis=1)
+    logdet = 2.0 * np.sum(np.log(L.diagonal()))
+    return loglik - 0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def product_grid(order, r):
+    """Gauss-Hermite nodes (K, r) in product order, and log weight + ``|x|^2``.
+
+    Fortran-ordered, as ``np.indices`` has always left the oracle's grid:
+    ``p @ x`` on a C-ordered copy runs another BLAS kernel, which rounds
+    the moments differently in the last bits.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    index = np.array(list(itertools.product(range(order), repeat=r)))
+    x = np.asfortranarray(nodes[index])
+    return x, np.sum(np.log(weights)[index], axis=1) + np.sum(x**2, axis=1)
+
+
+def node_major_gh_raw(problem, order, xi, scale):
+    """Adaptive Gauss-Hermite moments from the (K, n) and (K, r) node arrays."""
+    x, base = product_grid(order, problem.r)
+    log_terms = base + node_major_log_integrand(problem, xi, scale, x)
+    top = np.max(log_terms)
+    log_norm = top + np.log(np.sum(np.exp(log_terms - top)))
+    p = np.exp(log_terms - log_norm)
+    mean_x = p @ x
+    dev = x - mean_x
+    cov = scale @ ((dev * p[:, None]).T @ dev) @ scale.T
+    cov = 0.5 * (cov + cov.T)
+    log_jac = np.sum(np.log(np.diag(scale)))
+    return xi + scale @ mean_x, cov, float(log_norm + log_jac)
+
+
+def poisson_n40_r2():
+    rng = np.random.default_rng(0)
+    X = np.ones((40, 1))
+    Z = rng.standard_normal((40, 2)) / np.sqrt(2.0)
+    D = np.array([[0.5, 0.2], [0.2, 0.4]])
+    gamma = np.linalg.cholesky(D) @ rng.standard_normal(2)
+    beta = np.array([0.4])
+    y = rng.poisson(np.exp(X @ beta + Z @ gamma)).astype(float)
+    return GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=poisson_kernel())
+
+
+def assert_bitwise_node_major(problem, order):
+    fit = fit_posterior(problem)
+    scale = np.linalg.cholesky(2.0 * fit.Xi)
+    x, _ = product_grid(order, problem.r)
+    assert np.array_equal(
+        oracle._log_integrand(problem, fit.xi, scale, x),
+        node_major_log_integrand(problem, fit.xi, scale, x),
+    )
+    mean, cov, logz = oracle._gh_raw(problem, order, fit.xi, scale)
+    ref_mean, ref_cov, ref_logz = node_major_gh_raw(problem, order, fit.xi, scale)
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(cov, ref_cov)
+    assert logz == ref_logz
+
+
+class TestNodeContiguousIntegrand:
+    """Sums over contiguous node vectors give the node-major sums' bits for n, r < 8."""
+
+    @pytest.mark.parametrize("order", [32, 64])
+    def test_battery_matches_node_major_bitwise(self, order):
+        problems = [problem for _, problem in battery_problems(range(4))]
+        assert {problem.r for problem in problems} == {1, 2}
+        assert max(problem.n for problem in problems) < 8
+        for problem in problems:
+            assert_bitwise_node_major(problem, order)
+
+    def test_escalated_r2_poisson_matches_node_major_bitwise(self):
+        assert_bitwise_node_major(escalated_r2_poisson(), 256)
+
+    def test_many_observations_match_node_major(self, monkeypatch):
+        # n = 40 is past numpy's 8-term sequential sum, so only rounding may move
+        problem = poisson_n40_r2()
+        quadrature = moments_quadrature(problem, order=64)
+        importance = moments_importance(problem, samples=10_000, seed=3)
+        monkeypatch.setattr(oracle, "_gh_raw", node_major_gh_raw)
+        monkeypatch.setattr(oracle, "_log_integrand", node_major_log_integrand)
+        for got, ref in (
+            (quadrature, moments_quadrature(problem, order=64)),
+            (importance, moments_importance(problem, samples=10_000, seed=3)),
+        ):
+            np.testing.assert_allclose(got.mean, ref.mean, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.cov, ref.cov, rtol=0, atol=1e-13)
+            assert got.log_marginal == pytest.approx(ref.log_marginal, rel=1e-13)
+            assert got.error_estimate == pytest.approx(ref.error_estimate, abs=1e-13)
+
+
+class TestNodeContiguousLayout:
+    """The integrand's sums run along contiguous node vectors."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_grid_is_fortran_ordered_read_only_product_order(self, r):
+        x, _ = oracle._node_grid(8, r)
+        assert x.shape == (8**r, r)
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        assert not x.flags.writeable
+        nodes, _ = np.polynomial.hermite.hermgauss(8)
+        index = np.array(list(itertools.product(range(8), repeat=r)))
+        assert np.array_equal(x, nodes[index])
+
+    def test_likelihood_gets_node_contiguous_predictor(self, monkeypatch):
+        seen = []
+        log_likelihood = families.log_likelihood
+
+        def recorded(kernel, eta, y, const=None):
+            seen.append(eta)
+            return log_likelihood(kernel, eta, y, const=const)
+
+        monkeypatch.setattr(families, "log_likelihood", recorded)
+        problem = gaussian_instance(seed=2)
+        moments_quadrature(problem, order=16)
+        moments_importance(problem, samples=10_000, seed=1)
+        batches = [eta for eta in seen if eta.ndim == 2]  # the fits pass one eta
+        assert [eta.shape for eta in batches] == [(256, 6), (64, 6), (10_000, 6)]
+        for eta in batches:
+            assert eta.strides[0] == eta.itemsize
