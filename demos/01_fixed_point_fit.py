@@ -30,8 +30,9 @@ y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
 print("observed counts:", y.astype(int))
 
 # --- fit ---------------------------------------------------------------
+# Z=None is the site design, one effect per site (Z = I, never formed)
 problem = GlmmProblem(
-    y=y, X=X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=poisson_kernel()
+    y=y, X=X, Z=None, D=blocked.d11, beta=beta, kernel=poisson_kernel()
 )
 report = fit_posterior(problem)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, oracle, simulate
-from .covariance import MaternParams, SingularCovarianceError, build_blocked
+from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError, build_blocked
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
 from .families import BINOMIAL, GAUSSIAN, initial_eta
@@ -244,6 +245,12 @@ def cmd_validate(args) -> int:
     splits = dataio.read_int(val, "splits", 20, 1, "validate")
     n_train = dataio.read_int(val, "n_train", 80, 1, "validate")
     n_test = dataio.read_int(val, "n_test", 20, 1, "validate")
+    if (n_train + n_test) ** 2 > PRIOR_BUDGET:
+        raise ConfigError(
+            f"validate.n_train + validate.n_test must be at most "
+            f"{math.isqrt(PRIOR_BUDGET)}, a prior of {PRIOR_BUDGET} doubles: "
+            f"{n_train} + {n_test}"
+        )
     tiers = dataio.read_list(val.get("tiers", list(dataio.TIERS)), "validate.tiers")
     for tier in tiers:
         # a tier's design width is the same on every split

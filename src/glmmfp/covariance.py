@@ -17,6 +17,7 @@ observed block and to krig (:func:`spatial.conditional_mean`).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ import numpy as np
 from ._lapack import potrf, workspace
 
 log = logging.getLogger(__name__)
+
+# (n + n*)**2 doubles, the most that a prior over n + n* sites may hold.
+# A fit peaks at about three such arrays (the covariance in its distance
+# buffer, its factor, the mode fit's n x n buffer); 2**24 doubles is
+# 128 MiB an array, and n + n* <= 4096
+PRIOR_BUDGET = 2**24
 
 _JITTER_START = 1e-10
 _JITTER_CAP = 1e-6
@@ -215,8 +222,10 @@ def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
     """Distances among the observed sites, then the unobserved ones.
 
     One ``cdist`` call over the stacked sites, so the matrix is exactly
-    symmetric.  Non-finite coordinates, no observed site, and duplicate
-    observed sites (they make the observed block singular) are rejected.
+    symmetric.  Non-finite coordinates, no observed site, more sites than
+    ``PRIOR_BUDGET`` allows (checked before anything of their count squared
+    is allocated), and duplicate observed sites (they make the observed
+    block singular) are rejected.
     The distances are written into ``out`` if given; ``cdist`` raises
     ``ValueError`` unless it is a C-ordered float array of their shape.
     """
@@ -230,6 +239,11 @@ def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
         sites = np.concatenate([obs, unobs])
+    if len(sites) ** 2 > PRIOR_BUDGET:
+        raise ValueError(
+            f"{len(sites)} sites are more than the {math.isqrt(PRIOR_BUDGET)} that a "
+            f"prior of at most {PRIOR_BUDGET} doubles covers"
+        )
 
     # deferred: `verify` builds no spatial prior and need not load scipy.spatial
     from scipy.spatial.distance import cdist

@@ -28,8 +28,9 @@ predictor, one iterate for every design.  It carries ``b`` with
 ``H^-1 Z' = D Z' R^-1 W^-1``, the increment is ``Delta = D Z' d_b`` with
 ``d_b = R^-1 W^-1 (s - b)`` and score ``s = (y - mu) / phi``.  Each
 iterate does one Cholesky factorization, of the n x n ``R``, and nothing
-else of cubic cost; the identity design ``Z = I`` (every spatial caller)
-only skips the products by ``Z``.  The log-likelihood's terms in ``y``
+else of cubic cost.  ``Z = None`` is the site design ``Z = I``, one
+effect per observation (every spatial caller): it is never formed, and
+the products by ``Z`` are skipped.  The log-likelihood's terms in ``y``
 alone are evaluated once per problem.  The last iterate's factor and
 ``alpha = Z' b`` stay on the :class:`FitReport`; ``Xi`` is read off the
 factor on first access, so callers that only need ``xi`` (or the
@@ -78,40 +79,33 @@ class GlmmProblem:
     certifies it, such as the leading block of
     :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.  Without one,
     ``D_chol`` keeps the factor that certified ``D``.
-    ``identity_design`` records whether ``Z`` is the n x n identity, so
-    that the solver can skip its products by ``Z``.
+    ``Z = None`` is the site design ``Z = I``, with ``r = n``, never formed.
     """
 
     y: np.ndarray
     X: np.ndarray
-    Z: np.ndarray
+    Z: np.ndarray | None
     D: np.ndarray
     beta: np.ndarray
     kernel: FamilyKernel
-    identity_design: bool = field(init=False, repr=False)
     D_chol: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.y = families.check_support(self.kernel, self.y)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
+        if self.Z is not None:
+            self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
         n = self.y.shape[0]
-        if self.X.shape[0] != n or self.Z.shape[0] != n:
+        if self.X.shape[0] != n or (self.Z is not None and self.Z.shape[0] != n):
             raise ValueError("design matrices must have one row per observation")
         self._check_prior()
-        Z = self.Z
-        self.identity_design = (
-            Z.shape == (n, n)
-            and bool(np.all(Z.diagonal() == 1.0))
-            and np.count_nonzero(Z) == n
-        )
 
     def _check_prior(self):
         self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if self.X.shape[1] != self.beta.shape[0]:
             raise ValueError("beta length must match the fixed-effects design")
-        r = self.Z.shape[1]
+        r = self.r
         if self.D.shape != (r, r):
             raise ValueError("prior covariance must be r x r")
         if self.D_chol is None:
@@ -147,12 +141,20 @@ class GlmmProblem:
 
     @property
     def r(self) -> int:
-        return self.Z.shape[1]
+        return self.n if self.Z is None else self.Z.shape[1]
+
+    def effects(self, xi) -> np.ndarray:
+        """``Z xi``: ``xi`` itself on the site design, with no n x n product."""
+        return xi if self.Z is None else self.Z @ xi
+
+    def adjoint(self, v) -> np.ndarray:
+        """``Z' v``: ``v`` itself on the site design, with no n x n product."""
+        return v if self.Z is None else self.Z.T @ v
 
     @cached_property
     def ZDZt(self) -> np.ndarray:
-        """``Z D Z'``, the prior covariance of ``Z xi``: ``D`` itself if ``Z = I``."""
-        return self.D if self.identity_design else self.Z @ self.D @ self.Z.T
+        """``Z D Z'``, the prior covariance of ``Z xi``: ``D`` on the site design."""
+        return self.D if self.Z is None else self.effects(self.D) @ self.Z.T
 
     @cached_property
     def response_term(self):
@@ -227,25 +229,15 @@ def _xi_raw(problem: GlmmProblem, u, w, buf=None):
     """
     chol = _factor(problem, w, buf)
     b = potrs(chol, u - problem.X @ problem.beta)
-    return problem.D @ _adjoint(problem, b), b, chol
+    return problem.D @ problem.adjoint(b), b, chol
 
 
 def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
     """Xi = D - D Z' R^-1 Z D from the factor ``chol`` of ``R``."""
     D = problem.D
-    DZt = _effects(problem, D.T).T  # D Z' = (Z D')'
-    Xi = D - DZt @ potrs(chol, DZt.T)
+    ZD = problem.effects(D)  # D Z' = (Z D)', D being symmetric
+    Xi = D - ZD.T @ potrs(chol, ZD)
     return 0.5 * (Xi + Xi.T)
-
-
-def _effects(problem: GlmmProblem, xi) -> np.ndarray:
-    """``Z xi``: ``xi`` itself on the identity design, with no n x n product."""
-    return xi if problem.identity_design else problem.Z @ xi
-
-
-def _adjoint(problem: GlmmProblem, v) -> np.ndarray:
-    """``Z' v``: ``v`` itself on the identity design, with no n x n product."""
-    return v if problem.identity_design else problem.Z.T @ v
 
 
 def _score(problem: GlmmProblem, eta):
@@ -264,7 +256,7 @@ def _newton_step(problem: GlmmProblem, eta, b, buf=None):
     s, w = _score(problem, eta)
     chol = _factor(problem, w, buf)
     d_b = potrs(chol, (s - b) / w)
-    return w, problem.D @ _adjoint(problem, d_b), d_b, chol
+    return w, problem.D @ problem.adjoint(d_b), d_b, chol
 
 
 def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
@@ -287,7 +279,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     independent check of the mode, not a certificate of a fit at ``tol``.
     """
     xi = np.asarray(xi, dtype=float)
-    eta = problem.X @ problem.beta + _effects(problem, xi)
+    eta = problem.X @ problem.beta + problem.effects(xi)
     s, w = _score(problem, eta)
     raw = _xi_raw(problem, eta + s / w, w)[0]
     return float(np.max(np.abs(xi - raw), initial=0.0))
@@ -316,8 +308,8 @@ def fit_posterior(
     buf = workspace(buf, (problem.n, problem.n))
     offset = problem.X @ problem.beta
     xi, b = _start(problem, buf)
-    a = _adjoint(problem, b)
-    eta = offset + _effects(problem, xi)
+    a = problem.adjoint(b)
+    eta = offset + problem.effects(xi)
     logpost = _log_posterior(problem, eta, xi, a)
     trace, halvings = [], 0
     while True:
@@ -335,8 +327,8 @@ def fit_posterior(
         t = 1.0
         for k in range(_MAX_HALVINGS + 1):
             xi_t, b_t = xi + t * delta, b + t * d_b
-            a_t = _adjoint(problem, b_t)
-            eta_t = offset + _effects(problem, xi_t)
+            a_t = problem.adjoint(b_t)
+            eta_t = offset + problem.effects(xi_t)
             logpost_t = _log_posterior(problem, eta_t, xi_t, a_t)
             if logpost_t >= floor:
                 break
@@ -375,8 +367,8 @@ def corrected_mean(report: FitReport) -> np.ndarray:
     """
     problem, Xi = report.problem, report.Xi
     Z = problem.Z
-    xi_diag = Xi.diagonal() if problem.identity_design else np.sum((Z @ Xi) * Z, axis=1)
-    return report.xi + Xi @ _adjoint(problem, laplace_skew(report, xi_diag))
+    xi_diag = Xi.diagonal() if Z is None else np.sum(problem.effects(Xi) * Z, axis=1)
+    return report.xi + Xi @ problem.adjoint(laplace_skew(report, xi_diag))
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ def _log_integrand(problem: GlmmProblem, xi, scale, x: np.ndarray) -> np.ndarray
     L = problem.D_chol
     m = np.linalg.solve(L, xi)
     M = np.linalg.solve(L, scale)
-    offset = problem.X @ problem.beta + problem.Z @ xi
-    eta = offset[:, None] + (problem.Z @ scale) @ x.T
+    offset = problem.X @ problem.beta + problem.effects(xi)
+    eta = offset[:, None] + problem.effects(scale) @ x.T
     loglik = families.log_likelihood(
         problem.kernel, eta.T, problem.y, const=problem.response_term
     )

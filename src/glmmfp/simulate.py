@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import MaternParams, build_blocked
+from .covariance import PRIOR_BUDGET, MaternParams, build_blocked
 from .dataio import ConfigError, write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
@@ -61,12 +61,11 @@ DEFAULT_SIDE = 20.0
 
 MAX_FAILURE_FRACTION = 0.05
 
-# (n + n*)**2 doubles, the joint prior of one replication.  A replication
-# peaks at about three such arrays (the covariance in its distance buffer,
-# its factor, the mode fit's n x n buffer): 2.5 at n = n* = 800 by
-# tracemalloc.  2**24 doubles is 128 MiB an array, so the peak stays near
-# 400 MiB, and n + n* <= 4096, five times the reference 400 + 400
-SIM_BUDGET = 2**24
+# (n + n*)**2 doubles, the joint prior of one replication, checked before
+# any work.  A replication peaks at about three such arrays: 2.5 at
+# n = n* = 800 by tracemalloc, so the peak stays near 400 MiB, and
+# n + n* <= 4096, five times the reference 400 + 400
+SIM_BUDGET = PRIOR_BUDGET
 
 
 class ScenarioFailureError(RuntimeError):
@@ -173,7 +172,9 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     """One replication's record of ``scenario``: the table's metrics.
 
     A ``sic_estimated`` record also counts the estimate's fits, failed
-    fits and scoring steps, which the aggregate leaves out.
+    fits and scoring steps, which the aggregate leaves out; an estimate
+    that did not converge raises ``RuntimeError``, as a mode fit that did
+    not converge does, so the replication is recorded as failed.
     """
     truth = dataset.gamma
     truth_star = dataset.gamma_star
@@ -196,6 +197,11 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     observed = problem.observed
     init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
     fit = estimate(observed, init_beta, config.omega)
+    if not fit.converged:
+        raise RuntimeError(
+            f"the estimate did not converge in {fit.optimizer_iterations} scoring "
+            f"steps and {fit.fits} fits"
+        )
     blocked_hat = build_blocked(fit.omega_hat, observed.coords, problem.unobserved.coords)
     problem_hat = replace(problem, blocked=blocked_hat, beta=fit.beta_hat)
     pred = fit_predict(problem_hat, FitOptions())

@@ -6,7 +6,7 @@ unobserved sites, whose response is ``None``.  A :class:`SpatialProblem`
 pairs the two with their blocked prior and the fixed effects.
 
 The observed block of a spatial mixed model (random effect per site,
-identity random-effects design, posed by :func:`site_problem`) is
+the site design ``Z = None`` posed by :func:`site_problem`) is
 fitted with the Newton mode-finder; the unobserved-site effects are then
 the kriging of its mode through the cross covariance:
 
@@ -93,10 +93,10 @@ class SpatialPrediction:
 
 
 def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmProblem:
-    """The observed sites' problem: one effect per site (``Z = I``), prior ``D11``."""
+    """The observed sites' problem: the site design ``Z = None``, prior ``D11``."""
     n = blocked.n_observed
     return GlmmProblem(
-        y=data.y, X=data.X, Z=np.eye(n), D=blocked.d11, beta=beta, kernel=data.kernel,
+        y=data.y, X=data.X, Z=None, D=blocked.d11, beta=beta, kernel=data.kernel,
         D_chol=blocked.chol[:n, :n],
     )
 

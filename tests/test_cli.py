@@ -166,6 +166,30 @@ class TestFit:
         else:
             assert (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, params",
+        [("fit", "given"), ("fit", "estimate"), ("predict", "given")],
+    )
+    def test_sites_over_the_prior_budget_exit_1(self, tmp_path, capsys, command, params):
+        # 4,097 sites: 4,000 to fit and 97 to predict at
+        coords = np.random.default_rng(2).uniform(0, 50, (4097, 2))
+        rows = [f"3,{cx!r},{cy!r}" for cx, cy in coords.tolist()]
+        if command == "predict":
+            roles = ["train"] * 4000 + ["test"] * 97
+            rows = ["y,x_coord,y_coord,role", *(f"{r},{s}" for r, s in zip(rows, roles))]
+        else:
+            rows = ["y,x_coord,y_coord", *rows]
+        data = write_csv(tmp_path, "\n".join(rows) + "\n")
+        payload = {"family": "poisson", "beta": [1.0], "matern": {"omega1": 0.5, "omega2": 1.0}}
+        if params == "estimate":
+            payload.update(beta="estimate", matern="estimate")
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "error: 4097 sites are more than the 4096" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_given_with_estimated_matern_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)
         config = write_config(
@@ -518,6 +542,25 @@ class TestValidate:
             ]
         )
         assert code == cli.EXIT_VALIDATION
+
+    def test_split_over_the_prior_budget_is_rejected_before_any_fit(self, tmp_path, capsys):
+        data, _, _ = poisson_dataset(tmp_path, n=20)
+        config = write_config(
+            tmp_path,
+            {
+                "beta": [1.5],
+                "matern": {"omega1": 0.5, "omega2": 1.0},
+                "validate": {"splits": 1, "n_train": 4000, "n_test": 97},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: validate.n_train + validate.n_test must be at most 4096" in err
+        assert not out.exists()
 
     def test_beta_too_short_for_a_tier_is_rejected_before_any_fit(self, tmp_path):
         # the default tiers' designs have 1, 3 and 6 columns

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 
 from glmmfp.covariance import (
+    PRIOR_BUDGET,
     BlockedCovariance,
     MaternParams,
     SingularCovarianceError,
@@ -268,6 +271,21 @@ class TestAssembly:
         site_distances(obs, np.vstack([unobs, unobs[:1]]))
         with pytest.raises(ValueError, match="duplicate"):
             site_distances(np.vstack([obs, obs[2:3]]), unobs)
+
+    def test_sites_over_the_budget_are_rejected_before_cdist(self):
+        # 4,097 sites would take 134 MB of distances
+        rng = np.random.default_rng(9)
+        obs, unobs = rng.uniform(0, 5, size=(4000, 2)), rng.uniform(0, 5, size=(97, 2))
+        assert PRIOR_BUDGET == 4096**2
+        for args in ((obs, unobs), (np.vstack([obs, unobs]),)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="4097 sites are more than the 4096"):
+                    site_distances(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_bit_identical_under_jitter(self):
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

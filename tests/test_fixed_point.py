@@ -207,20 +207,6 @@ class TestCorrectedMean:
             state = fit_posterior(problem)
             assert np.array_equal(corrected_mean(state), state.xi)
 
-    @pytest.mark.parametrize("family", ["poisson", "binomial"])
-    def test_both_solver_paths_agree(self, family):
-        # explicit Z products (Z = I, not flagged) against skipped ones
-        rng = np.random.default_rng(11)
-        square = random_problem(rng, family, 6, 6)
-        problem = GlmmProblem(
-            y=square.y, X=square.X, Z=np.eye(6), D=square.D, beta=square.beta,
-            kernel=square.kernel,
-        )
-        identity = corrected_mean(fit_posterior(problem))
-        problem.identity_design = False
-        general = corrected_mean(fit_posterior(problem))
-        assert np.allclose(identity, general, rtol=0, atol=1e-10)
-
 
 class TestCertificate:
     @pytest.mark.parametrize("family", ["poisson", "binomial"])
@@ -248,43 +234,72 @@ class TestCertificate:
 
 
 def identity_problem(rng, family, n):
-    """A spatial-style instance: Z = I and a Matern prior over random sites."""
+    """A spatial-style instance: the site design and a Matern prior over random sites."""
     D = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 6, size=(n, 2))).d11
     base = random_problem(rng, family, n, n)
     return GlmmProblem(
-        y=base.y, X=base.X, Z=np.eye(n), D=D, beta=base.beta, kernel=base.kernel
+        y=base.y, X=base.X, Z=None, D=D, beta=base.beta, kernel=base.kernel
     )
+
+
+class TestSiteDesign:
+    """``Z = None`` is the site design ``Z = I``, which is never formed."""
+
+    @pytest.mark.parametrize("n", [15, 100])
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_site_design_is_the_explicit_identity_bit_for_bit(self, family, n):
+        site = identity_problem(np.random.default_rng(n), family, n)
+        explicit = GlmmProblem(
+            y=site.y, X=site.X, Z=np.eye(n), D=site.D, beta=site.beta, kernel=site.kernel,
+        )
+        assert site.Z is None and explicit.Z is not None and explicit.r == site.r == n
+        a, b = fit_posterior(site), fit_posterior(explicit)
+        assert a.converged and a.trace == b.trace
+        for name in ("xi", "alpha", "chol", "Xi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(corrected_mean(a), corrected_mean(b))
+
+    def test_prior_must_be_n_x_n(self):
+        base = identity_problem(np.random.default_rng(3), "poisson", 6)
+        for D in (np.eye(5), np.eye(7), np.ones((6, 5))):
+            with pytest.raises(ValueError, match="r x r"):
+                GlmmProblem(y=base.y, X=base.X, Z=None, D=D, beta=base.beta,
+                            kernel=base.kernel)
+
+    def test_products_are_skipped(self):
+        problem = identity_problem(np.random.default_rng(5), "poisson", 6)
+        v = np.arange(6.0)
+        assert problem.effects(v) is v and problem.adjoint(v) is v
 
 
 class TestSolverPaths:
     """One iterate, factoring the n x n R = Z D Z' + W^-1, for every design.
 
-    The identity design only skips the products by ``Z``.
+    The site design ``Z = None`` only skips the products by ``Z``.
     """
 
     def test_factor_dimension_follows_the_design(self):
         # n x n whatever the design
         rng = np.random.default_rng(17)
         problem = identity_problem(rng, "poisson", 12)
-        assert problem.identity_design
+        assert problem.Z is None and problem.r == 12
         assert fit_posterior(problem).chol.shape == (12, 12)
         for n, r in ((30, 3), (6, 6), (4, 9)):
             problem = random_problem(rng, "poisson", n, r)
-            assert not problem.identity_design
+            assert problem.Z is not None
             report = fit_posterior(problem)
             assert report.converged
             assert report.chol.shape == (n, n)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_both_paths_agree(self, family):
-        # Z = 2I with prior D/4 is the identity-design model in xi/2, with
+        # Z = 2I with prior D/4 is the site-design model in xi/2, with
         # every product by Z formed
         problem = identity_problem(np.random.default_rng(23), family, 15)
         scaled = GlmmProblem(
-            y=problem.y, X=problem.X, Z=2.0 * problem.Z, D=problem.D / 4.0,
+            y=problem.y, X=problem.X, Z=2.0 * np.eye(15), D=problem.D / 4.0,
             beta=problem.beta, kernel=problem.kernel,
         )
-        assert not scaled.identity_design
         options = FitOptions(tol=1e-13)
         state = fit_posterior(problem, options)
         half = fit_posterior(scaled, options)
@@ -294,13 +309,13 @@ class TestSolverPaths:
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_prior_is_not_overwritten(self, family):
-        # the identity path factors R in place in a copy of D, a view of full
+        # the site path factors R in place in a copy of D, a view of full
         rng = np.random.default_rng(29)
         blocked = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 6, size=(15, 2)),
                                 rng.uniform(0, 6, size=(4, 2)))
         base = random_problem(rng, family, 15, 15)
         problems = [
-            GlmmProblem(y=base.y, X=base.X, Z=np.eye(15), D=blocked.d11, beta=base.beta,
+            GlmmProblem(y=base.y, X=base.X, Z=None, D=blocked.d11, beta=base.beta,
                         kernel=base.kernel, D_chol=blocked.chol[:15, :15]),
             random_problem(rng, family, 30, 3),
         ]
@@ -310,7 +325,7 @@ class TestSolverPaths:
             state = fit_posterior(problem)
             assert np.all(np.isfinite(state.Xi))  # Xi solves with the last factor
             assert np.array_equal(problem.D, D)
-        assert problems[0].identity_design and not problems[1].identity_design
+        assert problems[0].Z is None and problems[1].Z is not None
         assert np.array_equal(blocked.full, full)
 
     # alpha belongs to the reported xi, also when a loose tol stops early
@@ -479,7 +494,7 @@ class TestLogPosterior:
         for problem in (identity_problem(rng, family, 14), random_problem(rng, family, 9, 3)):
             xi = rng.standard_normal(problem.r)
             a = rng.standard_normal(problem.r)
-            eta = problem.X @ problem.beta + problem.Z @ xi
+            eta = problem.X @ problem.beta + problem.effects(xi)
             full = families.log_likelihood(problem.kernel, eta, problem.y)
             got = fixed_point._log_posterior(problem, eta, xi, a)
             assert got == float(full - 0.5 * (xi @ a))

@@ -54,6 +54,18 @@ class TestQuadrature:
         ref = moments_quadrature(scalar_poisson(), order=96)
         assert ref.log_marginal == pytest.approx(REF_LOG_MARGINAL, abs=1e-10)
 
+    def test_site_design_is_the_explicit_identity(self):
+        # the integrand forms no product by Z on the site design
+        D = np.array([[1.0, 0.4], [0.4, 0.8]])
+        y, X = np.array([2.0, 5.0]), np.ones((2, 1))
+        site, explicit = (
+            GlmmProblem(y=y, X=X, Z=Z, D=D, beta=np.array([0.5]), kernel=poisson_kernel())
+            for Z in (None, np.eye(2))
+        )
+        a, b = moments_quadrature(site, order=32), moments_quadrature(explicit, order=32)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert a.log_marginal == b.log_marginal and a.error_estimate == b.error_estimate
+
     def test_order_doubling_error_shrinks(self):
         coarse = moments_quadrature(scalar_poisson(), order=32)
         fine = moments_quadrature(scalar_poisson(), order=128)

@@ -7,6 +7,7 @@ import pytest
 from glmmfp import simulate
 from glmmfp.covariance import MaternParams
 from glmmfp.dataio import ConfigError
+from glmmfp.estimate import EstimateResult
 from glmmfp.fixed_point import FitOptions
 from glmmfp.simulate import (
     ORACLE,
@@ -140,6 +141,34 @@ class TestScenarios:
         }
         assert "failed" not in record[ORACLE]
         assert exc.value.result.failures == {ORACLE: 0, SIC_TRUE: 1}
+
+    def test_nonconverged_estimate_is_a_failed_replication(self, monkeypatch):
+        cfg = SimConfig(
+            n=30, n_star=20, beta=(2.0, 0.0), replications=1, side=5.0,
+            scenarios=(ORACLE, SIC_ESTIMATED),
+        )
+        stopped = EstimateResult(
+            beta_hat=np.array([2.0, 0.0]), omega_hat=cfg.omega, objective_value=-1.0,
+            converged=False, optimizer_iterations=400, fits=14128, failed_fits=0,
+            report=None,
+        )
+        priors = []
+        build_blocked = simulate.build_blocked
+        monkeypatch.setattr(simulate, "estimate", lambda *a: stopped)
+        monkeypatch.setattr(
+            simulate, "build_blocked", lambda *a: priors.append(a) or build_blocked(*a)
+        )
+        with pytest.raises(simulate.ScenarioFailureError) as exc:
+            run_scenarios(cfg)
+        [record] = exc.value.result.records
+        assert record[SIC_ESTIMATED] == {
+            "failed": True,
+            "error": "the estimate did not converge in 400 scoring steps and 14128 fits",
+            "error_type": "RuntimeError",
+        }
+        assert "failed" not in record[ORACLE]
+        assert exc.value.result.failures == {ORACLE: 0, SIC_ESTIMATED: 1}
+        assert len(priors) == 1  # the replication's own; no prior at the estimate
 
     def test_estimated_scenario_produces_rmse_columns(self):
         cfg = SimConfig(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
@@ -291,6 +293,20 @@ class TestKrigingOfTheMode:
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-9
 
 
+class TestSiteProblem:
+    def test_no_n_x_n_design_is_allocated(self):
+        # an n x n design at n = 400 would be 1,250 KiB
+        problem, _, _ = make_problem(seed=4, n=400, n_star=1)
+        tracemalloc.start()
+        try:
+            glmm = spatial.site_problem(problem.observed, problem.blocked, problem.beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert glmm.Z is None and glmm.r == 400
+        assert peak < 64 * 1024
+
+
 class TestFactorizationBudget:
     """One Cholesky per solver iterate, none for the prediction or for Xi.
 
@@ -385,7 +401,7 @@ class TestFactorizationBudget:
         for problem in battery:
             before = len(calls)
             report = fit_posterior(problem)
-            assert report.converged and not problem.identity_design
+            assert report.converged and problem.Z is not None
             assert calls[before:] == ["potrf"] * (report.iterations + 1)
 
 
@@ -405,7 +421,7 @@ class TestIdentityPathAgainstDenseFormulas:
         pred = fit_predict(problem, FitOptions(tol=1e-13))
         state = pred.report
         assert pred.report.converged
-        assert state.problem.identity_design
+        assert state.problem.Z is None
         xi, Xi, xi_star = self.dense_reference(problem, state)
         assert np.max(np.abs(pred.report.xi - xi)) < 1e-10
         assert np.max(np.abs(state.Xi - Xi)) < 1e-10
