@@ -16,6 +16,7 @@ failure, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -393,6 +394,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once a process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glmmfp",

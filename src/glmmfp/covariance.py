@@ -7,11 +7,13 @@ and 2.5 go through exact closed forms; other smoothness values use the
 modified Bessel function of the second kind, whose ``scipy.special``
 import is deferred to the branch that needs it.
 
-The blocked covariance is built in one buffer: one ``cdist`` call over
-the stacked observed and unobserved sites gives the distances, and
-:func:`matern` overwrites them with the covariance.  Its one Cholesky
-factor is all that callers need, to draw from it, to certify its
-observed block and to krig (:func:`spatial.conditional_mean`).
+The blocked covariance is built in one buffer over the stacked observed
+and unobserved sites, one band of 64 rows at a time: numpy computes the
+band's distances to the sites up to it, bit for bit as ``cdist`` does,
+:func:`matern` overwrites them with the covariance, and the band's
+transpose fills the entries above it.  No ``scipy.spatial`` is loaded.
+Its one Cholesky factor is all that callers need, to draw from it, to
+certify its observed block and to krig (:func:`spatial.conditional_mean`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ PRIOR_BUDGET = 2**24
 _JITTER_START = 1e-10
 _JITTER_CAP = 1e-6
 _NON_FINITE = "blocked covariance must not contain infs or NaNs"
-# the strict lower triangle of a band of 64 rows, zeroed above the factor
+# the strict lower triangle of a band of 64 rows, zeroed above the factor;
+# distances are also made 64 rows a band, 400 KiB at 800 sites
 _BAND_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
@@ -218,16 +221,25 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
-    """Distances among the observed sites, then the unobserved ones.
+def _fill_bands(coords_obs, coords_unobs, out, params: MaternParams | None = None):
+    """Distances among the observed sites, then the unobserved ones, or
+    their Matern covariance under ``params``, in ``out`` or a new array.
 
-    One ``cdist`` call over the stacked sites, so the matrix is exactly
-    symmetric.  Non-finite coordinates, no observed site, more sites than
-    ``PRIOR_BUDGET`` allows (checked before anything of their count squared
-    is allocated), and duplicate observed sites (they make the observed
-    block singular) are rejected.
-    The distances are written into ``out`` if given; ``cdist`` raises
-    ``ValueError`` unless it is a C-ordered float array of their shape.
+    Non-finite coordinates, no observed site, and more sites than
+    ``PRIOR_BUDGET`` allows are rejected before anything of their count
+    squared is allocated, and a lent ``out`` that is not a C-ordered float
+    array of their shape before anything is written.  Then band by band
+    of ``len(_BAND_LOWER)`` rows, each over the sites up to and including
+    the band: per coordinate ``subtract.outer``, squared, the squares
+    added in coordinate order and ``sqrt`` taken, which is ``cdist``'s
+    arithmetic, bit for bit.  Under ``params`` :func:`matern` overwrites
+    each band.  The band's transpose fills the entries above it, so
+    ``out`` is exactly symmetric, and only the lower triangle and the
+    bands' diagonal blocks are computed: 54% of the entries at 800 sites.
+    The exact zeros among the observed sites are counted before
+    :func:`matern` overwrites them: the diagonal holds one per site,
+    and any other is a duplicate observed site, which makes the observed
+    block singular.
     """
     obs = _as_coords(coords_obs)
     n = obs.shape[0]
@@ -239,20 +251,58 @@ def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
         sites = np.concatenate([obs, unobs])
-    if len(sites) ** 2 > PRIOR_BUDGET:
+    m, b = len(sites), len(_BAND_LOWER)
+    if m**2 > PRIOR_BUDGET:
         raise ValueError(
-            f"{len(sites)} sites are more than the {math.isqrt(PRIOR_BUDGET)} that a "
+            f"{m} sites are more than the {math.isqrt(PRIOR_BUDGET)} that a "
             f"prior of at most {PRIOR_BUDGET} doubles covers"
         )
-
-    # deferred: `verify` builds no spatial prior and need not load scipy.spatial
-    from scipy.spatial.distance import cdist
-
-    dist = cdist(sites, sites, out=out)
-    # the diagonal holds n exact zeros; any other zero is a duplicate site
-    if np.count_nonzero(dist[:n, :n] == 0.0) > n:
+    if out is None:
+        out = np.empty((m, m))
+    elif out.shape != (m, m) or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(
+            f"a lent distance buffer has incorrect shape, order or dtype for "
+            f"{m} sites: it must be a C-ordered {(m, m)} float array"
+        )
+    cols = np.ascontiguousarray(sites.T)
+    # two contiguous band-sized temporaries, whose ufunc loops run faster
+    # than over the strided rows of out
+    bands, squares = np.empty((2, min(b, m) * m))
+    zeros = 0
+    for i in range(0, m, b):
+        j = min(i + b, m)
+        band = bands[: (j - i) * j].reshape(j - i, j)
+        sq = squares[: (j - i) * j].reshape(j - i, j)
+        for c, x in enumerate(cols):
+            d = np.subtract.outer(x[i:j], x[:j], out=sq if c else band)
+            np.multiply(d, d, out=d)
+            if c:
+                band += sq
+        np.sqrt(band, out=band)
+        if i < n:
+            zeros += np.count_nonzero(band[: n - i, : min(j, n)] == 0.0)
+        if params is not None:
+            matern(params, band, out=band)
+        out[i:j, :j] = band
+        out[:i, i:j] = band[:, :i].T
+    if zeros > n:
         raise ValueError("duplicate observed coordinates make the prior singular")
-    return dist
+    return out
+
+
+def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
+    """Distances among the observed sites, then the unobserved ones.
+
+    Computed in numpy, band by band over the stacked sites
+    (:func:`_fill_bands`), bit for bit as ``cdist`` computes them and
+    exactly symmetric.  Non-finite coordinates, no observed site, more
+    sites than ``PRIOR_BUDGET`` allows (checked before anything of their
+    count squared is allocated), and duplicate observed sites (they make
+    the observed block singular) are rejected.  The distances are written
+    into ``out`` if given; ``ValueError`` is raised, before anything is
+    written, unless it is a C-ordered float array of their shape.
+    """
+    return _fill_bands(coords_obs, coords_unobs, out)
 
 
 def build_blocked(
@@ -260,22 +310,22 @@ def build_blocked(
 ) -> BlockedCovariance:
     """Blocked Matern covariance over observed and unobserved sites.
 
-    The covariance overwrites the buffer of :func:`site_distances`, which
-    checks the sites.  The Matern diagonal is the sill, so the
-    certification jitter of :class:`BlockedCovariance` runs from
-    1e-10 x sill to 1e-6 x sill; a jitter that was needed is logged as a
-    warning, once per prior.
+    The sites are checked as by :func:`site_distances`, and each band of
+    distances is overwritten with its covariance as soon as it is made.
+    The Matern diagonal is the sill, so the certification jitter of
+    :class:`BlockedCovariance` runs from 1e-10 x sill to 1e-6 x sill; a
+    jitter that was needed is logged as a warning, once per prior.
 
     ``spent``, a :class:`BlockedCovariance` over as many sites that its
-    lender no longer reads, lends its two buffers: the distances and the
-    covariance are written into its ``full`` and the factor into its
-    ``chol``, so nothing of size (n + n*)^2 is allocated, and the result
-    is bit for bit the one built without it.  A ``spent`` prior over
-    another number of sites raises ``ValueError``.
+    lender no longer reads, lends its two buffers: the covariance is
+    written into its ``full`` and the factor into its ``chol``, so nothing
+    of size (n + n*)^2 is allocated, and the result is bit for bit the one
+    built without it.  A ``spent`` prior over another number of sites
+    raises ``ValueError``.
     """
     full, buf = (None, None) if spent is None else (spent.full, spent.chol)
-    dist = site_distances(coords_obs, coords_unobs, out=full)
-    blocked = BlockedCovariance(matern(params, dist, out=dist), len(coords_obs), buf)
+    full = _fill_bands(coords_obs, coords_unobs, full, params)
+    blocked = BlockedCovariance(full, len(coords_obs), buf)
     if blocked.jitter:
         log.warning("covariance jitter escalated to %.3e", blocked.jitter)
     return blocked

@@ -76,6 +76,10 @@ log = logging.getLogger(__name__)
 
 SCORING_MAX_ITER = 400
 SCORING_GTOL = 1e-5
+# the scoring decrement g' I^-1 g / 2 at which the surrogate has no more to
+# give, relative to 1 + |value|: the Newton decrement's stop (Boyd &
+# Vandenberghe 2004, sec. 9.5.1), with the information for the Hessian
+SCORING_DECREMENT = 1e-14
 
 
 @dataclass(eq=False)
@@ -208,11 +212,14 @@ def estimate(
     the Matern hyperparameters stay at ``init_omega``.  Each scoring step
     is halved until the surrogate does not fall; a trial whose mode fit
     does not converge, or whose parameters leave :class:`MaternParams`'
-    range, is rejected.  Scoring stops once the gradient's sup norm is at
-    most ``SCORING_GTOL``, after ``SCORING_MAX_ITER`` steps, or when no
-    halving is accepted.  Deterministic given the initialization and
-    ``fit_options``.  If trial priors needed a jitter, one warning gives
-    the largest and how many needed one.
+    range, is rejected.  Scoring stops, converged, once the gradient's sup
+    norm is at most ``SCORING_GTOL`` or the scoring decrement
+    ``g' step / 2`` is at most ``SCORING_DECREMENT * (1 + |value|)``, and
+    unconverged after ``SCORING_MAX_ITER`` steps, when no halving is
+    accepted, or when an accepted step leaves the surrogate unchanged.
+    Deterministic given the initialization and ``fit_options``.  If trial
+    priors needed a jitter, one warning gives the largest and how many
+    needed one.
     """
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
@@ -256,6 +263,9 @@ def estimate(
         if converged or steps == SCORING_MAX_ITER:
             break
         step = _scoring_step(_information(report, dD, Rinv), grad)
+        converged = bool(grad @ step / 2.0 <= SCORING_DECREMENT * (1.0 + abs(value)))
+        if converged:
+            break
         # the loop holds the accepted fit and one trial, which borrows its problem
         del Rinv, dD
         t = 1.0
@@ -269,8 +279,11 @@ def estimate(
         else:
             break
         theta, params = theta + t * step, trial_params
+        unchanged = trial[1] == value
         report, value = trial
         steps += 1
+        if unchanged:
+            break
     needed = [j for j in jitters if j]
     if needed:
         log.warning(

@@ -64,6 +64,8 @@ class TestImportWeight:
     def command(self, tmp_path, name):
         data = tmp_path / "counts.csv"
         dataio.write_synthetic_counts(data, n_sites=25, seed=1)
+        test = tmp_path / "test.csv"
+        test.write_text("x_coord,y_coord\n0.5,1.5\n2.0,0.25\n")
         fixed = {"family": "poisson", "beta": [4.5],
                  "matern": {"omega1": 0.5, "omega2": 1.5}}
         estimated = {"family": "poisson", "beta": "estimate", "matern": "estimate"}
@@ -75,16 +77,18 @@ class TestImportWeight:
             "simulate": (simulate, ["simulate", "--seed", "3"]),
             "fit-fixed": (fixed, ["fit", "--data", str(data)]),
             "fit-estimated": (estimated, ["fit", "--data", str(data)]),
+            "predict": (fixed, ["predict", "--data", str(data), "--test", str(test)]),
         }[name]
         return [*argv, "--config", write_config(tmp_path, config),
                 "--out", str(tmp_path / "out"), "--quiet"]
 
     @pytest.mark.parametrize("name, expected", [
         ("verify", set()),
-        # scipy.spatial itself loads scipy.special
-        ("simulate", {"scipy.spatial", "scipy.special"}),
-        ("fit-fixed", {"scipy.spatial", "scipy.special"}),
-        ("fit-estimated", {"scipy.spatial", "scipy.special"}),
+        # the site distances are numpy's, so no spatial command loads scipy.spatial
+        ("simulate", set()),
+        ("fit-fixed", set()),
+        ("fit-estimated", set()),
+        ("predict", set()),
     ])
     def test_deferred_submodules(self, tmp_path, name, expected):
         proc = run("glmmfp", *self.command(tmp_path, name), importtime=True)

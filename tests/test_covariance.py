@@ -315,6 +315,52 @@ class TestAssembly:
             BlockedCovariance(np.block([[np.eye(2), d12], [d12.T, np.eye(1)]]), 2)
 
 
+class TestBands:
+    """The distances are made 64 rows a band, bit for bit as ``cdist`` makes them."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 800])
+    def test_distances_equal_cdist(self, m, dim):
+        rng = np.random.default_rng(m * 10 + dim)
+        sites = rng.uniform(0, 5, size=(m, dim)) * 10.0 ** rng.uniform(-8, 8, size=dim)
+        want = cdist(sites, sites)
+        for n in {1, (m + 1) // 2, m}:
+            got = site_distances(sites[:n], sites[n:])
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0])
+    def test_covariance_in_the_bands_equals_matern_of_cdist(self, nu):
+        rng = np.random.default_rng(12)
+        obs, unobs = rng.uniform(0, 5, size=(100, 2)), rng.uniform(0, 5, size=(70, 2))
+        params = MaternParams(0.6, 0.8, nu)
+        sites = np.vstack([obs, unobs])
+        full = build_blocked(params, obs, unobs).full
+        assert np.array_equal(full, matern(params, cdist(sites, sites)))
+
+    @pytest.mark.parametrize("pair", [(128, 3), (128, 127), (129, 128)])
+    def test_duplicate_observed_pair_in_the_last_band_rejected(self, pair):
+        # sites 128 and 129 make up the last band; 127 lies in the band before it
+        sites = np.random.default_rng(13).uniform(0, 5, size=(130, 2))
+        sites[pair[0]] = sites[pair[1]]
+        with pytest.raises(ValueError, match="duplicate"):
+            site_distances(sites)
+        with pytest.raises(ValueError, match="duplicate"):
+            build_blocked(MaternParams(0.5, 1.0), sites)
+        # the same pair among the unobserved sites leaves d11 regular
+        site_distances(sites[:100], sites[100:])
+        build_blocked(MaternParams(0.5, 1.0), sites[:100], sites[100:])
+
+    def test_lent_buffer_of_another_order_or_dtype_rejected(self):
+        sites = np.random.default_rng(14).uniform(0, 5, size=(5, 2))
+        for out in (np.zeros((5, 5), order="F"), np.zeros((5, 5), dtype=np.float32),
+                    np.zeros((5, 4))):
+            before = out.copy()
+            with pytest.raises(ValueError, match="incorrect shape"):
+                site_distances(sites, out=out)
+            assert np.array_equal(out, before)
+
+
 class TestSpentPrior:
     """A dead prior over as many sites lends ``full`` and ``chol`` to the next."""
 

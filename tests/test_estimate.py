@@ -524,6 +524,31 @@ class TestResponseOnce:
         assert counts == {"response_term": 1, "initial_eta": 1, "check_support": 2}
 
 
+class TestStopRule:
+    def test_estimate_at_the_acceptance_sizes_converges(self):
+        # simulate's sic_estimated on seed 6, replication 0 (n = n* = 400):
+        # the gradient's roundoff floor lies above SCORING_GTOL, and the
+        # scoring decrement stops it
+        from glmmfp.simulate import SimConfig, generate_dataset
+
+        config = SimConfig(seed=6)
+        observed = generate_dataset(config, 0).problem.observed
+        init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
+        result = estimate(observed, init_beta, config.omega)
+        assert result.converged and result.failed_fits == 0
+        assert result.fits <= 30
+
+    def test_step_that_leaves_the_surrogate_unchanged_stops_unconverged(
+        self, monkeypatch
+    ):
+        data, omega = poisson_data(seed=6, n=40)
+        monkeypatch.setattr(estimate_module, "_surrogate", lambda report: 0.0)
+        result = estimate(data, np.array([2.0]), omega)
+        assert not result.converged
+        assert result.optimizer_iterations == 1 and result.fits == 2
+        assert result.objective_value == 0.0
+
+
 class TestFitsBudget:
     # one BFGS run per pool dataset, as `glmmfp fit` starts it: 56 fits on
     # seeds 0-3 from the identity start, 45 from the information

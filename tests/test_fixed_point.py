@@ -450,10 +450,9 @@ class TestOneLapackModule:
         ("_lapack", "scipy.linalg.lapack.dpotri"),
         ("_lapack", "scipy.linalg.lapack.dpotrs"),
         ("_lapack", "scipy.linalg.lapack.dtrtrs"),
-        # deferred: general smoothness, and the site distances
+        # deferred: general smoothness
         ("covariance", "scipy.special.gamma"),
         ("covariance", "scipy.special.kv"),
-        ("covariance", "scipy.spatial.distance.cdist"),
         # unused; it stays while bench/tests/test_bench.py::
         # test_install_glmmfp_traces_every_binding_of_fit_posterior asserts
         # that the tracer wraps it
