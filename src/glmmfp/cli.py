@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``fit``       - posterior mode and Laplace covariance of the site effects
-* ``predict``   - fit on training sites, predict effects/responses at test sites
+* ``predict``   - fit on training sites, krige effects/responses to test sites
 * ``simulate``  - Monte Carlo evaluation of the spatial predictor
 * ``validate``  - repeated random train/test splits scored by predictive deviance
 * ``verify``    - randomized factorization-identity suite and exactness
@@ -21,15 +21,17 @@ import logging
 import math
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, oracle, simulate
-from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError, build_blocked
+from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
+from .covariance import build_blocked, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
-from .families import BINOMIAL, GAUSSIAN, initial_eta
+from .families import initial_eta
 from .fixed_point import (
     FitOptions,
     GlmmProblem,
@@ -40,8 +42,7 @@ from .fixed_point import (
 from .metrics import deviance_gof
 from .oracle import CapabilityError, adjudicate_exactness
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
-from .spatial import SpatialData, SpatialPrediction, SpatialProblem
-from .spatial import fit_predict, site_problem
+from .spatial import SpatialData, krige, site_problem
 
 log = logging.getLogger("glmmfp")
 
@@ -95,11 +96,16 @@ def _check_params(cfg: RunConfig, n_columns: int):
         )
 
 
-def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
-    """Return (beta, matern_params, estimate_meta_or_None, estimate_fit_or_None)."""
+def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
+    """Return (the observed sites' mode fit, its matern_params, estimate_meta_or_None).
+
+    With fixed parameters the fit is made on the observed sites' prior
+    alone; with estimated ones it is the estimate's own fit at its optimum.
+    """
     _check_params(cfg, data.X.shape[1])
     if cfg.beta != dataio.ESTIMATE:
-        return np.asarray(cfg.beta, dtype=float), cfg.matern, None, None
+        problem = site_problem(data, build_blocked(cfg.matern, data.coords), cfg.beta)
+        return fit_posterior(problem, options), cfg.matern, None
     matern_given = isinstance(cfg.matern, MaternParams)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
     init_beta = _default_beta_init(data.kernel, data.y, data.X)
@@ -108,33 +114,26 @@ def _resolve_params(cfg: RunConfig, data: SpatialData, options: FitOptions):
     )
     meta = {
         "beta_hat": [float(b) for b in result.beta_hat],
-        "omega_hat": [
-            result.omega_hat.omega1,
-            result.omega_hat.omega2,
-            result.omega_hat.omega3,
-        ],
+        "omega_hat": list(astuple(result.omega_hat)),
         "objective": result.objective_value,
         "optimizer_converged": result.converged,
         "optimizer_iterations": result.optimizer_iterations,
         "fits": result.fits,
         "failed_fits": result.failed_fits,
     }
-    return result.beta_hat, result.omega_hat, meta, result.report
+    return result.report, result.omega_hat, meta
 
 
-def _fit_predict_split(
-    cfg, train, test, options, tier=None
-) -> tuple[SpatialPrediction, dict | None]:
-    """Fit the mode at the training sites and predict at the test sites.
+def _fit_predict_split(cfg, train, test, options, tier=None):
+    """Fit the mode at the training sites and krige it to the test sites.
 
     Returns the :class:`SpatialPrediction` and the estimate's metadata
     (``None`` if nothing was estimated).
     """
     observed = _sites(cfg, train, tier)
-    beta, omega, est_meta, _ = _resolve_params(cfg, observed, options)
-    blocked = build_blocked(omega, observed.coords, test.coords)
-    problem = SpatialProblem(observed, _sites(cfg, test, tier), blocked, beta)
-    return fit_predict(problem, options), est_meta
+    report, omega, est_meta = _site_fit(cfg, observed, options)
+    d12 = cross_covariance(omega, observed.coords, test.coords)
+    return krige(report, _sites(cfg, test, tier), d12), est_meta
 
 
 def _exit_code(report, est_meta) -> int:
@@ -155,10 +154,7 @@ def cmd_fit(args) -> int:
     dataset = dataio.load_dataset(args.data, cfg)
     options = _fit_options(cfg)
     observed = _sites(cfg, dataset)
-    beta, omega, est_meta, report = _resolve_params(cfg, observed, options)
-    if report is None:
-        blocked = build_blocked(omega, observed.coords)
-        report = fit_posterior(site_problem(observed, blocked, beta), options)
+    report, omega, est_meta = _site_fit(cfg, observed, options)
     dataio.write_csv(args.out / "xi.csv", ("site", "xi"), enumerate(report.xi))
     dataio.write_symmetric_csv(args.out / "Xi.csv", report.Xi)
     payload = {
@@ -166,8 +162,8 @@ def cmd_fit(args) -> int:
         "iterations": report.iterations,
         "residual": report.residual,
         "step_halvings": report.halvings,
-        "beta": [float(b) for b in beta],
-        "omega": [omega.omega1, omega.omega2, omega.omega3],
+        "beta": [float(b) for b in report.problem.beta],
+        "omega": list(astuple(omega)),
     }
     if est_meta:
         payload["estimation"] = est_meta
@@ -292,12 +288,8 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     prediction, _ = _fit_predict_split(cfg, train, test, options, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
-    if cfg.family == BINOMIAL:
-        return deviance_gof(test.y, prediction.y_hat_star, trials=test.trials)
-    if cfg.family == GAUSSIAN:
-        variance = dataio.make_kernel(cfg).variance
-        return deviance_gof(test.y, prediction.y_hat_star, variance=variance)
-    return deviance_gof(test.y, prediction.y_hat_star)
+    kernel = dataio.make_kernel(cfg, test.trials)
+    return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 
 
 # instances per family in one verify battery

@@ -221,7 +221,7 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def _fill_bands(coords_obs, coords_unobs, out, params: MaternParams | None = None):
+def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None = None):
     """Distances among the observed sites, then the unobserved ones, or
     their Matern covariance under ``params``, in ``out`` or a new array.
 
@@ -290,7 +290,7 @@ def _fill_bands(coords_obs, coords_unobs, out, params: MaternParams | None = Non
     return out
 
 
-def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
+def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
     """Distances among the observed sites, then the unobserved ones.
 
     Computed in numpy, band by band over the stacked sites
@@ -298,11 +298,17 @@ def site_distances(coords_obs, coords_unobs=None, out=None) -> np.ndarray:
     exactly symmetric.  Non-finite coordinates, no observed site, more
     sites than ``PRIOR_BUDGET`` allows (checked before anything of their
     count squared is allocated), and duplicate observed sites (they make
-    the observed block singular) are rejected.  The distances are written
-    into ``out`` if given; ``ValueError`` is raised, before anything is
-    written, unless it is a C-ordered float array of their shape.
+    the observed block singular) are rejected.
     """
-    return _fill_bands(coords_obs, coords_unobs, out)
+    return _fill_bands(coords_obs, coords_unobs)
+
+
+def cross_covariance(params: MaternParams, coords_obs, coords_unobs) -> np.ndarray:
+    """The n x n* block ``D12`` of the Matern covariance over the stacked sites,
+    unfactored and laid out as :attr:`BlockedCovariance.d12` is, so products
+    with it round alike; the sites are checked as by :func:`site_distances`."""
+    dist = site_distances(coords_obs, coords_unobs)
+    return matern(params, dist, out=dist)[: len(coords_obs), len(coords_obs) :]
 
 
 def build_blocked(

@@ -10,7 +10,7 @@ by Newton's method.  Each iterate takes the increment ``Delta = H^-1 g``,
 with gradient ``g = Z'(y - mu) / phi - D^-1 xi``, negative Hessian
 ``H = D^-1 + Z'WZ`` and ``phi`` the family's dispersion, and halves it
 until ``l`` does not fall (step halving, as in R's ``glm.fit``).  It
-stops when ``Delta`` drops to ``tol`` in sup-norm.  The full step is the
+stops when ``Delta`` and ``d_b`` (below) drop to ``tol``.  The full step is the
 working linear mixed model update of penalized quasi-likelihood,
 
     xi + Delta  =  D Z' R^-1 (u - X beta),    R = Z D Z' + W^-1,
@@ -298,9 +298,12 @@ def fit_posterior(
     """Find the posterior mode of the random effects by Newton's method.
 
     Each Newton step is halved until the log-posterior does not fall.
-    Converges when the full step drops to ``tol`` in sup-norm.  Running
-    out of iterations or of halvings yields a non-converged report at
-    the last accepted iterate, carrying the full trace; it never raises.
+    Converges when the full steps of ``xi`` (``residual``) and of ``b``
+    drop to ``tol`` in sup-norm, so ``tol`` bounds the last step of the
+    mode and of ``alpha = Z' b``: under a small sill the step ``D Z' d_b``
+    of ``xi`` is tiny while ``d_b`` is not.  Running out of iterations or
+    of halvings yields a non-converged report at the last accepted
+    iterate, carrying the full trace; it never raises.
     Every factor of the fit is made in one n x n buffer, ``buf``
     (:func:`_lapack.workspace`), such as an earlier report's ``chol``, and
     the report keeps the last.
@@ -315,7 +318,7 @@ def fit_posterior(
     while True:
         w, delta, d_b, chol = _newton_step(problem, eta, b, buf)
         residual = float(np.max(np.abs(delta), initial=0.0))
-        converged = residual <= options.tol
+        converged = bool(max(residual, np.max(np.abs(d_b), initial=0.0)) <= options.tol)
         if converged:
             trace.append((residual, residual))
         if converged or len(trace) == options.max_iter:

@@ -16,7 +16,8 @@ RMSE metrics:
 
 A replication (:class:`SimDataset`) is its :class:`spatial.SpatialProblem`
 plus the true effects; ``sic_estimated`` estimates from the problem's own
-``observed`` sites and rebuilds the prior from the problem's coordinates.
+``observed`` sites and krigs the estimate's own fit, through the cross
+covariance at the estimates: it builds and factors no prior after them.
 
 Each replication factors its joint (n + n*) prior once, in
 :func:`covariance.build_blocked`.  That factor ``L`` draws the field
@@ -36,18 +37,18 @@ so results are identical regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .covariance import PRIOR_BUDGET, MaternParams, build_blocked
+from .covariance import PRIOR_BUDGET, MaternParams, build_blocked, cross_covariance
 from .dataio import ConfigError, write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions
 from .metrics import rl2
-from .spatial import SpatialData, SpatialPrediction, SpatialProblem
-from .spatial import conditional_mean, fit_predict
+from .spatial import SpatialData, SpatialProblem
+from .spatial import conditional_mean, fit_predict, krige
 
 ORACLE = "oracle"
 SIC_TRUE = "sic_true"
@@ -178,15 +179,14 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     """
     truth = dataset.gamma
     truth_star = dataset.gamma_star
-    zeros = dict.fromkeys(
-        ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"), 0.0
-    )
+    zeros = dict.fromkeys(_TABLE_COLUMNS[3:], 0.0)  # the rmse columns
     if scenario == ORACLE:
         pred_star = conditional_mean(truth, dataset.problem.blocked, dataset.buffer)
         return dict(rl2=0.0, rl2_star=rl2(truth_star, pred_star), **zeros)
     if scenario == SIC_TRUE:
         pred = fit_predict(dataset.problem, FitOptions(), dataset.buffer)
-        _require_converged(pred)
+        if not pred.report.converged:
+            raise RuntimeError("mode-finder did not converge")
         return dict(
             rl2=rl2(truth, pred.report.xi),
             rl2_star=rl2(truth_star, pred.xi_star),
@@ -202,10 +202,8 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
             f"the estimate did not converge in {fit.optimizer_iterations} scoring "
             f"steps and {fit.fits} fits"
         )
-    blocked_hat = build_blocked(fit.omega_hat, observed.coords, problem.unobserved.coords)
-    problem_hat = replace(problem, blocked=blocked_hat, beta=fit.beta_hat)
-    pred = fit_predict(problem_hat, FitOptions())
-    _require_converged(pred)
+    d12 = cross_covariance(fit.omega_hat, observed.coords, problem.unobserved.coords)
+    pred = krige(fit.report, problem.unobserved, d12)
     beta = np.asarray(config.beta, dtype=float)
     return dict(
         rl2=rl2(truth, pred.report.xi),
@@ -218,11 +216,6 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         failed_fits=fit.failed_fits,
         optimizer_iterations=fit.optimizer_iterations,
     )
-
-
-def _require_converged(pred: SpatialPrediction):
-    if not pred.report.converged:
-        raise RuntimeError("mode-finder did not converge")
 
 
 def run_scenarios(config: SimConfig) -> SimResult:
@@ -249,7 +242,7 @@ def run_scenarios(config: SimConfig) -> SimResult:
             continue
         agg = {k: sum(row[k] for row in rows) / len(rows) for k in _TABLE_COLUMNS[1:]}
         # RMSE aggregates are root mean squared errors, not mean squares
-        for k in ("rmse_beta0", "rmse_beta1", "rmse_omega1", "rmse_omega2"):
+        for k in _TABLE_COLUMNS[3:]:
             agg[k] = float(np.sqrt(agg[k]))
         aggregates[scenario] = agg
     failures = {s: config.replications - len(rows) for s, rows in metrics.items()}
@@ -288,11 +281,7 @@ def write_audit_json(result: SimResult, path):
             "n": result.config.n,
             "n_star": result.config.n_star,
             "beta": list(result.config.beta),
-            "omega": [
-                result.config.omega.omega1,
-                result.config.omega.omega2,
-                result.config.omega.omega3,
-            ],
+            "omega": list(astuple(result.config.omega)),
             "replications": result.config.replications,
             "seed": result.config.seed,
             "side": result.config.side,

@@ -14,7 +14,8 @@ the kriging of its mode through the cross covariance:
 
 the second form holding at the mode, which is the working-model
 update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
-prediction is the product ``D21 alpha`` and does no factorization.
+prediction, :func:`krige`, is the product ``D21 alpha`` of any fit on the
+observed sites' prior (an estimate's own, say) and does no factorization.
 The predicted response is b'(X* beta + xi*) under the unobserved sites'
 own kernel (their trial counts for the binomial family), and the
 predicted working response is X* beta + xi* (zero working residual, as
@@ -104,18 +105,22 @@ def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmPro
 def fit_predict(
     problem: SpatialProblem, options: FitOptions = FitOptions(), buf=None
 ) -> SpatialPrediction:
-    """Fit the observed block and predict effects/responses at new sites.
+    """Fit the observed block and :func:`krige` its mode to the new sites.
 
     ``buf``, if given, is the fit's factor buffer (:func:`fit_posterior`).
     """
     glmm = site_problem(problem.observed, problem.blocked, problem.beta)
     report = fit_posterior(glmm, options, buf)
-    xi_star = problem.blocked.d12.T @ report.alpha
-    eta_star = problem.unobserved.X @ problem.beta + xi_star
-    y_hat_star, _ = families.mean_and_weight(problem.unobserved.kernel, eta_star)
-    return SpatialPrediction(
-        xi_star=xi_star, y_hat_star=y_hat_star, u_hat_star=eta_star, report=report
-    )
+    return krige(report, problem.unobserved, problem.blocked.d12)
+
+
+def krige(report: FitReport, unobserved: SpatialData, d12) -> SpatialPrediction:
+    """Effects and responses at the ``unobserved`` sites, ``xi* = D21 alpha``,
+    from a fit on the observed sites' prior and their cross covariance ``d12``."""
+    xi_star = d12.T @ report.alpha
+    eta_star = unobserved.X @ report.problem.beta + xi_star
+    y_hat_star, _ = families.mean_and_weight(unobserved.kernel, eta_star)
+    return SpatialPrediction(xi_star, y_hat_star, eta_star, report)
 
 
 def conditional_mean(gamma, blocked: BlockedCovariance, buf=None) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glmmfp import cli, covariance, dataio, fixed_point, simulate
+from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
 from glmmfp.covariance import MaternParams, build_blocked
 
 
@@ -145,8 +145,9 @@ class TestFit:
     @pytest.mark.parametrize("command", ["fit", "predict"])
     def test_estimate_that_did_not_converge_exits_3(self, tmp_path, command):
         # constant counts: the surrogate has no interior maximum, so scoring
-        # stops unconverged while every mode fit converges
-        coords = np.random.default_rng(0).uniform(0, 3, (12, 2))
+        # stops unconverged while every mode fit converges (on these sites;
+        # from the same start it converges on default_rng(0)'s)
+        coords = np.random.default_rng(1).uniform(0, 3, (12, 2))
         rows = [f"5,{cx!r},{cy!r}" for cx, cy in coords.tolist()]
         if command == "predict":
             rows = ["y,x_coord,y_coord,role", *(f"{r},train" for r in rows), "5,1.0,1.0,test"]
@@ -295,6 +296,54 @@ class TestPredict:
         assert code == cli.EXIT_OK
         rows = (out / "predictions.csv").read_text().strip().split("\n")
         assert len(rows) == 7
+
+    @pytest.mark.parametrize("beta", [[1.5], "estimate"])
+    def test_repeated_training_sites_get_the_fit(
+        self, tmp_path, caplog, beta
+    ):
+        # D21's row at a repeated site is D11's, so D21 alpha is the fit's xi
+        # there; only the training sites' prior is factored, so no jitter
+        data, coords, _ = poisson_dataset(tmp_path)
+        config = write_config(
+            tmp_path,
+            {"family": "poisson", "beta": beta, "matern": {"omega1": 0.5, "omega2": 1.0}},
+        )
+        sites = [3, 0, 17]
+        lines = ["x_coord,y_coord", *(f"{cx},{cy}" for cx, cy in coords[sites])]
+        test = write_csv(tmp_path, "\n".join(lines) + "\n", name="test.csv")
+        with caplog.at_level("INFO"):
+            for command, extra in (("fit", []), ("predict", ["--test", test])):
+                argv = [command, "--config", config, "--data", data, *extra]
+                assert cli.main([*argv, "--out", str(tmp_path / command)]) == cli.EXIT_OK
+        assert not [r for r in caplog.records if "jitter" in r.getMessage()]
+        xi = np.loadtxt(tmp_path / "fit" / "xi.csv", delimiter=",", skiprows=1)[:, 1]
+        pred = np.loadtxt(
+            tmp_path / "predict" / "predictions.csv", delimiter=",", skiprows=1
+        )
+        assert np.max(np.abs(pred[:, 1] - xi[sites])) <= 1e-12 * np.max(np.abs(xi))
+
+    def test_estimated_predict_fits_only_in_the_estimate(self, tmp_path, monkeypatch):
+        # the estimate's own fit is kriged: predict makes as many mode fits
+        # as the estimate reports, as fit does
+        from glmmfp import estimate
+
+        data, _, _ = poisson_dataset(tmp_path)
+        test = write_csv(tmp_path, "x_coord,y_coord\n1.0,2.0\n4.0,0.5\n", name="test.csv")
+        config = write_config(
+            tmp_path, {"family": "poisson", "beta": "estimate", "matern": "estimate"}
+        )
+        calls = []
+        fit = fixed_point.fit_posterior
+        for module in (cli, estimate, spatial):
+            monkeypatch.setattr(module, "fit_posterior", lambda *a: calls.append(1) or fit(*a))
+        argv = ["--config", config, "--data", data, "--quiet"]
+        out = tmp_path / "fit"
+        assert cli.main(["fit", *argv, "--out", str(out)]) == cli.EXIT_OK
+        fits = json.loads((out / "report.json").read_text())["estimation"]["fits"]
+        assert len(calls) == fits
+        argv += ["--test", test, "--out", str(tmp_path / "predict")]
+        assert cli.main(["predict", *argv]) == cli.EXIT_OK
+        assert len(calls) == 2 * fits
 
     def _binomial(self, tmp_path, test_columns):
         rng = np.random.default_rng(11)

@@ -352,12 +352,16 @@ class TestBands:
         build_blocked(MaternParams(0.5, 1.0), sites[:100], sites[100:])
 
     def test_lent_buffer_of_another_order_or_dtype_rejected(self):
+        # a spent prior lends its full to the bands, which check it first
         sites = np.random.default_rng(14).uniform(0, 5, size=(5, 2))
+        params = MaternParams(0.5, 1.0)
+        spent = build_blocked(params, sites)
         for out in (np.zeros((5, 5), order="F"), np.zeros((5, 5), dtype=np.float32),
                     np.zeros((5, 4))):
             before = out.copy()
+            spent.full = out
             with pytest.raises(ValueError, match="incorrect shape"):
-                site_distances(sites, out=out)
+                build_blocked(params, sites, spent=spent)
             assert np.array_equal(out, before)
 
 

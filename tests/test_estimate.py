@@ -549,6 +549,25 @@ class TestStopRule:
         assert result.objective_value == 0.0
 
 
+class TestAlphaAtTheMode:
+    def test_constant_counts_converge_with_alpha_at_the_score(self):
+        # constant counts from the CLI's start: the sill shrinks toward 0,
+        # where the step of xi = D alpha is tiny while that of alpha is not;
+        # the mode fits stop on both, so alpha is the mode's score y - mu
+        # (D^-1 xi = Z' s there) and scoring converges to beta = log 5
+        data = SpatialData(
+            y=np.full(12, 5.0), X=np.ones((12, 1)),
+            coords=np.random.default_rng(0).uniform(0, 3, (12, 2)), kernel=poisson_kernel(),
+        )
+        init_beta = cli._default_beta_init(data.kernel, data.y, data.X)
+        result = estimate(data, init_beta, MaternParams(0.5, 1.0))
+        report = result.report
+        assert result.converged is True and report.converged is True
+        assert result.beta_hat[0] == pytest.approx(np.log(5.0), rel=1e-7)
+        score = data.y - np.exp(report.eta)
+        assert np.max(np.abs(report.alpha - score)) <= 1e-12 * np.max(data.y)
+
+
 class TestFitsBudget:
     # one BFGS run per pool dataset, as `glmmfp fit` starts it: 56 fits on
     # seeds 0-3 from the identity start, 45 from the information
@@ -563,7 +582,7 @@ class TestFitsBudget:
             path = tmp_path / f"{seed}.csv"
             dataio.write_synthetic_counts(path, n_sites=100, seed=seed)
             sites = cli._sites(cfg, dataio.load_dataset(path, cfg))
-            meta = cli._resolve_params(cfg, sites, cli._fit_options(cfg))[2]
+            meta = cli._site_fit(cfg, sites, cli._fit_options(cfg))[2]
             fits += meta["fits"]
             failed += meta["failed_fits"]
         assert failed == 0

@@ -9,6 +9,7 @@ from glmmfp.covariance import MaternParams
 from glmmfp.dataio import ConfigError
 from glmmfp.estimate import EstimateResult
 from glmmfp.fixed_point import FitOptions
+from glmmfp.metrics import rl2
 from glmmfp.simulate import (
     ORACLE,
     SIC_ESTIMATED,
@@ -98,23 +99,28 @@ class TestScenarios:
             scenarios=(SIC_ESTIMATED,),
         )
         dataset = generate_dataset(config, 0)
-        handed, priors = [], []
-        estimate, build_blocked = simulate.estimate, simulate.build_blocked
+        handed, fits, crossed = [], [], []
+        estimate, cross_covariance = simulate.estimate, simulate.cross_covariance
 
         def spy_estimate(data, *args, **kwargs):
             handed.append(data)
-            return estimate(data, *args, **kwargs)
+            fits.append(estimate(data, *args, **kwargs))
+            return fits[-1]
 
-        def spy_prior(omega, coords_obs, coords_unobs):
-            priors.append((coords_obs, coords_unobs))
-            return build_blocked(omega, coords_obs, coords_unobs)
+        def spy_cross(omega, coords_obs, coords_unobs):
+            crossed.append((omega, coords_obs, coords_unobs))
+            return cross_covariance(omega, coords_obs, coords_unobs)
 
         monkeypatch.setattr(simulate, "estimate", spy_estimate)
-        monkeypatch.setattr(simulate, "build_blocked", spy_prior)
-        simulate._scenario_metrics(dataset, SIC_ESTIMATED, config)
+        monkeypatch.setattr(simulate, "cross_covariance", spy_cross)
+        record = simulate._scenario_metrics(dataset, SIC_ESTIMATED, config)
         problem = dataset.problem
         assert len(handed) == 1 and handed[0] is problem.observed
-        [(coords_obs, coords_unobs)] = priors
+        [fit] = fits
+        # the estimate's own mode fit is kriged, at its own parameters
+        assert record["rl2"] == rl2(dataset.gamma, fit.report.xi)
+        [(omega, coords_obs, coords_unobs)] = crossed
+        assert omega is fit.omega_hat
         assert coords_obs is problem.observed.coords
         assert coords_unobs is problem.unobserved.coords
 

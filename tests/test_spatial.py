@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
-from glmmfp import cli, covariance, fixed_point, simulate, spatial
+from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp._lapack import potri
 from glmmfp.covariance import MaternParams, build_blocked
@@ -369,6 +370,42 @@ class TestFactorizationBudget:
         simulate._scenario_metrics(dataset, simulate.ORACLE, config)
         assert calls == ["prior"]  # kriging the truth factors nothing
         simulate._scenario_metrics(dataset, simulate.SIC_TRUE, config)
+        assert calls.count("prior") == 1 and "cholesky" not in calls
+        assert in_solver == [len(calls) - 1]
+
+    def test_sic_estimated_replication(self, monkeypatch):
+        # the estimate's own fit is kriged: each of its fits builds one
+        # prior, and nothing is built, factored or fitted after it
+        config = simulate.SimConfig(
+            n=30, n_star=20, beta=(2.0, 0.0), replications=1, side=5.0,
+            scenarios=(simulate.SIC_ESTIMATED,),
+        )
+        dataset = simulate.generate_dataset(config, 0)
+        calls, in_solver = self.count_factorizations(monkeypatch)
+        record = simulate._scenario_metrics(dataset, simulate.SIC_ESTIMATED, config)
+        assert calls.count("prior") == len(in_solver) == record["fits"]
+
+    def test_validate_split(self, monkeypatch, tmp_path):
+        # a split fits on its training sites' prior alone and krigs the test
+        # sites through their unfactored cross covariance: one prior factor
+        # over the 80 training sites, not over all 100
+        path, config = tmp_path / "counts.csv", tmp_path / "config.json"
+        dataio.write_synthetic_counts(path, n_sites=100, seed=0)
+        config.write_text(json.dumps(
+            {"family": "poisson", "beta": [1.0], "matern": {"omega1": 0.5, "omega2": 1.5}}
+        ))
+        cfg = dataio.load_config(config)
+        dataset = dataio.load_dataset(path, cfg)
+        perm = np.random.default_rng(0).permutation(100)
+        calls, in_solver = self.count_factorizations(monkeypatch)
+        monkeypatch.setattr(cli, "fit_posterior", spatial.fit_posterior)  # counted
+        sizes, prior = [], covariance.potrf
+        monkeypatch.setattr(covariance, "potrf", lambda a: sizes.append(len(a)) or prior(a))
+        g2 = cli._validate_split(
+            cfg, dataset, perm[20:], perm[:20], "intercept", cli._fit_options(cfg)
+        )
+        assert np.isfinite(g2)
+        assert sizes == [80]
         assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
 
