@@ -5,8 +5,8 @@ Core entry points:
 * :func:`glmmfp.fixed_point.fit_posterior` - posterior mode of the random
   effects by Newton's method with step halving, and the Laplace
   covariance at the mode.
-* :func:`glmmfp.spatial.fit_predict` - spatial prediction at unobserved
-  sites under a blocked Matern prior.
+* :func:`glmmfp.spatial.krige` - spatial prediction at unobserved sites
+  from a fit on the observed sites (:func:`glmmfp.spatial.site_problem`).
 * :mod:`glmmfp.oracle` - brute-force quadrature / importance-sampling
   references and the exactness adjudication.
 * :mod:`glmmfp.simulate` - seeded Monte Carlo evaluation harness.
@@ -22,7 +22,7 @@ from .families import (
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 from .metrics import deviance_gof, rl2
 from .oracle import adjudicate_exactness, moments_importance, moments_quadrature
-from .spatial import SpatialData, SpatialProblem, conditional_mean, fit_predict
+from .spatial import SpatialData, conditional_mean, krige, site_problem
 
 __all__ = [
     "BlockedCovariance",
@@ -32,20 +32,20 @@ __all__ = [
     "GlmmProblem",
     "MaternParams",
     "SpatialData",
-    "SpatialProblem",
     "adjudicate_exactness",
     "binomial_kernel",
     "build_blocked",
     "conditional_mean",
     "deviance_gof",
     "fit_posterior",
-    "fit_predict",
     "gaussian_kernel",
+    "krige",
     "matern",
     "moments_importance",
     "moments_quadrature",
     "poisson_kernel",
     "rl2",
+    "site_problem",
 ]
 
 __version__ = "0.1.0"

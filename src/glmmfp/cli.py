@@ -124,12 +124,9 @@ def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
     return result.report, result.omega_hat, meta
 
 
-def _fit_predict_split(cfg, train, test, options, tier=None):
-    """Fit the mode at the training sites and krige it to the test sites.
-
-    Returns the :class:`SpatialPrediction` and the estimate's metadata
-    (``None`` if nothing was estimated).
-    """
+def _fit_and_krige(cfg, train, test, options, tier=None):
+    """Fit the mode at the training sites and krige it to the test sites: the
+    :class:`SpatialPrediction` and the estimate's metadata, ``None`` if none."""
     observed = _sites(cfg, train, tier)
     report, omega, est_meta = _site_fit(cfg, observed, options)
     d12 = cross_covariance(omega, observed.coords, test.coords)
@@ -185,7 +182,7 @@ def cmd_predict(args) -> int:
     if train.n < 1:
         raise ConfigError("no training rows")
     options = _fit_options(cfg)
-    pred, est_meta = _fit_predict_split(cfg, train, test, options)
+    pred, est_meta = _fit_and_krige(cfg, train, test, options)
     dataio.write_csv(
         args.out / "predictions.csv",
         ("site", "xi_star", "y_hat_star", "u_hat_star"),
@@ -285,7 +282,7 @@ def cmd_validate(args) -> int:
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction, _ = _fit_predict_split(cfg, train, test, options, tier)
+    prediction, _ = _fit_and_krige(cfg, train, test, options, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
     kernel = dataio.make_kernel(cfg, test.trials)

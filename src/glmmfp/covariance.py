@@ -207,10 +207,6 @@ class BlockedCovariance:
     def n_observed(self) -> int:
         return self.d11.shape[0]
 
-    @property
-    def n_unobserved(self) -> int:
-        return self.d22.shape[0]
-
 
 def _as_coords(coords) -> np.ndarray:
     c = np.asarray(coords, dtype=float)
@@ -221,42 +217,60 @@ def _as_coords(coords) -> np.ndarray:
     return c
 
 
-def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None = None):
-    """Distances among the observed sites, then the unobserved ones, or
-    their Matern covariance under ``params``, in ``out`` or a new array.
-
-    Non-finite coordinates, no observed site, and more sites than
-    ``PRIOR_BUDGET`` allows are rejected before anything of their count
-    squared is allocated, and a lent ``out`` that is not a C-ordered float
-    array of their shape before anything is written.  Then band by band
-    of ``len(_BAND_LOWER)`` rows, each over the sites up to and including
-    the band: per coordinate ``subtract.outer``, squared, the squares
-    added in coordinate order and ``sqrt`` taken, which is ``cdist``'s
-    arithmetic, bit for bit.  Under ``params`` :func:`matern` overwrites
-    each band.  The band's transpose fills the entries above it, so
-    ``out`` is exactly symmetric, and only the lower triangle and the
-    bands' diagonal blocks are computed: 54% of the entries at 800 sites.
-    The exact zeros among the observed sites are counted before
-    :func:`matern` overwrites them: the diagonal holds one per site,
-    and any other is a duplicate observed site, which makes the observed
-    block singular.
-    """
+def _check_sites(coords_obs, coords_unobs):
+    """The observed and the unobserved coordinates as 2-D float arrays; non-finite
+    ones, no observed site, unequal dimensions, and more sites than
+    ``PRIOR_BUDGET`` allows are rejected before their count squared is allocated."""
     obs = _as_coords(coords_obs)
-    n = obs.shape[0]
-    if n < 1:
+    if len(obs) < 1:
         raise ValueError("at least one observed site is required")
-    sites = obs
+    unobs = obs[:0]
     if coords_unobs is not None and np.size(coords_unobs):
         unobs = _as_coords(coords_unobs)
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
-        sites = np.concatenate([obs, unobs])
-    m, b = len(sites), len(_BAND_LOWER)
+    m = len(obs) + len(unobs)
     if m**2 > PRIOR_BUDGET:
         raise ValueError(
             f"{m} sites are more than the {math.isqrt(PRIOR_BUDGET)} that a "
             f"prior of at most {PRIOR_BUDGET} doubles covers"
         )
+    return obs, unobs
+
+
+def _distances(rows, cols, out, tmp):
+    """Distances from the sites of ``rows`` to those of ``cols`` (one row a
+    coordinate) in ``out``, with ``tmp`` of its shape: per coordinate
+    ``subtract.outer``, squared, the squares added in coordinate order and
+    ``sqrt`` taken, which is ``cdist``'s arithmetic, bit for bit."""
+    for c, (x, y) in enumerate(zip(rows, cols)):
+        d = np.subtract.outer(x, y, out=tmp if c else out)
+        np.multiply(d, d, out=d)
+        if c:
+            out += tmp
+    return np.sqrt(out, out=out)
+
+
+def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None = None):
+    """Distances among the observed sites, then the unobserved ones, or
+    their Matern covariance under ``params``, in ``out`` or a new array.
+
+    The sites are checked by :func:`_check_sites`, and a lent ``out``
+    that is not a C-ordered float array of their shape is rejected before
+    anything is written.  Then :func:`_distances` fills band by band of
+    ``len(_BAND_LOWER)`` rows, each over the sites up to and including the
+    band, and under ``params`` :func:`matern` overwrites each band.  The
+    band's transpose fills the entries above it, so ``out`` is exactly
+    symmetric, and only the lower triangle and the bands' diagonal blocks
+    are computed: 54% of the entries at 800 sites.
+    The exact zeros among the observed sites are counted before
+    :func:`matern` overwrites them: the diagonal holds one per site,
+    and any other is a duplicate observed site, which makes the observed
+    block singular.
+    """
+    obs, unobs = _check_sites(coords_obs, coords_unobs)
+    sites = np.concatenate([obs, unobs])
+    n, m, b = len(obs), len(sites), len(_BAND_LOWER)
     if out is None:
         out = np.empty((m, m))
     elif out.shape != (m, m) or out.dtype != float or not out.flags.c_contiguous:
@@ -273,12 +287,7 @@ def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None 
         j = min(i + b, m)
         band = bands[: (j - i) * j].reshape(j - i, j)
         sq = squares[: (j - i) * j].reshape(j - i, j)
-        for c, x in enumerate(cols):
-            d = np.subtract.outer(x[i:j], x[:j], out=sq if c else band)
-            np.multiply(d, d, out=d)
-            if c:
-                band += sq
-        np.sqrt(band, out=band)
+        _distances(cols[:, i:j], cols[:, :j], band, sq)
         if i < n:
             zeros += np.count_nonzero(band[: n - i, : min(j, n)] == 0.0)
         if params is not None:
@@ -291,24 +300,28 @@ def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None 
 
 
 def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
-    """Distances among the observed sites, then the unobserved ones.
-
-    Computed in numpy, band by band over the stacked sites
-    (:func:`_fill_bands`), bit for bit as ``cdist`` computes them and
-    exactly symmetric.  Non-finite coordinates, no observed site, more
-    sites than ``PRIOR_BUDGET`` allows (checked before anything of their
-    count squared is allocated), and duplicate observed sites (they make
-    the observed block singular) are rejected.
-    """
+    """Distances among the observed sites, then the unobserved ones, bit for
+    bit as ``cdist`` makes them and exactly symmetric (:func:`_fill_bands`).
+    The sites are checked by :func:`_check_sites`, and duplicate observed
+    sites, which make the observed block singular, are rejected."""
     return _fill_bands(coords_obs, coords_unobs)
 
 
 def cross_covariance(params: MaternParams, coords_obs, coords_unobs) -> np.ndarray:
-    """The n x n* block ``D12`` of the Matern covariance over the stacked sites,
-    unfactored and laid out as :attr:`BlockedCovariance.d12` is, so products
-    with it round alike; the sites are checked as by :func:`site_distances`."""
-    dist = site_distances(coords_obs, coords_unobs)
-    return matern(params, dist, out=dist)[: len(coords_obs), len(coords_obs) :]
+    """The n x n* block ``D12`` of :func:`build_blocked` over the same sites, bit
+    for bit and unfactored, made band by band as :func:`_fill_bands` makes it,
+    its rows n + n* apart as in :attr:`BlockedCovariance.d12`, so that products
+    with it round alike (for n* <= 3 a contiguous block's do not).  The sites are
+    checked by :func:`_check_sites`."""
+    obs, unobs = _check_sites(coords_obs, coords_unobs)
+    n, n_star, b = len(obs), len(unobs), len(_BAND_LOWER)
+    d12 = np.empty((n, n + n_star))[:, n:]
+    bands = np.empty((2, min(b, n), n_star))
+    for i in range(0, n, b):
+        band, sq = bands[:, : min(b, n - i)]
+        _distances(obs.T[:, i : i + b], unobs.T, band, sq)
+        d12[i : i + b] = matern(params, band, out=band)
+    return d12
 
 
 def build_blocked(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import MaternParams
+from .covariance import MaternParams, build_blocked
 from .families import binomial_kernel, gaussian_kernel, poisson_kernel
 
 ESTIMATE = "estimate"
@@ -349,9 +349,9 @@ def _json_safe(value):
 
 def write_json(path, payload: dict):
     """Write ``payload`` as RFC 8259 JSON: a non-finite float becomes ``null``."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     with _open_for_write(path) as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,6 @@ SYNTHETIC_EXTENT = (1.0, 0.75)
 
 def write_synthetic_counts(path, n_sites: int = 100, seed: int = 0):
     """Write a synthetic coordinate-indexed count CSV (farm-like layout)."""
-    from .covariance import build_blocked  # local import avoids cycles
-
     rng = np.random.default_rng(seed)
     coords = rng.uniform((0.0, 0.0), SYNTHETIC_EXTENT, size=(n_sites, 2))
     blocked = build_blocked(SYNTHETIC_OMEGA, coords)

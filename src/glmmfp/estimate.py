@@ -16,7 +16,7 @@ itself.  For the Gaussian kernel the surrogate equals the exact
 marginal normal log-likelihood.
 
 The data are the observed sites alone: a :class:`spatial.SpatialData`,
-such as the ``observed`` half of a :class:`spatial.SpatialProblem`.
+such as the ``observed`` sites of a :class:`simulate.SimDataset`.
 
 Fisher scoring maximizes the surrogate over (beta, logit omega1,
 log omega2) with its exact gradient (Rasmussen & Williams 2006,

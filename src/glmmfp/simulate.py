@@ -9,20 +9,17 @@ RMSE metrics:
                       unobserved effects predicted by the conditional
                       mean D21 D11^-1 gamma = L21 L11^-1 gamma
                       (ground-truth ceiling).
-* ``sic_true``      - true parameters known, effects predicted at the
-                      posterior mode.
+* ``sic_true``      - the posterior mode at the true parameters, kriged
+                      (:func:`spatial.krige`) through the prior's ``d12``.
 * ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
-                      then the posterior mode is predicted.
+                      then the estimate's own mode fit is kriged through
+                      the cross covariance at the estimates.
 
-A replication (:class:`SimDataset`) is its :class:`spatial.SpatialProblem`
-plus the true effects; ``sic_estimated`` estimates from the problem's own
-``observed`` sites and krigs the estimate's own fit, through the cross
-covariance at the estimates: it builds and factors no prior after them.
-
-Each replication factors its joint (n + n*) prior once, in
-:func:`covariance.build_blocked`.  That factor ``L`` draws the field
-(gamma, gamma*) = L z, krigs the oracle through its blocks L11 and L21,
-and certifies the observed block D11 for the mode-finder.
+A replication (:class:`SimDataset`) factors the joint (n + n*) prior of
+its sites once, in :func:`covariance.build_blocked`.  That factor ``L``
+draws the field (gamma, gamma*) = L z, krigs the oracle through its
+blocks L11 and L21, and certifies the observed block D11 for the
+mode-finder.
 
 Once its scenarios are recorded, a replication is dead: nothing reads it
 again.  It lends the next replication its prior's two (n + n*)^2 buffers
@@ -41,14 +38,14 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .covariance import PRIOR_BUDGET, MaternParams, build_blocked, cross_covariance
+from .covariance import PRIOR_BUDGET, BlockedCovariance, MaternParams
+from .covariance import build_blocked, cross_covariance
 from .dataio import ConfigError, write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
-from .fixed_point import FitOptions
+from .fixed_point import FitOptions, fit_posterior
 from .metrics import rl2
-from .spatial import SpatialData, SpatialProblem
-from .spatial import conditional_mean, fit_predict, krige
+from .spatial import SpatialData, conditional_mean, krige, site_problem
 
 ORACLE = "oracle"
 SIC_TRUE = "sic_true"
@@ -118,13 +115,15 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SimDataset:
-    """One replication: its spatial problem and the true effects drawn for it.
+    """One replication: its sites, their joint prior, the true effects drawn.
 
     ``buffer`` is the n x n array that its oracle's triangular solve and
     then its ``sic_true`` fit's factor are made in.
     """
 
-    problem: SpatialProblem
+    observed: SpatialData
+    unobserved: SpatialData
+    blocked: BlockedCovariance
     gamma: np.ndarray
     gamma_star: np.ndarray
     buffer: np.ndarray
@@ -143,7 +142,7 @@ def generate_dataset(
     if spent is None:
         prior, buffer = None, np.empty((n, n), order="F")
     else:
-        prior, buffer = spent.problem.blocked, spent.buffer
+        prior, buffer = spent.blocked, spent.buffer
     coords_obs = rng.uniform(0.0, config.side, size=(n, 2))
     coords_unobs = rng.uniform(0.0, config.side, size=(n_star, 2))
     x_obs = rng.standard_normal(n)
@@ -157,8 +156,7 @@ def generate_dataset(
     y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
     observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
     unobserved = SpatialData(None, X_unobs, coords_unobs, observed.kernel)
-    problem = SpatialProblem(observed, unobserved, blocked, beta)
-    return SimDataset(problem, gamma, gamma_star, buffer)
+    return SimDataset(observed, unobserved, blocked, gamma, gamma_star, buffer)
 
 
 @dataclass(eq=False)
@@ -177,45 +175,40 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     that did not converge raises ``RuntimeError``, as a mode fit that did
     not converge does, so the replication is recorded as failed.
     """
-    truth = dataset.gamma
-    truth_star = dataset.gamma_star
+    truth, truth_star = dataset.gamma, dataset.gamma_star
     zeros = dict.fromkeys(_TABLE_COLUMNS[3:], 0.0)  # the rmse columns
     if scenario == ORACLE:
-        pred_star = conditional_mean(truth, dataset.problem.blocked, dataset.buffer)
+        pred_star = conditional_mean(truth, dataset.blocked, dataset.buffer)
         return dict(rl2=0.0, rl2_star=rl2(truth_star, pred_star), **zeros)
-    if scenario == SIC_TRUE:
-        pred = fit_predict(dataset.problem, FitOptions(), dataset.buffer)
-        if not pred.report.converged:
-            raise RuntimeError("mode-finder did not converge")
-        return dict(
-            rl2=rl2(truth, pred.report.xi),
-            rl2_star=rl2(truth_star, pred.xi_star),
-            **zeros,
-        )
-    # parameter-estimation scenario: estimate (beta, omega1, omega2) first
-    problem = dataset.problem
-    observed = problem.observed
-    init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
-    fit = estimate(observed, init_beta, config.omega)
-    if not fit.converged:
-        raise RuntimeError(
-            f"the estimate did not converge in {fit.optimizer_iterations} scoring "
-            f"steps and {fit.fits} fits"
-        )
-    d12 = cross_covariance(fit.omega_hat, observed.coords, problem.unobserved.coords)
-    pred = krige(fit.report, problem.unobserved, d12)
+    observed, unobserved, blocked = dataset.observed, dataset.unobserved, dataset.blocked
     beta = np.asarray(config.beta, dtype=float)
-    return dict(
-        rl2=rl2(truth, pred.report.xi),
-        rl2_star=rl2(truth_star, pred.xi_star),
-        rmse_beta0=(fit.beta_hat[0] - beta[0]) ** 2,
-        rmse_beta1=(fit.beta_hat[1] - beta[1]) ** 2,
-        rmse_omega1=(fit.omega_hat.omega1 - config.omega.omega1) ** 2,
-        rmse_omega2=(fit.omega_hat.omega2 - config.omega.omega2) ** 2,
-        fits=fit.fits,
-        failed_fits=fit.failed_fits,
-        optimizer_iterations=fit.optimizer_iterations,
-    )
+    if scenario == SIC_TRUE:
+        glmm = site_problem(observed, blocked, beta)
+        report = fit_posterior(glmm, FitOptions(), dataset.buffer)
+        d12, record = blocked.d12, zeros
+    else:  # estimate (beta, omega1, omega2) first
+        init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
+        fit = estimate(observed, init_beta, config.omega)
+        if not fit.converged:
+            raise RuntimeError(
+                f"the estimate did not converge in {fit.optimizer_iterations} scoring "
+                f"steps and {fit.fits} fits"
+            )
+        report = fit.report
+        d12 = cross_covariance(fit.omega_hat, observed.coords, unobserved.coords)
+        record = dict(
+            rmse_beta0=(fit.beta_hat[0] - beta[0]) ** 2,
+            rmse_beta1=(fit.beta_hat[1] - beta[1]) ** 2,
+            rmse_omega1=(fit.omega_hat.omega1 - config.omega.omega1) ** 2,
+            rmse_omega2=(fit.omega_hat.omega2 - config.omega.omega2) ** 2,
+            fits=fit.fits,
+            failed_fits=fit.failed_fits,
+            optimizer_iterations=fit.optimizer_iterations,
+        )
+    if not report.converged:
+        raise RuntimeError("mode-finder did not converge")
+    pred = krige(report, unobserved, d12)
+    return dict(rl2=rl2(truth, report.xi), rl2_star=rl2(truth_star, pred.xi_star), **record)
 
 
 def run_scenarios(config: SimConfig) -> SimResult:

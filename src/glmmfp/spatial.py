@@ -1,28 +1,25 @@
 """Prediction of spatial random effects and responses at unobserved sites.
 
 Each site set is one :class:`SpatialData`: the observed sites, from a
-CSV dataset or a simulated draw to the estimator and the fit, and the
-unobserved sites, whose response is ``None``.  A :class:`SpatialProblem`
-pairs the two with their blocked prior and the fixed effects.
-
-The observed block of a spatial mixed model (random effect per site,
-the site design ``Z = None`` posed by :func:`site_problem`) is
-fitted with the Newton mode-finder; the unobserved-site effects are then
-the kriging of its mode through the cross covariance:
+CSV dataset or a simulated draw, and the unobserved sites, whose
+response is ``None``.  The observed sites are fitted by the mode-finder
+on their site problem (:func:`site_problem`: one random effect per site,
+``Z = None``, prior ``D11``), and :func:`krige` predicts the effects at
+the unobserved sites from the fit through the cross covariance:
 
     xi* = D21 D11^-1 xi  =  D21 R11^-1 (u_xi - X beta),   R11 = W_xi^-1 + D11,
 
-the second form holding at the mode, which is the working-model
-update's fixed point.  The solver carries ``alpha = D11^-1 xi``, so the
-prediction, :func:`krige`, is the product ``D21 alpha`` of any fit on the
-observed sites' prior (an estimate's own, say) and does no factorization.
-The predicted response is b'(X* beta + xi*) under the unobserved sites'
-own kernel (their trial counts for the binomial family), and the
-predicted working response is X* beta + xi* (zero working residual, as
-no response exists at the unobserved sites).  With zero cross covariance this degenerates to the
-fixed-effects prediction, and in the noise-free limit to the
-conditional-mean (kriging) predictor D21 D11^-1 gamma, which
-:func:`conditional_mean` evaluates as L21 L11^-1 gamma from the prior's factor.
+the second form holding at the mode, the working-model update's fixed
+point.  The solver carries ``alpha = D11^-1 xi``, so the prediction is
+the product ``D21 alpha`` of any fit on the observed sites' prior (an
+estimate's own, say) and does no factorization.  The predicted response
+is b'(X* beta + xi*) under the unobserved sites' own kernel (their trial
+counts for the binomial family), and the predicted working response is
+X* beta + xi*, as no response exists there.  With zero cross covariance
+this degenerates to the fixed-effects prediction, and in the noise-free
+limit to the conditional-mean (kriging) predictor D21 D11^-1 gamma,
+which :func:`conditional_mean` evaluates as L21 L11^-1 gamma from the
+prior's factor.
 """
 
 from __future__ import annotations
@@ -36,7 +33,8 @@ from . import families
 from ._lapack import trtrs
 from .covariance import BlockedCovariance
 from .families import FamilyKernel
-from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
+from .fixed_point import FitReport, GlmmProblem
+from .fixed_point import fit_posterior  # noqa: F401 - bench/tests checks its traced binding
 
 
 @dataclass(eq=False)
@@ -60,30 +58,6 @@ class SpatialData:
 
 
 @dataclass(eq=False)
-class SpatialProblem:
-    """The observed and the unobserved sites, their blocked prior, the fixed effects."""
-
-    observed: SpatialData
-    unobserved: SpatialData
-    blocked: BlockedCovariance
-    beta: np.ndarray
-
-    def __post_init__(self):
-        observed, unobserved = self.observed, self.unobserved
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if observed.y is None:
-            raise ValueError("the observed sites need a response")
-        if self.blocked.n_observed != observed.X.shape[0]:
-            raise ValueError("observed covariance block does not match its sites")
-        if self.blocked.n_unobserved != unobserved.X.shape[0]:
-            raise ValueError("unobserved covariance block does not match its sites")
-        if unobserved.X.shape[1] != observed.X.shape[1]:
-            raise ValueError("both site sets must share the fixed-effects dimension")
-        if unobserved.kernel.family != observed.kernel.family:
-            raise ValueError("both site sets must share the family")
-
-
-@dataclass(eq=False)
 class SpatialPrediction:
     """Unobserved-site predictions; ``report.xi`` is the observed sites' mode."""
 
@@ -95,6 +69,8 @@ class SpatialPrediction:
 
 def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmProblem:
     """The observed sites' problem: the site design ``Z = None``, prior ``D11``."""
+    if data.y is None:
+        raise ValueError("the observed sites need a response")
     n = blocked.n_observed
     return GlmmProblem(
         y=data.y, X=data.X, Z=None, D=blocked.d11, beta=beta, kernel=data.kernel,
@@ -102,23 +78,21 @@ def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmPro
     )
 
 
-def fit_predict(
-    problem: SpatialProblem, options: FitOptions = FitOptions(), buf=None
-) -> SpatialPrediction:
-    """Fit the observed block and :func:`krige` its mode to the new sites.
-
-    ``buf``, if given, is the fit's factor buffer (:func:`fit_posterior`).
-    """
-    glmm = site_problem(problem.observed, problem.blocked, problem.beta)
-    report = fit_posterior(glmm, options, buf)
-    return krige(report, problem.unobserved, problem.blocked.d12)
-
-
 def krige(report: FitReport, unobserved: SpatialData, d12) -> SpatialPrediction:
     """Effects and responses at the ``unobserved`` sites, ``xi* = D21 alpha``,
-    from a fit on the observed sites' prior and their cross covariance ``d12``."""
+    from a fit on the observed sites' prior and their n x n* cross covariance
+    ``d12``; the sites must share the fit's fixed-effects width and family."""
+    fitted = report.problem
+    if d12.shape[0] != fitted.n:
+        raise ValueError("observed covariance block does not match its sites")
+    if d12.shape[1:] != unobserved.X.shape[:1]:
+        raise ValueError("unobserved covariance block does not match its sites")
+    if unobserved.X.shape[1] != fitted.X.shape[1]:
+        raise ValueError("both site sets must share the fixed-effects dimension")
+    if unobserved.kernel.family != fitted.kernel.family:
+        raise ValueError("both site sets must share the family")
     xi_star = d12.T @ report.alpha
-    eta_star = unobserved.X @ report.problem.beta + xi_star
+    eta_star = unobserved.X @ fitted.beta + xi_star
     y_hat_star, _ = families.mean_and_weight(unobserved.kernel, eta_star)
     return SpatialPrediction(xi_star, y_hat_star, eta_star, report)
 

@@ -457,7 +457,7 @@ class TestSimulate:
         assert len(audit["records"]) == 1
 
     def test_failed_replication_is_recorded_and_left_out(self, tmp_path, monkeypatch):
-        original = simulate.fit_predict
+        original = simulate.fit_posterior
         calls = []
 
         def fail_first(*args, **kwargs):
@@ -467,7 +467,7 @@ class TestSimulate:
             return original(*args, **kwargs)
 
         # one failure in 20 replications is within MAX_FAILURE_FRACTION
-        monkeypatch.setattr(simulate, "fit_predict", fail_first)
+        monkeypatch.setattr(simulate, "fit_posterior", fail_first)
         out = tmp_path / "out"
         code = cli.main(
             [
@@ -496,7 +496,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("injected failure")
 
-        monkeypatch.setattr(simulate, "fit_predict", fail)
+        monkeypatch.setattr(simulate, "fit_posterior", fail)
         out = tmp_path / "out"
         code = cli.main(
             ["simulate", "--config", self._config(tmp_path), "--out", str(out), "--quiet"]

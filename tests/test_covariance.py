@@ -11,6 +11,7 @@ from glmmfp.covariance import (
     MaternParams,
     SingularCovarianceError,
     build_blocked,
+    cross_covariance,
     matern,
     matern_scale_derivative,
     site_distances,
@@ -168,7 +169,7 @@ class TestBuildBlocked:
         assert b.d22.shape == (7, 7)
         assert np.allclose(b.d11, b.d11.T)
         assert np.allclose(b.full, b.full.T)
-        assert b.n_observed == 12 and b.n_unobserved == 7
+        assert b.n_observed == 12 and b.d22.shape == (7, 7)
 
     def test_full_is_positive_definite(self):
         rng = np.random.default_rng(1)
@@ -365,6 +366,60 @@ class TestBands:
             assert np.array_equal(out, before)
 
 
+class TestCrossCovariance:
+    """``D12`` alone: bit for bit ``build_blocked``'s, its sites checked alike."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0])
+    @pytest.mark.parametrize(
+        "n, n_star, dim", [(1, 1, 2), (5, 1, 1), (9, 3, 2), (64, 65, 3), (129, 70, 2), (30, 0, 2)]
+    )
+    def test_equals_the_d12_of_build_blocked(self, n, n_star, dim, nu):
+        rng = np.random.default_rng([n, n_star, dim])
+        obs, unobs = rng.uniform(0, 5, size=(n, dim)), rng.uniform(0, 5, size=(n_star, dim))
+        params = MaternParams(0.6, 0.8, nu)
+        want = build_blocked(params, obs, unobs).d12
+        got = cross_covariance(params, obs, unobs)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        # so kriging through either rounds alike, also for n* <= 3
+        for _ in range(3):
+            alpha = rng.standard_normal(n)
+            assert np.array_equal(got.T @ alpha, want.T @ alpha)
+
+    def test_makes_no_stacked_covariance(self):
+        # n (n + n*) doubles (2.56 MB at n = n* = 400) and band temporaries;
+        # the covariance of the (n + n*)^2 stacked site pairs alone is 5.12 MB
+        rng = np.random.default_rng(10)
+        obs, unobs = rng.uniform(0, 20, size=(400, 2)), rng.uniform(0, 20, size=(400, 2))
+        tracemalloc.start()
+        try:
+            cross_covariance(MaternParams(0.5, 1.0), obs, unobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 400 * 800 + 600_000
+
+    def test_sites_are_checked_before_the_block_is_allocated(self):
+        rng = np.random.default_rng(9)
+        obs, unobs = rng.uniform(0, 5, size=(4000, 2)), rng.uniform(0, 5, size=(97, 2))
+        params = MaternParams(0.5, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="4097 sites are more than the 4096"):
+                cross_covariance(params, obs, unobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        for o, u, message in (
+            (obs[:3], np.array([[np.nan, 0.0]]), "non-finite"),
+            (obs[:3], np.zeros((2, 3)), "dimensions differ"),
+            (obs[:0], unobs[:3], "at least one observed site"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cross_covariance(params, o, u)
+
+
 class TestSpentPrior:
     """A dead prior over as many sites lends ``full`` and ``chol`` to the next."""
 
@@ -397,7 +452,7 @@ class TestSpentPrior:
         spent = build_blocked(params, *self.sites(3, 9, 4))
         lent = build_blocked(params, *self.sites(4, 5, 8), spent=spent)
         fresh = build_blocked(params, *self.sites(4, 5, 8))
-        assert lent.n_observed == 5 and lent.n_unobserved == 8
+        assert lent.n_observed == 5 and lent.d22.shape == (8, 8)
         assert np.array_equal(lent.chol, fresh.chol)
 
     @pytest.mark.parametrize("n, n_star", [(12, 6), (12, 4), (1, 0)])

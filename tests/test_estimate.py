@@ -532,7 +532,7 @@ class TestStopRule:
         from glmmfp.simulate import SimConfig, generate_dataset
 
         config = SimConfig(seed=6)
-        observed = generate_dataset(config, 0).problem.observed
+        observed = generate_dataset(config, 0).observed
         init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
         result = estimate(observed, init_beta, config.omega)
         assert result.converged and result.failed_fits == 0

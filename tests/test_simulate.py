@@ -20,6 +20,7 @@ from glmmfp.simulate import (
     write_audit_json,
     write_table_csv,
 )
+from glmmfp.spatial import krige, site_problem
 
 SMALL = SimConfig(
     n=50, n_star=40, beta=(2.0, 0.0), omega=MaternParams(0.5, 1.0),
@@ -61,9 +62,9 @@ class TestGeneration:
     def test_deterministic_per_replication(self):
         a = generate_dataset(SMALL, 2)
         b = generate_dataset(SMALL, 2)
-        assert np.array_equal(a.problem.observed.y, b.problem.observed.y)
+        assert np.array_equal(a.observed.y, b.observed.y)
         assert np.array_equal(a.gamma, b.gamma)
-        assert np.array_equal(a.problem.unobserved.coords, b.problem.unobserved.coords)
+        assert np.array_equal(a.unobserved.coords, b.unobserved.coords)
 
     def test_replications_are_independent_of_order(self):
         # replication 5 is the same whether or not 0..4 were generated
@@ -71,23 +72,23 @@ class TestGeneration:
         for rep in range(5):
             generate_dataset(SMALL, rep)
         again = generate_dataset(SMALL, 5)
-        assert np.array_equal(direct.problem.observed.y, again.problem.observed.y)
+        assert np.array_equal(direct.observed.y, again.observed.y)
 
     def test_shapes(self):
         d = generate_dataset(SMALL, 0)
-        obs = d.problem.observed
+        obs = d.observed
         assert obs.y.shape == (50,)
         assert d.gamma.shape == (50,)
         assert d.gamma_star.shape == (40,)
         assert obs.X.shape == (50, 2)
-        assert d.problem.unobserved.X.shape == (40, 2)
+        assert d.unobserved.X.shape == (40, 2)
         assert obs.coords.min() >= 0 and obs.coords.max() <= SMALL.side
-        assert d.problem.unobserved.coords.shape == (40, 2)
-        assert d.problem.unobserved.y is None
+        assert d.unobserved.coords.shape == (40, 2)
+        assert d.unobserved.y is None
 
     def test_counts_are_poisson_like(self):
         d = generate_dataset(SMALL, 1)
-        y = d.problem.observed.y
+        y = d.observed.y
         assert np.all(y >= 0)
         assert np.all(y == np.round(y))
 
@@ -114,15 +115,14 @@ class TestScenarios:
         monkeypatch.setattr(simulate, "estimate", spy_estimate)
         monkeypatch.setattr(simulate, "cross_covariance", spy_cross)
         record = simulate._scenario_metrics(dataset, SIC_ESTIMATED, config)
-        problem = dataset.problem
-        assert len(handed) == 1 and handed[0] is problem.observed
+        assert len(handed) == 1 and handed[0] is dataset.observed
         [fit] = fits
         # the estimate's own mode fit is kriged, at its own parameters
         assert record["rl2"] == rl2(dataset.gamma, fit.report.xi)
         [(omega, coords_obs, coords_unobs)] = crossed
         assert omega is fit.omega_hat
-        assert coords_obs is problem.observed.coords
-        assert coords_unobs is problem.unobserved.coords
+        assert coords_obs is dataset.observed.coords
+        assert coords_unobs is dataset.unobserved.coords
 
     def test_oracle_and_sic_true_metrics(self):
         result = run_scenarios(SMALL)
@@ -224,39 +224,45 @@ class TestLentBuffers:
         fresh = generate_dataset(SMALL, 1)
         for name in ("full", "chol"):
             assert np.array_equal(
-                getattr(lent.problem.blocked, name), getattr(fresh.problem.blocked, name)
+                getattr(lent.blocked, name), getattr(fresh.blocked, name)
             )
         assert np.array_equal(lent.gamma, fresh.gamma)
         assert np.array_equal(lent.gamma_star, fresh.gamma_star)
-        assert np.array_equal(lent.problem.observed.y, fresh.problem.observed.y)
+        assert np.array_equal(lent.observed.y, fresh.observed.y)
         assert lent.buffer is spent.buffer
         assert np.array_equal(
-            simulate.conditional_mean(lent.gamma, lent.problem.blocked, lent.buffer),
-            simulate.conditional_mean(fresh.gamma, fresh.problem.blocked),
+            simulate.conditional_mean(lent.gamma, lent.blocked, lent.buffer),
+            simulate.conditional_mean(fresh.gamma, fresh.blocked),
         )
-        pred_lent = simulate.fit_predict(lent.problem, FitOptions(), lent.buffer)
-        pred_fresh = simulate.fit_predict(fresh.problem, FitOptions())
-        assert np.shares_memory(pred_lent.report.chol, spent.buffer)
-        assert np.array_equal(pred_lent.report.xi, pred_fresh.report.xi)
-        assert np.array_equal(pred_lent.xi_star, pred_fresh.xi_star)
+        beta = np.asarray(SMALL.beta)
+        fit_lent = simulate.fit_posterior(
+            site_problem(lent.observed, lent.blocked, beta), FitOptions(), lent.buffer
+        )
+        fit_fresh = simulate.fit_posterior(site_problem(fresh.observed, fresh.blocked, beta))
+        assert np.shares_memory(fit_lent.chol, spent.buffer)
+        assert np.array_equal(fit_lent.xi, fit_fresh.xi)
+        assert np.array_equal(
+            krige(fit_lent, lent.unobserved, lent.blocked.d12).xi_star,
+            krige(fit_fresh, fresh.unobserved, fresh.blocked.d12).xi_star,
+        )
 
     def test_consecutive_replications_share_prior_and_factor(self, monkeypatch):
         priors, buffers, factors = [], [], []
-        generate, fit_predict = simulate.generate_dataset, simulate.fit_predict
+        generate, fit_posterior = simulate.generate_dataset, simulate.fit_posterior
 
         def spy_generate(*args):
             dataset = generate(*args)
-            priors.append(dataset.problem.blocked)
+            priors.append(dataset.blocked)
             buffers.append(dataset.buffer)
             return dataset
 
-        def spy_fit_predict(*args):
-            pred = fit_predict(*args)
-            factors.append(pred.report.chol)
-            return pred
+        def spy_fit_posterior(*args, **kwargs):
+            report = fit_posterior(*args, **kwargs)
+            factors.append(report.chol)
+            return report
 
         monkeypatch.setattr(simulate, "generate_dataset", spy_generate)
-        monkeypatch.setattr(simulate, "fit_predict", spy_fit_predict)
+        monkeypatch.setattr(simulate, "fit_posterior", spy_fit_posterior)
         run_scenarios(replace(SMALL, replications=4))
         assert len(priors) == len(factors) == 4
         for a, b in zip(priors, priors[1:]):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import expit
 from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp._lapack import potri
-from glmmfp.covariance import MaternParams, build_blocked
+from glmmfp.covariance import BlockedCovariance, MaternParams, build_blocked
 from glmmfp.estimate import approx_loglik
 from glmmfp.families import (
     binomial_kernel,
@@ -20,7 +21,7 @@ from glmmfp.families import (
     poisson_kernel,
 )
 from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
-from glmmfp.spatial import SpatialData, SpatialProblem, conditional_mean, fit_predict
+from glmmfp.spatial import SpatialData, conditional_mean, krige, site_problem
 
 
 def near_duplicate_prior():
@@ -34,6 +35,24 @@ def near_duplicate_prior():
 def lapack_factor(a):
     """Lower triangle of LAPACK's Cholesky factor of ``a``, upper zeroed."""
     return np.tril(cho_factor(a, lower=True)[0])
+
+
+@dataclass
+class Case:
+    """Observed and unobserved sites, their joint prior and the fixed effects."""
+
+    observed: SpatialData
+    unobserved: SpatialData
+    blocked: BlockedCovariance
+    beta: np.ndarray
+
+
+def fit_and_krige(case, options=FitOptions()):
+    """Fit the observed sites on the prior's observed block and krige the fit
+    through its ``d12``, as ``simulate``'s ``sic_true`` scenario does."""
+    glmm = site_problem(case.observed, case.blocked, case.beta)
+    report = fixed_point.fit_posterior(glmm, options)
+    return krige(report, case.unobserved, case.blocked.d12)
 
 
 def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
@@ -56,7 +75,7 @@ def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
     else:
         kernel = kernel_star = gaussian_kernel(1.0)
         y = X @ beta + gamma + rng.standard_normal(n)
-    problem = SpatialProblem(
+    problem = Case(
         observed=SpatialData(y=y, X=X, coords=coords_obs, kernel=kernel),
         unobserved=SpatialData(
             y=None, X=np.ones((n_star, 1)), coords=coords_unobs, kernel=kernel_star
@@ -73,15 +92,6 @@ def working_u(problem, state):
     return state.eta + (obs.y - mu) / (obs.kernel.dispersion * state.w)
 
 
-def problem_fields(problem, **changes):
-    """The constructor arguments of ``problem``, with ``changes`` applied."""
-    fields = dict(
-        observed=problem.observed, unobserved=problem.unobserved,
-        blocked=problem.blocked, beta=problem.beta,
-    )
-    return {**fields, **changes}
-
-
 def sites(data, rows=slice(None), **changes):
     """The ``rows`` of the site set ``data`` as a new one, with ``changes`` applied."""
     trials = data.kernel.trials
@@ -94,23 +104,34 @@ def sites(data, rows=slice(None), **changes):
 
 
 class TestValidation:
-    def test_block_size_must_match_response(self):
-        problem, _, _ = make_problem()
-        obs = problem.observed
-        other = make_problem(n=26)[0].observed
-        shorter = SpatialData(
-            y=obs.y[:-1], X=obs.X[:-1], coords=obs.coords[:-1], kernel=obs.kernel
-        )
-        for observed in (shorter, other):
-            with pytest.raises(ValueError, match="observed covariance block"):
-                SpatialProblem(**problem_fields(problem, observed=observed))
+    """``krige`` checks the unobserved sites and ``d12`` against the fit."""
 
-    def test_xstar_must_match_unobserved_block(self):
+    @staticmethod
+    def fitted():
         problem, _, _ = make_problem()
-        for rows in (slice(None, -1), [0] * 11):
+        glmm = site_problem(problem.observed, problem.blocked, problem.beta)
+        return problem, fit_posterior(glmm)
+
+    def test_d12_rows_must_match_the_fit(self):
+        problem, report = self.fitted()
+        d12 = problem.blocked.d12
+        other = make_problem(n=26)[0].blocked.d12
+        for bad in (d12[:-1], other):
+            with pytest.raises(ValueError, match="observed covariance block"):
+                krige(report, problem.unobserved, bad)
+
+    def test_d12_columns_must_match_the_unobserved_sites(self):
+        problem, report = self.fitted()
+        d12 = problem.blocked.d12
+        for rows in (slice(None, -1), [0] * 11, [0]):
             unobserved = sites(problem.unobserved, rows)
             with pytest.raises(ValueError, match="unobserved covariance block"):
-                SpatialProblem(**problem_fields(problem, unobserved=unobserved))
+                krige(report, unobserved, d12)
+        # one site against five columns is not broadcast to five predictions
+        with pytest.raises(ValueError, match="unobserved covariance block"):
+            krige(report, sites(problem.unobserved, [0]), d12[:, :5])
+        with pytest.raises(ValueError, match="unobserved covariance block"):
+            krige(report, problem.unobserved, d12[:, 0])
         # a site set's design and coordinates count the same sites
         for field in ("X", "coords"):
             value = getattr(problem.unobserved, field)[:-1]
@@ -118,25 +139,25 @@ class TestValidation:
                 sites(problem.unobserved, **{field: value})
 
     def test_design_dimensions_must_agree(self):
-        problem, _, _ = make_problem()
+        problem, report = self.fitted()
         wide = sites(problem.unobserved, X=np.ones((problem.unobserved.X.shape[0], 2)))
         with pytest.raises(ValueError, match="fixed-effects dimension"):
-            SpatialProblem(**problem_fields(problem, unobserved=wide))
+            krige(report, wide, problem.blocked.d12)
 
     def test_observed_sites_need_a_response(self):
-        problem, _, _ = make_problem()
+        problem, report = self.fitted()
         observed = sites(problem.observed, y=None)
         with pytest.raises(ValueError, match="observed sites need a response"):
-            SpatialProblem(**problem_fields(problem, observed=observed))
+            site_problem(observed, problem.blocked, problem.beta)
         # the unobserved sites may carry one, as a test split's do
-        responded = sites(problem.unobserved, y=np.zeros(problem.blocked.n_unobserved))
-        SpatialProblem(**problem_fields(problem, unobserved=responded))
+        responded = sites(problem.unobserved, y=np.zeros(len(problem.unobserved.X)))
+        krige(report, responded, problem.blocked.d12)
 
     def test_families_must_agree(self):
-        problem, _, _ = make_problem()
+        problem, report = self.fitted()
         gaussian = sites(problem.unobserved, kernel=gaussian_kernel(1.0))
         with pytest.raises(ValueError, match="share the family"):
-            SpatialProblem(**problem_fields(problem, unobserved=gaussian))
+            krige(report, gaussian, problem.blocked.d12)
 
 
 class TestGaussianClosedForm:
@@ -144,7 +165,7 @@ class TestGaussianClosedForm:
         # for the gaussian kernel the whole pipeline is linear algebra:
         # xi* = D21 (D11 + s2 I)^-1 (y - X beta)
         problem, _, _ = make_problem(seed=3, family="gaussian")
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         s2 = problem.observed.kernel.variance
         n = problem.observed.y.shape[0]
@@ -156,7 +177,7 @@ class TestGaussianClosedForm:
 
     def test_identity_link_outputs(self):
         problem, _, _ = make_problem(seed=4, family="gaussian")
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         eta_star = problem.unobserved.X @ problem.beta + pred.xi_star
         assert np.allclose(pred.u_hat_star, eta_star, atol=1e-14)
         assert np.allclose(pred.y_hat_star, eta_star, atol=1e-14)
@@ -165,7 +186,7 @@ class TestGaussianClosedForm:
 class TestPoissonPrediction:
     def test_converges_and_reports_positive_means(self):
         problem, _, _ = make_problem(seed=5)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         assert np.all(pred.y_hat_star > 0)
         assert np.allclose(
@@ -177,7 +198,7 @@ class TestPoissonPrediction:
     def test_cross_covariance_formula(self):
         # reconstruct xi* from the converged observed-block state
         problem, _, _ = make_problem(seed=6)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         state = pred.report
         r11 = np.diag(1.0 / state.w) + problem.blocked.d11
         expected = problem.blocked.d12.T @ np.linalg.solve(
@@ -187,21 +208,21 @@ class TestPoissonPrediction:
 
     def test_prediction_beats_fixed_effects_alone(self):
         problem, gamma, gamma_star = make_problem(seed=7, n=60, n_star=30)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         err_spatial = np.sum((pred.xi_star - gamma_star) ** 2)
         err_null = np.sum(gamma_star**2)
         assert err_spatial < err_null
 
     def test_no_unobserved_sites(self):
         problem, _, _ = make_problem(seed=8, n_star=0)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.xi_star.shape == (0,)
         assert pred.y_hat_star.shape == (0,)
         assert pred.report.converged
 
     def test_options_are_honored(self):
         problem, _, _ = make_problem(seed=9)
-        pred = fit_predict(problem, FitOptions(tol=1e-6, max_iter=100))
+        pred = fit_and_krige(problem, FitOptions(tol=1e-6, max_iter=100))
         assert pred.report.converged
         assert pred.report.residual <= 1e-6
 
@@ -210,7 +231,7 @@ class TestBinomialPrediction:
     @pytest.mark.parametrize("n_star", [4, 6], ids=["fewer_unobserved", "as_many"])
     def test_means_use_the_unobserved_trial_counts(self, n_star):
         problem, _, _ = make_problem(seed=15, n=6, n_star=n_star, family="binomial")
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         m_star = problem.unobserved.kernel.trials
         assert not np.array_equal(m_star, problem.observed.kernel.trials[:n_star])
@@ -222,7 +243,7 @@ class TestBinomialPrediction:
         # sites without trial counts are not of the binomial family
         poisson = sites(problem.unobserved, kernel=poisson_kernel())
         with pytest.raises(ValueError, match="share the family"):
-            SpatialProblem(**problem_fields(problem, unobserved=poisson))
+            krige(fit_and_krige(problem).report, poisson, problem.blocked.d12)
         for trials in (np.ones(6), np.ones(3)):
             with pytest.raises(ValueError, match="one trial count per site"):
                 sites(problem.unobserved, kernel=binomial_kernel(trials))
@@ -288,7 +309,7 @@ class TestKrigingOfTheMode:
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_prediction_is_the_conditional_mean_of_the_mode(self, family, tol):
         problem, _, _ = make_problem(seed=15, n=40, n_star=15, family=family)
-        pred = fit_predict(problem, FitOptions(tol=tol))
+        pred = fit_and_krige(problem, FitOptions(tol=tol))
         assert pred.report.converged
         expected = conditional_mean(pred.report.xi, problem.blocked)
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-9
@@ -337,14 +358,14 @@ class TestFactorizationBudget:
             in_solver.append(len(calls) - before)
             return report
 
-        monkeypatch.setattr(spatial, "fit_posterior", solver)
-        monkeypatch.setattr(estimate_module, "fit_posterior", solver)
+        for module in (fixed_point, simulate, estimate_module, cli):
+            monkeypatch.setattr(module, "fit_posterior", solver)
         return calls, in_solver
 
-    def test_poisson_fit_predict(self, monkeypatch):
+    def test_poisson_fit_and_krige(self, monkeypatch):
         problem, _, _ = make_problem(seed=5)
         calls, in_solver = self.count_factorizations(monkeypatch)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         assert in_solver == [len(calls)]  # the prior's factor certifies D
         assert in_solver[0] <= pred.report.iterations + 1
@@ -357,7 +378,7 @@ class TestFactorizationBudget:
     def test_gaussian_conjugate_case(self, monkeypatch):
         problem, _, _ = make_problem(seed=3, family="gaussian")
         calls, in_solver = self.count_factorizations(monkeypatch)
-        pred = fit_predict(problem)
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         assert pred.report.iterations == 1
         assert in_solver == [2] and len(calls) == 2
@@ -398,7 +419,6 @@ class TestFactorizationBudget:
         dataset = dataio.load_dataset(path, cfg)
         perm = np.random.default_rng(0).permutation(100)
         calls, in_solver = self.count_factorizations(monkeypatch)
-        monkeypatch.setattr(cli, "fit_posterior", spatial.fit_posterior)  # counted
         sizes, prior = [], covariance.potrf
         monkeypatch.setattr(covariance, "potrf", lambda a: sizes.append(len(a)) or prior(a))
         g2 = cli._validate_split(
@@ -455,7 +475,7 @@ class TestIdentityPathAgainstDenseFormulas:
         return D @ alpha, Xi, problem.blocked.d12.T @ alpha
 
     def check(self, problem):
-        pred = fit_predict(problem, FitOptions(tol=1e-13))
+        pred = fit_and_krige(problem, FitOptions(tol=1e-13))
         state = pred.report
         assert pred.report.converged
         assert state.problem.Z is None
@@ -499,7 +519,7 @@ class TestIdentityPathAgainstDenseFormulas:
         rng = np.random.default_rng(14)
         y = rng.poisson(3.0, size=7).astype(float)
         coords = np.zeros((9, 2))  # the checks read only how many sites there are
-        problem = SpatialProblem(
+        problem = Case(
             observed=SpatialData(
                 y=y, X=np.ones((7, 1)), coords=coords[:7], kernel=poisson_kernel()
             ),
@@ -522,7 +542,7 @@ class TestIdentityPathAgainstDenseFormulas:
         config = simulate.SimConfig(n=20, n_star=10, replications=1, side=5.0)
         dataset = simulate.generate_dataset(config, 0)
         [blocked] = seen
-        assert blocked is dataset.problem.blocked
+        assert blocked is dataset.blocked
         assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
         # the field is the carried factor times the replication's normals
         rng = np.random.default_rng([config.seed, 0])
