@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dataio, oracle, simulate
 from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
-from .covariance import build_blocked, cross_covariance
+from .covariance import _check_sites, build_blocked, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
 from .families import initial_eta
@@ -126,7 +126,10 @@ def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
 
 def _fit_and_krige(cfg, train, test, options, tier=None):
     """Fit the mode at the training sites and krige it to the test sites: the
-    :class:`SpatialPrediction` and the estimate's metadata, ``None`` if none."""
+    :class:`SpatialPrediction` and the estimate's metadata, ``None`` if none.
+    Training and test sites are checked together first, so that sites over
+    ``PRIOR_BUDGET`` are refused before any prior is built or fit made."""
+    _check_sites(train.coords, test.coords)
     observed = _sites(cfg, train, tier)
     report, omega, est_meta = _site_fit(cfg, observed, options)
     d12 = cross_covariance(omega, observed.coords, test.coords)
@@ -282,9 +285,14 @@ def cmd_validate(args) -> int:
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction, _ = _fit_and_krige(cfg, train, test, options, tier)
-    if not prediction.report.converged:
-        raise RuntimeError("mode-finder did not converge on a split")
+    prediction, est_meta = _fit_and_krige(cfg, train, test, options, tier)
+    if _exit_code(prediction.report, est_meta) != EXIT_OK:
+        if not prediction.report.converged:
+            raise RuntimeError("mode-finder did not converge on a split")
+        raise RuntimeError(
+            f"the estimate did not converge in {est_meta['optimizer_iterations']} "
+            f"scoring steps and {est_meta['fits']} fits"
+        )
     kernel = dataio.make_kernel(cfg, test.trials)
     return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 

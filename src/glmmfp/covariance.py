@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,10 +59,9 @@ class MaternParams:
     omega3: float = 0.5
 
     def __post_init__(self):
-        for name in ("omega1", "omega2", "omega3"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.omega1 < 1.0:
             raise ValueError("omega1 must lie in (0, 1)")
         if self.omega2 <= 0:

@@ -6,6 +6,9 @@ declared covariate columns, an optional binomial trial-count column
 ``m``, and an optional ``role`` column with values ``train`` / ``test``.
 All numeric output is written at 17 significant digits so pipelines
 between subcommands round-trip bit-faithfully.
+
+A run configuration's keys and defaults are the fields of :class:`RunConfig`
+and, in its ``matern`` object, of :class:`covariance.MaternParams`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +58,18 @@ class RunConfig:
     verify: dict = field(default_factory=dict)
 
 
-_TOP_KEYS = {
-    "family", "covariates", "model_tier", "matern", "beta",
-    "gaussian_variance", "sic", "seed", "simulate", "validate", "verify",
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+_MATERN_KEYS = {f.name for f in fields(MaternParams)}
+# each section's keys; sic's are FitOptions' fields and simulate's SimConfig's,
+# written out since simulate imports this module and fixed_point is not imported
+_SECTION_KEYS = {
+    "sic": {"tol", "max_iter"},
+    "simulate": {
+        "n", "n_star", "beta", "omega", "replications", "seed", "side", "scenarios",
+    },
+    "validate": {"splits", "n_train", "n_test", "tiers"},
+    "verify": {"identity_instances", "battery_seed", "order"},
 }
-_SIC_KEYS = {"tol", "max_iter"}
-_MATERN_KEYS = {"omega1", "omega2", "omega3"}
-_SIMULATE_KEYS = {
-    "n", "n_star", "beta", "omega", "replications", "seed", "side", "scenarios",
-}
-_VALIDATE_KEYS = {"splits", "n_train", "n_test", "tiers"}
-_VERIFY_KEYS = {"identity_instances", "battery_seed", "order"}
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -113,10 +117,10 @@ def read_list(value, name: str) -> list:
 
 def parse_matern(obj, where: str = "matern") -> MaternParams:
     _check_keys(obj, _MATERN_KEYS, where)
-    omegas = [
-        read_float(obj.get(key, default), f"{where}.{key}")
-        for key, default in (("omega1", None), ("omega2", None), ("omega3", 0.5))
-    ]
+    omegas = []
+    for f in fields(MaternParams):  # an absent required field reads None: rejected
+        default = None if f.default is MISSING else f.default
+        omegas.append(read_float(obj.get(f.name, default), f"{where}.{f.name}"))
     try:
         return MaternParams(*omegas)
     except ValueError as exc:
@@ -133,11 +137,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(raw, _TOP_KEYS, "config")
     cfg = RunConfig()
-    cfg.family = raw.get("family", "poisson")
+    cfg.family = raw.get("family", cfg.family)
     if cfg.family not in ("poisson", "binomial", "gaussian"):
         raise ConfigError(f"unknown family {cfg.family!r}")
-    cfg.covariates = read_list(raw.get("covariates", []), "covariates")
-    cfg.model_tier = raw.get("model_tier", "intercept")
+    cfg.covariates = read_list(raw.get("covariates", cfg.covariates), "covariates")
+    cfg.model_tier = raw.get("model_tier", cfg.model_tier)
     if cfg.model_tier not in TIERS:
         raise ConfigError(f"unknown model_tier {cfg.model_tier!r}")
     matern = raw.get("matern")
@@ -152,15 +156,11 @@ def load_config(path) -> RunConfig:
         cfg.gaussian_variance = read_float(
             raw["gaussian_variance"], "gaussian_variance", positive=True
         )
-    _check_keys(raw.get("sic", {}), _SIC_KEYS, "sic")
-    cfg.sic = raw.get("sic", {})
-    cfg.seed = read_int(raw, "seed", 0, 0, "")
-    _check_keys(raw.get("simulate", {}), _SIMULATE_KEYS, "simulate")
-    cfg.simulate = raw.get("simulate", {})
-    _check_keys(raw.get("validate", {}), _VALIDATE_KEYS, "validate")
-    cfg.validate = raw.get("validate", {})
-    _check_keys(raw.get("verify", {}), _VERIFY_KEYS, "verify")
-    cfg.verify = raw.get("verify", {})
+    cfg.seed = read_int(raw, "seed", cfg.seed, 0, "")
+    for name, keys in _SECTION_KEYS.items():
+        section = raw.get(name, getattr(cfg, name))
+        _check_keys(section, keys, name)
+        setattr(cfg, name, section)
     return cfg
 
 

@@ -34,7 +34,7 @@ so results are identical regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -59,12 +59,6 @@ DEFAULT_SIDE = 20.0
 
 MAX_FAILURE_FRACTION = 0.05
 
-# (n + n*)**2 doubles, the joint prior of one replication, checked before
-# any work.  A replication peaks at about three such arrays: 2.5 at
-# n = n* = 800 by tracemalloc, so the peak stays near 400 MiB, and
-# n + n* <= 4096, five times the reference 400 + 400
-SIM_BUDGET = PRIOR_BUDGET
-
 
 class ScenarioFailureError(RuntimeError):
     """More than ``MAX_FAILURE_FRACTION`` of a scenario's replications failed.
@@ -83,7 +77,7 @@ class SimConfig:
     n: int = 400
     n_star: int = 400
     beta: tuple = (8.0, 0.0)
-    omega: MaternParams = field(default_factory=lambda: MaternParams(0.5, 1.0, 0.5))
+    omega: MaternParams = field(default_factory=lambda: MaternParams(0.5, 1.0))
     replications: int = 100
     seed: int = 0
     side: float = DEFAULT_SIDE
@@ -101,10 +95,10 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.n < 1 or self.n_star < 1:
             raise ValueError("site counts must be >= 1")
-        if (self.n + self.n_star) ** 2 > SIM_BUDGET:
+        if (self.n + self.n_star) ** 2 > PRIOR_BUDGET:
             raise ConfigError(
-                f"simulate.n + simulate.n_star must be at most {math.isqrt(SIM_BUDGET)}, "
-                f"a joint prior of {SIM_BUDGET} doubles: {self.n} + {self.n_star}"
+                f"simulate.n + simulate.n_star must be at most {math.isqrt(PRIOR_BUDGET)}, "
+                f"a joint prior of {PRIOR_BUDGET} doubles: {self.n} + {self.n_star}"
             )
         if self.side <= 0:
             raise ValueError("side length must be positive")
@@ -268,18 +262,9 @@ def write_table_csv(result: SimResult, path):
 
 
 def write_audit_json(result: SimResult, path):
-    """Per-replication records plus configuration metadata."""
+    """Per-replication records plus the configuration, every field of it."""
     payload = {
-        "config": {
-            "n": result.config.n,
-            "n_star": result.config.n_star,
-            "beta": list(result.config.beta),
-            "omega": list(astuple(result.config.omega)),
-            "replications": result.config.replications,
-            "seed": result.config.seed,
-            "side": result.config.side,
-            "scenarios": list(result.config.scenarios),
-        },
+        "config": {**asdict(result.config), "omega": list(astuple(result.config.omega))},
         "failures": result.failures,
         "records": result.records,
     }

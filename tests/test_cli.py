@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
+from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
 
 
@@ -169,10 +170,20 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "command, params",
-        [("fit", "given"), ("fit", "estimate"), ("predict", "given")],
+        [("fit", "given"), ("fit", "estimate"),
+         ("predict", "given"), ("predict", "estimate")],
     )
-    def test_sites_over_the_prior_budget_exit_1(self, tmp_path, capsys, command, params):
-        # 4,097 sites: 4,000 to fit and 97 to predict at
+    def test_sites_over_the_prior_budget_exit_1(
+        self, tmp_path, capsys, monkeypatch, command, params
+    ):
+        # 4,097 sites: 4,000 to fit and 97 to predict at, refused before any
+        # prior is built or any fit made
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prior was built or a fit made")
+
+        monkeypatch.setattr(covariance.BlockedCovariance, "__init__", refuse)
+        for module in (cli, estimate_module):
+            monkeypatch.setattr(module, "fit_posterior", refuse)
         coords = np.random.default_rng(2).uniform(0, 50, (4097, 2))
         rows = [f"3,{cx!r},{cy!r}" for cx, cy in coords.tolist()]
         if command == "predict":
@@ -654,6 +665,38 @@ class TestValidate:
              "error": "mode-finder did not converge on a split"}
             for split in range(2)
         ]
+        assert (out / "validation.csv").read_text() == "split,tier,g2\n"
+
+    def test_split_whose_estimate_did_not_converge_is_recorded_and_exits_numerical(
+        self, tmp_path
+    ):
+        # constant counts: every split's estimate stops unconverged while its
+        # mode fit converges (TestFit::test_estimate_that_did_not_converge_exits_3)
+        coords = np.random.default_rng(1).uniform(0, 3, (12, 2))
+        rows = [f"5,{cx!r},{cy!r}" for cx, cy in [*coords.tolist(), (1.0, 1.0)]]
+        data = write_csv(tmp_path, "y,x_coord,y_coord\n" + "\n".join(rows) + "\n")
+        config = write_config(
+            tmp_path,
+            {
+                "family": "poisson", "beta": "estimate", "matern": "estimate",
+                "validate": {"splits": 6, "n_train": 12, "n_test": 1,
+                             "tiers": ["intercept"]},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_NUMERICAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tiers"] == {}
+        failures = summary["failures"]
+        assert [(f["split"], f["tier"]) for f in failures] == [
+            (split, "intercept") for split in range(6)
+        ]
+        for failure in failures:
+            assert failure["error"].startswith("the estimate did not converge in ")
+            assert failure["error"].endswith(" fits")
         assert (out / "validation.csv").read_text() == "split,tier,g2\n"
 
     def test_binomial_splits_use_the_binomial_deviance(self, tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from glmmfp import dataio
 from glmmfp.covariance import MaternParams
 from glmmfp.dataio import (
     ConfigError,
+    RunConfig,
     build_design,
     fmt,
     load_config,
@@ -17,6 +19,8 @@ from glmmfp.dataio import (
     write_symmetric_csv,
     write_synthetic_counts,
 )
+from glmmfp.fixed_point import FitOptions
+from glmmfp.simulate import SimConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -40,6 +44,7 @@ class TestConfig:
         assert cfg.family == "poisson"
         assert cfg.model_tier == "intercept"
         assert cfg.matern is None and cfg.beta is None
+        assert vars(cfg) == vars(RunConfig())
 
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(
@@ -86,6 +91,22 @@ class TestConfig:
             load_config(
                 write_config(tmp_path, {"matern": {"omega1": 2.0, "omega2": 1.0}})
             )
+
+    def test_matern_fields_and_default_are_those_of_matern_params(self, tmp_path):
+        matern = {"omega1": 0.5, "omega2": 2.0}
+        assert load_config(write_config(tmp_path, {"matern": matern})).matern == (
+            MaternParams(0.5, 2.0)
+        )
+        with pytest.raises(ConfigError, match="omega2 must be a finite number: None"):
+            load_config(write_config(tmp_path, {"matern": {"omega1": 0.5}}))
+        with pytest.raises(ConfigError, match="'omega4' in matern"):
+            load_config(write_config(tmp_path, {"matern": {"omega4": 0.5}}))
+
+    def test_written_out_section_keys_are_their_dataclass_fields(self):
+        # dataio imports neither fixed_point nor simulate, so these two stay
+        # literal; each must name exactly the fields its section configures
+        assert dataio._SECTION_KEYS["sic"] == {f.name for f in fields(FitOptions)}
+        assert dataio._SECTION_KEYS["simulate"] == {f.name for f in fields(SimConfig)}
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

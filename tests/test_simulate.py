@@ -48,7 +48,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown scenarios"):
             SimConfig(scenarios=("oracle", "bogus"))
         # the joint prior of n + n* sites holds (n + n*)**2 doubles
-        assert simulate.SIM_BUDGET == 4096**2
+        assert simulate.PRIOR_BUDGET == 4096**2
         SimConfig(n=4000, n_star=96)
         for n, n_star in ((4000, 97), (1, 4096), (10**400, 1)):
             with pytest.raises(ConfigError, match="simulate.n \\+ simulate.n_star"):
@@ -325,8 +325,10 @@ class TestWriters:
         path = tmp_path / "audit.json"
         write_audit_json(result, path)
         payload = json.loads(path.read_text())
-        assert payload["config"]["n"] == 50
-        assert payload["config"]["seed"] == 0
+        assert payload["config"] == {
+            "n": 50, "n_star": 40, "beta": [2.0, 0.0], "omega": [0.5, 1.0, 0.5],
+            "replications": 3, "seed": 0, "side": 7.0, "scenarios": [ORACLE, SIC_TRUE],
+        }
         assert len(payload["records"]) == 3
         assert payload["failures"] == {ORACLE: 0, SIC_TRUE: 0}
         assert ORACLE in payload["records"][0]
