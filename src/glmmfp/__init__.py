@@ -22,7 +22,7 @@ from .families import (
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 from .metrics import deviance_gof, rl2
 from .oracle import adjudicate_exactness, moments_importance, moments_quadrature
-from .spatial import SpatialData, conditional_mean, krige, site_problem
+from .spatial import SpatialData, krige, site_problem
 
 __all__ = [
     "BlockedCovariance",
@@ -35,7 +35,6 @@ __all__ = [
     "adjudicate_exactness",
     "binomial_kernel",
     "build_blocked",
-    "conditional_mean",
     "deviance_gof",
     "fit_posterior",
     "gaussian_kernel",

@@ -7,12 +7,12 @@ positive definite, and the other calls leave it unchanged.  No entry is
 checked for being finite: a non-finite entry of ``A``'s lower triangle
 either stops ``potrf`` or reaches the factor's diagonal.  A caller may
 lend LAPACK an array to work in (:func:`workspace`), such as a dead
-factor, so that repeated solves of one size allocate nothing.
+factor, so that repeated factorizations of one size allocate nothing.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotri, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotri, dpotrs
 
 
 def workspace(buf, shape) -> np.ndarray:
@@ -44,14 +44,3 @@ def potri(c) -> np.ndarray:
     # potri fills the lower triangle and leaves the rest of its copy of c
     np.copyto(inv, inv.T, where=~np.tri(len(inv), dtype=bool))
     return inv
-
-
-def trtrs(c, b, buf=None) -> np.ndarray:
-    """``L^-1 b`` for the factor ``L`` in ``c``, or for a leading block of one.
-
-    ``L'`` is copied into ``buf`` (:func:`workspace`).
-    """
-    u = workspace(buf, c.shape)
-    np.copyto(u, c.T)
-    # solve_triangular's path for a block that is not Fortran-contiguous, bit for bit
-    return dtrtrs(u, b, lower=0, trans=1)[0]

@@ -197,7 +197,7 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = dataio.load_config(args.config)
     sim = {"seed": cfg.seed, **cfg.simulate}
-    if not sim.get("omega"):
+    if sim.get("omega") is None:  # absent or null: the default
         sim.pop("omega", None)
     if args.replications is not None:
         sim["replications"] = args.replications
@@ -252,6 +252,8 @@ def cmd_validate(args) -> int:
     for tier in tiers:
         # a tier's design width is the same on every split
         _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
+    if not tiers or len(set(tiers)) < len(tiers):
+        raise ConfigError(f"validate.tiers must name at least one tier, each once: {tiers}")
     if n_train + n_test > dataset.n:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"

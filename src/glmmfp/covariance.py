@@ -13,7 +13,7 @@ band's distances to the sites up to it, bit for bit as ``cdist`` does,
 :func:`matern` overwrites them with the covariance, and the band's
 transpose fills the entries above it.  No ``scipy.spatial`` is loaded.
 Its one Cholesky factor is all that callers need, to draw from it, to
-certify its observed block and to krig (:func:`spatial.conditional_mean`).
+certify its observed block and to krig a draw (:mod:`simulate`'s oracle).
 """
 
 from __future__ import annotations

@@ -529,8 +529,3 @@ def identity_gaps(instances) -> np.ndarray:
     """
     stack = _stack_instances(instances)
     return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))
-
-
-def identity_gap(instance) -> float:
-    """Absolute difference between the two factorizations of the joint density."""
-    return float(identity_gaps([instance])[0])

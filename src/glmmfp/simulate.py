@@ -7,8 +7,8 @@ RMSE metrics:
 
 * ``oracle``        - true parameters and true random effects known;
                       unobserved effects predicted by the conditional
-                      mean D21 D11^-1 gamma = L21 L11^-1 gamma
-                      (ground-truth ceiling).
+                      mean D21 D11^-1 gamma, the noise-free limit of
+                      kriging (ground-truth ceiling).
 * ``sic_true``      - the posterior mode at the true parameters, kriged
                       (:func:`spatial.krige`) through the prior's ``d12``.
 * ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
@@ -17,15 +17,17 @@ RMSE metrics:
 
 A replication (:class:`SimDataset`) factors the joint (n + n*) prior of
 its sites once, in :func:`covariance.build_blocked`.  That factor ``L``
-draws the field (gamma, gamma*) = L z, krigs the oracle through its
-blocks L11 and L21, and certifies the observed block D11 for the
-mode-finder.
+draws the field (gamma, gamma*) = L z and certifies the observed block
+D11 for the mode-finder.  With ``L`` partitioned like the prior,
+D21 = L21 L11' and D11 = L11 L11', and the draw is gamma = L11 z1, so the
+oracle's predictor is exactly D21 D11^-1 gamma = L21 z1: one product with
+the draw's own normals, and no solve with D11.
 
 Once its scenarios are recorded, a replication is dead: nothing reads it
 again.  It lends the next replication its prior's two (n + n*)^2 buffers
-and its n x n buffer, in which the oracle's triangular solve and then the
-``sic_true`` fit's factor are made, so only the first replication of a
-run allocates them; every number is the same as with fresh buffers.
+and its n x n buffer, in which the ``sic_true`` fit's factor is made, so
+only the first replication of a run allocates them; every number is the
+same as with fresh buffers.
 
 Replications draw independent streams from (seed, replication index),
 so results are identical regardless of execution order.
@@ -45,7 +47,7 @@ from .estimate import estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions, fit_posterior
 from .metrics import rl2
-from .spatial import SpatialData, conditional_mean, krige, site_problem
+from .spatial import SpatialData, krige, site_problem
 
 ORACLE = "oracle"
 SIC_TRUE = "sic_true"
@@ -105,14 +107,20 @@ class SimConfig:
         unknown = [s for s in self.scenarios if s not in SCENARIOS]
         if unknown:
             raise ValueError(f"unknown scenarios: {unknown}")
+        if not self.scenarios or len(set(self.scenarios)) < len(self.scenarios):
+            raise ConfigError(
+                f"simulate.scenarios must name at least one scenario, each once: "
+                f"{list(self.scenarios)}"
+            )
 
 
 @dataclass(eq=False)
 class SimDataset:
-    """One replication: its sites, their joint prior, the true effects drawn.
+    """One replication: its sites, their joint prior, the true effects drawn
+    and the standard normals ``z`` that drew them, (gamma, gamma*) = L z.
 
-    ``buffer`` is the n x n array that its oracle's triangular solve and
-    then its ``sic_true`` fit's factor are made in.
+    ``buffer`` is the n x n array that its ``sic_true`` fit's factor is
+    made in.
     """
 
     observed: SpatialData
@@ -120,6 +128,7 @@ class SimDataset:
     blocked: BlockedCovariance
     gamma: np.ndarray
     gamma_star: np.ndarray
+    z: np.ndarray
     buffer: np.ndarray
 
 
@@ -128,8 +137,10 @@ def generate_dataset(
 ) -> SimDataset:
     """One replication's dataset, deterministic in (seed, rep_index).
 
-    ``spent``, a replication of ``config`` that its owner no longer reads,
-    lends its prior (:func:`covariance.build_blocked`) and its buffer.
+    The field is the prior's factor times the normals ``z``, which are kept
+    for the oracle.  ``spent``, a replication of ``config`` that its owner
+    no longer reads, lends its prior (:func:`covariance.build_blocked`) and
+    its buffer.
     """
     rng = np.random.default_rng([config.seed, rep_index])
     n, n_star = config.n, config.n_star
@@ -142,7 +153,8 @@ def generate_dataset(
     x_obs = rng.standard_normal(n)
     x_unobs = rng.standard_normal(n_star)
     blocked = build_blocked(config.omega, coords_obs, coords_unobs, prior)
-    gamma_joint = blocked.chol @ rng.standard_normal(n + n_star)
+    z = rng.standard_normal(n + n_star)
+    gamma_joint = blocked.chol @ z
     gamma, gamma_star = gamma_joint[:n], gamma_joint[n:]
     beta = np.asarray(config.beta, dtype=float)
     X = np.column_stack([np.ones(n), x_obs])
@@ -150,7 +162,7 @@ def generate_dataset(
     y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
     observed = SpatialData(y=y, X=X, coords=coords_obs, kernel=poisson_kernel())
     unobserved = SpatialData(None, X_unobs, coords_unobs, observed.kernel)
-    return SimDataset(observed, unobserved, blocked, gamma, gamma_star, buffer)
+    return SimDataset(observed, unobserved, blocked, gamma, gamma_star, z, buffer)
 
 
 @dataclass(eq=False)
@@ -172,7 +184,8 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     truth, truth_star = dataset.gamma, dataset.gamma_star
     zeros = dict.fromkeys(_TABLE_COLUMNS[3:], 0.0)  # the rmse columns
     if scenario == ORACLE:
-        pred_star = conditional_mean(truth, dataset.blocked, dataset.buffer)
+        n = dataset.blocked.n_observed
+        pred_star = dataset.blocked.chol[n:, :n] @ dataset.z[:n]  # D21 D11^-1 gamma
         return dict(rl2=0.0, rl2_star=rl2(truth_star, pred_star), **zeros)
     observed, unobserved, blocked = dataset.observed, dataset.unobserved, dataset.blocked
     beta = np.asarray(config.beta, dtype=float)

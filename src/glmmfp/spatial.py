@@ -16,10 +16,7 @@ estimate's own, say) and does no factorization.  The predicted response
 is b'(X* beta + xi*) under the unobserved sites' own kernel (their trial
 counts for the binomial family), and the predicted working response is
 X* beta + xi*, as no response exists there.  With zero cross covariance
-this degenerates to the fixed-effects prediction, and in the noise-free
-limit to the conditional-mean (kriging) predictor D21 D11^-1 gamma,
-which :func:`conditional_mean` evaluates as L21 L11^-1 gamma from the
-prior's factor.
+this degenerates to the fixed-effects prediction.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 - bench/tests checks its traced binding
 
 from . import families
-from ._lapack import trtrs
 from .covariance import BlockedCovariance
 from .families import FamilyKernel
 from .fixed_point import FitReport, GlmmProblem
@@ -95,28 +91,3 @@ def krige(report: FitReport, unobserved: SpatialData, d12) -> SpatialPrediction:
     eta_star = unobserved.X @ fitted.beta + xi_star
     y_hat_star, _ = families.mean_and_weight(unobserved.kernel, eta_star)
     return SpatialPrediction(xi_star, y_hat_star, eta_star, report)
-
-
-def conditional_mean(gamma, blocked: BlockedCovariance, buf=None) -> np.ndarray:
-    """Noise-free predictor D21 D11^-1 gamma at the unobserved sites.
-
-    With ``full = L L'`` partitioned like ``full``, ``D21 = L21 L11'`` and
-    ``D11 = L11 L11'``, so the predictor is ``L21 L11^-1 gamma``: one
-    triangular solve with the carried factor, and no factorization.  The
-    solve works in ``buf``, an n x n array (:func:`_lapack.workspace`).
-
-    Its accuracy is limited by the conditioning of ``D11``, which
-    :func:`covariance.build_blocked` does not check: it certifies
-    positive definiteness only.  On a unit-sill exponential prior
-    (``omega2 = 1``) with three pairs of observed sites 1e-13 apart,
-    cond(``D11``) is about 2.4e13 and no jitter is needed; a ``gamma``
-    drawn from the prior then krigs to about 2e-10 of a 50-digit solve,
-    but an arbitrary ``gamma`` (such as a posterior mode) only to about
-    1e-4.
-    """
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    n = blocked.n_observed
-    if gamma.shape[0] != n:
-        raise ValueError("gamma length must match the observed block")
-    L = blocked.chol
-    return L[n:, :n] @ trtrs(L[:n, :n], gamma, buf)

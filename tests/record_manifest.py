@@ -1,0 +1,132 @@
+"""Run a fixed set of glmmfp commands and record the sha256 of every file they
+write, with each command's exit code and the versions that computed them.
+
+    python tests/record_manifest.py [PATH]
+
+writes the manifest to PATH, by default ``tests/output_manifest.json``, the
+one that ``tests/test_output_manifest.py`` compares a fresh run with.  A
+change that moves output bytes on purpose re-records it and lists each moved
+file.  The commands run in one process at one BLAS thread, since the thread
+count changes the bytes; the inputs are made here and hashed too.
+"""
+
+import os
+
+# before numpy loads: the bytes are defined at one BLAS thread
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from glmmfp import cli, dataio  # noqa: E402
+
+MANIFEST = HERE / "output_manifest.json"
+
+FIXED = {"beta": [4.5], "matern": {"omega1": 0.5, "omega2": 1.5}}
+ESTIMATED = {"beta": "estimate", "matern": "estimate"}
+VALIDATE = {"splits": 3, "n_train": 40, "n_test": 15}
+SIMULATE = {"n": 60, "n_star": 40, "replications": 3,
+            "scenarios": ["oracle", "sic_true", "sic_estimated"]}
+
+# name: (config, argv after the subcommand's --config and --out)
+COMMANDS = {
+    "fit-fixed": ({"family": "poisson", **FIXED}, ["fit", "--data", "train.csv"]),
+    "fit-estimated": ({"family": "poisson", **ESTIMATED}, ["fit", "--data", "train.csv"]),
+    "predict-fixed": (
+        {"family": "poisson", **FIXED},
+        ["predict", "--data", "train.csv", "--test", "test.csv"],
+    ),
+    "predict-estimated": (
+        {"family": "poisson", **ESTIMATED},
+        ["predict", "--data", "train.csv", "--test", "test.csv"],
+    ),
+    "validate-fixed": (
+        {"family": "poisson", **FIXED, "validate": {**VALIDATE, "tiers": ["intercept"]}},
+        ["validate", "--data", "train.csv", "--seed", "5"],
+    ),
+    "validate-estimated": (
+        {"family": "poisson", **ESTIMATED, "validate": VALIDATE},
+        ["validate", "--data", "train.csv", "--seed", "5"],
+    ),
+    "fit-binomial": (
+        {"family": "binomial", "beta": [0.3], "matern": {"omega1": 0.4, "omega2": 0.8}},
+        ["fit", "--data", "binomial.csv"],
+    ),
+    "fit-gaussian": (
+        {"family": "gaussian", "gaussian_variance": 0.25, "beta": [1.0],
+         "matern": {"omega1": 0.3, "omega2": 2.0, "omega3": 1.5}},
+        ["fit", "--data", "gaussian.csv"],
+    ),
+    "simulate": ({"simulate": SIMULATE}, ["simulate", "--seed", "11"]),
+    "verify-0": ({}, ["verify", "--seed", "0"]),
+    "verify-1": ({}, ["verify", "--seed", "1"]),
+}
+
+
+def environment() -> dict:
+    """The versions that the bytes depend on, numpy's and scipy's OpenBLAS both."""
+    def openblas(module):
+        return module.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas": {"numpy": openblas(np), "scipy": openblas(scipy)},
+    }
+
+
+def write_inputs(root: Path):
+    """The datasets: synthetic counts, and binomial and Gaussian responses
+    drawn here from numpy alone."""
+    dataio.write_synthetic_counts(root / "train.csv", n_sites=60, seed=1)
+    dataio.write_synthetic_counts(root / "test.csv", n_sites=15, seed=2)
+    rng = np.random.default_rng(7)
+    coords = rng.uniform(0.0, 1.0, size=(40, 2))
+    trend = np.sin(3.0 * coords[:, 0]) + np.cos(2.0 * coords[:, 1])
+    m = rng.integers(1, 9, size=40)
+    y = rng.binomial(m, 1.0 / (1.0 + np.exp(-trend)))
+    dataio.write_csv(root / "binomial.csv", ("y", "m", "x_coord", "y_coord"),
+                     zip(y, m, *coords.T))
+    y = 1.0 + trend + 0.5 * rng.standard_normal(40)
+    dataio.write_csv(root / "gaussian.csv", ("y", "x_coord", "y_coord"), zip(y, *coords.T))
+
+
+def run(root: Path) -> dict:
+    """Run every command under ``root`` and hash every file there."""
+    write_inputs(root)
+    exit_codes = {}
+    cwd = os.getcwd()
+    os.chdir(root)  # the commands name their files relative to it
+    try:
+        for name, (config, argv) in COMMANDS.items():
+            Path(f"{name}.json").write_text(json.dumps(config))
+            argv = [argv[0], "--config", f"{name}.json", "--out", name, "--quiet", *argv[1:]]
+            exit_codes[name] = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    files = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+    return {"environment": environment(), "exit_codes": exit_codes, "files": files}
+
+
+def main(path=MANIFEST):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = run(Path(tmp))
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])

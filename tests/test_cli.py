@@ -467,6 +467,18 @@ class TestSimulate:
         audit = json.loads((out / "audit.json").read_text())
         assert len(audit["records"]) == 1
 
+    @pytest.mark.parametrize("omega", ["absent", None])
+    def test_absent_or_null_omega_is_the_default(self, tmp_path, omega):
+        section = {"n": 10, "n_star": 5, "replications": 1, "scenarios": ["oracle"]}
+        if omega != "absent":
+            section["omega"] = omega
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"simulate": section})
+        code = cli.main(["simulate", "--config", config, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+        audit = json.loads((out / "audit.json").read_text())
+        assert audit["config"]["omega"] == [0.5, 1.0, 0.5]
+
     def test_failed_replication_is_recorded_and_left_out(self, tmp_path, monkeypatch):
         original = simulate.fit_posterior
         calls = []
@@ -922,6 +934,30 @@ CONFIG_VALUES = [
      "validate.tiers must be a JSON array"),
 ]
 
+# more of them, by test id: a scenario or tier named twice would run, and be
+# counted, twice, and a falsy simulate.omega is not its default, which only
+# an absent or null one takes (TestSimulate)
+CONFIG_VALUES_BY_ID = {
+    "scenarios-empty": ("simulate", {"simulate": {"scenarios": []}},
+                        "simulate.scenarios must name at least one scenario, each once: []"),
+    "scenarios-repeated": (
+        "simulate", {"simulate": {"scenarios": ["oracle", "oracle"]}},
+        "simulate.scenarios must name at least one scenario, each once: ['oracle', 'oracle']",
+    ),
+    "tiers-empty": ("validate", {"validate": {"tiers": []}},
+                    "validate.tiers must name at least one tier, each once: []"),
+    "tiers-repeated": (
+        "validate", {"validate": {"tiers": ["intercept", "intercept"]}},
+        "validate.tiers must name at least one tier, each once: ['intercept', 'intercept']",
+    ),
+    **{f"omega-{name}": ("simulate", {"simulate": {"omega": omega}},
+                         "simulate.omega must be a JSON object")
+       for name, omega in (("false", False), ("zero", 0), ("empty-string", ""),
+                           ("empty-list", []))},
+    "omega-empty-object": ("simulate", {"simulate": {"omega": {}}},
+                           "simulate.omega.omega1 must be a finite number: None"),
+}
+
 
 class TestConfigCounts:
     """A config count, number or list of the wrong kind is an error naming its key."""
@@ -982,8 +1018,9 @@ class TestConfigCounts:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, payload, message", CONFIG_VALUES,
-        ids=[f"{command}-{message.split()[0]}" for command, _, message in CONFIG_VALUES],
+        "command, payload, message", CONFIG_VALUES + list(CONFIG_VALUES_BY_ID.values()),
+        ids=[f"{command}-{message.split()[0]}" for command, _, message in CONFIG_VALUES]
+        + list(CONFIG_VALUES_BY_ID),
     )
     def test_numbers_and_lists_are_checked_not_coerced(
         self, tmp_path, capsys, command, payload, message

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
-from glmmfp._lapack import potrf, potri, potrs, trtrs
+from glmmfp._lapack import potrf, potri, potrs
 
 SIZES = [1, 7, 70]
 
@@ -29,19 +29,6 @@ class TestMatchesScipy:
         rhs = np.random.default_rng(1).standard_normal((n, 3))
         for b in (rhs[:, 0], rhs, a.T):
             assert np.array_equal(potrs(c, b), cho_solve((c, True), b))
-
-    def test_triangular_solve(self, n):
-        # a leading block of a larger factor, as kriging solves with, and a
-        # C-ordered lower triangle
-        c = potrf(spd(n + 5, 2).copy(order="F"))
-        b = np.random.default_rng(2).standard_normal(n)
-        for block in (c[:n, :n], np.ascontiguousarray(np.tril(c[:n, :n]))):
-            want = solve_triangular(block, b, lower=True)
-            assert np.array_equal(trtrs(block, b), want)
-            # in a lent buffer, such as a dead factor, whatever it held
-            buf = potrf(spd(n, 4).copy(order="F"))
-            assert np.array_equal(trtrs(block, b, buf), want)
-            assert np.array_equal(buf, block.T)
 
     def test_inverse_is_exactly_symmetric(self, n):
         a = spd(n, 3)

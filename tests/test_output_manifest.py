@@ -1,0 +1,48 @@
+"""Every subcommand's output bytes against the committed manifest.
+
+``record_manifest.py`` runs ``fit``, ``predict`` and ``validate`` with fixed
+and estimated parameters, a binomial and a Gaussian ``fit``, ``simulate``
+with all three scenarios and ``verify`` at two seeds, in one process at one
+BLAS thread, and hashes every file that they read and write.  A change that
+moves bytes on purpose re-records ``output_manifest.json`` with it and lists
+the moved files; one that moves them by accident fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+RECORD = HERE / "record_manifest.py"
+MANIFEST = HERE / "output_manifest.json"
+
+
+def differences(want: dict, got: dict) -> list:
+    """The keys of two ``{name: value}`` maps whose values differ, a missing one
+    included."""
+    return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+
+
+def test_output_bytes_match_the_manifest(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    path = tmp_path / "manifest.json"
+    proc = subprocess.run(
+        [sys.executable, str(RECORD), str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, want = json.loads(path.read_text()), json.loads(MANIFEST.read_text())
+    # the bytes are those of one set of versions; on another, this test fails
+    # rather than skips, so that no environment passes it unchecked
+    assert got["environment"] == want["environment"], (
+        f"{MANIFEST.name} was recorded with {want['environment']}, but this "
+        f"environment has {got['environment']}"
+    )
+    codes = differences(want["exit_codes"], got["exit_codes"])
+    assert not codes, "exit codes differ: " + ", ".join(
+        f"{k} {want['exit_codes'].get(k)} -> {got['exit_codes'].get(k)}" for k in codes
+    )
+    files = differences(want["files"], got["files"])
+    assert not files, f"output bytes differ from {MANIFEST.name} in: {', '.join(files)}"

@@ -47,6 +47,9 @@ class TestConfig:
             SimConfig(side=-1.0)
         with pytest.raises(ValueError, match="unknown scenarios"):
             SimConfig(scenarios=("oracle", "bogus"))
+        for scenarios in ((), ("oracle", "sic_true", "oracle")):
+            with pytest.raises(ConfigError, match="simulate.scenarios must name"):
+                SimConfig(scenarios=scenarios)
         # the joint prior of n + n* sites holds (n + n*)**2 doubles
         assert simulate.PRIOR_BUDGET == 4096**2
         SimConfig(n=4000, n_star=96)
@@ -123,6 +126,43 @@ class TestScenarios:
         assert omega is fit.omega_hat
         assert coords_obs is dataset.observed.coords
         assert coords_unobs is dataset.unobserved.coords
+
+    @staticmethod
+    def oracle_prediction(dataset, config, monkeypatch):
+        """The oracle's prediction at the unobserved sites, as ``rl2`` sees it."""
+        seen = []
+        monkeypatch.setattr(simulate, "rl2", lambda truth, pred: seen.append(pred) or 0.0)
+        simulate._scenario_metrics(dataset, ORACLE, config)
+        [pred] = seen
+        return pred
+
+    def test_oracle_krigs_the_replications_own_draw(self, monkeypatch):
+        dataset = generate_dataset(SMALL, 1)
+        # z is the stream's draw after the sites and the covariates
+        rng = np.random.default_rng([SMALL.seed, 1])
+        n, n_star = SMALL.n, SMALL.n_star
+        rng.uniform(size=(n + n_star) * 2)
+        rng.standard_normal(n + n_star)
+        assert np.array_equal(dataset.z, rng.standard_normal(n + n_star))
+        L = dataset.blocked.chol
+        assert np.array_equal(L @ dataset.z, np.concatenate([dataset.gamma, dataset.gamma_star]))
+        pred = self.oracle_prediction(dataset, SMALL, monkeypatch)
+        assert np.array_equal(pred, L[n:, :n] @ dataset.z[:n])
+
+    @pytest.mark.parametrize("nu", [0.5, 2.5])
+    def test_oracle_is_the_dense_conditional_mean(self, nu, monkeypatch):
+        # D21 D11^-1 gamma by a dense solve, on a prior whose D11 is well conditioned
+        config = SimConfig(
+            n=30, n_star=12, beta=(2.0, 0.0), omega=MaternParams(0.5, 1.0, nu),
+            replications=1, side=10.0, scenarios=(ORACLE,),
+        )
+        dataset = generate_dataset(config, 0)
+        blocked = dataset.blocked
+        assert np.linalg.cond(blocked.d11) < 1e6
+        expected = blocked.d12.T @ np.linalg.solve(blocked.d11, dataset.gamma)
+        pred = self.oracle_prediction(dataset, config, monkeypatch)
+        assert pred.shape == (12,)
+        assert np.max(np.abs(pred - expected)) < 1e-10
 
     def test_oracle_and_sic_true_metrics(self):
         result = run_scenarios(SMALL)
@@ -218,7 +258,7 @@ class TestLentBuffers:
 
     def test_lent_replication_equals_a_fresh_one(self):
         spent = generate_dataset(SMALL, 0)
-        for scenario in (ORACLE, SIC_TRUE):  # both work in its buffer
+        for scenario in (ORACLE, SIC_TRUE):  # sic_true works in its buffer
             simulate._scenario_metrics(spent, scenario, SMALL)
         lent = generate_dataset(SMALL, 1, spent)
         fresh = generate_dataset(SMALL, 1)
@@ -229,11 +269,8 @@ class TestLentBuffers:
         assert np.array_equal(lent.gamma, fresh.gamma)
         assert np.array_equal(lent.gamma_star, fresh.gamma_star)
         assert np.array_equal(lent.observed.y, fresh.observed.y)
+        assert np.array_equal(lent.z, fresh.z)
         assert lent.buffer is spent.buffer
-        assert np.array_equal(
-            simulate.conditional_mean(lent.gamma, lent.blocked, lent.buffer),
-            simulate.conditional_mean(fresh.gamma, fresh.blocked),
-        )
         beta = np.asarray(SMALL.beta)
         fit_lent = simulate.fit_posterior(
             site_problem(lent.observed, lent.blocked, beta), FitOptions(), lent.buffer

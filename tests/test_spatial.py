@@ -21,7 +21,7 @@ from glmmfp.families import (
     poisson_kernel,
 )
 from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
-from glmmfp.spatial import SpatialData, conditional_mean, krige, site_problem
+from glmmfp.spatial import SpatialData, krige, site_problem
 
 
 def near_duplicate_prior():
@@ -253,55 +253,6 @@ class TestBinomialPrediction:
             sites(problem.unobserved, kernel=binomial_kernel(np.zeros(4)))
 
 
-class TestConditionalMean:
-    def test_matches_direct_solve(self):
-        problem, gamma, _ = make_problem(seed=10)
-        out = conditional_mean(gamma, problem.blocked)
-        expected = problem.blocked.d12.T @ np.linalg.solve(
-            problem.blocked.d11, gamma
-        )
-        assert np.max(np.abs(out - expected)) < 1e-10
-
-    def test_interpolates_at_near_coincident_site(self):
-        coords_obs = np.array([[0.0, 0.0], [5.0, 5.0]])
-        coords_unobs = np.array([[0.0, 1e-9]])
-        blocked = build_blocked(MaternParams(0.5, 1.0), coords_obs, coords_unobs)
-        gamma = np.array([2.0, -1.0])
-        out = conditional_mean(gamma, blocked)
-        assert out[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_length_check(self):
-        problem, gamma, _ = make_problem(seed=11)
-        with pytest.raises(ValueError, match="gamma length"):
-            conditional_mean(gamma[:-1], problem.blocked)
-
-    @pytest.mark.parametrize("n_star", [12, 0])
-    @pytest.mark.parametrize("nu", [0.5, 2.5])
-    def test_carried_factor_matches_dense_solve(self, nu, n_star):
-        rng = np.random.default_rng(16)
-        coords_obs = rng.uniform(0, 10, size=(30, 2))
-        coords_unobs = rng.uniform(0, 10, size=(n_star, 2))
-        blocked = build_blocked(MaternParams(0.5, 1.0, nu), coords_obs, coords_unobs)
-        gamma = rng.standard_normal(30)
-        out = conditional_mean(gamma, blocked)
-        expected = blocked.d12.T @ np.linalg.solve(blocked.d11, gamma)
-        assert out.shape == (n_star,)
-        assert np.max(np.abs(out - expected), initial=0.0) < 1e-10
-
-    def test_carried_factor_matches_dense_solve_under_jitter(self):
-        # the prior of test_prior_that_needs_jitter: d11 has condition
-        # number ~6e10, so both paths carry roundoff near 1e-10 (each is
-        # that far from a 50-digit solve); gamma is a prior draw, as the
-        # simulation oracle's is
-        blocked = near_duplicate_prior()
-        assert blocked.jitter > 0
-        n = blocked.n_observed
-        gamma = blocked.chol[:n, :n] @ np.random.default_rng(2).standard_normal(n)
-        out = conditional_mean(gamma, blocked)
-        expected = blocked.d12.T @ np.linalg.solve(blocked.d11, gamma)
-        assert np.max(np.abs(out - expected)) < 1e-9
-
-
 class TestKrigingOfTheMode:
     # a loose tol stops the solver a visible step short of the mode; the
     # prediction still krigs the xi it reports
@@ -311,7 +262,8 @@ class TestKrigingOfTheMode:
         problem, _, _ = make_problem(seed=15, n=40, n_star=15, family=family)
         pred = fit_and_krige(problem, FitOptions(tol=tol))
         assert pred.report.converged
-        expected = conditional_mean(pred.report.xi, problem.blocked)
+        d11, d12 = problem.blocked.d11, problem.blocked.d12
+        expected = d12.T @ np.linalg.solve(d11, pred.report.xi)
         assert np.max(np.abs(pred.xi_star - expected)) < 1e-9
 
 
