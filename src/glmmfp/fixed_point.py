@@ -17,9 +17,9 @@ working linear mixed model update of penalized quasi-likelihood,
 
 with working response ``u = eta + (y - mu) / (phi w)``: the mode is that
 update's fixed point, ``Delta`` its defect, and ``Xi = H^-1 = D - D Z'
-R^-1 Z D`` the Laplace covariance.  The start is one such update at the
-family's IRLS predictor, which for the Gaussian kernel is already the
-conjugate posterior, so the first iterate confirms it.
+R^-1 Z D`` the Laplace covariance.  The start is one such update at a
+given predictor or the family's IRLS predictor, which for the Gaussian
+kernel is already the conjugate posterior, so the first iterate confirms it.
 
 It is the observation-space form of Newton's method (Rasmussen &
 Williams 2006, Alg. 3.1) with prior covariance ``Z D Z'`` of the
@@ -285,15 +285,18 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     return float(np.max(np.abs(xi - raw), initial=0.0))
 
 
-def _start(problem: GlmmProblem, buf=None):
-    """``(xi, b)`` after one update at the family's starting predictor."""
-    eta0, w0 = problem.initial_eta
-    s0, _ = _score(problem, eta0)
+def _start(problem: GlmmProblem, buf=None, eta0=None):
+    """``(xi, b)`` after one update at ``eta0``, by default the family's start."""
+    if eta0 is None:
+        eta0, w0 = problem.initial_eta
+        s0 = _score(problem, eta0)[0]
+    else:
+        s0, w0 = _score(problem, eta0)
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 
 
 def fit_posterior(
-    problem: GlmmProblem, options: FitOptions = FitOptions(), buf=None
+    problem: GlmmProblem, options: FitOptions = FitOptions(), buf=None, eta0=None
 ) -> FitReport:
     """Find the posterior mode of the random effects by Newton's method.
 
@@ -307,10 +310,13 @@ def fit_posterior(
     Every factor of the fit is made in one n x n buffer, ``buf``
     (:func:`_lapack.workspace`), such as an earlier report's ``chol``, and
     the report keeps the last.
+    The fit starts with one working update at ``eta0``, such as a nearby
+    prior's mode, by default at the family's IRLS predictor: the start
+    changes the path to the mode, not the mode beyond ``tol``.
     """
     buf = workspace(buf, (problem.n, problem.n))
     offset = problem.X @ problem.beta
-    xi, b = _start(problem, buf)
+    xi, b = _start(problem, buf, eta0)
     a = problem.adjoint(b)
     eta = offset + problem.effects(xi)
     logpost = _log_posterior(problem, eta, xi, a)

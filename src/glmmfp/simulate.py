@@ -94,19 +94,21 @@ class SimConfig:
             raise ConfigError(f"simulate.beta must be two finite numbers: {self.beta!r}")
         object.__setattr__(self, "beta", beta)
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ConfigError(f"simulate.replications must be >= 1: {self.replications!r}")
         if self.n < 1 or self.n_star < 1:
-            raise ValueError("site counts must be >= 1")
+            raise ConfigError(
+                f"simulate.n and simulate.n_star must be >= 1: {self.n}, {self.n_star}"
+            )
         if (self.n + self.n_star) ** 2 > PRIOR_BUDGET:
             raise ConfigError(
                 f"simulate.n + simulate.n_star must be at most {math.isqrt(PRIOR_BUDGET)}, "
                 f"a joint prior of {PRIOR_BUDGET} doubles: {self.n} + {self.n_star}"
             )
         if self.side <= 0:
-            raise ValueError("side length must be positive")
+            raise ConfigError(f"simulate.side must be a positive number: {self.side!r}")
         unknown = [s for s in self.scenarios if s not in SCENARIOS]
         if unknown:
-            raise ValueError(f"unknown scenarios: {unknown}")
+            raise ConfigError(f"simulate.scenarios names unknown scenarios: {unknown}")
         if not self.scenarios or len(set(self.scenarios)) < len(self.scenarios):
             raise ConfigError(
                 f"simulate.scenarios must name at least one scenario, each once: "

@@ -39,13 +39,16 @@ class TestConfig:
         assert cfg.replications == 100
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(replications=0)
-        with pytest.raises(ValueError):
-            SimConfig(n=0)
-        with pytest.raises(ValueError):
-            SimConfig(side=-1.0)
-        with pytest.raises(ValueError, match="unknown scenarios"):
+        # each names its key, as the CLI's checks do
+        for bad, message in (
+            (dict(replications=0), "simulate.replications must be >= 1: 0"),
+            (dict(n=0), "simulate.n and simulate.n_star must be >= 1: 0, "),
+            (dict(side=-1.0), "simulate.side must be a positive number: -1.0"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                SimConfig(**bad)
+        unknown = r"simulate.scenarios names unknown scenarios: \['bogus'\]"
+        with pytest.raises(ConfigError, match=unknown):
             SimConfig(scenarios=("oracle", "bogus"))
         for scenarios in ((), ("oracle", "sic_true", "oracle")):
             with pytest.raises(ConfigError, match="simulate.scenarios must name"):
