@@ -118,6 +118,8 @@ def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
         "objective": result.objective_value,
         "optimizer_converged": result.converged,
         "optimizer_iterations": result.optimizer_iterations,
+        "newton_steps": result.newton_steps,
+        "stop": result.stop,
         "fits": result.fits,
         "failed_fits": result.failed_fits,
     }
@@ -292,8 +294,8 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
         if not prediction.report.converged:
             raise RuntimeError("mode-finder did not converge on a split")
         raise RuntimeError(
-            f"the estimate did not converge in {est_meta['optimizer_iterations']} "
-            f"scoring steps and {est_meta['fits']} fits"
+            f"the estimate did not converge (stop: {est_meta['stop']}) in "
+            f"{est_meta['optimizer_iterations']} scoring steps and {est_meta['fits']} fits"
         )
     kernel = dataio.make_kernel(cfg, test.trials)
     return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
@@ -370,6 +372,7 @@ def cmd_verify(args) -> int:
                 "r": problem.r,
                 "mean_gap": report.mean_gap,
                 "cov_gap": report.cov_gap,
+                "marginal_gap": report.marginal_gap,
                 "oracle_error": report.oracle.error_estimate,
                 "oracle_order": report.oracle.order_or_samples,
                 "verdict": report.verdict,

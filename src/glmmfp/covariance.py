@@ -115,31 +115,41 @@ def matern(params: MaternParams, d, out=None):
     return float(a[0]) if scalar else a
 
 
-def matern_scale_derivative(params: MaternParams, d) -> np.ndarray:
+def matern_scale_derivative(params: MaternParams, d, second: bool = False) -> np.ndarray:
     """Derivative of :func:`matern` in ``log omega2`` at distances ``d``.
 
     With ``a = omega2 d`` it is ``sill * a f'(a)`` for the correlation
-    ``f``: closed forms for smoothness 0.5/1.5/2.5, and otherwise
-    ``d/da [a^nu K_nu(a)] = -a^nu K_(nu-1)(a)``.  It is 0 at ``d = 0``, so
-    a diagonal jitter does not enter it.
+    ``f``, and with ``second`` the second derivative
+    ``sill * (a f'(a) + a^2 f''(a))``: closed forms, a polynomial times
+    ``exp(-a)``, for smoothness 0.5/1.5/2.5, and otherwise from
+    ``d/da [a^nu K_nu(a)] = -a^nu K_(nu-1)(a)``,
+    ``-a^(nu+1) K_(nu-1)(a)`` and
+    ``a^(nu+2) K_(nu-2)(a) - 2 a^(nu+1) K_(nu-1)(a)`` over
+    ``2^(nu-1) Gamma(nu)``.  Both are 0 at ``d = 0``, so a diagonal
+    jitter does not enter them.
     """
     a = params.omega2 * np.asarray(d, dtype=float)
     nu = params.omega3
-    if nu == 0.5:
-        af = -a * np.exp(-a)
-    elif nu == 1.5:
-        af = -(a**2) * np.exp(-a)
-    elif nu == 2.5:
-        af = -(a**2) * (1.0 + a) / 3.0 * np.exp(-a)
+    if nu in (0.5, 1.5, 2.5):
+        if nu == 0.5:
+            poly = a * (a - 1.0) if second else -a
+        elif nu == 1.5:
+            poly = a**2 * (a - 2.0) if second else -(a**2)
+        elif second:
+            poly = a**2 / 3.0 * (a**2 - 2.0 * a - 2.0)
+        else:
+            poly = -(a**2) * (1.0 + a) / 3.0
+        af = poly * np.exp(-a)
     else:
         from scipy.special import gamma as gamma_fn, kv
         af = np.zeros_like(a)
         pos = a > 0
         ap = a[pos]
         with np.errstate(over="ignore", invalid="ignore"):
-            af[pos] = -(ap ** (nu + 1.0)) * kv(nu - 1.0, ap) / (
-                2.0 ** (nu - 1.0) * gamma_fn(nu)
-            )
+            ak = -(ap ** (nu + 1.0)) * kv(nu - 1.0, ap)
+            if second:
+                ak = 2.0 * ak + ap ** (nu + 2.0) * kv(nu - 2.0, ap)
+            af[pos] = ak / (2.0 ** (nu - 1.0) * gamma_fn(nu))
         af[pos] = np.nan_to_num(af[pos], nan=0.0, posinf=0.0, neginf=0.0)
     return params.sill * af
 

@@ -367,6 +367,20 @@ def laplace_skew(report: FitReport, xi_diag) -> np.ndarray:
     return -0.5 * xi_diag * b3
 
 
+def laplace_marginal(report: FitReport) -> float:
+    """Laplace approximation of the log marginal likelihood at the mode.
+
+    ``log f(y | xi) + log pi(xi) + (r/2) log 2 pi + (1/2) log det Xi``
+    is ``log_posterior - (1/2) log det(R W)``, read off the report's
+    factor of ``R``: as ``det(I + D Z'WZ) = det(W R)``, the prior's
+    ``log det D`` and ``2 pi`` terms cancel (Rasmussen & Williams 2006,
+    eq. 3.32).  For the Gaussian kernel it is the exact marginal.
+    """
+    logdet_r = 2.0 * np.sum(np.log(np.diag(report.chol)))
+    logdet_rw = logdet_r + np.sum(np.log(report.w))
+    return float(report.log_posterior - 0.5 * logdet_rw)
+
+
 def corrected_mean(report: FitReport) -> np.ndarray:
     """Leading-order posterior mean ``xi + Xi Z' s2`` from the mode.
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
+from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior, laplace_marginal
 
 GAUSS_HERMITE = "gauss_hermite"
 IMPORTANCE_SAMPLING = "importance_sampling"
@@ -88,10 +88,12 @@ class PosteriorMoments:
 
 @dataclass(eq=False)
 class ExactnessReport:
-    """Sup-norm gaps of ``fit.xi`` and ``fit.Xi`` from the ``oracle`` moments."""
+    """Sup-norm gaps of ``fit.xi`` and ``fit.Xi`` from the ``oracle`` moments, and
+    the fit's :func:`fixed_point.laplace_marginal` minus ``oracle.log_marginal``."""
 
     mean_gap: float
     cov_gap: float
+    marginal_gap: float
     verdict: str
     fit: FitReport
     oracle: PosteriorMoments
@@ -334,5 +336,7 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
     else:
         verdict = "INCONCLUSIVE"
     return ExactnessReport(
-        mean_gap=mean_gap, cov_gap=cov_gap, verdict=verdict, fit=fit, oracle=ref
+        mean_gap=mean_gap, cov_gap=cov_gap,
+        marginal_gap=laplace_marginal(fit) - ref.log_marginal,
+        verdict=verdict, fit=fit, oracle=ref,
     )

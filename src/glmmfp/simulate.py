@@ -179,9 +179,10 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     """One replication's record of ``scenario``: the table's metrics.
 
     A ``sic_estimated`` record also counts the estimate's fits, failed
-    fits and scoring steps, which the aggregate leaves out; an estimate
-    that did not converge raises ``RuntimeError``, as a mode fit that did
-    not converge does, so the replication is recorded as failed.
+    fits, scoring steps and Newton steps, and names its stop, which the
+    aggregate leaves out; an estimate that did not converge raises
+    ``RuntimeError`` naming its stop, as a mode fit that did not converge
+    raises, so the replication is recorded as failed.
     """
     truth, truth_star = dataset.gamma, dataset.gamma_star
     zeros = dict.fromkeys(_TABLE_COLUMNS[3:], 0.0)  # the rmse columns
@@ -200,8 +201,8 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         fit = estimate(observed, init_beta, config.omega)
         if not fit.converged:
             raise RuntimeError(
-                f"the estimate did not converge in {fit.optimizer_iterations} scoring "
-                f"steps and {fit.fits} fits"
+                f"the estimate did not converge (stop: {fit.stop}) in "
+                f"{fit.optimizer_iterations} scoring steps and {fit.fits} fits"
             )
         report = fit.report
         d12 = cross_covariance(fit.omega_hat, observed.coords, unobserved.coords)
@@ -213,6 +214,8 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
             fits=fit.fits,
             failed_fits=fit.failed_fits,
             optimizer_iterations=fit.optimizer_iterations,
+            newton_steps=fit.newton_steps,
+            stop=fit.stop,
         )
     if not report.converged:
         raise RuntimeError("mode-finder did not converge")

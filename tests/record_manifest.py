@@ -1,13 +1,16 @@
 """Run a fixed set of glmmfp commands and record the sha256 of every file they
 write, with each command's exit code and the versions that computed them.
 
-    python tests/record_manifest.py [PATH]
+    python tests/record_manifest.py [PATH] [--keep DIR]
 
 writes the manifest to PATH, by default ``tests/output_manifest.json``, the
 one that ``tests/test_output_manifest.py`` compares a fresh run with.  A
 change that moves output bytes on purpose re-records it and lists each moved
 file.  The commands run in one process at one BLAS thread, since the thread
-count changes the bytes; the inputs are made here and hashed too.
+count changes the bytes; the inputs are made here and hashed too.  They run
+in a temporary directory, or with ``--keep`` in DIR, new or empty, which
+keeps every file they read and write: run it on two commits, and the values
+of each moved file can be compared, not only its digest.
 """
 
 import os
@@ -15,6 +18,7 @@ import os
 # before numpy loads: the bytes are defined at one BLAS thread
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -122,11 +126,23 @@ def run(root: Path) -> dict:
     return {"environment": environment(), "exit_codes": exit_codes, "files": files}
 
 
-def main(path=MANIFEST):
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = run(Path(tmp))
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("path", nargs="?", default=MANIFEST, help="the manifest to write")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="run in DIR, new or empty, and keep every file there")
+    args = parser.parse_args(argv)
+    if args.keep is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = run(Path(tmp))
+    else:
+        root = args.keep.resolve()
+        root.mkdir(parents=True, exist_ok=True)
+        if any(root.iterdir()):
+            parser.error(f"--keep {args.keep} is not empty")
+        manifest = run(root)
+    Path(args.path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()

@@ -153,8 +153,24 @@ class TestMaternScaleDerivative:
         assert got[0] == 0.0
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-10)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8])
+    def test_second_derivative_matches_central_differences(self, nu):
+        d = np.array([0.0, 0.05, 0.4, 1.0, 2.5, 7.0])
+        h = 1e-5
+
+        def first(log_omega2):
+            return matern_scale_derivative(MaternParams(0.3, float(np.exp(log_omega2)), nu), d)
+
+        log_omega2 = np.log(1.3)
+        fd = (first(log_omega2 + h) - first(log_omega2 - h)) / (2 * h)
+        got = matern_scale_derivative(MaternParams(0.3, 1.3, nu), d, second=True)
+        assert got[0] == 0.0
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-10)
+
     def test_large_distance_underflow_is_zero(self):
         far = matern_scale_derivative(MaternParams(0.5, 1.0, 3.2), np.array([1e6]))
+        assert far[0] == 0.0
+        far = matern_scale_derivative(MaternParams(0.5, 1.0, 3.2), np.array([1e6]), True)
         assert far[0] == 0.0
 
 

@@ -8,6 +8,7 @@ moves bytes on purpose re-records ``output_manifest.json`` with it and lists
 the moved files; one that moves them by accident fails here.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -27,13 +28,17 @@ def differences(want: dict, got: dict) -> list:
 
 def test_output_bytes_match_the_manifest(tmp_path):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    path = tmp_path / "manifest.json"
+    path, kept = tmp_path / "manifest.json", tmp_path / "kept"
     proc = subprocess.run(
-        [sys.executable, str(RECORD), str(path)],
+        [sys.executable, str(RECORD), str(path), "--keep", str(kept)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     got, want = json.loads(path.read_text()), json.loads(MANIFEST.read_text())
+    # --keep leaves every hashed file in place, so a moved one can be read
+    assert got["files"] == {
+        name: hashlib.sha256((kept / name).read_bytes()).hexdigest() for name in got["files"]
+    }
     # the bytes are those of one set of versions; on another, this test fails
     # rather than skips, so that no environment passes it unchecked
     assert got["environment"] == want["environment"], (
@@ -46,3 +51,13 @@ def test_output_bytes_match_the_manifest(tmp_path):
     )
     files = differences(want["files"], got["files"])
     assert not files, f"output bytes differ from {MANIFEST.name} in: {', '.join(files)}"
+
+
+def test_keep_refuses_a_directory_that_is_not_empty(tmp_path):
+    (tmp_path / "stale.csv").write_text("y\n")
+    proc = subprocess.run(
+        [sys.executable, str(RECORD), str(tmp_path / "manifest.json"), "--keep", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and "is not empty" in proc.stderr
+    assert not (tmp_path / "manifest.json").exists()

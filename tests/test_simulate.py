@@ -198,8 +198,8 @@ class TestScenarios:
         )
         stopped = EstimateResult(
             beta_hat=np.array([2.0, 0.0]), omega_hat=cfg.omega, objective_value=-1.0,
-            converged=False, optimizer_iterations=400, fits=14128, failed_fits=0,
-            report=None,
+            converged=False, optimizer_iterations=400, newton_steps=0, stop="step_limit",
+            fits=14128, failed_fits=0, report=None,
         )
         priors = []
         build_blocked = simulate.build_blocked
@@ -212,7 +212,8 @@ class TestScenarios:
         [record] = exc.value.result.records
         assert record[SIC_ESTIMATED] == {
             "failed": True,
-            "error": "the estimate did not converge in 400 scoring steps and 14128 fits",
+            "error": "the estimate did not converge (stop: step_limit) in 400 scoring "
+            "steps and 14128 fits",
             "error_type": "RuntimeError",
         }
         assert "failed" not in record[ORACLE]
@@ -242,10 +243,9 @@ class TestScenarios:
         )
         result = run_scenarios(cfg)
         for record, fit in zip(result.records, results, strict=True):
-            counts = {k: record[SIC_ESTIMATED][k]
-                      for k in ("fits", "failed_fits", "optimizer_iterations")}
-            assert counts == {"fits": fit.fits, "failed_fits": fit.failed_fits,
-                              "optimizer_iterations": fit.optimizer_iterations}
+            keys = ("fits", "failed_fits", "optimizer_iterations", "newton_steps", "stop")
+            counts = {k: record[SIC_ESTIMATED][k] for k in keys}
+            assert counts == {k: getattr(fit, k) for k in keys}
             assert fit.fits > fit.optimizer_iterations > 0
             assert set(record[SIC_TRUE]) == set(simulate._TABLE_COLUMNS[1:])
 

@@ -392,7 +392,7 @@ class TestFactorizationBudget:
         omega, dist = MaternParams(0.5, 1.0), cdist(coords, coords)
         report = estimate_module._fit(data, np.array([1.4]), omega, FitOptions(), dist)
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
-        value = estimate_module._surrogate(report)
+        value = estimate_module.laplace_marginal(report)
         grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
         assert np.isfinite(value) and grad.shape == (3,)
         assert calls.count("prior") == 1 and "cholesky" not in calls
