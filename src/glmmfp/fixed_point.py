@@ -110,7 +110,7 @@ class GlmmProblem:
             raise ValueError("prior covariance must be r x r")
         if self.D_chol is None:
             # the solver factors without checking for non-finite entries
-            if not np.all(np.isfinite(self.D)):
+            if not np.isfinite(self.D).all():
                 raise ValueError("prior covariance must be finite and positive definite")
             if not np.all(np.abs(self.D - self.D.T) <= 1e-12 + 1e-5 * np.abs(self.D.T)):
                 raise ValueError("prior covariance must be symmetric")
@@ -282,7 +282,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     eta = problem.X @ problem.beta + problem.effects(xi)
     s, w = _score(problem, eta)
     raw = _xi_raw(problem, eta + s / w, w)[0]
-    return float(np.max(np.abs(xi - raw), initial=0.0))
+    return float(np.abs(xi - raw).max(initial=0.0))
 
 
 def _start(problem: GlmmProblem, buf=None, eta0=None):
@@ -323,8 +323,8 @@ def fit_posterior(
     trace, halvings = [], 0
     while True:
         w, delta, d_b, chol = _newton_step(problem, eta, b, buf)
-        residual = float(np.max(np.abs(delta), initial=0.0))
-        converged = bool(max(residual, np.max(np.abs(d_b), initial=0.0)) <= options.tol)
+        residual = float(np.abs(delta).max(initial=0.0))
+        converged = bool(max(residual, np.abs(d_b).max(initial=0.0)) <= options.tol)
         if converged:
             trace.append((residual, residual))
         if converged or len(trace) == options.max_iter:
@@ -352,7 +352,7 @@ def fit_posterior(
     return FitReport(
         problem=problem, xi=xi, eta=eta, w=w, alpha=a, chol=chol, log_posterior=logpost,
         residual=residual, converged=converged, trace=trace, halvings=halvings,
-        eta_clamped=bool(np.max(np.abs(eta)) > families.ETA_CLAMP),
+        eta_clamped=bool(np.abs(eta).max() > families.ETA_CLAMP),
     )
 
 
@@ -376,8 +376,8 @@ def laplace_marginal(report: FitReport) -> float:
     ``log det D`` and ``2 pi`` terms cancel (Rasmussen & Williams 2006,
     eq. 3.32).  For the Gaussian kernel it is the exact marginal.
     """
-    logdet_r = 2.0 * np.sum(np.log(np.diag(report.chol)))
-    logdet_rw = logdet_r + np.sum(np.log(report.w))
+    logdet_r = 2.0 * np.log(report.chol.diagonal()).sum()
+    logdet_rw = logdet_r + np.log(report.w).sum()
     return float(report.log_posterior - 0.5 * logdet_rw)
 
 

@@ -23,7 +23,11 @@ of an order and the standardized tensor grid ``x`` of an (order, r), in
 one adjudication evaluates each order once, although every order's
 error estimate needs the half order too.  The integrand and moments are
 taken in ``x``, where ``gamma = xi + S x`` and ``S = chol(2 Xi)``: no
-grid of ``gamma`` is formed.  Node arrays are node-contiguous: ``x`` is
+grid of ``gamma`` is formed.  The center terms, those in ``(xi, Xi)``
+alone (``S``, the prior's ``L^-1 xi`` and ``L^-1 S`` for ``D = L L'``,
+the predictor offset ``X beta + Z xi``, ``Z S``, the log-determinant
+constant and ``log det S``), are made once per adjudication, not once
+per evaluated order.  Node arrays are node-contiguous: ``x`` is
 stored Fortran-ordered, the predictor is formed as (n, K) and the prior
 term as (r, K), so each sum over observations or effects is a few adds
 of length-K vectors.  Before any node is placed,
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,41 +104,66 @@ class ExactnessReport:
     oracle: PosteriorMoments
 
 
-def _log_integrand(problem: GlmmProblem, xi, scale, x: np.ndarray) -> np.ndarray:
-    """log g(xi + scale x) at standardized points ``x``, shape (K, r) -> (K,).
+class _Center(NamedTuple):
+    """The integrand's terms in the center alone, made once per adjudication.
 
-    With ``D = L L'``, the prior quadratic is ``|L^-1 xi + L^-1 scale x|^2``.
+    The nodes are ``gamma = xi + scale x``.  With ``D = L L'``, the prior
+    quadratic is ``|m + M x|^2`` with ``m = L^-1 xi`` and ``M = L^-1 scale``;
+    the predictor is ``offset + Z scale x``; ``const`` is the prior's
+    ``r log 2 pi + log det D`` and ``log_jac`` is ``log det scale``.
     """
-    L = problem.D_chol
-    m = np.linalg.solve(L, xi)
-    M = np.linalg.solve(L, scale)
-    offset = problem.X @ problem.beta + problem.effects(xi)
-    eta = offset[:, None] + problem.effects(scale) @ x.T
-    loglik = families.log_likelihood(
-        problem.kernel, eta.T, problem.y, const=problem.response_term
-    )
-    quad = np.sum((m[:, None] + M @ x.T) ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(L.diagonal()))
-    logprior = -0.5 * (problem.r * np.log(2.0 * np.pi) + logdet + quad)
-    return loglik + logprior
+
+    xi: np.ndarray
+    scale: np.ndarray
+    m: np.ndarray
+    M: np.ndarray
+    offset: np.ndarray
+    Zscale: np.ndarray
+    const: float
+    log_jac: float
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, shifted by its maximum."""
-    top = np.max(a)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.sum(np.exp(a - top))))
+def _center_terms(problem: GlmmProblem, center=None) -> _Center:
+    """The terms of a center ``(xi, Xi)``, by default the posterior mode's.
 
-
-def _center_and_scale(problem: GlmmProblem, center):
+    ``scale = chol(2 Xi)``, so the nodes' Gaussian weight is ``N(xi, Xi)``.
+    """
     if center is not None:
         xi, Xi = center
     else:
         report = fit_posterior(problem, FitOptions())
         xi, Xi = report.xi, report.Xi
+    xi = np.asarray(xi, dtype=float)
     scale = np.linalg.cholesky(2.0 * Xi)
-    return np.asarray(xi, dtype=float), scale
+    L = problem.D_chol
+    logdet = 2.0 * np.log(L.diagonal()).sum()
+    return _Center(
+        xi=xi, scale=scale,
+        m=np.linalg.solve(L, xi), M=np.linalg.solve(L, scale),
+        offset=problem.X @ problem.beta + problem.effects(xi),
+        Zscale=problem.effects(scale),
+        const=problem.r * np.log(2.0 * np.pi) + logdet,
+        log_jac=np.log(scale.diagonal()).sum(),
+    )
+
+
+def _log_integrand(problem: GlmmProblem, center: _Center, x: np.ndarray) -> np.ndarray:
+    """log g(xi + scale x) at standardized points ``x``, shape (K, r) -> (K,)."""
+    eta = center.offset[:, None] + center.Zscale @ x.T
+    loglik = families.log_likelihood(
+        problem.kernel, eta.T, problem.y, const=problem.response_term
+    )
+    quad = ((center.m[:, None] + center.M @ x.T) ** 2).sum(axis=0)
+    logprior = -0.5 * (center.const + quad)
+    return loglik + logprior
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, shifted by its maximum."""
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.exp(a - top).sum()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,20 +222,20 @@ def _check_quadrature(problem: GlmmProblem, order: int) -> None:
         )
 
 
-def _gh_raw(problem: GlmmProblem, order: int, xi, scale):
+def _gh_raw(problem: GlmmProblem, order: int, center: _Center):
     # the nodes' weight e^{-|x|^2} is N(xi, scale scale' / 2) = N(xi, Xi) in gamma
     x, base = _node_grid(order, problem.r)
-    log_terms = base + _log_integrand(problem, xi, scale, x)
-    log_jac = np.sum(np.log(np.diag(scale)))
+    log_terms = base + _log_integrand(problem, center, x)
     log_norm = _logsumexp(log_terms)
     if not np.isfinite(log_norm):
         raise FloatingPointError("all quadrature node weights underflowed")
     p = np.exp(log_terms - log_norm)
     mean_x = x.T @ p
     dev = x.T - mean_x[:, None]
+    scale = center.scale
     cov = scale @ ((dev * p) @ dev.T) @ scale.T
     cov = 0.5 * (cov + cov.T)
-    return xi + scale @ mean_x, cov, float(log_norm + log_jac)
+    return center.xi + scale @ mean_x, cov, float(log_norm + center.log_jac)
 
 
 def moments_quadrature(
@@ -222,21 +252,20 @@ def moments_quadrature(
     anything is fitted or allocated.
     """
     _check_quadrature(problem, order)
-    xi, scale = _center_and_scale(problem, center)
-    return _quadrature(problem, order, xi, scale, {})
+    return _quadrature(problem, order, _center_terms(problem, center), {})
 
 
-def _quadrature(problem: GlmmProblem, order: int, xi, scale, evaluated: dict):
+def _quadrature(problem: GlmmProblem, order: int, center: _Center, evaluated: dict):
     """The moments at ``order`` from the tensor sums of ``order`` and its half.
 
-    ``evaluated`` maps an order to its sums under this ``xi`` and
-    ``scale``; a missing order is evaluated and added.
+    ``evaluated`` maps an order to its sums about this ``center``; a
+    missing order is evaluated and added.
     """
     for k in (order, order // 2):
         if k not in evaluated:
-            evaluated[k] = _gh_raw(problem, k, xi, scale)
+            evaluated[k] = _gh_raw(problem, k, center)
     mean, cov, logz = evaluated[order]
-    err = float(np.max(np.abs(mean - evaluated[order // 2][0])))
+    err = float(np.abs(mean - evaluated[order // 2][0]).max())
     return PosteriorMoments(
         mean=mean, cov=cov, log_marginal=logz,
         method=GAUSS_HERMITE, order_or_samples=order, error_estimate=err,
@@ -261,13 +290,13 @@ def moments_importance(
             f"{samples} samples x {problem.n + problem.r} values, over the "
             f"budget of {QUADRATURE_BUDGET}; lower the sample count"
         )
-    xi, scale = _center_and_scale(problem, None)
+    center = _center_terms(problem)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((samples, problem.r))
-    logg = _log_integrand(problem, xi, scale, x)
-    gammas = xi + x @ scale.T
+    logg = _log_integrand(problem, center, x)
+    gammas = center.xi + x @ center.scale.T
     # proposal logpdf under N(xi, scale scale')
-    logdet = 2.0 * np.sum(np.log(np.diag(scale)))
+    logdet = 2.0 * center.log_jac
     logq = -0.5 * (
         problem.r * np.log(2.0 * np.pi) + logdet + np.sum(x**2, axis=1)
     )
@@ -309,25 +338,26 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
     verdict never rests on an under-resolved reference unless it says
     so: doubling also stops at ``MAX_QUADRATURE_ORDER`` and at the last
     order whose grid fits ``QUADRATURE_BUDGET``, and the thresholds then
-    judge the error estimate reached there.  ``2 Xi`` is factored once
-    and each order evaluated once (64 -> 256 evaluates 32, 64, 128 and 256).
+    judge the error estimate reached there.  The center terms, ``2 Xi``'s
+    factor among them, are made once and each order evaluated once
+    (64 -> 256 evaluates 32, 64, 128 and 256).
     Raises ``CapabilityError`` before fitting when ``order`` itself is
     over the budget.
     """
     _check_quadrature(problem, order)
     fit = fit_posterior(problem, FitOptions())
-    xi, scale = _center_and_scale(problem, (fit.xi, fit.Xi))
+    center = _center_terms(problem, (fit.xi, fit.Xi))
     evaluated = {}
-    ref = _quadrature(problem, order, xi, scale, evaluated)
+    ref = _quadrature(problem, order, center, evaluated)
     while (
         ref.error_estimate > ERROR_TARGET
         and 2 * order <= MAX_QUADRATURE_ORDER
         and _fits_budget(problem, 2 * order)
     ):
         order *= 2
-        ref = _quadrature(problem, order, xi, scale, evaluated)
-    mean_gap = float(np.max(np.abs(xi - ref.mean)))
-    cov_gap = float(np.max(np.abs(fit.Xi - ref.cov)))
+        ref = _quadrature(problem, order, center, evaluated)
+    mean_gap = float(np.abs(fit.xi - ref.mean).max())
+    cov_gap = float(np.abs(fit.Xi - ref.cov).max())
     gap = max(mean_gap, cov_gap)
     if gap <= max(CONFIRM_FLOOR, CONFIRM_MULT * ref.error_estimate):
         verdict = "CONFIRMED"

@@ -2,6 +2,7 @@
 write, with each command's exit code and the versions that computed them.
 
     python tests/record_manifest.py [PATH] [--keep DIR]
+    python tests/record_manifest.py --compare DIR_A DIR_B
 
 writes the manifest to PATH, by default ``tests/output_manifest.json``, the
 one that ``tests/test_output_manifest.py`` compares a fresh run with.  A
@@ -10,7 +11,10 @@ file.  The commands run in one process at one BLAS thread, since the thread
 count changes the bytes; the inputs are made here and hashed too.  They run
 in a temporary directory, or with ``--keep`` in DIR, new or empty, which
 keeps every file they read and write: run it on two commits, and the values
-of each moved file can be compared, not only its digest.
+of each moved file can be compared, not only its digest.  ``--compare`` does
+that for two such directories: it prints each file that differs, with the
+largest absolute and relative move of its numbers, overall and per key (a
+JSON path, list positions written ``[]``, or a CSV column), and runs nothing.
 """
 
 import os
@@ -19,8 +23,10 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -126,12 +132,107 @@ def run(root: Path) -> dict:
     return {"environment": environment(), "exit_codes": exit_codes, "files": files}
 
 
+def _number(value):
+    """A CSV cell as a float when it reads as one, else the text."""
+    try:
+        return float(value)
+    except ValueError:
+        return value
+
+
+def _leaves(value, key=""):
+    """``(key, value)`` for each leaf of parsed JSON, list positions written ``[]``."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, key + "[]")
+    else:
+        yield key, value
+
+
+def keyed_values(path: Path) -> list:
+    """``(key, value)`` pairs of a JSON file's leaves or a CSV file's cells.
+
+    A CSV whose first row is not all numbers is keyed by that header row;
+    one without a header has the one key ``values``.
+    """
+    if path.suffix == ".json":
+        return list(_leaves(json.loads(path.read_text())))
+    rows = [[_number(cell) for cell in row] for row in csv.reader(path.read_text().splitlines())]
+    if rows and any(isinstance(cell, str) for cell in rows[0]):
+        header, rows = rows[0], rows[1:]
+        return [(key, cell) for row in rows for key, cell in zip(header, row)]
+    return [("values", cell) for row in rows for cell in row]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moves(a: list, b: list) -> dict | None:
+    """``{key: (largest absolute move, largest relative move)}`` from ``a`` to ``b``.
+
+    A key whose values differ other than as numbers maps to None; two lists
+    with other keys or lengths, which have no value-by-value pairing, give None.
+    """
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return None
+    out = {}
+    for (key, x), (_, y) in zip(a, b):
+        numbers = _is_number(x) and _is_number(y)
+        if x == y or (numbers and math.isnan(x) and math.isnan(y)):
+            continue
+        if not numbers or (key in out and out[key] is None):
+            out[key] = None
+            continue
+        step = abs(y - x)
+        rel = step / abs(x) if x else math.inf
+        worst = out.get(key, (0.0, 0.0))
+        out[key] = (max(worst[0], step), max(worst[1], rel))
+    return out
+
+
+def compare(dir_a: Path, dir_b: Path) -> list:
+    """One report line per file that differs between two ``--keep`` directories."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    names_a, names_b = files(dir_a), files(dir_b)
+    lines = [f"{name}: only in {dir_a if name in names_a else dir_b}"
+             for name in sorted(names_a ^ names_b)]
+    for name in sorted(names_a & names_b):
+        a, b = dir_a / name, dir_b / name
+        if a.read_bytes() == b.read_bytes():
+            continue
+        moved = moves(keyed_values(a), keyed_values(b))
+        if moved is None:
+            lines.append(f"{name}: keys or lengths differ")
+            continue
+        numeric = [m for m in moved.values() if m is not None]
+        head = f"{name}: largest move abs {max((m[0] for m in numeric), default=0.0):.3g}"
+        head += f", rel {max((m[1] for m in numeric), default=0.0):.3g}"
+        lines.append(head)
+        for key, m in moved.items():
+            lines.append(f"  {key}: " + ("not a number" if m is None
+                                         else f"abs {m[0]:.3g}, rel {m[1]:.3g}"))
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("path", nargs="?", default=MANIFEST, help="the manifest to write")
     parser.add_argument("--keep", type=Path, metavar="DIR",
                         help="run in DIR, new or empty, and keep every file there")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print the files that differ between two --keep "
+                             "directories, and how far their numbers moved; run nothing")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        lines = compare(*args.compare)
+        print("\n".join(lines) if lines else "no file differs")
+        return
     if args.keep is None:
         with tempfile.TemporaryDirectory() as tmp:
             manifest = run(Path(tmp))

@@ -219,7 +219,8 @@ class TestLogLikelihood:
         y = rng.binomial(m.astype(int), 0.4).astype(float)
         cases = [
             (poisson_kernel(), y, y * eta - np.exp(eta) - log_gamma(y + 1.0)),
-            (binomial_kernel(m), y, y * eta - m * np.logaddexp(0.0, eta)
+            (binomial_kernel(m), y,
+             y * eta - m * (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))
              + (log_gamma(m + 1.0) - log_gamma(y + 1.0) - log_gamma(m - y + 1.0))),
             (gaussian_kernel(0.7), eta[0], -0.5 * np.log(2.0 * np.pi * 0.7)
              - 0.5 * (eta[0] - eta) ** 2 / 0.7),
@@ -251,6 +252,66 @@ class TestLogLikelihood:
         assert out[0] == pytest.approx(
             log_likelihood(poisson_kernel(), etas[0], y), abs=1e-14
         )
+
+
+def node_batch(rng, n, K):
+    """Predictors for K nodes as the oracle forms them: (n, K), read as its (K, n) transpose."""
+    return np.asfortranarray(rng.normal(0.0, 2.0, size=(n, K))).T
+
+
+class TestLogPartition:
+    """The binomial log-partition ``log(1 + e^eta)`` in the ``log1pexp`` form."""
+
+    GRID = np.union1d(np.linspace(-800.0, 800.0, 16_001), [0.0, -30.0, 30.0])
+
+    def test_agrees_with_logaddexp(self):
+        # with y = 0 and one trial the log-likelihood is minus the log-partition
+        got = -log_likelihood(binomial_kernel([1.0]), self.GRID[:, None], np.zeros(1))
+        want = np.logaddexp(0.0, self.GRID)
+        assert {0.0, -30.0, 30.0} <= set(self.GRID)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_extreme_predictors_are_finite_and_silent(self, recwarn):
+        kernel = binomial_kernel([3.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = log_likelihood(kernel, np.array([[800.0], [-800.0]]), np.array([1.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(800.0 - 3.0 * 800.0 + np.log(3.0), rel=1e-15)
+        assert out[1] == pytest.approx(-800.0 + np.log(3.0), rel=1e-15)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_poisson_and_gaussian_unchanged_bitwise(self):
+        # the expressions the binomial change left alone, over the same grid
+        # and on a node-contiguous batch
+        rng = np.random.default_rng(11)
+        y = rng.poisson(3.0, size=6).astype(float)
+        for eta in (self.GRID.reshape(-1, 1), node_batch(rng, 6, 500)):
+            y_eta = y[: eta.shape[1]]
+            const = -families._log_gamma(y_eta + 1.0)
+            with np.errstate(over="ignore"):
+                want = np.sum(y_eta * eta - np.exp(eta) + const, axis=-1)
+            assert np.array_equal(log_likelihood(poisson_kernel(), eta, y_eta), want)
+            const = -0.5 * np.log(2.0 * np.pi * 0.7)
+            want = np.sum(-0.5 * (y_eta - eta) ** 2 / 0.7 + const, axis=-1)
+            assert np.array_equal(log_likelihood(gaussian_kernel(0.7), eta, y_eta), want)
+
+    def test_node_batch_holds_one_scratch_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        m = rng.integers(1, 9, size=6).astype(float)
+        y = rng.binomial(m.astype(int), 0.4).astype(float)
+        kernel = binomial_kernel(m)
+        const = families.response_term(kernel, y)
+        eta = node_batch(rng, 6, 2**15)
+        tracemalloc.start()
+        try:
+            log_likelihood(kernel, eta, y, const=const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the log-partition and the terms, with a small buffer for the sum
+        assert peak <= 2.25 * eta.nbytes
 
 
 class TestAgainstScipySpecial:

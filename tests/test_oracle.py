@@ -284,9 +284,9 @@ class TestQuadratureWorkBudget:
         orders = []
         gh_raw = oracle._gh_raw
 
-        def counted(problem, order, xi, scale):
+        def counted(problem, order, center):
             orders.append(order)
-            return gh_raw(problem, order, xi, scale)
+            return gh_raw(problem, order, center)
 
         monkeypatch.setattr(oracle, "_gh_raw", counted)
         monkeypatch.setattr(oracle, "ERROR_TARGET", 0.0)
@@ -369,12 +369,46 @@ def escalated_r2_poisson():
 
 def assert_matches_gamma_space(problem, order):
     fit = fit_posterior(problem)
-    scale = np.linalg.cholesky(2.0 * fit.Xi)
-    mean, cov, logz = oracle._gh_raw(problem, order, fit.xi, scale)
-    ref_mean, ref_cov, ref_logz = gamma_space_quadrature(problem, order, fit.xi, scale)
+    center = oracle._center_terms(problem, (fit.xi, fit.Xi))
+    mean, cov, logz = oracle._gh_raw(problem, order, center)
+    ref_mean, ref_cov, ref_logz = gamma_space_quadrature(problem, order, fit.xi, center.scale)
     np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-12)
     assert logz == pytest.approx(ref_logz, rel=0, abs=1e-12)
+
+
+class TestCenterTerms:
+    """An adjudication makes its center terms once, whatever orders it evaluates."""
+
+    @pytest.mark.parametrize("seed, index, order", [(2, 2, 128), (5, 9, 256)])
+    def test_one_center_per_adjudication(self, monkeypatch, seed, index, order):
+        _, problem = list(battery_problems([seed]))[index]
+        centers, evaluated = [], {}
+        center_terms, gh_raw = oracle._center_terms, oracle._gh_raw
+
+        def counted_center(problem, center=None):
+            centers.append(center_terms(problem, center))
+            return centers[-1]
+
+        def recorded(problem, k, center):
+            evaluated[k] = gh_raw(problem, k, center)
+            return evaluated[k]
+
+        monkeypatch.setattr(oracle, "_center_terms", counted_center)
+        monkeypatch.setattr(oracle, "_gh_raw", recorded)
+        report = adjudicate_exactness(problem, order=64)
+        assert report.oracle.order_or_samples == order
+        assert len(centers) == 1
+        assert sorted(evaluated) == [k for k in (32, 64, 128, 256) if k <= order]
+        monkeypatch.undo()
+        fit = report.fit
+        for k, (mean, cov, logz) in evaluated.items():
+            ref = moments_quadrature(problem, order=k, center=(fit.xi, fit.Xi))
+            assert np.array_equal(mean, ref.mean)
+            assert np.array_equal(cov, ref.cov)
+            assert logz == ref.log_marginal
+        ref = moments_quadrature(problem, order=order, center=(fit.xi, fit.Xi))
+        assert report.oracle.error_estimate == ref.error_estimate
 
 
 class TestNodeSpaceQuadrature:
@@ -397,8 +431,8 @@ class TestNodeSpaceQuadrature:
         seen = []
         integrand = oracle._log_integrand
 
-        def recorded(problem, xi, scale, x):
-            seen.append((xi, scale, x, integrand(problem, xi, scale, x)))
+        def recorded(problem, center, x):
+            seen.append((center.xi, center.scale, x, integrand(problem, center, x)))
             return seen[-1][-1]
 
         monkeypatch.setattr(oracle, "_log_integrand", recorded)
@@ -502,13 +536,14 @@ def poisson_n40_r2():
 
 def assert_bitwise_node_major(problem, order):
     fit = fit_posterior(problem)
-    scale = np.linalg.cholesky(2.0 * fit.Xi)
+    center = oracle._center_terms(problem, (fit.xi, fit.Xi))
+    scale = center.scale
     x, _ = product_grid(order, problem.r)
     assert np.array_equal(
-        oracle._log_integrand(problem, fit.xi, scale, x),
+        oracle._log_integrand(problem, center, x),
         node_major_log_integrand(problem, fit.xi, scale, x),
     )
-    mean, cov, logz = oracle._gh_raw(problem, order, fit.xi, scale)
+    mean, cov, logz = oracle._gh_raw(problem, order, center)
     ref_mean, ref_cov, ref_logz = node_major_gh_raw(problem, order, fit.xi, scale)
     assert np.array_equal(mean, ref_mean)
     assert np.array_equal(cov, ref_cov)
@@ -534,8 +569,14 @@ class TestNodeContiguousIntegrand:
         problem = poisson_n40_r2()
         quadrature = moments_quadrature(problem, order=64)
         importance = moments_importance(problem, samples=10_000, seed=3)
-        monkeypatch.setattr(oracle, "_gh_raw", node_major_gh_raw)
-        monkeypatch.setattr(oracle, "_log_integrand", node_major_log_integrand)
+        monkeypatch.setattr(
+            oracle, "_gh_raw",
+            lambda problem, order, c: node_major_gh_raw(problem, order, c.xi, c.scale),
+        )
+        monkeypatch.setattr(
+            oracle, "_log_integrand",
+            lambda problem, c, x: node_major_log_integrand(problem, c.xi, c.scale, x),
+        )
         for got, ref in (
             (quadrature, moments_quadrature(problem, order=64)),
             (importance, moments_importance(problem, samples=10_000, seed=3)),

@@ -61,3 +61,29 @@ def test_keep_refuses_a_directory_that_is_not_empty(tmp_path):
     )
     assert proc.returncode == 2 and "is not empty" in proc.stderr
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_compare_names_each_moved_file_and_its_largest_moves(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, gap, rl2 in ((a, 0.5, "0.25"), (b, 0.5 + 1e-12, "0.2500000001")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "verdicts.json").write_text(json.dumps(
+            {"battery": [{"gap": 2.0, "verdict": "REFUTED"}, {"gap": gap, "verdict": "REFUTED"}]}
+        ))
+        (root / "run" / "table.csv").write_text(f"scenario,rl2\noracle,0\nsic,{rl2}\n")
+        (root / "Xi.csv").write_text("1,2\n2,5\n")
+    (b / "extra.csv").write_text("1\n")
+    proc = subprocess.run(
+        [sys.executable, str(RECORD), "--compare", str(a), str(b)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"extra.csv: only in {b}"
+    assert lines[1] == "run/table.csv: largest move abs 1e-10, rel 4e-10"
+    assert lines[2] == "  rl2: abs 1e-10, rel 4e-10"
+    assert lines[3].startswith("run/verdicts.json: largest move abs 1e-12, rel 2e-12")
+    assert lines[4].startswith("  battery[].gap: abs 1e-12")
+    assert len(lines) == 5  # Xi.csv is byte-identical
+    # the manifest is left alone: compare runs nothing
+    assert not any(tmp_path.glob("*.json"))
