@@ -31,7 +31,6 @@ from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
 from .covariance import _check_sites, build_blocked, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
-from .families import initial_eta
 from .fixed_point import (
     FitOptions,
     GlmmProblem,
@@ -73,12 +72,6 @@ def _sites(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
     return SpatialData(y=dataset.y, X=X, coords=dataset.coords, kernel=kernel)
 
 
-def _default_beta_init(kernel, y, X) -> np.ndarray:
-    eta0, _ = initial_eta(kernel, y)
-    coef, *_ = np.linalg.lstsq(X, eta0, rcond=None)
-    return coef
-
-
 def _check_params(cfg: RunConfig, n_columns: int):
     """Reject a parameter spec that no fit on an ``n_columns`` design can use."""
     if cfg.matern is None:
@@ -97,10 +90,11 @@ def _check_params(cfg: RunConfig, n_columns: int):
 
 
 def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
-    """Return (the observed sites' mode fit, its matern_params, estimate_meta_or_None).
+    """Return (the observed sites' mode fit, its matern_params, the estimate or None).
 
     With fixed parameters the fit is made on the observed sites' prior
-    alone; with estimated ones it is the estimate's own fit at its optimum.
+    alone; with estimated ones it is the :class:`estimate.EstimateResult`'s
+    own fit at its optimum, from the estimator's start.
     """
     _check_params(cfg, data.X.shape[1])
     if cfg.beta != dataio.ESTIMATE:
@@ -108,39 +102,25 @@ def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
         return fit_posterior(problem, options), cfg.matern, None
     matern_given = isinstance(cfg.matern, MaternParams)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
-    init_beta = _default_beta_init(data.kernel, data.y, data.X)
-    result = estimate(
-        data, init_beta, init_omega, fit_options=options, fit_omega=not matern_given
-    )
-    meta = {
-        "beta_hat": [float(b) for b in result.beta_hat],
-        "omega_hat": list(astuple(result.omega_hat)),
-        "objective": result.objective_value,
-        "optimizer_converged": result.converged,
-        "optimizer_iterations": result.optimizer_iterations,
-        "newton_steps": result.newton_steps,
-        "stop": result.stop,
-        "fits": result.fits,
-        "failed_fits": result.failed_fits,
-    }
-    return result.report, result.omega_hat, meta
+    result = estimate(data, None, init_omega, options, fit_omega=not matern_given)
+    return result.report, result.omega_hat, result
 
 
 def _fit_and_krige(cfg, train, test, options, tier=None):
     """Fit the mode at the training sites and krige it to the test sites: the
-    :class:`SpatialPrediction` and the estimate's metadata, ``None`` if none.
+    :class:`SpatialPrediction` and the estimate, ``None`` if none.
     Training and test sites are checked together first, so that sites over
     ``PRIOR_BUDGET`` are refused before any prior is built or fit made."""
     _check_sites(train.coords, test.coords)
     observed = _sites(cfg, train, tier)
-    report, omega, est_meta = _site_fit(cfg, observed, options)
+    report, omega, result = _site_fit(cfg, observed, options)
     d12 = cross_covariance(omega, observed.coords, test.coords)
-    return krige(report, _sites(cfg, test, tier), d12), est_meta
+    return krige(report, _sites(cfg, test, tier), d12), result
 
 
-def _exit_code(report, est_meta) -> int:
-    """Exit 3 unless the mode fit converged, and the estimate too if one ran."""
-    if est_meta is not None and not est_meta["optimizer_converged"]:
+def _exit_code(report, result) -> int:
+    """Exit 3 unless the mode fit converged, and the estimate ``result`` too if one ran."""
+    if result is not None and not result.converged:
         log.warning("the estimate of the parameters did not converge")
         return EXIT_NONCONVERGENCE
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
@@ -156,7 +136,7 @@ def cmd_fit(args) -> int:
     dataset = dataio.load_dataset(args.data, cfg)
     options = _fit_options(cfg)
     observed = _sites(cfg, dataset)
-    report, omega, est_meta = _site_fit(cfg, observed, options)
+    report, omega, result = _site_fit(cfg, observed, options)
     dataio.write_csv(args.out / "xi.csv", ("site", "xi"), enumerate(report.xi))
     dataio.write_symmetric_csv(args.out / "Xi.csv", report.Xi)
     payload = {
@@ -164,13 +144,14 @@ def cmd_fit(args) -> int:
         "iterations": report.iterations,
         "residual": report.residual,
         "step_halvings": report.halvings,
+        "eta_clamped": report.eta_clamped,
         "beta": [float(b) for b in report.problem.beta],
         "omega": list(astuple(omega)),
     }
-    if est_meta:
-        payload["estimation"] = est_meta
+    if result is not None:
+        payload["estimation"] = result.record
     dataio.write_json(args.out / "report.json", payload)
-    return _exit_code(report, est_meta)
+    return _exit_code(report, result)
 
 
 def cmd_predict(args) -> int:
@@ -187,37 +168,23 @@ def cmd_predict(args) -> int:
     if train.n < 1:
         raise ConfigError("no training rows")
     options = _fit_options(cfg)
-    pred, est_meta = _fit_and_krige(cfg, train, test, options)
+    pred, result = _fit_and_krige(cfg, train, test, options)
     dataio.write_csv(
         args.out / "predictions.csv",
         ("site", "xi_star", "y_hat_star", "u_hat_star"),
         zip(range(len(pred.xi_star)), pred.xi_star, pred.y_hat_star, pred.u_hat_star),
     )
-    return _exit_code(pred.report, est_meta)
+    return _exit_code(pred.report, result)
 
 
 def cmd_simulate(args) -> int:
     cfg = dataio.load_config(args.config)
     sim = {"seed": cfg.seed, **cfg.simulate}
-    if sim.get("omega") is None:  # absent or null: the default
-        sim.pop("omega", None)
     if args.replications is not None:
         sim["replications"] = args.replications
     if args.seed is not None:
         sim["seed"] = args.seed
-    # each count's least value; SimConfig checks beta itself
-    counts = {"n": 1, "n_star": 1, "replications": 1, "seed": 0}
-    for key, value in sim.items():
-        name = f"simulate.{key}"
-        if key in counts:
-            sim[key] = dataio.read_int(sim, key, None, counts[key], "simulate")
-        elif key == "omega":
-            sim[key] = dataio.parse_matern(value, name)
-        elif key == "side":
-            sim[key] = dataio.read_float(value, name, positive=True)
-        elif key == "scenarios":
-            sim[key] = tuple(dataio.read_list(value, name))
-    config = SimConfig(**sim)
+    config = SimConfig(**sim)  # which checks every key
     start = time.perf_counter()
     try:
         result = run_scenarios(config)
@@ -289,14 +256,11 @@ def cmd_validate(args) -> int:
 
 def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction, est_meta = _fit_and_krige(cfg, train, test, options, tier)
-    if _exit_code(prediction.report, est_meta) != EXIT_OK:
-        if not prediction.report.converged:
-            raise RuntimeError("mode-finder did not converge on a split")
-        raise RuntimeError(
-            f"the estimate did not converge (stop: {est_meta['stop']}) in "
-            f"{est_meta['optimizer_iterations']} scoring steps and {est_meta['fits']} fits"
-        )
+    prediction, result = _fit_and_krige(cfg, train, test, options, tier)
+    if not prediction.report.converged:
+        raise RuntimeError("mode-finder did not converge on a split")
+    if result is not None:
+        result.check_converged()
     kernel = dataio.make_kernel(cfg, test.trials)
     return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 

@@ -55,12 +55,9 @@ or that leaves the surrogate unchanged, has converged if its gain is
 below the surrogate's roundoff.  Each trial's mode fit starts from the
 accepted fit's predictor (Rasmussen & Williams 2006, Alg. 5.1), so the
 estimate's fit is a fixed-parameter fit at its optimum to ``tol``, not
-to the bit.  On the 16 datasets of the estimation benchmark this took
-107 fits, against 179 by scoring alone; on ``simulate``'s
-``sic_estimated`` at n = 60, n* = 40 (seeds 3, 5, 7 and 11, 24
-replications) 150 fits, at most 13 a replication, against 873 and
-280.  One estimate checks the response and evaluates its terms in ``y``
-alone once, through :meth:`fixed_point.GlmmProblem.with_prior`.
+to the bit.  Every caller starts beta at :func:`initial_beta`.  The
+trials share the first fit's checked response and its terms in ``y``
+alone, through :meth:`fixed_point.GlmmProblem.with_prior`.
 
 This is support machinery for the parameter-estimation simulation
 scenario and the validation workflow, not a reimplementation of any
@@ -72,7 +69,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -85,6 +82,7 @@ from .covariance import (
     matern_scale_derivative,
     site_distances,
 )
+from .families import check_support, initial_eta
 from .fixed_point import _MAX_HALVINGS, FitOptions, FitReport, fit_posterior
 from .fixed_point import laplace_marginal, laplace_skew
 from .spatial import SpatialData, site_problem
@@ -92,6 +90,9 @@ from .spatial import SpatialData, site_problem
 log = logging.getLogger(__name__)
 
 SCORING_MAX_ITER = 400
+# the gradient stop also ends a walk toward a boundary where the surrogate keeps
+# rising: without it simulate's seed 5, replication 0 (n = 60, n* = 40) took
+# omega2 to 9.1e187 and failed with an OverflowError (README, stops)
 SCORING_GTOL = 1e-5
 # the scoring decrement g' I^-1 g / 2 at which the surrogate has no more to
 # give, relative to 1 + |value|: the Newton decrement's stop (Boyd &
@@ -131,6 +132,29 @@ class EstimateResult:
     fits: int
     failed_fits: int
     report: FitReport
+
+    @property
+    def record(self) -> dict:
+        """The outcome in JSON types, as ``fit`` and ``sic_estimated`` records hold it."""
+        return {
+            "beta_hat": [float(b) for b in self.beta_hat],
+            "omega_hat": list(astuple(self.omega_hat)),
+            "objective": self.objective_value,
+            "optimizer_converged": self.converged,
+            "optimizer_iterations": self.optimizer_iterations,
+            "newton_steps": self.newton_steps,
+            "stop": self.stop,
+            "fits": self.fits,
+            "failed_fits": self.failed_fits,
+        }
+
+    def check_converged(self):
+        """Raise ``RuntimeError``, naming the stop, steps and fits, unless it converged."""
+        if not self.converged:
+            raise RuntimeError(
+                f"the estimate did not converge (stop: {self.stop}) in "
+                f"{self.optimizer_iterations} scoring steps and {self.fits} fits"
+            )
 
 
 def _fit(
@@ -276,6 +300,12 @@ def approx_loglik(
     return laplace_marginal(report) if report.converged else -np.inf
 
 
+def initial_beta(data: SpatialData) -> np.ndarray:
+    """Least squares of :func:`families.initial_eta` of the checked response on ``X``."""
+    eta0, _ = initial_eta(data.kernel, check_support(data.kernel, data.y))
+    return np.linalg.lstsq(data.X, eta0, rcond=None)[0]
+
+
 def estimate(
     data: SpatialData,
     init_beta,
@@ -285,23 +315,26 @@ def estimate(
 ) -> EstimateResult:
     """Maximize the surrogate log-likelihood from the given start by Fisher scoring.
 
-    With ``fit_omega=False`` only the fixed effects are estimated and
-    the Matern hyperparameters stay at ``init_omega``.  Once the scoring
-    decrement is at most ``NEWTON_DECREMENT``, a Newton step is tried
-    first where the Matern hyperparameters are estimated; with them fixed,
-    ``J`` is ``I``.  Each scoring step is halved until the surrogate does
-    not fall; a trial whose mode fit does not converge, or whose
+    ``init_beta`` None starts beta at :func:`initial_beta`, as the CLI and
+    ``simulate`` do.  With ``fit_omega=False`` only the fixed effects are
+    estimated and the Matern hyperparameters stay at ``init_omega``.  Once
+    the scoring decrement is at most ``NEWTON_DECREMENT``, a Newton step is
+    tried first where the Matern hyperparameters are estimated; with them
+    fixed, ``J`` is ``I``.  Each scoring step is halved until the surrogate
+    does not fall; a trial whose mode fit does not converge, or whose
     parameters leave :class:`MaternParams`' range, is rejected, and each
-    counts as a fit.  Scoring stops, converged, once the gradient's sup
-    norm is at most ``SCORING_GTOL`` or the scoring decrement
-    ``g' step / 2`` is at most ``SCORING_DECREMENT * (1 + |value|)``, and
-    unconverged after ``SCORING_MAX_ITER`` steps.  Where no halving is
-    accepted, or an accepted step leaves the surrogate unchanged, it stops
-    converged if the decrement is at most ``SCORING_RESOLUTION * (1 + |value|)``;
+    counts as a fit.  Scoring stops, converged, once the gradient's sup norm
+    is at most ``SCORING_GTOL`` or the scoring decrement ``g' step / 2`` is
+    at most ``SCORING_DECREMENT * (1 + |value|)``, and unconverged after
+    ``SCORING_MAX_ITER`` steps.  Where no halving is accepted, or an
+    accepted step leaves the surrogate unchanged, it stops converged if the
+    decrement is at most ``SCORING_RESOLUTION * (1 + |value|)``;
     :attr:`EstimateResult.stop` names the stop.  Deterministic given the
     initialization and ``fit_options``.  If trial priors needed a jitter,
     one warning gives the largest and how many needed one.
     """
+    if init_beta is None:
+        init_beta = initial_beta(data)
     init_beta = np.atleast_1d(np.asarray(init_beta, dtype=float))
     p = init_beta.shape[0]
     # the sites are checked once; each fit builds its prior from dist

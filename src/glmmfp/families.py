@@ -155,9 +155,8 @@ def initial_eta(kernel: FamilyKernel, y) -> tuple[np.ndarray, np.ndarray]:
     Uses the standard IRLS-style starts: shifted log counts for Poisson,
     empirical logits for binomial, the response itself for Gaussian.  The
     count families' weights are b''(eta0), which the half-count shifts
-    keep away from zero.
+    keep away from zero.  ``y`` is checked already (:func:`check_support`).
     """
-    y = check_support(kernel, y)
     if kernel.family == POISSON:
         eta0 = np.log(y + 0.5)
         return eta0, y + 0.5

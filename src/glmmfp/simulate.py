@@ -11,9 +11,10 @@ RMSE metrics:
                       kriging (ground-truth ceiling).
 * ``sic_true``      - the posterior mode at the true parameters, kriged
                       (:func:`spatial.krige`) through the prior's ``d12``.
-* ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML),
-                      then the estimate's own mode fit is kriged through
-                      the cross covariance at the estimates.
+* ``sic_estimated`` - parameters estimated first (Laplace-surrogate ML,
+                      from :func:`estimate.initial_beta` and the true
+                      omega), then the estimate's own mode fit is kriged
+                      through the cross covariance at the estimates.
 
 A replication (:class:`SimDataset`) factors the joint (n + n*) prior of
 its sites once, in :func:`covariance.build_blocked`.  That factor ``L``
@@ -36,13 +37,14 @@ so results are identical regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .covariance import PRIOR_BUDGET, BlockedCovariance, MaternParams
 from .covariance import build_blocked, cross_covariance
-from .dataio import ConfigError, write_csv, write_json
+from .dataio import ConfigError, parse_matern, read_float, read_int, read_list
+from .dataio import write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
 from .fixed_point import FitOptions, fit_posterior
@@ -58,6 +60,8 @@ SCENARIOS = (ORACLE, SIC_TRUE, SIC_ESTIMATED)
 # oracle's relative loss at unobserved sites is about one half under the
 # unit-range exponential covariance (the site layout is a free choice).
 DEFAULT_SIDE = 20.0
+
+DEFAULT_OMEGA = MaternParams(0.5, 1.0)
 
 MAX_FAILURE_FRACTION = 0.05
 
@@ -76,36 +80,43 @@ class ScenarioFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Settings, each checked by :mod:`dataio`'s readers as its ``simulate`` config
+    key, so a config section's values pass as they are; ``omega`` None is the default."""
+
     n: int = 400
     n_star: int = 400
     beta: tuple = (8.0, 0.0)
-    omega: MaternParams = field(default_factory=lambda: MaternParams(0.5, 1.0))
+    omega: MaternParams = DEFAULT_OMEGA
     replications: int = 100
     seed: int = 0
     side: float = DEFAULT_SIDE
     scenarios: tuple = (ORACLE, SIC_TRUE)
 
     def __post_init__(self):
+        def put(key, value):
+            object.__setattr__(self, key, value)
+
+        for key, low in (("n", 1), ("n_star", 1), ("replications", 1), ("seed", 0)):
+            put(key, read_int(vars(self), key, None, low, "simulate"))
+        if self.omega is None:
+            put("omega", DEFAULT_OMEGA)
+        elif not isinstance(self.omega, MaternParams):
+            put("omega", parse_matern(self.omega, "simulate.omega"))
+        put("side", read_float(self.side, "simulate.side", positive=True))
+        if not isinstance(self.scenarios, tuple):
+            put("scenarios", tuple(read_list(self.scenarios, "simulate.scenarios")))
         beta = tuple(self.beta) if isinstance(self.beta, (list, tuple, np.ndarray)) else ()
         if len(beta) != 2 or not all(
             isinstance(b, (int, float)) and not isinstance(b, bool) and np.isfinite(b)
             for b in beta
         ):
             raise ConfigError(f"simulate.beta must be two finite numbers: {self.beta!r}")
-        object.__setattr__(self, "beta", beta)
-        if self.replications < 1:
-            raise ConfigError(f"simulate.replications must be >= 1: {self.replications!r}")
-        if self.n < 1 or self.n_star < 1:
-            raise ConfigError(
-                f"simulate.n and simulate.n_star must be >= 1: {self.n}, {self.n_star}"
-            )
+        put("beta", beta)
         if (self.n + self.n_star) ** 2 > PRIOR_BUDGET:
             raise ConfigError(
                 f"simulate.n + simulate.n_star must be at most {math.isqrt(PRIOR_BUDGET)}, "
                 f"a joint prior of {PRIOR_BUDGET} doubles: {self.n} + {self.n_star}"
             )
-        if self.side <= 0:
-            raise ConfigError(f"simulate.side must be a positive number: {self.side!r}")
         unknown = [s for s in self.scenarios if s not in SCENARIOS]
         if unknown:
             raise ConfigError(f"simulate.scenarios names unknown scenarios: {unknown}")
@@ -178,11 +189,11 @@ class SimResult:
 def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> dict:
     """One replication's record of ``scenario``: the table's metrics.
 
-    A ``sic_estimated`` record also counts the estimate's fits, failed
-    fits, scoring steps and Newton steps, and names its stop, which the
-    aggregate leaves out; an estimate that did not converge raises
-    ``RuntimeError`` naming its stop, as a mode fit that did not converge
-    raises, so the replication is recorded as failed.
+    A ``sic_estimated`` record also holds the estimate's own record
+    (:attr:`estimate.EstimateResult.record`: its estimates, fits, steps
+    and stop), which the aggregate leaves out; an estimate that did not
+    converge raises ``RuntimeError`` naming its stop, as a mode fit that
+    did not converge raises, so the replication is recorded as failed.
     """
     truth, truth_star = dataset.gamma, dataset.gamma_star
     zeros = dict.fromkeys(_TABLE_COLUMNS[3:], 0.0)  # the rmse columns
@@ -196,14 +207,9 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
         glmm = site_problem(observed, blocked, beta)
         report = fit_posterior(glmm, FitOptions(), dataset.buffer)
         d12, record = blocked.d12, zeros
-    else:  # estimate (beta, omega1, omega2) first
-        init_beta = np.array([np.log(np.mean(observed.y) + 0.5), 0.0])
-        fit = estimate(observed, init_beta, config.omega)
-        if not fit.converged:
-            raise RuntimeError(
-                f"the estimate did not converge (stop: {fit.stop}) in "
-                f"{fit.optimizer_iterations} scoring steps and {fit.fits} fits"
-            )
+    else:  # estimate (beta, omega1, omega2) first, from the estimator's start
+        fit = estimate(observed, None, config.omega)
+        fit.check_converged()
         report = fit.report
         d12 = cross_covariance(fit.omega_hat, observed.coords, unobserved.coords)
         record = dict(
@@ -211,11 +217,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
             rmse_beta1=(fit.beta_hat[1] - beta[1]) ** 2,
             rmse_omega1=(fit.omega_hat.omega1 - config.omega.omega1) ** 2,
             rmse_omega2=(fit.omega_hat.omega2 - config.omega.omega2) ** 2,
-            fits=fit.fits,
-            failed_fits=fit.failed_fits,
-            optimizer_iterations=fit.optimizer_iterations,
-            newton_steps=fit.newton_steps,
-            stop=fit.stop,
+            **fit.record,
         )
     if not report.converged:
         raise RuntimeError("mode-finder did not converge")

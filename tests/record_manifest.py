@@ -14,7 +14,8 @@ keeps every file they read and write: run it on two commits, and the values
 of each moved file can be compared, not only its digest.  ``--compare`` does
 that for two such directories: it prints each file that differs, with the
 largest absolute and relative move of its numbers, overall and per key (a
-JSON path, list positions written ``[]``, or a CSV column), and runs nothing.
+JSON path, list positions written ``[]``, or a CSV column), and each key
+that only one side has, and runs nothing.
 """
 
 import os
@@ -171,26 +172,43 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def moves(a: list, b: list) -> dict | None:
-    """``{key: (largest absolute move, largest relative move)}`` from ``a`` to ``b``.
+def _by_key(pairs: list) -> dict:
+    """``{key: [value, ...]}`` of ``(key, value)`` pairs, keys in first-seen order."""
+    values = {}
+    for key, value in pairs:
+        values.setdefault(key, []).append(value)
+    return values
 
-    A key whose values differ other than as numbers maps to None; two lists
-    with other keys or lengths, which have no value-by-value pairing, give None.
+
+def moves(a: list, b: list, sides=("a", "b")) -> dict:
+    """``{key: move}`` from ``a`` to ``b``, for each key whose values differ.
+
+    A move is ``(largest absolute move, largest relative move)`` of the
+    key's values, paired in order, or a string: "only in" the side of
+    ``sides`` that has the key, a count of values on each side where they
+    differ, or "not a number" where the values differ other than as numbers.
     """
-    if [k for k, _ in a] != [k for k, _ in b]:
-        return None
+    values_a, values_b = _by_key(a), _by_key(b)
     out = {}
-    for (key, x), (_, y) in zip(a, b):
-        numbers = _is_number(x) and _is_number(y)
-        if x == y or (numbers and math.isnan(x) and math.isnan(y)):
+    for key in {**values_a, **values_b}:
+        if key not in values_b or key not in values_a:
+            out[key] = f"only in {sides[key in values_b]}"
             continue
-        if not numbers or (key in out and out[key] is None):
-            out[key] = None
+        xs, ys = values_a[key], values_b[key]
+        if len(xs) != len(ys):
+            out[key] = f"{len(xs)} values against {len(ys)}"
             continue
-        step = abs(y - x)
-        rel = step / abs(x) if x else math.inf
-        worst = out.get(key, (0.0, 0.0))
-        out[key] = (max(worst[0], step), max(worst[1], rel))
+        for x, y in zip(xs, ys):
+            numbers = _is_number(x) and _is_number(y)
+            if x == y or (numbers and math.isnan(x) and math.isnan(y)):
+                continue
+            if not numbers or isinstance(out.get(key), str):
+                out[key] = "not a number"
+                continue
+            step = abs(y - x)
+            rel = step / abs(x) if x else math.inf
+            worst = out.get(key, (0.0, 0.0))
+            out[key] = (max(worst[0], step), max(worst[1], rel))
     return out
 
 
@@ -206,16 +224,13 @@ def compare(dir_a: Path, dir_b: Path) -> list:
         a, b = dir_a / name, dir_b / name
         if a.read_bytes() == b.read_bytes():
             continue
-        moved = moves(keyed_values(a), keyed_values(b))
-        if moved is None:
-            lines.append(f"{name}: keys or lengths differ")
-            continue
-        numeric = [m for m in moved.values() if m is not None]
+        moved = moves(keyed_values(a), keyed_values(b), (dir_a, dir_b))
+        numeric = [m for m in moved.values() if not isinstance(m, str)]
         head = f"{name}: largest move abs {max((m[0] for m in numeric), default=0.0):.3g}"
         head += f", rel {max((m[1] for m in numeric), default=0.0):.3g}"
         lines.append(head)
         for key, m in moved.items():
-            lines.append(f"  {key}: " + ("not a number" if m is None
+            lines.append(f"  {key}: " + (m if isinstance(m, str)
                                          else f"abs {m[0]:.3g}, rel {m[1]:.3g}"))
     return lines
 

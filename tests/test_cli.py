@@ -111,6 +111,45 @@ class TestFit:
         assert est["fits"] > est["optimizer_iterations"] >= max(est["newton_steps"], 1)
         assert est["stop"] in ("gradient", "decrement", "resolution")
 
+    def test_estimation_is_the_estimates_own_record(self, tmp_path, monkeypatch):
+        data, _, _ = poisson_dataset(tmp_path, n=25, seed=2)
+        config = write_config(
+            tmp_path, {"family": "poisson", "beta": "estimate", "matern": "estimate"}
+        )
+        results = []
+        run = cli.estimate
+        monkeypatch.setattr(
+            cli, "estimate", lambda *a, **k: results.append(run(*a, **k)) or results[-1]
+        )
+        out = tmp_path / "out"
+        code = cli.main(["fit", "--config", config, "--data", data, "--out", str(out),
+                         "--quiet"])
+        assert code == cli.EXIT_OK
+        [result] = results
+        report = json.loads((out / "report.json").read_text())
+        assert report["estimation"] == result.record
+
+    def test_count_beyond_the_clamp_is_reported(self, tmp_path):
+        # a Poisson mean is capped at e^30, so a count of 2e13 drives its site's
+        # predictor past the clamp; report.json says so
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0, 5, size=(12, 2))
+        y = rng.poisson(5, size=12)
+        rows = [f"{yi},{cx},{cy}" for yi, (cx, cy) in zip(y, coords)]
+        config = write_config(tmp_path, {
+            "family": "poisson", "beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0},
+        })
+        clamped = {}
+        for count in (int(y[3]), 2 * 10**13):
+            rows[3] = f"{count},{coords[3, 0]},{coords[3, 1]}"
+            data = write_csv(tmp_path, "y,x_coord,y_coord\n" + "\n".join(rows) + "\n")
+            out = tmp_path / f"out{count}"
+            argv = ["fit", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+            code = cli.main(argv)
+            assert code == cli.EXIT_OK or count > np.exp(30.0)
+            clamped[count] = json.loads((out / "report.json").read_text())["eta_clamped"]
+        assert clamped == {int(y[3]): False, 2 * 10**13: True}
+
     @pytest.mark.parametrize("seed", range(4))
     def test_estimated_fit_is_written_without_a_second_fit(
         self, tmp_path, monkeypatch, seed
@@ -1156,6 +1195,42 @@ class TestFlags:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+class TestOneStart:
+    """Every estimate, of each command and of simulate, starts at estimate.initial_beta."""
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "validate", "simulate"])
+    def test_each_estimate_calls_initial_beta_once(self, tmp_path, monkeypatch, command):
+        starts, estimates = [], []
+        initial = estimate_module.initial_beta
+        monkeypatch.setattr(
+            estimate_module, "initial_beta", lambda data: starts.append(data) or initial(data)
+        )
+        for module in (cli, simulate):
+            monkeypatch.setattr(
+                module, "estimate",
+                lambda data, *a, _run=module.estimate, **k: estimates.append(data)
+                or _run(data, *a, **k),
+            )
+        data, _, _ = poisson_dataset(tmp_path, n=24, seed=2)
+        test = poisson_dataset(tmp_path, n=5, seed=1, name="test.csv")[0]
+        payload = {
+            "family": "poisson", "beta": "estimate", "matern": "estimate",
+            "validate": {"splits": 2, "n_train": 16, "n_test": 6, "tiers": ["intercept"]},
+            "simulate": {"n": 30, "n_star": 10, "replications": 2, "side": 5.0,
+                         "beta": [2.0, 0.0], "scenarios": ["sic_estimated"]},
+        }
+        argv = [command, "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        if command != "simulate":
+            argv += ["--data", data]
+        if command == "predict":
+            argv += ["--test", test]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(estimates) == (2 if command in ("validate", "simulate") else 1)
+        assert len(starts) == len(estimates)
+        assert all(start is data for start, data in zip(starts, estimates))
+
+
 class TestEntryPoint:
     def test_console_script_is_wired(self):
         import importlib
@@ -1177,6 +1252,8 @@ class TestEntryPoint:
 
         y = np.array([2.0, 3.0, 4.0, 2.0])
         X = np.ones((4, 1))
-        init = cli._default_beta_init(poisson_kernel(), y, X)
+        init = estimate_module.initial_beta(
+            spatial.SpatialData(y, X, np.zeros((4, 2)), poisson_kernel())
+        )
         assert init.shape == (1,)
         assert 0.5 < init[0] < 2.0

@@ -159,10 +159,6 @@ class TestInitialEta:
         assert eta0[0] == 1.5
         assert w0[0] == 0.25
 
-    def test_support_violation(self):
-        with pytest.raises(ValueError):
-            initial_eta(poisson_kernel(), np.array([-1.0]))
-
     @pytest.mark.parametrize(
         "kernel", [poisson_kernel(), binomial_kernel([1, 4, 4, 9])],
         ids=["poisson", "binomial"],

@@ -87,3 +87,30 @@ def test_compare_names_each_moved_file_and_its_largest_moves(tmp_path):
     assert len(lines) == 5  # Xi.csv is byte-identical
     # the manifest is left alone: compare runs nothing
     assert not any(tmp_path.glob("*.json"))
+
+
+def test_compare_names_each_key_only_one_side_has(tmp_path):
+    # a record that gains and loses keys: each is named as a JSON path, and the
+    # keys both sides share still report their moves
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, record in (
+        (a, {"rl2": 0.5, "stop": "gradient"}),
+        (b, {"rl2": 0.5 + 1e-12, "fits": 5, "beta_hat": [1.0, 2.0]}),
+    ):
+        root.mkdir()
+        (root / "audit.json").write_text(json.dumps({"records": [{"sic": record}] * 2}))
+        (root / "table.csv").write_text("rl2\n0.25\n" + ("" if root == a else "0.5\n"))
+    proc = subprocess.run(
+        [sys.executable, str(RECORD), "--compare", str(a), str(b)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "audit.json: largest move abs 1e-12, rel 2e-12",
+        "  records[].sic.rl2: abs 1e-12, rel 2e-12",
+        f"  records[].sic.stop: only in {a}",
+        f"  records[].sic.fits: only in {b}",
+        f"  records[].sic.beta_hat[]: only in {b}",
+        "table.csv: largest move abs 0, rel 0",
+        "  rl2: 1 values against 2",
+    ]

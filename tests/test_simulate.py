@@ -41,8 +41,8 @@ class TestConfig:
     def test_invalid_configs_rejected(self):
         # each names its key, as the CLI's checks do
         for bad, message in (
-            (dict(replications=0), "simulate.replications must be >= 1: 0"),
-            (dict(n=0), "simulate.n and simulate.n_star must be >= 1: 0, "),
+            (dict(replications=0), r"simulate.replications must be an integer in \[1, inf\]: 0"),
+            (dict(n=0), r"simulate.n must be an integer in \[1, inf\]: 0"),
             (dict(side=-1.0), "simulate.side must be a positive number: -1.0"),
         ):
             with pytest.raises(ConfigError, match=message):
@@ -248,6 +248,25 @@ class TestScenarios:
             assert counts == {k: getattr(fit, k) for k in keys}
             assert fit.fits > fit.optimizer_iterations > 0
             assert set(record[SIC_TRUE]) == set(simulate._TABLE_COLUMNS[1:])
+
+    def test_estimated_records_hold_the_estimates_record(self, tmp_path, monkeypatch):
+        # the nine keys that fit writes under estimation, beside the metrics
+        cfg = SimConfig(
+            n=30, n_star=20, beta=(2.0, 0.0), replications=2, seed=3, side=5.0,
+            scenarios=(SIC_ESTIMATED,),
+        )
+        results = []
+        estimate = simulate.estimate
+        monkeypatch.setattr(
+            simulate, "estimate", lambda *a: results.append(estimate(*a)) or results[-1]
+        )
+        write_audit_json(run_scenarios(cfg), tmp_path / "audit.json")
+        records = json.loads((tmp_path / "audit.json").read_text())["records"]
+        for record, fit in zip(records, results, strict=True):
+            row = record[SIC_ESTIMATED]
+            assert set(row) == set(simulate._TABLE_COLUMNS[1:]) | set(fit.record)
+            assert {k: row[k] for k in fit.record} == fit.record
+            assert fit.converged and len(fit.record) == 9
 
     def test_repeat_run_is_identical(self):
         a = run_scenarios(SMALL)
