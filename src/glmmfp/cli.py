@@ -36,7 +36,7 @@ from .fixed_point import (
     GlmmProblem,
     fit_posterior,
     identity_gaps,
-    random_identity_instance,
+    random_identity_stack,
 )
 from .metrics import deviance_gof
 from .oracle import CapabilityError, adjudicate_exactness
@@ -291,7 +291,8 @@ def _verify_battery(rng):
         A = rng.standard_normal((r, r))
         D = 0.3 * (A @ A.T) + 0.3 * np.eye(r)
         beta = rng.uniform(-0.4, 0.8, size=p)
-        gamma = np.linalg.cholesky(D) @ rng.standard_normal(r)
+        D_chol = np.linalg.cholesky(D)
+        gamma = D_chol @ rng.standard_normal(r)
         eta = X @ beta + Z @ gamma
         if family == "poisson":
             kernel = poisson_kernel()
@@ -304,7 +305,7 @@ def _verify_battery(rng):
         else:
             kernel = gaussian_kernel(1.0)
             y = eta + rng.standard_normal(n)
-        yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel)
+        yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
 
 
 def cmd_verify(args) -> int:
@@ -319,9 +320,8 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng([seed, 0])
     chunk_max = []
     for start in range(0, n_identity, IDENTITY_CHUNK):
-        size = min(IDENTITY_CHUNK, n_identity - start)
-        chunk = [random_identity_instance(rng) for _ in range(size)]
-        chunk_max.append(np.max(identity_gaps(chunk)))
+        stack = random_identity_stack(rng, min(IDENTITY_CHUNK, n_identity - start))
+        chunk_max.append(np.max(identity_gaps(stack)))
     # np.max propagates a NaN gap, and "not <=" below fails on it
     identity_max = float(np.max(chunk_max))
 

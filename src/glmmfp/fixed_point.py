@@ -45,11 +45,11 @@ identity
 which exercises every Woodbury/determinant manipulation the solver
 relies on, and is used as a randomized correctness oracle.  Both sides
 take leading batch axes, and :func:`identity_gaps` evaluates a suite of
-random instances as one padded stack: each instance is padded to the
-largest shape a random instance can have, with observations and effects
-independent of it, each of which adds the same ``log N(0; 0, 1)`` to
-both sides, so padding leaves every instance's gap unchanged up to
-roundoff.
+instances as one padded stack, which :func:`random_identity_stack` draws
+in place: each instance is padded to the largest shape a random instance
+can have, with observations and effects independent of it, each of which
+adds the same ``log N(0; 0, 1)`` to both sides, so padding leaves every
+instance's gap unchanged up to roundoff.
 """
 
 from __future__ import annotations
@@ -475,34 +475,38 @@ def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
     return _batch_result(_mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R))
 
 
-def random_identity_instance(rng):
-    """Draw a random instance of the factorization identity's arguments."""
-    n = int(rng.integers(1, IDENTITY_MAX_N + 1))
-    r = int(rng.integers(1, IDENTITY_MAX_R + 1))
-    p = int(rng.integers(1, IDENTITY_MAX_P + 1))
-    A = rng.standard_normal((r, r))
-    D = A @ A.T + (0.5 + rng.random()) * np.eye(r)
-    return dict(
-        u=rng.standard_normal(n),
-        alpha=rng.standard_normal(n),
-        beta=rng.standard_normal(p),
-        gamma=rng.standard_normal(r),
-        delta=rng.standard_normal(r),
-        X=rng.standard_normal((n, p)),
-        Z=rng.standard_normal((n, r)),
-        w=rng.uniform(0.2, 5.0, size=n),
-        D=D,
-    )
+def random_identity_stack(rng, size: int) -> dict:
+    """Draw ``size`` random instances, padded as :func:`_stack_instances` pads them.
+
+    An instance's n, r and p are uniform on 1..IDENTITY_MAX_N, _R and _P, its
+    weights on [0.2, 5], and ``D = A A' + (0.5 + U) I`` with ``U`` uniform on
+    [0, 1); ``A`` and every other entry are standard normal.  The stack takes
+    one generator call per kind of draw.
+    """
+    N, R, P = IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
+    obs, eff, fix = (np.arange(m) < rng.integers(1, m + 1, size)[:, None] for m in (N, R, P))
+    block = eff[:, :, None] & eff[:, None, :]
+    A = np.where(block, rng.standard_normal((size, R, R)), 0.0)
+    D = A @ A.swapaxes(1, 2) + (0.5 + rng.random(size))[:, None, None] * np.eye(R)
+    masks = dict(u=obs, alpha=obs, beta=fix, gamma=eff, delta=eff,
+                 X=obs[:, :, None] & fix[:, None, :], Z=obs[:, :, None] & eff[:, None, :])
+    widths = [mask[0].size for mask in masks.values()]
+    parts = np.split(rng.standard_normal((size, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    stack = {k: np.where(m, x.reshape(m.shape), 0.0) for (k, m), x in zip(masks.items(), parts)}
+    stack["w"] = np.where(obs, rng.uniform(0.2, 5.0, (size, N)), 1.0)
+    stack["D"] = np.where(block, D, np.eye(R))
+    return stack
 
 
 def _stack_instances(instances) -> dict:
-    """Pad instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
+    """Pad hand-built instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
 
     Each padded observation has ``w = 1`` and zero ``u``, ``alpha`` and
     rows of ``X`` and ``Z``; each padded effect has a unit block of ``D``
     and zero ``gamma``, ``delta`` and columns of ``Z``.  Both are
     independent of the instance, and each adds ``log N(0; 0, 1)`` to both
-    sides of the identity, so the padded gap is the instance's own.  The
+    sides of the identity, so the padded gap is the instance's own.
+    :func:`random_identity_stack` draws random instances in this layout.  The
     weights are checked on the batch, by the functions it is passed to.
     """
     b, n, r, p = len(instances), IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
@@ -541,11 +545,12 @@ def _stack_instances(instances) -> dict:
     return stack
 
 
-def identity_gaps(instances) -> np.ndarray:
+def identity_gaps(stack: dict) -> np.ndarray:
     """Gap between the two factorizations of the joint density, per instance.
 
-    The instances are padded into one batch (:func:`_stack_instances`)
-    and each side of the identity is evaluated once for the whole batch.
+    ``stack`` holds the instances padded into one batch, as
+    :func:`random_identity_stack` draws them or :func:`_stack_instances`
+    pads hand-built ones; each side of the identity is evaluated once for
+    the whole batch.
     """
-    stack = _stack_instances(instances)
     return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))

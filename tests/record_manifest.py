@@ -5,13 +5,15 @@ write, with each command's exit code and the versions that computed them.
     python tests/record_manifest.py --compare DIR_A DIR_B
 
 writes the manifest to PATH, by default ``tests/output_manifest.json``, the
-one that ``tests/test_output_manifest.py`` compares a fresh run with.  A
-change that moves output bytes on purpose re-records it and lists each moved
-file.  The commands run in one process at one BLAS thread, since the thread
-count changes the bytes; the inputs are made here and hashed too.  They run
-in a temporary directory, or with ``--keep`` in DIR, new or empty, which
-keeps every file they read and write: run it on two commits, and the values
-of each moved file can be compared, not only its digest.  ``--compare`` does
+one that ``tests/test_output_manifest.py`` compares a fresh run with.  Beside
+the digests it records ``verify``'s verdict and ``oracle_order`` for each
+adjudication on battery seeds 0-39, one line per seed.  A change that moves
+output bytes on purpose re-records it and lists each moved file.  The
+commands run in one process at one BLAS thread, since the thread count
+changes the bytes; the inputs are made here and hashed too.  They run in a
+temporary directory, or with ``--keep`` in DIR, new or empty, which keeps
+every file they read and write: run it on two commits, and the values of
+each moved file can be compared, not only its digest.  ``--compare`` does
 that for two such directories: it prints each file that differs, with the
 largest absolute and relative move of its numbers, overall and per key (a
 JSON path, list positions written ``[]``, or a CSV column), and each key
@@ -20,8 +22,10 @@ that only one side has, and runs nothing.
 
 import os
 
-# before numpy loads: the bytes are defined at one BLAS thread
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+# before numpy loads: the bytes are defined at one BLAS thread (run as a
+# script; a test that imports the module leaves its process's settings alone)
+if __name__ == "__main__":
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 import argparse  # noqa: E402
 import csv  # noqa: E402
@@ -84,6 +88,25 @@ COMMANDS = {
 }
 
 
+# the battery seeds on which the manifest pins verify's verdicts and oracle orders
+VERDICT_SEEDS = range(40)
+
+
+def battery_verdicts(root: Path) -> dict:
+    """``{seed: "verdict oracle_order, ..."}``: ``verify`` at each of ``VERDICT_SEEDS``,
+    with the default config, run in ``root``; one pair per adjudication, in order."""
+    config = root / "verify.json"
+    config.write_text("{}")
+    verdicts = {}
+    for seed in VERDICT_SEEDS:
+        out = root / f"verify-{seed}"
+        cli.main(["verify", "--config", str(config), "--out", str(out), "--seed", str(seed),
+                  "--quiet"])
+        battery = json.loads((out / "verdicts.json").read_text())["battery"]
+        verdicts[str(seed)] = ", ".join(f"{i['verdict']} {i['oracle_order']}" for i in battery)
+    return verdicts
+
+
 def environment() -> dict:
     """The versions that the bytes depend on, numpy's and scipy's OpenBLAS both."""
     def openblas(module):
@@ -130,7 +153,10 @@ def run(root: Path) -> dict:
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*")) if path.is_file()
     }
-    return {"environment": environment(), "exit_codes": exit_codes, "files": files}
+    with tempfile.TemporaryDirectory() as tmp:
+        verdicts = battery_verdicts(Path(tmp))
+    return {"environment": environment(), "exit_codes": exit_codes, "files": files,
+            "battery_verdicts": verdicts}
 
 
 def _number(value):

@@ -22,7 +22,7 @@ from glmmfp.fixed_point import (
     fit_posterior,
     fixed_point_residual,
     identity_gaps,
-    random_identity_instance,
+    random_identity_stack,
 )
 from glmmfp.metrics import deviance_gof
 from glmmfp.simulate import SimConfig, run_scenarios
@@ -53,7 +53,7 @@ def test_criterion_1_factorization_identity_suite():
     """100 randomized instances of the Gaussian factorization identity."""
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    gaps = identity_gaps([random_identity_instance(rng) for _ in range(100)])
+    gaps = identity_gaps(random_identity_stack(rng, 100))
     elapsed = time.perf_counter() - start
     worst = max(gaps)
     assert worst <= 1e-8, f"identity gap {worst:.3e} exceeds 1e-8"

@@ -920,9 +920,27 @@ class TestVerify:
         )
         assert code == cli.EXIT_OK
         rng = np.random.default_rng([4, 0])
-        instances = [fixed_point.random_identity_instance(rng) for _ in range(40)]
+        stacks = [
+            fixed_point.random_identity_stack(rng, min(chunk, 40 - start))
+            for start in range(0, 40, chunk)
+        ]
+        gaps = np.concatenate([fixed_point.identity_gaps(stack) for stack in stacks])
         payload = json.loads((out / "verdicts.json").read_text())
-        assert payload["identity"]["max_gap"] == float(np.max(fixed_point.identity_gaps(instances)))
+        assert payload["identity"]["max_gap"] == float(np.max(gaps))
+
+    def test_battery_factors_each_prior_once(self, monkeypatch):
+        # the factor that draws gamma is the problem's D_chol, so GlmmProblem
+        # does not factor D again
+        factors, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: factors.append(cholesky(a)) or factors[-1]
+        )
+        battery = cli._verify_battery(np.random.default_rng([3, 1]))
+        problems = [problem for _, problem in battery]
+        assert len(problems) == len(factors) == 26
+        for problem, factor in zip(problems, factors):
+            assert problem.D_chol is factor
+            assert np.array_equal(factor, cholesky(problem.D))
 
     def test_verify_byte_identical(self, tmp_path):
         config = self._config(tmp_path)

@@ -614,6 +614,59 @@ class TestStopField:
         assert (result.converged, result.stop) == (False, "stalled")
 
 
+class TestBoundaryStop:
+    """An estimate whose surrogate rises toward omega2 -> inf says so."""
+
+    # simulate's sic_estimated at n = 60, n* = 40: each replication's stop
+    STOPS = {
+        3: ["gradient"] * 5 + ["decrement"],
+        5: ["boundary"] + ["gradient"] * 5,
+        7: ["gradient"] * 5 + ["decrement"],
+        11: ["gradient"] * 6,
+    }
+
+    @staticmethod
+    def observed(seed, replication):
+        from glmmfp.simulate import SimConfig, generate_dataset
+
+        config = SimConfig(n=60, n_star=40, replications=6, seed=seed)
+        return generate_dataset(config, replication).observed, config.omega
+
+    def test_stops_on_the_four_seeds(self):
+        stops, fits = {}, 0
+        for seed in self.STOPS:
+            stops[seed] = []
+            for replication in range(6):
+                data, omega = self.observed(seed, replication)
+                result = estimate(data, None, omega)
+                assert result.converged and result.failed_fits == 0
+                stops[seed].append(result.stop)
+                fits += result.fits
+        assert stops == self.STOPS
+        assert fits <= 129
+
+    def test_boundary_costs_one_fit_and_keeps_the_estimate(self, monkeypatch):
+        data, omega = self.observed(5, 0)
+        result = estimate(data, None, omega)
+        monkeypatch.setattr(estimate_module, "BOUNDARY_CORRELATION", 0.0)
+        unchecked = estimate(data, None, omega)
+        assert (result.stop, unchecked.stop) == ("boundary", "gradient")
+        assert result.converged and result.fits == unchecked.fits + 1
+        assert result.record == {**unchecked.record, "stop": "boundary", "fits": result.fits}
+        # exp(-omega2 d_min) at the estimate: the prior is nearly sill * I
+        dist = estimate_module.site_distances(data.coords)
+        assert estimate_module._nearest_correlation(result.omega_hat, dist) < 1e-4
+
+    def test_interior_estimate_keeps_its_stop(self, monkeypatch):
+        data, omega = self.observed(5, 1)
+        result = estimate(data, None, omega)
+        monkeypatch.setattr(estimate_module, "BOUNDARY_CORRELATION", 1.0)
+        checked = estimate(data, None, omega)
+        # with every estimate checked, the interior one's limit lies below it
+        assert (result.stop, checked.stop) == ("gradient", "gradient")
+        assert checked.fits == result.fits + 1
+
+
 def split_theta(theta, p, nu):
     """``(beta, omega)`` at ``theta = (beta, logit omega1, log omega2)``."""
     return theta[:p], MaternParams(float(expit(theta[p])), float(np.exp(theta[p + 1])), nu)

@@ -5,10 +5,13 @@ and estimated parameters, a binomial and a Gaussian ``fit``, ``simulate``
 with all three scenarios and ``verify`` at two seeds, in one process at one
 BLAS thread, and hashes every file that they read and write.  A change that
 moves bytes on purpose re-records ``output_manifest.json`` with it and lists
-the moved files; one that moves them by accident fails here.
+the moved files; one that moves them by accident fails here.  The manifest
+also pins ``verify``'s verdict and ``oracle_order`` for each adjudication on
+battery seeds 0-39, which a fresh in-process run must repeat.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -51,6 +54,23 @@ def test_output_bytes_match_the_manifest(tmp_path):
     )
     files = differences(want["files"], got["files"])
     assert not files, f"output bytes differ from {MANIFEST.name} in: {', '.join(files)}"
+
+
+def test_battery_verdicts_match_the_manifest(tmp_path):
+    import record_manifest
+
+    want = json.loads(MANIFEST.read_text())["battery_verdicts"]
+    got = record_manifest.battery_verdicts(tmp_path)
+    assert got.keys() == want.keys()
+    moved = [
+        f"seed {seed}, instance {i}: {a} -> {b}"
+        for seed in want
+        for i, (a, b) in enumerate(
+            itertools.zip_longest(want[seed].split(", "), got[seed].split(", "))
+        )
+        if a != b
+    ]
+    assert not moved, "verify verdicts differ from the manifest: " + "; ".join(moved)
 
 
 def test_keep_refuses_a_directory_that_is_not_empty(tmp_path):
