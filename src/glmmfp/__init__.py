@@ -7,8 +7,8 @@ Core entry points:
   covariance at the mode.
 * :func:`glmmfp.spatial.krige` - spatial prediction at unobserved sites
   from a fit on the observed sites (:func:`glmmfp.spatial.site_problem`).
-* :mod:`glmmfp.oracle` - brute-force quadrature / importance-sampling
-  references and the exactness adjudication.
+* :mod:`glmmfp.oracle` - brute-force quadrature / elliptical slice
+  sampling references and the exactness adjudication.
 * :mod:`glmmfp.simulate` - seeded Monte Carlo evaluation harness.
 """
 
@@ -21,7 +21,7 @@ from .families import (
 )
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
 from .metrics import deviance_gof, rl2
-from .oracle import adjudicate_exactness, moments_importance, moments_quadrature
+from .oracle import adjudicate_exactness, moments_quadrature, moments_slice
 from .spatial import SpatialData, krige, site_problem
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "gaussian_kernel",
     "krige",
     "matern",
-    "moments_importance",
     "moments_quadrature",
+    "moments_slice",
     "poisson_kernel",
     "rl2",
     "site_problem",

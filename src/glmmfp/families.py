@@ -10,6 +10,11 @@ case where every downstream quantity has a closed form.
 All functions are pure and operate elementwise on numpy arrays, so they
 are safe to call concurrently.  The logistic function is numpy's and
 log-gamma is ``math.lgamma``, so this module loads no ``scipy.special``.
+
+The count families' means, weights and third derivatives clamp the
+predictor to ``+-ETA_CLAMP``, half the log of the largest double, so that
+``e^|eta|`` is at most its square root: a mean, a weight, its reciprocal,
+their pairwise products and ``y eta - e^eta`` stay finite and nonzero.
 """
 
 from __future__ import annotations
@@ -19,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Linear predictors are clamped to this window before exponentiation for
-# the count families, which keeps the means finite and the working
-# weights positive.
-ETA_CLAMP = 30.0
+ETA_CLAMP = 0.5 * math.log(np.finfo(float).max)  # 354.9
 
 POISSON = "poisson"
 BINOMIAL = "binomial"
@@ -84,19 +86,23 @@ def gaussian_kernel(variance: float) -> FamilyKernel:
     return FamilyKernel(GAUSSIAN, variance=float(variance))
 
 
-def _expit(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))  # x is clamped to ETA_CLAMP, so exp cannot overflow
+def _logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p = 1 / (1 + e^-x)`` and ``1 - p`` as ``e^-x p``: ``1 - p`` is 0 past ``x = 37``."""
+    t = np.exp(-x)
+    p = 1.0 / (1.0 + t)
+    return p, t * p
 
 
 def _log_gamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _check_finite(eta: np.ndarray) -> np.ndarray:
+def _clamped(eta) -> tuple[np.ndarray, np.ndarray]:
+    """``eta``, checked finite, and ``eta`` clamped to ``+-ETA_CLAMP``."""
     eta = np.asarray(eta, dtype=float)
     if not np.isfinite(eta).all():
         raise ValueError("linear predictor contains non-finite entries")
-    return eta
+    return eta, np.minimum(np.maximum(eta, -ETA_CLAMP), ETA_CLAMP)
 
 
 def check_support(kernel: FamilyKernel, y) -> np.ndarray:
@@ -121,15 +127,28 @@ def mean_and_weight(kernel: FamilyKernel, eta) -> tuple[np.ndarray, np.ndarray]:
     For the count families the weight equals the curvature b''(eta); for
     the Gaussian kernel the curvature is 1 and the weight is 1/variance.
     """
-    eta = _check_finite(eta)
-    ec = np.minimum(np.maximum(eta, -ETA_CLAMP), ETA_CLAMP)
+    eta, ec = _clamped(eta)
     if kernel.family == POISSON:
         mu = np.exp(ec)
         return mu, mu.copy()
     if kernel.family == BINOMIAL:
-        p = _expit(ec)
-        return kernel.trials * p, kernel.trials * p * (1.0 - p)
+        p, q = _logistic(ec)
+        return kernel.trials * p, kernel.trials * p * q
     return eta.copy(), np.full_like(eta, 1.0 / kernel.variance)
+
+
+def score_and_weight(kernel: FamilyKernel, eta, y) -> tuple[np.ndarray, np.ndarray]:
+    """The log-likelihood's score ``(y - b'(eta)) / phi`` in ``eta``, and the weight.
+
+    The binomial score is ``y (1 - p) - (m - y) p``, which keeps its digits
+    where ``y - m p`` rounds to 0, as ``p`` nears 1 at ``y = m``.
+    """
+    if kernel.family != BINOMIAL:
+        mu, w = mean_and_weight(kernel, eta)
+        return (y - mu) / kernel.dispersion, w
+    p, q = _logistic(_clamped(eta)[1])
+    m = kernel.trials
+    return y * q - (m - y) * p, m * p * q
 
 
 def third_derivative(kernel: FamilyKernel, eta) -> np.ndarray:
@@ -137,15 +156,14 @@ def third_derivative(kernel: FamilyKernel, eta) -> np.ndarray:
 
     ``mu`` for Poisson, ``m p (1 - p)(1 - 2p)`` for binomial and 0 for
     the Gaussian kernel, whose weight is constant.  Uses the same clamp
-    as :func:`mean_and_weight`.
+    and ``1 - p`` as :func:`mean_and_weight`.
     """
-    eta = _check_finite(eta)
-    ec = np.minimum(np.maximum(eta, -ETA_CLAMP), ETA_CLAMP)
+    eta, ec = _clamped(eta)
     if kernel.family == POISSON:
         return np.exp(ec)
     if kernel.family == BINOMIAL:
-        p = _expit(ec)
-        return kernel.trials * p * (1.0 - p) * (1.0 - 2.0 * p)
+        p, q = _logistic(ec)
+        return kernel.trials * p * q * (1.0 - 2.0 * p)
     return np.zeros_like(eta)
 
 
@@ -185,8 +203,8 @@ def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
     sum runs over the trailing axis.  A strided trailing axis, such as the
     transpose of an (n, K) array, is summed by adds of contiguous K-vectors,
     the same bits as a contiguous axis for fewer than 8 terms.  Extreme
-    predictors map to -inf rather than raising, as quadrature and
-    importance-sampling integrands need.  ``const`` is :func:`response_term`
+    predictors map to -inf rather than raising, as the oracles'
+    integrands need.  ``const`` is :func:`response_term`
     of a ``y`` already checked, such as a problem's cached one; without
     it ``y`` is checked and the term evaluated here.
 

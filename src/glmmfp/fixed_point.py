@@ -240,12 +240,6 @@ def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
     return 0.5 * (Xi + Xi.T)
 
 
-def _score(problem: GlmmProblem, eta):
-    """Score ``(y - mu) / phi`` of the log-likelihood in ``eta``, and ``w``."""
-    mu, w = families.mean_and_weight(problem.kernel, eta)
-    return (problem.y - mu) / problem.kernel.dispersion, w
-
-
 def _newton_step(problem: GlmmProblem, eta, b, buf=None):
     """Newton increment at ``eta = X beta + Z xi``, with ``D^-1 xi = Z' b``.
 
@@ -253,7 +247,7 @@ def _newton_step(problem: GlmmProblem, eta, b, buf=None):
     increments ``delta = D Z' d_b`` of ``xi`` and ``d_b = R^-1 W^-1 (s - b)``
     of ``b``, and the factor of ``R`` made in ``buf``.
     """
-    s, w = _score(problem, eta)
+    s, w = families.score_and_weight(problem.kernel, eta, problem.y)
     chol = _factor(problem, w, buf)
     d_b = potrs(chol, (s - b) / w)
     return w, problem.D @ problem.adjoint(d_b), d_b, chol
@@ -280,7 +274,7 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     """
     xi = np.asarray(xi, dtype=float)
     eta = problem.X @ problem.beta + problem.effects(xi)
-    s, w = _score(problem, eta)
+    s, w = families.score_and_weight(problem.kernel, eta, problem.y)
     raw = _xi_raw(problem, eta + s / w, w)[0]
     return float(np.abs(xi - raw).max(initial=0.0))
 
@@ -289,9 +283,9 @@ def _start(problem: GlmmProblem, buf=None, eta0=None):
     """``(xi, b)`` after one update at ``eta0``, by default the family's start."""
     if eta0 is None:
         eta0, w0 = problem.initial_eta
-        s0 = _score(problem, eta0)[0]
+        s0 = families.score_and_weight(problem.kernel, eta0, problem.y)[0]
     else:
-        s0, w0 = _score(problem, eta0)
+        s0, w0 = families.score_and_weight(problem.kernel, eta0, problem.y)
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 
 

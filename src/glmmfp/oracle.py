@@ -1,21 +1,16 @@
-"""Brute-force posterior moments for small random-effect dimension.
+"""Brute-force posterior moments of the random effects.
 
-Two independent routes to E(gamma | y), Cov(gamma | y), and the log
-marginal likelihood: tensor-product Gauss-Hermite quadrature (dimension
-<= 4) and self-normalized importance sampling.  Both integrate the
-unnormalized posterior
-
-    g(gamma) = f(y | gamma) pi(gamma)
-
-directly, so they are valid references for the mode-finder.  The
-solver output is used only to center and scale the nodes / proposal;
-node placement affects efficiency, not the value, which the
-order-doubling error estimate verifies.  The quadrature is adaptive
-Gauss-Hermite (Liu & Pierce 1994; Pinheiro & Bates 1995): the nodes go
-through the Laplace covariance ``Xi`` around the mode, so its Gaussian
-weight is ``N(xi, Xi)`` and the integrand over that weight is nearly
-flat.  Importance sampling draws from ``N(xi, 2 Xi)``, whose heavier
-tails keep the importance weights bounded.
+Two independent routes to E(gamma | y) and Cov(gamma | y) take the
+unnormalized posterior ``g(gamma) = f(y | gamma) pi(gamma)`` directly,
+so they are valid references for the mode-finder: adaptive
+Gauss-Hermite quadrature (Liu & Pierce 1994; Pinheiro & Bates 1995) for
+r <= 4, which also gives the log marginal likelihood, and elliptical
+slice sampling at any r.  The solver output only centers and scales the
+nodes and starts the chains.  The nodes go through the Laplace
+covariance ``Xi`` around the mode, so the rule's Gaussian weight is
+``N(xi, Xi)`` and the integrand over that weight is nearly flat; node
+placement affects efficiency, not the value, which the order-doubling
+error estimate verifies.
 
 Each piece of quadrature work is done once: the 1-D Gauss-Hermite rule
 of an order and the standardized tensor grid ``x`` of an (order, r), in
@@ -33,8 +28,6 @@ term as (r, K), so each sum over observations or effects is a few adds
 of length-K vectors.  Before any node is placed,
 ``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
 quadrature over it raises ``CapabilityError`` with the node count.
-Importance sampling checks ``samples * (n + r)`` against the same
-budget before it draws.
 
 ``adjudicate_exactness`` compares the posterior mode against the
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
@@ -54,13 +47,10 @@ import numpy as np
 from . import families
 from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior, laplace_marginal
 
-GAUSS_HERMITE = "gauss_hermite"
-IMPORTANCE_SAMPLING = "importance_sampling"
-
 QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
 MAX_QUADRATURE_ORDER = 256
-# order**r nodes (or importance samples) times (n + r) doubles: the n x K
+# order**r nodes (or slice chains) times (n + r) doubles: the n x K
 # predictor and r x K effects; 2**22 doubles is 32 MiB per such array
 QUADRATURE_BUDGET = 2**22
 # verdict thresholds of adjudicate_exactness, and the oracle error at which
@@ -69,20 +59,23 @@ CONFIRM_FLOOR = 1e-6
 CONFIRM_MULT = 10.0
 REFUTE_MULT = 100.0
 ERROR_TARGET = 1e-8
-MIN_IS_SAMPLES = 10_000
-MIN_ESS_FRACTION = 0.05
+# chains of moments_slice, stepped in lockstep; the first steps // SLICE_BURN_IN
+# steps of each are discarded
+SLICE_CHAINS = 16
+SLICE_BURN_IN = 10
 
 
 class CapabilityError(RuntimeError):
     """Requested computation exceeds what the method can do reliably."""
 
 
-class UnreliableEstimateError(RuntimeError):
-    """Importance sampling degenerated (effective sample size too small)."""
-
-
 @dataclass(eq=False)
 class PosteriorMoments:
+    """One oracle's posterior mean and covariance.  ``order_or_samples`` is the
+    quadrature order or the number of draws kept, and ``error_estimate`` the
+    order-halving change of the mean or its largest Monte Carlo standard
+    error.  ``log_marginal`` is NaN from the slice sampler, which has none."""
+
     mean: np.ndarray
     cov: np.ndarray
     log_marginal: float
@@ -158,21 +151,12 @@ def _log_integrand(problem: GlmmProblem, center: _Center, x: np.ndarray) -> np.n
     return loglik + logprior
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, shifted by its maximum."""
-    top = a.max()
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.exp(a - top).sum()))
-
-
 @functools.lru_cache(maxsize=None)
 def _hermite_rule(order: int):
     """Read-only 1-D Gauss-Hermite nodes and log weights of ``order``."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     log_weights = np.log(weights)
-    nodes.flags.writeable = False
-    log_weights.flags.writeable = False
+    nodes.flags.writeable = log_weights.flags.writeable = False
     return nodes, log_weights
 
 
@@ -203,10 +187,7 @@ def _fits_budget(problem: GlmmProblem, order: int) -> bool:
 
 def _check_quadrature(problem: GlmmProblem, order: int) -> None:
     if problem.r > QUADRATURE_DIM_LIMIT:
-        raise CapabilityError(
-            f"tensor quadrature limited to r <= {QUADRATURE_DIM_LIMIT}; "
-            "use moments_importance for larger r"
-        )
+        raise CapabilityError(f"tensor quadrature limited to r <= {QUADRATURE_DIM_LIMIT}")
     if order < 8:
         raise ValueError("quadrature order must be at least 8")
     if order > MAX_QUADRATURE_ORDER:
@@ -218,7 +199,7 @@ def _check_quadrature(problem: GlmmProblem, order: int) -> None:
         raise CapabilityError(
             f"order {order} in r = {problem.r} needs {order**problem.r} nodes "
             f"x {problem.n + problem.r} values, over the budget of "
-            f"{QUADRATURE_BUDGET}; lower the order or use moments_importance"
+            f"{QUADRATURE_BUDGET}; lower the order"
         )
 
 
@@ -226,9 +207,10 @@ def _gh_raw(problem: GlmmProblem, order: int, center: _Center):
     # the nodes' weight e^{-|x|^2} is N(xi, scale scale' / 2) = N(xi, Xi) in gamma
     x, base = _node_grid(order, problem.r)
     log_terms = base + _log_integrand(problem, center, x)
-    log_norm = _logsumexp(log_terms)
-    if not np.isfinite(log_norm):
+    top = log_terms.max()
+    if not np.isfinite(top):
         raise FloatingPointError("all quadrature node weights underflowed")
+    log_norm = top + np.log(np.exp(log_terms - top).sum())
     p = np.exp(log_terms - log_norm)
     mean_x = x.T @ p
     dev = x.T - mean_x[:, None]
@@ -268,62 +250,68 @@ def _quadrature(problem: GlmmProblem, order: int, center: _Center, evaluated: di
     err = float(np.abs(mean - evaluated[order // 2][0]).max())
     return PosteriorMoments(
         mean=mean, cov=cov, log_marginal=logz,
-        method=GAUSS_HERMITE, order_or_samples=order, error_estimate=err,
+        method="gauss_hermite", order_or_samples=order, error_estimate=err,
     )
 
 
-def moments_importance(
-    problem: GlmmProblem, samples: int = 20_000, seed: int = 0
-) -> PosteriorMoments:
-    """Self-normalized importance sampling posterior moments.
+def moments_slice(problem: GlmmProblem, steps: int = 5_000, seed: int = 0):
+    """Posterior moments by elliptical slice sampling (Murray, Adams & MacKay 2010).
 
-    Proposal is N(xi, 2 Xi) at the posterior mode and Laplace covariance.  The error
-    estimate is the largest delete-one jackknife standard error among
-    the mean components.  Deterministic for a fixed seed.  Raises
-    ``CapabilityError`` when ``samples * (n + r)`` is over
+    ``SLICE_CHAINS`` chains start at the posterior mode.  Each step draws
+    each chain a prior ellipse through its point, ``nu = L z`` for
+    ``D = L L'``, and a level under its likelihood, and shrinks the angle
+    brackets of the chains below their level as one batch.  The moments
+    are running sums over all but the first ``steps // SLICE_BURN_IN``
+    steps; the error estimate is the largest between-chain standard error
+    of the mean.  Deterministic for a fixed seed.  Raises
+    ``CapabilityError`` when ``SLICE_CHAINS * (n + r)`` is over
     ``QUADRATURE_BUDGET``, before anything is fitted or drawn.
     """
-    if samples < MIN_IS_SAMPLES:
-        raise ValueError(f"at least {MIN_IS_SAMPLES} samples required")
-    if samples * (problem.n + problem.r) > QUADRATURE_BUDGET:
-        raise CapabilityError(
-            f"{samples} samples x {problem.n + problem.r} values, over the "
-            f"budget of {QUADRATURE_BUDGET}; lower the sample count"
+    chains, r = SLICE_CHAINS, problem.r
+    kept = steps - steps // SLICE_BURN_IN
+    if kept < 1:
+        raise ValueError("at least one step is needed to keep a draw")
+    if chains * (problem.n + r) > QUADRATURE_BUDGET:
+        raise CapabilityError(f"{chains} chains x {problem.n + r} values, over the "
+                              f"budget of {QUADRATURE_BUDGET}")
+    mode = fit_posterior(problem, FitOptions()).xi
+
+    def loglik(gamma):
+        eta = (problem.X @ problem.beta)[:, None] + problem.effects(gamma)
+        return families.log_likelihood(
+            problem.kernel, eta.T, problem.y, const=problem.response_term
         )
-    center = _center_terms(problem)
+
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, problem.r))
-    logg = _log_integrand(problem, center, x)
-    gammas = center.xi + x @ center.scale.T
-    # proposal logpdf under N(xi, scale scale')
-    logdet = 2.0 * center.log_jac
-    logq = -0.5 * (
-        problem.r * np.log(2.0 * np.pi) + logdet + np.sum(x**2, axis=1)
-    )
-    logw = logg - logq
-    log_total = _logsumexp(logw)
-    p = np.exp(logw - log_total)
-    ess = 1.0 / np.sum(p**2)
-    if ess < MIN_ESS_FRACTION * samples:
-        raise UnreliableEstimateError(
-            f"effective sample size {ess:.1f} below "
-            f"{MIN_ESS_FRACTION:.0%} of {samples}"
-        )
-    mean = p @ gammas
-    dev = gammas - mean
-    cov = (dev * p[:, None]).T @ dev
-    cov = 0.5 * (cov + cov.T)
-    # delete-one jackknife of the weighted mean
-    w = np.exp(logw - np.max(logw))
-    total = np.sum(w)
-    sums = w @ gammas
-    loo = (sums - w[:, None] * gammas) / (total - w)[:, None]
-    se = np.sqrt((samples - 1) / samples * np.sum((loo - loo.mean(0)) ** 2, axis=0))
+    gamma = np.repeat(mode[:, None], chains, axis=1)
+    ll = loglik(gamma)
+    sums, cross = np.zeros((r, chains)), np.zeros((r, r))
+    for step in range(steps):
+        nu = problem.D_chol @ rng.standard_normal((r, chains))
+        level = ll + np.log(rng.random(chains))
+        hi = 2.0 * np.pi * rng.random(chains)
+        t, lo = hi, hi - 2.0 * np.pi
+        active = np.arange(chains)
+        while active.size:
+            trial = gamma[:, active] * np.cos(t) + nu[:, active] * np.sin(t)
+            ll_trial = loglik(trial)
+            ok = ll_trial >= level
+            gamma[:, active[ok]] = trial[:, ok]
+            ll[active[ok]] = ll_trial[ok]
+            # shrink each rejected bracket to its angle, toward 0: the point, on its level
+            active, level, t, lo, hi = (v[~ok] for v in (active, level, t, lo, hi))
+            lo, hi = np.where(t < 0.0, t, lo), np.where(t < 0.0, hi, t)
+            t = lo + (hi - lo) * rng.random(active.size)
+        if step >= steps - kept:
+            dev = gamma - mode[:, None]
+            sums += dev
+            cross += dev @ dev.T
+    chain_means = sums / kept
+    shift = chain_means.mean(axis=1)
     return PosteriorMoments(
-        mean=mean, cov=cov,
-        log_marginal=float(log_total - np.log(samples)),
-        method=IMPORTANCE_SAMPLING, order_or_samples=samples,
-        error_estimate=float(np.max(se)),
+        mean=mode + shift, cov=cross / (kept * chains) - np.outer(shift, shift),
+        log_marginal=np.nan, method="elliptical_slice", order_or_samples=kept * chains,
+        error_estimate=float(chain_means.std(axis=1, ddof=1).max() / np.sqrt(chains)),
     )
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
+from glmmfp import cli, covariance, dataio, families, fixed_point, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
 
@@ -130,8 +130,9 @@ class TestFit:
         assert report["estimation"] == result.record
 
     def test_count_beyond_the_clamp_is_reported(self, tmp_path):
-        # a Poisson mean is capped at e^30, so a count of 2e13 drives its site's
-        # predictor past the clamp; report.json says so
+        # the predictor is clamped at half the log of the largest double, so a
+        # count of 2e13 (a predictor of 30.6) fits; a count of 1e160 is past
+        # the largest mean, e^ETA_CLAMP, and report.json says so
         rng = np.random.default_rng(0)
         coords = rng.uniform(0, 5, size=(12, 2))
         y = rng.poisson(5, size=12)
@@ -140,15 +141,15 @@ class TestFit:
             "family": "poisson", "beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0},
         })
         clamped = {}
-        for count in (int(y[3]), 2 * 10**13):
+        for count in (int(y[3]), 2 * 10**13, 10**160):
             rows[3] = f"{count},{coords[3, 0]},{coords[3, 1]}"
             data = write_csv(tmp_path, "y,x_coord,y_coord\n" + "\n".join(rows) + "\n")
             out = tmp_path / f"out{count}"
             argv = ["fit", "--config", config, "--data", data, "--out", str(out), "--quiet"]
             code = cli.main(argv)
-            assert code == cli.EXIT_OK or count > np.exp(30.0)
+            assert (code == cli.EXIT_OK) == (count < np.exp(families.ETA_CLAMP))
             clamped[count] = json.loads((out / "report.json").read_text())["eta_clamped"]
-        assert clamped == {int(y[3]): False, 2 * 10**13: True}
+        assert clamped == {int(y[3]): False, 2 * 10**13: False, 10**160: True}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_estimated_fit_is_written_without_a_second_fit(
@@ -355,6 +356,15 @@ class TestPredict:
         assert code == cli.EXIT_OK
         rows = (out / "predictions.csv").read_text().strip().split("\n")
         assert len(rows) == 7
+
+    def test_no_training_rows(self, tmp_path, capsys):
+        data = write_csv(tmp_path, "y,x_coord,y_coord,role\n3,0.5,1.0,test\n1,2.0,2.5,test\n")
+        out = tmp_path / "out"
+        code = cli.main(["predict", "--config", self._config(tmp_path), "--data", data,
+                         "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        assert "error: no training rows" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("beta", [[1.5], "estimate"])
     def test_repeated_training_sites_get_the_fit(
@@ -880,8 +890,11 @@ class TestVerify:
     @pytest.mark.parametrize("bad", [0, 2])
     def test_nan_identity_gap_exits_numerical(self, tmp_path, monkeypatch, bad):
         # Python's max keeps a leading NaN and drops a later one; neither passes
-        def gaps(instances):
-            out = np.full(len(instances), 1e-12)
+        seen = []
+
+        def gaps(stack):
+            seen.append(len(stack["w"]))
+            out = np.full(seen[-1], 1e-12)
             out[bad] = np.nan
             return out
 
@@ -892,6 +905,7 @@ class TestVerify:
         out = tmp_path / "out"
         code = cli.main(["verify", "--config", config, "--out", str(out), "--quiet"])
         assert code == cli.EXIT_NUMERICAL
+        assert seen == [3]
         payload = json.loads((out / "verdicts.json").read_text())
         assert payload["identity"]["max_gap"] is None
 
@@ -1026,6 +1040,15 @@ CONFIG_VALUES_BY_ID = {
                            ("empty-list", []))},
     "omega-empty-object": ("simulate", {"simulate": {"omega": {}}},
                            "simulate.omega.omega1 must be a finite number: None"),
+    "beta-unset": ("fit", {"beta": None}, "config must set 'beta' (values or 'estimate')"),
+    "model-tier-unknown": ("fit", {"model_tier": "cubic"}, "unknown model_tier 'cubic'"),
+    "tier-unknown": ("validate", {"validate": {"tiers": ["cubic"]}},
+                     "unknown model_tier 'cubic'"),
+    # the dataset has 30 rows
+    "splits-over-the-rows": (
+        "validate", {"validate": {"n_train": 25, "n_test": 10, "tiers": ["intercept"]}},
+        "split sizes 25+10 exceed the 30 dataset rows",
+    ),
 }
 
 

@@ -288,6 +288,8 @@ class TestAssembly:
         site_distances(obs, np.vstack([unobs, unobs[:1]]))
         with pytest.raises(ValueError, match="duplicate"):
             site_distances(np.vstack([obs, obs[2:3]]), unobs)
+        with pytest.raises(ValueError, match="2-D array of site coordinates"):
+            site_distances(obs[:, 0])
 
     def test_sites_over_the_budget_are_rejected_before_cdist(self):
         # 4,097 sites would take 134 MB of distances

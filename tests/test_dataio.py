@@ -136,6 +136,16 @@ class TestDataset:
         assert ds.coords.shape == (3, 2)
         assert ds.trials is None and ds.role is None
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {}))
+        with pytest.raises(ConfigError, match="dataset has no header row"):
+            load_dataset(write_csv(tmp_path, ""), cfg)
+
+    def test_unreadable_path(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {}))
+        with pytest.raises(ConfigError, match="cannot read dataset"):
+            load_dataset(tmp_path / "absent.csv", cfg)
+
     def test_missing_column(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))
         with pytest.raises(ConfigError, match="'y_coord'"):

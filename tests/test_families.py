@@ -95,6 +95,20 @@ class TestMeanAndWeight:
         fd = (mu_p - mu_m) / (2.0 * h)
         assert np.allclose(fd, w, rtol=1e-6, atol=1e-12)
 
+    def test_binomial_score_and_weight_keep_their_digits_near_p_one(self):
+        # past eta = 37, 1 - p rounds to 0; the weight and the score of y = m
+        # are m e^-eta to roundoff, as at -eta for y = 0
+        m = np.array([4.0, 4.0])
+        eta = np.array([40.0, 300.0])
+        kernel = binomial_kernel(m)
+        s, w = families.score_and_weight(kernel, eta, m)
+        s_neg, w_neg = families.score_and_weight(kernel, -eta, np.zeros(2))
+        tail = m * np.exp(-eta)
+        np.testing.assert_allclose(w, tail, rtol=1e-14)
+        np.testing.assert_allclose(s, tail, rtol=1e-14)
+        np.testing.assert_allclose(w_neg, tail, rtol=1e-14)
+        np.testing.assert_allclose(s_neg, -tail, rtol=1e-14)
+
     def test_curvature_strictly_positive(self):
         eta = np.linspace(-25.0, 25.0, 101)
         _, w_p = mean_and_weight(poisson_kernel(), eta)
@@ -122,10 +136,16 @@ class TestThirdDerivative:
         assert np.all(families.third_derivative(gaussian_kernel(2.0), np.ones(3)) == 0.0)
 
     def test_clamped_like_the_weight(self):
+        # both saturate at the clamp, half the log of the largest double,
+        # where the weight and its reciprocal are still finite and nonzero
+        assert 354.0 < families.ETA_CLAMP < 355.0
+        edge = np.array([families.ETA_CLAMP, -families.ETA_CLAMP])
         for k in (poisson_kernel(), binomial_kernel([3])):
             b3 = families.third_derivative(k, np.array([500.0, -500.0]))
-            edge = families.third_derivative(k, np.array([30.0, -30.0]))
-            assert np.array_equal(b3, edge)
+            assert np.array_equal(b3, families.third_derivative(k, edge))
+            _, w = mean_and_weight(k, np.array([500.0, -500.0]))
+            assert np.array_equal(w, mean_and_weight(k, edge)[1])
+            assert np.all(w > 0.0) and np.all(np.isfinite(1.0 / w))
 
 
 class TestCheckSupport:
@@ -134,6 +154,8 @@ class TestCheckSupport:
             families.check_support(poisson_kernel(), np.array([-1.0]))
         with pytest.raises(ValueError, match="counts"):
             families.check_support(binomial_kernel([2]), np.array([3.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            families.check_support(gaussian_kernel(1.0), np.array([0.5, np.inf]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatched"):

@@ -575,6 +575,41 @@ class TestNonConvergence:
         assert report.Xi.shape == (3, 3)
 
 
+class TestLargePredictors:
+    """The mode is found wherever the predictor is within the families' clamp."""
+
+    def test_huge_count_fits_to_its_score(self):
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0, 5, size=(12, 2))
+        y = rng.poisson(5, size=12).astype(float)
+        y[3] = 2e13
+        blocked = build_blocked(MaternParams(0.5, 1.0), coords)
+        problem = GlmmProblem(y=y, X=np.ones((12, 1)), Z=None, D=blocked.d11,
+                              beta=np.array([1.5]), kernel=poisson_kernel())
+        tol = FitOptions().tol
+        report = fit_posterior(problem)
+        assert report.converged and report.residual <= tol
+        assert not report.eta_clamped and report.eta[3] > 30.0
+        # the log-posterior's gradient y - mu - D^-1 xi, against the count
+        score = y - np.exp(report.eta)
+        assert np.max(np.abs(score - report.alpha)) <= tol * y[3]
+
+    @pytest.mark.parametrize("sill", [1e8, 1e20])
+    def test_separated_binomial_under_a_large_sill_converges(self, sill):
+        # y = 0 and y = m under independent effects: the modes are -+eta with
+        # m e^-eta ~ eta / sill, past eta = 37 where 1 - p rounds to 0 at 1e20
+        m = np.array([4.0, 4.0])
+        problem = GlmmProblem(y=np.array([0.0, 4.0]), X=np.ones((2, 1)), Z=None,
+                              D=sill * np.eye(2), beta=np.zeros(1), kernel=binomial_kernel(m))
+        report = fit_posterior(problem)
+        assert report.converged and not report.eta_clamped
+        xi = report.xi
+        assert xi[1] == pytest.approx(-xi[0], rel=1e-12)
+        assert 4.0 * np.exp(-xi[1]) / (1.0 + np.exp(-xi[1])) == pytest.approx(
+            xi[1] / sill, rel=1e-10
+        )
+
+
 def stress_battery(seed=1, count=3000):
     """Badly conditioned random problems.
 

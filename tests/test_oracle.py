@@ -1,19 +1,20 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
 from glmmfp import cli, families, oracle
+from glmmfp.covariance import MaternParams, matern, site_distances
 from glmmfp.families import gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior, laplace_marginal
 from glmmfp.oracle import (
     CapabilityError,
-    UnreliableEstimateError,
     adjudicate_exactness,
-    moments_importance,
     moments_quadrature,
+    moments_slice,
 )
 
 # Scalar poisson instance with a known brute-force answer: n = r = 1,
@@ -106,50 +107,54 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="at least 8"):
             moments_quadrature(scalar_poisson(), order=4)
 
+    def test_maximum_order(self):
+        with pytest.raises(ValueError, match="above 256 underflows"):
+            moments_quadrature(scalar_poisson(), order=oracle.MAX_QUADRATURE_ORDER + 1)
 
-class TestImportanceSampling:
-    def test_agrees_with_quadrature(self):
-        problem = scalar_poisson()
+
+def gaussian_r5():
+    """A Gaussian-kernel problem past the quadrature's dimension limit."""
+    problem = gaussian_instance(seed=5, n=8, r=5)
+    assert problem.r > oracle.QUADRATURE_DIM_LIMIT
+    return problem
+
+
+class TestEllipticalSlice:
+    @pytest.mark.parametrize("name", ["scalar_poisson", "gaussian_r2", "battery_r2_poisson"])
+    def test_agrees_with_quadrature(self, name):
+        problem = {
+            "scalar_poisson": scalar_poisson, "gaussian_r2": gaussian_instance,
+            "battery_r2_poisson": escalated_r2_poisson,
+        }[name]()
         ref = moments_quadrature(problem, order=96)
-        est = moments_importance(problem, samples=40_000, seed=0)
-        assert est.mean[0] == pytest.approx(ref.mean[0], abs=5 * est.error_estimate)
-        assert est.log_marginal == pytest.approx(ref.log_marginal, abs=0.02)
+        est = moments_slice(problem, steps=1_000, seed=0)
+        assert np.max(np.abs(est.mean - ref.mean)) <= 4.0 * est.error_estimate
+        assert np.max(np.abs(est.cov - ref.cov)) <= 0.1 * np.max(np.abs(ref.cov))
+
+    def test_matches_the_conjugate_mean_beyond_quadrature(self):
+        problem = gaussian_r5()
+        conjugate = fit_posterior(problem)
+        est = moments_slice(problem, steps=1_000, seed=0)
+        assert np.max(np.abs(est.mean - conjugate.xi)) <= 4.0 * est.error_estimate
+        assert np.max(np.abs(est.cov - conjugate.Xi)) <= 0.1 * np.max(np.abs(conjugate.Xi))
 
     def test_deterministic_given_seed(self):
-        problem = scalar_poisson()
-        a = moments_importance(problem, samples=10_000, seed=42)
-        b = moments_importance(problem, samples=10_000, seed=42)
-        assert a.mean[0] == b.mean[0]
-        assert a.log_marginal == b.log_marginal
+        problem = gaussian_r5()
+        a, b = (moments_slice(problem, steps=100, seed=42) for _ in range(2))
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert a.error_estimate == b.error_estimate
+        assert not np.array_equal(a.mean, moments_slice(problem, steps=100, seed=43).mean)
 
-    def test_error_estimate_positive_and_reported(self):
-        est = moments_importance(scalar_poisson(), samples=10_000, seed=1)
-        assert est.error_estimate > 0
-        assert est.method == "importance_sampling"
-        assert est.order_or_samples == 10_000
+    def test_reports_its_draws_and_no_marginal(self):
+        est = moments_slice(scalar_poisson(), steps=105, seed=1)
+        assert est.method == "elliptical_slice"
+        # the first 105 // 10 steps of each chain are discarded
+        assert est.order_or_samples == oracle.SLICE_CHAINS * 95
+        assert est.error_estimate > 0 and np.isnan(est.log_marginal)
 
-    def test_minimum_sample_size(self):
-        with pytest.raises(ValueError, match="10000"):
-            moments_importance(scalar_poisson(), samples=100)
-
-    def test_works_beyond_quadrature_dimension(self):
-        rng = np.random.default_rng(2)
-        r = 5
-        Z = rng.standard_normal((8, r))
-        problem = GlmmProblem(
-            y=rng.poisson(1.0, size=8).astype(float),
-            X=np.ones((8, 1)),
-            Z=Z,
-            D=0.3 * np.eye(r),
-            beta=np.zeros(1),
-            kernel=poisson_kernel(),
-        )
-        est = moments_importance(problem, samples=20_000, seed=3)
-        assert est.mean.shape == (r,)
-        assert np.all(np.isfinite(est.cov))
-
-    def test_unreliable_error_is_a_runtime_error(self):
-        assert issubclass(UnreliableEstimateError, RuntimeError)
+    def test_too_few_steps_to_keep_a_draw(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            moments_slice(scalar_poisson(), steps=0)
 
 
 class TestAdjudication:
@@ -256,6 +261,33 @@ class TestModeToMeanCorrection:
                 ratios.append(np.max(np.abs(mean - report.oracle.mean)) / report.mean_gap)
         assert len(ratios) >= 80
         assert np.median(ratios) <= 0.1
+
+
+def poisson_sites(n=50, seed=11):
+    """Poisson counts at ``n`` sites on a square of area ``n``, under an
+    exponential Matern prior of sill 1 and range 1."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, np.sqrt(n), size=(n, 2))
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    D = matern(MaternParams(0.5, 1.0), site_distances(coords))
+    beta = np.array([0.0, 0.3])
+    gamma = np.linalg.cholesky(D) @ rng.standard_normal(n)
+    y = rng.poisson(np.exp(X @ beta + gamma)).astype(float)
+    return GlmmProblem(y=y, X=X, Z=None, D=D, beta=beta, kernel=poisson_kernel())
+
+
+class TestMeanAtSpatialScale:
+    def test_corrected_mean_is_nearer_the_slice_mean_than_the_mode(self):
+        # past the quadrature, the slice sampler is the reference: the mode
+        # sits a median 0.2 posterior sd from its mean, the corrected mean 0.04
+        problem = poisson_sites()
+        start = time.process_time()
+        fit = fit_posterior(problem)
+        est = moments_slice(problem, steps=2_000, seed=0)
+        elapsed = time.process_time() - start
+        nearer = np.abs(corrected_mean(fit) - est.mean) < np.abs(fit.xi - est.mean)
+        assert np.mean(nearer) >= 0.9
+        assert elapsed <= 5.0
 
 
 class TestQuadratureWorkBudget:
@@ -426,32 +458,6 @@ class TestNodeSpaceQuadrature:
         assert adjudicate_exactness(problem).oracle.order_or_samples == 256
         assert_matches_gamma_space(problem, 256)
 
-    def test_importance_log_weights_match_gamma_space(self, monkeypatch):
-        problem = escalated_r2_poisson()
-        seen = []
-        integrand = oracle._log_integrand
-
-        def recorded(problem, center, x):
-            seen.append((center.xi, center.scale, x, integrand(problem, center, x)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(oracle, "_log_integrand", recorded)
-        samples = 10_000
-        result = moments_importance(problem, samples=samples, seed=7)
-        [(xi, scale, x, logg)] = seen
-        draws = np.random.default_rng(7).standard_normal((samples, problem.r))
-        assert np.array_equal(x, draws)
-        gammas = xi + x @ scale.T
-        # far-tail draws reach log g ~ -1800, so the tolerance is also relative
-        np.testing.assert_allclose(
-            logg, gamma_space_log_posterior(problem, gammas), rtol=1e-12, atol=1e-12
-        )
-        # the self-normalized weights, and so the moments, follow
-        logq = -0.5 * np.sum(x**2, axis=1) - np.sum(np.log(np.diag(scale)))
-        logw = gamma_space_log_posterior(problem, gammas) - logq
-        p = np.exp(logw - np.max(logw))
-        np.testing.assert_allclose(result.mean, p @ gammas / np.sum(p), rtol=0, atol=1e-12)
-
     def test_cached_grid_is_read_only_product_order_built_once(self, monkeypatch):
         built = []
         tensor_grid = oracle._tensor_grid
@@ -567,24 +573,16 @@ class TestNodeContiguousIntegrand:
     def test_many_observations_match_node_major(self, monkeypatch):
         # n = 40 is past numpy's 8-term sequential sum, so only rounding may move
         problem = poisson_n40_r2()
-        quadrature = moments_quadrature(problem, order=64)
-        importance = moments_importance(problem, samples=10_000, seed=3)
+        got = moments_quadrature(problem, order=64)
         monkeypatch.setattr(
             oracle, "_gh_raw",
             lambda problem, order, c: node_major_gh_raw(problem, order, c.xi, c.scale),
         )
-        monkeypatch.setattr(
-            oracle, "_log_integrand",
-            lambda problem, c, x: node_major_log_integrand(problem, c.xi, c.scale, x),
-        )
-        for got, ref in (
-            (quadrature, moments_quadrature(problem, order=64)),
-            (importance, moments_importance(problem, samples=10_000, seed=3)),
-        ):
-            np.testing.assert_allclose(got.mean, ref.mean, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(got.cov, ref.cov, rtol=0, atol=1e-13)
-            assert got.log_marginal == pytest.approx(ref.log_marginal, rel=1e-13)
-            assert got.error_estimate == pytest.approx(ref.error_estimate, abs=1e-13)
+        ref = moments_quadrature(problem, order=64)
+        np.testing.assert_allclose(got.mean, ref.mean, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.cov, ref.cov, rtol=0, atol=1e-13)
+        assert got.log_marginal == pytest.approx(ref.log_marginal, rel=1e-13)
+        assert got.error_estimate == pytest.approx(ref.error_estimate, abs=1e-13)
 
 
 class TestNodeContiguousLayout:
@@ -611,8 +609,13 @@ class TestNodeContiguousLayout:
         monkeypatch.setattr(families, "log_likelihood", recorded)
         problem = gaussian_instance(seed=2)
         moments_quadrature(problem, order=16)
-        moments_importance(problem, samples=10_000, seed=1)
-        batches = [eta for eta in seen if eta.ndim == 2]  # the fits pass one eta
-        assert [eta.shape for eta in batches] == [(256, 6), (64, 6), (10_000, 6)]
-        for eta in batches:
-            assert eta.strides[0] == eta.itemsize
+        quadrature = [eta for eta in seen if eta.ndim == 2]  # the fits pass one eta
+        seen.clear()
+        moments_slice(problem, steps=20, seed=1)
+        chains = [eta for eta in seen if eta.ndim == 2]
+        assert [eta.shape for eta in quadrature] == [(256, 6), (64, 6)]
+        # every step evaluates the chains still shrinking, first all of them
+        assert chains[0].shape == (oracle.SLICE_CHAINS, 6)
+        assert all(0 < len(eta) <= oracle.SLICE_CHAINS for eta in chains)
+        for eta in quadrature + chains:
+            assert eta.shape[1] == 6 and eta.strides[0] == eta.itemsize
