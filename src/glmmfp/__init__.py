@@ -7,8 +7,9 @@ Core entry points:
   covariance at the mode.
 * :func:`glmmfp.spatial.krige` - spatial prediction at unobserved sites
   from a fit on the observed sites (:func:`glmmfp.spatial.site_problem`).
-* :mod:`glmmfp.oracle` - brute-force quadrature / elliptical slice
-  sampling references and the exactness adjudication.
+* :mod:`glmmfp.oracle` - the Gaussian factorization-identity suite,
+  brute-force quadrature / elliptical slice sampling references and the
+  exactness adjudication: every check ``glmmfp verify`` runs.
 * :mod:`glmmfp.simulate` - seeded Monte Carlo evaluation harness.
 """
 

@@ -31,15 +31,9 @@ from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
 from .covariance import _check_sites, build_blocked, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
-from .fixed_point import (
-    FitOptions,
-    GlmmProblem,
-    fit_posterior,
-    identity_gaps,
-    random_identity_stack,
-)
+from .fixed_point import FitOptions, fit_posterior
 from .metrics import deviance_gof
-from .oracle import CapabilityError, adjudicate_exactness
+from .oracle import CapabilityError
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
 from .spatial import SpatialData, krige, site_problem
 
@@ -219,6 +213,10 @@ def cmd_validate(args) -> int:
         )
     tiers = dataio.read_list(val.get("tiers", list(dataio.TIERS)), "validate.tiers")
     for tier in tiers:
+        # a falsy entry would fall back to model_tier in build_design
+        if not (isinstance(tier, str) and tier in dataio.TIERS):
+            raise ConfigError(f"unknown model_tier {tier!r} in validate.tiers")
+    for tier in tiers:
         # a tier's design width is the same on every split
         _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
     if not tiers or len(set(tiers)) < len(tiers):
@@ -265,49 +263,6 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
     return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 
 
-# instances per family in one verify battery
-BATTERY_POISSON = 12
-BATTERY_BINOMIAL = 10
-BATTERY_GAUSSIAN = 4
-# identity instances drawn and evaluated in one stack, which bounds its memory
-IDENTITY_CHUNK = 1024
-
-
-def _verify_battery(rng):
-    """Small random model instances for the exactness adjudication."""
-    from .families import binomial_kernel, gaussian_kernel, poisson_kernel
-
-    specs = (
-        ["poisson"] * BATTERY_POISSON
-        + ["binomial"] * BATTERY_BINOMIAL
-        + ["gaussian"] * BATTERY_GAUSSIAN
-    )
-    for family in specs:
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, 3))
-        p = int(rng.integers(1, 3))
-        X = rng.standard_normal((n, p))
-        Z = rng.standard_normal((n, r))
-        A = rng.standard_normal((r, r))
-        D = 0.3 * (A @ A.T) + 0.3 * np.eye(r)
-        beta = rng.uniform(-0.4, 0.8, size=p)
-        D_chol = np.linalg.cholesky(D)
-        gamma = D_chol @ rng.standard_normal(r)
-        eta = X @ beta + Z @ gamma
-        if family == "poisson":
-            kernel = poisson_kernel()
-            y = rng.poisson(np.exp(np.clip(eta, -20, 5))).astype(float)
-        elif family == "binomial":
-            m = rng.integers(1, 8, size=n)
-            kernel = binomial_kernel(m)
-            prob = 1.0 / (1.0 + np.exp(-eta))
-            y = rng.binomial(m.astype(int), prob).astype(float)
-        else:
-            kernel = gaussian_kernel(1.0)
-            y = eta + rng.standard_normal(n)
-        yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
-
-
 def cmd_verify(args) -> int:
     cfg = dataio.load_config(args.config)
     ver = cfg.verify
@@ -317,18 +272,10 @@ def cmd_verify(args) -> int:
         ver, "battery_seed", cfg.seed, 0, "verify"
     )
 
-    rng = np.random.default_rng([seed, 0])
-    chunk_max = []
-    for start in range(0, n_identity, IDENTITY_CHUNK):
-        stack = random_identity_stack(rng, min(IDENTITY_CHUNK, n_identity - start))
-        chunk_max.append(np.max(identity_gaps(stack)))
-    # np.max propagates a NaN gap, and "not <=" below fails on it
-    identity_max = float(np.max(chunk_max))
-
-    rng = np.random.default_rng([seed, 1])
+    identity_max = oracle.identity_max_gap(np.random.default_rng([seed, 0]), n_identity)
     instances = []
-    for family, problem in _verify_battery(rng):
-        report = adjudicate_exactness(problem, order=order)
+    for family, problem in oracle.verify_battery(np.random.default_rng([seed, 1])):
+        report = oracle.adjudicate_exactness(problem, order=order)
         instances.append(
             {
                 "family": family,
@@ -349,6 +296,7 @@ def cmd_verify(args) -> int:
         "seed": seed,
     }
     dataio.write_json(args.out / "verdicts.json", payload)
+    # "not <=" fails on a NaN gap
     if not identity_max <= 1e-8:
         log.error("factorization identity violated: max gap %.3e", identity_max)
         return EXIT_NUMERICAL

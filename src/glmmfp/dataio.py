@@ -249,6 +249,9 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
     covs = {name: column(name) for name in cfg.covariates}
     role = None
     if "role" in header:
+        for i, row in enumerate(rows):
+            if row["role"] is None:  # a row short of the header
+                raise ConfigError(f"missing value in column 'role' row {i + 1}")
         role = np.array([row["role"].strip() for row in rows])
         bad = set(role) - {"train", "test"}
         if bad:

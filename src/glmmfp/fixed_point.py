@@ -35,21 +35,6 @@ alone are evaluated once per problem.  The last iterate's factor and
 ``alpha = Z' b`` stay on the :class:`FitReport`; ``Xi`` is read off the
 factor on first access, so callers that only need ``xi`` (or the
 kriging ``D21 alpha``) never pay for it.
-
-The module also evaluates both sides of the Gaussian factorization
-identity
-
-    N(u; a + Xb + Zg, W^-1) N(g; d, D)
-        = N(g; v_ad, V) N(u; a + Xb + Zd, R)
-
-which exercises every Woodbury/determinant manipulation the solver
-relies on, and is used as a randomized correctness oracle.  Both sides
-take leading batch axes, and :func:`identity_gaps` evaluates a suite of
-instances as one padded stack, which :func:`random_identity_stack` draws
-in place: each instance is padded to the largest shape a random instance
-can have, with observations and effects independent of it, each of which
-adds the same ``log N(0; 0, 1)`` to both sides, so padding leaves every
-instance's gap unchanged up to roundoff.
 """
 
 from __future__ import annotations
@@ -387,164 +372,3 @@ def corrected_mean(report: FitReport) -> np.ndarray:
     xi_diag = Xi.diagonal() if Z is None else np.sum(problem.effects(Xi) * Z, axis=1)
     return report.xi + Xi @ problem.adjoint(laplace_skew(report, xi_diag))
 
-
-# ---------------------------------------------------------------------------
-# Gaussian factorization identity (randomized linear-algebra oracle)
-# ---------------------------------------------------------------------------
-
-# the largest observation, random-effect and fixed-effect counts of a
-# random instance, which is also the shape :func:`identity_gaps` pads to
-IDENTITY_MAX_N = 6
-IDENTITY_MAX_R = 4
-IDENTITY_MAX_P = 2
-_IDENTITY_KEYS = ("u", "alpha", "beta", "gamma", "delta", "X", "Z", "w", "D")
-
-
-def _mvn_logpdf(x, mean, cov):
-    """log N(x; mean, cov) over the last axis; leading axes are a batch."""
-    L = np.linalg.cholesky(cov)
-    z = np.linalg.solve(L, (x - mean)[..., None])[..., 0]
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (x.shape[-1] * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1))
-
-
-def _identity_args(u, alpha, beta, gamma, delta, X, Z, w, D):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    if np.any(w <= 0):
-        raise ValueError("working weights must be positive")
-    return u, alpha, beta, gamma, delta, X, Z, w, D
-
-
-def _matvec(A, x):
-    return (A @ x[..., None])[..., 0]
-
-
-def _batch_result(value):
-    """A float for one instance, the array of values for a batch."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D):
-    """log N(u; alpha + X beta + Z gamma, W^-1) + log N(gamma; delta, D).
-
-    Leading axes of the arguments are a batch of instances.
-    """
-    u, alpha, beta, gamma, delta, X, Z, w, D = _identity_args(
-        u, alpha, beta, gamma, delta, X, Z, w, D
-    )
-    mean_u = alpha + _matvec(X, beta) + _matvec(Z, gamma)
-    W_inv = (1.0 / w)[..., None] * np.eye(w.shape[-1])
-    return _batch_result(_mvn_logpdf(u, mean_u, W_inv) + _mvn_logpdf(gamma, delta, D))
-
-
-def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
-    """Same joint density factored the other way around.
-
-    Evaluates log N(gamma; v_ad, V) + log N(u; alpha + X beta + Z delta, R)
-    with R = Z D Z' + W^-1, V = D - D Z' R^-1 Z D, and
-    v_ad = delta - D Z' R^-1 (alpha + Z delta) + D Z' R^-1 (u - X beta).
-    Leading axes of the arguments are a batch of instances.
-    """
-    u, alpha, beta, gamma, delta, X, Z, w, D = _identity_args(
-        u, alpha, beta, gamma, delta, X, Z, w, D
-    )
-    DZt = D @ np.swapaxes(Z, -1, -2)
-    R = Z @ DZt + (1.0 / w)[..., None] * np.eye(w.shape[-1])
-    mean_u = alpha + _matvec(X, beta) + _matvec(Z, delta)
-    # R^-1 Z D and R^-1 (u - mean_u) from one solve; _mvn_logpdf's
-    # Cholesky factor of R rejects an R that is not positive definite
-    rhs = np.concatenate([np.swapaxes(DZt, -1, -2), (u - mean_u)[..., None]], axis=-1)
-    sol = np.linalg.solve(R, rhs)
-    V = D - DZt @ sol[..., :-1]
-    V = 0.5 * (V + np.swapaxes(V, -1, -2))
-    v_ad = delta + (DZt @ sol[..., -1:])[..., 0]
-    return _batch_result(_mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R))
-
-
-def random_identity_stack(rng, size: int) -> dict:
-    """Draw ``size`` random instances, padded as :func:`_stack_instances` pads them.
-
-    An instance's n, r and p are uniform on 1..IDENTITY_MAX_N, _R and _P, its
-    weights on [0.2, 5], and ``D = A A' + (0.5 + U) I`` with ``U`` uniform on
-    [0, 1); ``A`` and every other entry are standard normal.  The stack takes
-    one generator call per kind of draw.
-    """
-    N, R, P = IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
-    obs, eff, fix = (np.arange(m) < rng.integers(1, m + 1, size)[:, None] for m in (N, R, P))
-    block = eff[:, :, None] & eff[:, None, :]
-    A = np.where(block, rng.standard_normal((size, R, R)), 0.0)
-    D = A @ A.swapaxes(1, 2) + (0.5 + rng.random(size))[:, None, None] * np.eye(R)
-    masks = dict(u=obs, alpha=obs, beta=fix, gamma=eff, delta=eff,
-                 X=obs[:, :, None] & fix[:, None, :], Z=obs[:, :, None] & eff[:, None, :])
-    widths = [mask[0].size for mask in masks.values()]
-    parts = np.split(rng.standard_normal((size, sum(widths))), np.cumsum(widths)[:-1], axis=1)
-    stack = {k: np.where(m, x.reshape(m.shape), 0.0) for (k, m), x in zip(masks.items(), parts)}
-    stack["w"] = np.where(obs, rng.uniform(0.2, 5.0, (size, N)), 1.0)
-    stack["D"] = np.where(block, D, np.eye(R))
-    return stack
-
-
-def _stack_instances(instances) -> dict:
-    """Pad hand-built instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
-
-    Each padded observation has ``w = 1`` and zero ``u``, ``alpha`` and
-    rows of ``X`` and ``Z``; each padded effect has a unit block of ``D``
-    and zero ``gamma``, ``delta`` and columns of ``Z``.  Both are
-    independent of the instance, and each adds ``log N(0; 0, 1)`` to both
-    sides of the identity, so the padded gap is the instance's own.
-    :func:`random_identity_stack` draws random instances in this layout.  The
-    weights are checked on the batch, by the functions it is passed to.
-    """
-    b, n, r, p = len(instances), IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
-    stack = dict(
-        u=np.zeros((b, n)), alpha=np.zeros((b, n)), beta=np.zeros((b, p)),
-        gamma=np.zeros((b, r)), delta=np.zeros((b, r)), X=np.zeros((b, n, p)),
-        Z=np.zeros((b, n, r)), w=np.ones((b, n)), D=np.tile(np.eye(r), (b, 1, 1)),
-    )
-    for i, instance in enumerate(instances):
-        u, alpha, beta, gamma, delta, X, Z, w, D = (
-            np.asarray(instance[k], dtype=float) for k in _IDENTITY_KEYS
-        )
-        fits = X.ndim == Z.ndim == 2
-        if fits:
-            (ni, pi), ri = X.shape, Z.shape[1]
-            fits = (
-                ni <= n and ri <= r and pi <= p
-                and u.shape == alpha.shape == w.shape == (ni,)
-                and beta.shape == (pi,) and gamma.shape == delta.shape == (ri,)
-                and Z.shape == (ni, ri) and D.shape == (ri, ri)
-            )
-        if not fits:
-            raise ValueError(
-                f"identity instance {i} has inconsistent shapes or exceeds "
-                f"(n, r, p) = ({n}, {r}, {p})"
-            )
-        stack["u"][i, :ni] = u
-        stack["alpha"][i, :ni] = alpha
-        stack["w"][i, :ni] = w
-        stack["beta"][i, :pi] = beta
-        stack["gamma"][i, :ri] = gamma
-        stack["delta"][i, :ri] = delta
-        stack["X"][i, :ni, :pi] = X
-        stack["Z"][i, :ni, :ri] = Z
-        stack["D"][i, :ri, :ri] = D
-    return stack
-
-
-def identity_gaps(stack: dict) -> np.ndarray:
-    """Gap between the two factorizations of the joint density, per instance.
-
-    ``stack`` holds the instances padded into one batch, as
-    :func:`random_identity_stack` draws them or :func:`_stack_instances`
-    pads hand-built ones; each side of the identity is evaluated once for
-    the whole batch.
-    """
-    return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))

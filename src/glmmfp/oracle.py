@@ -1,6 +1,21 @@
-"""Brute-force posterior moments of the random effects.
+"""Brute-force references for the mode-finder, as ``verify`` runs them.
 
-Two independent routes to E(gamma | y) and Cov(gamma | y) take the
+The first is the Gaussian factorization identity
+
+    N(u; a + Xb + Zg, W^-1) N(g; d, D)
+        = N(g; v_ad, V) N(u; a + Xb + Zd, R)
+
+with ``R = Z D Z' + W^-1``, which exercises every Woodbury/determinant
+manipulation the solver relies on.  Both sides take leading batch axes,
+and :func:`identity_gaps` evaluates a suite of instances as one padded
+stack, which :func:`random_identity_stack` draws in place: each instance
+is padded to the largest shape a random instance can have, with
+observations and effects independent of it, each of which adds the same
+``log N(0; 0, 1)`` to both sides, so padding leaves every instance's gap
+unchanged up to roundoff.  :func:`identity_max_gap` is ``verify``'s suite.
+
+The second is the posterior moments of the random effects.  Two
+independent routes to E(gamma | y) and Cov(gamma | y) take the
 unnormalized posterior ``g(gamma) = f(y | gamma) pi(gamma)`` directly,
 so they are valid references for the mode-finder: adaptive
 Gauss-Hermite quadrature (Liu & Pierce 1994; Pinheiro & Bates 1995) for
@@ -33,7 +48,8 @@ quadrature over it raises ``CapabilityError`` with the node count.
 quadrature reference and issues a CONFIRMED / REFUTED / INCONCLUSIVE
 verdict with the fixed thresholds ``CONFIRM_FLOOR``, ``CONFIRM_MULT``
 and ``REFUTE_MULT``, doubling the quadrature order up to
-``MAX_QUADRATURE_ORDER``.
+``MAX_QUADRATURE_ORDER``; :func:`verify_battery` draws the problems
+``verify`` adjudicates.
 """
 
 from __future__ import annotations
@@ -358,3 +374,201 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
         marginal_gap=laplace_marginal(fit) - ref.log_marginal,
         verdict=verdict, fit=fit, oracle=ref,
     )
+
+
+# instances per family in one verify battery
+BATTERY_POISSON = 12
+BATTERY_BINOMIAL = 10
+BATTERY_GAUSSIAN = 4
+
+
+def verify_battery(rng):
+    """``(family, problem)`` pairs that ``verify`` adjudicates: the ``BATTERY_*``
+    counts of small random instances, n <= 6 and r <= 2, drawn from ``rng``."""
+    specs = (
+        ["poisson"] * BATTERY_POISSON
+        + ["binomial"] * BATTERY_BINOMIAL
+        + ["gaussian"] * BATTERY_GAUSSIAN
+    )
+    for family in specs:
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, 3))
+        p = int(rng.integers(1, 3))
+        X = rng.standard_normal((n, p))
+        Z = rng.standard_normal((n, r))
+        A = rng.standard_normal((r, r))
+        D = 0.3 * (A @ A.T) + 0.3 * np.eye(r)
+        beta = rng.uniform(-0.4, 0.8, size=p)
+        D_chol = np.linalg.cholesky(D)
+        gamma = D_chol @ rng.standard_normal(r)
+        eta = X @ beta + Z @ gamma
+        if family == "poisson":
+            kernel = families.poisson_kernel()
+            y = rng.poisson(np.exp(np.clip(eta, -20, 5))).astype(float)
+        elif family == "binomial":
+            m = rng.integers(1, 8, size=n)
+            kernel = families.binomial_kernel(m)
+            prob = 1.0 / (1.0 + np.exp(-eta))
+            y = rng.binomial(m.astype(int), prob).astype(float)
+        else:
+            kernel = families.gaussian_kernel(1.0)
+            y = eta + rng.standard_normal(n)
+        yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian factorization identity (randomized linear-algebra oracle)
+# ---------------------------------------------------------------------------
+
+# the largest observation, random-effect and fixed-effect counts of a
+# random instance, which is also the shape :func:`identity_gaps` pads to
+IDENTITY_MAX_N = 6
+IDENTITY_MAX_R = 4
+IDENTITY_MAX_P = 2
+_IDENTITY_KEYS = ("u", "alpha", "beta", "gamma", "delta", "X", "Z", "w", "D")
+# identity instances drawn and evaluated in one stack, which bounds its memory
+IDENTITY_CHUNK = 1024
+
+
+def _mvn_logpdf(x, mean, cov):
+    """log N(x; mean, cov) over the last axis; leading axes are a batch."""
+    L = np.linalg.cholesky(cov)
+    z = np.linalg.solve(L, (x - mean)[..., None])[..., 0]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * (x.shape[-1] * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1))
+
+
+def _matvec(A, x):
+    return (A @ x[..., None])[..., 0]
+
+
+def _batch_result(value):
+    """A float for one instance, the array of values for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D):
+    """log N(u; alpha + X beta + Z gamma, W^-1) + log N(gamma; delta, D).
+
+    The arguments are float arrays; leading axes are a batch of instances.
+    """
+    if np.any(w <= 0):
+        raise ValueError("working weights must be positive")
+    mean_u = alpha + _matvec(X, beta) + _matvec(Z, gamma)
+    W_inv = (1.0 / w)[..., None] * np.eye(w.shape[-1])
+    return _batch_result(_mvn_logpdf(u, mean_u, W_inv) + _mvn_logpdf(gamma, delta, D))
+
+
+def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
+    """Same joint density factored the other way around.
+
+    Evaluates log N(gamma; v_ad, V) + log N(u; alpha + X beta + Z delta, R)
+    with R = Z D Z' + W^-1, V = D - D Z' R^-1 Z D, and
+    v_ad = delta - D Z' R^-1 (alpha + Z delta) + D Z' R^-1 (u - X beta).
+    The arguments are float arrays; leading axes are a batch of instances.
+    """
+    if np.any(w <= 0):
+        raise ValueError("working weights must be positive")
+    DZt = D @ np.swapaxes(Z, -1, -2)
+    R = Z @ DZt + (1.0 / w)[..., None] * np.eye(w.shape[-1])
+    mean_u = alpha + _matvec(X, beta) + _matvec(Z, delta)
+    # R^-1 Z D and R^-1 (u - mean_u) from one solve; _mvn_logpdf's
+    # Cholesky factor of R rejects an R that is not positive definite
+    rhs = np.concatenate([np.swapaxes(DZt, -1, -2), (u - mean_u)[..., None]], axis=-1)
+    sol = np.linalg.solve(R, rhs)
+    V = D - DZt @ sol[..., :-1]
+    V = 0.5 * (V + np.swapaxes(V, -1, -2))
+    v_ad = delta + (DZt @ sol[..., -1:])[..., 0]
+    return _batch_result(_mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R))
+
+
+def random_identity_stack(rng, size: int) -> dict:
+    """Draw ``size`` random instances, padded as :func:`_stack_instances` pads them.
+
+    An instance's n, r and p are uniform on 1..IDENTITY_MAX_N, _R and _P, its
+    weights on [0.2, 5], and ``D = A A' + (0.5 + U) I`` with ``U`` uniform on
+    [0, 1); ``A`` and every other entry are standard normal.  The stack takes
+    one generator call per kind of draw.
+    """
+    N, R, P = IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
+    obs, eff, fix = (np.arange(m) < rng.integers(1, m + 1, size)[:, None] for m in (N, R, P))
+    block = eff[:, :, None] & eff[:, None, :]
+    A = np.where(block, rng.standard_normal((size, R, R)), 0.0)
+    D = A @ A.swapaxes(1, 2) + (0.5 + rng.random(size))[:, None, None] * np.eye(R)
+    masks = dict(u=obs, alpha=obs, beta=fix, gamma=eff, delta=eff,
+                 X=obs[:, :, None] & fix[:, None, :], Z=obs[:, :, None] & eff[:, None, :])
+    widths = [mask[0].size for mask in masks.values()]
+    parts = np.split(rng.standard_normal((size, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    stack = {k: np.where(m, x.reshape(m.shape), 0.0) for (k, m), x in zip(masks.items(), parts)}
+    stack["w"] = np.where(obs, rng.uniform(0.2, 5.0, (size, N)), 1.0)
+    stack["D"] = np.where(block, D, np.eye(R))
+    return stack
+
+
+def _stack_instances(instances) -> dict:
+    """Pad hand-built instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
+
+    Each padded observation has ``w = 1`` and zero ``u``, ``alpha`` and
+    rows of ``X`` and ``Z``; each padded effect has a unit block of ``D``
+    and zero ``gamma``, ``delta`` and columns of ``Z``.  Both are
+    independent of the instance, and each adds ``log N(0; 0, 1)`` to both
+    sides of the identity, so the padded gap is the instance's own.
+    :func:`random_identity_stack` draws random instances in this layout.  The
+    weights are checked on the batch, by the functions it is passed to.
+    """
+    b, n, r, p = len(instances), IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
+    stack = dict(
+        u=np.zeros((b, n)), alpha=np.zeros((b, n)), beta=np.zeros((b, p)),
+        gamma=np.zeros((b, r)), delta=np.zeros((b, r)), X=np.zeros((b, n, p)),
+        Z=np.zeros((b, n, r)), w=np.ones((b, n)), D=np.tile(np.eye(r), (b, 1, 1)),
+    )
+    for i, instance in enumerate(instances):
+        u, alpha, beta, gamma, delta, X, Z, w, D = (
+            np.asarray(instance[k], dtype=float) for k in _IDENTITY_KEYS
+        )
+        fits = X.ndim == Z.ndim == 2
+        if fits:
+            (ni, pi), ri = X.shape, Z.shape[1]
+            fits = (
+                ni <= n and ri <= r and pi <= p
+                and u.shape == alpha.shape == w.shape == (ni,)
+                and beta.shape == (pi,) and gamma.shape == delta.shape == (ri,)
+                and Z.shape == (ni, ri) and D.shape == (ri, ri)
+            )
+        if not fits:
+            raise ValueError(
+                f"identity instance {i} has inconsistent shapes or exceeds "
+                f"(n, r, p) = ({n}, {r}, {p})"
+            )
+        stack["u"][i, :ni] = u
+        stack["alpha"][i, :ni] = alpha
+        stack["w"][i, :ni] = w
+        stack["beta"][i, :pi] = beta
+        stack["gamma"][i, :ri] = gamma
+        stack["delta"][i, :ri] = delta
+        stack["X"][i, :ni, :pi] = X
+        stack["Z"][i, :ni, :ri] = Z
+        stack["D"][i, :ri, :ri] = D
+    return stack
+
+
+def identity_gaps(stack: dict) -> np.ndarray:
+    """Gap between the two factorizations of the joint density, per instance.
+
+    ``stack`` holds the instances padded into one batch, as
+    :func:`random_identity_stack` draws them or :func:`_stack_instances`
+    pads hand-built ones; each side of the identity is evaluated once for
+    the whole batch.
+    """
+    return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))
+
+
+def identity_max_gap(rng, count: int) -> float:
+    """The largest gap of ``count`` random instances, drawn and evaluated
+    ``IDENTITY_CHUNK`` at a time: NaN if any gap is NaN."""
+    chunk_max = [
+        np.max(identity_gaps(random_identity_stack(rng, min(IDENTITY_CHUNK, count - start))))
+        for start in range(0, count, IDENTITY_CHUNK)
+    ]
+    # np.max propagates a NaN in any chunk; Python's max keeps only a leading one
+    return float(np.max(chunk_max))

@@ -21,10 +21,9 @@ from glmmfp.fixed_point import (
     GlmmProblem,
     fit_posterior,
     fixed_point_residual,
-    identity_gaps,
-    random_identity_stack,
 )
 from glmmfp.metrics import deviance_gof
+from glmmfp.oracle import identity_gaps, random_identity_stack
 from glmmfp.simulate import SimConfig, run_scenarios
 
 

@@ -26,6 +26,18 @@ def test_spatial_data_is_one_class():
     assert glmmfp.estimate.SpatialData is glmmfp.spatial.SpatialData
 
 
+def test_tracer_lists_the_identity_suite_in_oracle(monkeypatch):
+    # bench/layers.py times the identity suite by these span names
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    names = {name for name, *_ in tracing.targets()}
+    suite = {"identity_gaps", "random_identity_stack",
+             "joint_logdensity_direct", "joint_logdensity_factored"}
+    assert {f"oracle.{name}" for name in suite} <= names
+    assert not any("identity" in name for name in names if name.startswith("fixed_point."))
+
+
 def test_bench_tests_pass():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(BENCH / "tests")],

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glmmfp import cli, covariance, dataio, families, fixed_point, simulate, spatial
+from glmmfp import cli, covariance, dataio, families, fixed_point, oracle, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp.covariance import MaternParams, build_blocked
 
@@ -364,6 +364,18 @@ class TestPredict:
                          "--out", str(out), "--quiet"])
         assert code == cli.EXIT_VALIDATION
         assert "error: no training rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "validate"])
+    def test_row_short_of_its_role_cell(self, tmp_path, capsys, command):
+        data = write_csv(tmp_path, "y,x_coord,y_coord,role\n3,0.5,1.0,train\n2,0.3,0.4\n")
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", self._config(tmp_path), "--data", data,
+                         "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: missing value in column 'role' row 2" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("beta", [[1.5], "estimate"])
@@ -898,7 +910,7 @@ class TestVerify:
             out[bad] = np.nan
             return out
 
-        monkeypatch.setattr(cli, "identity_gaps", gaps)
+        monkeypatch.setattr(oracle, "identity_gaps", gaps)
         config = write_config(
             tmp_path, {"verify": {"identity_instances": 3, "order": 16}}
         )
@@ -926,7 +938,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("chunk", [7, 1024])
     def test_max_gap_is_that_of_the_drawn_instances(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(cli, "IDENTITY_CHUNK", chunk)
+        monkeypatch.setattr(oracle, "IDENTITY_CHUNK", chunk)
         out = tmp_path / "out"
         code = cli.main(
             ["verify", "--config", self._config(tmp_path), "--out", str(out),
@@ -935,10 +947,10 @@ class TestVerify:
         assert code == cli.EXIT_OK
         rng = np.random.default_rng([4, 0])
         stacks = [
-            fixed_point.random_identity_stack(rng, min(chunk, 40 - start))
+            oracle.random_identity_stack(rng, min(chunk, 40 - start))
             for start in range(0, 40, chunk)
         ]
-        gaps = np.concatenate([fixed_point.identity_gaps(stack) for stack in stacks])
+        gaps = np.concatenate([oracle.identity_gaps(stack) for stack in stacks])
         payload = json.loads((out / "verdicts.json").read_text())
         assert payload["identity"]["max_gap"] == float(np.max(gaps))
 
@@ -949,7 +961,7 @@ class TestVerify:
         monkeypatch.setattr(
             np.linalg, "cholesky", lambda a: factors.append(cholesky(a)) or factors[-1]
         )
-        battery = cli._verify_battery(np.random.default_rng([3, 1]))
+        battery = oracle.verify_battery(np.random.default_rng([3, 1]))
         problems = [problem for _, problem in battery]
         assert len(problems) == len(factors) == 26
         for problem, factor in zip(problems, factors):
@@ -1044,6 +1056,11 @@ CONFIG_VALUES_BY_ID = {
     "model-tier-unknown": ("fit", {"model_tier": "cubic"}, "unknown model_tier 'cubic'"),
     "tier-unknown": ("validate", {"validate": {"tiers": ["cubic"]}},
                      "unknown model_tier 'cubic'"),
+    # a falsy tier would validate model_tier under its label, and a
+    # non-string one would fail in set() or the writer
+    **{f"tier-{name}": ("validate", {"validate": {"tiers": [tier]}},
+                        f"unknown model_tier {tier!r} in validate.tiers")
+       for name, tier in (("null", None), ("list", []), ("zero", 0), ("empty-string", ""))},
     # the dataset has 30 rows
     "splits-over-the-rows": (
         "validate", {"validate": {"n_train": 25, "n_test": 10, "tiers": ["intercept"]}},

@@ -14,10 +14,6 @@ from glmmfp.fixed_point import (
     corrected_mean,
     fit_posterior,
     fixed_point_residual,
-    identity_gaps,
-    joint_logdensity_direct,
-    joint_logdensity_factored,
-    random_identity_stack,
 )
 
 
@@ -655,167 +651,6 @@ class TestStressBattery:
             f"\nstress battery: 3000/3000 converged, at most {max(iterations)} "
             f"iterations (median {np.median(iterations):g}), {halved} used halving"
         )
-
-
-stack_instances = fixed_point._stack_instances
-
-
-def unstack(stack):
-    """The instances of a random stack, unpadded.
-
-    A padded entry of ``u``, ``gamma`` or ``beta`` is exactly zero and a
-    drawn one is a standard normal, so their nonzero counts are the
-    instance's n, r and p.
-    """
-    instances = []
-    for i in range(len(stack["w"])):
-        n, r, p = (int(np.count_nonzero(stack[k][i])) for k in ("u", "gamma", "beta"))
-        instances.append(dict(
-            u=stack["u"][i, :n], alpha=stack["alpha"][i, :n], beta=stack["beta"][i, :p],
-            gamma=stack["gamma"][i, :r], delta=stack["delta"][i, :r],
-            X=stack["X"][i, :n, :p], Z=stack["Z"][i, :n, :r], w=stack["w"][i, :n],
-            D=stack["D"][i, :r, :r],
-        ))
-    return instances
-
-
-class TestFactorizationIdentity:
-    def test_hundred_random_instances(self):
-        rng = np.random.default_rng(0)
-        gaps = identity_gaps(random_identity_stack(rng, 100))
-        assert max(gaps) <= 1e-8
-
-    def test_hand_built_scalar_instance(self):
-        inst = dict(
-            u=np.array([1.2]),
-            alpha=np.array([0.3]),
-            beta=np.array([0.5]),
-            gamma=np.array([-0.7]),
-            delta=np.array([0.1]),
-            X=np.array([[1.0]]),
-            Z=np.array([[2.0]]),
-            w=np.array([1.5]),
-            D=np.array([[0.8]]),
-        )
-        lhs = joint_logdensity_direct(**inst)
-        rhs = joint_logdensity_factored(**inst)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_nonpositive_weights_rejected(self):
-        inst = random_identity_stack(np.random.default_rng(3), 1)
-        inst["w"] = np.zeros_like(inst["w"])
-        with pytest.raises(ValueError, match="positive"):
-            joint_logdensity_direct(**inst)
-
-    def test_instance_shapes(self):
-        inst = unstack(random_identity_stack(np.random.default_rng(5), 1))[0]
-        n, r = inst["Z"].shape
-        assert inst["u"].shape == (n,)
-        assert inst["gamma"].shape == (r,)
-        assert inst["D"].shape == (r, r)
-        np.linalg.cholesky(inst["D"])
-
-
-class TestIdentityStack:
-    """The padded stack of identity_gaps against one instance at a time."""
-
-    @staticmethod
-    def instances(seed, count):
-        return unstack(random_identity_stack(np.random.default_rng(seed), count))
-
-    def test_agrees_with_unpadded_evaluation(self):
-        instances = self.instances(0, 300)
-        shapes = {(i["X"].shape[0], i["Z"].shape[1], i["X"].shape[1]) for i in instances}
-        assert len(shapes) == (
-            fixed_point.IDENTITY_MAX_N * fixed_point.IDENTITY_MAX_R * fixed_point.IDENTITY_MAX_P
-        )
-        unpadded = []
-        for inst in instances:
-            direct = joint_logdensity_direct(**inst)
-            assert isinstance(direct, float)
-            unpadded.append(abs(direct - joint_logdensity_factored(**inst)))
-        gaps = identity_gaps(stack_instances(instances))
-        assert gaps.shape == (300,)
-        np.testing.assert_allclose(gaps, unpadded, rtol=0, atol=1e-11)
-
-    def test_gap_does_not_depend_on_the_stack(self):
-        instances = self.instances(1, 40)
-        whole = identity_gaps(stack_instances(instances))
-        parts = np.concatenate(
-            [identity_gaps(stack_instances(instances[i : i + 7])) for i in range(0, 40, 7)]
-        )
-        assert np.array_equal(whole, parts)
-        assert identity_gaps(stack_instances([instances[5]]))[0] == whole[5]
-
-    def test_perturbed_position_alone_has_a_gap(self):
-        stack = fixed_point._stack_instances(self.instances(1, 8))
-        direct = joint_logdensity_direct(**stack)
-        D = stack["D"].copy()
-        D[3] *= 1.5
-        gaps = np.abs(direct - joint_logdensity_factored(**{**stack, "D": D}))
-        assert gaps[3] > 1e-3
-        assert np.all(np.delete(gaps, 3) <= 1e-8)
-
-    @pytest.mark.parametrize("position", [0, 4, 9])
-    def test_nonpositive_weight_anywhere_rejected(self, position):
-        instances = self.instances(2, 10)
-        instances[position]["w"][-1] = -0.5
-        with pytest.raises(ValueError, match="positive"):
-            identity_gaps(stack_instances(instances))
-
-    def test_inconsistent_or_oversized_instance_rejected(self):
-        instances = self.instances(3, 4)
-        instances[2]["u"] = np.append(instances[2]["u"], 0.0)
-        with pytest.raises(ValueError, match="instance 2"):
-            identity_gaps(stack_instances(instances))
-        big = dict(self.instances(3, 1)[0], X=np.zeros((fixed_point.IDENTITY_MAX_N + 1, 1)))
-        with pytest.raises(ValueError, match="instance 0"):
-            identity_gaps(stack_instances([big]))
-
-
-class TestRandomIdentityStack:
-    """random_identity_stack draws the padded batch that identity_gaps evaluates."""
-
-    def test_padding_is_that_of_stack_instances(self):
-        stack = random_identity_stack(np.random.default_rng(1), 300)
-        padded = stack_instances(unstack(stack))
-        for key in fixed_point._IDENTITY_KEYS:
-            assert stack[key].shape == padded[key].shape, key
-            assert stack[key].tobytes() == padded[key].tobytes(), key
-        assert identity_gaps(stack).tobytes() == identity_gaps(padded).tobytes()
-
-    def test_instances_keep_their_distribution(self):
-        for inst in unstack(random_identity_stack(np.random.default_rng(2), 200)):
-            assert np.all((inst["w"] >= 0.2) & (inst["w"] <= 5.0))
-            # D = A A' + (0.5 + U) I with U on [0, 1)
-            assert np.array_equal(inst["D"], inst["D"].T)
-            assert np.linalg.eigvalsh(inst["D"]).min() >= 0.5 - 1e-12
-
-    def test_max_gap_on_the_verify_seeds(self):
-        # verify's draw on battery seeds 0-39: 100 instances from [seed, 0] each
-        gaps = [
-            identity_gaps(random_identity_stack(np.random.default_rng([seed, 0]), 100)).max()
-            for seed in range(40)
-        ]
-        assert max(gaps) <= 1e-10
-
-    @pytest.mark.parametrize("size", [1, 100, 1024])
-    def test_one_generator_call_per_kind_of_draw(self, size):
-        calls = []
-
-        class Counted:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(self.rng, name)
-
-        random_identity_stack(Counted(np.random.default_rng(0)), size)
-        assert calls == [
-            "integers", "integers", "integers", "standard_normal", "random",
-            "standard_normal", "uniform",
-        ]
 
 
 class TestPriorFactor:

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
-from glmmfp import cli, covariance, dataio, fixed_point, simulate, spatial
+from glmmfp import cli, covariance, dataio, fixed_point, oracle, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp._lapack import potri
 from glmmfp.covariance import BlockedCovariance, MaternParams, build_blocked
@@ -403,7 +403,7 @@ class TestFactorizationBudget:
         # count, one factor for the start and one per Newton step, and no
         # inverse of D
         rng = np.random.default_rng([3, 1])
-        battery = [problem for _, problem in cli._verify_battery(rng)]
+        battery = [problem for _, problem in oracle.verify_battery(rng)]
         calls, _ = self.count_factorizations(monkeypatch)
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append("inv") or inv(*args))
