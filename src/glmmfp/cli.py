@@ -161,6 +161,8 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict needs --test sites or a 'role' column")
     if train.n < 1:
         raise ConfigError("no training rows")
+    if test.n < 1:
+        raise ConfigError("no test rows")
     options = _fit_options(cfg)
     pred, result = _fit_and_krige(cfg, train, test, options)
     dataio.write_csv(
@@ -274,11 +276,11 @@ def cmd_verify(args) -> int:
 
     identity_max = oracle.identity_max_gap(np.random.default_rng([seed, 0]), n_identity)
     instances = []
-    for family, problem in oracle.verify_battery(np.random.default_rng([seed, 1])):
+    for problem in oracle.verify_battery(np.random.default_rng([seed, 1])):
         report = oracle.adjudicate_exactness(problem, order=order)
         instances.append(
             {
-                "family": family,
+                "family": problem.kernel.family,
                 "n": problem.n,
                 "r": problem.r,
                 "mean_gap": report.mean_gap,

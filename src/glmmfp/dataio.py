@@ -209,7 +209,8 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ConfigError("dataset has no header row")
-            header = [h.strip() for h in reader.fieldnames]
+            # rows are read by the stripped names that the checks below use
+            header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
             rows = list(reader)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
@@ -224,6 +225,9 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
     for col in required:
         if col not in header:
             raise ConfigError(f"dataset is missing required column {col!r}")
+    for col in ("y", "m", "role", "x_coord", "y_coord", *cfg.covariates):
+        if header.count(col) > 1:
+            raise ConfigError(f"dataset header names column {col!r} more than once")
 
     def column(name):
         out = np.empty(len(rows))

@@ -8,11 +8,10 @@ The first is the Gaussian factorization identity
 with ``R = Z D Z' + W^-1``, which exercises every Woodbury/determinant
 manipulation the solver relies on.  Both sides take leading batch axes,
 and :func:`identity_gaps` evaluates a suite of instances as one padded
-stack, which :func:`random_identity_stack` draws in place: each instance
-is padded to the largest shape a random instance can have, with
-observations and effects independent of it, each of which adds the same
-``log N(0; 0, 1)`` to both sides, so padding leaves every instance's gap
-unchanged up to roundoff.  :func:`identity_max_gap` is ``verify``'s suite.
+stack, whose one writer is :func:`random_identity_stack`: it draws each
+instance in place, padded to the largest shape a random instance can
+have, which leaves every instance's gap unchanged up to roundoff.
+:func:`identity_max_gap` is ``verify``'s suite.
 
 The second is the posterior moments of the random effects.  Two
 independent routes to E(gamma | y) and Cov(gamma | y) take the
@@ -383,8 +382,8 @@ BATTERY_GAUSSIAN = 4
 
 
 def verify_battery(rng):
-    """``(family, problem)`` pairs that ``verify`` adjudicates: the ``BATTERY_*``
-    counts of small random instances, n <= 6 and r <= 2, drawn from ``rng``."""
+    """The problems that ``verify`` adjudicates: the ``BATTERY_*`` counts of
+    small random instances, n <= 6 and r <= 2, drawn from ``rng``."""
     specs = (
         ["poisson"] * BATTERY_POISSON
         + ["binomial"] * BATTERY_BINOMIAL
@@ -413,7 +412,7 @@ def verify_battery(rng):
         else:
             kernel = families.gaussian_kernel(1.0)
             y = eta + rng.standard_normal(n)
-        yield family, GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
+        yield GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,6 @@ def verify_battery(rng):
 IDENTITY_MAX_N = 6
 IDENTITY_MAX_R = 4
 IDENTITY_MAX_P = 2
-_IDENTITY_KEYS = ("u", "alpha", "beta", "gamma", "delta", "X", "Z", "w", "D")
 # identity instances drawn and evaluated in one stack, which bounds its memory
 IDENTITY_CHUNK = 1024
 
@@ -442,11 +440,6 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def _batch_result(value):
-    """A float for one instance, the array of values for a batch."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D):
     """log N(u; alpha + X beta + Z gamma, W^-1) + log N(gamma; delta, D).
 
@@ -456,7 +449,7 @@ def joint_logdensity_direct(u, alpha, beta, gamma, delta, X, Z, w, D):
         raise ValueError("working weights must be positive")
     mean_u = alpha + _matvec(X, beta) + _matvec(Z, gamma)
     W_inv = (1.0 / w)[..., None] * np.eye(w.shape[-1])
-    return _batch_result(_mvn_logpdf(u, mean_u, W_inv) + _mvn_logpdf(gamma, delta, D))
+    return _mvn_logpdf(u, mean_u, W_inv) + _mvn_logpdf(gamma, delta, D)
 
 
 def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
@@ -479,16 +472,19 @@ def joint_logdensity_factored(u, alpha, beta, gamma, delta, X, Z, w, D):
     V = D - DZt @ sol[..., :-1]
     V = 0.5 * (V + np.swapaxes(V, -1, -2))
     v_ad = delta + (DZt @ sol[..., -1:])[..., 0]
-    return _batch_result(_mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R))
+    return _mvn_logpdf(gamma, v_ad, V) + _mvn_logpdf(u, mean_u, R)
 
 
 def random_identity_stack(rng, size: int) -> dict:
-    """Draw ``size`` random instances, padded as :func:`_stack_instances` pads them.
+    """Draw ``size`` random instances as the padded batch that :func:`identity_gaps` takes.
 
     An instance's n, r and p are uniform on 1..IDENTITY_MAX_N, _R and _P, its
     weights on [0.2, 5], and ``D = A A' + (0.5 + U) I`` with ``U`` uniform on
-    [0, 1); ``A`` and every other entry are standard normal.  The stack takes
-    one generator call per kind of draw.
+    [0, 1); ``A`` and every other entry are standard normal.  Each is padded
+    to (IDENTITY_MAX_N, _R, _P): a padded observation has ``w = 1`` and zero
+    ``u``, ``alpha`` and rows of ``X`` and ``Z``; a padded effect has a unit
+    block of ``D`` and zero ``gamma``, ``delta`` and columns of ``Z``.  The
+    stack takes one generator call per kind of draw.
     """
     N, R, P = IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
     obs, eff, fix = (np.arange(m) < rng.integers(1, m + 1, size)[:, None] for m in (N, R, P))
@@ -505,60 +501,13 @@ def random_identity_stack(rng, size: int) -> dict:
     return stack
 
 
-def _stack_instances(instances) -> dict:
-    """Pad hand-built instances into one batch of shape (IDENTITY_MAX_N, _R, _P).
-
-    Each padded observation has ``w = 1`` and zero ``u``, ``alpha`` and
-    rows of ``X`` and ``Z``; each padded effect has a unit block of ``D``
-    and zero ``gamma``, ``delta`` and columns of ``Z``.  Both are
-    independent of the instance, and each adds ``log N(0; 0, 1)`` to both
-    sides of the identity, so the padded gap is the instance's own.
-    :func:`random_identity_stack` draws random instances in this layout.  The
-    weights are checked on the batch, by the functions it is passed to.
-    """
-    b, n, r, p = len(instances), IDENTITY_MAX_N, IDENTITY_MAX_R, IDENTITY_MAX_P
-    stack = dict(
-        u=np.zeros((b, n)), alpha=np.zeros((b, n)), beta=np.zeros((b, p)),
-        gamma=np.zeros((b, r)), delta=np.zeros((b, r)), X=np.zeros((b, n, p)),
-        Z=np.zeros((b, n, r)), w=np.ones((b, n)), D=np.tile(np.eye(r), (b, 1, 1)),
-    )
-    for i, instance in enumerate(instances):
-        u, alpha, beta, gamma, delta, X, Z, w, D = (
-            np.asarray(instance[k], dtype=float) for k in _IDENTITY_KEYS
-        )
-        fits = X.ndim == Z.ndim == 2
-        if fits:
-            (ni, pi), ri = X.shape, Z.shape[1]
-            fits = (
-                ni <= n and ri <= r and pi <= p
-                and u.shape == alpha.shape == w.shape == (ni,)
-                and beta.shape == (pi,) and gamma.shape == delta.shape == (ri,)
-                and Z.shape == (ni, ri) and D.shape == (ri, ri)
-            )
-        if not fits:
-            raise ValueError(
-                f"identity instance {i} has inconsistent shapes or exceeds "
-                f"(n, r, p) = ({n}, {r}, {p})"
-            )
-        stack["u"][i, :ni] = u
-        stack["alpha"][i, :ni] = alpha
-        stack["w"][i, :ni] = w
-        stack["beta"][i, :pi] = beta
-        stack["gamma"][i, :ri] = gamma
-        stack["delta"][i, :ri] = delta
-        stack["X"][i, :ni, :pi] = X
-        stack["Z"][i, :ni, :ri] = Z
-        stack["D"][i, :ri, :ri] = D
-    return stack
-
-
 def identity_gaps(stack: dict) -> np.ndarray:
     """Gap between the two factorizations of the joint density, per instance.
 
-    ``stack`` holds the instances padded into one batch, as
-    :func:`random_identity_stack` draws them or :func:`_stack_instances`
-    pads hand-built ones; each side of the identity is evaluated once for
-    the whole batch.
+    ``stack`` is a padded batch as :func:`random_identity_stack` draws it,
+    and each side of the identity is evaluated once for the whole batch.  A
+    padded observation or effect adds ``log N(0; 0, 1)`` to both sides, so
+    an instance's padded gap is its own up to roundoff.
     """
     return np.abs(joint_logdensity_direct(**stack) - joint_logdensity_factored(**stack))
 

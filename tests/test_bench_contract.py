@@ -38,6 +38,25 @@ def test_tracer_lists_the_identity_suite_in_oracle(monkeypatch):
     assert not any("identity" in name for name in names if name.startswith("fixed_point."))
 
 
+@pytest.mark.parametrize("key", [0, 7])
+def test_start_objective_is_that_of_initial_beta(tmp_path, monkeypatch, key):
+    # bench/workloads.py rebuilds estimate.initial_beta, the fit's start; the
+    # objective there must stay that of the CLI's sites bit for bit
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS, start_objective
+
+    from glmmfp import dataio, estimate
+    from glmmfp.covariance import MaternParams
+
+    workload = WORKLOADS["estimate-n100"]
+    workload.prepare(tmp_path, [key])
+    config, data = tmp_path / "config.json", tmp_path / f"counts-{key}.csv"
+    cfg = dataio.load_config(config)
+    sites = cli._sites(cfg, dataio.load_dataset(data, cfg))
+    expected = estimate.approx_loglik(sites, estimate.initial_beta(sites), MaternParams(0.5, 1.0))
+    assert start_objective(config, data) == expected
+
+
 def test_bench_tests_pass():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(BENCH / "tests")],

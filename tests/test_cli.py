@@ -366,6 +366,23 @@ class TestPredict:
         assert "error: no training rows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_padded_header_cells_write_the_same_bytes(self, tmp_path, command):
+        rng = np.random.default_rng(11)
+        roles = ["train"] * 9 + ["test"] * 3
+        rows = [f"{rng.poisson(4.0)},{cx},{cy},{role}"
+                for (cx, cy), role in zip(rng.uniform(0, 5, (12, 2)), roles)]
+        outputs = []
+        for name, header in (("plain.csv", "y,x_coord,y_coord,role"),
+                             ("padded.csv", "y ,x_coord, y_coord, role")):
+            data = write_csv(tmp_path, "\n".join([header, *rows]) + "\n", name=name)
+            out = tmp_path / name.removesuffix(".csv")
+            code = cli.main([command, "--config", self._config(tmp_path), "--data", data,
+                             "--out", str(out), "--quiet"])
+            assert code == cli.EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] and outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["fit", "predict", "validate"])
     def test_row_short_of_its_role_cell(self, tmp_path, capsys, command):
         data = write_csv(tmp_path, "y,x_coord,y_coord,role\n3,0.5,1.0,train\n2,0.3,0.4\n")
@@ -467,8 +484,8 @@ class TestPredict:
         y_hat, u_hat = table[:, 2], table[:, 3]
         assert np.allclose(y_hat, m_star / (1.0 + np.exp(-u_hat)), rtol=1e-14)
 
-    def test_binomial_role_file_without_test_rows(self, tmp_path):
-        # the test rows are an empty site set, whose kernel holds no trial counts
+    def test_binomial_role_file_without_test_rows(self, tmp_path, capsys):
+        # like no training rows, an error before any fit, not an empty predictions.csv
         rng = np.random.default_rng(12)
         lines = ["y,m,x_coord,y_coord,role"]
         for (cx, cy), mi in zip(rng.uniform(0, 5, size=(8, 2)), rng.integers(1, 9, 8)):
@@ -482,8 +499,9 @@ class TestPredict:
         code = cli.main(
             ["predict", "--config", config, "--data", data, "--out", str(out), "--quiet"]
         )
-        assert code == cli.EXIT_OK
-        assert (out / "predictions.csv").read_text() == "site,xi_star,y_hat_star,u_hat_star\n"
+        assert code == cli.EXIT_VALIDATION
+        assert "error: no test rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_binomial_test_sites_need_trial_counts(self, tmp_path):
         code, _, _ = self._binomial(tmp_path, ["x_coord", "y_coord"])
@@ -961,8 +979,7 @@ class TestVerify:
         monkeypatch.setattr(
             np.linalg, "cholesky", lambda a: factors.append(cholesky(a)) or factors[-1]
         )
-        battery = oracle.verify_battery(np.random.default_rng([3, 1]))
-        problems = [problem for _, problem in battery]
+        problems = list(oracle.verify_battery(np.random.default_rng([3, 1])))
         assert len(problems) == len(factors) == 26
         for problem, factor in zip(problems, factors):
             assert problem.D_chol is factor

@@ -216,6 +216,34 @@ class TestDataset:
         with pytest.raises(ConfigError, match="'holdout'"):
             load_dataset(write_csv(tmp_path, text), cfg)
 
+    def test_padded_header_cells_read_as_their_names(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"covariates": ["elev"]}))
+        text = "y , x_coord,y_coord,elev ,  role\n3,0.1,0.2,1.5,train\n0,0.5,0.9,2.5,test\n"
+        ds = load_dataset(write_csv(tmp_path, text), cfg)
+        assert np.array_equal(ds.y, [3.0, 0.0])
+        assert np.array_equal(ds.coords, [[0.1, 0.2], [0.5, 0.9]])
+        assert np.array_equal(ds.covariates["elev"], [1.5, 2.5])
+        assert ds.role.tolist() == ["train", "test"]
+
+    @pytest.mark.parametrize("header, column", [
+        ("y,x_coord,y_coord,y", "y"),
+        ("y,x_coord,y_coord, x_coord", "x_coord"),
+        ("y,x_coord,y_coord,role,role ", "role"),
+        ("y,m,x_coord,y_coord,m", "m"),
+        ("y,x_coord,y_coord,elev,elev", "elev"),
+    ])
+    def test_column_read_twice_rejected(self, tmp_path, header, column):
+        covariates = ["elev"] if column == "elev" else []
+        cfg = load_config(write_config(tmp_path, {"covariates": covariates}))
+        text = header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n"
+        with pytest.raises(ConfigError, match=f"column {column!r} more than once"):
+            load_dataset(write_csv(tmp_path, text), cfg)
+
+    def test_unread_column_may_repeat(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {}))
+        text = "y,x_coord,y_coord,note,note\n3,0.1,0.2,a,b\n"
+        assert load_dataset(write_csv(tmp_path, text), cfg).n == 1
+
 
 class TestDesign:
     def make(self, tmp_path, tier, covariates=()):

@@ -238,7 +238,8 @@ class TestLaplaceMarginal:
         # nats (Poisson) and 0.047 (binomial), and over seeds 0-39 0.073
         # and 0.070, so 0.06 bounds seeds 0-3 with room for roundoff only
         gaps = {"poisson": [], "binomial": [], "gaussian": []}
-        for family, problem in battery_problems(range(4)):
+        for problem in battery_problems(range(4)):
+            family = problem.kernel.family
             report = adjudicate_exactness(problem)
             gaps[family].append(report.marginal_gap)
             if family == "gaussian":
@@ -255,8 +256,8 @@ class TestModeToMeanCorrection:
         ratios = []
         for seed in range(4):
             rng = np.random.default_rng([seed, 1])
-            for family, problem in oracle.verify_battery(rng):
-                if family == "gaussian":
+            for problem in oracle.verify_battery(rng):
+                if problem.kernel.family == "gaussian":
                     continue
                 report = adjudicate_exactness(problem)
                 if report.mean_gap <= 1e-6:
@@ -398,8 +399,8 @@ def battery_problems(seeds):
 
 def escalated_r2_poisson():
     """Battery seed 5, instance 9: r = 2 Poisson that adjudication doubles to 256."""
-    family, problem = list(battery_problems([5]))[9]
-    assert (family, problem.r) == ("poisson", 2)
+    problem = list(battery_problems([5]))[9]
+    assert (problem.kernel.family, problem.r) == ("poisson", 2)
     return problem
 
 
@@ -418,7 +419,7 @@ class TestCenterTerms:
 
     @pytest.mark.parametrize("seed, index, order", [(2, 2, 128), (5, 9, 256)])
     def test_one_center_per_adjudication(self, monkeypatch, seed, index, order):
-        _, problem = list(battery_problems([seed]))[index]
+        problem = list(battery_problems([seed]))[index]
         centers, evaluated = [], {}
         center_terms, gh_raw = oracle._center_terms, oracle._gh_raw
 
@@ -452,7 +453,7 @@ class TestNodeSpaceQuadrature:
 
     @pytest.mark.parametrize("order", [32, 64])
     def test_battery_moments_match_gamma_space(self, order):
-        problems = [problem for _, problem in battery_problems(range(4))]
+        problems = list(battery_problems(range(4)))
         assert {problem.r for problem in problems} == {1, 2}
         for problem in problems:
             assert_matches_gamma_space(problem, order)
@@ -565,7 +566,7 @@ class TestNodeContiguousIntegrand:
 
     @pytest.mark.parametrize("order", [32, 64])
     def test_battery_matches_node_major_bitwise(self, order):
-        problems = [problem for _, problem in battery_problems(range(4))]
+        problems = list(battery_problems(range(4)))
         assert {problem.r for problem in problems} == {1, 2}
         assert max(problem.n for problem in problems) < 8
         for problem in problems:
@@ -623,9 +624,6 @@ class TestNodeContiguousLayout:
         assert all(0 < len(eta) <= oracle.SLICE_CHAINS for eta in chains)
         for eta in quadrature + chains:
             assert eta.shape[1] == 6 and eta.strides[0] == eta.itemsize
-
-
-stack_instances = oracle._stack_instances
 
 
 def unstack(stack):
@@ -687,12 +685,9 @@ class TestFactorizationIdentity:
 class TestIdentityStack:
     """The padded stack of identity_gaps against one instance at a time."""
 
-    @staticmethod
-    def instances(seed, count):
-        return unstack(random_identity_stack(np.random.default_rng(seed), count))
-
     def test_agrees_with_unpadded_evaluation(self):
-        instances = self.instances(0, 300)
+        stack = random_identity_stack(np.random.default_rng(0), 300)
+        instances = unstack(stack)
         shapes = {(i["X"].shape[0], i["Z"].shape[1], i["X"].shape[1]) for i in instances}
         assert len(shapes) == (
             oracle.IDENTITY_MAX_N * oracle.IDENTITY_MAX_R * oracle.IDENTITY_MAX_P
@@ -702,21 +697,21 @@ class TestIdentityStack:
             direct = joint_logdensity_direct(**inst)
             assert isinstance(direct, float)
             unpadded.append(abs(direct - joint_logdensity_factored(**inst)))
-        gaps = identity_gaps(stack_instances(instances))
+        gaps = identity_gaps(stack)
         assert gaps.shape == (300,)
         np.testing.assert_allclose(gaps, unpadded, rtol=0, atol=1e-11)
 
     def test_gap_does_not_depend_on_the_stack(self):
-        instances = self.instances(1, 40)
-        whole = identity_gaps(stack_instances(instances))
-        parts = np.concatenate(
-            [identity_gaps(stack_instances(instances[i : i + 7])) for i in range(0, 40, 7)]
-        )
+        stack = random_identity_stack(np.random.default_rng(1), 40)
+        whole = identity_gaps(stack)
+        parts = np.concatenate([
+            identity_gaps({k: v[i : i + 7] for k, v in stack.items()}) for i in range(0, 40, 7)
+        ])
         assert np.array_equal(whole, parts)
-        assert identity_gaps(stack_instances([instances[5]]))[0] == whole[5]
+        assert identity_gaps({k: v[5:6] for k, v in stack.items()})[0] == whole[5]
 
     def test_perturbed_position_alone_has_a_gap(self):
-        stack = oracle._stack_instances(self.instances(1, 8))
+        stack = random_identity_stack(np.random.default_rng(1), 8)
         direct = joint_logdensity_direct(**stack)
         D = stack["D"].copy()
         D[3] *= 1.5
@@ -726,31 +721,14 @@ class TestIdentityStack:
 
     @pytest.mark.parametrize("position", [0, 4, 9])
     def test_nonpositive_weight_anywhere_rejected(self, position):
-        instances = self.instances(2, 10)
-        instances[position]["w"][-1] = -0.5
+        stack = random_identity_stack(np.random.default_rng(2), 10)
+        stack["w"][position, 0] = -0.5
         with pytest.raises(ValueError, match="positive"):
-            identity_gaps(stack_instances(instances))
-
-    def test_inconsistent_or_oversized_instance_rejected(self):
-        instances = self.instances(3, 4)
-        instances[2]["u"] = np.append(instances[2]["u"], 0.0)
-        with pytest.raises(ValueError, match="instance 2"):
-            identity_gaps(stack_instances(instances))
-        big = dict(self.instances(3, 1)[0], X=np.zeros((oracle.IDENTITY_MAX_N + 1, 1)))
-        with pytest.raises(ValueError, match="instance 0"):
-            identity_gaps(stack_instances([big]))
+            identity_gaps(stack)
 
 
 class TestRandomIdentityStack:
     """random_identity_stack draws the padded batch that identity_gaps evaluates."""
-
-    def test_padding_is_that_of_stack_instances(self):
-        stack = random_identity_stack(np.random.default_rng(1), 300)
-        padded = stack_instances(unstack(stack))
-        for key in oracle._IDENTITY_KEYS:
-            assert stack[key].shape == padded[key].shape, key
-            assert stack[key].tobytes() == padded[key].tobytes(), key
-        assert identity_gaps(stack).tobytes() == identity_gaps(padded).tobytes()
 
     def test_instances_keep_their_distribution(self):
         for inst in unstack(random_identity_stack(np.random.default_rng(2), 200)):

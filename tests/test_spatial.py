@@ -403,7 +403,7 @@ class TestFactorizationBudget:
         # count, one factor for the start and one per Newton step, and no
         # inverse of D
         rng = np.random.default_rng([3, 1])
-        battery = [problem for _, problem in oracle.verify_battery(rng)]
+        battery = list(oracle.verify_battery(rng))
         calls, _ = self.count_factorizations(monkeypatch)
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append("inv") or inv(*args))
