@@ -28,7 +28,6 @@ config.write_text(
             "family": "poisson",
             "beta": "estimate",
             "matern": {"omega1": 0.5, "omega2": 1.5},
-            "sic": {"tol": 1e-10, "max_iter": 200},
             "seed": 0,
         },
         indent=2,

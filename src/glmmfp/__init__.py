@@ -20,7 +20,7 @@ from .families import (
     gaussian_kernel,
     poisson_kernel,
 )
-from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior
+from .fixed_point import FitReport, GlmmProblem, fit_posterior
 from .metrics import deviance_gof, rl2
 from .oracle import adjudicate_exactness, moments_quadrature, moments_slice
 from .spatial import SpatialData, krige, site_problem
@@ -28,7 +28,6 @@ from .spatial import SpatialData, krige, site_problem
 __all__ = [
     "BlockedCovariance",
     "FamilyKernel",
-    "FitOptions",
     "FitReport",
     "GlmmProblem",
     "MaternParams",

@@ -31,7 +31,7 @@ from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
 from .covariance import _check_sites, build_blocked, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
-from .fixed_point import FitOptions, fit_posterior
+from .fixed_point import fit_posterior
 from .metrics import deviance_gof
 from .oracle import CapabilityError
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
@@ -51,12 +51,6 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     FloatingPointError,
 )
-
-
-def _fit_options(cfg: RunConfig) -> FitOptions:
-    max_iter = dataio.read_int(cfg.sic, "max_iter", FitOptions.max_iter, 1, "sic")
-    tol = dataio.read_float(cfg.sic.get("tol", FitOptions.tol), "sic.tol", positive=True)
-    return FitOptions(tol=tol, max_iter=max_iter)
 
 
 def _sites(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
@@ -83,7 +77,7 @@ def _check_params(cfg: RunConfig, n_columns: int):
         )
 
 
-def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
+def _site_fit(cfg: RunConfig, data: SpatialData):
     """Return (the observed sites' mode fit, its matern_params, the estimate or None).
 
     With fixed parameters the fit is made on the observed sites' prior
@@ -93,21 +87,21 @@ def _site_fit(cfg: RunConfig, data: SpatialData, options: FitOptions):
     _check_params(cfg, data.X.shape[1])
     if cfg.beta != dataio.ESTIMATE:
         problem = site_problem(data, build_blocked(cfg.matern, data.coords), cfg.beta)
-        return fit_posterior(problem, options), cfg.matern, None
+        return fit_posterior(problem), cfg.matern, None
     matern_given = isinstance(cfg.matern, MaternParams)
     init_omega = cfg.matern if matern_given else MaternParams(0.5, 1.0)
-    result = estimate(data, None, init_omega, options, fit_omega=not matern_given)
+    result = estimate(data, None, init_omega, fit_omega=not matern_given)
     return result.report, result.omega_hat, result
 
 
-def _fit_and_krige(cfg, train, test, options, tier=None):
+def _fit_and_krige(cfg, train, test, tier=None):
     """Fit the mode at the training sites and krige it to the test sites: the
     :class:`SpatialPrediction` and the estimate, ``None`` if none.
     Training and test sites are checked together first, so that sites over
     ``PRIOR_BUDGET`` are refused before any prior is built or fit made."""
     _check_sites(train.coords, test.coords)
     observed = _sites(cfg, train, tier)
-    report, omega, result = _site_fit(cfg, observed, options)
+    report, omega, result = _site_fit(cfg, observed)
     d12 = cross_covariance(omega, observed.coords, test.coords)
     return krige(report, _sites(cfg, test, tier), d12), result
 
@@ -128,9 +122,8 @@ def _exit_code(report, result) -> int:
 def cmd_fit(args) -> int:
     cfg = dataio.load_config(args.config)
     dataset = dataio.load_dataset(args.data, cfg)
-    options = _fit_options(cfg)
     observed = _sites(cfg, dataset)
-    report, omega, result = _site_fit(cfg, observed, options)
+    report, omega, result = _site_fit(cfg, observed)
     dataio.write_csv(args.out / "xi.csv", ("site", "xi"), enumerate(report.xi))
     dataio.write_symmetric_csv(args.out / "Xi.csv", report.Xi)
     payload = {
@@ -163,8 +156,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("no training rows")
     if test.n < 1:
         raise ConfigError("no test rows")
-    options = _fit_options(cfg)
-    pred, result = _fit_and_krige(cfg, train, test, options)
+    pred, result = _fit_and_krige(cfg, train, test)
     dataio.write_csv(
         args.out / "predictions.csv",
         ("site", "xi_star", "y_hat_star", "u_hat_star"),
@@ -227,7 +219,6 @@ def cmd_validate(args) -> int:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
         )
-    options = _fit_options(cfg)
     rows = []
     failures = []
     for split in range(splits):
@@ -236,9 +227,7 @@ def cmd_validate(args) -> int:
         test_idx, train_idx = perm[:n_test], perm[n_test : n_test + n_train]
         for tier in tiers:
             try:
-                g2 = _validate_split(
-                    cfg, dataset, train_idx, test_idx, tier, options
-                )
+                g2 = _validate_split(cfg, dataset, train_idx, test_idx, tier)
                 rows.append((split, tier, g2))
             except Exception as exc:  # noqa: BLE001 - recorded per split
                 failures.append({"split": split, "tier": tier, "error": str(exc)})
@@ -254,9 +243,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not failures else EXIT_NUMERICAL
 
 
-def _validate_split(cfg, dataset, train_idx, test_idx, tier, options) -> float:
+def _validate_split(cfg, dataset, train_idx, test_idx, tier) -> float:
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction, result = _fit_and_krige(cfg, train, test, options, tier)
+    prediction, result = _fit_and_krige(cfg, train, test, tier)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
     if result is not None:

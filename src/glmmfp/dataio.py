@@ -51,7 +51,6 @@ class RunConfig:
     matern: object = None          # MaternParams or "estimate"
     beta: object = None            # list of floats or "estimate"
     gaussian_variance: float | None = None
-    sic: dict = field(default_factory=dict)
     seed: int = 0
     simulate: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
@@ -60,10 +59,9 @@ class RunConfig:
 
 _TOP_KEYS = {f.name for f in fields(RunConfig)}
 _MATERN_KEYS = {f.name for f in fields(MaternParams)}
-# each section's keys; sic's are FitOptions' fields and simulate's SimConfig's,
-# written out since simulate imports this module and fixed_point is not imported
+# each section's keys; simulate's are SimConfig's fields, written out since
+# simulate imports this module
 _SECTION_KEYS = {
-    "sic": {"tol", "max_iter"},
     "simulate": {
         "n", "n_star", "beta", "omega", "replications", "seed", "side", "scenarios",
     },
@@ -268,6 +266,16 @@ def build_design(dataset: Dataset, cfg: RunConfig, tier: str | None = None) -> n
     tier = tier or cfg.model_tier
     if tier not in TIERS:
         raise ConfigError(f"unknown model_tier {tier!r}")
+    if cfg.beta == ESTIMATE:
+        # no data identify the coefficient of the response or of a repeated column
+        taken = ["y"] + (["x_coord", "y_coord"] if tier != "intercept" else [])
+        for name in cfg.covariates:
+            if name in taken:
+                raise ConfigError(
+                    f"covariate {name!r} is the response or repeats a column of the "
+                    f"{tier!r} design: beta cannot be estimated"
+                )
+            taken.append(name)
     cols = [np.ones(dataset.n)]
     cols += [dataset.covariates[name] for name in cfg.covariates]
     lon, lat = dataset.coords[:, 0], dataset.coords[:, 1]

@@ -54,8 +54,8 @@ stops read the scoring decrement alone.  A step that no halving takes,
 or that leaves the surrogate unchanged, has converged if its gain is
 below the surrogate's roundoff.  Each trial's mode fit starts from the
 accepted fit's predictor (Rasmussen & Williams 2006, Alg. 5.1), so the
-estimate's fit is a fixed-parameter fit at its optimum to ``tol``, not
-to the bit.  Every caller starts beta at :func:`initial_beta`.  The
+estimate's fit is a fixed-parameter fit at its optimum to the mode-finder's
+stop, not to the bit.  Every caller starts beta at :func:`initial_beta`.  The
 trials share the first fit's checked response and its terms in ``y``
 alone, through :meth:`fixed_point.GlmmProblem.with_prior`.
 
@@ -83,7 +83,7 @@ from .covariance import (
     site_distances,
 )
 from .families import check_support, initial_eta
-from .fixed_point import _MAX_HALVINGS, FitOptions, FitReport, fit_posterior
+from .fixed_point import _MAX_HALVINGS, FitReport, fit_posterior
 from .fixed_point import laplace_marginal, laplace_skew
 from .spatial import SpatialData, site_problem
 
@@ -98,7 +98,7 @@ SCORING_GTOL = 1e-5
 # give, relative to 1 + |value|: the Newton decrement's stop (Boyd &
 # Vandenberghe 2004, sec. 9.5.1), with the information for the Hessian
 SCORING_DECREMENT = 1e-14
-# trial surrogates scatter by about 2e-13 of their value (the mode fits' tol): a
+# trial surrogates scatter by about 2e-13 of their value (the mode fits' TOL): a
 # step that stalls has converged if its decrement is this small relative to 1 + |value|
 SCORING_RESOLUTION = 1e-12
 # the scoring decrement at which the Newton step J^-1 g is tried first: the pure
@@ -164,8 +164,7 @@ class EstimateResult:
 
 
 def _fit(
-    data: SpatialData, beta, omega: MaternParams, fit_options, dist, accepted=None,
-    jitters=None,
+    data: SpatialData, beta, omega: MaternParams, dist, accepted=None, jitters=None
 ):
     """The mode at (beta, omega), on the prior over the checked site ``dist``.
 
@@ -177,9 +176,9 @@ def _fit(
     if jitters is not None:
         jitters.append(blocked.jitter)
     if accepted is None:
-        return fit_posterior(site_problem(data, blocked, beta), fit_options)
+        return fit_posterior(site_problem(data, blocked, beta))
     problem = accepted.problem.with_prior(blocked.d11, beta, blocked.chol)
-    return fit_posterior(problem, fit_options, eta0=accepted.eta)
+    return fit_posterior(problem, eta0=accepted.eta)
 
 
 def _prior_derivatives(problem, omega: MaternParams, dist) -> tuple:
@@ -297,18 +296,13 @@ def _nearest_correlation(omega: MaternParams, dist) -> float:
     return matern(omega, d_min) / omega.sill
 
 
-def approx_loglik(
-    data: SpatialData,
-    beta,
-    omega: MaternParams,
-    fit_options: FitOptions = FitOptions(),
-) -> float:
+def approx_loglik(data: SpatialData, beta, omega: MaternParams) -> float:
     """Laplace-style marginal log-likelihood surrogate at (beta, omega).
 
     Returns -inf when the inner mode-finder fails to converge.
     """
     blocked = build_blocked(omega, data.coords)
-    report = fit_posterior(site_problem(data, blocked, beta), fit_options)
+    report = fit_posterior(site_problem(data, blocked, beta))
     return laplace_marginal(report) if report.converged else -np.inf
 
 
@@ -322,7 +316,7 @@ def estimate(
     data: SpatialData,
     init_beta,
     init_omega: MaternParams,
-    fit_options: FitOptions = FitOptions(),
+    *,
     fit_omega: bool = True,
 ) -> EstimateResult:
     """Maximize the surrogate log-likelihood from the given start by Fisher scoring.
@@ -343,7 +337,7 @@ def estimate(
     decrement is at most ``SCORING_RESOLUTION * (1 + |value|)``;
     :attr:`EstimateResult.stop` names the stop, ``boundary`` where
     independent effects do as well as the estimated hyperparameters.
-    Deterministic given the initialization and ``fit_options``.  If trial
+    Deterministic given the initialization.  If trial
     priors needed a jitter, one warning gives the largest and how many
     needed one.
     """
@@ -371,7 +365,7 @@ def estimate(
         """The mode fit at ``params`` and its surrogate, -inf unless it converged."""
         nonlocal fits, failed
         fits += 1
-        report = _fit(data, *params, fit_options, dist, accepted, jitters)
+        report = _fit(data, *params, dist, accepted, jitters)
         failed += not report.converged
         return report, laplace_marginal(report) if report.converged else -np.inf
 
@@ -431,7 +425,7 @@ def estimate(
         # the limit omega2 -> inf, independent effects: prior sill * I, factor sqrt(sill) I
         eye, sill = np.eye(len(dist)), params[1].sill
         limit = report.problem.with_prior(sill * eye, params[0], math.sqrt(sill) * eye)
-        edge = fit_posterior(limit, fit_options, eta0=report.eta)
+        edge = fit_posterior(limit, eta0=report.eta)
         fits += 1
         failed += not edge.converged
         floor = value - SCORING_RESOLUTION * (1.0 + abs(value))

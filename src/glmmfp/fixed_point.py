@@ -10,7 +10,8 @@ by Newton's method.  Each iterate takes the increment ``Delta = H^-1 g``,
 with gradient ``g = Z'(y - mu) / phi - D^-1 xi``, negative Hessian
 ``H = D^-1 + Z'WZ`` and ``phi`` the family's dispersion, and halves it
 until ``l`` does not fall (step halving, as in R's ``glm.fit``).  It
-stops when ``Delta`` and ``d_b`` (below) drop to ``tol``.  The full step is the
+stops when ``Delta`` and ``d_b`` (below) drop to ``TOL``, or each to
+``ULPS`` of its own iterate, within ``MAX_ITER`` iterates.  The full step is the
 working linear mixed model update of penalized quasi-likelihood,
 
     xi + Delta  =  D Z' R^-1 (u - X beta),    R = Z D Z' + W^-1,
@@ -53,6 +54,12 @@ from .families import FamilyKernel
 # this fraction of the size of its parts, which is roundoff.
 _SLACK = 1e-12
 _MAX_HALVINGS = 40
+# steps of at most TOL, or of at most ULPS of their own iterate, have converged
+TOL = 1e-10
+ULPS = 64 * np.finfo(float).eps
+# eta walks about one unit a step through a likelihood's exponential tail and
+# is clamped at +-354.9, so this many steps reach any mode the clamp allows
+MAX_ITER = 400
 
 
 @dataclass(eq=False)
@@ -152,16 +159,6 @@ class GlmmProblem:
         return families.initial_eta(self.kernel, self.y)
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
-
-
 @dataclass(eq=False)
 class FitReport:
     """Last iterate of :func:`fit_posterior`: the mode once it has converged.
@@ -253,9 +250,9 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
     increment, computed through the update ``D Z' R^-1 (u - X beta)``
     rather than the solver's own increment form.  The two forms round
     differently, so on ill-conditioned problems the defect of a fit that
-    converged at ``tol`` can exceed ``tol`` (up to 4.54e-10 at the default
-    ``tol = 1e-10`` on the 3,000-problem stress battery); it is an
-    independent check of the mode, not a certificate of a fit at ``tol``.
+    converged at ``TOL`` can exceed ``TOL`` (up to 4.54e-10 at
+    ``TOL = 1e-10`` on the 3,000-problem stress battery); it is an
+    independent check of the mode, not a certificate of a fit at ``TOL``.
     """
     xi = np.asarray(xi, dtype=float)
     eta = problem.X @ problem.beta + problem.effects(xi)
@@ -274,24 +271,24 @@ def _start(problem: GlmmProblem, buf=None, eta0=None):
     return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
 
 
-def fit_posterior(
-    problem: GlmmProblem, options: FitOptions = FitOptions(), buf=None, eta0=None
-) -> FitReport:
+def fit_posterior(problem: GlmmProblem, buf=None, eta0=None) -> FitReport:
     """Find the posterior mode of the random effects by Newton's method.
 
     Each Newton step is halved until the log-posterior does not fall.
     Converges when the full steps of ``xi`` (``residual``) and of ``b``
-    drop to ``tol`` in sup-norm, so ``tol`` bounds the last step of the
+    drop to ``TOL`` in sup-norm, so ``TOL`` bounds the last step of the
     mode and of ``alpha = Z' b``: under a small sill the step ``D Z' d_b``
-    of ``xi`` is tiny while ``d_b`` is not.  Running out of iterations or
-    of halvings yields a non-converged report at the last accepted
+    of ``xi`` is tiny while ``d_b`` is not.  Steps within ``ULPS`` of their
+    own iterate also converge, as at any scale of the response and the prior
+    roundoff can exceed ``TOL``.  Running out of the ``MAX_ITER`` iterations
+    or of halvings yields a non-converged report at the last accepted
     iterate, carrying the full trace; it never raises.
     Every factor of the fit is made in one n x n buffer, ``buf``
     (:func:`_lapack.workspace`), such as an earlier report's ``chol``, and
     the report keeps the last.
     The fit starts with one working update at ``eta0``, such as a nearby
     prior's mode, by default at the family's IRLS predictor: the start
-    changes the path to the mode, not the mode beyond ``tol``.
+    changes the path to the mode, not the mode beyond the stop.
     """
     buf = workspace(buf, (problem.n, problem.n))
     offset = problem.X @ problem.beta
@@ -303,10 +300,14 @@ def fit_posterior(
     while True:
         w, delta, d_b, chol = _newton_step(problem, eta, b, buf)
         residual = float(np.abs(delta).max(initial=0.0))
-        converged = bool(max(residual, np.abs(d_b).max(initial=0.0)) <= options.tol)
+        step_b = np.abs(d_b).max(initial=0.0)
+        converged = bool(max(residual, step_b) <= TOL or (
+            residual <= ULPS * np.abs(xi).max(initial=0.0)
+            and step_b <= ULPS * np.abs(b).max(initial=0.0)
+        ))
         if converged:
             trace.append((residual, residual))
-        if converged or len(trace) == options.max_iter:
+        if converged or len(trace) == MAX_ITER:
             break
         # the data terms |y'eta| nearly cancel against the normalizing
         # constants when counts are large, so they set the roundoff too

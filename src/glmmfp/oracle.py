@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families
-from .fixed_point import FitOptions, FitReport, GlmmProblem, fit_posterior, laplace_marginal
+from .fixed_point import FitReport, GlmmProblem, fit_posterior, laplace_marginal
 
 QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
@@ -139,7 +139,7 @@ def _center_terms(problem: GlmmProblem, center=None) -> _Center:
     if center is not None:
         xi, Xi = center
     else:
-        report = fit_posterior(problem, FitOptions())
+        report = fit_posterior(problem)
         xi, Xi = report.xi, report.Xi
     xi = np.asarray(xi, dtype=float)
     scale = np.linalg.cholesky(2.0 * Xi)
@@ -289,7 +289,7 @@ def moments_slice(problem: GlmmProblem, steps: int = 5_000, seed: int = 0):
     if chains * (problem.n + r) > QUADRATURE_BUDGET:
         raise CapabilityError(f"{chains} chains x {problem.n + r} values, over the "
                               f"budget of {QUADRATURE_BUDGET}")
-    mode = fit_posterior(problem, FitOptions()).xi
+    mode = fit_posterior(problem).xi
 
     def loglik(gamma):
         eta = (problem.X @ problem.beta)[:, None] + problem.effects(gamma)
@@ -348,7 +348,7 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
     over the budget.
     """
     _check_quadrature(problem, order)
-    fit = fit_posterior(problem, FitOptions())
+    fit = fit_posterior(problem)
     center = _center_terms(problem, (fit.xi, fit.Xi))
     evaluated = {}
     ref = _quadrature(problem, order, center, evaluated)

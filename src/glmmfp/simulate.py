@@ -47,7 +47,7 @@ from .dataio import ConfigError, parse_matern, read_float, read_int, read_list
 from .dataio import write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
-from .fixed_point import FitOptions, fit_posterior
+from .fixed_point import fit_posterior
 from .metrics import rl2
 from .spatial import SpatialData, krige, site_problem
 
@@ -205,7 +205,7 @@ def _scenario_metrics(dataset: SimDataset, scenario: str, config: SimConfig) -> 
     beta = np.asarray(config.beta, dtype=float)
     if scenario == SIC_TRUE:
         glmm = site_problem(observed, blocked, beta)
-        report = fit_posterior(glmm, FitOptions(), dataset.buffer)
+        report = fit_posterior(glmm, dataset.buffer)
         d12, record = blocked.d12, zeros
     else:  # estimate (beta, omega1, omega2) first, from the estimator's start
         fit = estimate(observed, None, config.omega)

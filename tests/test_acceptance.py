@@ -17,7 +17,6 @@ from glmmfp import cli
 from glmmfp.covariance import MaternParams, matern
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import (
-    FitOptions,
     GlmmProblem,
     fit_posterior,
     fixed_point_residual,

@@ -57,6 +57,28 @@ def test_start_objective_is_that_of_initial_beta(tmp_path, monkeypatch, key):
     assert start_objective(config, data) == expected
 
 
+def test_workload_configs_load(tmp_path, monkeypatch):
+    # a config key that the package stops accepting fails here, not in a
+    # benchmark run: each workload's config.json loads as its command loads it
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS
+
+    from glmmfp import dataio
+    from glmmfp.simulate import SimConfig
+
+    for name, workload in WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload.prepare(workdir, [])
+        cfg = dataio.load_config(workdir / "config.json")
+        if name == "simulate-n400":
+            config = SimConfig(**{"seed": cfg.seed, **cfg.simulate})
+            sizes = workload.sizes
+            assert (config.n, config.n_star, config.replications, config.scenarios) == (
+                sizes["n"], sizes["n_star"], sizes["replications"], tuple(sizes["scenarios"])
+            )
+
+
 def test_bench_tests_pass():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(BENCH / "tests")],

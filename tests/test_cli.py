@@ -34,6 +34,34 @@ def poisson_dataset(tmp_path, n=30, seed=0, name="data.csv"):
 
 
 class TestFit:
+    @pytest.mark.parametrize("tier, covariate", [("main_effects", "x_coord"), ("intercept", "y")])
+    def test_unidentifiable_design_exits_1_when_beta_is_estimated(
+        self, tmp_path, capsys, tier, covariate
+    ):
+        # at n = 30 on write_synthetic_counts seed 1 such a fit converged, with
+        # the one slope split arbitrarily over two coefficients
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=30, seed=1)
+        payload = {"family": "poisson", "covariates": [covariate], "model_tier": tier,
+                   "matern": {"omega1": 0.5, "omega2": 1.5}}
+
+        def run(name, beta):
+            out = tmp_path / name
+            config = write_config(tmp_path, {**payload, "beta": beta}, f"{name}.json")
+            argv = ["fit", "--config", config, "--data", str(data), "--out", str(out)]
+            return cli.main([*argv, "--quiet"]), out
+
+        code, out = run("estimated", "estimate")
+        assert code == cli.EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: covariate {covariate!r} is the response or repeats a column of "
+            f"the {tier!r} design: beta cannot be estimated\n"
+        )
+        # with beta given, the design is the user's to make
+        width = 2 if tier == "intercept" else 4
+        code, out = run("given", [4.5] + [0.0] * (width - 1))
+        assert code == cli.EXIT_OK and (out / "xi.csv").exists()
+
     def test_poisson_fit_with_given_parameters(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)
         config = write_config(
@@ -157,7 +185,7 @@ class TestFit:
     ):
         # the estimate's fit at its optimum is written; it started from the
         # last accepted fit, so it is the fit that fixed parameters at the
-        # written estimates make to the solver's tol, not to the bit
+        # written estimates make to the solver's TOL, not to the bit
         from glmmfp import estimate
 
         data = tmp_path / "counts.csv"
@@ -189,7 +217,7 @@ class TestFit:
              np.loadtxt(out / "Xi.csv", delimiter=","))
             for out in (estimated, fixed)
         )
-        assert np.max(np.abs(xi - xi_fixed)) <= fixed_point.FitOptions().tol
+        assert np.max(np.abs(xi - xi_fixed)) <= fixed_point.TOL
         assert np.max(np.abs(Xi - Xi_fixed)) <= 1e-10 * np.max(np.abs(Xi_fixed))
 
     @pytest.mark.parametrize("command", ["fit", "predict"])
@@ -545,6 +573,29 @@ class TestSimulate:
             )
         assert outputs[0] == outputs[1]
 
+    def test_seed_option_overrides_both_config_seeds(self, tmp_path):
+        section = {"n": 30, "n_star": 20, "beta": [2.0, 0.0], "side": 6.0,
+                   "replications": 2, "scenarios": ["oracle", "sic_true"]}
+
+        def run(tag, payload, *flags):
+            out = tmp_path / tag
+            config = write_config(tmp_path, payload, f"{tag}.json")
+            argv = ["simulate", "--config", config, "--out", str(out), "--quiet", *flags]
+            assert cli.main(argv) == cli.EXIT_OK
+            return (json.loads((out / "audit.json").read_text())["config"]["seed"],
+                    (out / "table.csv").read_bytes())
+
+        configured = run("configured", {"simulate": {**section, "seed": 5}})
+        over_top = run("over-top", {"seed": 4, "simulate": section}, "--seed", "5")
+        over_both = run("over-both", {"seed": 4, "simulate": {**section, "seed": 3}},
+                        "--seed", "5")
+        assert configured[0] == over_top[0] == over_both[0] == 5
+        assert configured[1] == over_top[1] == over_both[1]
+        # the seeds it overrides would have drawn other replications
+        assert run("unflagged", {"seed": 4, "simulate": {**section, "seed": 3}})[1] != (
+            configured[1]
+        )
+
     def test_replication_override(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(
@@ -742,15 +793,15 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
         assert not (out / "validation.csv").exists()
 
-    def test_failed_split_is_recorded_and_exits_numerical(self, tmp_path):
+    def test_failed_split_is_recorded_and_exits_numerical(self, tmp_path, monkeypatch):
         # one Newton iteration is too few for the mode-finder to converge
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 1)
         data, _, _ = poisson_dataset(tmp_path, n=30, seed=5)
         config = write_config(
             tmp_path,
             {
                 "beta": [1.5],
                 "matern": {"omega1": 0.5, "omega2": 1.0},
-                "sic": {"max_iter": 1},
                 "validate": {"splits": 2, "n_train": 20, "n_test": 8,
                              "tiers": ["intercept"]},
             },
@@ -1003,7 +1054,6 @@ class TestVerify:
 # a None section is the top level
 CONFIG_COUNTS = [
     (None, "seed", "simulate"),
-    ("sic", "max_iter", "fit"),
     ("simulate", "n", "simulate"),
     ("simulate", "n_star", "simulate"),
     ("simulate", "replications", "simulate"),
@@ -1018,9 +1068,6 @@ CONFIG_COUNTS = [
 # each config number or list that is not a count, as (the command that reads
 # it, the config, the start of its error)
 CONFIG_VALUES = [
-    ("fit", {"sic": {"tol": True}}, "sic.tol must be a positive number: True"),
-    ("fit", {"sic": {"tol": 0}}, "sic.tol must be a positive number: 0"),
-    ("fit", {"sic": {"tol": "1e-8"}}, "sic.tol must be a positive number"),
     ("fit", {"beta": "4"}, "beta must be a JSON array: '4'"),
     ("fit", {"beta": [True]}, "beta[0] must be a finite number: True"),
     ("fit", {"beta": [1.0, float("inf")]}, "beta[1] must be a finite number"),
@@ -1070,6 +1117,9 @@ CONFIG_VALUES_BY_ID = {
     "omega-empty-object": ("simulate", {"simulate": {"omega": {}}},
                            "simulate.omega.omega1 must be a finite number: None"),
     "beta-unset": ("fit", {"beta": None}, "config must set 'beta' (values or 'estimate')"),
+    # the solver works out its own stop; a section to set it is not read
+    "sic-unknown": ("fit", {"sic": {"tol": 1e-10, "max_iter": 200}},
+                    "unknown key 'sic' in config"),
     "model-tier-unknown": ("fit", {"model_tier": "cubic"}, "unknown model_tier 'cubic'"),
     "tier-unknown": ("validate", {"validate": {"tiers": ["cubic"]}},
                      "unknown model_tier 'cubic'"),

@@ -19,7 +19,6 @@ from glmmfp.dataio import (
     write_symmetric_csv,
     write_synthetic_counts,
 )
-from glmmfp.fixed_point import FitOptions
 from glmmfp.simulate import SimConfig
 
 
@@ -54,7 +53,6 @@ class TestConfig:
                     "family": "binomial",
                     "matern": {"omega1": 0.5, "omega2": 2.0, "omega3": 1.5},
                     "beta": [1.0, -0.5],
-                    "sic": {"tol": 1e-8, "max_iter": 50},
                     "seed": 7,
                 },
             )
@@ -62,7 +60,6 @@ class TestConfig:
         assert cfg.family == "binomial"
         assert cfg.matern == MaternParams(0.5, 2.0, 1.5)
         assert cfg.beta == [1.0, -0.5]
-        assert cfg.sic == {"tol": 1e-8, "max_iter": 50}
         assert cfg.seed == 7
 
     def test_estimate_sentinels(self, tmp_path):
@@ -77,10 +74,15 @@ class TestConfig:
             load_config(write_config(tmp_path, {"banana": 1}))
 
     def test_unknown_nested_key(self, tmp_path):
-        with pytest.raises(ConfigError, match="sic"):
-            load_config(write_config(tmp_path, {"sic": {"tolerance": 1e-8}}))
+        with pytest.raises(ConfigError, match="verify"):
+            load_config(write_config(tmp_path, {"verify": {"tolerance": 1e-8}}))
         with pytest.raises(ConfigError, match="'damping'"):
-            load_config(write_config(tmp_path, {"sic": {"damping": 0.5}}))
+            load_config(write_config(tmp_path, {"validate": {"damping": 0.5}}))
+
+    def test_solver_section_is_an_unknown_key(self, tmp_path):
+        # the mode-finder works out its own stop; no config sets it
+        with pytest.raises(ConfigError, match="^unknown key 'sic' in config$"):
+            load_config(write_config(tmp_path, {"sic": {"tol": 1e-10, "max_iter": 200}}))
 
     def test_unknown_family(self, tmp_path):
         with pytest.raises(ConfigError, match="family"):
@@ -103,9 +105,8 @@ class TestConfig:
             load_config(write_config(tmp_path, {"matern": {"omega4": 0.5}}))
 
     def test_written_out_section_keys_are_their_dataclass_fields(self):
-        # dataio imports neither fixed_point nor simulate, so these two stay
-        # literal; each must name exactly the fields its section configures
-        assert dataio._SECTION_KEYS["sic"] == {f.name for f in fields(FitOptions)}
+        # dataio does not import simulate, so its keys stay literal; they must
+        # name exactly the fields the section configures
         assert dataio._SECTION_KEYS["simulate"] == {f.name for f in fields(SimConfig)}
 
     def test_bad_json(self, tmp_path):
@@ -246,10 +247,10 @@ class TestDataset:
 
 
 class TestDesign:
-    def make(self, tmp_path, tier, covariates=()):
+    def make(self, tmp_path, tier, covariates=(), beta=None):
         cfg = load_config(
             write_config(
-                tmp_path, {"model_tier": tier, "covariates": list(covariates)}
+                tmp_path, {"model_tier": tier, "covariates": list(covariates), "beta": beta}
             )
         )
         text = "y,x_coord,y_coord,elev\n3,1.0,2.0,0.3\n0,4.0,5.0,0.6\n"
@@ -278,6 +279,34 @@ class TestDesign:
         X, ds = self.make(tmp_path, "main_effects", covariates=["elev"])
         assert X.shape == (2, 4)
         assert np.array_equal(X[:, 1], ds.covariates["elev"])
+
+    @pytest.mark.parametrize(
+        "tier, covariates, name",
+        [
+            ("intercept", ["y"], "y"),
+            ("main_effects", ["x_coord"], "x_coord"),
+            ("quadratic", ["elev", "y_coord"], "y_coord"),
+            ("intercept", ["elev", "elev"], "elev"),
+        ],
+        ids=["response", "main-effects-coordinate", "quadratic-coordinate", "repeated"],
+    )
+    def test_unidentifiable_covariate_is_rejected_when_beta_is_estimated(
+        self, tmp_path, tier, covariates, name
+    ):
+        with pytest.raises(ConfigError) as exc:
+            self.make(tmp_path, tier, covariates, beta="estimate")
+        assert str(exc.value) == (
+            f"covariate {name!r} is the response or repeats a column of the "
+            f"{tier!r} design: beta cannot be estimated"
+        )
+        # given fixed effects need no identification
+        X, _ = self.make(tmp_path, tier, covariates, beta=[0.0])
+        assert X.shape[1] == 1 + len(covariates) + {"intercept": 0, "main_effects": 2,
+                                                    "quadratic": 5}[tier]
+
+    def test_coordinate_covariate_is_identifiable_under_the_intercept_tier(self, tmp_path):
+        X, ds = self.make(tmp_path, "intercept", ["x_coord"], beta="estimate")
+        assert np.array_equal(X[:, 1], ds.coords[:, 0])
 
 
 class TestWriters:

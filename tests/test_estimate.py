@@ -14,9 +14,16 @@ from glmmfp._lapack import potri
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import SpatialData, approx_loglik, estimate
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
-from glmmfp.fixed_point import FitOptions
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "estimate_reference.json"
+
+
+def one_iterate_fit(problem, buf=None, eta0=None):
+    """A mode fit cut at its first iterate, at a tolerance it cannot meet there."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixed_point, "MAX_ITER", 1)
+        patch.setattr(fixed_point, "TOL", 1e-14)
+        return fixed_point.fit_posterior(problem, buf, eta0)
 
 
 def gaussian_data(seed=0, n=30, beta0=2.0, s2=1.0):
@@ -79,12 +86,10 @@ class TestSurrogateLoglik:
         got = approx_loglik(data, np.zeros(1), MaternParams(0.5, 1.0))
         assert got == pytest.approx(-1.9319342565384447, abs=0.1)
 
-    def test_nonconvergence_maps_to_minus_inf(self):
+    def test_nonconvergence_maps_to_minus_inf(self, monkeypatch):
         data, omega = poisson_data(seed=2)
-        got = approx_loglik(
-            data, np.zeros(1), omega, FitOptions(tol=1e-14, max_iter=1)
-        )
-        assert got == -np.inf
+        monkeypatch.setattr(estimate_module, "fit_posterior", one_iterate_fit)
+        assert approx_loglik(data, np.zeros(1), omega) == -np.inf
 
     def test_decreases_away_from_plausible_beta(self):
         data, omega = poisson_data(seed=3)
@@ -173,7 +178,7 @@ class TestEstimate:
         omega = MaternParams(0.5, 1.0, nu)
         dist = covariance.site_distances(data.coords)
         before = dist.copy()
-        report = estimate_module._fit(data, np.array([2.0]), omega, FitOptions(), dist)
+        report = estimate_module._fit(data, np.array([2.0]), omega, dist)
         assert np.array_equal(report.problem.D, build_blocked(omega, data.coords).d11)
         assert np.array_equal(dist, before)
         checks = []
@@ -217,7 +222,7 @@ def small_data(family, p, seed=0, n=30):
 
 def value_and_gradient(data, beta, omega, dist, fit_omega=True):
     """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
-    report = estimate_module._fit(data, beta, omega, FitOptions(), dist)
+    report = estimate_module._fit(data, beta, omega, dist)
     dD = estimate_module._prior_derivatives(report.problem, omega, dist) if fit_omega else ()
     grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
     return estimate_module.laplace_marginal(report), grad
@@ -252,7 +257,7 @@ class TestGradient:
         data = small_data(family, 2)
         omega = MaternParams(0.4, 1.2)
         dist = cdist(data.coords, data.coords)
-        report = estimate_module._fit(data, np.array([0.3, 0.1]), omega, FitOptions(), dist)
+        report = estimate_module._fit(data, np.array([0.3, 0.1]), omega, dist)
         seen = []
 
         def skew(report, xi_diag):
@@ -285,11 +290,9 @@ class TestFailedFits:
         fit = estimate_module.fit_posterior
         calls = []
 
-        def fails_once(problem, options=FitOptions(), eta0=None):
+        def fails_once(problem, eta0=None):
             calls.append(1)
-            if len(calls) == 2:
-                options = FitOptions(tol=1e-14, max_iter=1)
-            return fit(problem, options, eta0=eta0)
+            return (one_iterate_fit if len(calls) == 2 else fit)(problem, eta0=eta0)
 
         monkeypatch.setattr(estimate_module, "fit_posterior", fails_once)
         result = estimate(data, np.array([2.0]), omega)
@@ -299,12 +302,10 @@ class TestFailedFits:
         assert np.isfinite(result.objective_value)
         assert result.objective_value >= start
 
-    def test_failed_start_is_reported(self):
+    def test_failed_start_is_reported(self, monkeypatch):
         data, omega = poisson_data(seed=2)
-        result = estimate(
-            data, np.zeros(1), omega,
-            fit_options=FitOptions(tol=1e-14, max_iter=1),
-        )
+        monkeypatch.setattr(estimate_module, "fit_posterior", one_iterate_fit)
+        result = estimate(data, np.zeros(1), omega)
         assert not result.converged
         assert result.objective_value == -np.inf
         assert result.fits == result.failed_fits >= 1
@@ -346,7 +347,7 @@ class TestPrecision:
         data = small_data(family, 2)
         dist = cdist(data.coords, data.coords)
         report = estimate_module._fit(
-            data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), FitOptions(), dist
+            data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), dist
         )
         factor = report.chol.copy()
         Rinv = potri(report.chol)
@@ -364,14 +365,14 @@ class TestInformation:
         dist = cdist(data.coords, data.coords)
         omega = MaternParams(0.4, 1.2, nu)
         beta = np.array([0.3, 0.1])
-        report = estimate_module._fit(data, beta, omega, FitOptions(), dist)
+        report = estimate_module._fit(data, beta, omega, dist)
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         info = estimate_module._information(report, dD, potri(report.chol))
         assert info.shape == (4, 4)
         assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
 
         def beta_gradient(b):
-            rep = estimate_module._fit(data, b, omega, FitOptions(), dist)
+            rep = estimate_module._fit(data, b, omega, dist)
             return estimate_module._surrogate_gradient(rep, (), potri(rep.chol))
 
         h = 1e-3
@@ -578,11 +579,10 @@ class TestStopRule:
 
 
 class TestStopField:
-    def test_failed_start(self):
+    def test_failed_start(self, monkeypatch):
         data, omega = poisson_data(seed=2)
-        result = estimate(
-            data, np.zeros(1), omega, fit_options=FitOptions(tol=1e-14, max_iter=1)
-        )
+        monkeypatch.setattr(estimate_module, "fit_posterior", one_iterate_fit)
+        result = estimate(data, np.zeros(1), omega)
         assert (result.converged, result.stop) == (False, "start_failed")
 
     def test_step_limit(self, monkeypatch):
@@ -690,7 +690,7 @@ class TestNewtonPhase:
         data = small_data("gaussian", 2)
         dist = cdist(data.coords, data.coords)
         theta = np.array([0.3, 0.1, logit(0.4), np.log(1.2)])
-        report = estimate_module._fit(data, *split_theta(theta, 2, nu), FitOptions(), dist)
+        report = estimate_module._fit(data, *split_theta(theta, 2, nu), dist)
         J, info = observed_information(report, split_theta(theta, 2, nu)[1], dist)
         h = 1e-4
         hessian = np.column_stack([
@@ -765,10 +765,9 @@ class TestNewtonPhase:
                 failing.extend([len(seen["fits"]), len(seen["fits"]) + 1])
             return observed(report, *args)
 
-        def fits(problem, options=FitOptions(), eta0=None):
-            if len(seen["fits"]) in failing:
-                options = FitOptions(tol=1e-14, max_iter=1)
-            return fit_posterior(problem, options, eta0=eta0)
+        def fits(problem, eta0=None):
+            cut = len(seen["fits"]) in failing
+            return (one_iterate_fit if cut else fit_posterior)(problem, eta0=eta0)
 
         monkeypatch.setattr(estimate_module, "_observed_information", newton_pass)
         monkeypatch.setattr(estimate_module, "fit_posterior", fits)
@@ -819,7 +818,7 @@ class TestFitsBudget:
             path = tmp_path / f"{seed}.csv"
             dataio.write_synthetic_counts(path, n_sites=100, seed=seed)
             sites = cli._sites(cfg, dataio.load_dataset(path, cfg))
-            meta = cli._site_fit(cfg, sites, cli._fit_options(cfg))[2].record
+            meta = cli._site_fit(cfg, sites)[2].record
             fits += meta["fits"]
             failed += meta["failed_fits"]
         assert failed == 0
@@ -829,25 +828,24 @@ class TestFitsBudget:
 class TestWarmTrials:
     def test_warm_trial_reaches_the_cold_mode(self, monkeypatch):
         # each trial's fit starts from the accepted fit's predictor: another
-        # path than the family's start, to the same mode to tol
+        # path than the family's start, to the same mode to TOL
         data, omega = poisson_data(seed=6, n=40)
-        options = FitOptions()
         fit, trials = estimate_module._fit, []
 
-        def recorded(data, beta, omega, fit_options, dist, accepted=None, *args):
-            report = fit(data, beta, omega, fit_options, dist, accepted, *args)
+        def recorded(data, beta, omega, dist, accepted=None, *args):
+            report = fit(data, beta, omega, dist, accepted, *args)
             if accepted is not None:
-                trials.append((report, fit(data, beta, omega, fit_options, dist)))
+                trials.append((report, fit(data, beta, omega, dist)))
             return report
 
         monkeypatch.setattr(estimate_module, "_fit", recorded)
-        result = estimate(data, np.array([2.0]), omega, options)
+        result = estimate(data, np.array([2.0]), omega)
         assert result.converged and len(trials) == result.fits - 1
         for warm, cold in trials:
             assert warm.converged and cold.converged
             assert warm.iterations <= cold.iterations
-            assert np.max(np.abs(warm.xi - cold.xi)) <= options.tol
-            assert np.max(np.abs(warm.alpha - cold.alpha)) <= options.tol
+            assert np.max(np.abs(warm.xi - cold.xi)) <= fixed_point.TOL
+            assert np.max(np.abs(warm.alpha - cold.alpha)) <= fixed_point.TOL
         assert sum(w.iterations for w, _ in trials) < sum(c.iterations for _, c in trials)
 
     def test_pool_newton_iterations(self, tmp_path, monkeypatch):
@@ -874,7 +872,7 @@ class TestWarmTrials:
             path = tmp_path / f"{seed}.csv"
             dataio.write_synthetic_counts(path, n_sites=100, seed=seed)
             sites = cli._sites(cfg, dataio.load_dataset(path, cfg))
-            meta = cli._site_fit(cfg, sites, cli._fit_options(cfg))[2].record
+            meta = cli._site_fit(cfg, sites)[2].record
             fits += meta["fits"]
             failed += meta["failed_fits"]
         assert (fits, failed) == (107, 0) and len(iterations) == fits

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from glmmfp import fixed_point
+from glmmfp import families, fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import (
-    FitOptions,
     GlmmProblem,
     corrected_mean,
     fit_posterior,
@@ -113,14 +112,6 @@ class TestProblemValidation:
             )
 
 
-class TestFitOptions:
-    def test_tol_positive(self):
-        with pytest.raises(ValueError):
-            FitOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            FitOptions(max_iter=0)
-
-
 class TestGaussianConjugacy:
     def closed_form(self, problem):
         s2 = problem.kernel.variance
@@ -143,6 +134,26 @@ class TestGaussianConjugacy:
             xi, Xi = self.closed_form(problem)
             assert np.max(np.abs(report.xi - xi)) < 1e-10
             assert np.max(np.abs(report.Xi - Xi)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e6, 1e8])
+    def test_stop_holds_at_every_scale(self, scale):
+        # response, fixed effects and noise scaled by s, prior by s^2: the mode
+        # scales by s, and the first iterate is still the conjugate posterior,
+        # though its roundoff in xi or b exceeds TOL
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0, 5, size=(50, 2))
+        D = build_blocked(MaternParams(0.5, 1.0), coords).d11
+        y = 2.0 + np.linalg.cholesky(D) @ rng.standard_normal(50) + rng.standard_normal(50)
+
+        def fit(s):
+            return fit_posterior(GlmmProblem(
+                y=s * y, X=np.ones((50, 1)), Z=None, D=s * s * D,
+                beta=np.array([2.0 * s]), kernel=gaussian_kernel(s * s),
+            ))
+
+        unit, report = fit(1.0), fit(scale)
+        assert report.converged and report.iterations == 1
+        assert np.max(np.abs(report.xi / scale - unit.xi)) < 1e-9
 
 
 class TestPoissonScalar:
@@ -287,17 +298,17 @@ class TestSolverPaths:
             assert report.chol.shape == (n, n)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
-    def test_both_paths_agree(self, family):
+    def test_both_paths_agree(self, family, monkeypatch):
         # Z = 2I with prior D/4 is the site-design model in xi/2, with
         # every product by Z formed
+        monkeypatch.setattr(fixed_point, "TOL", 1e-13)
         problem = identity_problem(np.random.default_rng(23), family, 15)
         scaled = GlmmProblem(
             y=problem.y, X=problem.X, Z=2.0 * np.eye(15), D=problem.D / 4.0,
             beta=problem.beta, kernel=problem.kernel,
         )
-        options = FitOptions(tol=1e-13)
-        state = fit_posterior(problem, options)
-        half = fit_posterior(scaled, options)
+        state = fit_posterior(problem)
+        half = fit_posterior(scaled)
         assert np.max(np.abs(state.xi - 2.0 * half.xi)) < 1e-10
         assert np.max(np.abs(state.alpha - 0.5 * half.alpha)) < 1e-9
         assert np.max(np.abs(state.Xi - 4.0 * half.Xi)) < 1e-10
@@ -323,16 +334,17 @@ class TestSolverPaths:
         assert problems[0].Z is None and problems[1].Z is not None
         assert np.array_equal(blocked.full, full)
 
-    # alpha belongs to the reported xi, also when a loose tol stops early
+    # alpha belongs to the reported xi, also when a loose TOL stops early
     @pytest.mark.parametrize("tol", [1e-10, 1e-2])
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
-    def test_alpha_is_the_prior_precision_image_of_xi(self, family, tol):
+    def test_alpha_is_the_prior_precision_image_of_xi(self, family, tol, monkeypatch):
+        monkeypatch.setattr(fixed_point, "TOL", tol)
         rng = np.random.default_rng(19)
         problems = [identity_problem(rng, family, 15)] + [
             random_problem(rng, family, n, r) for n, r in ((30, 3), (5, 5), (4, 7))
         ]
         for problem in problems:
-            state = fit_posterior(problem, FitOptions(tol=tol))
+            state = fit_posterior(problem)
             alpha = np.linalg.solve(problem.D, state.xi)
             assert np.max(np.abs(state.alpha - alpha)) < 1e-10
 
@@ -340,13 +352,14 @@ class TestSolverPaths:
 class TestFactorBuffer:
     """One factor buffer per fit, solved with LAPACK's potrs."""
 
-    def test_fits_do_not_share_a_factor(self):
+    def test_fits_do_not_share_a_factor(self, monkeypatch):
         problem = identity_problem(np.random.default_rng(31), "poisson", 20)
         first = fit_posterior(problem)
         factor = first.chol.copy()
         want = fixed_point._covariance(problem, factor)
         # both end on factors other than the mode's
-        second = fit_posterior(problem, FitOptions(max_iter=1))
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 1)
+        second = fit_posterior(problem)
         fixed_point_residual(problem, first.xi + 0.3)
         assert not np.array_equal(second.chol, factor)
         assert first.chol.flags.f_contiguous
@@ -355,12 +368,14 @@ class TestFactorBuffer:
         assert np.array_equal(first.Xi, want)
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
-    def test_lent_buffer_holds_the_factor_bit_for_bit(self, family):
+    def test_lent_buffer_holds_the_factor_bit_for_bit(self, family, monkeypatch):
         problem = identity_problem(np.random.default_rng(41), family, 20)
         fresh = fit_posterior(problem)
         # the buffer of an earlier fit, its contents stale
-        lent = fit_posterior(problem, FitOptions(max_iter=1)).chol
-        report = fit_posterior(problem, FitOptions(), lent)
+        with monkeypatch.context() as patch:
+            patch.setattr(fixed_point, "MAX_ITER", 1)
+            lent = fit_posterior(problem).chol
+        report = fit_posterior(problem, lent)
         assert np.shares_memory(report.chol, lent)
         for name in ("xi", "alpha", "chol", "w", "eta"):
             assert np.array_equal(getattr(report, name), getattr(fresh, name))
@@ -372,7 +387,7 @@ class TestFactorBuffer:
         for buf in (np.empty((5, 5), order="F"), np.empty((1, 1), order="F"),
                     np.empty((6, 6), order="C")):
             with pytest.raises(ValueError, match="lent buffer"):
-                fit_posterior(problem, FitOptions(), buf)
+                fit_posterior(problem, buf)
 
     def test_solve_is_cho_solve(self):
         from scipy.linalg import cho_solve
@@ -481,8 +496,6 @@ class TestOneLapackModule:
 class TestLogPosterior:
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_cached_response_term_is_bitwise_the_full_form(self, family):
-        from glmmfp import families
-
         rng = np.random.default_rng(41)
         for problem in (identity_problem(rng, family, 14), random_problem(rng, family, 9, 3)):
             xi = rng.standard_normal(problem.r)
@@ -494,10 +507,11 @@ class TestLogPosterior:
 
 
 class TestNonConvergence:
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 1)
         rng = np.random.default_rng(23)
         problem = random_problem(rng, "poisson", 15, 3)
-        report = fit_posterior(problem, FitOptions(tol=1e-10, max_iter=1))
+        report = fit_posterior(problem)
         assert not report.converged
         assert report.iterations == 1
         assert report.residual > 0
@@ -582,7 +596,7 @@ class TestLargePredictors:
         blocked = build_blocked(MaternParams(0.5, 1.0), coords)
         problem = GlmmProblem(y=y, X=np.ones((12, 1)), Z=None, D=blocked.d11,
                               beta=np.array([1.5]), kernel=poisson_kernel())
-        tol = FitOptions().tol
+        tol = fixed_point.TOL
         report = fit_posterior(problem)
         assert report.converged and report.residual <= tol
         assert not report.eta_clamped and report.eta[3] > 30.0
@@ -604,6 +618,18 @@ class TestLargePredictors:
         assert 4.0 * np.exp(-xi[1]) / (1.0 + np.exp(-xi[1])) == pytest.approx(
             xi[1] / sill, rel=1e-10
         )
+
+    def test_separated_binomial_reaches_its_mode_within_the_iteration_cap(self):
+        # under a sill of 1e100 each Newton step moves the predictor about one
+        # unit through the likelihood's exponential tail, so the walk to the
+        # modes at -+226.2 takes 228 iterates; the clamp bounds any such walk
+        assert fixed_point.MAX_ITER > families.ETA_CLAMP
+        m = np.array([4.0, 4.0])
+        problem = GlmmProblem(y=np.array([0.0, 4.0]), X=np.ones((2, 1)), Z=None,
+                              D=1e100 * np.eye(2), beta=np.zeros(1), kernel=binomial_kernel(m))
+        report = fit_posterior(problem)
+        assert report.converged and report.iterations == 228
+        assert report.xi == pytest.approx([-226.2, 226.2], abs=0.05)
 
 
 def stress_battery(seed=1, count=3000):

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glmmfp import simulate
+from glmmfp import fixed_point, simulate
 from glmmfp.covariance import MaternParams
 from glmmfp.dataio import ConfigError
 from glmmfp.estimate import EstimateResult
-from glmmfp.fixed_point import FitOptions
 from glmmfp.metrics import rl2
 from glmmfp.simulate import (
     ORACLE,
@@ -178,8 +177,8 @@ class TestScenarios:
         assert len(result.records) == SMALL.replications
 
     def test_nonconverged_fit_is_a_failed_replication(self, monkeypatch):
-        # one iteration cannot reach the default tolerance
-        monkeypatch.setattr(simulate, "FitOptions", lambda: FitOptions(max_iter=1))
+        # one iteration cannot reach the stop
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 1)
         cfg = replace(SMALL, replications=1)
         with pytest.raises(simulate.ScenarioFailureError) as exc:
             run_scenarios(cfg)
@@ -295,7 +294,7 @@ class TestLentBuffers:
         assert lent.buffer is spent.buffer
         beta = np.asarray(SMALL.beta)
         fit_lent = simulate.fit_posterior(
-            site_problem(lent.observed, lent.blocked, beta), FitOptions(), lent.buffer
+            site_problem(lent.observed, lent.blocked, beta), lent.buffer
         )
         fit_fresh = simulate.fit_posterior(site_problem(fresh.observed, fresh.blocked, beta))
         assert np.shares_memory(fit_lent.chol, spent.buffer)

@@ -20,7 +20,7 @@ from glmmfp.families import (
     mean_and_weight,
     poisson_kernel,
 )
-from glmmfp.fixed_point import FitOptions, GlmmProblem, fit_posterior
+from glmmfp.fixed_point import GlmmProblem, fit_posterior
 from glmmfp.spatial import SpatialData, krige, site_problem
 
 
@@ -47,11 +47,11 @@ class Case:
     beta: np.ndarray
 
 
-def fit_and_krige(case, options=FitOptions()):
+def fit_and_krige(case):
     """Fit the observed sites on the prior's observed block and krige the fit
     through its ``d12``, as ``simulate``'s ``sic_true`` scenario does."""
     glmm = site_problem(case.observed, case.blocked, case.beta)
-    report = fixed_point.fit_posterior(glmm, options)
+    report = fixed_point.fit_posterior(glmm)
     return krige(report, case.unobserved, case.blocked.d12)
 
 
@@ -220,9 +220,12 @@ class TestPoissonPrediction:
         assert pred.y_hat_star.shape == (0,)
         assert pred.report.converged
 
-    def test_options_are_honored(self):
+    def test_options_are_honored(self, monkeypatch):
+        # the mode-finder's stop, read at each fit
+        monkeypatch.setattr(fixed_point, "TOL", 1e-6)
+        monkeypatch.setattr(fixed_point, "MAX_ITER", 100)
         problem, _, _ = make_problem(seed=9)
-        pred = fit_and_krige(problem, FitOptions(tol=1e-6, max_iter=100))
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         assert pred.report.residual <= 1e-6
 
@@ -254,13 +257,14 @@ class TestBinomialPrediction:
 
 
 class TestKrigingOfTheMode:
-    # a loose tol stops the solver a visible step short of the mode; the
+    # a loose TOL stops the solver a visible step short of the mode; the
     # prediction still krigs the xi it reports
     @pytest.mark.parametrize("tol", [1e-10, 1e-2])
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
-    def test_prediction_is_the_conditional_mean_of_the_mode(self, family, tol):
+    def test_prediction_is_the_conditional_mean_of_the_mode(self, family, tol, monkeypatch):
+        monkeypatch.setattr(fixed_point, "TOL", tol)
         problem, _, _ = make_problem(seed=15, n=40, n_star=15, family=family)
-        pred = fit_and_krige(problem, FitOptions(tol=tol))
+        pred = fit_and_krige(problem)
         assert pred.report.converged
         d11, d12 = problem.blocked.d11, problem.blocked.d12
         expected = d12.T @ np.linalg.solve(d11, pred.report.xi)
@@ -373,9 +377,7 @@ class TestFactorizationBudget:
         calls, in_solver = self.count_factorizations(monkeypatch)
         sizes, prior = [], covariance.potrf
         monkeypatch.setattr(covariance, "potrf", lambda a: sizes.append(len(a)) or prior(a))
-        g2 = cli._validate_split(
-            cfg, dataset, perm[20:], perm[:20], "intercept", cli._fit_options(cfg)
-        )
+        g2 = cli._validate_split(cfg, dataset, perm[20:], perm[:20], "intercept")
         assert np.isfinite(g2)
         assert sizes == [80]
         assert calls.count("prior") == 1 and "cholesky" not in calls
@@ -390,7 +392,7 @@ class TestFactorizationBudget:
         )
         calls, in_solver = self.count_factorizations(monkeypatch)
         omega, dist = MaternParams(0.5, 1.0), cdist(coords, coords)
-        report = estimate_module._fit(data, np.array([1.4]), omega, FitOptions(), dist)
+        report = estimate_module._fit(data, np.array([1.4]), omega, dist)
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         value = estimate_module.laplace_marginal(report)
         grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
@@ -427,7 +429,9 @@ class TestIdentityPathAgainstDenseFormulas:
         return D @ alpha, Xi, problem.blocked.d12.T @ alpha
 
     def check(self, problem):
-        pred = fit_and_krige(problem, FitOptions(tol=1e-13))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fixed_point, "TOL", 1e-13)
+            pred = fit_and_krige(problem)
         state = pred.report
         assert pred.report.converged
         assert state.problem.Z is None
