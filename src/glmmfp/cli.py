@@ -18,17 +18,16 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import math
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, oracle, simulate
-from .covariance import PRIOR_BUDGET, MaternParams, SingularCovarianceError
-from .covariance import _check_sites, build_blocked, cross_covariance
+from .covariance import MaternParams, SingularCovarianceError, _check_sites
+from .covariance import build_blocked, check_site_count, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
 from .fixed_point import fit_posterior
@@ -53,9 +52,9 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _sites(cfg: RunConfig, dataset: dataio.Dataset, tier=None) -> SpatialData:
+def _sites(cfg: RunConfig, dataset: dataio.Dataset, tier=None, fitted=True):
     """The dataset's sites: response if any, the tier's design, coordinates, family."""
-    X = dataio.build_design(dataset, cfg, tier)
+    X = dataio.build_design(dataset, cfg, tier, fitted)
     kernel = dataio.make_kernel(cfg, dataset.trials)
     return SpatialData(y=dataset.y, X=X, coords=dataset.coords, kernel=kernel)
 
@@ -97,13 +96,13 @@ def _site_fit(cfg: RunConfig, data: SpatialData):
 def _fit_and_krige(cfg, train, test, tier=None):
     """Fit the mode at the training sites and krige it to the test sites: the
     :class:`SpatialPrediction` and the estimate, ``None`` if none.
-    Training and test sites are checked together first, so that sites over
-    ``PRIOR_BUDGET`` are refused before any prior is built or fit made."""
+    Training and test sites are checked together first, so that sites over the
+    budget (:func:`check_site_count`) are refused before any prior or fit is made."""
     _check_sites(train.coords, test.coords)
     observed = _sites(cfg, train, tier)
     report, omega, result = _site_fit(cfg, observed)
     d12 = cross_covariance(omega, observed.coords, test.coords)
-    return krige(report, _sites(cfg, test, tier), d12), result
+    return krige(report, _sites(cfg, test, tier, fitted=False), d12), result
 
 
 def _exit_code(report, result) -> int:
@@ -167,12 +166,9 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = dataio.load_config(args.config)
-    sim = {"seed": cfg.seed, **cfg.simulate}
-    if args.replications is not None:
-        sim["replications"] = args.replications
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    config = SimConfig(**sim)  # which checks every key
+    config = SimConfig(**{"seed": cfg.seed, **cfg.simulate})  # which checks every key
+    config = replace(config, seed=_option(args, "seed", 0, config.seed),
+                     replications=_option(args, "replications", 1, config.replications))
     start = time.perf_counter()
     try:
         result = run_scenarios(config)
@@ -186,35 +182,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _seed_option(args) -> int:
-    """``--seed``, an integer in [0, inf]; anything else is a ConfigError naming it."""
-    return dataio.read_int({"--seed": args.seed}, "--seed", None, 0, "")
+def _option(args, name: str, low: int, default) -> int:
+    """Flag ``--name``, an integer in [low, inf], else a ConfigError naming the flag;
+    ``default``, a checked config value, when the flag is not given."""
+    flag, value = f"--{name}", getattr(args, name)
+    if value is None:
+        return default
+    return dataio.read_int({flag: value}, flag, None, low, "")
 
 
 def cmd_validate(args) -> int:
     cfg = dataio.load_config(args.config)
-    seed = cfg.seed if args.seed is None else _seed_option(args)
+    seed = _option(args, "seed", 0, cfg.seed)
     dataset = dataio.load_dataset(args.data, cfg)
     val = cfg.validate
     splits = dataio.read_int(val, "splits", 20, 1, "validate")
     n_train = dataio.read_int(val, "n_train", 80, 1, "validate")
     n_test = dataio.read_int(val, "n_test", 20, 1, "validate")
-    if (n_train + n_test) ** 2 > PRIOR_BUDGET:
-        raise ConfigError(
-            f"validate.n_train + validate.n_test must be at most "
-            f"{math.isqrt(PRIOR_BUDGET)}, a prior of {PRIOR_BUDGET} doubles: "
-            f"{n_train} + {n_test}"
-        )
-    tiers = dataio.read_list(val.get("tiers", list(dataio.TIERS)), "validate.tiers")
-    for tier in tiers:
-        # a falsy entry would fall back to model_tier in build_design
-        if not (isinstance(tier, str) and tier in dataio.TIERS):
-            raise ConfigError(f"unknown model_tier {tier!r} in validate.tiers")
+    check_site_count(n_train + n_test, "validate.n_train + validate.n_test")
+    tiers = dataio.read_names(val.get("tiers", dataio.TIERS), dataio.TIERS,
+                              "validate.tiers")
     for tier in tiers:
         # a tier's design width is the same on every split
         _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
-    if not tiers or len(set(tiers)) < len(tiers):
-        raise ConfigError(f"validate.tiers must name at least one tier, each once: {tiers}")
     if n_train + n_test > dataset.n:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
@@ -259,9 +249,8 @@ def cmd_verify(args) -> int:
     ver = cfg.verify
     n_identity = dataio.read_int(ver, "identity_instances", 100, 1, "verify")
     order = dataio.read_int(ver, "order", 64, 8, "verify", oracle.MAX_QUADRATURE_ORDER)
-    seed = _seed_option(args) if args.seed is not None else dataio.read_int(
-        ver, "battery_seed", cfg.seed, 0, "verify"
-    )
+    battery_seed = dataio.read_int(ver, "battery_seed", cfg.seed, 0, "verify")
+    seed = _option(args, "seed", 0, battery_seed)
 
     identity_max = oracle.identity_max_gap(np.random.default_rng([seed, 0]), n_identity)
     instances = []

@@ -42,6 +42,16 @@ _NON_FINITE = "blocked covariance must not contain infs or NaNs"
 _BAND_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
+def check_site_count(m: int, name: str):
+    """The site budget: a ValueError naming ``name`` if a prior over ``m`` sites
+    would hold more than ``PRIOR_BUDGET`` doubles."""
+    if m**2 > PRIOR_BUDGET:
+        raise ValueError(
+            f"{name} must be at most {math.isqrt(PRIOR_BUDGET)}, a prior of "
+            f"{PRIOR_BUDGET} doubles: {m}"
+        )
+
+
 class SingularCovarianceError(RuntimeError):
     """Raised when the blocked covariance cannot be factorized even after jitter."""
 
@@ -229,7 +239,7 @@ def _as_coords(coords) -> np.ndarray:
 def _check_sites(coords_obs, coords_unobs):
     """The observed and the unobserved coordinates as 2-D float arrays; non-finite
     ones, no observed site, unequal dimensions, and more sites than
-    ``PRIOR_BUDGET`` allows are rejected before their count squared is allocated."""
+    :func:`check_site_count` allows are rejected before their prior is allocated."""
     obs = _as_coords(coords_obs)
     if len(obs) < 1:
         raise ValueError("at least one observed site is required")
@@ -238,12 +248,7 @@ def _check_sites(coords_obs, coords_unobs):
         unobs = _as_coords(coords_unobs)
         if unobs.shape[1] != obs.shape[1]:
             raise ValueError("observed and unobserved coordinate dimensions differ")
-    m = len(obs) + len(unobs)
-    if m**2 > PRIOR_BUDGET:
-        raise ValueError(
-            f"{m} sites are more than the {math.isqrt(PRIOR_BUDGET)} that a "
-            f"prior of at most {PRIOR_BUDGET} doubles covers"
-        )
+    check_site_count(len(obs) + len(unobs), "the number of sites")
     return obs, unobs
 
 

@@ -50,7 +50,7 @@ class RunConfig:
     model_tier: str = "intercept"
     matern: object = None          # MaternParams or "estimate"
     beta: object = None            # list of floats or "estimate"
-    gaussian_variance: float | None = None
+    gaussian_variance: float = 1.0
     seed: int = 0
     simulate: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
@@ -113,6 +113,18 @@ def read_list(value, name: str) -> list:
     return value
 
 
+def read_names(value, known: tuple, name: str) -> tuple:
+    """``value``, a JSON array (or a library caller's tuple) of at least one of the
+    ``known`` strings, each once, as a tuple, else a ConfigError naming ``name``."""
+    names = value if isinstance(value, tuple) else tuple(read_list(value, name))
+    # only strings equal a known name, so set() hashes nothing else
+    if not (names and all(v in known for v in names) and len(set(names)) == len(names)):
+        raise ConfigError(
+            f"{name} must name at least one of {list(known)}, each once: {list(names)}"
+        )
+    return names
+
+
 def parse_matern(obj, where: str = "matern") -> MaternParams:
     _check_keys(obj, _MATERN_KEYS, where)
     omegas = []
@@ -150,10 +162,8 @@ def load_config(path) -> RunConfig:
         cfg.beta = ESTIMATE if beta == ESTIMATE else [
             read_float(b, f"beta[{i}]") for i, b in enumerate(read_list(beta, "beta"))
         ]
-    if "gaussian_variance" in raw:
-        cfg.gaussian_variance = read_float(
-            raw["gaussian_variance"], "gaussian_variance", positive=True
-        )
+    variance = raw.get("gaussian_variance", cfg.gaussian_variance)
+    cfg.gaussian_variance = read_float(variance, "gaussian_variance", positive=True)
     cfg.seed = read_int(raw, "seed", cfg.seed, 0, "")
     for name, keys in _SECTION_KEYS.items():
         section = raw.get(name, getattr(cfg, name))
@@ -162,15 +172,13 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def make_kernel(cfg: RunConfig, trials=None):
+def make_kernel(cfg: RunConfig, trials):
+    """The family's kernel; the binomial one's ``trials`` is load_dataset's ``m``."""
     if cfg.family == "poisson":
         return poisson_kernel()
     if cfg.family == "binomial":
-        if trials is None:
-            raise ConfigError("binomial family requires an 'm' column in the dataset")
         return binomial_kernel(trials)
-    variance = cfg.gaussian_variance if cfg.gaussian_variance is not None else 1.0
-    return gaussian_kernel(variance)
+    return gaussian_kernel(cfg.gaussian_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +269,38 @@ def load_dataset(path, cfg: RunConfig, require_response: bool = True) -> Dataset
     return Dataset(y=y, coords=coords, covariates=covs, trials=trials, role=role)
 
 
-def build_design(dataset: Dataset, cfg: RunConfig, tier: str | None = None) -> np.ndarray:
-    """Intercept + declared covariates + coordinate expansion of the tier."""
+def build_design(dataset: Dataset, cfg: RunConfig, tier=None, fitted=True) -> np.ndarray:
+    """Intercept + declared covariates + coordinate expansion of ``tier`` (by default
+    ``model_tier``), which load_config or read_names has checked.  With ``beta``
+    estimated from the design (``fitted``, unlike test sites'), a covariate that is the
+    response or repeats a column, and columns that lack full ``matrix_rank`` once each
+    has unit norm, are ConfigErrors."""
     tier = tier or cfg.model_tier
-    if tier not in TIERS:
-        raise ConfigError(f"unknown model_tier {tier!r}")
-    if cfg.beta == ESTIMATE:
+    lon, lat = dataset.coords[:, 0], dataset.coords[:, 1]
+    columns = [("intercept", np.ones(dataset.n))]
+    columns += [(name, dataset.covariates[name]) for name in cfg.covariates]
+    if tier in ("main_effects", "quadratic"):
+        columns += [("x_coord", lon), ("y_coord", lat)]
+    if tier == "quadratic":
+        columns += [("x_coord^2", lon**2), ("y_coord^2", lat**2)]
+        columns += [("x_coord*y_coord", lon * lat)]
+    X = np.column_stack([col for _, col in columns])
+    if fitted and cfg.beta == ESTIMATE:
         # no data identify the coefficient of the response or of a repeated column
         taken = ["y"] + (["x_coord", "y_coord"] if tier != "intercept" else [])
-        for name in cfg.covariates:
-            if name in taken:
+        for i, name in enumerate(cfg.covariates):
+            if name in taken + cfg.covariates[:i]:
                 raise ConfigError(
                     f"covariate {name!r} is the response or repeats a column of the "
                     f"{tier!r} design: beta cannot be estimated"
                 )
-            taken.append(name)
-    cols = [np.ones(dataset.n)]
-    cols += [dataset.covariates[name] for name in cfg.covariates]
-    lon, lat = dataset.coords[:, 0], dataset.coords[:, 1]
-    if tier in ("main_effects", "quadratic"):
-        cols += [lon, lat]
-    if tier == "quadratic":
-        cols += [lon**2, lat**2, lon * lat]
-    return np.column_stack(cols)
+        norms = np.linalg.norm(X, axis=0)
+        if not norms.all() or np.linalg.matrix_rank(X / norms) < len(columns):
+            raise ConfigError(
+                f"the {tier!r} design's columns {[name for name, _ in columns]} are "
+                f"linearly dependent: beta cannot be estimated"
+            )
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,13 @@ so results are identical regardless of execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .covariance import PRIOR_BUDGET, BlockedCovariance, MaternParams
-from .covariance import build_blocked, cross_covariance
-from .dataio import ConfigError, parse_matern, read_float, read_int, read_list
+from .covariance import BlockedCovariance, MaternParams
+from .covariance import build_blocked, check_site_count, cross_covariance
+from .dataio import ConfigError, parse_matern, read_float, read_int, read_names
 from .dataio import write_csv, write_json
 from .estimate import estimate
 from .families import poisson_kernel
@@ -81,7 +80,8 @@ class ScenarioFailureError(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig:
     """Settings, each checked by :mod:`dataio`'s readers as its ``simulate`` config
-    key, so a config section's values pass as they are; ``omega`` None is the default."""
+    key, so a config section's values pass as they are; ``omega`` None is the default.
+    ``n + n_star`` is held to :func:`covariance.check_site_count` before any draw."""
 
     n: int = 400
     n_star: int = 400
@@ -103,8 +103,7 @@ class SimConfig:
         elif not isinstance(self.omega, MaternParams):
             put("omega", parse_matern(self.omega, "simulate.omega"))
         put("side", read_float(self.side, "simulate.side", positive=True))
-        if not isinstance(self.scenarios, tuple):
-            put("scenarios", tuple(read_list(self.scenarios, "simulate.scenarios")))
+        put("scenarios", read_names(self.scenarios, SCENARIOS, "simulate.scenarios"))
         beta = tuple(self.beta) if isinstance(self.beta, (list, tuple, np.ndarray)) else ()
         if len(beta) != 2 or not all(
             isinstance(b, (int, float)) and not isinstance(b, bool) and np.isfinite(b)
@@ -112,19 +111,7 @@ class SimConfig:
         ):
             raise ConfigError(f"simulate.beta must be two finite numbers: {self.beta!r}")
         put("beta", beta)
-        if (self.n + self.n_star) ** 2 > PRIOR_BUDGET:
-            raise ConfigError(
-                f"simulate.n + simulate.n_star must be at most {math.isqrt(PRIOR_BUDGET)}, "
-                f"a joint prior of {PRIOR_BUDGET} doubles: {self.n} + {self.n_star}"
-            )
-        unknown = [s for s in self.scenarios if s not in SCENARIOS]
-        if unknown:
-            raise ConfigError(f"simulate.scenarios names unknown scenarios: {unknown}")
-        if not self.scenarios or len(set(self.scenarios)) < len(self.scenarios):
-            raise ConfigError(
-                f"simulate.scenarios must name at least one scenario, each once: "
-                f"{list(self.scenarios)}"
-            )
+        check_site_count(self.n + self.n_star, "simulate.n + simulate.n_star")
 
 
 @dataclass(eq=False)

@@ -62,6 +62,47 @@ class TestFit:
         code, out = run("given", [4.5] + [0.0] * (width - 1))
         assert code == cli.EXIT_OK and (out / "xi.csv").exists()
 
+    def test_collinear_design_exits_1_when_beta_is_estimated(self, tmp_path, capsys):
+        # elev = 2 x_coord: at n = 30 on write_synthetic_counts seed 1 such a fit
+        # converged, the one slope split into -0.188 (elev) and -0.040 (x_coord)
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=30, seed=1)
+        header, *rows = data.read_text().splitlines()
+        rows = [f"{row},{2 * float(row.split(',')[1])!r}" for row in rows]
+        data.write_text("\n".join([f"{header},elev", *rows]) + "\n")
+        payload = {"family": "poisson", "covariates": ["elev"], "model_tier": "main_effects"}
+
+        def run(name, beta, matern):
+            out = tmp_path / name
+            config = write_config(tmp_path, {**payload, "beta": beta, "matern": matern},
+                                  f"{name}.json")
+            argv = ["fit", "--config", config, "--data", str(data), "--out", str(out)]
+            return cli.main([*argv, "--quiet"]), out
+
+        code, out = run("estimated", "estimate", "estimate")
+        assert code == cli.EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: the 'main_effects' design's columns ['intercept', 'elev', 'x_coord', "
+            "'y_coord'] are linearly dependent: beta cannot be estimated\n"
+        )
+        # with beta given, the design is the user's to make
+        code, out = run("given", [4.5, 0.0, 0.0, 0.0], {"omega1": 0.5, "omega2": 1.5})
+        assert code == cli.EXIT_OK and (out / "xi.csv").exists()
+
+    def test_predicts_at_fewer_test_sites_than_design_columns(self, tmp_path):
+        # only the training design identifies beta; two test sites cannot span
+        # the three main-effects columns, and need not
+        data, _, _ = poisson_dataset(tmp_path)
+        test, _, _ = poisson_dataset(tmp_path, n=2, seed=1, name="test.csv")
+        config = write_config(tmp_path, {"family": "poisson", "model_tier": "main_effects",
+                                         "beta": "estimate",
+                                         "matern": {"omega1": 0.5, "omega2": 1.0}})
+        out = tmp_path / "out"
+        argv = ["predict", "--config", config, "--data", data, "--test", test,
+                "--out", str(out), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len((out / "predictions.csv").read_text().splitlines()) == 3
+
     def test_poisson_fit_with_given_parameters(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path)
         config = write_config(
@@ -276,7 +317,8 @@ class TestFit:
         out = tmp_path / "out"
         argv = [command, "--config", config, "--data", data, "--out", str(out), "--quiet"]
         assert cli.main(argv) == cli.EXIT_VALIDATION
-        assert "error: 4097 sites are more than the 4096" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: the number of sites must be at most 4096, a prior of 16777216" in err
         assert not out.exists()
 
     def test_beta_given_with_estimated_matern_is_rejected(self, tmp_path):
@@ -1065,6 +1107,12 @@ CONFIG_COUNTS = [
 ]
 
 
+# the start of the error of a list of names: at least one known name, each once
+SCENARIOS_ERROR = ("simulate.scenarios must name at least one of "
+                   "['oracle', 'sic_true', 'sic_estimated'], each once:")
+TIERS_ERROR = ("validate.tiers must name at least one of "
+               "['intercept', 'main_effects', 'quadratic'], each once:")
+
 # each config number or list that is not a count, as (the command that reads
 # it, the config, the start of its error)
 CONFIG_VALUES = [
@@ -1087,7 +1135,7 @@ CONFIG_VALUES = [
     ("simulate", {"simulate": {"scenarios": "oracle"}},
      "simulate.scenarios must be a JSON array"),
     ("simulate", {"simulate": {"scenarios": [["oracle"]]}},
-     "simulate.scenarios names unknown scenarios: [['oracle']]"),
+     f"{SCENARIOS_ERROR} [['oracle']]"),
     ("simulate", {"simulate": {"omega": {"omega1": 0.5, "omega2": False}}},
      "simulate.omega.omega2 must be a finite number"),
     ("validate", {"validate": {"tiers": "intercept"}},
@@ -1099,16 +1147,16 @@ CONFIG_VALUES = [
 # an absent or null one takes (TestSimulate)
 CONFIG_VALUES_BY_ID = {
     "scenarios-empty": ("simulate", {"simulate": {"scenarios": []}},
-                        "simulate.scenarios must name at least one scenario, each once: []"),
+                        f"{SCENARIOS_ERROR} []"),
     "scenarios-repeated": (
         "simulate", {"simulate": {"scenarios": ["oracle", "oracle"]}},
-        "simulate.scenarios must name at least one scenario, each once: ['oracle', 'oracle']",
+        f"{SCENARIOS_ERROR} ['oracle', 'oracle']",
     ),
     "tiers-empty": ("validate", {"validate": {"tiers": []}},
-                    "validate.tiers must name at least one tier, each once: []"),
+                    f"{TIERS_ERROR} []"),
     "tiers-repeated": (
         "validate", {"validate": {"tiers": ["intercept", "intercept"]}},
-        "validate.tiers must name at least one tier, each once: ['intercept', 'intercept']",
+        f"{TIERS_ERROR} ['intercept', 'intercept']",
     ),
     **{f"omega-{name}": ("simulate", {"simulate": {"omega": omega}},
                          "simulate.omega must be a JSON object")
@@ -1122,11 +1170,11 @@ CONFIG_VALUES_BY_ID = {
                     "unknown key 'sic' in config"),
     "model-tier-unknown": ("fit", {"model_tier": "cubic"}, "unknown model_tier 'cubic'"),
     "tier-unknown": ("validate", {"validate": {"tiers": ["cubic"]}},
-                     "unknown model_tier 'cubic'"),
+                     f"{TIERS_ERROR} ['cubic']"),
     # a falsy tier would validate model_tier under its label, and a
     # non-string one would fail in set() or the writer
     **{f"tier-{name}": ("validate", {"validate": {"tiers": [tier]}},
-                        f"unknown model_tier {tier!r} in validate.tiers")
+                        f"{TIERS_ERROR} [{tier!r}]")
        for name, tier in (("null", None), ("list", []), ("zero", 0), ("empty-string", ""))},
     # the dataset has 30 rows
     "splits-over-the-rows": (
@@ -1170,6 +1218,31 @@ class TestConfigCounts:
         code, out = self.run(tmp_path, command, {}, "--seed", "-1")
         assert code == cli.EXIT_VALIDATION
         assert "error: --seed must be an integer in [0, inf]: -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, flag, message",
+        [
+            ("simulate", {"simulate": {"seed": "x"}}, ["--seed", "5"],
+             "simulate.seed must be an integer in [0, inf]: 'x'"),
+            ("simulate", {"simulate": {"replications": "lots"}}, ["--replications", "1"],
+             "simulate.replications must be an integer in [1, inf]: 'lots'"),
+            ("verify", {"verify": {"battery_seed": -3}}, ["--seed", "1"],
+             "verify.battery_seed must be an integer in [0, inf]: -3"),
+            ("simulate", {}, ["--seed", "-2"], "--seed must be an integer in [0, inf]: -2"),
+            ("simulate", {}, ["--replications", "0"],
+             "--replications must be an integer in [1, inf]: 0"),
+        ],
+        ids=["simulate.seed", "simulate.replications", "verify.battery_seed",
+             "--seed", "--replications"],
+    )
+    def test_a_flag_overrides_a_config_value_only_once_it_is_checked(
+        self, tmp_path, capsys, command, payload, flag, message
+    ):
+        # the error names the config key or the flag that holds the bad value
+        code, out = self.run(tmp_path, command, payload, *flag)
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("beta", [8, [8], [1.0, float("nan")], [1.0, True], "ab"])

@@ -299,7 +299,7 @@ class TestAssembly:
         for args in ((obs, unobs), (np.vstack([obs, unobs]),)):
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match="4097 sites are more than the 4096"):
+                with pytest.raises(ValueError, match="the number of sites must be at most 4096.*: 4097"):
                     site_distances(*args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -423,7 +423,7 @@ class TestCrossCovariance:
         params = MaternParams(0.5, 1.0)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="4097 sites are more than the 4096"):
+            with pytest.raises(ValueError, match="the number of sites must be at most 4096.*: 4097"):
                 cross_covariance(params, obs, unobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

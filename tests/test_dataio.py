@@ -304,6 +304,26 @@ class TestDesign:
         assert X.shape[1] == 1 + len(covariates) + {"intercept": 0, "main_effects": 2,
                                                     "quadratic": 5}[tier]
 
+    def test_collinear_columns_are_rejected_when_beta_is_estimated(self, tmp_path):
+        payload = {"covariates": ["elev"], "beta": "estimate"}
+        cfg = load_config(write_config(tmp_path, payload))
+        text = "y,x_coord,y_coord,elev\n3,1.0,2.0,0.0\n0,4.0,5.0,0.0\n"
+        ds = load_dataset(write_csv(tmp_path, text), cfg)
+        # a column of zeros has no unit-norm scaling; it identifies nothing
+        with pytest.raises(ConfigError, match=r"columns \['intercept', 'elev'\] are linear"):
+            build_design(ds, cfg)
+        # a design only predicted at is not checked
+        assert build_design(ds, cfg, fitted=False).shape == (2, 2)
+
+    def test_quadratic_design_on_large_offset_coordinates_is_accepted(self):
+        # coordinates in [5e5, 1.5e6]: the raw columns' condition number is 6e13,
+        # near matrix_rank's tolerance, and 148 once each is scaled to unit norm
+        coords = 5e5 + 1e6 * np.random.default_rng(3).uniform(size=(30, 2))
+        ds = dataio.Dataset(y=np.ones(30), coords=coords, covariates={}, trials=None,
+                            role=None)
+        cfg = dataio.RunConfig(model_tier="quadratic", beta=dataio.ESTIMATE)
+        assert build_design(ds, cfg).shape == (30, 6)
+
     def test_coordinate_covariate_is_identifiable_under_the_intercept_tier(self, tmp_path):
         X, ds = self.make(tmp_path, "intercept", ["x_coord"], beta="estimate")
         assert np.array_equal(X[:, 1], ds.coords[:, 0])

@@ -115,6 +115,13 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="above 256 underflows"):
             moments_quadrature(scalar_poisson(), order=oracle.MAX_QUADRATURE_ORDER + 1)
 
+    def test_underflow_of_every_node_weight_is_a_floating_point_error(self):
+        # centred at xi = 800 with Xi = 1e-6, each node's Poisson mean e^800
+        # overflows, so each node's log likelihood, and log weight, is -inf
+        center = (np.array([800.0]), np.array([[1e-6]]))
+        with pytest.raises(FloatingPointError, match="all quadrature node weights"):
+            moments_quadrature(scalar_poisson(y=3.0), order=16, center=center)
+
 
 def gaussian_r5():
     """A Gaussian-kernel problem past the quadrature's dimension limit."""
@@ -672,6 +679,14 @@ class TestFactorizationIdentity:
         inst["w"] = np.zeros_like(inst["w"])
         with pytest.raises(ValueError, match="positive"):
             joint_logdensity_direct(**inst)
+
+    def test_nonpositive_weights_rejected_by_the_factored_form(self):
+        # identity_gaps evaluates the direct form first, whose check fires first;
+        # only a direct caller of the factored form reaches its own check
+        inst = random_identity_stack(np.random.default_rng(3), 1)
+        inst["w"] = -inst["w"]
+        with pytest.raises(ValueError, match="working weights must be positive"):
+            joint_logdensity_factored(**inst)
 
     def test_instance_shapes(self):
         inst = unstack(random_identity_stack(np.random.default_rng(5), 1))[0]

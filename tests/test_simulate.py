@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glmmfp import fixed_point, simulate
+from glmmfp import covariance, fixed_point, simulate
 from glmmfp.covariance import MaternParams
 from glmmfp.dataio import ConfigError
 from glmmfp.estimate import EstimateResult
@@ -46,17 +46,14 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=message):
                 SimConfig(**bad)
-        unknown = r"simulate.scenarios names unknown scenarios: \['bogus'\]"
-        with pytest.raises(ConfigError, match=unknown):
-            SimConfig(scenarios=("oracle", "bogus"))
-        for scenarios in ((), ("oracle", "sic_true", "oracle")):
+        for scenarios in (("oracle", "bogus"), (), ("oracle", "sic_true", "oracle")):
             with pytest.raises(ConfigError, match="simulate.scenarios must name"):
                 SimConfig(scenarios=scenarios)
         # the joint prior of n + n* sites holds (n + n*)**2 doubles
-        assert simulate.PRIOR_BUDGET == 4096**2
+        assert covariance.PRIOR_BUDGET == 4096**2
         SimConfig(n=4000, n_star=96)
         for n, n_star in ((4000, 97), (1, 4096), (10**400, 1)):
-            with pytest.raises(ConfigError, match="simulate.n \\+ simulate.n_star"):
+            with pytest.raises(ValueError, match="simulate.n \\+ simulate.n_star"):
                 SimConfig(n=n, n_star=n_star)
         for beta in (8.0, (8.0,), (8.0, 0.0, 1.0), (8.0, np.nan), (True, 0.0), "ab"):
             with pytest.raises(ValueError, match="beta"):
