@@ -9,7 +9,7 @@ Subcommands:
 * ``verify``    - randomized factorization-identity suite and exactness
                   adjudication against the quadrature oracle
 
-Exit codes: 0 success, 1 validation or output error, 2 numerical
+Exit codes: 0 success, 1 usage, validation or output error, 2 numerical
 failure, 3 non-convergence.
 """
 
@@ -204,7 +204,13 @@ def cmd_validate(args) -> int:
                               "validate.tiers")
     for tier in tiers:
         # a tier's design width is the same on every split
-        _check_params(cfg, dataio.build_design(dataset, cfg, tier).shape[1])
+        width = dataio.build_design(dataset, cfg, tier).shape[1]
+        _check_params(cfg, width)
+        if cfg.beta == dataio.ESTIMATE and n_train < width:
+            raise ConfigError(
+                f"validate.n_train {n_train} is below the {tier!r} design's {width} "
+                f"columns: no split can estimate beta"
+            )
     if n_train + n_test > dataset.n:
         raise ConfigError(
             f"split sizes {n_train}+{n_test} exceed the {dataset.n} dataset rows"
@@ -288,9 +294,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error, of the command or a subcommand, is a ConfigError: exit 1, not 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # built once a process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glmmfp",
         description="Posterior mode and Laplace covariance of random effects "
         "in non-Gaussian mixed models",
@@ -335,21 +348,23 @@ def _check_out(out: Path):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    out = args.out = dataio.ResultDir(args.out)
+    out = None  # no result set before the flags are read
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        out = args.out = dataio.ResultDir(args.out)
         _check_out(out.path)
         return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         # the files written say what failed, such as simulate's audit.json
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:  # ConfigError included
-        out.discard()  # no partial result set
+    except (ValueError, OSError) as exc:  # ConfigError, a usage error too, included
+        if out is not None:
+            out.discard()  # no partial result set
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -109,6 +109,8 @@ NEWTON_DECREMENT = 0.1
 # against the limit omega2 -> inf: in simulate at n = 60, n* = 40 (seeds 3, 5, 7,
 # 11) the one boundary estimate read 1.3e-5, the 23 others 0.42-0.95
 BOUNDARY_CORRELATION = 1e-4
+# the stops at which scoring has converged, not stalled, step_limit or start_failed
+CONVERGED_STOPS = ("gradient", "decrement", "resolution", "boundary")
 
 
 @dataclass(eq=False)
@@ -125,19 +127,23 @@ class EstimateResult:
     the limit prior ``sill * I``, reached the surrogate), or not, ``stalled``
     (no halving raised the surrogate, or one left it unchanged, above the
     resolution), at the ``step_limit`` or with ``start_failed`` (the first
-    mode fit did not converge).
+    mode fit did not converge).  ``converged`` is read off ``stop``.
     """
 
     beta_hat: np.ndarray
     omega_hat: MaternParams
     objective_value: float
-    converged: bool
     optimizer_iterations: int
     newton_steps: int
     stop: str
     fits: int
     failed_fits: int
     report: FitReport
+
+    @property
+    def converged(self) -> bool:
+        """Whether scoring stopped at one of :data:`CONVERGED_STOPS`."""
+        return self.stop in CONVERGED_STOPS
 
     @property
     def record(self) -> dict:
@@ -376,26 +382,23 @@ def estimate(
         )
     params = (init_beta, init_omega)
     report, value = fit(params)
-    converged, stop = False, "start_failed"
+    stop = "start_failed"
     while report.converged:
         dD = _prior_derivatives(report.problem, params[1], dist) if fit_omega else ()
         Rinv = potri(report.chol)
         terms = _marginal_terms(report, dD, Rinv)
         grad = _surrogate_gradient(report, dD, Rinv, terms)
-        converged = bool(np.max(np.abs(grad)) <= SCORING_GTOL)
-        if converged or steps == SCORING_MAX_ITER:
-            stop = "gradient" if converged else "step_limit"
+        stop = "gradient" if np.max(np.abs(grad)) <= SCORING_GTOL else "step_limit"
+        if stop == "gradient" or steps == SCORING_MAX_ITER:
             break
         info = _information(report, dD, Rinv)
         step = _scoring_step(info, grad)
         decrement, scale = grad @ step / 2.0, 1.0 + abs(value)
-        converged = bool(decrement <= SCORING_DECREMENT * scale)
-        if converged:
+        if decrement <= SCORING_DECREMENT * scale:
             stop = "decrement"
             break
-        # the outcome should this step stall; the next pass sets it afresh
-        converged = bool(decrement <= SCORING_RESOLUTION * scale)
-        stop = "resolution" if converged else "stalled"
+        # the stop should this step stall; the next pass sets it afresh
+        stop = "resolution" if decrement <= SCORING_RESOLUTION * scale else "stalled"
         newton = None
         if fit_omega and decrement <= NEWTON_DECREMENT:
             C22 = matern_scale_derivative(params[1], dist, second=True)
@@ -421,7 +424,9 @@ def estimate(
         steps += 1
         if unchanged:
             break
-    if converged and fit_omega and _nearest_correlation(params[1], dist) < BOUNDARY_CORRELATION:
+    if stop in CONVERGED_STOPS and fit_omega and (
+        _nearest_correlation(params[1], dist) < BOUNDARY_CORRELATION
+    ):
         # the limit omega2 -> inf, independent effects: prior sill * I, factor sqrt(sill) I
         eye, sill = np.eye(len(dist)), params[1].sill
         limit = report.problem.with_prior(sill * eye, params[0], math.sqrt(sill) * eye)
@@ -442,7 +447,6 @@ def estimate(
         beta_hat=beta_hat,
         omega_hat=omega_hat,
         objective_value=value,
-        converged=converged,
         optimizer_iterations=steps,
         newton_steps=newton_steps,
         stop=stop,

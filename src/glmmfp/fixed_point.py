@@ -117,9 +117,8 @@ class GlmmProblem:
         """This response and design under prior ``D`` and fixed effects ``beta``.
 
         ``D`` and ``D_chol`` are checked as on construction.  The checked
-        ``y``, and its response term and starting predictor once cached,
-        carry over, so an optimizer that poses many priors for one
-        response evaluates them once.
+        ``y``, and its response term once cached, carry over, so an
+        optimizer that poses many priors for one response evaluates it once.
         """
         problem = copy.copy(self)
         vars(problem).pop("ZDZt", None)
@@ -152,11 +151,6 @@ class GlmmProblem:
     def response_term(self):
         """The log-likelihood's term in ``y`` alone, evaluated once per problem."""
         return families.response_term(self.kernel, self.y)
-
-    @cached_property
-    def initial_eta(self):
-        """The family's starting predictor and weights for ``y``, once per problem."""
-        return families.initial_eta(self.kernel, self.y)
 
 
 @dataclass(eq=False)
@@ -262,9 +256,9 @@ def fixed_point_residual(problem: GlmmProblem, xi) -> float:
 
 
 def _start(problem: GlmmProblem, buf=None, eta0=None):
-    """``(xi, b)`` after one update at ``eta0``, by default the family's start."""
+    """``(xi, b)`` after one update at ``eta0``, by default :func:`families.initial_eta`'s."""
     if eta0 is None:
-        eta0, w0 = problem.initial_eta
+        eta0, w0 = families.initial_eta(problem.kernel, problem.y)
         s0 = families.score_and_weight(problem.kernel, eta0, problem.y)[0]
     else:
         s0, w0 = families.score_and_weight(problem.kernel, eta0, problem.y)

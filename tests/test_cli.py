@@ -817,6 +817,29 @@ class TestValidate:
         assert "error: validate.n_train + validate.n_test must be at most 4096" in err
         assert not out.exists()
 
+    def test_n_train_below_a_tier_width_is_rejected_before_any_split(self, tmp_path, capsys):
+        # each split's 4 training sites cannot identify the quadratic tier's 6
+        # coefficients: every split failed the rank check and the command exited 2
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=30, seed=1)
+        config = write_config(
+            tmp_path,
+            {
+                "beta": "estimate",
+                "matern": "estimate",
+                "validate": {"splits": 2, "n_train": 4, "n_test": 2, "tiers": ["quadratic"]},
+            },
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", str(data), "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: validate.n_train 4 is below the 'quadratic' design's 6 columns: "
+            "no split can estimate beta\n"
+        )
+
     def test_beta_too_short_for_a_tier_is_rejected_before_any_fit(self, tmp_path):
         # the default tiers' designs have 1, 3 and 6 columns
         data, _, _ = poisson_dataset(tmp_path, n=30, seed=3)
@@ -1387,10 +1410,27 @@ class TestFlags:
         argv = [command, "--config", "config.json", "--out", "out", flag, "1"]
         if command != "verify":
             argv += ["--data", "data.csv"]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert cli.main(argv) == cli.EXIT_VALIDATION
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+         (["verify"], "the following arguments are required: --config")],
+    )
+    def test_malformed_or_missing_flags_exit_1(self, tmp_path, monkeypatch, capsys,
+                                               argv, message):
+        # argparse exits 2, the numerical-failure code, on a usage error
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--out", "out"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--replications" in capsys.readouterr().out
 
 
 class TestOneStart:

@@ -579,6 +579,21 @@ class TestStopRule:
 
 
 class TestStopField:
+    @pytest.mark.parametrize(
+        "stop, converged",
+        [("gradient", True), ("decrement", True), ("resolution", True), ("boundary", True),
+         ("stalled", False), ("step_limit", False), ("start_failed", False)],
+    )
+    def test_converged_is_read_off_the_stop(self, stop, converged):
+        result = estimate_module.EstimateResult(
+            beta_hat=np.zeros(1), omega_hat=MaternParams(0.5, 1.0), objective_value=-1.0,
+            optimizer_iterations=0, newton_steps=0, stop=stop, fits=1, failed_fits=0,
+            report=None,
+        )
+        assert result.converged is converged
+        assert result.record["optimizer_converged"] is converged
+        assert result.record["stop"] == stop
+
     def test_failed_start(self, monkeypatch):
         data, omega = poisson_data(seed=2)
         monkeypatch.setattr(estimate_module, "fit_posterior", one_iterate_fit)

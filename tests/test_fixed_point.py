@@ -733,7 +733,7 @@ class TestWithPrior:
     def test_fit_is_that_of_a_new_problem(self, family):
         rng = np.random.default_rng(23)
         first = identity_problem(rng, family, 12)
-        fit_posterior(first)  # caches the response term and the start
+        fit_posterior(first)  # caches the response term
         blocked = build_blocked(MaternParams(0.3, 2.0, 1.5), rng.uniform(0, 6, (12, 2)))
         beta = first.beta + 0.2
         moved = first.with_prior(blocked.d11, beta, blocked.chol)
@@ -742,7 +742,6 @@ class TestWithPrior:
             kernel=first.kernel,
         )
         assert moved.response_term is first.response_term
-        assert moved.initial_eta is first.initial_eta
         assert moved.ZDZt is blocked.d11 and first.ZDZt is first.D
         a, b = fit_posterior(moved), fit_posterior(fresh)
         assert np.array_equal(a.xi, b.xi) and a.log_posterior == b.log_posterior

@@ -194,7 +194,7 @@ class TestScenarios:
         )
         stopped = EstimateResult(
             beta_hat=np.array([2.0, 0.0]), omega_hat=cfg.omega, objective_value=-1.0,
-            converged=False, optimizer_iterations=400, newton_steps=0, stop="step_limit",
+            optimizer_iterations=400, newton_steps=0, stop="step_limit",
             fits=14128, failed_fits=0, report=None,
         )
         priors = []
