@@ -237,24 +237,6 @@ def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
     return float(loglik - 0.5 * (xi @ a))
 
 
-def fixed_point_residual(problem: GlmmProblem, xi) -> float:
-    """Sup-norm defect of the working-model update at ``xi``.
-
-    This is the target-form defect: the size of the full Newton
-    increment, computed through the update ``D Z' R^-1 (u - X beta)``
-    rather than the solver's own increment form.  The two forms round
-    differently, so on ill-conditioned problems the defect of a fit that
-    converged at ``TOL`` can exceed ``TOL`` (up to 4.54e-10 at
-    ``TOL = 1e-10`` on the 3,000-problem stress battery); it is an
-    independent check of the mode, not a certificate of a fit at ``TOL``.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = problem.X @ problem.beta + problem.effects(xi)
-    s, w = families.score_and_weight(problem.kernel, eta, problem.y)
-    raw = _xi_raw(problem, eta + s / w, w)[0]
-    return float(np.abs(xi - raw).max(initial=0.0))
-
-
 def _start(problem: GlmmProblem, buf=None, eta0=None):
     """``(xi, b)`` after one update at ``eta0``, by default :func:`families.initial_eta`'s."""
     if eta0 is None:

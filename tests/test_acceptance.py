@@ -16,13 +16,9 @@ import pytest
 from glmmfp import cli
 from glmmfp.covariance import MaternParams, matern
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
-from glmmfp.fixed_point import (
-    GlmmProblem,
-    fit_posterior,
-    fixed_point_residual,
-)
+from glmmfp.fixed_point import GlmmProblem, fit_posterior
 from glmmfp.metrics import deviance_gof
-from glmmfp.oracle import identity_gaps, random_identity_stack
+from glmmfp.oracle import fixed_point_residual, identity_gaps, random_identity_stack
 from glmmfp.simulate import SimConfig, run_scenarios
 
 

@@ -8,12 +8,8 @@ from scipy.optimize import brentq
 from glmmfp import families, fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
-from glmmfp.fixed_point import (
-    GlmmProblem,
-    corrected_mean,
-    fit_posterior,
-    fixed_point_residual,
-)
+from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior
+from glmmfp.oracle import fixed_point_residual
 
 
 def random_problem(rng, family, n, r):

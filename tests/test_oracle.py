@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -631,6 +632,69 @@ class TestNodeContiguousLayout:
         assert all(0 < len(eta) <= oracle.SLICE_CHAINS for eta in chains)
         for eta in quadrature + chains:
             assert eta.shape[1] == 6 and eta.strides[0] == eta.itemsize
+
+
+def centered(problem):
+    fit = fit_posterior(problem)
+    return oracle._center_terms(problem, (fit.xi, fit.Xi))
+
+
+def gh_raw_bytes(problem, order, center):
+    mean, cov, logz = oracle._gh_raw(problem, order, center)
+    return mean.tobytes(), cov.tobytes(), np.float64(logz).tobytes()
+
+
+def battery_r2_n6():
+    """The first r = 2, n = 6 instance of the battery seeds."""
+    return next(p for p in battery_problems(range(40)) if (p.r, p.n) == (2, 6))
+
+
+class TestQuadratureBlocks:
+    """The integrand taken in node blocks: the unblocked sums' bytes in bounded memory."""
+
+    @pytest.mark.parametrize("block", ["above_K", 1000])
+    def test_block_size_moves_no_byte(self, monkeypatch, block):
+        cases = [(problem, (64, 128, 256)) for problem in battery_problems(range(4))]
+        cases += [(gaussian_instance(seed=3, r=3), (64,)), (poisson_n40_r2(), (64, 128, 256))]
+        runs = [(problem, order, centered(problem)) for problem, orders in cases
+                for order in orders]
+        default = [gh_raw_bytes(*run) for run in runs]
+        blocked = []
+        for problem, order, center in runs:
+            size = order**problem.r + 1 if block == "above_K" else block
+            monkeypatch.setattr(oracle, "QUADRATURE_BLOCK", size)
+            blocked.append(gh_raw_bytes(problem, order, center))
+        assert blocked == default
+
+    def test_likelihood_gets_at_most_a_block_of_nodes(self, monkeypatch):
+        problem = escalated_r2_poisson()
+        center = centered(problem)
+        rows = []
+        log_likelihood = families.log_likelihood
+
+        def recorded(kernel, eta, y, const=None):
+            rows.append(len(eta))
+            return log_likelihood(kernel, eta, y, const=const)
+
+        monkeypatch.setattr(families, "log_likelihood", recorded)
+        oracle._gh_raw(problem, 256, center)
+        assert max(rows) == oracle.QUADRATURE_BLOCK
+        assert sum(rows) == 256**2
+
+    @pytest.mark.parametrize("order, bound", [(64, 0.8 * 2**20), (256, 4 * 2**20)])
+    def test_peak_memory(self, order, bound):
+        # unblocked, an order-256 call peaked at 9.5 MiB and an order-64 one at 0.75
+        problem = battery_r2_n6()
+        center = centered(problem)
+        for k in (order, order // 2):
+            oracle._node_grid(k, 2)
+        tracemalloc.start()
+        try:
+            oracle._quadrature(problem, order, center, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def unstack(stack):
