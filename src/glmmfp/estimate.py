@@ -55,9 +55,9 @@ or that leaves the surrogate unchanged, has converged if its gain is
 below the surrogate's roundoff.  Each trial's mode fit starts from the
 accepted fit's predictor (Rasmussen & Williams 2006, Alg. 5.1), so the
 estimate's fit is a fixed-parameter fit at its optimum to the mode-finder's
-stop, not to the bit.  Every caller starts beta at :func:`initial_beta`.  The
-trials share the first fit's checked response and its terms in ``y``
-alone, through :meth:`fixed_point.GlmmProblem.with_prior`.
+stop, not to the bit.  Every caller starts beta at :func:`initial_beta`.  Each
+trial is posed as a new problem by :func:`spatial.site_problem`, as the first
+fit is; only the accepted fit's predictor carries over.
 
 This is support machinery for the parameter-estimation simulation
 scenario and the validation workflow, not a reimplementation of any
@@ -69,7 +69,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -174,17 +174,14 @@ def _fit(
 ):
     """The mode at (beta, omega), on the prior over the checked site ``dist``.
 
-    ``accepted``, an earlier fit for the same ``data``, lends its checked
-    response and response term, and its mode's predictor starts the fit;
-    ``jitters``, a list, receives the jitter that the prior needed.
+    ``accepted``, an earlier fit for the same ``data``, starts the fit at its
+    mode's predictor; ``jitters``, a list, receives the prior's jitter.
     """
     blocked = BlockedCovariance(matern(omega, dist), len(dist))
     if jitters is not None:
         jitters.append(blocked.jitter)
-    if accepted is None:
-        return fit_posterior(site_problem(data, blocked, beta))
-    problem = accepted.problem.with_prior(blocked.d11, beta, blocked.chol)
-    return fit_posterior(problem, eta0=accepted.eta)
+    eta0 = None if accepted is None else accepted.eta
+    return fit_posterior(site_problem(data, blocked, beta), eta0=eta0)
 
 
 def _prior_derivatives(problem, omega: MaternParams, dist) -> tuple:
@@ -429,7 +426,9 @@ def estimate(
     ):
         # the limit omega2 -> inf, independent effects: prior sill * I, factor sqrt(sill) I
         eye, sill = np.eye(len(dist)), params[1].sill
-        limit = report.problem.with_prior(sill * eye, params[0], math.sqrt(sill) * eye)
+        limit = replace(
+            report.problem, D=sill * eye, beta=params[0], D_chol=math.sqrt(sill) * eye
+        )
         edge = fit_posterior(limit, eta0=report.eta)
         fits += 1
         failed += not edge.converged

@@ -220,8 +220,10 @@ def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
         y = check_support(kernel, y)
         const = response_term(kernel, y)
     if kernel.family == POISSON:
+        terms = y * eta
         with np.errstate(over="ignore"):
-            terms = y * eta - np.exp(eta) + const
+            terms -= np.exp(eta)
+        terms += const
         return terms.sum(axis=-1)
     if kernel.family == BINOMIAL:
         partition = np.abs(eta)
@@ -230,7 +232,8 @@ def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
         np.log1p(partition, out=partition)
         partition += np.maximum(eta, 0.0)
         partition *= kernel.trials
-        terms = y * eta - partition
+        terms = y * eta
+        terms -= partition
         terms += const
         return terms.sum(axis=-1)
     terms = -0.5 * (y - eta) ** 2 / kernel.variance + const

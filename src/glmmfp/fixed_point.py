@@ -40,7 +40,6 @@ kriging ``D21 alpha``) never pay for it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,9 +89,6 @@ class GlmmProblem:
         n = self.y.shape[0]
         if self.X.shape[0] != n or (self.Z is not None and self.Z.shape[0] != n):
             raise ValueError("design matrices must have one row per observation")
-        self._check_prior()
-
-    def _check_prior(self):
         self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if self.X.shape[1] != self.beta.shape[0]:
@@ -112,19 +108,6 @@ class GlmmProblem:
                 raise ValueError("prior covariance must be positive definite") from None
         elif np.shape(self.D_chol) != (r, r):
             raise ValueError("the factor of the prior covariance must be r x r")
-
-    def with_prior(self, D, beta, D_chol=None) -> GlmmProblem:
-        """This response and design under prior ``D`` and fixed effects ``beta``.
-
-        ``D`` and ``D_chol`` are checked as on construction.  The checked
-        ``y``, and its response term once cached, carry over, so an
-        optimizer that poses many priors for one response evaluates it once.
-        """
-        problem = copy.copy(self)
-        vars(problem).pop("ZDZt", None)
-        problem.D, problem.beta, problem.D_chol = D, beta, D_chol
-        problem._check_prior()
-        return problem
 
     @property
     def n(self) -> int:
@@ -197,17 +180,6 @@ def _factor(problem: GlmmProblem, w, buf=None):
     return potrf(A)
 
 
-def _xi_raw(problem: GlmmProblem, u, w, buf=None):
-    """The working-model update xi_raw = D Z' R^-1 (u - X beta).
-
-    Returns ``(xi_raw, b, chol)``: ``b = R^-1 (u - X beta)``, so that
-    ``D^-1 xi_raw = Z' b``, and the factor of ``R`` made in ``buf``.
-    """
-    chol = _factor(problem, w, buf)
-    b = potrs(chol, u - problem.X @ problem.beta)
-    return problem.D @ problem.adjoint(b), b, chol
-
-
 def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
     """Xi = D - D Z' R^-1 Z D from the factor ``chol`` of ``R``."""
     D = problem.D
@@ -244,7 +216,9 @@ def _start(problem: GlmmProblem, buf=None, eta0=None):
         s0 = families.score_and_weight(problem.kernel, eta0, problem.y)[0]
     else:
         s0, w0 = families.score_and_weight(problem.kernel, eta0, problem.y)
-    return _xi_raw(problem, eta0 + s0 / w0, w0, buf)[:2]
+    # the working-model update D Z' R^-1 (u - X beta) at u = eta0 + s0 / w0; D^-1 xi = Z' b
+    b = potrs(_factor(problem, w0, buf), eta0 + s0 / w0 - problem.X @ problem.beta)
+    return problem.D @ problem.adjoint(b), b
 
 
 def fit_posterior(problem: GlmmProblem, buf=None, eta0=None) -> FitReport:

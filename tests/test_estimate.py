@@ -506,7 +506,9 @@ class TestPrecisionOnce:
 
 class TestResponseOnce:
     @pytest.mark.parametrize("family", ["poisson", "binomial"])
-    def test_one_support_check_and_response_term_per_estimate(self, family, monkeypatch):
+    def test_one_start_per_estimate_and_one_check_per_posed_problem(
+        self, family, monkeypatch
+    ):
         from glmmfp import families
 
         data = small_data(family, 1)
@@ -521,8 +523,11 @@ class TestResponseOnce:
             monkeypatch.setattr(families, name, counted)
         result = estimate(data, np.array([1.0]), MaternParams(0.5, 1.0))
         assert result.fits > 1
-        # the problem's check of y, once per estimate
-        assert counts == {"response_term": 1, "initial_eta": 1, "check_support": 1}
+        # the family's start once, for the first fit; every trial is a new
+        # problem, which checks y and evaluates its response term once
+        assert counts == {
+            "response_term": result.fits, "initial_eta": 1, "check_support": result.fits
+        }
 
 
 class TestStopRule:

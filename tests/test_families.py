@@ -331,6 +331,30 @@ class TestLogPartition:
         # the log-partition and the terms, with a small buffer for the sum
         assert peak <= 2.25 * eta.nbytes
 
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_one_block_holds_at_most_two_more_predictors(self, family):
+        # one QUADRATURE_BLOCK of nodes: below numpy's size for eliding
+        # temporaries, so only terms formed in place keep the peak down
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        m = rng.integers(1, 9, size=6).astype(float)
+        if family == "poisson":
+            kernel, y = poisson_kernel(), rng.poisson(3.0, size=6).astype(float)
+        else:
+            kernel = binomial_kernel(m)
+            y = rng.binomial(m.astype(int), 0.4).astype(float)
+        const = families.response_term(kernel, y)
+        eta = node_batch(rng, 6, 4096)
+        tracemalloc.start()
+        try:
+            log_likelihood(kernel, eta, y, const=const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the terms and the exponential or log-partition, not their difference too
+        assert peak <= 2.5 * eta.nbytes
+
 
 class TestAgainstScipySpecial:
     # the module computes the logistic function with numpy and log-gamma

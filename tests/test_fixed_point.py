@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from glmmfp import families, fixed_point
+from glmmfp import _lapack, families, fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior
@@ -222,6 +222,32 @@ class TestCertificate:
             assert report.converged, f"non-convergence on a random {family} instance"
             assert fixed_point_residual(problem, report.xi) <= 1e-9
             assert report.residual <= 1e-10
+
+    def test_certificate_solves_on_its_own(self, monkeypatch):
+        # a check of the mode that shares no factor routine with the solver
+        problem = random_problem(np.random.default_rng(7), "poisson", 12, 3)
+        xi = fit_posterior(problem).xi
+        calls = []
+        for module, name in ((fixed_point, "_factor"), (fixed_point, "potrf"),
+                             (fixed_point, "potrs"), (_lapack, "potrf"), (_lapack, "potrs")):
+
+            def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        assert fixed_point_residual(problem, xi) <= 1e-9
+        assert calls == []
+
+    def test_oracle_imports_nothing_private_from_the_solver(self):
+        tree = ast.parse((SRC / "oracle.py").read_text())
+        names = [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "fixed_point"
+            for alias in node.names
+        ]
+        assert "fit_posterior" in names
+        assert [name for name in names if name.startswith("_")] == []
 
     def test_covariance_properties(self):
         rng = np.random.default_rng(13)
@@ -720,44 +746,3 @@ class TestPriorFactor:
             self.problem(D)
         with pytest.raises(ValueError, match="symmetric|positive definite"):
             self.problem(D, D_chol=None)
-
-
-class TestWithPrior:
-    """Another prior and beta for one response: the checks of a new problem."""
-
-    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
-    def test_fit_is_that_of_a_new_problem(self, family):
-        rng = np.random.default_rng(23)
-        first = identity_problem(rng, family, 12)
-        fit_posterior(first)  # caches the response term
-        blocked = build_blocked(MaternParams(0.3, 2.0, 1.5), rng.uniform(0, 6, (12, 2)))
-        beta = first.beta + 0.2
-        moved = first.with_prior(blocked.d11, beta, blocked.chol)
-        fresh = GlmmProblem(
-            y=first.y, X=first.X, Z=first.Z, D=blocked.d11, beta=beta,
-            kernel=first.kernel,
-        )
-        assert moved.response_term is first.response_term
-        assert moved.ZDZt is blocked.d11 and first.ZDZt is first.D
-        a, b = fit_posterior(moved), fit_posterior(fresh)
-        assert np.array_equal(a.xi, b.xi) and a.log_posterior == b.log_posterior
-        assert np.array_equal(first.beta + 0.2, moved.beta)
-
-    def test_general_design_recomputes_ZDZt(self):
-        rng = np.random.default_rng(4)
-        first = random_problem(rng, "poisson", 9, 3)
-        first.ZDZt  # noqa: B018 - cached before the copy
-        moved = first.with_prior(2.0 * first.D, first.beta)
-        assert np.allclose(moved.ZDZt, 2.0 * first.ZDZt, rtol=1e-14, atol=0.0)
-
-    def test_prior_is_checked(self):
-        rng = np.random.default_rng(5)
-        first = identity_problem(rng, "poisson", 6)
-        with pytest.raises(ValueError, match="positive definite"):
-            first.with_prior(-np.eye(6), first.beta)
-        with pytest.raises(ValueError, match="r x r"):
-            first.with_prior(np.eye(5), first.beta)
-        with pytest.raises(ValueError, match="beta length"):
-            first.with_prior(np.eye(6), np.zeros(first.beta.shape[0] + 1))
-        with pytest.raises(ValueError, match="factor"):
-            first.with_prior(np.eye(6), first.beta, np.eye(5))
