@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -746,3 +747,47 @@ class TestPriorFactor:
             self.problem(D)
         with pytest.raises(ValueError, match="symmetric|positive definite"):
             self.problem(D, D_chol=None)
+
+
+class TestReplacedPrior:
+    """Another prior and beta for one response, as the boundary poses its limit:
+    ``dataclasses.replace`` builds a new problem, with the constructor's checks."""
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
+    def test_fit_is_that_of_a_new_problem(self, family):
+        rng = np.random.default_rng(23)
+        first = identity_problem(rng, family, 12)
+        fit_posterior(first)  # caches the response term
+        blocked = build_blocked(MaternParams(0.3, 2.0, 1.5), rng.uniform(0, 6, (12, 2)))
+        beta = first.beta + 0.2
+        moved = replace(first, D=blocked.d11, beta=beta, D_chol=blocked.chol)
+        fresh = GlmmProblem(
+            y=first.y, X=first.X, Z=first.Z, D=blocked.d11, beta=beta,
+            kernel=first.kernel,
+        )
+        # nothing cached on the first problem is carried over
+        assert "response_term" not in vars(moved) and "ZDZt" not in vars(moved)
+        assert moved.ZDZt is blocked.d11 and first.ZDZt is first.D
+        assert np.array_equal(moved.response_term, first.response_term)
+        a, b = fit_posterior(moved), fit_posterior(fresh)
+        assert np.array_equal(a.xi, b.xi) and a.log_posterior == b.log_posterior
+        assert np.array_equal(first.beta + 0.2, moved.beta)
+
+    def test_general_design_recomputes_ZDZt(self):
+        rng = np.random.default_rng(4)
+        first = random_problem(rng, "poisson", 9, 3)
+        first.ZDZt  # noqa: B018 - cached before the copy
+        moved = replace(first, D=2.0 * first.D, D_chol=None)
+        assert np.allclose(moved.ZDZt, 2.0 * first.ZDZt, rtol=1e-14, atol=0.0)
+
+    def test_prior_is_checked(self):
+        rng = np.random.default_rng(5)
+        first = identity_problem(rng, "poisson", 6)
+        with pytest.raises(ValueError, match="positive definite"):
+            replace(first, D=-np.eye(6), D_chol=None)
+        with pytest.raises(ValueError, match="r x r"):
+            replace(first, D=np.eye(5), D_chol=None)
+        with pytest.raises(ValueError, match="beta length"):
+            replace(first, beta=np.zeros(first.beta.shape[0] + 1))
+        with pytest.raises(ValueError, match="factor"):
+            replace(first, D=np.eye(6), D_chol=np.eye(5))
