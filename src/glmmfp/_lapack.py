@@ -1,4 +1,4 @@
-"""The package's one Cholesky factor, and the LAPACK calls that make and use it.
+"""Cholesky factors in LAPACK's layout, and the LAPACK calls that make and use them.
 
 A factor ``L`` of ``A = L L'`` is the lower triangle of a Fortran-ordered
 array; what lies above its diagonal is unspecified.  :func:`potrf` makes

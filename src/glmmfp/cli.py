@@ -118,8 +118,7 @@ def _exit_code(report, result) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
-    cfg = dataio.load_config(args.config)
+def cmd_fit(args, cfg: RunConfig) -> int:
     dataset = dataio.load_dataset(args.data, cfg)
     observed = _sites(cfg, dataset)
     report, omega, result = _site_fit(cfg, observed)
@@ -140,8 +139,7 @@ def cmd_fit(args) -> int:
     return _exit_code(report, result)
 
 
-def cmd_predict(args) -> int:
-    cfg = dataio.load_config(args.config)
+def cmd_predict(args, cfg: RunConfig) -> int:
     dataset = dataio.load_dataset(args.data, cfg)
     if args.test:
         train = dataset
@@ -164,8 +162,7 @@ def cmd_predict(args) -> int:
     return _exit_code(pred.report, result)
 
 
-def cmd_simulate(args) -> int:
-    cfg = dataio.load_config(args.config)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     config = SimConfig(**{"seed": cfg.seed, **cfg.simulate})  # which checks every key
     config = replace(config, seed=_option(args, "seed", 0, config.seed),
                      replications=_option(args, "replications", 1, config.replications))
@@ -191,8 +188,7 @@ def _option(args, name: str, low: int, default) -> int:
     return dataio.read_int({flag: value}, flag, None, low, "")
 
 
-def cmd_validate(args) -> int:
-    cfg = dataio.load_config(args.config)
+def cmd_validate(args, cfg: RunConfig) -> int:
     seed = _option(args, "seed", 0, cfg.seed)
     dataset = dataio.load_dataset(args.data, cfg)
     val = cfg.validate
@@ -250,8 +246,7 @@ def _validate_split(cfg, dataset, train_idx, test_idx, tier) -> float:
     return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 
 
-def cmd_verify(args) -> int:
-    cfg = dataio.load_config(args.config)
+def cmd_verify(args, cfg: RunConfig) -> int:
     ver = cfg.verify
     n_identity = dataio.read_int(ver, "identity_instances", 100, 1, "verify")
     order = dataio.read_int(ver, "order", 64, 8, "verify", oracle.MAX_QUADRATURE_ORDER)
@@ -294,6 +289,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "fit": cmd_fit,
+    "predict": cmd_predict,
+    "simulate": cmd_simulate,
+    "validate": cmd_validate,
+    "verify": cmd_verify,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error, of the command or a subcommand, is a ConfigError: exit 1, not 2."""
 
@@ -309,18 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "in non-Gaussian mixed models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_data in (
-        ("fit", True),
-        ("predict", True),
-        ("simulate", False),
-        ("validate", True),
-        ("verify", False),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", type=Path, default=".")
         p.add_argument("--quiet", action="store_true")
-        if needs_data:
+        if name in ("fit", "predict", "validate"):
             p.add_argument("--data", required=True)
         if name in ("simulate", "validate", "verify"):
             p.add_argument("--seed", type=int, default=None)
@@ -329,15 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "predict":
             p.add_argument("--test", default=None)
     return parser
-
-
-_COMMANDS = {
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-    "verify": cmd_verify,
-}
 
 
 def _check_out(out: Path):
@@ -357,7 +346,7 @@ def main(argv=None) -> int:
         )
         out = args.out = dataio.ResultDir(args.out)
         _check_out(out.path)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, dataio.load_config(args.config))
     except _NUMERICAL_ERRORS as exc:
         # the files written say what failed, such as simulate's audit.json
         print(f"numerical failure: {exc}", file=sys.stderr)

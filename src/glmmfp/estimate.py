@@ -204,15 +204,12 @@ def _marginal_terms(report: FitReport, dD, Rinv) -> tuple:
     return V, Rinv @ V, np.array([np.einsum("ij,ij->", Rinv, C) for C in dD])
 
 
-def _surrogate_gradient(report: FitReport, dD, Rinv, terms=None) -> np.ndarray:
-    """Gradient of :func:`laplace_marginal` in beta and each ``C_j`` of ``dD``, from ``R^-1``.
-
-    ``terms``, :func:`_marginal_terms` of the same arguments, is formed
-    here unless given.
-    """
+def _surrogate_gradient(report: FitReport, Rinv, terms) -> np.ndarray:
+    """Gradient of :func:`laplace_marginal` in beta and each ``C_j`` of ``dD``,
+    from ``Rinv = R^-1`` and ``terms``, :func:`_marginal_terms` of ``dD``."""
     problem, alpha = report.problem, report.alpha
     D, X = problem.D, problem.X
-    V, RV, traces = _marginal_terms(report, dD, Rinv) if terms is None else terms
+    V, RV, traces = terms
     # on the site design Z = I, R = D + W^-1
     # I - D R^-1 = W^-1 R^-1, so Xi = W^-1 R^-1 D and Xi W = D R^-1
     winv = 1.0 / report.w
@@ -384,7 +381,7 @@ def estimate(
         dD = _prior_derivatives(report.problem, params[1], dist) if fit_omega else ()
         Rinv = potri(report.chol)
         terms = _marginal_terms(report, dD, Rinv)
-        grad = _surrogate_gradient(report, dD, Rinv, terms)
+        grad = _surrogate_gradient(report, Rinv, terms)
         stop = "gradient" if np.max(np.abs(grad)) <= SCORING_GTOL else "step_limit"
         if stop == "gradient" or steps == SCORING_MAX_ITER:
             break
@@ -427,7 +424,7 @@ def estimate(
         # the limit omega2 -> inf, independent effects: prior sill * I, factor sqrt(sill) I
         eye, sill = np.eye(len(dist)), params[1].sill
         limit = replace(
-            report.problem, D=sill * eye, beta=params[0], D_chol=math.sqrt(sill) * eye
+            report.problem, D=sill * eye, beta=params[0], factor=math.sqrt(sill) * eye
         )
         edge = fit_posterior(limit, eta0=report.eta)
         fits += 1
@@ -439,7 +436,7 @@ def estimate(
     if needed:
         log.warning(
             "covariance jitter escalated to %.3e at most, on %d of %d trial priors",
-            max(needed), len(needed), fits,
+            max(needed), len(needed), len(jitters),
         )
     beta_hat, omega_hat = params
     return EstimateResult(

@@ -40,7 +40,7 @@ kriging ``D21 alpha``) never pay for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,10 +66,12 @@ class GlmmProblem:
     """A canonical-link mixed model instance with known fixed effects.
 
     ``D`` is checked to be finite, symmetric and positive definite, unless it
-    comes with ``D_chol``: a lower Cholesky factor of ``D`` that already
+    comes with ``factor``: a lower Cholesky factor of ``D`` that already
     certifies it, such as the leading block of
-    :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.  Without one,
-    ``D_chol`` keeps the factor that certified ``D``.
+    :attr:`covariance.BlockedCovariance.chol` for ``D = d11``.  ``D_chol``
+    keeps that factor, or else the one ``np.linalg.cholesky`` certified ``D``
+    with.  It is no field, so ``dataclasses.replace`` passes on no factor: a
+    copy is certified afresh unless its own ``factor`` comes with it.
     ``Z = None`` is the site design ``Z = I``, with ``r = n``, never formed.
     """
 
@@ -79,9 +81,9 @@ class GlmmProblem:
     D: np.ndarray
     beta: np.ndarray
     kernel: FamilyKernel
-    D_chol: np.ndarray | None = field(default=None, repr=False)
+    factor: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         self.y = families.check_support(self.kernel, self.y)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         if self.Z is not None:
@@ -96,18 +98,19 @@ class GlmmProblem:
         r = self.r
         if self.D.shape != (r, r):
             raise ValueError("prior covariance must be r x r")
-        if self.D_chol is None:
+        if factor is None:
             # the solver factors without checking for non-finite entries
             if not np.isfinite(self.D).all():
                 raise ValueError("prior covariance must be finite and positive definite")
             if not np.all(np.abs(self.D - self.D.T) <= 1e-12 + 1e-5 * np.abs(self.D.T)):
                 raise ValueError("prior covariance must be symmetric")
             try:
-                self.D_chol = np.linalg.cholesky(self.D)
+                factor = np.linalg.cholesky(self.D)
             except np.linalg.LinAlgError:
                 raise ValueError("prior covariance must be positive definite") from None
-        elif np.shape(self.D_chol) != (r, r):
+        elif np.shape(factor) != (r, r):
             raise ValueError("the factor of the prior covariance must be r x r")
+        self.D_chol = factor
 
     @property
     def n(self) -> int:
@@ -171,13 +174,11 @@ class FitReport:
         return _covariance(self.problem, self.chol)
 
 
-def _factor(problem: GlmmProblem, w, buf=None):
-    """An iterate's one factor, of ``R = Z D Z' + W^-1``, made in ``buf`` if given."""
-    n = problem.n
-    A = workspace(buf, (n, n))
-    np.copyto(A, problem.ZDZt.T)
-    A.flat[:: n + 1] += 1.0 / w
-    return potrf(A)
+def _factor(problem: GlmmProblem, w, buf):
+    """An iterate's one factor, of ``R = Z D Z' + W^-1``, made in ``buf``."""
+    np.copyto(buf, problem.ZDZt.T)
+    buf.flat[:: problem.n + 1] += 1.0 / w
+    return potrf(buf)
 
 
 def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
@@ -188,7 +189,7 @@ def _covariance(problem: GlmmProblem, chol) -> np.ndarray:
     return 0.5 * (Xi + Xi.T)
 
 
-def _newton_step(problem: GlmmProblem, eta, b, buf=None):
+def _newton_step(problem: GlmmProblem, eta, b, buf):
     """Newton increment at ``eta = X beta + Z xi``, with ``D^-1 xi = Z' b``.
 
     Returns ``(w, delta, d_b, chol)``: the working weights, the
@@ -209,8 +210,8 @@ def _log_posterior(problem: GlmmProblem, eta, xi, a) -> float:
     return float(loglik - 0.5 * (xi @ a))
 
 
-def _start(problem: GlmmProblem, buf=None, eta0=None):
-    """``(xi, b)`` after one update at ``eta0``, by default :func:`families.initial_eta`'s."""
+def _start(problem: GlmmProblem, buf, eta0):
+    """``(xi, b)`` after one update at ``eta0``, or :func:`families.initial_eta`'s if None."""
     if eta0 is None:
         eta0, w0 = families.initial_eta(problem.kernel, problem.y)
         s0 = families.score_and_weight(problem.kernel, eta0, problem.y)[0]

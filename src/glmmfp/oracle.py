@@ -138,17 +138,11 @@ class _Center(NamedTuple):
     log_jac: float
 
 
-def _center_terms(problem: GlmmProblem, center=None) -> _Center:
-    """The terms of a center ``(xi, Xi)``, by default the posterior mode's.
+def _center_terms(problem: GlmmProblem, xi, Xi) -> _Center:
+    """The terms of the center ``(xi, Xi)``, such as the posterior mode's.
 
     ``scale = chol(2 Xi)``, so the nodes' Gaussian weight is ``N(xi, Xi)``.
     """
-    if center is not None:
-        xi, Xi = center
-    else:
-        report = fit_posterior(problem)
-        xi, Xi = report.xi, report.Xi
-    xi = np.asarray(xi, dtype=float)
     scale = np.linalg.cholesky(2.0 * Xi)
     L = problem.D_chol
     logdet = 2.0 * np.log(L.diagonal()).sum()
@@ -245,21 +239,20 @@ def _gh_raw(problem: GlmmProblem, order: int, center: _Center):
     return center.xi + scale @ mean_x, cov, float(log_norm + center.log_jac)
 
 
-def moments_quadrature(
-    problem: GlmmProblem, order: int = 64, center=None
-) -> PosteriorMoments:
+def moments_quadrature(problem: GlmmProblem, order: int = 64) -> PosteriorMoments:
     """Gauss-Hermite tensor quadrature posterior moments.
 
-    Nodes are affinely mapped through the Laplace covariance around the
-    posterior mode (or an explicit ``center=(xi, Xi)``), so the
-    Gauss-Hermite weight becomes ``N(xi, Xi)``.
+    Nodes are affinely mapped through the Laplace covariance ``Xi`` around
+    the posterior mode ``xi``, so the Gauss-Hermite weight becomes
+    ``N(xi, Xi)``.
     The error estimate is the sup-norm change of the mean when the order
     is halved.  Raises ``CapabilityError`` for r above
     ``QUADRATURE_DIM_LIMIT`` or a grid over ``QUADRATURE_BUDGET``, before
     anything is fitted or allocated.
     """
     _check_quadrature(problem, order)
-    return _quadrature(problem, order, _center_terms(problem, center), {})
+    fit = fit_posterior(problem)
+    return _quadrature(problem, order, _center_terms(problem, fit.xi, fit.Xi), {})
 
 
 def _quadrature(problem: GlmmProblem, order: int, center: _Center, evaluated: dict):
@@ -380,7 +373,7 @@ def adjudicate_exactness(problem: GlmmProblem, order: int = 64) -> ExactnessRepo
     """
     _check_quadrature(problem, order)
     fit = fit_posterior(problem)
-    center = _center_terms(problem, (fit.xi, fit.Xi))
+    center = _center_terms(problem, fit.xi, fit.Xi)
     evaluated = {}
     ref = _quadrature(problem, order, center, evaluated)
     while (
@@ -443,7 +436,7 @@ def verify_battery(rng):
         else:
             kernel = families.gaussian_kernel(1.0)
             y = eta + rng.standard_normal(n)
-        yield GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, D_chol=D_chol)
+        yield GlmmProblem(y=y, X=X, Z=Z, D=D, beta=beta, kernel=kernel, factor=D_chol)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def site_problem(data: SpatialData, blocked: BlockedCovariance, beta) -> GlmmPro
     n = blocked.n_observed
     return GlmmProblem(
         y=data.y, X=data.X, Z=None, D=blocked.d11, beta=beta, kernel=data.kernel,
-        D_chol=blocked.chol[:n, :n],
+        factor=blocked.chol[:n, :n],
     )
 
 

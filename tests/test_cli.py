@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -1312,7 +1313,7 @@ class TestOutputDirectory:
     def test_out_in_a_files_way_is_rejected_before_the_command(
         self, tmp_path, monkeypatch, capsys, command, below
     ):
-        def run(args):
+        def run(args, cfg):
             raise AssertionError("the command ran")
 
         monkeypatch.setitem(cli._COMMANDS, command, run)
@@ -1399,6 +1400,35 @@ class TestOutputDirectory:
         assert not out.exists()
 
 
+class TestConfigOnce:
+    """``main`` loads ``--config`` once, once ``--out`` is checked, for every command."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_config_is_loaded_once_after_the_out_check(self, tmp_path, monkeypatch, command):
+        calls = []
+        check_out, load_config = cli._check_out, dataio.load_config
+        monkeypatch.setattr(
+            cli, "_check_out", lambda out: calls.append("check_out") or check_out(out)
+        )
+        monkeypatch.setattr(
+            dataio, "load_config", lambda path: calls.append("load_config") or load_config(path)
+        )
+        payload = {
+            "beta": [1.5], "matern": {"omega1": 0.5, "omega2": 1.0},
+            "validate": {"splits": 1, "n_train": 16, "n_test": 6, "tiers": ["intercept"]},
+            "simulate": {"n": 10, "n_star": 5, "replications": 1},
+            "verify": {"identity_instances": 1, "order": 32},
+        }
+        argv = [command, "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        if command in ("fit", "predict", "validate"):
+            argv += ["--data", poisson_dataset(tmp_path, n=24)[0]]
+        if command == "predict":
+            argv += ["--test", poisson_dataset(tmp_path, n=5, seed=1, name="test.csv")[0]]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == ["check_out", "load_config"]
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "command, flag",
@@ -1425,6 +1455,14 @@ class TestFlags:
         assert cli.main([*argv, "--out", "out"]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_subcommands_are_the_commands_in_order(self):
+        [sub] = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        assert list(cli._COMMANDS) == ["fit", "predict", "simulate", "validate", "verify"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

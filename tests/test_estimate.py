@@ -224,7 +224,9 @@ def value_and_gradient(data, beta, omega, dist, fit_omega=True):
     """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
     report = estimate_module._fit(data, beta, omega, dist)
     dD = estimate_module._prior_derivatives(report.problem, omega, dist) if fit_omega else ()
-    grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
+    Rinv = potri(report.chol)
+    terms = estimate_module._marginal_terms(report, dD, Rinv)
+    grad = estimate_module._surrogate_gradient(report, Rinv, terms)
     return estimate_module.laplace_marginal(report), grad
 
 
@@ -266,7 +268,8 @@ class TestGradient:
 
         monkeypatch.setattr(estimate_module, "laplace_skew", skew)
         Rinv = potri(report.chol)
-        estimate_module._surrogate_gradient(report, (report.problem.D,), Rinv)
+        terms = estimate_module._marginal_terms(report, (report.problem.D,), Rinv)
+        estimate_module._surrogate_gradient(report, Rinv, terms)
         assert np.allclose(seen[0], report.Xi.diagonal(), rtol=1e-12, atol=0.0)
 
     def test_beta_block_alone_without_distances(self):
@@ -373,7 +376,9 @@ class TestInformation:
 
         def beta_gradient(b):
             rep = estimate_module._fit(data, b, omega, dist)
-            return estimate_module._surrogate_gradient(rep, (), potri(rep.chol))
+            Rinv = potri(rep.chol)
+            terms = estimate_module._marginal_terms(rep, (), Rinv)
+            return estimate_module._surrogate_gradient(rep, Rinv, terms)
 
         h = 1e-3
         hessian = np.column_stack([
@@ -481,6 +486,28 @@ class TestScoringStep:
         jittered = int(warnings[0].split(" on ")[1].split()[0])
         assert 1 < jittered <= result.fits
         assert warnings[0].endswith(f"of {result.fits} trial priors")
+
+    def test_jitter_count_leaves_out_the_boundary_fit(self, monkeypatch, caplog):
+        # the limit prior sill * I is no Matern prior and needs no jitter
+        priors = []
+
+        class Jittered(covariance.BlockedCovariance):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.jitter = 1e-10
+                priors.append(self)
+
+        monkeypatch.setattr(estimate_module, "BlockedCovariance", Jittered)
+        monkeypatch.setattr(estimate_module, "_nearest_correlation", lambda omega, dist: 0.0)
+        data, omega = poisson_data(seed=6, n=40)
+        with caplog.at_level("WARNING"):
+            result = estimate(data, None, omega)
+        assert result.converged and result.fits == len(priors) + 1
+        [warning] = [
+            r.getMessage() for r in caplog.records
+            if "covariance jitter escalated" in r.getMessage()
+        ]
+        assert warning.endswith(f"on {len(priors)} of {len(priors)} trial priors")
 
 
 class TestPrecisionOnce:

@@ -1,5 +1,5 @@
 import ast
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from glmmfp import _lapack, families, fixed_point
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior
-from glmmfp.oracle import fixed_point_residual
+from glmmfp.oracle import fixed_point_residual, moments_quadrature
 
 
 def random_problem(rng, family, n, r):
@@ -345,7 +345,7 @@ class TestSolverPaths:
         base = random_problem(rng, family, 15, 15)
         problems = [
             GlmmProblem(y=base.y, X=base.X, Z=None, D=blocked.d11, beta=base.beta,
-                        kernel=base.kernel, D_chol=blocked.chol[:15, :15]),
+                        kernel=base.kernel, factor=blocked.chol[:15, :15]),
             random_problem(rng, family, 30, 3),
         ]
         full = blocked.full.copy()
@@ -557,9 +557,10 @@ class TestNonConvergence:
             y=y, X=np.zeros((2, 1)), Z=z[:, None], D=np.array([[100.0]]),
             beta=np.zeros(1), kernel=poisson_kernel(),
         )
-        xi0, b0 = fixed_point._start(problem)
+        buf = np.empty((2, 2), order="F")
+        xi0, b0 = fixed_point._start(problem, buf, None)
         eta0 = problem.Z @ xi0
-        _, delta, d_b, _ = fixed_point._newton_step(problem, eta0, b0)
+        _, delta, d_b, _ = fixed_point._newton_step(problem, eta0, b0, buf)
         full = fixed_point._log_posterior(
             problem, problem.Z @ (xi0 + delta), xi0 + delta, problem.Z.T @ (b0 + d_b)
         )
@@ -723,7 +724,7 @@ class TestPriorFactor:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        self.problem(blocked.d11, D_chol=blocked.chol)
+        self.problem(blocked.d11, factor=blocked.chol)
         assert calls == []
         self.problem(blocked.d11)
         assert calls == [(5, 5)]
@@ -731,7 +732,7 @@ class TestPriorFactor:
     def test_factor_must_match_the_prior(self):
         blocked = build_blocked(MaternParams(0.5, 1.0), np.arange(10.0).reshape(5, 2))
         with pytest.raises(ValueError, match="factor"):
-            self.problem(blocked.d11, D_chol=blocked.chol[:4, :4])
+            self.problem(blocked.d11, factor=blocked.chol[:4, :4])
 
     @pytest.mark.parametrize(
         "D",
@@ -746,7 +747,7 @@ class TestPriorFactor:
         with pytest.raises(ValueError, match="symmetric|positive definite"):
             self.problem(D)
         with pytest.raises(ValueError, match="symmetric|positive definite"):
-            self.problem(D, D_chol=None)
+            self.problem(D, factor=None)
 
 
 class TestReplacedPrior:
@@ -760,7 +761,7 @@ class TestReplacedPrior:
         fit_posterior(first)  # caches the response term
         blocked = build_blocked(MaternParams(0.3, 2.0, 1.5), rng.uniform(0, 6, (12, 2)))
         beta = first.beta + 0.2
-        moved = replace(first, D=blocked.d11, beta=beta, D_chol=blocked.chol)
+        moved = replace(first, D=blocked.d11, beta=beta, factor=blocked.chol)
         fresh = GlmmProblem(
             y=first.y, X=first.X, Z=first.Z, D=blocked.d11, beta=beta,
             kernel=first.kernel,
@@ -777,17 +778,34 @@ class TestReplacedPrior:
         rng = np.random.default_rng(4)
         first = random_problem(rng, "poisson", 9, 3)
         first.ZDZt  # noqa: B018 - cached before the copy
-        moved = replace(first, D=2.0 * first.D, D_chol=None)
+        moved = replace(first, D=2.0 * first.D)
         assert np.allclose(moved.ZDZt, 2.0 * first.ZDZt, rtol=1e-14, atol=0.0)
 
     def test_prior_is_checked(self):
         rng = np.random.default_rng(5)
         first = identity_problem(rng, "poisson", 6)
         with pytest.raises(ValueError, match="positive definite"):
-            replace(first, D=-np.eye(6), D_chol=None)
+            replace(first, D=-np.eye(6))
         with pytest.raises(ValueError, match="r x r"):
-            replace(first, D=np.eye(5), D_chol=None)
+            replace(first, D=np.eye(5))
         with pytest.raises(ValueError, match="beta length"):
             replace(first, beta=np.zeros(first.beta.shape[0] + 1))
         with pytest.raises(ValueError, match="factor"):
-            replace(first, D=np.eye(6), D_chol=np.eye(5))
+            replace(first, D=np.eye(6), factor=np.eye(5))
+
+    def test_replaced_prior_is_certified_afresh(self):
+        # the copy keeps no factor of the first prior: quadrature reads D_chol
+        first = random_problem(np.random.default_rng(8), "poisson", 5, 2)
+        moved = replace(first, D=4.0 * np.eye(2))
+        fresh = GlmmProblem(
+            y=first.y, X=first.X, Z=first.Z, D=4.0 * np.eye(2), beta=first.beta,
+            kernel=first.kernel,
+        )
+        assert np.array_equal(moved.D_chol, np.linalg.cholesky(4.0 * np.eye(2)))
+        a, b = moments_quadrature(moved, order=32), moments_quadrature(fresh, order=32)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert a.log_marginal == b.log_marginal
+
+    def test_no_field_holds_a_factor(self):
+        names = [f.name for f in fields(GlmmProblem)]
+        assert names == ["y", "X", "Z", "D", "beta", "kernel"]

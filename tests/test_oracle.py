@@ -82,9 +82,8 @@ class TestQuadrature:
     def test_insensitive_to_center(self):
         problem = scalar_poisson()
         a = moments_quadrature(problem, order=192)
-        b = moments_quadrature(
-            problem, order=192, center=(np.array([0.1]), np.array([[0.9]]))
-        )
+        center = oracle._center_terms(problem, np.array([0.1]), np.array([[0.9]]))
+        b = oracle._quadrature(problem, 192, center, {})
         assert a.mean[0] == pytest.approx(b.mean[0], abs=1e-9)
         assert a.log_marginal == pytest.approx(b.log_marginal, abs=1e-9)
 
@@ -119,9 +118,10 @@ class TestQuadrature:
     def test_underflow_of_every_node_weight_is_a_floating_point_error(self):
         # centred at xi = 800 with Xi = 1e-6, each node's Poisson mean e^800
         # overflows, so each node's log likelihood, and log weight, is -inf
-        center = (np.array([800.0]), np.array([[1e-6]]))
+        problem = scalar_poisson(y=3.0)
+        center = oracle._center_terms(problem, np.array([800.0]), np.array([[1e-6]]))
         with pytest.raises(FloatingPointError, match="all quadrature node weights"):
-            moments_quadrature(scalar_poisson(y=3.0), order=16, center=center)
+            oracle._quadrature(problem, 16, center, {})
 
 
 def gaussian_r5():
@@ -414,7 +414,7 @@ def escalated_r2_poisson():
 
 def assert_matches_gamma_space(problem, order):
     fit = fit_posterior(problem)
-    center = oracle._center_terms(problem, (fit.xi, fit.Xi))
+    center = oracle._center_terms(problem, fit.xi, fit.Xi)
     mean, cov, logz = oracle._gh_raw(problem, order, center)
     ref_mean, ref_cov, ref_logz = gamma_space_quadrature(problem, order, fit.xi, center.scale)
     np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-12)
@@ -431,8 +431,8 @@ class TestCenterTerms:
         centers, evaluated = [], {}
         center_terms, gh_raw = oracle._center_terms, oracle._gh_raw
 
-        def counted_center(problem, center=None):
-            centers.append(center_terms(problem, center))
+        def counted_center(problem, xi, Xi):
+            centers.append(center_terms(problem, xi, Xi))
             return centers[-1]
 
         def recorded(problem, k, center):
@@ -446,13 +446,12 @@ class TestCenterTerms:
         assert len(centers) == 1
         assert sorted(evaluated) == [k for k in (32, 64, 128, 256) if k <= order]
         monkeypatch.undo()
-        fit = report.fit
         for k, (mean, cov, logz) in evaluated.items():
-            ref = moments_quadrature(problem, order=k, center=(fit.xi, fit.Xi))
+            ref = moments_quadrature(problem, order=k)
             assert np.array_equal(mean, ref.mean)
             assert np.array_equal(cov, ref.cov)
             assert logz == ref.log_marginal
-        ref = moments_quadrature(problem, order=order, center=(fit.xi, fit.Xi))
+        ref = moments_quadrature(problem, order=order)
         assert report.oracle.error_estimate == ref.error_estimate
 
 
@@ -555,7 +554,7 @@ def poisson_n40_r2():
 
 def assert_bitwise_node_major(problem, order):
     fit = fit_posterior(problem)
-    center = oracle._center_terms(problem, (fit.xi, fit.Xi))
+    center = oracle._center_terms(problem, fit.xi, fit.Xi)
     scale = center.scale
     x, _ = product_grid(order, problem.r)
     assert np.array_equal(
@@ -636,7 +635,7 @@ class TestNodeContiguousLayout:
 
 def centered(problem):
     fit = fit_posterior(problem)
-    return oracle._center_terms(problem, (fit.xi, fit.Xi))
+    return oracle._center_terms(problem, fit.xi, fit.Xi)
 
 
 def gh_raw_bytes(problem, order, center):

@@ -395,7 +395,9 @@ class TestFactorizationBudget:
         report = estimate_module._fit(data, np.array([1.4]), omega, dist)
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         value = estimate_module.laplace_marginal(report)
-        grad = estimate_module._surrogate_gradient(report, dD, potri(report.chol))
+        Rinv = potri(report.chol)
+        terms = estimate_module._marginal_terms(report, dD, Rinv)
+        grad = estimate_module._surrogate_gradient(report, Rinv, terms)
         assert np.isfinite(value) and grad.shape == (3,)
         assert calls.count("prior") == 1 and "cholesky" not in calls
         assert in_solver == [len(calls) - 1]
