@@ -12,8 +12,10 @@ and unobserved sites, one band of 64 rows at a time: numpy computes the
 band's distances to the sites up to it, bit for bit as ``cdist`` does,
 :func:`matern` overwrites them with the covariance, and the band's
 transpose fills the entries above it.  No ``scipy.spatial`` is loaded.
-Its one Cholesky factor is all that callers need, to draw from it, to
-certify its observed block and to krig a draw (:mod:`simulate`'s oracle).
+The observed rows are copied out, and the buffer is then factored in
+place: its one Cholesky factor is all that callers need, to draw from
+it, to certify its observed block and to krig a draw (:mod:`simulate`'s
+oracle).  A prior holds (n + n*)^2 + n (n + n*) doubles.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._lapack import potrf, workspace
+from ._lapack import potrf
 
 log = logging.getLogger(__name__)
 
 # (n + n*)**2 doubles, the most that a prior over n + n* sites may hold.
-# A fit peaks at about three such arrays (the covariance in its distance
-# buffer, its factor, the mode fit's n x n buffer); 2**24 doubles is
-# 128 MiB an array, and n + n* <= 4096
+# A fit peaks at about one such array (the covariance, factored in its
+# distance buffer), plus the n x (n + n*) observed rows and the mode fit's
+# n x n buffer; 2**24 doubles is 128 MiB an array, and n + n* <= 4096
 PRIOR_BUDGET = 2**24
 
 _JITTER_START = 1e-10
@@ -165,29 +167,38 @@ def matern_scale_derivative(params: MaternParams, d, second: bool = False) -> np
 
 
 class BlockedCovariance:
-    """Observed/unobserved partition of a spatial prior covariance.
+    """Observed/unobserved partition of a spatial prior covariance, and its factor.
 
-    ``full`` is the (n + n*) x (n + n*) matrix; ``d11`` (observed-
-    observed, n x n), ``d12`` (observed-unobserved, n x n*) and ``d22``
-    (unobserved-unobserved, n* x n*) are views of it.  The constructor
-    takes ``full``, which must be exactly symmetric (as the one distance
-    buffer of :func:`build_blocked` is), and ``n``, and certifies
-    positive definiteness by Cholesky, escalating a diagonal jitter
-    tenfold from 1e-10 up to 1e-6 times the largest diagonal entry (the
-    sill) before giving up.  Exact symmetry puts every entry of ``full``
-    in the factored triangle, so a non-finite ``full`` raises ``ValueError``
-    and a finite one is not scanned.  ``jitter`` is the regularization
-    that was needed, which the constructor does not log, and ``chol`` the
-    factor of the jittered ``full``, upper triangle zeroed; its leading
-    n x n block is the factor of ``d11``, so callers draw, krig and
-    certify ``d11`` with it instead of factoring again.
-    The factor is made in ``buf`` (:func:`_lapack.workspace`).
+    The constructor takes ``full``, the exactly symmetric (n + n*) x (n + n*)
+    covariance (as the one distance buffer of :func:`build_blocked` is) in a
+    C-ordered float array, and ``n``.  It copies the observed rows into
+    ``rows`` (``buf``, a C-ordered n x (n + n*) float array whose lender no
+    longer reads it, or a new one), of which ``d11`` (n x n) and ``d12``
+    (n x n*) are views.  Then it factors ``full`` in place, certifying
+    positive definiteness, and escalates a diagonal jitter tenfold from
+    1e-10 up to 1e-6 times the largest diagonal entry (the sill) before
+    giving up; LAPACK writes only the upper triangle of ``full``, so each
+    retry restores it from the strict lower one.  Exact symmetry puts every
+    entry in the factored triangle, so a non-finite ``full`` raises
+    ``ValueError`` and a finite one is not scanned.  ``jitter`` is the
+    regularization that was needed, which the constructor does not log, and
+    ``chol``, in ``full``'s memory, the factor of the jittered covariance,
+    upper triangle zeroed; its leading n x n block is the factor of ``d11``,
+    so callers draw, krig and certify ``d11`` with it instead of factoring
+    again.
     """
 
     def __init__(self, full: np.ndarray, n: int, buf: np.ndarray | None = None):
-        buf = workspace(buf, full.shape)
-        self.full = full
-        self.d11, self.d12, self.d22 = full[:n, :n], full[:n, n:], full[n:, n:]
+        m = len(full)
+        if full.shape != (m, m) or full.dtype != float or not full.flags.c_contiguous:
+            raise ValueError("the covariance must be a C-ordered square float array")
+        if buf is None:
+            buf = np.empty((n, m))
+        elif buf.shape != (n, m) or buf.dtype != float or not buf.flags.c_contiguous:
+            raise ValueError(f"a lent buffer must be a C-ordered {(n, m)} float array")
+        self.rows = buf
+        np.copyto(buf, full[:n])
+        self.d11, self.d12 = buf[:, :n], buf[:, n:]
         self.jitter = 0.0
         diag = full.diagonal().copy()
         scale = np.max(diag, initial=0.0)
@@ -195,11 +206,11 @@ class BlockedCovariance:
         cap = _JITTER_CAP * scale
         while True:
             try:
-                # full is exactly symmetric, so its F-ordered transpose is
-                # full itself; the copy keeps full for the next jitter
-                np.copyto(buf, full.T)
-                chol = potrf(buf)
+                # full is exactly symmetric, so its F-ordered transpose is full itself
+                chol = potrf(full.T)
             except np.linalg.LinAlgError:
+                _mirror_lower(full)
+                np.fill_diagonal(full, diag + candidate)
                 if self.jitter == 0.0 and not np.all(np.isfinite(full)):
                     raise ValueError(_NON_FINITE) from None
                 if not 0.0 < candidate <= cap:
@@ -208,15 +219,15 @@ class BlockedCovariance:
                         "escalation"
                     ) from None
                 self.jitter = candidate
-                np.fill_diagonal(full, diag + candidate)
+                np.fill_diagonal(buf, diag[:n] + candidate)
                 candidate *= 10.0
             else:
                 if not np.all(np.isfinite(chol.diagonal())):
                     raise ValueError(_NON_FINITE)
-                # zero the upper triangle in bands of the contiguous rows of chol.T
-                ct, b = chol.T, len(_BAND_LOWER)
-                for j in range(0, len(ct), b):
-                    band = ct[j : j + b]
+                # zero the upper triangle in bands of the contiguous rows of full
+                b = len(_BAND_LOWER)
+                for j in range(0, m, b):
+                    band = full[j : j + b]
                     band[:, :j] = 0.0
                     band[:, j : j + b][_BAND_LOWER[: len(band), : len(band)]] = 0.0
                 self.chol = chol
@@ -225,6 +236,17 @@ class BlockedCovariance:
     @property
     def n_observed(self) -> int:
         return self.d11.shape[0]
+
+
+def _mirror_lower(a):
+    """Copy the strict lower triangle of the square ``a`` over its upper one, in
+    bands of ``len(_BAND_LOWER)`` rows: no index array of ``a``'s size."""
+    b = len(_BAND_LOWER)
+    for i in range(0, len(a), b):
+        block = a[i : i + b, i : i + b]
+        upper = _BAND_LOWER[: len(block), : len(block)].T
+        block[upper] = block.T[upper]
+        a[i : i + b, i + b :] = a[i + b :, i : i + b].T
 
 
 def _as_coords(coords) -> np.ndarray:
@@ -350,15 +372,18 @@ def build_blocked(
     jitter that was needed is logged as a warning, once per prior.
 
     ``spent``, a :class:`BlockedCovariance` over as many sites that its
-    lender no longer reads, lends its two buffers: the covariance is
-    written into its ``full`` and the factor into its ``chol``, so nothing
-    of size (n + n*)^2 is allocated, and the result is bit for bit the one
+    lender no longer reads, lends its buffers: the covariance is written
+    and factored in the memory of its ``chol``, and the observed rows are
+    copied into its ``rows`` if it observed as many sites, so nothing of
+    size (n + n*)^2 is allocated, and the result is bit for bit the one
     built without it.  A ``spent`` prior over another number of sites
     raises ``ValueError``.
     """
-    full, buf = (None, None) if spent is None else (spent.full, spent.chol)
+    full = None if spent is None else spent.chol.T
     full = _fill_bands(coords_obs, coords_unobs, full, params)
-    blocked = BlockedCovariance(full, len(coords_obs), buf)
+    n = len(coords_obs)
+    rows = None if spent is None or spent.n_observed != n else spent.rows
+    blocked = BlockedCovariance(full, n, rows)
     if blocked.jitter:
         log.warning("covariance jitter escalated to %.3e", blocked.jitter)
     return blocked

@@ -169,17 +169,14 @@ class EstimateResult:
             )
 
 
-def _fit(
-    data: SpatialData, beta, omega: MaternParams, dist, accepted=None, jitters=None
-):
+def _fit(data: SpatialData, beta, omega: MaternParams, dist, accepted, jitters):
     """The mode at (beta, omega), on the prior over the checked site ``dist``.
 
-    ``accepted``, an earlier fit for the same ``data``, starts the fit at its
-    mode's predictor; ``jitters``, a list, receives the prior's jitter.
+    ``accepted``, None or an earlier fit for the same ``data``, starts the fit
+    at its mode's predictor; ``jitters``, a list, receives the prior's jitter.
     """
     blocked = BlockedCovariance(matern(omega, dist), len(dist))
-    if jitters is not None:
-        jitters.append(blocked.jitter)
+    jitters.append(blocked.jitter)
     eta0 = None if accepted is None else accepted.eta
     return fit_posterior(site_problem(data, blocked, beta), eta0=eta0)
 

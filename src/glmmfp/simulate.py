@@ -25,10 +25,10 @@ oracle's predictor is exactly D21 D11^-1 gamma = L21 z1: one product with
 the draw's own normals, and no solve with D11.
 
 Once its scenarios are recorded, a replication is dead: nothing reads it
-again.  It lends the next replication its prior's two (n + n*)^2 buffers
-and its n x n buffer, in which the ``sic_true`` fit's factor is made, so
-only the first replication of a run allocates them; every number is the
-same as with fresh buffers.
+again.  It lends the next replication its prior's (n + n*)^2 buffer and
+n x (n + n*) rows, and its n x n buffer, in which the ``sic_true`` fit's
+factor is made, so only the first replication of a run allocates them;
+every number is the same as with fresh buffers.
 
 Replications draw independent streams from (seed, replication index),
 so results are identical regardless of execution order.

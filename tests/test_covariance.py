@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 
+from glmmfp import covariance
 from glmmfp.covariance import (
     PRIOR_BUDGET,
     BlockedCovariance,
@@ -16,6 +17,19 @@ from glmmfp.covariance import (
     matern_scale_derivative,
     site_distances,
 )
+
+
+def covariance_of(params, obs, unobs=None, jitter=0.0):
+    """The prior that ``build_blocked`` factors, built independently: the Matern
+    covariance of the site distances, ``jitter`` added to its diagonal."""
+    full = matern(params, site_distances(obs, unobs))
+    full[np.diag_indices_from(full)] += jitter
+    return full
+
+
+def lapack_factor(a):
+    """Lower triangle of LAPACK's Cholesky factor of ``a``, upper zeroed."""
+    return np.tril(cho_factor(a, lower=True)[0])
 
 
 def mpmath_matern(omega1, omega2, omega3, d, dps=40):
@@ -179,20 +193,24 @@ class TestBuildBlocked:
         rng = np.random.default_rng(0)
         obs = rng.uniform(0, 5, size=(12, 2))
         unobs = rng.uniform(0, 5, size=(7, 2))
-        b = build_blocked(MaternParams(0.5, 1.0), obs, unobs)
+        params = MaternParams(0.5, 1.0)
+        b = build_blocked(params, obs, unobs)
         assert b.d11.shape == (12, 12)
         assert b.d12.shape == (12, 7)
-        assert b.d22.shape == (7, 7)
+        assert b.chol.shape == (19, 19)
         assert np.allclose(b.d11, b.d11.T)
-        assert np.allclose(b.full, b.full.T)
-        assert b.n_observed == 12 and b.d22.shape == (7, 7)
+        full = covariance_of(params, obs, unobs, b.jitter)
+        assert np.allclose(full, full.T)
+        assert np.allclose(b.chol @ b.chol.T, full)
+        assert b.n_observed == 12 and b.rows.shape == (12, 19)
 
     def test_full_is_positive_definite(self):
         rng = np.random.default_rng(1)
         obs = rng.uniform(0, 5, size=(20, 2))
         unobs = rng.uniform(0, 5, size=(5, 2))
-        b = build_blocked(MaternParams(0.5, 1.0, 1.5), obs, unobs)
-        np.linalg.cholesky(b.full)  # must not raise
+        params = MaternParams(0.5, 1.0, 1.5)
+        b = build_blocked(params, obs, unobs)
+        np.linalg.cholesky(covariance_of(params, obs, unobs, b.jitter))  # must not raise
 
     def test_entries_match_matern(self):
         obs = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -201,14 +219,15 @@ class TestBuildBlocked:
         b = build_blocked(p, obs, unobs)
         assert b.d11[0, 1] == pytest.approx(matern(p, 1.0), abs=1e-15)
         assert b.d12[0, 0] == pytest.approx(matern(p, 2.0), abs=1e-15)
-        assert b.d22[0, 0] == pytest.approx(p.sill, abs=1e-15)
+        # the unobserved site's variance, from the factor's last row
+        assert b.chol[2] @ b.chol[2] == pytest.approx(p.sill, abs=1e-15)
 
     def test_no_unobserved_block(self):
         obs = np.array([[0.0, 0.0], [1.0, 1.0]])
         b = build_blocked(MaternParams(0.5, 1.0), obs)
         assert b.d12.shape == (2, 0)
-        assert b.d22.shape == (0, 0)
-        assert b.full.shape == (2, 2)
+        assert b.rows.shape == (2, 2)
+        assert b.chol.shape == (2, 2)
 
     def test_duplicate_observed_sites_rejected(self):
         obs = np.array([[0.0, 0.0], [0.0, 0.0]])
@@ -220,9 +239,10 @@ class TestBuildBlocked:
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         near = base + 1e-13
         obs = np.vstack([base, near])
-        b = build_blocked(MaternParams(0.9, 0.5, 2.5), obs)
+        params = MaternParams(0.9, 0.5, 2.5)
+        b = build_blocked(params, obs)
         assert b.jitter > 0
-        np.linalg.cholesky(b.full)
+        np.linalg.cholesky(covariance_of(params, obs, None, b.jitter))
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -242,13 +262,15 @@ class TestBuildBlocked:
         d12 = np.zeros((2, 1))
         d22 = np.eye(1)
         b = BlockedCovariance(np.block([[d11, d12], [d12.T, d22]]), 2)
-        assert np.array_equal(b.full, np.eye(3))
+        # the identity is its own factor
+        assert np.array_equal(b.chol, np.eye(3))
         assert np.array_equal(b.d11, d11) and np.array_equal(b.d12, d12)
-        assert np.array_equal(b.d22, d22)
+        assert np.array_equal(b.chol[2:, 2:], d22)
 
 
 class TestAssembly:
-    """One preallocated ``full`` with the blocks as views of it."""
+    """One preallocated covariance, factored in place; the observed rows are
+    copied out first and the blocks are views of them."""
 
     @staticmethod
     def stacked(params, obs, unobs, jitter):
@@ -272,10 +294,10 @@ class TestAssembly:
         params = MaternParams(0.6, 0.8, nu)
         b = build_blocked(params, obs, unobs)
         assert b.jitter == 0.0
-        stacked = self.stacked(params, obs, unobs, 0.0)
-        for got, want in zip((b.d11, b.d12, b.d22, b.full), stacked):
+        d11, d12, _, full = self.stacked(params, obs, unobs, 0.0)
+        for got, want in ((b.d11, d11), (b.d12, d12), (b.chol, lapack_factor(full))):
             assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.array_equal(b.full, b.full.T)
+        assert np.array_equal(b.d11, b.d11.T)
 
     def test_site_distances_are_one_symmetric_cdist(self):
         rng = np.random.default_rng(8)
@@ -313,18 +335,21 @@ class TestAssembly:
         params = MaternParams(0.9, 0.5, 2.5)
         b = build_blocked(params, obs, unobs)
         assert b.jitter > 0
-        stacked = self.stacked(params, obs, unobs, b.jitter)
-        for got, want in zip((b.d11, b.d12, b.d22, b.full), stacked):
+        d11, d12, _, full = self.stacked(params, obs, unobs, b.jitter)
+        for got, want in ((b.d11, d11), (b.d12, d12), (b.chol, lapack_factor(full))):
             assert np.array_equal(got, want)
 
     def test_blocks_are_views_and_chol_factors_full(self):
         rng = np.random.default_rng(5)
-        b = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 5, size=(8, 2)),
-                          rng.uniform(0, 5, size=(3, 2)))
-        for block in (b.d11, b.d12, b.d22):
-            assert np.shares_memory(block, b.full)
-        assert np.array_equal(b.full[8:, :8], b.d12.T)
-        assert np.array_equal(b.chol, np.linalg.cholesky(b.full))
+        params = MaternParams(0.5, 1.0)
+        obs, unobs = rng.uniform(0, 5, size=(8, 2)), rng.uniform(0, 5, size=(3, 2))
+        b = build_blocked(params, obs, unobs)
+        for block in (b.d11, b.d12):
+            assert np.shares_memory(block, b.rows)
+            assert block.strides == (8 * 11, 8)
+        full = covariance_of(params, obs, unobs, b.jitter)
+        assert np.array_equal(full[:8], b.rows)
+        assert np.array_equal(b.chol, np.linalg.cholesky(full))
         # the leading block factors d11, up to a blocked factorization's rounding
         assert np.allclose(b.chol[:8, :8], np.linalg.cholesky(b.d11), rtol=0, atol=1e-14)
 
@@ -354,8 +379,12 @@ class TestBands:
         obs, unobs = rng.uniform(0, 5, size=(100, 2)), rng.uniform(0, 5, size=(70, 2))
         params = MaternParams(0.6, 0.8, nu)
         sites = np.vstack([obs, unobs])
-        full = build_blocked(params, obs, unobs).full
-        assert np.array_equal(full, matern(params, cdist(sites, sites)))
+        want = matern(params, cdist(sites, sites))
+        assert np.array_equal(covariance._fill_bands(obs, unobs, params=params), want)
+        b = build_blocked(params, obs, unobs)
+        assert b.jitter == 0.0
+        assert np.array_equal(b.rows, want[:100])
+        assert np.array_equal(b.chol, lapack_factor(want))
 
     @pytest.mark.parametrize("pair", [(128, 3), (128, 127), (129, 128)])
     def test_duplicate_observed_pair_in_the_last_band_rejected(self, pair):
@@ -371,14 +400,14 @@ class TestBands:
         build_blocked(MaternParams(0.5, 1.0), sites[:100], sites[100:])
 
     def test_lent_buffer_of_another_order_or_dtype_rejected(self):
-        # a spent prior lends its full to the bands, which check it first
+        # a spent prior lends its factor's memory to the bands, which check it first
         sites = np.random.default_rng(14).uniform(0, 5, size=(5, 2))
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, sites)
         for out in (np.zeros((5, 5), order="F"), np.zeros((5, 5), dtype=np.float32),
                     np.zeros((5, 4))):
             before = out.copy()
-            spent.full = out
+            spent.chol = out.T
             with pytest.raises(ValueError, match="incorrect shape"):
                 build_blocked(params, sites, spent=spent)
             assert np.array_equal(out, before)
@@ -439,7 +468,8 @@ class TestCrossCovariance:
 
 
 class TestSpentPrior:
-    """A dead prior over as many sites lends ``full`` and ``chol`` to the next."""
+    """A dead prior over as many sites lends the memory of its ``chol``, and its
+    ``rows`` if it observed as many sites, to the next."""
 
     @staticmethod
     def sites(seed, n, n_star, near=False):
@@ -456,36 +486,39 @@ class TestSpentPrior:
     def test_lent_buffers_hold_the_fresh_prior_bit_for_bit(self, nu, near):
         params = MaternParams(0.9, 0.5, nu)
         spent = build_blocked(params, *self.sites(1, 12, 5, near[0]))
-        full, chol = spent.full, spent.chol
+        rows, chol = spent.rows, spent.chol
         lent = build_blocked(params, *self.sites(2, 12, 5, near[1]), spent=spent)
         fresh = build_blocked(params, *self.sites(2, 12, 5, near[1]))
-        assert lent.full is full and lent.chol is chol
-        assert lent.chol.flags.f_contiguous
+        assert lent.rows is rows and np.shares_memory(lent.chol, chol)
+        assert lent.chol.flags.f_contiguous and lent.chol.strides == chol.strides
         assert lent.jitter == fresh.jitter and (lent.jitter > 0) == near[1]
-        for name in ("full", "chol", "d11", "d12", "d22"):
+        for name in ("rows", "chol", "d11", "d12"):
             assert np.array_equal(getattr(lent, name), getattr(fresh, name))
 
     def test_lent_buffers_may_split_the_sites_otherwise(self):
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, *self.sites(3, 9, 4))
+        chol = spent.chol
         lent = build_blocked(params, *self.sites(4, 5, 8), spent=spent)
         fresh = build_blocked(params, *self.sites(4, 5, 8))
-        assert lent.n_observed == 5 and lent.d22.shape == (8, 8)
+        assert lent.n_observed == 5 and lent.d12.shape == (5, 8)
+        assert np.shares_memory(lent.chol, chol)
         assert np.array_equal(lent.chol, fresh.chol)
+        assert np.array_equal(lent.rows, fresh.rows)
 
     @pytest.mark.parametrize("n, n_star", [(12, 6), (12, 4), (1, 0)])
     def test_prior_over_another_number_of_sites_rejected(self, n, n_star):
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, *self.sites(5, 12, 5))
-        full, chol = spent.full.copy(), spent.chol.copy()
+        rows, chol = spent.rows.copy(), spent.chol.copy()
         with pytest.raises(ValueError, match="incorrect shape"):
             build_blocked(params, *self.sites(6, n, n_star), spent=spent)
-        assert np.array_equal(spent.full, full) and np.array_equal(spent.chol, chol)
+        assert np.array_equal(spent.rows, rows) and np.array_equal(spent.chol, chol)
 
-    def test_factor_buffer_of_another_shape_or_order_rejected(self):
-        full = build_blocked(MaternParams(0.5, 1.0), *self.sites(7, 4, 2)).full
-        for buf in (np.empty((6, 6)), np.empty((1, 1), order="F"),
-                    np.empty((5, 5), order="F")):
+    def test_rows_buffer_of_another_shape_order_or_dtype_rejected(self):
+        full = covariance_of(MaternParams(0.5, 1.0), *self.sites(7, 4, 2))
+        for buf in (np.empty((6, 6)), np.empty((4, 6), order="F"), np.empty((4, 5)),
+                    np.empty((4, 6), dtype=np.float32)):
             with pytest.raises(ValueError, match="lent buffer"):
                 BlockedCovariance(full.copy(), 4, buf)
 
@@ -501,39 +534,42 @@ class TestSpentPrior:
 
 
 class TestLapackFactor:
-    """``chol`` is LAPACK's lower factor of ``full``, upper triangle zeroed."""
+    """``chol`` is LAPACK's lower factor of the covariance, upper triangle zeroed."""
 
     @staticmethod
-    def check(b):
-        chol = b.chol
+    def check(b, params, obs, unobs):
+        chol, full = b.chol, covariance_of(params, obs, unobs, b.jitter)
         assert np.array_equal(np.triu(chol, 1), np.zeros_like(chol))
         # the zeroing touches only the strict upper triangle of LAPACK's output
-        assert np.array_equal(chol, np.tril(cho_factor(b.full.T, lower=True)[0]))
-        rel = np.max(np.abs(chol @ chol.T - b.full)) / np.max(np.abs(b.full))
+        assert np.array_equal(chol, np.tril(cho_factor(full.T, lower=True)[0]))
+        rel = np.max(np.abs(chol @ chol.T - full)) / np.max(np.abs(full))
         assert rel < 1e-13
 
     @pytest.mark.parametrize("n_star", [9, 0])
     @pytest.mark.parametrize("nu", [0.5, 1.2, 1.5, 2.5])
     def test_factor_reproduces_full(self, nu, n_star):
         rng = np.random.default_rng(6)
-        b = build_blocked(MaternParams(0.6, 0.8, nu), rng.uniform(0, 5, size=(40, 2)),
-                          rng.uniform(0, 5, size=(n_star, 2)))
+        params = MaternParams(0.6, 0.8, nu)
+        sites = rng.uniform(0, 5, size=(40, 2)), rng.uniform(0, 5, size=(n_star, 2))
+        b = build_blocked(params, *sites)
         assert b.jitter == 0.0
-        self.check(b)
+        self.check(b, params, *sites)
 
     @pytest.mark.parametrize("n, n_star", [(64, 0), (100, 37), (400, 400)])
     def test_upper_triangle_zeroed_across_row_bands(self, n, n_star):
         rng = np.random.default_rng(7)
-        b = build_blocked(MaternParams(0.6, 0.8), rng.uniform(0, 20, size=(n, 2)),
-                          rng.uniform(0, 20, size=(n_star, 2)))
-        self.check(b)
+        params = MaternParams(0.6, 0.8)
+        sites = rng.uniform(0, 20, size=(n, 2)), rng.uniform(0, 20, size=(n_star, 2))
+        b = build_blocked(params, *sites)
+        self.check(b, params, *sites)
 
     def test_factor_reproduces_full_under_jitter(self):
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        b = build_blocked(MaternParams(0.9, 0.5, 2.5), np.vstack([base, base + 1e-13]),
-                          np.array([[0.5, 0.5], [2.0, 1.0]]))
+        params = MaternParams(0.9, 0.5, 2.5)
+        sites = np.vstack([base, base + 1e-13]), np.array([[0.5, 0.5], [2.0, 1.0]])
+        b = build_blocked(params, *sites)
         assert b.jitter > 0
-        self.check(b)
+        self.check(b, params, *sites)
 
     def test_non_finite_blocks_rejected(self):
         d11 = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -559,3 +595,80 @@ class TestLapackFactor:
         full = np.array([[-1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="infs or NaNs"):
             BlockedCovariance(full, 1)
+
+
+class TestInPlaceFactor:
+    """The covariance is factored in the buffer passed in; the observed rows are
+    copied out first, and a jitter retry restores the covariance from the
+    triangle that LAPACK leaves untouched."""
+
+    sites = staticmethod(TestSpentPrior.sites)
+
+    @staticmethod
+    def escalated(full):
+        """The jitter and factor of an independent escalation over ``full``."""
+        jitter, scale = 0.0, np.max(full.diagonal())
+        candidate = 1e-10 * scale
+        while True:
+            jittered = full.copy()
+            jittered[np.diag_indices_from(jittered)] += jitter
+            try:
+                return jitter, jittered, lapack_factor(jittered)
+            except np.linalg.LinAlgError:
+                jitter, candidate = candidate, candidate * 10.0
+
+    def test_factor_shares_the_buffer_passed_in_and_not_the_rows(self):
+        params = MaternParams(0.6, 0.8)
+        obs, unobs = self.sites(20, 12, 5)
+        full = covariance_of(params, obs, unobs)
+        b = BlockedCovariance(full, 12)
+        assert np.shares_memory(b.chol, full) and not np.shares_memory(b.chol, b.rows)
+        assert b.chol.flags.f_contiguous and b.rows.flags.c_contiguous
+        lent = build_blocked(params, obs, unobs, spent=b)
+        assert np.shares_memory(lent.chol, full) and lent.rows is b.rows
+        fresh = build_blocked(params, obs, unobs)
+        assert not np.shares_memory(fresh.chol, fresh.rows)
+        for name in ("chol", "rows"):
+            assert np.array_equal(getattr(lent, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("n_star", [5, 0])
+    def test_near_duplicate_pairs_equal_the_jittered_covariance_bit_for_bit(self, n_star):
+        # three pairs of nearly coincident observed sites need a jitter
+        params = MaternParams(0.9, 0.5, 2.5)
+        obs, unobs = self.sites(21, 12, n_star, near=True)
+        b = build_blocked(params, obs, unobs)
+        jitter, full, chol = self.escalated(covariance_of(params, obs, unobs))
+        assert jitter > 0 and b.jitter == jitter
+        assert np.array_equal(b.chol, chol)
+        assert np.array_equal(b.d11, full[:12, :12]) and np.array_equal(b.d12, full[:12, 12:])
+
+    def test_each_retry_restores_the_covariance(self):
+        # an exactly symmetric matrix whose least eigenvalue, -3e-9, takes three
+        # retries (jitter 1e-10, 1e-9, 1e-8) over 200 rows, four bands
+        rng = np.random.default_rng(22)
+        q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        a = (q * np.linspace(-3e-9, 2.0, 200)) @ q.T
+        full = np.triu(a) + np.triu(a, 1).T
+        jitter, jittered, chol = self.escalated(full)
+        assert jitter == pytest.approx(1e-8 * np.max(full.diagonal()), rel=1e-12)
+        b = BlockedCovariance(full.copy(), 150)
+        assert b.jitter == jitter and np.array_equal(b.chol, chol)
+        assert np.array_equal(b.rows, jittered[:150])
+
+    def test_non_finite_covariance_behind_a_failed_pivot_rejected(self):
+        # potrf stops in d11 before reaching the NaN in the unobserved block,
+        # which the restored covariance still holds
+        full = np.eye(4)
+        full[0, 1] = full[1, 0] = 2.0
+        full[3, 2] = full[2, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BlockedCovariance(full, 2)
+
+    def test_covariance_that_cannot_be_factored_in_place_rejected(self):
+        full = covariance_of(MaternParams(0.5, 1.0), *self.sites(23, 4, 2))
+        for bad in (np.asfortranarray(full), full[::2, ::2], full[:, :5],
+                    full.astype(np.float32), np.vstack([full, full])[::2]):
+            before = bad.copy()
+            with pytest.raises(ValueError, match="C-ordered square float"):
+                BlockedCovariance(bad, 2)
+            assert np.array_equal(bad, before)

@@ -178,7 +178,7 @@ class TestEstimate:
         omega = MaternParams(0.5, 1.0, nu)
         dist = covariance.site_distances(data.coords)
         before = dist.copy()
-        report = estimate_module._fit(data, np.array([2.0]), omega, dist)
+        report = estimate_module._fit(data, np.array([2.0]), omega, dist, None, [])
         assert np.array_equal(report.problem.D, build_blocked(omega, data.coords).d11)
         assert np.array_equal(dist, before)
         checks = []
@@ -222,7 +222,7 @@ def small_data(family, p, seed=0, n=30):
 
 def value_and_gradient(data, beta, omega, dist, fit_omega=True):
     """The surrogate and its gradient, as one evaluation of ``estimate`` has them."""
-    report = estimate_module._fit(data, beta, omega, dist)
+    report = estimate_module._fit(data, beta, omega, dist, None, [])
     dD = estimate_module._prior_derivatives(report.problem, omega, dist) if fit_omega else ()
     Rinv = potri(report.chol)
     terms = estimate_module._marginal_terms(report, dD, Rinv)
@@ -259,7 +259,7 @@ class TestGradient:
         data = small_data(family, 2)
         omega = MaternParams(0.4, 1.2)
         dist = cdist(data.coords, data.coords)
-        report = estimate_module._fit(data, np.array([0.3, 0.1]), omega, dist)
+        report = estimate_module._fit(data, np.array([0.3, 0.1]), omega, dist, None, [])
         seen = []
 
         def skew(report, xi_diag):
@@ -350,7 +350,7 @@ class TestPrecision:
         data = small_data(family, 2)
         dist = cdist(data.coords, data.coords)
         report = estimate_module._fit(
-            data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), dist
+            data, np.array([0.3, 0.1]), MaternParams(0.4, 1.2), dist, None, []
         )
         factor = report.chol.copy()
         Rinv = potri(report.chol)
@@ -368,14 +368,14 @@ class TestInformation:
         dist = cdist(data.coords, data.coords)
         omega = MaternParams(0.4, 1.2, nu)
         beta = np.array([0.3, 0.1])
-        report = estimate_module._fit(data, beta, omega, dist)
+        report = estimate_module._fit(data, beta, omega, dist, None, [])
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         info = estimate_module._information(report, dD, potri(report.chol))
         assert info.shape == (4, 4)
         assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
 
         def beta_gradient(b):
-            rep = estimate_module._fit(data, b, omega, dist)
+            rep = estimate_module._fit(data, b, omega, dist, None, [])
             Rinv = potri(rep.chol)
             terms = estimate_module._marginal_terms(rep, (), Rinv)
             return estimate_module._surrogate_gradient(rep, Rinv, terms)
@@ -737,7 +737,7 @@ class TestNewtonPhase:
         data = small_data("gaussian", 2)
         dist = cdist(data.coords, data.coords)
         theta = np.array([0.3, 0.1, logit(0.4), np.log(1.2)])
-        report = estimate_module._fit(data, *split_theta(theta, 2, nu), dist)
+        report = estimate_module._fit(data, *split_theta(theta, 2, nu), dist, None, [])
         J, info = observed_information(report, split_theta(theta, 2, nu)[1], dist)
         h = 1e-4
         hessian = np.column_stack([
@@ -879,10 +879,10 @@ class TestWarmTrials:
         data, omega = poisson_data(seed=6, n=40)
         fit, trials = estimate_module._fit, []
 
-        def recorded(data, beta, omega, dist, accepted=None, *args):
-            report = fit(data, beta, omega, dist, accepted, *args)
+        def recorded(data, beta, omega, dist, accepted, jitters):
+            report = fit(data, beta, omega, dist, accepted, jitters)
             if accepted is not None:
-                trials.append((report, fit(data, beta, omega, dist)))
+                trials.append((report, fit(data, beta, omega, dist, None, [])))
             return report
 
         monkeypatch.setattr(estimate_module, "_fit", recorded)

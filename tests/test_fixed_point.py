@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from glmmfp import _lapack, families, fixed_point
-from glmmfp.covariance import MaternParams, build_blocked
+from glmmfp.covariance import MaternParams, build_blocked, matern, site_distances
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, corrected_mean, fit_posterior
 from glmmfp.oracle import fixed_point_residual, moments_quadrature
@@ -338,24 +338,28 @@ class TestSolverPaths:
 
     @pytest.mark.parametrize("family", ["poisson", "binomial", "gaussian"])
     def test_prior_is_not_overwritten(self, family):
-        # the site path factors R in place in a copy of D, a view of full
+        # the site path factors R in place in a copy of D, a view of the prior's
+        # observed rows
         rng = np.random.default_rng(29)
-        blocked = build_blocked(MaternParams(0.5, 1.0), rng.uniform(0, 6, size=(15, 2)),
-                                rng.uniform(0, 6, size=(4, 2)))
+        params = MaternParams(0.5, 1.0)
+        sites = rng.uniform(0, 6, size=(15, 2)), rng.uniform(0, 6, size=(4, 2))
+        blocked = build_blocked(params, *sites)
         base = random_problem(rng, family, 15, 15)
         problems = [
             GlmmProblem(y=base.y, X=base.X, Z=None, D=blocked.d11, beta=base.beta,
                         kernel=base.kernel, factor=blocked.chol[:15, :15]),
             random_problem(rng, family, 30, 3),
         ]
-        full = blocked.full.copy()
+        rows, chol = blocked.rows.copy(), blocked.chol.copy()
         for problem in problems:
             D = problem.D.copy()
             state = fit_posterior(problem)
             assert np.all(np.isfinite(state.Xi))  # Xi solves with the last factor
             assert np.array_equal(problem.D, D)
         assert problems[0].Z is None and problems[1].Z is not None
-        assert np.array_equal(blocked.full, full)
+        assert np.array_equal(blocked.rows, rows) and np.array_equal(blocked.chol, chol)
+        full = matern(params, site_distances(*sites))
+        assert blocked.jitter == 0.0 and np.array_equal(blocked.rows, full[:15])
 
     # alpha belongs to the reported xi, also when a loose TOL stops early
     @pytest.mark.parametrize("tol", [1e-10, 1e-2])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -272,7 +273,8 @@ class TestScenarios:
 
 
 class TestLentBuffers:
-    """Each replication borrows the previous one's prior and n x n buffer."""
+    """Each replication borrows the previous one's prior (its factor's memory and
+    its observed rows) and n x n buffer."""
 
     def test_lent_replication_equals_a_fresh_one(self):
         spent = generate_dataset(SMALL, 0)
@@ -280,7 +282,7 @@ class TestLentBuffers:
             simulate._scenario_metrics(spent, scenario, SMALL)
         lent = generate_dataset(SMALL, 1, spent)
         fresh = generate_dataset(SMALL, 1)
-        for name in ("full", "chol"):
+        for name in ("rows", "chol", "d11", "d12"):
             assert np.array_equal(
                 getattr(lent.blocked, name), getattr(fresh.blocked, name)
             )
@@ -321,14 +323,26 @@ class TestLentBuffers:
         run_scenarios(replace(SMALL, replications=4))
         assert len(priors) == len(factors) == 4
         for a, b in zip(priors, priors[1:]):
-            assert np.shares_memory(a.full, b.full) and np.shares_memory(a.chol, b.chol)
+            assert np.shares_memory(a.rows, b.rows) and np.shares_memory(a.chol, b.chol)
         for a, b in zip(factors, factors[1:]):
             assert np.shares_memory(a, b)
         assert all(np.shares_memory(a, b) for a, b in zip(factors, buffers, strict=True))
         prior = priors[-1]
-        assert not np.shares_memory(prior.full, prior.chol)
-        assert not np.shares_memory(prior.full, factors[-1])
+        assert not np.shares_memory(prior.rows, prior.chol)
+        assert not np.shares_memory(prior.rows, factors[-1])
         assert not np.shares_memory(prior.chol, factors[-1])
+
+    def test_reference_size_run_holds_one_prior_array(self):
+        # acceptance 5's n = n* = 400: the prior is factored in its own buffer,
+        # beside its n x (n + n*) rows and the fit's n x n buffer, about 1.96
+        # (n + n*)^2 arrays of doubles at the peak, not 2.46 as with a copy
+        tracemalloc.start()
+        try:
+            run_scenarios(SimConfig(replications=3, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 8 * 800**2
 
     def test_replication_of_another_size_rejected(self):
         spent = generate_dataset(SMALL, 0)

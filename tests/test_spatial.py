@@ -11,7 +11,8 @@ from scipy.special import expit
 from glmmfp import cli, covariance, dataio, fixed_point, oracle, simulate, spatial
 from glmmfp import estimate as estimate_module
 from glmmfp._lapack import potri
-from glmmfp.covariance import BlockedCovariance, MaternParams, build_blocked
+from glmmfp.covariance import BlockedCovariance, MaternParams, build_blocked, matern
+from glmmfp.covariance import site_distances
 from glmmfp.estimate import approx_loglik
 from glmmfp.families import (
     binomial_kernel,
@@ -24,12 +25,19 @@ from glmmfp.fixed_point import GlmmProblem, fit_posterior
 from glmmfp.spatial import SpatialData, krige, site_problem
 
 
-def near_duplicate_prior():
+def near_duplicate_sites():
     """Nearly coincident smooth-field sites: build_blocked must add jitter."""
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     coords_obs = np.vstack([base, base[:3] + 1e-13])
     coords_unobs = np.array([[0.5, 0.5], [1.5, 1.0]])
-    return build_blocked(MaternParams(0.9, 0.5, 2.5), coords_obs, coords_unobs)
+    return MaternParams(0.9, 0.5, 2.5), coords_obs, coords_unobs
+
+
+def prior_covariance(params, coords_obs, coords_unobs, jitter=0.0):
+    """The joint prior that ``build_blocked`` factors, built independently."""
+    full = matern(params, site_distances(coords_obs, coords_unobs))
+    full[np.diag_indices_from(full)] += jitter
+    return full
 
 
 def lapack_factor(a):
@@ -59,8 +67,10 @@ def make_problem(seed=0, n=25, n_star=10, family="poisson", beta0=1.5):
     rng = np.random.default_rng(seed)
     coords_obs = rng.uniform(0, 10, size=(n, 2))
     coords_unobs = rng.uniform(0, 10, size=(n_star, 2))
-    blocked = build_blocked(MaternParams(0.5, 1.0), coords_obs, coords_unobs)
-    gamma_joint = np.linalg.cholesky(blocked.full) @ rng.standard_normal(n + n_star)
+    params = MaternParams(0.5, 1.0)
+    blocked = build_blocked(params, coords_obs, coords_unobs)
+    full = prior_covariance(params, coords_obs, coords_unobs, blocked.jitter)
+    gamma_joint = np.linalg.cholesky(full) @ rng.standard_normal(n + n_star)
     gamma = gamma_joint[:n]
     X = np.ones((n, 1))
     beta = np.array([beta0])
@@ -392,7 +402,7 @@ class TestFactorizationBudget:
         )
         calls, in_solver = self.count_factorizations(monkeypatch)
         omega, dist = MaternParams(0.5, 1.0), cdist(coords, coords)
-        report = estimate_module._fit(data, np.array([1.4]), omega, dist)
+        report = estimate_module._fit(data, np.array([1.4]), omega, dist, None, [])
         dD = estimate_module._prior_derivatives(report.problem, omega, dist)
         value = estimate_module.laplace_marginal(report)
         Rinv = potri(report.chol)
@@ -471,9 +481,11 @@ class TestIdentityPathAgainstDenseFormulas:
         assert abs(value - expected) < 1e-10
 
     def test_prior_that_needs_jitter(self):
-        blocked = near_duplicate_prior()
+        sites = near_duplicate_sites()
+        blocked = build_blocked(*sites)
         assert blocked.jitter > 0
-        assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
+        full = prior_covariance(*sites, blocked.jitter)
+        assert np.array_equal(blocked.chol, lapack_factor(full))
         rng = np.random.default_rng(14)
         y = rng.poisson(3.0, size=7).astype(float)
         coords = np.zeros((9, 2))  # the checks read only how many sites there are
@@ -493,15 +505,16 @@ class TestIdentityPathAgainstDenseFormulas:
 
         def spy(*args):
             out = covariance.build_blocked(*args)
-            seen.append(out)
+            seen.append((args, out))
             return out
 
         monkeypatch.setattr(simulate, "build_blocked", spy)
         config = simulate.SimConfig(n=20, n_star=10, replications=1, side=5.0)
         dataset = simulate.generate_dataset(config, 0)
-        [blocked] = seen
+        [(args, blocked)] = seen
         assert blocked is dataset.blocked
-        assert np.array_equal(blocked.chol, lapack_factor(blocked.full))
+        full = prior_covariance(*args[:3], blocked.jitter)
+        assert np.array_equal(blocked.chol, lapack_factor(full))
         # the field is the carried factor times the replication's normals
         rng = np.random.default_rng([config.seed, 0])
         rng.uniform(size=(30, 2))
