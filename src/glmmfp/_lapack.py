@@ -5,9 +5,10 @@ array; what lies above its diagonal is unspecified.  :func:`potrf` makes
 it in the caller's buffer, raising ``LinAlgError`` if ``A`` is not
 positive definite, and the other calls leave it unchanged.  No entry is
 checked for being finite: a non-finite entry of ``A``'s lower triangle
-either stops ``potrf`` or reaches the factor's diagonal.  A caller may
-lend LAPACK an array to work in (:func:`workspace`), such as a dead
-factor, so that repeated factorizations of one size allocate nothing.
+either stops ``potrf`` or reaches the factor's diagonal.  Every array
+that the package writes in place and a caller may lend, such as a dead
+factor, is checked or made by :func:`workspace`, so that repeated work
+of one size allocates nothing and none is silently done in a copy.
 """
 
 import numpy as np
@@ -15,16 +16,15 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotri, dpotrs
 
 
-def workspace(buf, shape) -> np.ndarray:
-    """``buf``, a Fortran-ordered array of ``shape`` whose lender no longer reads it.
-
-    A new one if ``buf`` is None.  One of another shape or order raises
-    ``ValueError``, where LAPACK would silently work in a copy.
-    """
+def workspace(buf, shape, order="F") -> np.ndarray:
+    """``buf``, a float64 array of ``shape`` in ``order`` ("C" or "F") whose
+    lender no longer reads it, or a new one if ``buf`` is None.  One of
+    another shape, order or dtype raises ``ValueError``, where numpy or
+    LAPACK would silently work in a copy or in single precision."""
     if buf is None:
-        return np.empty(shape, order="F")
-    if buf.shape != shape or not buf.flags.f_contiguous:
-        raise ValueError(f"a lent buffer must be a Fortran-ordered {shape} array")
+        return np.empty(shape, order=order)
+    if buf.shape != shape or buf.dtype != float or not buf.flags[order + "_CONTIGUOUS"]:
+        raise ValueError(f"a lent array must be a {order}-ordered {shape} float64 array")
     return buf
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._lapack import potrf
+from ._lapack import potrf, workspace
 
 log = logging.getLogger(__name__)
 
@@ -170,10 +170,10 @@ class BlockedCovariance:
     """Observed/unobserved partition of a spatial prior covariance, and its factor.
 
     The constructor takes ``full``, the exactly symmetric (n + n*) x (n + n*)
-    covariance (as the one distance buffer of :func:`build_blocked` is) in a
-    C-ordered float array, and ``n``.  It copies the observed rows into
-    ``rows`` (``buf``, a C-ordered n x (n + n*) float array whose lender no
-    longer reads it, or a new one), of which ``d11`` (n x n) and ``d12``
+    covariance (as the one distance buffer of :func:`build_blocked` is), and
+    ``n``, and checks ``full`` and a lent ``buf`` by :func:`_lapack.workspace`
+    (C-ordered) before anything is written.  It copies the observed rows into
+    ``rows`` (``buf`` or a new array), of which ``d11`` (n x n) and ``d12``
     (n x n*) are views.  Then it factors ``full`` in place, certifying
     positive definiteness, and escalates a diagonal jitter tenfold from
     1e-10 up to 1e-6 times the largest diagonal entry (the sill) before
@@ -190,13 +190,8 @@ class BlockedCovariance:
 
     def __init__(self, full: np.ndarray, n: int, buf: np.ndarray | None = None):
         m = len(full)
-        if full.shape != (m, m) or full.dtype != float or not full.flags.c_contiguous:
-            raise ValueError("the covariance must be a C-ordered square float array")
-        if buf is None:
-            buf = np.empty((n, m))
-        elif buf.shape != (n, m) or buf.dtype != float or not buf.flags.c_contiguous:
-            raise ValueError(f"a lent buffer must be a C-ordered {(n, m)} float array")
-        self.rows = buf
+        workspace(full, (m, m), "C")
+        self.rows = buf = workspace(buf, (n, m), "C")
         np.copyto(buf, full[:n])
         self.d11, self.d12 = buf[:, :n], buf[:, n:]
         self.jitter = 0.0
@@ -291,14 +286,14 @@ def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None 
     """Distances among the observed sites, then the unobserved ones, or
     their Matern covariance under ``params``, in ``out`` or a new array.
 
-    The sites are checked by :func:`_check_sites`, and a lent ``out``
-    that is not a C-ordered float array of their shape is rejected before
-    anything is written.  Then :func:`_distances` fills band by band of
-    ``len(_BAND_LOWER)`` rows, each over the sites up to and including the
-    band, and under ``params`` :func:`matern` overwrites each band.  The
-    band's transpose fills the entries above it, so ``out`` is exactly
-    symmetric, and only the lower triangle and the bands' diagonal blocks
-    are computed: 54% of the entries at 800 sites.
+    The sites are checked by :func:`_check_sites`, and a lent ``out`` by
+    :func:`_lapack.workspace` (C-ordered), before anything is written.
+    Then :func:`_distances` fills band by band of ``len(_BAND_LOWER)``
+    rows, each over the sites up to and including the band, and under
+    ``params`` :func:`matern` overwrites each band.  The band's transpose
+    fills the entries above it, so ``out`` is exactly symmetric, and only
+    the lower triangle and the bands' diagonal blocks are computed: 54% of
+    the entries at 800 sites.
     The exact zeros among the observed sites are counted before
     :func:`matern` overwrites them: the diagonal holds one per site,
     and any other is a duplicate observed site, which makes the observed
@@ -307,13 +302,7 @@ def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None 
     obs, unobs = _check_sites(coords_obs, coords_unobs)
     sites = np.concatenate([obs, unobs])
     n, m, b = len(obs), len(sites), len(_BAND_LOWER)
-    if out is None:
-        out = np.empty((m, m))
-    elif out.shape != (m, m) or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(
-            f"a lent distance buffer has incorrect shape, order or dtype for "
-            f"{m} sites: it must be a C-ordered {(m, m)} float array"
-        )
+    out = workspace(out, (m, m), "C")
     cols = np.ascontiguousarray(sites.T)
     # two contiguous band-sized temporaries, whose ufunc loops run faster
     # than over the strided rows of out
@@ -371,19 +360,20 @@ def build_blocked(
     :class:`BlockedCovariance` runs from 1e-10 x sill to 1e-6 x sill; a
     jitter that was needed is logged as a warning, once per prior.
 
-    ``spent``, a :class:`BlockedCovariance` over as many sites that its
-    lender no longer reads, lends its buffers: the covariance is written
-    and factored in the memory of its ``chol``, and the observed rows are
-    copied into its ``rows`` if it observed as many sites, so nothing of
-    size (n + n*)^2 is allocated, and the result is bit for bit the one
-    built without it.  A ``spent`` prior over another number of sites
-    raises ``ValueError``.
+    ``spent``, a :class:`BlockedCovariance` over as many sites, split
+    alike, that its lender no longer reads, lends all its buffers: the
+    covariance is written and factored in the memory of its ``chol``, and
+    the observed rows are copied into its ``rows``, so nothing of size
+    (n + n*)^2 is allocated, and the result is bit for bit the one built
+    without it.  A ``spent`` prior over another number or split of sites
+    raises ``ValueError`` before anything is written.
     """
-    full = None if spent is None else spent.chol.T
+    full = rows = None
+    if spent is not None:  # all its buffers or none, checked before any is written
+        n, m = len(coords_obs), len(spent.chol)
+        full, rows = spent.chol.T, workspace(spent.rows, (n, m), "C")
     full = _fill_bands(coords_obs, coords_unobs, full, params)
-    n = len(coords_obs)
-    rows = None if spent is None or spent.n_observed != n else spent.rows
-    blocked = BlockedCovariance(full, n, rows)
+    blocked = BlockedCovariance(full, len(coords_obs), rows)
     if blocked.jitter:
         log.warning("covariance jitter escalated to %.3e", blocked.jitter)
     return blocked

@@ -4,8 +4,9 @@ The dataset schema is a headed CSV with a count column ``y``, site
 coordinate columns ``x_coord`` / ``y_coord`` for spatial runs, any
 declared covariate columns, an optional binomial trial-count column
 ``m``, and an optional ``role`` column with values ``train`` / ``test``.
-All numeric output is written at 17 significant digits so pipelines
-between subcommands round-trip bit-faithfully.
+CSV cells are written at 17 significant digits (``%.17g``) and JSON
+numbers in Python's shortest round-trip form; both read back as the
+same double, so pipelines between subcommands round-trip bit-faithfully.
 
 A run configuration's keys and defaults are the fields of :class:`RunConfig`
 and, in its ``matern`` object, of :class:`covariance.MaternParams`.
@@ -34,7 +35,7 @@ class ConfigError(ValueError):
 
 
 def fmt(x) -> str:
-    """Full-precision decimal rendering used by every CSV/JSON writer."""
+    """A CSV cell's ``%.17g`` rendering, which reads back as the same double."""
     return format(float(x), ".17g")
 
 

@@ -40,6 +40,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
+from ._lapack import workspace
 from .covariance import BlockedCovariance, MaternParams
 from .covariance import build_blocked, check_site_count, cross_covariance
 from .dataio import ConfigError, parse_matern, read_float, read_int, read_names
@@ -145,7 +146,7 @@ def generate_dataset(
     rng = np.random.default_rng([config.seed, rep_index])
     n, n_star = config.n, config.n_star
     if spent is None:
-        prior, buffer = None, np.empty((n, n), order="F")
+        prior, buffer = None, workspace(None, (n, n))
     else:
         prior, buffer = spent.blocked, spent.buffer
     coords_obs = rng.uniform(0.0, config.side, size=(n, 2))

@@ -400,7 +400,7 @@ class TestBands:
         build_blocked(MaternParams(0.5, 1.0), sites[:100], sites[100:])
 
     def test_lent_buffer_of_another_order_or_dtype_rejected(self):
-        # a spent prior lends its factor's memory to the bands, which check it first
+        # a spent prior's buffers are checked before the bands write in its factor's memory
         sites = np.random.default_rng(14).uniform(0, 5, size=(5, 2))
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, sites)
@@ -408,7 +408,7 @@ class TestBands:
                     np.zeros((5, 4))):
             before = out.copy()
             spent.chol = out.T
-            with pytest.raises(ValueError, match="incorrect shape"):
+            with pytest.raises(ValueError, match="lent array must be a C-ordered"):
                 build_blocked(params, sites, spent=spent)
             assert np.array_equal(out, before)
 
@@ -468,8 +468,8 @@ class TestCrossCovariance:
 
 
 class TestSpentPrior:
-    """A dead prior over as many sites lends the memory of its ``chol``, and its
-    ``rows`` if it observed as many sites, to the next."""
+    """A dead prior over as many sites, split alike, lends the memory of its
+    ``chol`` and its ``rows`` to the next; one split otherwise lends neither."""
 
     @staticmethod
     def sites(seed, n, n_star, near=False):
@@ -495,23 +495,21 @@ class TestSpentPrior:
         for name in ("rows", "chol", "d11", "d12"):
             assert np.array_equal(getattr(lent, name), getattr(fresh, name))
 
-    def test_lent_buffers_may_split_the_sites_otherwise(self):
+    def test_prior_that_split_the_sites_otherwise_rejected(self):
+        # 9 + 4 sites as many as 5 + 8: the factor's memory would fit, the rows not
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, *self.sites(3, 9, 4))
-        chol = spent.chol
-        lent = build_blocked(params, *self.sites(4, 5, 8), spent=spent)
-        fresh = build_blocked(params, *self.sites(4, 5, 8))
-        assert lent.n_observed == 5 and lent.d12.shape == (5, 8)
-        assert np.shares_memory(lent.chol, chol)
-        assert np.array_equal(lent.chol, fresh.chol)
-        assert np.array_equal(lent.rows, fresh.rows)
+        rows, chol = spent.rows.copy(), spent.chol.copy()
+        with pytest.raises(ValueError, match=r"C-ordered \(5, 13\) float64"):
+            build_blocked(params, *self.sites(4, 5, 8), spent=spent)
+        assert np.array_equal(spent.rows, rows) and np.array_equal(spent.chol, chol)
 
     @pytest.mark.parametrize("n, n_star", [(12, 6), (12, 4), (1, 0)])
     def test_prior_over_another_number_of_sites_rejected(self, n, n_star):
         params = MaternParams(0.5, 1.0)
         spent = build_blocked(params, *self.sites(5, 12, 5))
         rows, chol = spent.rows.copy(), spent.chol.copy()
-        with pytest.raises(ValueError, match="incorrect shape"):
+        with pytest.raises(ValueError, match="lent array"):
             build_blocked(params, *self.sites(6, n, n_star), spent=spent)
         assert np.array_equal(spent.rows, rows) and np.array_equal(spent.chol, chol)
 
@@ -519,7 +517,7 @@ class TestSpentPrior:
         full = covariance_of(MaternParams(0.5, 1.0), *self.sites(7, 4, 2))
         for buf in (np.empty((6, 6)), np.empty((4, 6), order="F"), np.empty((4, 5)),
                     np.empty((4, 6), dtype=np.float32)):
-            with pytest.raises(ValueError, match="lent buffer"):
+            with pytest.raises(ValueError, match=r"C-ordered \(4, 6\) float64"):
                 BlockedCovariance(full.copy(), 4, buf)
 
     def test_jitter_is_logged_once_per_prior(self, caplog):
@@ -669,6 +667,6 @@ class TestInPlaceFactor:
         for bad in (np.asfortranarray(full), full[::2, ::2], full[:, :5],
                     full.astype(np.float32), np.vstack([full, full])[::2]):
             before = bad.copy()
-            with pytest.raises(ValueError, match="C-ordered square float"):
+            with pytest.raises(ValueError, match="lent array must be a C-ordered"):
                 BlockedCovariance(bad, 2)
             assert np.array_equal(bad, before)

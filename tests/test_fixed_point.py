@@ -411,10 +411,11 @@ class TestFactorBuffer:
 
     def test_lent_buffer_of_another_shape_or_order_rejected(self):
         problem = identity_problem(np.random.default_rng(43), "poisson", 6)
-        for buf in (np.empty((5, 5), order="F"), np.empty((1, 1), order="F"),
-                    np.empty((6, 6), order="C")):
-            with pytest.raises(ValueError, match="lent buffer"):
+        for buf in (np.zeros((5, 5), order="F"), np.zeros((1, 1), order="F"),
+                    np.zeros((6, 6), order="C"), np.zeros((6, 6), np.float32, order="F")):
+            with pytest.raises(ValueError, match="lent array"):
                 fit_posterior(problem, buf)
+            assert not buf.any()
 
     def test_solve_is_cho_solve(self):
         from scipy.linalg import cho_solve

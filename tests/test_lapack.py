@@ -1,10 +1,15 @@
 """The Cholesky seam: scipy's own results bit for bit, and what callers rely on."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from glmmfp._lapack import potrf, potri, potrs
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "glmmfp"
 
 SIZES = [1, 7, 70]
 
@@ -66,3 +71,63 @@ def test_a_non_finite_entry_reaches_the_diagonal(n, bad):
         except np.linalg.LinAlgError:
             continue
         assert not np.all(np.isfinite(c.diagonal())), (i, j)
+
+
+_LAYOUT_FUNCTIONS = {"asfortranarray", "ascontiguousarray", "isfortran"}
+
+
+def layout_namings(tree):
+    """Each place in ``tree`` that reads an array's contiguity flags, passes an
+    ``order=`` or makes an array of a given layout, as written."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.endswith("contiguous"):
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Constant) and "CONTIGUOUS" in str(node.value):
+            yield node.value
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if any(k.arg == "order" for k in node.keywords):
+                yield f"{func}(order=)"
+            elif func.rpartition(".")[2] in _LAYOUT_FUNCTIONS:
+                yield func
+
+
+class TestOneLayoutCheck:
+    """Only ``_lapack.workspace`` checks or allocates an array to be written in
+    place; every other layout named in ``src/glmmfp`` is on one allowlist."""
+
+    ALLOWED = {
+        # the one check, and the one allocation, of an array written in place
+        ("_lapack", "np.empty(order=)"),
+        ("_lapack", "_CONTIGUOUS"),
+        # read-only node grid, Fortran-ordered so that its products round alike
+        ("oracle", "np.asfortranarray"),
+        # read-only site coordinates, one row a coordinate
+        ("covariance", "np.ascontiguousarray"),
+        # a quadrature order, not a layout
+        ("cli", "oracle.adjudicate_exactness(order=)"),
+    }
+
+    def test_only_workspace_names_a_buffers_layout(self):
+        found = {
+            (path.stem, name)
+            for path in sorted(SRC.glob("*.py"))
+            for name in layout_namings(ast.parse(path.read_text()))
+        }
+        assert found == self.ALLOWED
+
+    @pytest.mark.parametrize(
+        "source, names",
+        [("a.flags.c_contiguous", ["a.flags.c_contiguous"]),
+         ("a.flags.f_contiguous", ["a.flags.f_contiguous"]),
+         ("a.flags['C_CONTIGUOUS']", ["C_CONTIGUOUS"]),
+         ("np.empty((2, 2), order='F')", ["np.empty(order=)"]),
+         ("numpy.zeros(3, order=o)", ["numpy.zeros(order=)"]),
+         ("a.copy(order=o)", ["a.copy(order=)"]),
+         ("f(a, order='C')", ["f(order=)"]),
+         ("np.asfortranarray(a)", ["np.asfortranarray"]),
+         ("asfortranarray(a)", ["asfortranarray"]),
+         ("np.empty((2, 2))", []), ("a.T.copy()", [])],
+    )
+    def test_the_guard_sees_each_way_to_name_a_layout(self, source, names):
+        assert list(layout_namings(ast.parse(source))) == names

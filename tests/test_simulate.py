@@ -346,8 +346,11 @@ class TestLentBuffers:
 
     def test_replication_of_another_size_rejected(self):
         spent = generate_dataset(SMALL, 0)
-        with pytest.raises(ValueError, match="incorrect shape"):
+        rows, chol = spent.blocked.rows.copy(), spent.blocked.chol.copy()
+        with pytest.raises(ValueError, match="lent array"):
             generate_dataset(replace(SMALL, n=49), 0, spent)
+        assert np.array_equal(spent.blocked.rows, rows)
+        assert np.array_equal(spent.blocked.chol, chol)
 
     def test_reference_size_outputs_match_fresh_buffers(self, tmp_path, monkeypatch):
         # acceptance 5's n = n* = 400, against replications that allocate
