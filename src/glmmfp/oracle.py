@@ -27,22 +27,23 @@ placement affects efficiency, not the value, which the order-doubling
 error estimate verifies.
 
 Each piece of quadrature work is done once: the 1-D Gauss-Hermite rule
-of an order and the standardized tensor grid ``x`` of an (order, r), in
-``itertools.product`` order, are built once and shared read-only, and
-one adjudication evaluates each order once, although every order's
-error estimate needs the half order too.  The integrand and moments are
-taken in ``x``, where ``gamma = xi + S x`` and ``S = chol(2 Xi)``: no
-grid of ``gamma`` is formed.  The center terms, those in ``(xi, Xi)``
-alone (``S``, the prior's ``L^-1 xi`` and ``L^-1 S`` for ``D = L L'``,
-the predictor offset ``X beta + Z xi``, ``Z S``, the log-determinant
-constant and ``log det S``), are made once per adjudication, not once
-per evaluated order.  The integrand is taken in blocks of at most
-``QUADRATURE_BLOCK`` nodes, each written into one K-vector of log terms,
-and the moments are summed over all K nodes, so the bits do not depend
-on the block size.  Node arrays are node-contiguous: ``x`` is stored
-Fortran-ordered, a block's predictor is formed as (n, B) and its prior
-term as (r, B), so each sum over observations or effects is a few adds
-of length-B vectors.  Before any node is placed,
+of an order is built once and shared read-only, and one adjudication
+evaluates each order once, although every order's error estimate needs
+the half order too.  The integrand and moments are taken in ``x``, where
+``gamma = xi + S x`` and ``S = chol(2 Xi)``: no grid of ``gamma`` is
+formed.  The center terms, those in ``(xi, Xi)`` alone (``S``, the
+prior's ``L^-1 xi`` and ``L^-1 S`` for ``D = L L'``, the predictor
+offset ``X beta + Z xi``, ``Z S``, the log-determinant constant and
+``log det S``), are made once per adjudication, not once per evaluated
+order.  The nodes come in ``itertools.product`` order in blocks of at
+most ``QUADRATURE_BLOCK``, a one-block grid built once and shared
+read-only.  Each block's normalizer, mean and centred second moment are
+merged in order (Chan, Golub & LeVeque 1983), so a call holds
+O(B (n + r)) doubles at any order; only a grid of several blocks has
+bits that depend on the block size.  Node arrays are node-contiguous:
+``x`` is Fortran-ordered, a block's predictor (n, B) and its prior term
+(r, B), so each sum over observations or effects is a few adds of
+length-B vectors.  Before any node is placed,
 ``order**r * (n + r)`` is checked against ``QUADRATURE_BUDGET``; a
 quadrature over it raises ``CapabilityError`` with the node count.
 
@@ -70,10 +71,11 @@ QUADRATURE_DIM_LIMIT = 4
 # beyond this order the Gauss-Hermite weights underflow double precision
 MAX_QUADRATURE_ORDER = 256
 # order**r nodes (or slice chains) times (n + r) doubles, 32 MiB at 2**22, the
-# size of an unblocked n x K predictor and r x K effects: the integrand is taken
-# in blocks, but the formula is kept so that no order escalation or verdict moves
+# size of an unblocked n x K predictor and r x K effects: kept only so that no
+# order escalation or verdict moves, as a quadrature holds O(B (n + r)) doubles
 QUADRATURE_BUDGET = 2**22
-# nodes per integrand evaluation (one order-64 grid at r = 2), so n x B predictors
+# nodes per block (one order-64 grid at r = 2), at least MAX_QUADRATURE_ORDER; a
+# grid of one block keeps the whole-grid sums' bits, a larger one's depend on it
 QUADRATURE_BLOCK = 4096
 # verdict thresholds of adjudicate_exactness, and the oracle error at which
 # it stops doubling the quadrature order
@@ -176,25 +178,36 @@ def _hermite_rule(order: int):
     return nodes, log_weights
 
 
-def _tensor_grid(order: int, r: int) -> np.ndarray:
-    """All ``order**r`` index tuples, shape (K, r), in itertools.product order."""
-    return np.indices((order,) * r).reshape(r, -1).T
-
-
 @functools.lru_cache(maxsize=8)
 def _node_grid(order: int, r: int):
-    """Read-only nodes ``x`` (K, r) and ``base`` = log weight + ``|x|^2`` (K).
-
-    Eight grids are kept: ``verify``'s orders 32-256 at r = 1, 2 take 2.2 MB.
-    A grid is K (r + 1) doubles, under the budget's 32 MiB; doubling from
-    order 64 reaches at most 64^3 nodes at r = 3, 8 MB.
-    """
+    """Read-only nodes ``x`` (K, r) and ``base`` = log weight + ``|x|^2`` (K) of
+    a one-block grid, K <= ``QUADRATURE_BLOCK``, in itertools.product order."""
     nodes, log_weights = _hermite_rule(order)
-    grids = _tensor_grid(order, r)
+    grids = np.indices((order,) * r).reshape(r, -1).T
     x = np.asfortranarray(nodes[grids])
     base = np.sum(log_weights[grids], axis=1) + np.sum(x**2, axis=1)
     x.flags.writeable = base.flags.writeable = False
     return x, base
+
+
+def _node_blocks(order: int, r: int):
+    """The ``order**r`` nodes and bases in itertools.product order, in blocks of
+    at most ``QUADRATURE_BLOCK``: :func:`_node_grid`'s one, or rows of the cached
+    grid of the last t axes that fit a block, each led by a tuple of the others."""
+    t = next(t for t in range(r, 0, -1) if order**t <= QUADRATURE_BLOCK)
+    x_tail, base_tail = _node_grid(order, t)
+    if t == r:
+        yield x_tail, base_tail
+        return
+    nodes, log_weights = _hermite_rule(order)
+    rows, lead = QUADRATURE_BLOCK // len(base_tail), order ** (r - t)
+    for i in range(0, lead, rows):
+        index = np.array(np.unravel_index(range(i, min(i + rows, lead)), (order,) * (r - t)))
+        x_lead = nodes[index]
+        x = np.empty((r, index.shape[1], len(base_tail)))
+        x[: r - t], x[r - t:] = x_lead[..., None], x_tail.T[:, None]
+        base = np.sum(log_weights[index] + x_lead**2, axis=0)
+        yield x.reshape(r, -1).T, (base[:, None] + base_tail).ravel()
 
 
 def _fits_budget(problem: GlmmProblem, order: int) -> bool:
@@ -221,20 +234,32 @@ def _check_quadrature(problem: GlmmProblem, order: int) -> None:
 
 def _gh_raw(problem: GlmmProblem, order: int, center: _Center):
     # the nodes' weight e^{-|x|^2} is N(xi, scale scale' / 2) = N(xi, Xi) in gamma
-    x, base = _node_grid(order, problem.r)
-    log_terms = np.empty_like(base)
-    for i in range(0, len(base), QUADRATURE_BLOCK):
-        j = i + QUADRATURE_BLOCK
-        np.add(base[i:j], _log_integrand(problem, center, x[i:j]), out=log_terms[i:j])
-    top = log_terms.max()
-    if not np.isfinite(top):
+    log_norm = None
+    for x, base in _node_blocks(order, problem.r):
+        log_terms = base + _log_integrand(problem, center, x)
+        top = log_terms.max()
+        if np.isnan(top) or top == np.inf:
+            raise FloatingPointError(f"a quadrature node's log term is {top}")
+        if top == -np.inf:
+            continue
+        block_norm = top + np.log(np.exp(log_terms - top).sum())
+        p = np.exp(np.subtract(log_terms, block_norm, out=log_terms), out=log_terms)
+        block_mean = x.T @ p
+        dev = x.T - block_mean[:, None]
+        block_cov = (dev * p) @ dev.T
+        if log_norm is None:
+            log_norm, mean_x, cov_x = block_norm, block_mean, block_cov
+        else:  # merge the block's moments into the running ones (Chan et al. 1983)
+            total = np.logaddexp(log_norm, block_norm)
+            # both shares from the logs: 1 - f would round to eps, times |delta|^2
+            f, g = np.exp(block_norm - total), np.exp(log_norm - total)
+            delta, log_norm = block_mean - mean_x, total
+            mean_x = g * mean_x + f * block_mean
+            cov_x = g * cov_x + f * block_cov + (f * g) * np.outer(delta, delta)
+    if log_norm is None:
         raise FloatingPointError("all quadrature node weights underflowed")
-    log_norm = top + np.log(np.exp(log_terms - top).sum())
-    p = np.exp(np.subtract(log_terms, log_norm, out=log_terms), out=log_terms)
-    mean_x = x.T @ p
-    dev = x.T - mean_x[:, None]
     scale = center.scale
-    cov = scale @ ((dev * p) @ dev.T) @ scale.T
+    cov = scale @ cov_x @ scale.T
     cov = 0.5 * (cov + cov.T)
     return center.xi + scale @ mean_x, cov, float(log_norm + center.log_jac)
 

@@ -357,10 +357,21 @@ class TestQuadratureWorkBudget:
         assert sum(np.array_equal(a, problem.D) for a in factored) == 1
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_grid_is_in_product_order(self, r):
-        for order in (5, 8):
-            expected = np.array(list(itertools.product(range(order), repeat=r)))
-            assert np.array_equal(oracle._tensor_grid(order, r), expected)
+    def test_grid_is_in_product_order(self, monkeypatch, r):
+        # in one block, and in blocks of 8 nodes: rows of the last axis
+        for block in (oracle.QUADRATURE_BLOCK, 8):
+            monkeypatch.setattr(oracle, "QUADRATURE_BLOCK", block)
+            for order in (5, 8):
+                nodes, weights = np.polynomial.hermite.hermgauss(order)
+                index = np.array(list(itertools.product(range(order), repeat=r)))
+                blocks = list(oracle._node_blocks(order, r))
+                assert max(len(base) for _, base in blocks) <= block
+                assert np.array_equal(np.concatenate([x for x, _ in blocks]), nodes[index])
+                np.testing.assert_allclose(
+                    np.concatenate([base for _, base in blocks]),
+                    np.sum(np.log(weights)[index] + nodes[index] ** 2, axis=1),
+                    rtol=1e-15, atol=1e-13,
+                )
 
     def test_cached_rule_is_read_only(self):
         nodes, log_weights = oracle._hermite_rule(16)
@@ -470,22 +481,22 @@ class TestNodeSpaceQuadrature:
         assert adjudicate_exactness(problem).oracle.order_or_samples == 256
         assert_matches_gamma_space(problem, 256)
 
-    def test_cached_grid_is_read_only_product_order_built_once(self, monkeypatch):
-        built = []
-        tensor_grid = oracle._tensor_grid
-
-        def counted(order, r):
-            built.append((order, r))
-            return tensor_grid(order, r)
-
-        monkeypatch.setattr(oracle, "_tensor_grid", counted)
+    def test_cached_grid_is_read_only_product_order_built_once(self):
         oracle._node_grid.cache_clear()
         for _ in range(2):
             moments_quadrature(scalar_poisson(), order=16)
             moments_quadrature(gaussian_instance(seed=1), order=16)
-        assert sorted(built) == [(8, 1), (8, 2), (16, 1), (16, 2)]
-        x, base = oracle._node_grid(16, 2)
-        assert len(built) == 4
+        # the one-block grids of orders 16 and 8 at r = 1 and 2, each built once
+        for key in [(8, 1), (8, 2), (16, 1), (16, 2)]:
+            oracle._node_grid(*key)
+        assert oracle._node_grid.cache_info().misses == 4
+        # order 128 at r = 2 is four blocks made from the cached (128, 1) grid;
+        # its half order is the one-block (64, 2) grid
+        for _ in range(2):
+            moments_quadrature(gaussian_instance(seed=1), order=128)
+        assert oracle._node_grid.cache_info().misses == 6
+        [(x, base)] = oracle._node_blocks(16, 2)
+        assert oracle._node_grid.cache_info().misses == 6
         nodes, weights = np.polynomial.hermite.hermgauss(16)
         index = np.array(list(itertools.product(range(16), repeat=2)))
         assert np.array_equal(x, nodes[index])
@@ -569,18 +580,17 @@ def assert_bitwise_node_major(problem, order):
 
 
 class TestNodeContiguousIntegrand:
-    """Sums over contiguous node vectors give the node-major sums' bits for n, r < 8."""
+    """Sums over contiguous node vectors give the node-major sums' bits for n, r < 8
+    on a one-block grid."""
 
     @pytest.mark.parametrize("order", [32, 64])
     def test_battery_matches_node_major_bitwise(self, order):
         problems = list(battery_problems(range(4)))
         assert {problem.r for problem in problems} == {1, 2}
         assert max(problem.n for problem in problems) < 8
+        assert order**2 <= oracle.QUADRATURE_BLOCK
         for problem in problems:
             assert_bitwise_node_major(problem, order)
-
-    def test_escalated_r2_poisson_matches_node_major_bitwise(self):
-        assert_bitwise_node_major(escalated_r2_poisson(), 256)
 
     def test_many_observations_match_node_major(self, monkeypatch):
         # n = 40 is past numpy's 8-term sequential sum, so only rounding may move
@@ -602,13 +612,21 @@ class TestNodeContiguousLayout:
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_grid_is_fortran_ordered_read_only_product_order(self, r):
-        x, _ = oracle._node_grid(8, r)
+        [(x, _)] = oracle._node_blocks(8, r)
         assert x.shape == (8**r, r)
         assert x.flags.f_contiguous and not x.flags.c_contiguous
         assert not x.flags.writeable
         nodes, _ = np.polynomial.hermite.hermgauss(8)
         index = np.array(list(itertools.product(range(8), repeat=r)))
         assert np.array_equal(x, nodes[index])
+
+    @pytest.mark.parametrize("order, r", [(128, 2), (64, 3)])
+    def test_blocks_of_a_larger_grid_are_fortran_ordered(self, order, r):
+        blocks = list(oracle._node_blocks(order, r))
+        assert len(blocks) > 1
+        for x, base in blocks:
+            assert x.shape == (len(base), r)
+            assert x.flags.f_contiguous and not x.flags.c_contiguous
 
     def test_likelihood_gets_node_contiguous_predictor(self, monkeypatch):
         seen = []
@@ -638,32 +656,78 @@ def centered(problem):
     return oracle._center_terms(problem, fit.xi, fit.Xi)
 
 
-def gh_raw_bytes(problem, order, center):
-    mean, cov, logz = oracle._gh_raw(problem, order, center)
-    return mean.tobytes(), cov.tobytes(), np.float64(logz).tobytes()
-
-
 def battery_r2_n6():
     """The first r = 2, n = 6 instance of the battery seeds."""
     return next(p for p in battery_problems(range(40)) if (p.r, p.n) == (2, 6))
 
 
-class TestQuadratureBlocks:
-    """The integrand taken in node blocks: the unblocked sums' bytes in bounded memory."""
+def gh_raw_in_blocks(monkeypatch, problem, order, center, block):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "QUADRATURE_BLOCK", block)
+        return oracle._gh_raw(problem, order, center)
 
-    @pytest.mark.parametrize("block", ["above_K", 1000])
-    def test_block_size_moves_no_byte(self, monkeypatch, block):
+
+def assert_roundoff_apart(got, ref):
+    """Within 1e-13: absolute on the mean and covariance, relative on the log marginal."""
+    mean, cov, logz = got
+    ref_mean, ref_cov, ref_logz = ref
+    np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-13)
+    assert logz == pytest.approx(ref_logz, rel=1e-13, abs=0)
+
+
+def edit_log_terms(monkeypatch, edit):
+    """Have the integrand's terms of the i-th block edited by ``edit(i, terms)``."""
+    blocks = []
+    log_integrand = oracle._log_integrand
+
+    def edited(problem, center, x):
+        terms = log_integrand(problem, center, x)
+        edit(len(blocks), terms)
+        blocks.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(oracle, "_log_integrand", edited)
+    return blocks
+
+
+class TestQuadratureBlocks:
+    """Node blocks merged in order: a one-block grid's bits, roundoff otherwise,
+    and one memory bound at every order."""
+
+    @pytest.mark.parametrize("block", [1000, 4096, "above_K"])
+    def test_block_size_moves_only_roundoff(self, monkeypatch, block):
+        # a grid over several blocks merges their moments in another order of
+        # adds, so its bits depend on the block size; one block is the reference
         cases = [(problem, (64, 128, 256)) for problem in battery_problems(range(4))]
         cases += [(gaussian_instance(seed=3, r=3), (64,)), (poisson_n40_r2(), (64, 128, 256))]
-        runs = [(problem, order, centered(problem)) for problem, orders in cases
-                for order in orders]
-        default = [gh_raw_bytes(*run) for run in runs]
-        blocked = []
-        for problem, order, center in runs:
-            size = order**problem.r + 1 if block == "above_K" else block
-            monkeypatch.setattr(oracle, "QUADRATURE_BLOCK", size)
-            blocked.append(gh_raw_bytes(problem, order, center))
-        assert blocked == default
+        for problem, orders in cases:
+            center = centered(problem)
+            for order in orders:
+                K = order**problem.r
+                size = K + 1 if block == "above_K" else block
+                assert_roundoff_apart(
+                    gh_raw_in_blocks(monkeypatch, problem, order, center, size),
+                    gh_raw_in_blocks(monkeypatch, problem, order, center, K),
+                )
+        problem = escalated_r2_poisson()
+        center = centered(problem)
+        size = 256**2 + 1 if block == "above_K" else block
+        assert_roundoff_apart(
+            gh_raw_in_blocks(monkeypatch, problem, 256, center, size),
+            node_major_gh_raw(problem, 256, center.xi, center.scale),
+        )
+
+    def test_merge_takes_both_shares_from_the_logs(self):
+        # battery seed 27, instance 15, adjudicated at order 128: a merge that
+        # scaled the running moments by 1 - f moved cov by 2.2e-14 from the
+        # whole-grid sums, its rounding times a |delta|^2 of the far blocks
+        problem = list(battery_problems([27]))[15]
+        center = centered(problem)
+        mean, cov, _ = oracle._gh_raw(problem, 128, center)
+        ref_mean, ref_cov, _ = node_major_gh_raw(problem, 128, center.xi, center.scale)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=2e-15)
 
     def test_likelihood_gets_at_most_a_block_of_nodes(self, monkeypatch):
         problem = escalated_r2_poisson()
@@ -680,20 +744,72 @@ class TestQuadratureBlocks:
         assert max(rows) == oracle.QUADRATURE_BLOCK
         assert sum(rows) == 256**2
 
-    @pytest.mark.parametrize("order, bound", [(64, 0.8 * 2**20), (256, 4 * 2**20)])
-    def test_peak_memory(self, order, bound):
-        # unblocked, an order-256 call peaked at 9.5 MiB and an order-64 one at 0.75
-        problem = battery_r2_n6()
+    @pytest.mark.parametrize("case", ["r2_order64", "r2_order256", "r3_order64"])
+    def test_peak_memory(self, case):
+        # one bound at every order, with no grid or rule built beforehand; with
+        # whole grids cached and summed at once, the r = 3 call peaked at 22.0
+        # MiB and the order-256 one at 4.0 MiB
+        problem, order = {
+            "r2_order64": (battery_r2_n6(), 64),
+            "r2_order256": (battery_r2_n6(), 256),
+            "r3_order64": (gaussian_instance(seed=3, r=3), 64),
+        }[case]
         center = centered(problem)
-        for k in (order, order // 2):
-            oracle._node_grid(k, 2)
+        oracle._hermite_rule.cache_clear()
+        oracle._node_grid.cache_clear()
         tracemalloc.start()
         try:
             oracle._quadrature(problem, order, center, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
+        assert peak < 2**20
+
+    def test_underflow_of_every_block_is_a_floating_point_error(self, monkeypatch):
+        problem = escalated_r2_poisson()
+        center = centered(problem)
+        blocks = edit_log_terms(monkeypatch, lambda i, terms: terms.fill(-np.inf))
+        with pytest.raises(FloatingPointError, match="all quadrature node weights underflowed"):
+            oracle._gh_raw(problem, 128, center)
+        assert len(blocks) == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nan_or_infinite_log_term_is_named(self, monkeypatch, value):
+        # in the second of four blocks, beside finite ones
+        problem = escalated_r2_poisson()
+        center = centered(problem)
+
+        def edit(i, terms):
+            if i == 1:
+                terms[7] = value
+
+        edit_log_terms(monkeypatch, edit)
+        with pytest.raises(FloatingPointError, match=f"log term is {value}$"):
+            oracle._gh_raw(problem, 128, center)
+
+    def test_block_that_underflowed_is_skipped(self, monkeypatch):
+        # the second of four blocks underflows: the moments of the others, as
+        # one block with those nodes' terms at -inf gives them
+        problem = escalated_r2_poisson()
+        center = centered(problem)
+        block = oracle.QUADRATURE_BLOCK
+
+        def second_block(i, terms):
+            if i == 1:
+                terms.fill(-np.inf)
+
+        blocks = edit_log_terms(monkeypatch, second_block)
+        got = oracle._gh_raw(problem, 128, center)
+        assert blocks == [block] * 4
+        monkeypatch.undo()
+
+        def same_nodes(i, terms):
+            terms[block:2 * block] = -np.inf
+
+        edit_log_terms(monkeypatch, same_nodes)
+        ref = gh_raw_in_blocks(monkeypatch, problem, 128, center, 128**2)
+        assert np.isfinite(got[2]) and np.all(np.isfinite(got[1]))
+        assert_roundoff_apart(got, ref)
 
 
 def unstack(stack):
