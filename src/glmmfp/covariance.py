@@ -7,15 +7,17 @@ and 2.5 go through exact closed forms; other smoothness values use the
 modified Bessel function of the second kind, whose ``scipy.special``
 import is deferred to the branch that needs it.
 
-The blocked covariance is built in one buffer over the stacked observed
-and unobserved sites, one band of 64 rows at a time: numpy computes the
-band's distances to the sites up to it, bit for bit as ``cdist`` does,
-:func:`matern` overwrites them with the covariance, and the band's
-transpose fills the entries above it.  No ``scipy.spatial`` is loaded.
-The observed rows are copied out, and the buffer is then factored in
-place: its one Cholesky factor is all that callers need, to draw from
-it, to certify its observed block and to krig a draw (:mod:`simulate`'s
-oracle).  A prior holds (n + n*)^2 + n (n + n*) doubles.
+The blocked covariance is built in one buffer over the stacked sites, one
+band of 64 rows at a time: numpy computes the band's distances to the
+sites from its own diagonal on, bit for bit as ``cdist`` does, in the
+prior's observed rows where they hold two bands, :func:`matern`
+overwrites them, and the band fills the upper triangle, the one that
+LAPACK reads and writes.  No entry is made twice, and no
+``scipy.spatial`` is loaded.  The observed rows are copied out, and the
+buffer is factored in place; a jitter retry writes it again.  Its one
+Cholesky factor is all that callers need, to draw from it, to certify its
+observed block and to krig a draw (:mod:`simulate`'s oracle).  A prior
+holds (n + n*)^2 + n (n + n*) doubles.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -39,8 +42,8 @@ PRIOR_BUDGET = 2**24
 _JITTER_START = 1e-10
 _JITTER_CAP = 1e-6
 _NON_FINITE = "blocked covariance must not contain infs or NaNs"
-# the strict lower triangle of a band of 64 rows, zeroed above the factor;
-# distances are also made 64 rows a band, 400 KiB at 800 sites
+# the strict lower triangle of a band of 64 rows: mirrored, zeroed above the
+# factor and never written by the bands of distances (400 KiB at 800 sites)
 _BAND_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
@@ -101,11 +104,12 @@ def matern(params: MaternParams, d, out=None):
         raise ValueError("distances must be nonnegative")
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    a = np.multiply(params.omega2, d, out=out)
     nu = params.omega3
+    # negation is exact, so (-omega2) d is -(omega2 d) bit for bit
+    a = np.multiply(-params.omega2 if nu == 0.5 else params.omega2, d, out=out)
     sill = params.sill
     if nu == 0.5:
-        np.exp(np.negative(a, out=a), out=a)
+        np.exp(a, out=a)
         a *= sill
     elif nu in (1.5, 2.5):
         # sill * (1 + a [+ a^2 / 3]) * exp(-a), in that order, in place
@@ -169,30 +173,31 @@ def matern_scale_derivative(params: MaternParams, d, second: bool = False) -> np
 class BlockedCovariance:
     """Observed/unobserved partition of a spatial prior covariance, and its factor.
 
-    The constructor takes ``full``, the exactly symmetric (n + n*) x (n + n*)
-    covariance (as the one distance buffer of :func:`build_blocked` is), and
-    ``n``, and checks ``full`` and a lent ``buf`` by :func:`_lapack.workspace`
-    (C-ordered) before anything is written.  It copies the observed rows into
-    ``rows`` (``buf`` or a new array), of which ``d11`` (n x n) and ``d12``
-    (n x n*) are views.  Then it factors ``full`` in place, certifying
-    positive definiteness, and escalates a diagonal jitter tenfold from
-    1e-10 up to 1e-6 times the largest diagonal entry (the sill) before
-    giving up; LAPACK writes only the upper triangle of ``full``, so each
-    retry restores it from the strict lower one.  Exact symmetry puts every
-    entry in the factored triangle, so a non-finite ``full`` raises
-    ``ValueError`` and a finite one is not scanned.  ``jitter`` is the
-    regularization that was needed, which the constructor does not log, and
-    ``chol``, in ``full``'s memory, the factor of the jittered covariance,
-    upper triangle zeroed; its leading n x n block is the factor of ``d11``,
-    so callers draw, krig and certify ``d11`` with it instead of factoring
-    again.
+    The constructor takes ``full``, a C-ordered (n + n*) x (n + n*) buffer
+    whose upper triangle holds the covariance, ``n``, and ``source``, which
+    writes that triangle again as ``source(full)`` (:func:`build_blocked`'s
+    band fill, ``estimate``'s :func:`matern`); nothing below the diagonal is
+    read.  ``full`` and a lent ``buf`` are checked by
+    :func:`_lapack.workspace` before anything is written.  The observed rows
+    go into ``rows`` (``buf`` or a new array), of which ``d11`` (n x n, its
+    lower triangle mirrored from its upper one) and ``d12`` (n x n*) are
+    views.  ``full`` is factored in place, certifying positive definiteness,
+    and a diagonal jitter escalates tenfold from 1e-10 up to 1e-6 times the
+    largest diagonal entry (the sill) before giving up; each retry has
+    ``source`` write the covariance again.  A non-finite covariance raises
+    ``ValueError``: the factor's diagonal is checked, and after a failed
+    factorization the covariance is mirrored and scanned once.  ``jitter``
+    is the regularization that was needed, which the constructor does not
+    log, and ``chol``, in ``full``'s memory, the factor of the jittered
+    covariance, upper triangle zeroed; its leading n x n block is the
+    factor of ``d11``, so callers draw, krig and certify ``d11`` with it
+    instead of factoring again.
     """
 
-    def __init__(self, full: np.ndarray, n: int, buf: np.ndarray | None = None):
+    def __init__(self, full: np.ndarray, n: int, source, buf: np.ndarray | None = None):
         m = len(full)
         workspace(full, (m, m), "C")
         self.rows = buf = workspace(buf, (n, m), "C")
-        np.copyto(buf, full[:n])
         self.d11, self.d12 = buf[:, :n], buf[:, n:]
         self.jitter = 0.0
         diag = full.diagonal().copy()
@@ -200,13 +205,14 @@ class BlockedCovariance:
         candidate = _JITTER_START * scale
         cap = _JITTER_CAP * scale
         while True:
+            np.copyto(buf, full[:n])
+            _mirror_upper(self.d11)
             try:
-                # full is exactly symmetric, so its F-ordered transpose is full itself
+                # LAPACK reads and writes the lower triangle of the F-ordered full.T
                 chol = potrf(full.T)
             except np.linalg.LinAlgError:
-                _mirror_lower(full)
-                np.fill_diagonal(full, diag + candidate)
-                if self.jitter == 0.0 and not np.all(np.isfinite(full)):
+                source(full)
+                if self.jitter == 0.0 and not np.all(np.isfinite(_mirror_upper(full))):
                     raise ValueError(_NON_FINITE) from None
                 if not 0.0 < candidate <= cap:
                     raise SingularCovarianceError(
@@ -214,7 +220,7 @@ class BlockedCovariance:
                         "escalation"
                     ) from None
                 self.jitter = candidate
-                np.fill_diagonal(buf, diag[:n] + candidate)
+                np.fill_diagonal(full, diag + candidate)
                 candidate *= 10.0
             else:
                 if not np.all(np.isfinite(chol.diagonal())):
@@ -233,15 +239,16 @@ class BlockedCovariance:
         return self.d11.shape[0]
 
 
-def _mirror_lower(a):
-    """Copy the strict lower triangle of the square ``a`` over its upper one, in
-    bands of ``len(_BAND_LOWER)`` rows: no index array of ``a``'s size."""
+def _mirror_upper(a):
+    """The square ``a``, its strict upper triangle copied over its strict lower
+    one in bands of ``len(_BAND_LOWER)`` rows: no index array of ``a``'s size."""
     b = len(_BAND_LOWER)
     for i in range(0, len(a), b):
         block = a[i : i + b, i : i + b]
-        upper = _BAND_LOWER[: len(block), : len(block)].T
-        block[upper] = block.T[upper]
-        a[i : i + b, i + b :] = a[i + b :, i : i + b].T
+        lower = _BAND_LOWER[: len(block), : len(block)]
+        block[lower] = block.T[lower]
+        a[i : i + b, :i] = a[:i, i : i + b].T
+    return a
 
 
 def _as_coords(coords) -> np.ndarray:
@@ -282,43 +289,40 @@ def _distances(rows, cols, out, tmp):
     return np.sqrt(out, out=out)
 
 
-def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None = None):
-    """Distances among the observed sites, then the unobserved ones, or
-    their Matern covariance under ``params``, in ``out`` or a new array.
+def _fill_bands(obs, unobs, out, params: MaternParams | None = None, scratch=None):
+    """Distances among the checked sites ``obs``, then ``unobs``, or their
+    Matern covariance under ``params``, in the upper triangle of ``out``.
 
-    The sites are checked by :func:`_check_sites`, and a lent ``out`` by
-    :func:`_lapack.workspace` (C-ordered), before anything is written.
-    Then :func:`_distances` fills band by band of ``len(_BAND_LOWER)``
-    rows, each over the sites up to and including the band, and under
-    ``params`` :func:`matern` overwrites each band.  The band's transpose
-    fills the entries above it, so ``out`` is exactly symmetric, and only
-    the lower triangle and the bands' diagonal blocks are computed: 54% of
-    the entries at 800 sites.
+    :func:`_distances` fills one band of ``len(_BAND_LOWER)`` rows at a
+    time, over the sites from the band's own diagonal on, in a contiguous
+    band scratch, whose ufunc loops run faster than over the strided rows
+    of ``out``, and under ``params`` :func:`matern` overwrites it.  The band
+    is copied into ``out`` but for its strict lower triangle, so nothing
+    below the diagonal is written.  The scratch is in ``scratch``, C-ordered
+    and unread until this returns, where that holds two bands, else new.
     The exact zeros among the observed sites are counted before
     :func:`matern` overwrites them: the diagonal holds one per site,
     and any other is a duplicate observed site, which makes the observed
     block singular.
     """
-    obs, unobs = _check_sites(coords_obs, coords_unobs)
-    sites = np.concatenate([obs, unobs])
-    n, m, b = len(obs), len(sites), len(_BAND_LOWER)
-    out = workspace(out, (m, m), "C")
-    cols = np.ascontiguousarray(sites.T)
-    # two contiguous band-sized temporaries, whose ufunc loops run faster
-    # than over the strided rows of out
-    bands, squares = np.empty((2, min(b, m) * m))
+    n, m, b = len(obs), len(obs) + len(unobs), len(_BAND_LOWER)
+    cols = np.concatenate([obs.T, unobs.T], axis=1)
+    size = min(b, m) * m
+    if scratch is None or scratch.size < 2 * size:
+        scratch = np.empty(2 * size)
+    bands, squares = scratch.reshape(-1)[: 2 * size].reshape(2, size)
     zeros = 0
     for i in range(0, m, b):
         j = min(i + b, m)
-        band = bands[: (j - i) * j].reshape(j - i, j)
-        sq = squares[: (j - i) * j].reshape(j - i, j)
-        _distances(cols[:, i:j], cols[:, :j], band, sq)
+        band = bands[: (j - i) * (m - i)].reshape(j - i, m - i)
+        sq = squares[: band.size].reshape(band.shape)
+        _distances(cols[:, i:j], cols[:, i:], band, sq)
         if i < n:
-            zeros += np.count_nonzero(band[: n - i, : min(j, n)] == 0.0)
+            zeros += np.count_nonzero(band[: n - i, : n - i] == 0.0)
         if params is not None:
             matern(params, band, out=band)
-        out[i:j, :j] = band
-        out[:i, i:j] = band[:, :i].T
+        out[i:j, j:] = band[:, j - i :]
+        np.copyto(out[i:j, i:j], band[:, : j - i], where=~_BAND_LOWER[: j - i, : j - i])
     if zeros > n:
         raise ValueError("duplicate observed coordinates make the prior singular")
     return out
@@ -326,10 +330,12 @@ def _fill_bands(coords_obs, coords_unobs, out=None, params: MaternParams | None 
 
 def site_distances(coords_obs, coords_unobs=None) -> np.ndarray:
     """Distances among the observed sites, then the unobserved ones, bit for
-    bit as ``cdist`` makes them and exactly symmetric (:func:`_fill_bands`).
-    The sites are checked by :func:`_check_sites`, and duplicate observed
-    sites, which make the observed block singular, are rejected."""
-    return _fill_bands(coords_obs, coords_unobs)
+    bit as ``cdist`` makes them and exactly symmetric (:func:`_fill_bands`,
+    mirrored).  The sites are checked by :func:`_check_sites`, and duplicate
+    observed sites, which make the observed block singular, are rejected."""
+    obs, unobs = _check_sites(coords_obs, coords_unobs)
+    m = len(obs) + len(unobs)
+    return _mirror_upper(_fill_bands(obs, unobs, np.empty((m, m))))
 
 
 def cross_covariance(params: MaternParams, coords_obs, coords_unobs) -> np.ndarray:
@@ -354,26 +360,27 @@ def build_blocked(
 ) -> BlockedCovariance:
     """Blocked Matern covariance over observed and unobserved sites.
 
-    The sites are checked as by :func:`site_distances`, and each band of
-    distances is overwritten with its covariance as soon as it is made.
-    The Matern diagonal is the sill, so the certification jitter of
-    :class:`BlockedCovariance` runs from 1e-10 x sill to 1e-6 x sill; a
-    jitter that was needed is logged as a warning, once per prior.
+    The sites are checked as by :func:`site_distances`, and
+    :func:`_fill_bands` overwrites each band of distances with its
+    covariance as soon as it is made, in the prior's ``rows``; it is the
+    :class:`BlockedCovariance` source too.  The Matern diagonal is the
+    sill, so the certification jitter runs from 1e-10 x sill to 1e-6 x
+    sill; a jitter that was needed is logged as a warning, once per prior.
 
     ``spent``, a :class:`BlockedCovariance` over as many sites, split
     alike, that its lender no longer reads, lends all its buffers: the
     covariance is written and factored in the memory of its ``chol``, and
-    the observed rows are copied into its ``rows``, so nothing of size
-    (n + n*)^2 is allocated, and the result is bit for bit the one built
-    without it.  A ``spent`` prior over another number or split of sites
-    raises ``ValueError`` before anything is written.
+    the bands and the observed rows are made in its ``rows``, so nothing
+    of size (n + n*)^2 is allocated, and the result is bit for bit the one
+    built without it.  A ``spent`` prior over another number or split of
+    sites raises ``ValueError`` before anything is written.
     """
-    full = rows = None
-    if spent is not None:  # all its buffers or none, checked before any is written
-        n, m = len(coords_obs), len(spent.chol)
-        full, rows = spent.chol.T, workspace(spent.rows, (n, m), "C")
-    full = _fill_bands(coords_obs, coords_unobs, full, params)
-    blocked = BlockedCovariance(full, len(coords_obs), rows)
+    obs, unobs = _check_sites(coords_obs, coords_unobs)
+    n, m = len(obs), len(obs) + len(unobs)
+    full, rows = (None, None) if spent is None else (spent.chol.T, spent.rows)
+    full, rows = workspace(full, (m, m), "C"), workspace(rows, (n, m), "C")
+    source = partial(_fill_bands, obs, unobs, params=params, scratch=rows)
+    blocked = BlockedCovariance(source(full), n, source, rows)
     if blocked.jitter:
         log.warning("covariance jitter escalated to %.3e", blocked.jitter)
     return blocked

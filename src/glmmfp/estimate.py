@@ -70,6 +70,7 @@ import itertools
 import logging
 import math
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -175,7 +176,8 @@ def _fit(data: SpatialData, beta, omega: MaternParams, dist, accepted, jitters):
     ``accepted``, None or an earlier fit for the same ``data``, starts the fit
     at its mode's predictor; ``jitters``, a list, receives the prior's jitter.
     """
-    blocked = BlockedCovariance(matern(omega, dist), len(dist))
+    source = partial(matern, omega, dist)  # writes the prior again in a jitter retry
+    blocked = BlockedCovariance(source(), len(dist), source)
     jitters.append(blocked.jitter)
     eta0 = None if accepted is None else accepted.eta
     return fit_posterior(site_problem(data, blocked, beta), eta0=eta0)

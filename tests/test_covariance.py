@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
 from glmmfp import covariance
@@ -25,6 +27,13 @@ def covariance_of(params, obs, unobs=None, jitter=0.0):
     full = matern(params, site_distances(obs, unobs))
     full[np.diag_indices_from(full)] += jitter
     return full
+
+
+def blocked_of(full, n, buf=None):
+    """``BlockedCovariance`` of the covariance ``full``, whose source, for a
+    jitter retry, writes a copy of it."""
+    kept = full.copy()
+    return BlockedCovariance(full, n, lambda out: np.copyto(out, kept), buf)
 
 
 def lapack_factor(a):
@@ -78,6 +87,19 @@ class TestMatern:
         before = d.copy()
         assert np.array_equal(matern(p, d), p.sill * np.exp(-p.omega2 * d))
         assert np.array_equal(d, before)  # d is not overwritten
+
+    def test_exponential_scales_by_the_negated_omega2_bit_for_bit(self):
+        # negation is exact: exp((-omega2) d) in one multiply is the two-step
+        # exp(-(omega2 d)), also at 0, subnormal products and overflow
+        d = np.array([0.0, 1e-300, 1e-13, 1.0, 700.0, 1e300])
+        band = np.random.default_rng(16).uniform(0.0, 30.0, size=(64, 800))
+        for omega2 in (1.3, 0.5, 1e-8, 1e8):
+            p = MaternParams(0.7, omega2, 0.5)
+            for x in (d, band):
+                two_step = np.exp(np.negative(np.multiply(omega2, x)))
+                two_step *= p.sill
+                assert np.array_equal(matern(p, x), two_step)
+                assert np.array_equal(matern(p, x.copy(), out=x.copy()), two_step)
 
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8])
     def test_out_receives_the_fresh_result(self, nu):
@@ -261,7 +283,7 @@ class TestBuildBlocked:
         d11 = np.eye(2)
         d12 = np.zeros((2, 1))
         d22 = np.eye(1)
-        b = BlockedCovariance(np.block([[d11, d12], [d12.T, d22]]), 2)
+        b = blocked_of(np.block([[d11, d12], [d12.T, d22]]), 2)
         # the identity is its own factor
         assert np.array_equal(b.chol, np.eye(3))
         assert np.array_equal(b.d11, d11) and np.array_equal(b.d12, d12)
@@ -339,6 +361,33 @@ class TestAssembly:
         for got, want in ((b.d11, d11), (b.d12, d12), (b.chol, lapack_factor(full))):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("lent", [False, True])
+    @pytest.mark.parametrize("n", [12, 130])
+    def test_bit_identical_under_jitter_in_the_unobserved_block(self, n, lent):
+        # three near-duplicate unobserved pairs: the failing pivot lies in d22,
+        # so a retry writes the whole covariance again; at n = 130 the bands
+        # are made in the observed rows, which each retry copies again
+        def sites(seed):
+            rng = np.random.default_rng(seed)
+            base = rng.uniform(0, 5, size=(3, 2))
+            return rng.uniform(0, 5, size=(n, 2)), np.vstack([base, base + 1e-13])
+
+        params, (obs, unobs), spent = MaternParams(0.9, 0.5, 2.5), sites(17), None
+        m = n + len(unobs)
+        full = self.stacked(params, obs, unobs, 0.0)[3]
+        assert dpotrf(full, lower=True)[1] > n
+        if lent:
+            # nothing below the lent buffer's diagonal is read
+            spent = build_blocked(params, *sites(18))
+            spent.chol.T[np.tril_indices(m, -1)] = np.nan
+            spent.rows.fill(np.nan)
+        b = build_blocked(params, obs, unobs, spent)
+        jitter = TestInPlaceFactor.escalated(full)[0]
+        assert b.jitter == jitter > 0
+        d11, d12, _, full = self.stacked(params, obs, unobs, jitter)
+        for got, want in ((b.d11, d11), (b.d12, d12), (b.chol, lapack_factor(full))):
+            assert np.array_equal(got, want)
+
     def test_blocks_are_views_and_chol_factors_full(self):
         rng = np.random.default_rng(5)
         params = MaternParams(0.5, 1.0)
@@ -356,7 +405,7 @@ class TestAssembly:
     def test_blocks_that_are_not_positive_definite_rejected(self):
         d12 = np.full((2, 1), 2.0)
         with pytest.raises(SingularCovarianceError):
-            BlockedCovariance(np.block([[np.eye(2), d12], [d12.T, np.eye(1)]]), 2)
+            blocked_of(np.block([[np.eye(2), d12], [d12.T, np.eye(1)]]), 2)
 
 
 class TestBands:
@@ -373,18 +422,31 @@ class TestBands:
             assert np.array_equal(got, want)
             assert np.array_equal(got, got.T)
 
-    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0, None])
     def test_covariance_in_the_bands_equals_matern_of_cdist(self, nu):
-        rng = np.random.default_rng(12)
-        obs, unobs = rng.uniform(0, 5, size=(100, 2)), rng.uniform(0, 5, size=(70, 2))
-        params = MaternParams(0.6, 0.8, nu)
-        sites = np.vstack([obs, unobs])
-        want = matern(params, cdist(sites, sites))
-        assert np.array_equal(covariance._fill_bands(obs, unobs, params=params), want)
-        b = build_blocked(params, obs, unobs)
-        assert b.jitter == 0.0
-        assert np.array_equal(b.rows, want[:100])
-        assert np.array_equal(b.chol, lapack_factor(want))
+        # bit for bit matern of cdist above the diagonal and nothing below it,
+        # with no scratch and with one of n x (n + n*), which holds two bands
+        # from n = 128 on
+        params = None if nu is None else MaternParams(0.6, 0.8, nu)
+        for n, lend in itertools.product((100, 200), (False, True)):
+            rng = np.random.default_rng(12)
+            obs, unobs = rng.uniform(0, 5, size=(n, 2)), rng.uniform(0, 5, size=(70, 2))
+            sites = np.vstack([obs, unobs])
+            m = len(sites)
+            want = cdist(sites, sites)
+            if params is not None:
+                want = matern(params, want)
+            out = np.full((m, m), np.nan)
+            scratch = np.full((n, m), np.nan) if lend else None
+            assert covariance._fill_bands(obs, unobs, out, params, scratch) is out
+            upper = np.triu(np.ones((m, m), dtype=bool))
+            assert np.array_equal(out[upper], want[upper])
+            assert np.all(np.isnan(out[~upper]))
+            if params is not None:
+                b = build_blocked(params, obs, unobs)
+                assert b.jitter == 0.0
+                assert np.array_equal(b.rows, want[:n])
+                assert np.array_equal(b.chol, lapack_factor(want))
 
     @pytest.mark.parametrize("pair", [(128, 3), (128, 127), (129, 128)])
     def test_duplicate_observed_pair_in_the_last_band_rejected(self, pair):
@@ -518,7 +580,7 @@ class TestSpentPrior:
         for buf in (np.empty((6, 6)), np.empty((4, 6), order="F"), np.empty((4, 5)),
                     np.empty((4, 6), dtype=np.float32)):
             with pytest.raises(ValueError, match=r"C-ordered \(4, 6\) float64"):
-                BlockedCovariance(full.copy(), 4, buf)
+                blocked_of(full.copy(), 4, buf)
 
     def test_jitter_is_logged_once_per_prior(self, caplog):
         params = MaternParams(0.9, 0.5, 2.5)
@@ -573,7 +635,7 @@ class TestLapackFactor:
         d11 = np.array([[1.0, np.nan], [np.nan, 1.0]])
         d12 = np.zeros((2, 1))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            BlockedCovariance(np.block([[d11, d12], [d12.T, np.eye(1)]]), 2)
+            blocked_of(np.block([[d11, d12], [d12.T, np.eye(1)]]), 2)
         # the factor's diagonal certifies these: potrf does not stop on them
         rng = np.random.default_rng(9)
         A = rng.standard_normal((6, 6))
@@ -587,18 +649,18 @@ class TestLapackFactor:
             full = base.copy()
             full[i, j] = full[j, i] = value
             with pytest.raises(ValueError, match="infs or NaNs"):
-                BlockedCovariance(full, 4)
+                blocked_of(full, 4)
         # potrf stops at the first pivot, so the matrix itself is scanned
         # before any jitter
         full = np.array([[-1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            BlockedCovariance(full, 1)
+            blocked_of(full, 1)
 
 
 class TestInPlaceFactor:
     """The covariance is factored in the buffer passed in; the observed rows are
-    copied out first, and a jitter retry restores the covariance from the
-    triangle that LAPACK leaves untouched."""
+    copied out first, and a jitter retry has the source write the covariance
+    again: nothing below the buffer's diagonal is read."""
 
     sites = staticmethod(TestSpentPrior.sites)
 
@@ -619,7 +681,7 @@ class TestInPlaceFactor:
         params = MaternParams(0.6, 0.8)
         obs, unobs = self.sites(20, 12, 5)
         full = covariance_of(params, obs, unobs)
-        b = BlockedCovariance(full, 12)
+        b = blocked_of(full, 12)
         assert np.shares_memory(b.chol, full) and not np.shares_memory(b.chol, b.rows)
         assert b.chol.flags.f_contiguous and b.rows.flags.c_contiguous
         lent = build_blocked(params, obs, unobs, spent=b)
@@ -649,18 +711,20 @@ class TestInPlaceFactor:
         full = np.triu(a) + np.triu(a, 1).T
         jitter, jittered, chol = self.escalated(full)
         assert jitter == pytest.approx(1e-8 * np.max(full.diagonal()), rel=1e-12)
-        b = BlockedCovariance(full.copy(), 150)
+        poisoned = full.copy()
+        poisoned[np.tril_indices(200, -1)] = np.nan
+        b = blocked_of(poisoned, 150)
         assert b.jitter == jitter and np.array_equal(b.chol, chol)
         assert np.array_equal(b.rows, jittered[:150])
 
     def test_non_finite_covariance_behind_a_failed_pivot_rejected(self):
         # potrf stops in d11 before reaching the NaN in the unobserved block,
-        # which the restored covariance still holds
+        # which the covariance written again for the retry holds
         full = np.eye(4)
         full[0, 1] = full[1, 0] = 2.0
         full[3, 2] = full[2, 3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            BlockedCovariance(full, 2)
+            blocked_of(full, 2)
 
     def test_covariance_that_cannot_be_factored_in_place_rejected(self):
         full = covariance_of(MaternParams(0.5, 1.0), *self.sites(23, 4, 2))
@@ -668,5 +732,5 @@ class TestInPlaceFactor:
                     full.astype(np.float32), np.vstack([full, full])[::2]):
             before = bad.copy()
             with pytest.raises(ValueError, match="lent array must be a C-ordered"):
-                BlockedCovariance(bad, 2)
+                blocked_of(bad, 2)
             assert np.array_equal(bad, before)

@@ -102,8 +102,6 @@ class TestOneLayoutCheck:
         ("_lapack", "_CONTIGUOUS"),
         # read-only node grid, Fortran-ordered so that its products round alike
         ("oracle", "np.asfortranarray"),
-        # read-only site coordinates, one row a coordinate
-        ("covariance", "np.ascontiguousarray"),
         # a quadrature order, not a layout
         ("cli", "oracle.adjudicate_exactness(order=)"),
     }
