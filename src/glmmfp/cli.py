@@ -93,16 +93,15 @@ def _site_fit(cfg: RunConfig, data: SpatialData):
     return result.report, result.omega_hat, result
 
 
-def _fit_and_krige(cfg, train, test, tier=None):
-    """Fit the mode at the training sites and krige it to the test sites: the
-    :class:`SpatialPrediction` and the estimate, ``None`` if none.
-    Training and test sites are checked together first, so that sites over the
+def _fit_and_krige(cfg, observed: SpatialData, unobserved: SpatialData):
+    """Fit the mode at the ``observed`` sites and krige it to the ``unobserved`` ones,
+    both made by :func:`_sites`: the :class:`SpatialPrediction` and the estimate,
+    ``None`` if none.  The sites are checked together first, so that sites over the
     budget (:func:`check_site_count`) are refused before any prior or fit is made."""
-    _check_sites(train.coords, test.coords)
-    observed = _sites(cfg, train, tier)
+    _check_sites(observed.coords, unobserved.coords)
     report, omega, result = _site_fit(cfg, observed)
-    d12 = cross_covariance(omega, observed.coords, test.coords)
-    return krige(report, _sites(cfg, test, tier, fitted=False), d12), result
+    d12 = cross_covariance(omega, observed.coords, unobserved.coords)
+    return krige(report, unobserved, d12), result
 
 
 def _exit_code(report, result) -> int:
@@ -153,7 +152,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
         raise ConfigError("no training rows")
     if test.n < 1:
         raise ConfigError("no test rows")
-    pred, result = _fit_and_krige(cfg, train, test)
+    pred, result = _fit_and_krige(cfg, _sites(cfg, train), _sites(cfg, test, fitted=False))
     dataio.write_csv(
         args.out / "predictions.csv",
         ("site", "xi_star", "y_hat_star", "u_hat_star"),
@@ -214,12 +213,11 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     rows = []
     failures = []
     for split in range(splits):
-        rng = np.random.default_rng([seed, split])
-        perm = rng.permutation(dataset.n)
-        test_idx, train_idx = perm[:n_test], perm[n_test : n_test + n_train]
+        perm = np.random.default_rng([seed, split]).permutation(dataset.n)
+        train, test = map(dataset.subset, (perm[n_test : n_test + n_train], perm[:n_test]))
         for tier in tiers:
             try:
-                g2 = _validate_split(cfg, dataset, train_idx, test_idx, tier)
+                g2 = _validate_split(cfg, train, test, tier)
                 rows.append((split, tier, g2))
             except Exception as exc:  # noqa: BLE001 - recorded per split
                 failures.append({"split": split, "tier": tier, "error": str(exc)})
@@ -235,15 +233,18 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     return EXIT_OK if not failures else EXIT_NUMERICAL
 
 
-def _validate_split(cfg, dataset, train_idx, test_idx, tier) -> float:
-    train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    prediction, result = _fit_and_krige(cfg, train, test, tier)
+def _validate_split(cfg, train, test, tier) -> float:
+    """Predictive deviance at the ``test`` rows of the ``tier`` fit on the ``train``
+    rows, under the kernel that the test sites were kriged with."""
+    observed = _sites(cfg, train, tier)  # first, so its design's error is the one recorded
+    unobserved = _sites(cfg, test, tier, fitted=False)
+    prediction, result = _fit_and_krige(cfg, observed, unobserved)
     if not prediction.report.converged:
         raise RuntimeError("mode-finder did not converge on a split")
     if result is not None:
         result.check_converged()
-    kernel = dataio.make_kernel(cfg, test.trials)
-    return deviance_gof(test.y, prediction.y_hat_star, kernel.trials, kernel.variance)
+    kernel = unobserved.kernel
+    return deviance_gof(unobserved.y, prediction.y_hat_star, kernel.trials, kernel.variance)
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:

@@ -78,7 +78,6 @@ from ._lapack import potri, potrs
 from .covariance import (
     BlockedCovariance,
     MaternParams,
-    build_blocked,
     matern,
     matern_scale_derivative,
     site_distances,
@@ -296,12 +295,9 @@ def _nearest_correlation(omega: MaternParams, dist) -> float:
 
 
 def approx_loglik(data: SpatialData, beta, omega: MaternParams) -> float:
-    """Laplace-style marginal log-likelihood surrogate at (beta, omega).
-
-    Returns -inf when the inner mode-finder fails to converge.
-    """
-    blocked = build_blocked(omega, data.coords)
-    report = fit_posterior(site_problem(data, blocked, beta))
+    """The Laplace surrogate at (beta, omega), -inf unless the mode fit converged:
+    the value of :func:`estimate`'s first fit from there, with no jitter logged."""
+    report = _fit(data, beta, omega, site_distances(data.coords), None, [])
     return laplace_marginal(report) if report.converged else -np.inf
 
 

@@ -105,13 +105,13 @@ class SimConfig:
             put("omega", parse_matern(self.omega, "simulate.omega"))
         put("side", read_float(self.side, "simulate.side", positive=True))
         put("scenarios", read_names(self.scenarios, SCENARIOS, "simulate.scenarios"))
-        beta = tuple(self.beta) if isinstance(self.beta, (list, tuple, np.ndarray)) else ()
-        if len(beta) != 2 or not all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) and np.isfinite(b)
-            for b in beta
-        ):
-            raise ConfigError(f"simulate.beta must be two finite numbers: {self.beta!r}")
-        put("beta", beta)
+        beta = self.beta.tolist() if isinstance(self.beta, np.ndarray) else self.beta
+        try:  # a ValueError: not two entries, or one not a finite number (ConfigError)
+            b0, b1 = beta if isinstance(beta, (list, tuple)) else ()
+            put("beta", tuple(read_float(b, "simulate.beta") for b in (b0, b1)))
+        except ValueError:
+            msg = f"simulate.beta must be two finite numbers: {self.beta!r}"
+            raise ConfigError(msg) from None
         check_site_count(self.n + self.n_star, "simulate.n + simulate.n_star")
 
 

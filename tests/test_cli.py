@@ -781,6 +781,32 @@ class TestValidate:
         tiers = [r.split(",")[1] for r in rows[1:]]
         assert tiers == ["intercept", "main_effects", "quadratic"]
 
+    def test_a_split_subsets_its_rows_once_for_all_tiers(self, tmp_path, monkeypatch):
+        # each split takes its training rows, then its test rows, once: every
+        # tier's sites are made from those two datasets
+        data, _, _ = poisson_dataset(tmp_path, n=40, seed=12)
+        config = write_config(
+            tmp_path,
+            {
+                "family": "poisson",
+                "beta": "estimate",
+                "matern": {"omega1": 0.5, "omega2": 1.0},
+                "validate": {"splits": 2, "n_train": 30, "n_test": 8},
+            },
+        )
+        sizes, subset = [], dataio.Dataset.subset
+        monkeypatch.setattr(
+            dataio.Dataset, "subset",
+            lambda dataset, rows: sizes.append(len(rows)) or subset(dataset, rows),
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["validate", "--config", config, "--data", data, "--out", str(out), "--quiet"]
+        )
+        assert code == cli.EXIT_OK
+        assert len((out / "validation.csv").read_text().strip().split("\n")) == 7
+        assert sizes == [30, 8, 30, 8]
+
     def test_oversized_split_is_rejected(self, tmp_path):
         data, _, _ = poisson_dataset(tmp_path, n=20)
         config = write_config(
@@ -1269,7 +1295,9 @@ class TestConfigCounts:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("beta", [8, [8], [1.0, float("nan")], [1.0, True], "ab"])
+    @pytest.mark.parametrize(
+        "beta", [8, [8], [1.0, float("nan")], [1.0, True], "ab", [10**400, 0]]
+    )
     def test_simulated_beta_must_be_two_finite_numbers(self, tmp_path, capsys, beta):
         simulate_section = {"n": 10, "n_star": 5, "replications": 1, "beta": beta}
         code, out = self.run(tmp_path, "simulate", {"simulate": simulate_section})

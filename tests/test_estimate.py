@@ -14,6 +14,7 @@ from glmmfp._lapack import potri
 from glmmfp.covariance import MaternParams, build_blocked
 from glmmfp.estimate import SpatialData, approx_loglik, estimate
 from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
+from glmmfp.spatial import site_problem
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "estimate_reference.json"
 
@@ -96,6 +97,40 @@ class TestSurrogateLoglik:
         near = approx_loglik(data, np.array([2.0]), omega)
         far = approx_loglik(data, np.array([6.0]), omega)
         assert near > far
+
+
+class TestStartObjective:
+    # bench/checks.check_estimate compares an estimate with approx_loglik at
+    # initial_beta: that value must be the estimate's own start, and the one a
+    # fit on build_blocked's prior gives, bit for bit
+    @pytest.mark.parametrize("case", ["poisson", "near_duplicates"])
+    def test_is_the_first_fit_of_estimate_and_of_the_blocked_prior(self, case, monkeypatch):
+        if case == "poisson":
+            data, omega = poisson_data(seed=6)
+        else:  # nearly coincident smooth-field sites: the prior needs a jitter
+            base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+            coords = np.vstack([base, base[:3] + 1e-13])
+            y = np.random.default_rng(14).poisson(3.0, size=7).astype(float)
+            data = SpatialData(
+                y=y, X=np.ones((7, 1)), coords=coords, kernel=poisson_kernel()
+            )
+            omega = MaternParams(0.9, 0.5, 2.5)
+        beta0 = estimate_module.initial_beta(data)
+        value = approx_loglik(data, beta0, omega)
+        assert np.isfinite(value)
+        blocked = build_blocked(omega, data.coords)
+        assert (blocked.jitter > 0) == (case == "near_duplicates")
+        problem = site_problem(data, blocked, beta0)
+        assert value == fixed_point.laplace_marginal(fixed_point.fit_posterior(problem))
+        values, marginal = [], estimate_module.laplace_marginal
+
+        def recorded(report):
+            values.append(marginal(report))
+            return values[-1]
+
+        monkeypatch.setattr(estimate_module, "laplace_marginal", recorded)
+        estimate(data, None, omega)
+        assert values[0] == value
 
 
 class TestObjectiveFactorizations:

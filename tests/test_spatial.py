@@ -387,7 +387,8 @@ class TestFactorizationBudget:
         calls, in_solver = self.count_factorizations(monkeypatch)
         sizes, prior = [], covariance.potrf
         monkeypatch.setattr(covariance, "potrf", lambda a: sizes.append(len(a)) or prior(a))
-        g2 = cli._validate_split(cfg, dataset, perm[20:], perm[:20], "intercept")
+        train, test = dataset.subset(perm[20:]), dataset.subset(perm[:20])
+        g2 = cli._validate_split(cfg, train, test, "intercept")
         assert np.isfinite(g2)
         assert sizes == [80]
         assert calls.count("prior") == 1 and "cholesky" not in calls

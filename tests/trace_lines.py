@@ -10,6 +10,12 @@ that no test imports in process is printed as ``file.py`` alone.  The
 expected output is ``__main__.py`` and the two lines of ``cli.entry`` and
 its ``__main__`` guard, which only the subprocess tests run.
 
+It then prints, as ``module.function`` and then a count, each public
+top-level function of the package that no module but ``__init__`` names:
+found with ``ast``, a function is named where its name is read as a
+variable or an attribute, be it called or passed as a value.  Such a
+function is reached from the tests, the benchmark or the demos alone.
+
 A module's executable lines are the line numbers of its code objects'
 instructions (``co_lines``), less each function's ``def`` line, which the
 enclosing code runs.  The arguments go to pytest after ``-q -rfE -p
@@ -19,6 +25,7 @@ does not collect this file, and it needs nothing beyond the test
 dependencies.
 """
 
+import ast
 import sys
 import threading
 import types
@@ -41,6 +48,25 @@ def executable_lines(path: Path) -> set:
             own.discard(code.co_firstlineno)
         lines |= own
     return lines
+
+
+def unnamed_functions() -> list:
+    """``module.function`` for each public top-level function of the package whose
+    name no module but ``__init__`` reads, as a variable or an attribute."""
+    defined, named = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [
+            f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+        if path.stem != "__init__":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    return [name for name in defined if name.split(".")[1] not in named]
 
 
 def main(argv) -> int:
@@ -78,6 +104,10 @@ def main(argv) -> int:
             print(f"{path.name}:{line}")
             missed += 1
     print(f"{missed} unreached (pytest exit code {int(code)})")
+    unnamed = unnamed_functions()
+    for name in unnamed:
+        print(name)
+    print(f"{len(unnamed)} public functions that no module but __init__ names")
     return int(code)
 
 
