@@ -17,11 +17,12 @@ from .covariance import BlockedCovariance, MaternParams, build_blocked, matern
 from .families import (
     FamilyKernel,
     binomial_kernel,
+    deviance_gof,
     gaussian_kernel,
     poisson_kernel,
 )
 from .fixed_point import FitReport, GlmmProblem, fit_posterior
-from .metrics import deviance_gof, rl2
+from .metrics import rl2
 from .oracle import adjudicate_exactness, moments_quadrature, moments_slice
 from .spatial import SpatialData, krige, site_problem
 

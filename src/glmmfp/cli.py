@@ -30,8 +30,8 @@ from .covariance import MaternParams, SingularCovarianceError, _check_sites
 from .covariance import build_blocked, check_site_count, cross_covariance
 from .dataio import ConfigError, RunConfig
 from .estimate import estimate
+from .families import check_support, deviance_gof
 from .fixed_point import fit_posterior
-from .metrics import deviance_gof
 from .oracle import CapabilityError
 from .simulate import SimConfig, run_scenarios, write_audit_json, write_table_csv
 from .spatial import SpatialData, krige, site_problem
@@ -190,6 +190,7 @@ def _option(args, name: str, low: int, default) -> int:
 def cmd_validate(args, cfg: RunConfig) -> int:
     seed = _option(args, "seed", 0, cfg.seed)
     dataset = dataio.load_dataset(args.data, cfg)
+    check_support(dataio.make_kernel(cfg, dataset.trials), dataset.y)  # as fit does, once
     val = cfg.validate
     splits = dataio.read_int(val, "splits", 20, 1, "validate")
     n_train = dataio.read_int(val, "n_train", 80, 1, "validate")
@@ -243,8 +244,7 @@ def _validate_split(cfg, train, test, tier) -> float:
         raise RuntimeError("mode-finder did not converge on a split")
     if result is not None:
         result.check_converged()
-    kernel = unobserved.kernel
-    return deviance_gof(unobserved.y, prediction.y_hat_star, kernel.trials, kernel.variance)
+    return deviance_gof(unobserved.kernel, unobserved.y, prediction.y_hat_star)
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import MaternParams, build_blocked
-from .families import binomial_kernel, gaussian_kernel, poisson_kernel
+from .families import FAMILIES, binomial_kernel, gaussian_kernel, poisson_kernel
 
 ESTIMATE = "estimate"
 TIERS = ("intercept", "main_effects", "quadratic")
@@ -149,7 +149,7 @@ def load_config(path) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
     cfg = RunConfig()
     cfg.family = raw.get("family", cfg.family)
-    if cfg.family not in ("poisson", "binomial", "gaussian"):
+    if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}")
     cfg.covariates = read_list(raw.get("covariates", cfg.covariates), "covariates")
     cfg.model_tier = raw.get("model_tier", cfg.model_tier)

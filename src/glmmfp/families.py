@@ -1,11 +1,12 @@
 """Exponential-family kernels for canonical-link mixed models.
 
 Each kernel supplies the conditional mean ``b'`` and working weight
-used by the Newton mode-finder, the full log-likelihood, and the
-family-specific starting values for the linear predictor.  Poisson (log
-link) and binomial (logit link) are the count families of interest; a
-Gaussian kernel with fixed, known variance is included as the conjugate
-case where every downstream quantity has a closed form.
+used by the Newton mode-finder, the full log-likelihood, the family-specific
+starting values for the linear predictor and the deviance of predicted
+responses, so that no other module branches on the family to choose a
+formula.  Poisson (log link) and binomial (logit link) are the count families
+of interest; a Gaussian kernel with fixed, known variance is included as the
+conjugate case where every downstream quantity has a closed form.
 
 All functions are pure and operate elementwise on numpy arrays, so they
 are safe to call concurrently.  The logistic function is numpy's and
@@ -29,7 +30,7 @@ ETA_CLAMP = 0.5 * math.log(np.finfo(float).max)  # 354.9
 POISSON = "poisson"
 BINOMIAL = "binomial"
 GAUSSIAN = "gaussian"
-_FAMILIES = (POISSON, BINOMIAL, GAUSSIAN)
+FAMILIES = (POISSON, BINOMIAL, GAUSSIAN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +48,7 @@ class FamilyKernel:
     variance: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == BINOMIAL:
             if self.trials is None:
@@ -238,3 +239,34 @@ def log_likelihood(kernel: FamilyKernel, eta, y, const=None) -> np.ndarray:
         return terms.sum(axis=-1)
     terms = -0.5 * (y - eta) ** 2 / kernel.variance + const
     return terms.sum(axis=-1)
+
+
+def _xlog_ratio(a, b):
+    """a log(a / b), taken as 0 where a = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0) / b), 0.0)
+
+
+def deviance_gof(kernel: FamilyKernel, y_obs, y_hat) -> float:
+    """Deviance goodness-of-fit of the predicted responses ``y_hat``, nonnegative.
+
+    ``y_obs`` is checked by :func:`check_support`.  Poisson: 2 sum[y log(y / yhat)
+    - (y - yhat)].  Binomial, with the kernel's trial counts m: 2 sum[y log(y / yhat)
+    + (m - y) log((m - y) / (m - yhat))].  A term is 0 where its count (y, or
+    m - y) is 0; predictions must be strictly positive, and below m for the
+    binomial.  Gaussian: sum (y - yhat)^2 / variance, for any real yhat.
+    """
+    y = check_support(kernel, y_obs)
+    mu = np.asarray(y_hat, dtype=float)
+    if y.shape != mu.shape:
+        raise ValueError("observed and predicted vectors have mismatched shapes")
+    if kernel.family == GAUSSIAN:
+        return float(np.sum((y - mu) ** 2) / kernel.variance)
+    if np.any(mu <= 0):
+        raise ValueError("predictions must be strictly positive")
+    if kernel.family == POISSON:
+        return float(2.0 * np.sum(_xlog_ratio(y, mu) - (y - mu)))
+    m = kernel.trials
+    if np.any(mu >= m):
+        raise ValueError("binomial predictions must stay within the trials")
+    return float(2.0 * np.sum(_xlog_ratio(y, mu) + _xlog_ratio(m - y, m - mu)))

@@ -50,6 +50,11 @@ MANIFEST = HERE / "output_manifest.json"
 FIXED = {"beta": [4.5], "matern": {"omega1": 0.5, "omega2": 1.5}}
 ESTIMATED = {"beta": "estimate", "matern": "estimate"}
 VALIDATE = {"splits": 3, "n_train": 40, "n_test": 15}
+BINOMIAL = {"family": "binomial", "beta": [0.3], "matern": {"omega1": 0.4, "omega2": 0.8}}
+GAUSSIAN = {"family": "gaussian", "gaussian_variance": 0.25, "beta": [1.0],
+            "matern": {"omega1": 0.3, "omega2": 2.0, "omega3": 1.5}}
+# the 40-site binomial and Gaussian datasets' splits
+SPLITS = {"splits": 2, "n_train": 24, "n_test": 10, "tiers": ["intercept"]}
 SIMULATE = {"n": 60, "n_star": 40, "replications": 3,
             "scenarios": ["oracle", "sic_true", "sic_estimated"]}
 
@@ -73,15 +78,16 @@ COMMANDS = {
         {"family": "poisson", **ESTIMATED, "validate": VALIDATE},
         ["validate", "--data", "train.csv", "--seed", "5"],
     ),
-    "fit-binomial": (
-        {"family": "binomial", "beta": [0.3], "matern": {"omega1": 0.4, "omega2": 0.8}},
-        ["fit", "--data", "binomial.csv"],
+    "fit-beta-only": (
+        {"family": "poisson", "beta": ESTIMATED["beta"], "matern": FIXED["matern"]},
+        ["fit", "--data", "train.csv"],
     ),
-    "fit-gaussian": (
-        {"family": "gaussian", "gaussian_variance": 0.25, "beta": [1.0],
-         "matern": {"omega1": 0.3, "omega2": 2.0, "omega3": 1.5}},
-        ["fit", "--data", "gaussian.csv"],
-    ),
+    "fit-binomial": (BINOMIAL, ["fit", "--data", "binomial.csv"]),
+    "fit-gaussian": (GAUSSIAN, ["fit", "--data", "gaussian.csv"]),
+    "validate-binomial": ({**BINOMIAL, "validate": SPLITS},
+                          ["validate", "--data", "binomial.csv"]),
+    "validate-gaussian": ({**GAUSSIAN, "validate": SPLITS},
+                          ["validate", "--data", "gaussian.csv"]),
     "simulate": ({"simulate": SIMULATE}, ["simulate", "--seed", "11"]),
     "verify-0": ({}, ["verify", "--seed", "0"]),
     "verify-1": ({}, ["verify", "--seed", "1"]),

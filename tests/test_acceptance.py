@@ -15,9 +15,8 @@ import pytest
 
 from glmmfp import cli
 from glmmfp.covariance import MaternParams, matern
-from glmmfp.families import binomial_kernel, gaussian_kernel, poisson_kernel
+from glmmfp.families import binomial_kernel, deviance_gof, gaussian_kernel, poisson_kernel
 from glmmfp.fixed_point import GlmmProblem, fit_posterior
-from glmmfp.metrics import deviance_gof
 from glmmfp.oracle import fixed_point_residual, identity_gaps, random_identity_stack
 from glmmfp.simulate import SimConfig, run_scenarios
 
@@ -215,10 +214,11 @@ def test_criterion_6_matern_correctness():
 def test_criterion_7_deviance_statistic(tmp_path):
     """Deviance reference values plus the noiseless validation pipeline."""
     y = np.array([2.0, 1.0, 5.0])
-    assert abs(deviance_gof(y, y.copy())) <= 1e-12
+    kernel = poisson_kernel()
+    assert abs(deviance_gof(kernel, y, y.copy())) <= 1e-12
     expected = 2.0 * (2.0 * np.log(2.0) - 1.0)
-    assert abs(deviance_gof(np.array([2.0]), np.array([1.0])) - expected) <= 1e-12
-    assert abs(deviance_gof(np.array([0.0]), np.array([1.0])) - 2.0) <= 1e-12
+    assert abs(deviance_gof(kernel, np.array([2.0]), np.array([1.0])) - expected) <= 1e-12
+    assert abs(deviance_gof(kernel, np.array([0.0]), np.array([1.0])) - 2.0) <= 1e-12
 
     rng = np.random.default_rng(77)
     coords = rng.uniform(0, 5, size=(30, 2))

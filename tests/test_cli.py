@@ -946,6 +946,46 @@ class TestValidate:
             assert failure["error"].endswith(" fits")
         assert (out / "validation.csv").read_text() == "split,tier,g2\n"
 
+    @staticmethod
+    def _refused(tmp_path, capsys, data, params):
+        """``validate``'s exit code and stderr on ``data``, two splits of 20 + 10 rows;
+        no result file may be left."""
+        split = {"splits": 2, "n_train": 20, "n_test": 10, "tiers": ["intercept"]}
+        config = write_config(tmp_path, {**params, "validate": split})
+        out = tmp_path / "out"
+        code = cli.main(["validate", "--config", config, "--data", str(data),
+                         "--out", str(out), "--seed", "0", "--quiet"])
+        assert not (out / "validation.csv").exists() and not (out / "summary.json").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["-1", "2.5"])
+    def test_count_that_fit_refuses_exits_1_before_any_split(self, tmp_path, capsys, count):
+        # row 2 is a test site of split 0 and a training site of split 1: the splits
+        # failed with two messages, a count of 2.5 was scored, and the command exited 2
+        data = tmp_path / "counts.csv"
+        dataio.write_synthetic_counts(data, n_sites=40, seed=1)
+        lines = data.read_text().splitlines()
+        lines[3] = ",".join([count, *lines[3].split(",")[1:]])  # after the header
+        data.write_text("\n".join(lines) + "\n")
+        params = {"beta": [4.5], "matern": {"omega1": 0.5, "omega2": 1.5}}
+        assert self._refused(tmp_path, capsys, data, params) == (
+            cli.EXIT_VALIDATION, "error: poisson response must be nonnegative integer counts\n"
+        )
+
+    def test_trial_count_that_fit_refuses_exits_1_before_any_split(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        coords = rng.uniform(0.0, 1.0, size=(40, 2))
+        m = rng.integers(1, 9, size=40)
+        y = rng.binomial(m, 0.5)
+        m[0] = y[0] = 0
+        data = tmp_path / "binomial.csv"
+        dataio.write_csv(data, ("y", "m", "x_coord", "y_coord"), zip(y, m, *coords.T))
+        params = {"family": "binomial", "beta": [0.3],
+                  "matern": {"omega1": 0.4, "omega2": 0.8}}
+        assert self._refused(tmp_path, capsys, data, params) == (
+            cli.EXIT_VALIDATION, "error: trial counts must be integers >= 1\n"
+        )
+
     def test_binomial_splits_use_the_binomial_deviance(self, tmp_path):
         rng = np.random.default_rng(13)
         n, n_train, n_test, seed = 30, 20, 10, 4

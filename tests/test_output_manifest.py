@@ -1,7 +1,8 @@
 """Every subcommand's output bytes against the committed manifest.
 
 ``record_manifest.py`` runs ``fit``, ``predict`` and ``validate`` with fixed
-and estimated parameters, a binomial and a Gaussian ``fit``, ``simulate``
+and estimated parameters, ``fit`` with ``beta`` estimated at given Matérn
+parameters, a binomial and a Gaussian ``fit`` and ``validate``, ``simulate``
 with all three scenarios and ``verify`` at two seeds, in one process at one
 BLAS thread, and hashes every file that they read and write.  A change that
 moves bytes on purpose re-records ``output_manifest.json`` with it and lists
